@@ -2,7 +2,10 @@
 
 Subcommands mirror the audit operations; every run is deterministic and
 emits sorted-key JSON or 17-significant-digit CSV. Exit status: 0 when
-all audits in the run pass, 1 when any fails, 2 on usage errors.
+all audits in the run pass, 1 when any fails, 2 on usage errors, 3 when
+a quadrature or iteration does not converge; the last writes a one-line
+JSON record {"error", "message", "value", "error_estimate"} to stderr,
+carrying the best estimate.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ import numpy as np
 
 from . import conformal, euclid_radial as er, inequalities as ineq, spectral
 from .constants import Params, eval_constants
-from .errors import DomainError
+from .errors import DomainError, NonConvergedError
 from .sphere_kernel import ZonalFunction, apply_kernel_at_pole, dini_test
 
 SCHEMA_VERSION = 1
@@ -273,6 +276,11 @@ def main(argv=None) -> int:
     except (DomainError, OSError, ValueError) as exc:
         print(f"fraclog: error: {exc}", file=sys.stderr)
         return 2
+    except NonConvergedError as exc:
+        record = {"error": "NonConvergedError", "message": str(exc),
+                  "value": exc.value, "error_estimate": exc.error_estimate}
+        print(json.dumps(record, sort_keys=True, default=_fmt), file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -124,7 +124,7 @@ def pullback_inverse(s: float, v: er.RadialProfile, N: int) -> ZonalFunction:
         r = radius_of_cosine(t)
         return v.evaluator(r) / er.phi(r) ** m
 
-    return ZonalFunction(N, profile, smoothness="inherited")
+    return ZonalFunction(N, profile)
 
 
 @dataclass(frozen=True)

@@ -1,41 +1,64 @@
 """Singular-integral evaluation of the conformal operators on zonal functions.
 
-For a rotation-symmetric u(zeta) = f(z . zeta) evaluated at its own pole
-z, the sphere integral collapses to one dimension. In the polar angle
-theta (t = cos theta, |z - zeta|^2 = 2 - 2t = 4 sin^2(theta/2)):
+One formula serves every point. Let u(zeta) = f(e . zeta) be zonal about
+a pole e and z a point with polar cosine t0 = e . z. Rotating about z,
+the sphere integral only sees the spherical mean
 
-    P   u(z) = coeff * |S^{N-1}| * int_0^pi [f(1) - f(cos theta)]
-               * (2 - 2 cos theta)^{-e} * w(theta) * sin^{N-1}(theta) dtheta
-               + zero_order * f(1)
+    M(t) = mean of u over the (N-1)-sphere {zeta : z . zeta = t},
+
+so P u(z) is the pole formula applied to the profile M. In the angle
+theta from z (t = cos theta, d2 = |z - zeta|^2 = 2 - 2t = 4 sin^2(theta/2)):
+
+    P   u(z) = coeff * |S^{N-1}| * int_0^pi [M(1) - M(cos theta)]
+               * d2^{-e} * w(theta) * sin^{N-1}(theta) dtheta
+               + zero_order * M(1),          M(1) = f(t0),
 
 with, per operator,
 
-    P_s:     e = (N+2s)/2, w = 1,                     coeff = c_{N,s},  zero = A_{N,s}
-    P_slog:  e = (N+2s)/2, w = -ln(2-2cos th)+b_{N,s}, coeff = c_{N,s},  zero = A'_{N,s}
-    P_log:   e = N/2,      w = 1,                     coeff = c_N,      zero = A_N
+    P_s:     e = (N+2s)/2, w = 1,               coeff = c_{N,s},  zero = A_{N,s}
+    P_slog:  e = (N+2s)/2, w = -ln(d2)+b_{N,s}, coeff = c_{N,s},  zero = A'_{N,s}
+    P_log:   e = N/2,      w = 1,               coeff = c_N,      zero = A_N
 
-For a C^2 profile the integrand scales like theta^{1-2s} (log factor for
-P_slog) at theta = 0, so it is absolutely integrable for s < 1 and no
-principal value is needed; the quadrature module flattens the endpoint.
-N = 1 uses |S^0| = 2 and the sin^{N-1} factor degenerates to 1.
+Writing zeta = t z + sqrt(1-t^2) eta with eta on the unit sphere of
+z-perp and e' the unit vector along the part of e in z-perp,
+e . zeta = t t0 + sqrt(1-t^2) sqrt(1-t0^2) x, where x = eta . e' has
+density (1-x^2)^{(N-3)/2} on [-1, 1]. For a profile of degree d,
+Gauss-Gegenbauer with d//2 + 1 nodes (parameter (N-2)/2; the two points
++-1 for N = 1) makes each mean exact, and M is again a polynomial of
+degree d. It is sampled at d + 1 Chebyshev points, converted to
+Chebyshev coefficients and divided exactly by 1 - t (Trefethen,
+Approximation Theory and Approximation Practice, ch. 3), which gives
+q(t) = (M(1) - M(t))/(1 - t) without cancellation. With 1 - t = d2/2 and
+sin^{N-1} theta = d2^{(N-1)/2} cos^{N-1}(theta/2) the integrand becomes
+
+    0.5 * q(cos theta) * w * d2^{(N+1)/2 - e} * cos^{N-1}(theta/2),
+
+one finite power of d2 that behaves like theta^{1-2s} (log factor for
+P_slog) at theta = 0: absolutely integrable for s < 1, so no principal
+value is needed; the quadrature module flattens the endpoint. The route
+uses profile values, Gauss nodes and quadrature only, never the
+symbols, so it stays independent of the spectral route.
 
 Also provided: the difference-quotient audit (order-derivative of P_t at
 t = s), the s -> 0 audit against P_log, and the fractional-logarithmic
-Dini integral finiteness test.
+Dini integral test.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad as _scipy_quad
+from numpy.polynomial import chebyshev as cheb
+# not called here; perfbench/tracer.py looks this name up to count quad evaluations
+from scipy.integrate import quad as _scipy_quad
+from scipy.special import roots_gegenbauer
 
 from .audit import AuditReport
-from .constants import Params, eval_constants, A_N, c_N, sphere_area_equator
+from .constants import Params, eval_constants, A_N, c_N, sphere_area, sphere_area_equator
 from .errors import DomainError
 from .quadrature import Integrand, QuadResult, SingularitySpec, integrate
 from . import spectral
@@ -48,37 +71,28 @@ KERNEL_REL_TOL = 1e-10
 class ZonalFunction:
     """u(zeta) = profile(z . zeta) for a fixed pole z; profile on [-1, 1].
 
-    pole_quotient, when available, is q(t) = (profile(1) - profile(t))/(1-t)
-    evaluated without cancellation; for polynomial profiles it is again a
-    polynomial, and it keeps the kernel quadrature accurate where the
-    singularity transform probes 1 - t down to ~1e-30.
+    The kernels need `expansion`: its degree fixes the Gauss and
+    Chebyshev orders, and its profile accepts numpy arrays.
     """
 
     N: int
     profile: Callable[[float], float]
-    smoothness: str = "C2"
     expansion: Optional[spectral.ZonalExpansion] = None
-    pole_quotient: Optional[Callable[[float], float]] = None
 
     @staticmethod
     def from_expansion(u: spectral.ZonalExpansion) -> "ZonalFunction":
-        coeffs = np.zeros(u.degree_max + 1)
-        for k, ck in enumerate(u.coeffs):
-            if ck != 0.0:
-                zc = spectral.zonal_basis_coeffs(u.N, k)
-                coeffs[: len(zc)] += ck * np.asarray(zc)
-        # f(1) - f(t) = (1-t) q(t), q_i = sum_{j > i} a_j
-        q = np.cumsum(coeffs[::-1])[::-1][1:] if len(coeffs) > 1 else np.zeros(0)
-        poly_q = np.polynomial.Polynomial(q) if len(q) else None
-        quotient = (lambda t: float(poly_q(t))) if poly_q is not None else (lambda t: 0.0)
-        return ZonalFunction(u.N, lambda t: spectral.zonal_eval(u, t),
-                             smoothness="Cinf", expansion=u,
-                             pole_quotient=quotient)
+        terms = [(k, c) for k, c in enumerate(u.coeffs) if c != 0.0]
+
+        def profile(t):
+            return sum((c * spectral.zonal_basis_eval(u.N, k, t) for k, c in terms),
+                       0.0 * t)
+
+        return ZonalFunction(u.N, profile, expansion=u)
 
     @staticmethod
     def constant(N: int, value: float = 1.0) -> "ZonalFunction":
-        return ZonalFunction(N, lambda t: value, smoothness="Cinf",
-                             pole_quotient=lambda t: 0.0)
+        return ZonalFunction.from_expansion(
+            spectral.ZonalExpansion(N, 0, (value * math.sqrt(sphere_area(N)),)))
 
 
 def _kernel_setup(op: str, p: Params | None, N: int):
@@ -97,139 +111,75 @@ def _kernel_setup(op: str, p: Params | None, N: int):
     raise DomainError(f"unknown operator {op!r}")
 
 
-def apply_kernel_at_pole(op: str, p: Params | None, u: ZonalFunction) -> QuadResult:
-    """Evaluate P_s / P_slog / P_log applied to u at the pole of symmetry."""
+@lru_cache(maxsize=256)
+def _mean_rule(N: int, degree: int):
+    """Nodes and unit-sum weights of x = eta . e', exact to `degree`."""
+    if N == 1:
+        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    x, w = roots_gegenbauer(degree // 2 + 1, 0.5 * (N - 2))
+    return x, w / w.sum()
+
+
+def _mean_quotient(u: ZonalFunction, t0: float):
+    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), and M(1)."""
+    degree = u.expansion.degree_max
+    x, w = _mean_rule(u.N, degree)
+    sin0 = math.sqrt(1.0 - t0 * t0)
+
+    def mean(t):
+        t = t[:, None]
+        return u.profile(t0 * t + sin0 * np.sqrt(1.0 - t * t) * x) @ w
+
+    m = cheb.chebinterpolate(mean, degree)
+    m1 = float(m.sum())  # M(1), since T_j(1) = 1
+    num = -m
+    num[0] += m1
+    q, _ = cheb.chebdiv(num, [1.0, -1.0])
+    return q.tolist(), m1
+
+
+def _clenshaw(c, x):
+    """sum_j c_j T_j(x) for a list of Chebyshev coefficients."""
+    b1 = b2 = 0.0
+    for a in reversed(c[1:]):
+        b1, b2 = a + 2.0 * x * b1 - b2, b1
+    return c[0] + x * b1 - b2
+
+
+def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> QuadResult:
+    """Evaluate P_s / P_slog / P_log applied to u at polar cosine t0 in [-1, 1]."""
+    if not -1.0 <= t0 <= 1.0:
+        raise DomainError(f"polar cosine must lie in [-1, 1], got {t0}")
+    if u.expansion is None:
+        raise DomainError("kernel route needs a zonal expansion (its degree)")
     N = u.N
     coeff, expo, zero_order, b_shift = _kernel_setup(op, p, N)
-    f = u.profile
-    f1 = f(1.0)
-    quotient = u.pole_quotient
+    q, m1 = _mean_quotient(u, t0)
+    power = 0.5 * (N + 1) - expo
 
     def integrand(theta):
         half = math.sin(0.5 * theta)
         d2 = 4.0 * half * half  # |z - zeta|^2, stable for tiny theta
         if d2 == 0.0:
             return 0.0
-        if quotient is not None:
-            diff = 0.5 * d2 * quotient(math.cos(theta))  # 1 - t = d2/2
-        else:
-            diff = f1 - f(math.cos(theta))
         w = 1.0 if b_shift is None else (-math.log(d2) + b_shift)
-        return diff * d2 ** (-expo) * w * math.sin(theta) ** (N - 1)
+        return (0.5 * _clenshaw(q, math.cos(theta)) * w * d2 ** power
+                * math.cos(0.5 * theta) ** (N - 1))
 
-    # C^2 profile: f(1) - f(cos th) ~ th^2, so the theta = 0 exponent is
-    # N + 1 - 2*expo (= 1 - 2s for P_s/P_slog, 1 for P_log).
-    alg = N + 1.0 - 2.0 * expo
-    spec = SingularitySpec("left", alg, has_log_factor=b_shift is not None)
+    # theta = 0 exponent of d2^power: N + 1 - 2*expo (= 1 - 2s for
+    # P_s/P_slog, 1 for P_log)
+    spec = SingularitySpec("left", 2.0 * power, has_log_factor=b_shift is not None)
     integ = Integrand(integrand, (0.0, math.pi), singularity=spec, name=f"{op}-kernel")
     res = integrate(integ, abs_tol=KERNEL_ABS_TOL, rel_tol=KERNEL_REL_TOL)
     area = sphere_area_equator(N)
-    return QuadResult(coeff * area * res.value + zero_order * f1,
+    return QuadResult(coeff * area * res.value + zero_order * m1,
                       abs(coeff) * area * res.abs_error_estimate,
                       res.evaluations)
 
 
-def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> QuadResult:
-    """Evaluate the operator at a point with polar cosine t0 (off-pole).
-
-    Away from the pole the principal value is handled by first-order
-    Taylor subtraction in the polar cosine c(zeta) = axis . zeta: since c
-    is (a constant plus) a degree-one eigenfunction, the subtracted term
-    has the exact spectral value (symbol(lambda_1) - zero_order) * t0 *
-    g'(t0), and the regularized remainder O((c - t0)^2) is absolutely
-    integrable for s < 1/2 (P_s, P_slog) and for P_log. For s >= 1/2 the
-    value is obtained spectrally and requires an expansion.
-
-    The double integral over (t, azimuth) is assembled as iterated 1-D
-    quadrature; N = 1 reduces to a single integral over the circle.
-    """
-    N = u.N
-    if t0 == 1.0:
-        return apply_kernel_at_pole(op, p, u)
-    if not -1.0 < t0 < 1.0:
-        raise DomainError(f"polar cosine must lie in (-1, 1], got {t0}")
-    if op in ("P_s", "P_slog") and p is not None and p.s >= 0.5:
-        if u.expansion is None:
-            raise DomainError("off-pole kernel needs s < 1/2 (or an expansion "
-                              "for the spectral route)")
-        val = spectral.zonal_eval(
-            spectral.apply_spectral(op, p, u.expansion), t0)
-        return QuadResult(val, 1e-12 * max(1.0, abs(val)), 0)
-    if N > 3:
-        raise DomainError("off-pole kernel implemented for N in {1, 2, 3}")
-
-    coeff, expo, zero_order, b_shift = _kernel_setup(op, p, N)
-    lam1 = spectral.eigenvalue(N, 1)
-    if op == "P_s":
-        sym1 = spectral.symbol_s(p, lam1)
-    elif op == "P_slog":
-        sym1 = spectral.symbol_slog(p, lam1)
-    else:
-        sym1 = spectral.symbol_log(N, lam1)
-    g = u.profile
-    g0 = g(t0)
-    if u.expansion is not None:
-        coeffs = np.zeros(u.expansion.degree_max + 1)
-        for k, ck in enumerate(u.expansion.coeffs):
-            if ck != 0.0:
-                zc = spectral.zonal_basis_coeffs(N, k)
-                coeffs[: len(zc)] += ck * np.asarray(zc)
-        dg0 = float(np.polynomial.Polynomial(coeffs).deriv()(t0))
-    else:
-        h = 1e-6
-        dg0 = (g(t0 + h) - g(t0 - h)) / (2.0 * h)
-
-    def regularized(t):
-        return g0 - g(t) + dg0 * (t - t0)
-
-    def weighted_kernel(d2):
-        w = 1.0 if b_shift is None else (-math.log(d2) + b_shift)
-        return d2 ** (-expo) * w
-
-    # the regularized integrand keeps an integrable singularity along
-    # zeta = z; QUADPACK resolves it but grumbles, so its warnings are
-    # silenced here and accuracy is carried by the error estimate
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        if N == 1:
-            theta0 = math.acos(t0)
-
-            def circle_integrand(alpha):
-                d2 = 4.0 * math.sin(0.5 * (alpha - theta0)) ** 2
-                if d2 == 0.0:
-                    return 0.0
-                r = regularized(math.cos(alpha))
-                return r * weighted_kernel(d2) if r != 0.0 else 0.0
-
-            i_reg, i_err = _scipy_quad(circle_integrand, theta0 - math.pi,
-                                       theta0 + math.pi, epsabs=1e-10,
-                                       epsrel=1e-9, limit=200, points=(theta0,))
-        else:
-            azim_area = 2.0 if N == 2 else sphere_area_equator(N - 1)
-            sin0 = math.sqrt(1.0 - t0 * t0)
-
-            def outer(t):
-                r = regularized(t)
-                if r == 0.0:
-                    return 0.0
-                cross = sin0 * math.sqrt(max(1.0 - t * t, 0.0))
-
-                def inner(ph):
-                    d2 = 2.0 - 2.0 * (t0 * t + cross * math.cos(ph))
-                    if d2 <= 0.0:
-                        return 0.0
-                    return weighted_kernel(d2) * math.sin(ph) ** (N - 2)
-
-                val, _ = _scipy_quad(inner, 0.0, math.pi, epsabs=1e-10,
-                                     epsrel=1e-8, limit=100)
-                return r * val * (1.0 - t * t) ** (0.5 * (N - 2.0))
-
-            value, err = _scipy_quad(outer, -1.0, 1.0, epsabs=1e-9, epsrel=1e-8,
-                                     limit=200, points=(t0,))
-            i_reg, i_err = azim_area * value, azim_area * err
-
-    result = coeff * i_reg + dg0 * (sym1 - zero_order) * t0 + zero_order * g0
-    return QuadResult(result, abs(coeff) * i_err, 0)
+def apply_kernel_at_pole(op: str, p: Params | None, u: ZonalFunction) -> QuadResult:
+    """Evaluate P_s / P_slog / P_log applied to u at the pole of symmetry."""
+    return apply_kernel(op, p, u, 1.0)
 
 
 def _loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:

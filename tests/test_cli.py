@@ -49,6 +49,33 @@ def test_kernel_vs_spectral(capsys):
     assert max(rels) <= 1e-6
 
 
+def test_kernel_vs_spectral_high_degree(capsys):
+    code, out = run(capsys, "kernel-vs-spectral", "--dim", "3", "--order", "0.5",
+                    "--kmax", "40")
+    assert code == 0
+    rels = [float(line.split(",")[-1]) for line in out.strip().splitlines()[1:]]
+    assert len(rels) == 3 * 41 and max(rels) <= 1e-6
+
+
+def test_nonconverged_exit_3_with_record(monkeypatch, capsys):
+    from fraclog import cli
+    from fraclog.errors import NonConvergedError
+
+    def fail(*args):
+        raise NonConvergedError("quadrature stalled", value=1.25, error_estimate=3e-4)
+
+    monkeypatch.setattr(cli, "apply_kernel_at_pole", fail)
+    code = main(["kernel-vs-spectral", "--dim", "2", "--order", "0.25", "--kmax", "1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "NonConvergedError",
+                                    "message": "quadrature stalled",
+                                    "value": 1.25, "error_estimate": 3e-4}
+
+
 def test_failure_exit_status_and_csv(tmp_path, capsys):
     csv_path = tmp_path / "curve.csv"
     code, out = run(capsys, "failure", "--dim", "3", "--order0", "0.5",

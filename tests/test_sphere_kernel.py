@@ -117,20 +117,38 @@ def test_slimit_constant_gap_is_constant_difference():
         assert gap == pytest.approx(abs(cs.Aprime_Ns - cs.A_N), rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("N,t0", [(1, 0.3), (2, -0.5), (3, 0.3)])
+def _symbol(op, p, lam):
+    if op == "P_log":
+        return symbol_log(p.N, lam)
+    return (symbol_s if op == "P_s" else symbol_slog)(p, lam)
+
+
+def _kernel_error(op, p, k, t0):
+    """Observed error of the kernel at t0, its estimate and sup |P Z_k|."""
+    res = apply_kernel(op, None if op == "P_log" else p, _basis_fn(p.N, k), t0)
+    sym = _symbol(op, p, eigenvalue(p.N, k))
+    sup = abs(sym * zonal_basis_eval(p.N, k, 1.0))
+    return abs(res.value - sym * zonal_basis_eval(p.N, k, t0)), res.abs_error_estimate, sup
+
+
+OFFPOLE_ORDERS = (0.1, 0.25, 0.3, 0.45, 0.75, 0.9)
+OFFPOLE_COSINES = (-0.9, -0.3, 0.2, 0.7, 0.99)
+
+
+@pytest.mark.parametrize("N,t0", [(1, 0.3), (2, -0.5), (3, 0.3)]
+                         + [(N, t0) for N in range(1, 6) for t0 in OFFPOLE_COSINES])
 def test_offpole_kernel_matches_spectral(N, t0):
-    # Taylor-subtracted off-pole evaluation, s < 1/2 for P_s/P_slog
-    for k in (1, 2):
-        u = _basis_fn(N, k)
-        lam = eigenvalue(N, k)
-        scale = abs(zonal_basis_eval(N, k, 1.0))
-        p = Params(N, 0.25)
-        for op, sym in (("P_s", symbol_s(p, lam)),
-                        ("P_slog", symbol_slog(p, lam)),
-                        ("P_log", symbol_log(N, lam))):
-            val = apply_kernel(op, None if op == "P_log" else p, u, t0).value
-            target = sym * zonal_basis_eval(N, k, t0)
-            assert val == pytest.approx(target, abs=1e-5 * abs(sym) * scale), (op, k)
+    # spherical-mean route against symbol * Z_k(t0), relative to
+    # sup |P Z_k| = |symbol Z_k(1)|; P_log does not depend on s, so it
+    # runs with the first order only
+    orders = [s for s in OFFPOLE_ORDERS if N > 2.0 * s]
+    for s in orders:
+        ops = ("P_s", "P_slog", "P_log") if s == orders[0] else ("P_s", "P_slog")
+        for k in (0, 1, 2, 5, 10, 20):
+            for op in ops:
+                err, est, sup = _kernel_error(op, Params(N, s), k, t0)
+                assert err <= 1e-10 * sup, (op, s, k, err / sup)
+                assert err <= est + 64 * np.finfo(float).eps * sup, (op, s, k, err, est)
 
 
 def test_offpole_kernel_at_pole_delegates():
@@ -140,15 +158,39 @@ def test_offpole_kernel_at_pole_delegates():
         apply_kernel_at_pole("P_s", p, u).value, rel=1e-14)
 
 
-def test_offpole_large_order_uses_spectral_route():
+def test_offpole_large_order_and_profile_only_input():
     p = Params(3, 0.75)
     u = _basis_fn(3, 2)
     val = apply_kernel("P_slog", p, u, 0.4).value
     target = symbol_slog(p, eigenvalue(3, 2)) * zonal_basis_eval(3, 2, 0.4)
     assert val == pytest.approx(target, rel=1e-10)
+    # without an expansion there is no degree to make the mean exact
     bare = ZonalFunction(3, lambda t: t * t)
     with pytest.raises(DomainError):
         apply_kernel("P_slog", p, bare, 0.4)
+
+
+@pytest.mark.parametrize("op,N,s,k,t0", [
+    # d2^{-e} overflowed near theta = 0
+    ("P_slog", 4, 0.95, 12, 1.0),
+    # an isolated order where the pole quadrature missed its tolerance
+    ("P_slog", 4, 0.8979350787936425, 11, 1.0),
+    # Taylor-subtracted off-pole value: relative error 4.7e-6
+    ("P_slog", 2, 0.45, 2, 0.5),
+])
+def test_kernel_known_defects(op, N, s, k, t0):
+    err, _, sup = _kernel_error(op, Params(N, s), k, t0)
+    assert err <= 1e-10 * sup
+
+
+@pytest.mark.parametrize("N,s", [(1, 0.25), (3, 0.5)])
+def test_pole_kernel_high_degree(N, s):
+    # k = 30 (N = 1) and k = 40 (N = 3) raised NonConvergedError while the
+    # pole quotient was formed in the monomial basis
+    for k in range(30, 101, 10):
+        for op in ("P_s", "P_slog", "P_log"):
+            err, _, sup = _kernel_error(op, Params(N, s), k, 1.0)
+            assert err <= 1e-10 * sup, (op, k, err / sup)
 
 
 def test_dini_power_modulus_finite():
