@@ -28,7 +28,9 @@ def main(outfile):
             + [0.25, 0.4, 0.5, 0.75, 1.0, 1.5, 2.0, 2.5, 3.0, 5.0, 7.5, 12.0, 37.5]
         )
     )
-    bessel_nu = [0.0, 0.05, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6, 0.75, 0.9, 0.99]
+    # orders outside [0, 1) are those of euclid_radial's exact pairs, s - i
+    bessel_nu = [-11.7, -7.5, -2.5, -1.3, 0.0, 0.05, 0.1, 0.25, 0.3, 0.4, 0.5, 0.6,
+                 0.75, 0.9, 0.99, 1.0, 1.5, 2.75, 4.5]
     bessel_x = sorted(set([10.0 ** e for e in (-4, -3, -2, -1)] + [0.5, 1.0, 2.0, 5.0, 10.0, 25.0, 50.0]))
     beta_pairs = [(0.5, 0.5), (1.0, 1.0), (0.3, 2.7), (1.5, 1.5), (4.0, 0.25), (10.0, 10.0)]
 

@@ -14,16 +14,16 @@ from .spectral import (SpectrumPoint, ThresholdReport, ZonalExpansion,
                        apply_spectral, eigentable, monotonicity_audit,
                        symbol_log, symbol_s, symbol_slog, thresholds,
                        zonal_basis_eval)
-from .specfun import SpecialValue, bessel_k, bessel_k_half, digamma, ln_beta, ln_gamma, trigamma
+from .specfun import bessel_k, digamma, ln_beta, ln_gamma, trigamma
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AuditReport", "BracketError", "ConstantSet", "DivergentIntegralError",
     "DomainError", "Integrand", "NonConvergedError", "Params", "QuadResult",
-    "RootResult", "SpecialValue", "SpectrumPoint", "ThresholdReport",
+    "RootResult", "SpectrumPoint", "ThresholdReport",
     "ZonalExpansion", "apply_spectral", "bessel_bubble_coeff", "bessel_k",
-    "bessel_k_half", "bubble_mu", "digamma", "eigentable", "eval_constants",
+    "bubble_mu", "digamma", "eigentable", "eval_constants",
     "find_root", "integrate", "ln_beta", "ln_gamma", "monotonicity_audit",
     "symbol_log", "symbol_s", "symbol_slog", "thresholds", "trigamma",
     "zonal_basis_eval",

@@ -37,6 +37,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.polynomial import Chebyshev, Polynomial
 
 from .audit import AuditReport, identity_audit
 from .constants import Params, bubble_mu, eval_constants
@@ -79,28 +80,20 @@ def radius_of_cosine(t: float) -> float:
 def pullback_expansion(s: float, u: spectral.ZonalExpansion) -> er.RadialProfile:
     """T_s[u] for zonal u, as an exact phi-power profile.
 
-    Z_k(t) = sum_j z_j t^j with t = phi - 1 turns
-    phi^{(N-2s)/2} u(t(r)) into sum_i c_i phi^{(N-2s)/2 + i}.
+    u(t) with t = phi - 1 is a polynomial of degree d in phi; its
+    Chebyshev interpolant on phi in [0, 2], converted to powers of phi,
+    turns phi^{(N-2s)/2} u(t(r)) into sum_i c_i phi^{(N-2s)/2 + i}.
     """
     if not 0.0 <= s < 1.0:
         raise DomainError(f"pullback order must lie in [0, 1), got {s}")
-    N = u.N
-    m = 0.5 * (N - 2.0 * s)
+    m = 0.5 * (u.N - 2.0 * s)
     deg = u.degree_max
-    # accumulate coefficients of phi^0..phi^deg from (phi - 1)^j expansions
-    c_phi = np.zeros(deg + 1)
-    for k, ck in enumerate(u.coeffs):
-        if ck == 0.0:
-            continue
-        for j, zj in enumerate(spectral.zonal_basis_coeffs(N, k)):
-            if zj == 0.0:
-                continue
-            for i in range(j + 1):
-                c_phi[i] += ck * zj * math.comb(j, i) * (-1.0) ** (j - i)
+    c_phi = Chebyshev.interpolate(lambda phi: spectral.zonal_eval(u, phi - 1.0), deg,
+                                  domain=[0.0, 2.0]).convert(kind=Polynomial).coef
     terms = [er.PhiTerm(c, m + i) for i, c in enumerate(c_phi) if c != 0.0]
     if not terms:
         raise DomainError("pullback of the zero function")
-    return er.phi_poly_profile(N, terms, kind="pullback",
+    return er.phi_poly_profile(u.N, terms, kind="pullback",
                                meta={"s": s, "degree_max": deg})
 
 

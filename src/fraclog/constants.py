@@ -83,63 +83,56 @@ class ConstantSet:
         return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
-def _psi(x: float) -> float:
-    return digamma(x).value
-
-
-def _lgam(x: float) -> float:
-    return ln_gamma(x).value
-
-
 def sphere_area(N: int) -> float:
     """Surface measure |S^N| of the unit N-sphere in R^{N+1}."""
-    return math.exp(LN2 + 0.5 * (N + 1) * LN_PI - _lgam(0.5 * (N + 1)))
+    return math.exp(LN2 + 0.5 * (N + 1) * LN_PI - ln_gamma(0.5 * (N + 1)))
 
 
 def sphere_area_equator(N: int) -> float:
     """|S^{N-1}|, the measure of the azimuthal factor; |S^0| = 2."""
     if N == 1:
         return 2.0
-    return math.exp(LN2 + 0.5 * N * LN_PI - _lgam(0.5 * N))
+    return math.exp(LN2 + 0.5 * N * LN_PI - ln_gamma(0.5 * N))
 
 
 def a_N(N: int) -> float:
-    return (2.0 / N) * (_lgam(N) - _lgam(0.5 * N)) - math.log(4.0 * math.pi) - 2.0 * _psi(0.5 * N)
+    return ((2.0 / N) * (ln_gamma(N) - ln_gamma(0.5 * N)) - math.log(4.0 * math.pi)
+            - 2.0 * digamma(0.5 * N))
 
 
 def B_N(N: int) -> float:
-    return (0.5 * N * _psi(0.5 * N) - 0.25 * N * LN_PI
-            - 0.5 * (_lgam(N) - _lgam(0.5 * N)) + 0.5 * N * math.log(2.0 * math.pi))
+    return (0.5 * N * digamma(0.5 * N) - 0.25 * N * LN_PI
+            - 0.5 * (ln_gamma(N) - ln_gamma(0.5 * N)) + 0.5 * N * math.log(2.0 * math.pi))
 
 
 def C_N(N: int) -> float:
-    return (4.0 / N) * math.exp(0.5 * N * LN_PI - _lgam(0.5 * N))
+    return (4.0 / N) * math.exp(0.5 * N * LN_PI - ln_gamma(0.5 * N))
 
 
 def c_N(N: int) -> float:
-    return math.exp(_lgam(0.5 * N) - 0.5 * N * LN_PI)
+    return math.exp(ln_gamma(0.5 * N) - 0.5 * N * LN_PI)
 
 
 def A_N(N: int) -> float:
-    return 2.0 * _psi(0.5 * N)
+    return 2.0 * digamma(0.5 * N)
 
 
 def rho_N(N: int) -> float:
-    return 2.0 * LN2 + _psi(0.5 * N) - EULER_GAMMA
+    return 2.0 * LN2 + digamma(0.5 * N) - EULER_GAMMA
 
 
 @lru_cache(maxsize=4096)
 def _eval_constants_cached(N: int, s: float) -> ConstantSet:
     half = 0.5 * N
-    A_ns = math.exp(_lgam(half + s) - _lgam(half - s))
+    A_ns = math.exp(ln_gamma(half + s) - ln_gamma(half - s))
     c_ns = math.exp(s * 2.0 * LN2 - half * LN_PI + math.log(s) + math.log1p(-s)
-                    + _lgam(half + s) - _lgam(2.0 - s))
-    b_ns = 2.0 * LN2 + _psi(half + s) + _psi(2.0 - s) + 1.0 / s - 1.0 / (1.0 - s)
-    aprime_ns = A_ns * (_psi(half + s) + _psi(half - s))
-    ln_gamma_ratio = _lgam(N) - _lgam(half)
-    kappa = math.exp(-2.0 * s * LN2 - s * LN_PI + _lgam(half - s) - _lgam(half + s)
+                    + ln_gamma(half + s) - ln_gamma(2.0 - s))
+    b_ns = 2.0 * LN2 + digamma(half + s) + digamma(2.0 - s) + 1.0 / s - 1.0 / (1.0 - s)
+    aprime_ns = A_ns * (digamma(half + s) + digamma(half - s))
+    ln_gamma_ratio = ln_gamma(N) - ln_gamma(half)
+    kappa = math.exp(-2.0 * s * LN2 - s * LN_PI + ln_gamma(half - s) - ln_gamma(half + s)
                      + (2.0 * s / N) * ln_gamma_ratio)
-    kappaprime = kappa * (-2.0 * LN2 - LN_PI - _psi(half - s) - _psi(half + s)
+    kappaprime = kappa * (-2.0 * LN2 - LN_PI - digamma(half - s) - digamma(half + s)
                           + (2.0 / N) * ln_gamma_ratio)
     return ConstantSet(
         c_Ns=c_ns,
@@ -190,4 +183,4 @@ def bessel_bubble_coeff(p: Params) -> float:
     if not p.N > 2.0 * p.s:
         raise DomainError(f"bubble coefficient requires N > 2s, got N={p.N}, s={p.s}")
     m = 0.5 * (p.N - 2.0 * p.s)
-    return math.exp((1.0 - m) * LN2 - _lgam(m))
+    return math.exp((1.0 - m) * LN2 - ln_gamma(m))

@@ -19,8 +19,11 @@ every profile of the form sum_j c_j phi^{a_j} (ln phi)^{0|1}, with
 phi(r) = 2/(1+r^2), has a closed-form transform: phi^a = 2^a (1+r^2)^{-a}
 maps to 2^a G_{2a}, and phi^a ln phi maps to
 2^a [ln 2 G_{2a} + 2 dG_alpha/dalpha |_{alpha=2a}], the alpha-derivative
-being evaluated by a central difference (the map alpha -> G_alpha is
-analytic, so the h^2 error at h = 1e-6 is ~1e-12 relative). Pullbacks of
+being evaluated by a central difference at h = 1e-6. The evaluation
+noise of G_alpha divided by h, not the h^2 term, sets its error: against
+30-digit mpmath on N in {1, 3}, alpha in [0.4, 5], rho in [0.05, 10] it
+reaches 8e-8 relative to |G_alpha| + |dG_alpha/dalpha|, and 1.2e-6
+relative to the derivative alone near its zeros. Pullbacks of
 polynomial zonal functions are exactly of this form, which keeps the
 conformal pipelines quadrature-light; the numeric transform remains the
 independent cross-route and is tested against the closed forms.
@@ -43,12 +46,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.integrate import quad as _quad
 from scipy.interpolate import CubicSpline
-from scipy.special import kv as _kv
 
 from .constants import Params, bessel_bubble_coeff, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError
 from .quadrature import Integrand, QuadResult, integrate
-from .specfun import digamma, ln_beta, ln_gamma
+from .specfun import bessel_k, digamma, ln_beta, ln_gamma
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _RHO_MAX_EXP = 80.0  # exponential-decay densities are negligible beyond this
@@ -96,11 +98,9 @@ def phi(r: float) -> float:
 
 
 def _G_alpha(N: int, alpha: float, rho) -> float:
-    nu = 0.5 * (N - alpha)
-    lg = ln_gamma(0.5 * alpha).value
-    # orders outside specfun's [0,1) window occur here; scipy.special.kv
-    # handles arbitrary real order and K_{-nu} = K_nu
-    return 2.0 ** (1.0 - 0.5 * alpha) / math.exp(lg) * rho ** (0.5 * (alpha - N)) * _kv(abs(nu), rho)
+    lg = ln_gamma(0.5 * alpha)
+    return (2.0 ** (1.0 - 0.5 * alpha) / math.exp(lg) * rho ** (0.5 * (alpha - N))
+            * bessel_k(0.5 * (N - alpha), rho))
 
 
 def _dG_dalpha(N: int, alpha: float, rho) -> float:
@@ -154,20 +154,17 @@ def bubble_profile(p: Params, C: float, two_power: bool = True) -> RadialProfile
     two_power=True gives the conformal-pullback normalization
     C (2/(1+r^2))^{(N-2s)/2}; two_power=False gives C (1+r^2)^{-(N-2s)/2}
     (unit value at the origin when C = 1). The convention is recorded in
-    the profile metadata to keep 2^{(N-2s)/2} factors honest.
+    the profile metadata to keep 2^{(N-2s)/2} factors honest. In Bessel
+    form the pair is coef 2^m C_{N,s} rho^{-s} K_s(rho), m = (N-2s)/2,
+    C_{N,s} = bessel_bubble_coeff(p).
     """
     if not C > 0.0:
         raise DomainError(f"bubble scale must be positive, got {C}")
     m = 0.5 * (p.N - 2.0 * p.s)
     coef = C if two_power else C * 2.0 ** (-m)
-    prof = phi_poly_profile(p.N, [PhiTerm(coef, m)], kind="bubble",
+    return phi_poly_profile(p.N, [PhiTerm(coef, m)], kind="bubble",
                             meta={"s": p.s, "C": C,
                                   "convention": "v_{s,C}" if two_power else "C*u_s"})
-    # the pair in explicit Bessel form, equivalent to the G_alpha route:
-    # fhat = coef 2^m C_{N,s} rho^{-s} K_s(rho)
-    c_pair = coef * 2.0 ** m * bessel_bubble_coeff(p)
-    assert abs(prof.fourier.evaluator(1.0) - c_pair * _kv(p.s, 1.0)) < 1e-12 * abs(c_pair)
-    return prof
 
 
 def talenti_bubble(p: Params) -> RadialProfile:
@@ -353,23 +350,23 @@ def beta_integral(N: int, beta: float) -> float:
     """int_0^inf r^{N-1}(1+r^2)^{-beta} dr = B(N/2, beta - N/2)/2."""
     if not beta > 0.5 * N:
         raise DivergentIntegralError(f"beta integral diverges: beta={beta} <= N/2={N / 2}")
-    return 0.5 * math.exp(ln_beta(0.5 * N, beta - 0.5 * N).value)
+    return 0.5 * math.exp(ln_beta(0.5 * N, beta - 0.5 * N))
 
 
 def beta_log_integral(N: int, beta: float) -> float:
     """int_0^inf r^{N-1}(1+r^2)^{-beta} ln(1+r^2) dr (Beta derivative in beta)."""
     if not beta > 0.5 * N:
         raise DivergentIntegralError(f"beta log integral diverges: beta={beta} <= N/2={N / 2}")
-    b = math.exp(ln_beta(0.5 * N, beta - 0.5 * N).value)
-    return 0.5 * b * (digamma(beta).value - digamma(beta - 0.5 * N).value)
+    b = math.exp(ln_beta(0.5 * N, beta - 0.5 * N))
+    return 0.5 * b * (digamma(beta) - digamma(beta - 0.5 * N))
 
 
 def mellin_k2_moment(a: float, nu: float) -> float:
     """int_0^inf t^{a-1} K_nu(t)^2 dt, valid for a > 2|nu|."""
     if not a > 2.0 * abs(nu):
         raise DivergentIntegralError(f"K^2 moment diverges: a={a} <= 2|nu|={2 * abs(nu)}")
-    lg = (ln_gamma(0.5 * a).value + ln_gamma(0.5 * a + nu).value
-          + ln_gamma(0.5 * a - nu).value - ln_gamma(0.5 * (a + 1.0)).value)
+    lg = (ln_gamma(0.5 * a) + ln_gamma(0.5 * a + nu)
+          + ln_gamma(0.5 * a - nu) - ln_gamma(0.5 * (a + 1.0)))
     return 0.25 * math.sqrt(math.pi) * math.exp(lg)
 
 
@@ -398,7 +395,7 @@ def bubble_hs_energy(p: Params) -> float:
 def bubble_entropy(N: int) -> float:
     """Ent_{p(s)}(u_s) = -N[psi(N) - psi(N/2)] - ln I_N, independent of s."""
     I = sphere_area_equator(N) * beta_integral(N, float(N))
-    return -N * (digamma(float(N)).value - digamma(0.5 * N).value) - math.log(I)
+    return -N * (digamma(float(N)) - digamma(0.5 * N)) - math.log(I)
 
 
 def entropy(p_exponent: float, f: RadialProfile, N: int) -> QuadResult:

@@ -62,7 +62,7 @@ class DeficitCurve:
 def extremal_profile(N: int) -> er.RadialProfile:
     """Beckner extremal A (1+|x|^2)^{-N/2} with A fixed by ||f||_2 = 1."""
     amp = math.exp(-0.5 * (0.5 * N * math.log(math.pi)
-                           + ln_gamma(0.5 * N).value - ln_gamma(float(N)).value))
+                           + ln_gamma(0.5 * N) - ln_gamma(float(N))))
     return er.phi_poly_profile(
         N, [er.PhiTerm(amp * 2.0 ** (-0.5 * N), 0.5 * N)],
         kind="beckner-extremal", meta={"amplitude": amp})
@@ -192,9 +192,9 @@ def log_phi_sphere_integral(N: int) -> dict:
         (0.0, math.inf), name="logphi-euclid"), abs_tol=1e-12, rel_tol=1e-10)
     quad_euclid = sphere_area_equator(N) * res.value
     closed = (sphere_area_equator(N) * 2.0 ** (N - 1)
-              * math.exp(ln_beta(0.5 * N, 0.5 * N).value)
-              * (math.log(2.0) - digamma(float(N)).value
-                 + digamma(0.5 * N).value))
+              * math.exp(ln_beta(0.5 * N, 0.5 * N))
+              * (math.log(2.0) - digamma(float(N))
+                 + digamma(0.5 * N)))
     return {"sphere_quadrature": quad_sphere, "euclid_quadrature": quad_euclid,
             "closed_form": closed}
 

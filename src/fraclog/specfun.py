@@ -1,19 +1,17 @@
-"""Real-argument special functions with guaranteed error bounds.
+"""Real-argument special functions, returned as plain floats.
 
 Every constant and spectral symbol in this package reduces to the
 log-Gamma function, the digamma/trigamma functions, the Beta function
 and the modified Bessel function of the second kind K_nu. Evaluation is
 delegated to scipy.special (Lanczos/Stirling for ln Gamma, series +
-asymptotic switching for psi, psi', Temme/asymptotic for K_nu); the
-wrappers attach conservative error bounds calibrated against a 50-digit
-fixture (fixtures/specfun_oracle.json, regenerated offline by
-scripts/gen_specfun_oracle.py).
+asymptotic switching for psi, psi', Temme/asymptotic for K_nu); these
+functions add the domain checks.
 
-Bound model: measured accuracy is <= 2 ulp for the Gamma family and
-<= 1e-13 relative for K_nu on the audited grids; the advertised bounds
-carry a 4x-50x margin on top of that. An absolute bound below ~ulp(value)
-is unrepresentable in binary64, so bounds scale with |value| for large
-arguments.
+The accuracy model lives in the tests: tests/test_specfun.py and
+acceptance criterion 10 audit every value against a 50-digit fixture
+(fixtures/specfun_oracle.json, regenerated offline by
+scripts/gen_specfun_oracle.py) at 8 ulp with a 1e-14 absolute floor for
+the Gamma family and 5e-12 relative for K_nu.
 
 All functions are pure and stateless.
 """
@@ -21,7 +19,6 @@ All functions are pure and stateless.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy import special as _sp
 
@@ -29,86 +26,43 @@ from .errors import DomainError
 
 EULER_GAMMA = 0.5772156649015328606
 
-_EPS = 2.220446049250313e-16
 
-#: documented guarantees: (relative ulp factor, absolute floor)
-_GAMMA_FAMILY_BOUND = (8.0, 1e-14)
-_BESSEL_REL_BOUND = 5e-12
-
-#: K_nu(x) for x beyond this may underflow to exactly 0.0
-BESSEL_UNDERFLOW_X = 50.0
-
-
-@dataclass(frozen=True)
-class SpecialValue:
-    """A computed value together with a guaranteed absolute error bound."""
-
-    value: float
-    abs_error_bound: float
-    underflowed: bool = False
-
-    def __float__(self):
-        return self.value
-
-
-def _gamma_family_bound(value: float) -> float:
-    k, floor = _GAMMA_FAMILY_BOUND
-    return max(floor, k * _EPS * abs(value))
-
-
-def ln_gamma(x: float) -> SpecialValue:
+def ln_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"ln_gamma requires x > 0, got {x}")
-    v = float(_sp.gammaln(x))
-    return SpecialValue(v, _gamma_family_bound(v))
+    return float(_sp.gammaln(x))
 
 
-def digamma(x: float) -> SpecialValue:
+def digamma(x: float) -> float:
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if not x > 0.0:
         raise DomainError(f"digamma requires x > 0, got {x}")
-    v = float(_sp.psi(x))
-    return SpecialValue(v, _gamma_family_bound(v))
+    return float(_sp.psi(x))
 
 
-def trigamma(x: float) -> SpecialValue:
+def trigamma(x: float) -> float:
     """psi'(x) for x > 0; strictly positive and strictly decreasing."""
     if not x > 0.0:
         raise DomainError(f"trigamma requires x > 0, got {x}")
-    v = float(_sp.polygamma(1, x))
-    return SpecialValue(v, max(1e-14, 8.0 * _EPS * abs(v)))
+    return float(_sp.polygamma(1, x))
 
 
-def ln_beta(a: float, b: float) -> SpecialValue:
+def ln_beta(a: float, b: float) -> float:
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), a, b > 0."""
     if not (a > 0.0 and b > 0.0):
         raise DomainError(f"ln_beta requires positive arguments, got ({a}, {b})")
-    v = float(_sp.betaln(a, b))
-    return SpecialValue(v, _gamma_family_bound(v))
+    return float(_sp.betaln(a, b))
 
 
-def bessel_k(nu: float, x: float) -> SpecialValue:
-    """Modified Bessel function K_nu(x) for 0 <= nu < 1, x > 0.
+def bessel_k(nu: float, x: float) -> float:
+    """Modified Bessel function K_nu(x) for real nu and x > 0.
 
-    For x > BESSEL_UNDERFLOW_X the result may underflow to 0.0; the
-    returned value is then flagged and the error bound is the underflow
-    threshold e^{-x} * sqrt(pi/(2x)) * 2.
+    K_{-nu} = K_nu, so the order enters through |nu|. Past x ~ 700 the
+    value underflows to 0.0.
     """
-    if not (0.0 <= nu < 1.0):
-        raise DomainError(f"bessel_k requires nu in [0, 1), got {nu}")
+    if not math.isfinite(nu):
+        raise DomainError(f"bessel_k requires a finite order, got {nu}")
     if not x > 0.0:
         raise DomainError(f"bessel_k requires x > 0, got {x}")
-    v = float(_sp.kv(nu, x))
-    if v == 0.0 and x > BESSEL_UNDERFLOW_X:
-        bound = max(2.0 * math.sqrt(math.pi / (2.0 * x)) * math.exp(-x), 5e-324)
-        return SpecialValue(0.0, bound, underflowed=True)
-    return SpecialValue(v, _BESSEL_REL_BOUND * abs(v))
-
-
-def bessel_k_half(x: float) -> SpecialValue:
-    """Closed form K_{1/2}(x) = sqrt(pi/(2x)) e^{-x}; separate validated path."""
-    if not x > 0.0:
-        raise DomainError(f"bessel_k_half requires x > 0, got {x}")
-    v = math.sqrt(math.pi / (2.0 * x)) * math.exp(-x)
-    return SpecialValue(v, max(1e-300, 4.0 * _EPS * v))
+    return float(_sp.kv(abs(nu), x))

@@ -12,15 +12,23 @@ three operator symbols are
 phi0(s,N;lambda) = psi(1/2+s+a) + psi(1/2-s+a) is the digamma factor whose
 sign controls where phi^{s+ln} changes sign. Four thresholds are pinned by
 root-finding: a0 in (1,2) with psi(a0+1)+psi(a0-1)=0, a1 in (1/2,2) with
-psi(a1+1/2)+psi(a1-1/2)=0, s0 in (0,1) with phi0(s0,3;0)=0, and s1 in
-(0,1/2) with phi0(s1,1;1)=0.
+psi(a1+1/2)+psi(a1-1/2)=0, s0 with phi0(s0,3;0)=0 and s1 with
+phi0(s1,1;1)=0. Both phi0 arguments have a = 1, so s0 = s1 is the one
+root in (0,1/2) of psi(3/2+s)+psi(3/2-s)=0.
 
 Zonal harmonics: Z_k is the rotation-symmetric element of the degree-k
 eigenspace, L^2(S^N)-normalized. In the polar cosine t it is a multiple
 of the Gegenbauer polynomial C_k^{(N-1)/2}(t) for N >= 2 (Legendre for
-N = 2) and of the Chebyshev polynomial T_k(t) for N = 1. Polynomials are
-evaluated by the three-term recurrence; normalizations come from the
-closed-form weighted norm via ln_gamma.
+N = 2) and of the Chebyshev polynomial T_k(t) for N = 1. The Z_k obey
+the three-term recurrence of orthonormal polynomials,
+
+    t Z_k = b_{k+1} Z_{k+1} + b_k Z_{k-1},   Z_0 = |S^N|^{-1/2},
+    b_k^2 = k(k+2lam-1) / (4(k+lam)(k+lam-1)),  b_1^2 = 1/(2(1+lam)),
+
+with lam = (N-1)/2 (lam = 0 gives the Chebyshev case), so an expansion
+sum_k c_k Z_k is evaluated by one Clenshaw pass over its coefficients
+(Clenshaw 1955; Trefethen, Approximation Theory and Approximation
+Practice, ch. 3), in O(degree) operations and for a float or an array t.
 """
 
 from __future__ import annotations
@@ -102,7 +110,7 @@ def symbol_s(p: Params, lam: float) -> float:
     a = _a(p.N, lam)
     if 0.5 - p.s + a <= 0.0:
         raise DomainError("symbol undefined: 1/2 - s + a <= 0")
-    return math.exp(ln_gamma(0.5 + p.s + a).value - ln_gamma(0.5 - p.s + a).value)
+    return math.exp(ln_gamma(0.5 + p.s + a) - ln_gamma(0.5 - p.s + a))
 
 
 def phi0(p: Params, lam: float) -> float:
@@ -112,7 +120,7 @@ def phi0(p: Params, lam: float) -> float:
     a = _a(p.N, lam)
     if 0.5 - p.s + a <= 0.0:
         raise DomainError("phi0 undefined: 1/2 - s + a <= 0")
-    return digamma(0.5 + p.s + a).value + digamma(0.5 - p.s + a).value
+    return digamma(0.5 + p.s + a) + digamma(0.5 - p.s + a)
 
 
 def symbol_slog(p: Params, lam: float) -> float:
@@ -124,7 +132,7 @@ def symbol_log(N: int, lam: float) -> float:
     """phi^{ln}_N(lambda) = 2 psi(1/2 + a), the s -> 0 endpoint symbol."""
     if lam < 0.0:
         raise DomainError(f"lambda must be >= 0, got {lam}")
-    return 2.0 * digamma(0.5 + _a(N, lam)).value
+    return 2.0 * digamma(0.5 + _a(N, lam))
 
 
 def eigentable(p: Params, k_max: int) -> list[SpectrumPoint]:
@@ -156,96 +164,53 @@ def monotonicity_audit(p: Params, k_max: int) -> AuditReport:
 
 
 def thresholds() -> list[ThresholdReport]:
-    """The four sign thresholds, each solved to |residual| <= 1e-10."""
-    psi = lambda x: digamma(x).value
+    """The four sign thresholds, each solved to |residual| <= 1e-10.
+
+    a = 1 in both phi0(s, 3; 0) and phi0(s, 1; 1), so s0_N3 and s1_N1 are
+    one root of psi(3/2+s) + psi(3/2-s) = 0, solved once.
+    """
     tol = 1e-13
-    a0 = find_root(lambda a: psi(a + 1.0) + psi(a - 1.0), (1.0 + 1e-9, 2.0), tol=tol)
-    a1 = find_root(lambda a: psi(a + 0.5) + psi(a - 0.5), (0.5 + 1e-9, 2.0), tol=tol)
-    s0 = find_root(lambda s: psi(1.5 + s) + psi(1.5 - s), (1e-9, 1.0 - 1e-9), tol=tol)
-    s1 = find_root(lambda s: psi(1.5 + s) + psi(1.5 - s), (1e-9, 0.5 - 1e-9), tol=tol)
+    a0 = find_root(lambda a: digamma(a + 1.0) + digamma(a - 1.0), (1.0 + 1e-9, 2.0), tol=tol)
+    a1 = find_root(lambda a: digamma(a + 0.5) + digamma(a - 0.5), (0.5 + 1e-9, 2.0), tol=tol)
+    s1 = find_root(lambda s: digamma(1.5 + s) + digamma(1.5 - s), (1e-9, 0.5 - 1e-9), tol=tol)
     return [
         ThresholdReport("a0", a0.root, a0.bracket, "psi(a+1) + psi(a-1) = 0"),
         ThresholdReport("a1", a1.root, a1.bracket, "psi(a+1/2) + psi(a-1/2) = 0"),
-        ThresholdReport("s0_N3", s0.root, s0.bracket, "phi0(s, 3; 0) = 0"),
-        ThresholdReport("s1_N1", s1.root, s1.bracket, "phi0(s, 1; 1) = 0"),
+        ThresholdReport("s0_N3", s1.root, s1.bracket, "phi0(s, 3; 0) = 0"),
+        ThresholdReport("s1_N1", s1.root, s1.bracket,
+                        "phi0(s, 1; 1) = phi0(s, 3; 0) = psi(3/2+s) + psi(3/2-s) = 0"),
     ]
 
 
 # -- zonal basis --------------------------------------------------------------
 
 
-@lru_cache(maxsize=4096)
-def _gegenbauer_norm_sq(N: int, k: int) -> float:
-    """Weighted norm int_{-1}^{1} C_k^lam(t)^2 (1-t^2)^{lam-1/2} dt, lam=(N-1)/2."""
+@lru_cache(maxsize=1024)
+def _recurrence(N: int, degree: int) -> tuple:
+    """Z_0 and the Clenshaw factors 1/b_{k+1}, b_{k+1}/b_{k+2}, k = 0..degree."""
     lam = 0.5 * (N - 1)
-    ln_h = (math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0)
-            + ln_gamma(k + 2.0 * lam).value - ln_gamma(k + 1.0).value
-            - 2.0 * ln_gamma(lam).value - math.log(k + lam))
-    return math.exp(ln_h)
+    b = [0.0, math.sqrt(0.5 / (1.0 + lam))]
+    b += [0.5 * math.sqrt(k * (k + 2.0 * lam - 1.0) / ((k + lam) * (k + lam - 1.0)))
+          for k in range(2, degree + 3)]
+    inv = [1.0 / b[k + 1] for k in range(degree + 1)]
+    ratio = [b[k + 1] / b[k + 2] for k in range(degree + 1)]
+    return 1.0 / math.sqrt(sphere_area(N)), inv[::-1], ratio[::-1]
 
 
-def _gegenbauer(k: int, lam: float, t: float) -> float:
-    # three-term recurrence: n C_n = 2(n+lam-1) t C_{n-1} - (n+2lam-2) C_{n-2}
-    if k == 0:
-        return 1.0
-    c_prev, c = 1.0, 2.0 * lam * t
-    for n in range(2, k + 1):
-        c_prev, c = c, (2.0 * (n + lam - 1.0) * t * c - (n + 2.0 * lam - 2.0) * c_prev) / n
-    return c
+def zonal_eval(u: ZonalExpansion, t):
+    """sum_k c_k Z_k(t) by one Clenshaw pass; t a float or a numpy array."""
+    z0, inv, ratio = _recurrence(u.N, u.degree_max)
+    y1 = y2 = 0.0
+    for c, a, r in zip(reversed(u.coeffs), inv, ratio):
+        y1, y2 = c + a * t * y1 - r * y2, y1
+    return z0 * y1
 
 
-def _chebyshev_t(k: int, t: float) -> float:
-    if k == 0:
-        return 1.0
-    c_prev, c = 1.0, t
-    for _ in range(2, k + 1):
-        c_prev, c = c, 2.0 * t * c - c_prev
-    return c
-
-
-def zonal_basis_eval(N: int, k: int, t: float) -> float:
+def zonal_basis_eval(N: int, k: int, t):
     """Orthonormal zonal harmonic Z_k at polar cosine t in [-1, 1]."""
     if k < 0:
         raise DomainError(f"degree must be >= 0, got {k}")
-    if N == 1:
-        if k == 0:
-            return 1.0 / math.sqrt(2.0 * math.pi)
-        return _chebyshev_t(k, t) / math.sqrt(math.pi)
-    if k == 0:
-        return 1.0 / math.sqrt(sphere_area(N))
-    lam = 0.5 * (N - 1)
-    return _gegenbauer(k, lam, t) / math.sqrt(sphere_area_equator(N) * _gegenbauer_norm_sq(N, k))
-
-
-def zonal_eval(u: ZonalExpansion, t: float) -> float:
-    return float(sum(c * zonal_basis_eval(u.N, k, t) for k, c in enumerate(u.coeffs)))
-
-
-@lru_cache(maxsize=1024)
-def zonal_basis_coeffs(N: int, k: int) -> tuple:
-    """Coefficients of Z_k as a polynomial in t (ascending powers).
-
-    Same recurrences as the pointwise evaluators, run on coefficient
-    vectors; exact in float for the moderate degrees used here.
-    """
-    if k < 0:
-        raise DomainError(f"degree must be >= 0, got {k}")
-    if N == 1:
-        if k == 0:
-            return (1.0 / math.sqrt(2.0 * math.pi),)
-        c_prev, c = np.array([1.0]), np.array([0.0, 1.0])
-        for _ in range(2, k + 1):
-            c_prev, c = c, np.append([0.0], 2.0 * c) - np.append(c_prev, [0.0, 0.0])
-        return tuple(c / math.sqrt(math.pi))
-    if k == 0:
-        return (1.0 / math.sqrt(sphere_area(N)),)
-    lam = 0.5 * (N - 1)
-    c_prev, c = np.array([1.0]), np.array([0.0, 2.0 * lam])
-    for n in range(2, k + 1):
-        c_prev, c = c, (np.append([0.0], 2.0 * (n + lam - 1.0) * c)
-                        - np.append((n + 2.0 * lam - 2.0) * c_prev, [0.0, 0.0])) / n
-    norm = math.sqrt(sphere_area_equator(N) * _gegenbauer_norm_sq(N, k))
-    return tuple(c / norm)
+    return zonal_eval(ZonalExpansion(N, k, (0.0,) * k + (1.0,)), t)
 
 
 def zonal_integral(N: int, fn, abs_tol: float = 1e-12, rel_tol: float = 1e-11) -> float:

@@ -39,6 +39,13 @@ value is needed; the quadrature module flattens the endpoint. The route
 uses profile values, Gauss nodes and quadrature only, never the
 symbols, so it stays independent of the spectral route.
 
+The error estimate adds to the quadrature's estimate the rounding in q:
+q carries an error of about (d+1) eps sum_j |q_j| at every point (the
+T_j are bounded by 1), which the integral multiplies by the mass
+int 0.5 |w| d2^{(N+1)/2-e} cos^{N-1}(theta/2) dtheta. That mass is a Beta
+function, bounded for P_slog through |ln d2| <= 2 ln 4 - ln d2 by a
+digamma difference.
+
 Also provided: the difference-quotient audit (order-derivative of P_t at
 t = s), the s -> 0 audit against P_log, and the fractional-logarithmic
 Dini integral test.
@@ -61,10 +68,12 @@ from .audit import AuditReport
 from .constants import Params, eval_constants, A_N, c_N, sphere_area, sphere_area_equator
 from .errors import DomainError
 from .quadrature import Integrand, QuadResult, SingularitySpec, integrate
+from .specfun import digamma, ln_beta
 from . import spectral
 
 KERNEL_ABS_TOL = 1e-11
 KERNEL_REL_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -81,13 +90,7 @@ class ZonalFunction:
 
     @staticmethod
     def from_expansion(u: spectral.ZonalExpansion) -> "ZonalFunction":
-        terms = [(k, c) for k, c in enumerate(u.coeffs) if c != 0.0]
-
-        def profile(t):
-            return sum((c * spectral.zonal_basis_eval(u.N, k, t) for k, c in terms),
-                       0.0 * t)
-
-        return ZonalFunction(u.N, profile, expansion=u)
+        return ZonalFunction(u.N, lambda t: spectral.zonal_eval(u, t), expansion=u)
 
     @staticmethod
     def constant(N: int, value: float = 1.0) -> "ZonalFunction":
@@ -138,6 +141,15 @@ def _mean_quotient(u: ZonalFunction, t0: float):
     return q.tolist(), m1
 
 
+def _weight_mass(N: int, power: float, b_shift: float | None) -> float:
+    """Bound on int_0^pi 0.5 |w| d2^power cos^{N-1}(theta/2) dtheta."""
+    a = power + 0.5
+    mass = 0.5 * 4.0 ** power * math.exp(ln_beta(a, 0.5 * N))
+    if b_shift is None:
+        return mass
+    return mass * (abs(b_shift) + math.log(4.0) + digamma(a + 0.5 * N) - digamma(a))
+
+
 def _clenshaw(c, x):
     """sum_j c_j T_j(x) for a list of Chebyshev coefficients."""
     b1 = b2 = 0.0
@@ -171,9 +183,11 @@ def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> Quad
     spec = SingularitySpec("left", 2.0 * power, has_log_factor=b_shift is not None)
     integ = Integrand(integrand, (0.0, math.pi), singularity=spec, name=f"{op}-kernel")
     res = integrate(integ, abs_tol=KERNEL_ABS_TOL, rel_tol=KERNEL_REL_TOL)
+    rounding = (_EPS * (u.expansion.degree_max + 1) * sum(map(abs, q))
+                * _weight_mass(N, power, b_shift))
     area = sphere_area_equator(N)
     return QuadResult(coeff * area * res.value + zero_order * m1,
-                      abs(coeff) * area * res.abs_error_estimate,
+                      abs(coeff) * area * (res.abs_error_estimate + rounding),
                       res.evaluations)
 
 

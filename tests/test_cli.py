@@ -117,12 +117,19 @@ def test_byte_stable_output(capsys):
 
 
 def test_byte_stable_across_processes():
+    import os
     import subprocess
     import sys
+
+    import fraclog
+    # the child imports the package this process tested
+    src = os.path.dirname(os.path.dirname(fraclog.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     cmd = [sys.executable, "-m", "fraclog.cli", "eigentable", "--dim", "3",
            "--order", "0.25", "--kmax", "8"]
-    a = subprocess.run(cmd, capture_output=True, check=True).stdout
-    b = subprocess.run(cmd, capture_output=True, check=True).stdout
+    a = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
+    b = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     assert a == b and len(a) > 0
 
 

@@ -40,7 +40,7 @@ def test_a_N_dimension_two_closed_form():
 
 def test_b_Ns_at_balanced_order():
     # 1/s - 1/(1-s) = 0 at s = 1/2: b = ln 4 + psi(2) + psi(3/2)
-    expected = math.log(4.0) + digamma(2.0).value + digamma(1.5).value
+    expected = math.log(4.0) + digamma(2.0) + digamma(1.5)
     assert eval_constants(Params(3, 0.5)).b_Ns == pytest.approx(expected, rel=1e-13)
     assert expected == pytest.approx(1.8455686701969343, abs=1e-12)
 
@@ -53,7 +53,7 @@ def test_c_Ns_canonical_form_equivalence():
                 continue
             cs = eval_constants(Params(N, s))
             alt = (4.0 ** s * math.pi ** (-N / 2.0) * s
-                   * math.exp(ln_gamma(N / 2.0 + s).value - ln_gamma(1.0 - s).value))
+                   * math.exp(ln_gamma(N / 2.0 + s) - ln_gamma(1.0 - s)))
             assert cs.c_Ns == pytest.approx(alt, rel=1e-13)
 
 

@@ -19,15 +19,25 @@ def test_bubble_values_at_origin():
 
 
 def test_bubble_exact_pair_matches_numeric_transform():
-    p = Params(3, 0.5)
-    u = er.talenti_bubble(p)
-    num = er.radial_fourier(3, u, [0.5, 1.0, 2.0])
-    for rho, val in zip(num.meta["grid"], num.meta["values"]):
-        assert val == pytest.approx(u.fourier.evaluator(rho), rel=1e-6)
-    # and against the explicit Bessel form
-    c = bessel_bubble_coeff(p)
-    assert u.fourier.evaluator(1.0) == pytest.approx(
-        c * bessel_k(0.5, 1.0).value, rel=1e-12)
+    # the G_alpha pair against its Bessel form coef 2^m C_{N,s} rho^{-s} K_s(rho),
+    # and, where numeric transforms exist (N in {1, 3}), against quadrature
+    for N in (1, 2, 3, 5):
+        for s in (0.1, 0.3, 0.45, 0.9):
+            if not N > 2.0 * s:
+                continue
+            p = Params(N, s)
+            m = 0.5 * (N - 2.0 * s)
+            for C, two_power in ((1.0, False), (2.5, True)):
+                v = er.bubble_profile(p, C, two_power=two_power)
+                c_pair = (C if two_power else C * 2.0 ** -m) * 2.0 ** m * bessel_bubble_coeff(p)
+                for rho in (0.3, 1.0, 4.0):
+                    assert v.fourier.evaluator(rho) == pytest.approx(
+                        c_pair * rho ** -s * bessel_k(s, rho), rel=1e-12), (N, s, C, rho)
+            if N in (1, 3):
+                u = er.talenti_bubble(p)
+                num = er.radial_fourier(N, u, [0.5, 1.0, 2.0])
+                for rho, val in zip(num.meta["grid"], num.meta["values"]):
+                    assert val == pytest.approx(u.fourier.evaluator(rho), rel=1e-6), (N, s)
 
 
 def test_gaussian_self_dual():
@@ -43,7 +53,7 @@ def test_n1_endpoint_bubble_transform_proportional_to_k0():
     prof = er.phi_poly_profile(1, [er.PhiTerm(2.0 ** -0.5, 0.5)], kind="bubble-endpoint")
     num = er.radial_fourier(1, prof, [0.5, 1.0, 2.0])
     for rho, val in zip(num.meta["grid"], num.meta["values"]):
-        expected = math.sqrt(2.0 / math.pi) * bessel_k(0.0, rho).value
+        expected = math.sqrt(2.0 / math.pi) * bessel_k(0.0, rho)
         assert val == pytest.approx(expected, rel=1e-7)
 
 

@@ -1,17 +1,19 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
-from fraclog.constants import Params, eval_constants, sphere_area
+from fraclog.constants import Params, eval_constants, sphere_area, sphere_area_equator
 from fraclog.errors import DomainError
 from fraclog import spectral
 from fraclog.spectral import (ZonalExpansion, apply_spectral, eigenvalue,
                               eigentable, monotonicity_audit, multiplicity,
                               phi0, sign_table, spectral_energy, symbol_log,
                               symbol_s, symbol_slog, thresholds,
-                              zonal_basis_coeffs, zonal_basis_eval, zonal_eval,
+                              zonal_basis_eval, zonal_eval,
                               zonal_integral)
 
 
@@ -34,7 +36,7 @@ def test_symbol_s_at_zero_is_A_Ns():
 def test_symbol_s_explicit_gamma_ratio():
     # N=1, s=0.25, lambda=1: a=1, Gamma(7/4)/Gamma(5/4)
     from fraclog.specfun import ln_gamma
-    expected = math.exp(ln_gamma(1.75).value - ln_gamma(1.25).value)
+    expected = math.exp(ln_gamma(1.75) - ln_gamma(1.25))
     assert symbol_s(Params(1, 0.25), 1.0) == pytest.approx(expected, rel=1e-14)
 
 
@@ -128,8 +130,16 @@ def test_thresholds_values_and_sign_patterns():
     assert phi0(Params(3, s0 - 0.05), 0.0) > 0.0 > phi0(Params(3, s0 + 0.05), 0.0)
     assert phi0(Params(1, s1 - 0.05), 1.0) > 0.0 > phi0(Params(1, s1 + 0.05), 1.0)
     from fraclog.specfun import digamma
-    assert abs(digamma(a0 + 1.0).value + digamma(a0 - 1.0).value) <= 1e-10
-    assert abs(digamma(a1 + 0.5).value + digamma(a1 - 0.5).value) <= 1e-10
+    assert abs(digamma(a0 + 1.0) + digamma(a0 - 1.0)) <= 1e-10
+    assert abs(digamma(a1 + 0.5) + digamma(a1 - 0.5)) <= 1e-10
+
+
+def test_thresholds_shared_root():
+    # a = 1 in phi0(s, 3; 0) and in phi0(s, 1; 1): one root serves both
+    reps = {r.name: r for r in thresholds()}
+    assert reps["s0_N3"].value == reps["s1_N1"].value
+    assert 0.0 < reps["s1_N1"].value < 0.5
+    assert "phi0(s, 3; 0)" in reps["s1_N1"].defining_equation
 
 
 def test_full_sign_table():
@@ -183,14 +193,29 @@ def test_zonal_laplace_beltrami_eigenrelation():
     assert lap == pytest.approx(eigenvalue(N, k) * f(theta), rel=1e-6)
 
 
-def test_zonal_coeffs_match_pointwise_eval():
-    for N in (1, 2, 3):
-        for k in range(0, 7):
-            c = zonal_basis_coeffs(N, k)
-            for t in (-0.8, -0.1, 0.33, 1.0):
-                poly = sum(ci * t ** i for i, ci in enumerate(c))
-                assert poly == pytest.approx(zonal_basis_eval(N, k, t),
-                                             rel=1e-12, abs=1e-12)
+def _zonal_reference(N, k, t):
+    """Z_k from scipy's Gegenbauer/Chebyshev values and the closed-form norm."""
+    if N == 1:
+        return sp.eval_chebyt(k, t) / math.sqrt(2.0 * math.pi if k == 0 else math.pi)
+    lam = 0.5 * (N - 1)
+    ln_h = (math.log(math.pi) + (1.0 - 2.0 * lam) * math.log(2.0)
+            + math.lgamma(k + 2.0 * lam) - math.lgamma(k + 1.0)
+            - 2.0 * math.lgamma(lam) - math.log(k + lam))
+    return sp.eval_gegenbauer(k, lam, t) / math.sqrt(sphere_area_equator(N) * math.exp(ln_h))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+def test_zonal_eval_matches_gegenbauer(N):
+    # one Clenshaw pass against the term-by-term sum, for arrays and floats
+    rng = np.random.default_rng(N)
+    for d in (0, 1, 7, 40, 100):
+        c = rng.normal(size=d + 1)
+        u = ZonalExpansion(N, d, tuple(float(x) for x in c))
+        t = np.append(rng.uniform(-1.0, 1.0, 9), [-1.0, 0.0, 1.0])
+        terms = np.array([ck * _zonal_reference(N, k, t) for k, ck in enumerate(c)])
+        got = zonal_eval(u, t)
+        assert np.all(np.abs(got - terms.sum(axis=0)) <= 1e-13 * np.abs(terms).sum(axis=0)), d
+        assert np.array_equal(got, [zonal_eval(u, float(x)) for x in t])
 
 
 def test_apply_spectral_on_basis_vectors():

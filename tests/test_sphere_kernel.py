@@ -183,14 +183,19 @@ def test_kernel_known_defects(op, N, s, k, t0):
     assert err <= 1e-10 * sup
 
 
-@pytest.mark.parametrize("N,s", [(1, 0.25), (3, 0.5)])
+@pytest.mark.parametrize("N,s", [(1, 0.25), (3, 0.5)]
+                         + [(N, s) for N in range(1, 6) for s in (0.25, 0.45)
+                            if (N, s) != (1, 0.25)])
 def test_pole_kernel_high_degree(N, s):
     # k = 30 (N = 1) and k = 40 (N = 3) raised NonConvergedError while the
-    # pole quotient was formed in the monomial basis
-    for k in range(30, 101, 10):
+    # pole quotient was formed in the monomial basis; at k >= 60 the
+    # rounding in the Chebyshev quotient outgrows the quadrature estimate,
+    # so the reported estimate must count it
+    for k in sorted(set(range(30, 101, 10)) | set(range(60, 101, 5))):
         for op in ("P_s", "P_slog", "P_log"):
-            err, _, sup = _kernel_error(op, Params(N, s), k, 1.0)
+            err, est, sup = _kernel_error(op, Params(N, s), k, 1.0)
             assert err <= 1e-10 * sup, (op, k, err / sup)
+            assert err <= est + 64 * np.finfo(float).eps * sup, (op, k, err, est)
 
 
 def test_dini_power_modulus_finite():
