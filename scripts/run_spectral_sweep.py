@@ -8,6 +8,8 @@ kernel/symbol disagreement at the pole.
 
 import sys
 
+import numpy as np
+
 from fraclog.constants import Params
 from fraclog import spectral
 from fraclog.sphere_kernel import ZonalFunction, apply_kernel_at_pole
@@ -23,14 +25,12 @@ def main():
         p = Params(N, s)
         audit = spectral.monotonicity_audit(p, 50)
         worst = 0.0
-        for k in range(kmax + 1):
-            u = ZonalFunction.from_expansion(
-                spectral.ZonalExpansion(N, k, tuple([0.0] * k + [1.0])))
-            lam = spectral.eigenvalue(N, k)
-            zk1 = spectral.zonal_basis_eval(N, k, 1.0)
-            for op, sym in (("P_s", spectral.symbol_s(p, lam)),
-                            ("P_slog", spectral.symbol_slog(p, lam)),
-                            ("P_log", spectral.symbol_log(N, lam))):
+        lam = spectral.eigenvalue(N, np.arange(kmax + 1))
+        for op in ("P_s", "P_slog", "P_log"):
+            for k, sym in enumerate(spectral.symbol_for(op, p, N, lam).tolist()):
+                u = ZonalFunction.from_expansion(
+                    spectral.ZonalExpansion(N, k, tuple([0.0] * k + [1.0])))
+                zk1 = spectral.zonal_basis_eval(N, k, 1.0)
                 val = apply_kernel_at_pole(op, None if op == "P_log" else p, u).value
                 worst = max(worst, abs(val - sym * zk1) / max(abs(sym * zk1), 1e-12))
         if not audit.passed or worst > 1e-6:

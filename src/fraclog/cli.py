@@ -67,10 +67,7 @@ def cmd_constants(args) -> int:
 
 def cmd_eigentable(args) -> int:
     rows = spectral.eigentable(_params(args), args.kmax)
-    _emit_csv(["k", "lambda_k", "d_k", "phi_s", "phi_slog", "phi_log"],
-              [{"k": r.k, "lambda_k": r.lambda_k, "d_k": r.d_k, "phi_s": r.phi_s,
-                "phi_slog": r.phi_slog, "phi_log": r.phi_log} for r in rows],
-              args.out)
+    _emit_csv(spectral.SpectrumPoint._fields, [r._asdict() for r in rows], args.out)
     return 0
 
 
@@ -82,17 +79,14 @@ def cmd_thresholds(args) -> int:
 
 def cmd_kernel_vs_spectral(args) -> int:
     p = _params(args)
+    lam = spectral.eigenvalue(p.N, np.arange(args.kmax + 1))
     rows = []
     worst = 0.0
     for op in ("P_s", "P_slog", "P_log"):
-        for k in range(args.kmax + 1):
+        for k, sym in enumerate(spectral.symbol_for(op, p, p.N, lam).tolist()):
             u = ZonalFunction.from_expansion(
                 spectral.ZonalExpansion(p.N, k, tuple([0.0] * k + [1.0])))
             kern = apply_kernel_at_pole(op, p, u).value
-            lam = spectral.eigenvalue(p.N, k)
-            sym = {"P_s": spectral.symbol_s(p, lam),
-                   "P_slog": spectral.symbol_slog(p, lam),
-                   "P_log": spectral.symbol_log(p.N, lam)}[op]
             target = sym * spectral.zonal_basis_eval(p.N, k, 1.0)
             rel = abs(kern - target) / max(abs(target), 1e-30)
             worst = max(worst, rel)

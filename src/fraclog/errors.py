@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class DomainError(ValueError):
     """Argument outside the documented domain of an operation."""
@@ -23,3 +25,15 @@ class NonConvergedError(RuntimeError):
 
 class DivergentIntegralError(ValueError):
     """Integral diverges for the given parameters (head or tail blow-up)."""
+
+
+def require(ok, message: str, value) -> None:
+    """Raise DomainError(f"{message}, got {value}") unless `ok` holds.
+
+    `ok` is a comparison result: a bool, or an array of them for an array
+    argument, where every entry must hold. The message is formatted only
+    on failure, and the array test is `count_nonzero`, which costs less
+    than `.all()` (no ufunc reduction).
+    """
+    if ok is not True and (ok is False or np.count_nonzero(ok) != ok.size):
+        raise DomainError(f"{message}, got {value}")

@@ -8,9 +8,9 @@ from scipy import special as sp
 
 from fraclog.constants import Params, eval_constants, sphere_area, sphere_area_equator
 from fraclog.errors import DomainError
-from fraclog import spectral
+from fraclog import specfun, spectral
 from fraclog.spectral import (ZonalExpansion, apply_spectral, eigenvalue,
-                              eigentable, monotonicity_audit, multiplicity,
+                              eigentable, monotonicity_audit, multiplicities,
                               phi0, sign_table, spectral_energy, symbol_log,
                               symbol_s, symbol_slog, thresholds,
                               zonal_basis_eval, zonal_eval,
@@ -20,11 +20,11 @@ from fraclog.spectral import (ZonalExpansion, apply_spectral, eigenvalue,
 def test_eigenvalues_and_multiplicities():
     assert eigenvalue(3, 4) == 4 * (4 + 2)
     for N in (1, 2, 3, 5):
-        assert multiplicity(N, 0) == 1
-        assert multiplicity(N, 1) == N + 1
-    assert multiplicity(2, 2) == 5          # degree-2 harmonics on S^2
-    assert multiplicity(1, 7) == 2          # cos/sin pairs on the circle
-    assert multiplicity(3, 2) == math.comb(5, 3) - math.comb(3, 3)
+        assert multiplicities(N, 1) == [1, N + 1]
+    assert multiplicities(2, 2)[2] == 5     # degree-2 harmonics on S^2
+    assert multiplicities(1, 7)[1:] == [2] * 7  # cos/sin pairs on the circle
+    assert multiplicities(3, 2)[2] == math.comb(5, 3) - math.comb(3, 3)
+    assert multiplicities(4, -1) == []
 
 
 def test_symbol_s_at_zero_is_A_Ns():
@@ -262,6 +262,75 @@ def test_eigentable_shape():
     assert [r.k for r in rows] == list(range(6))
     slog = [r.phi_slog for r in rows]
     assert all(b > a for a, b in zip(slog, slog[1:]))
+
+
+#: (N, s) grid of the array and large-k tests: s in five orders, N > 2s
+_ARRAY_GRID = [(N, s) for N in range(1, 6) for s in (0.1, 0.25, 0.45, 0.75, 0.9)
+               if N > 2.0 * s]
+
+
+def test_symbols_and_specfun_accept_arrays():
+    k = np.arange(2501)
+    for N, s in _ARRAY_GRID:
+        p = Params(N, s)
+        lam = eigenvalue(N, k)
+        assert lam.tolist() == [eigenvalue(N, int(kk)) for kk in k]
+        for fn in (symbol_s, phi0, symbol_slog):
+            got = fn(p, lam)
+            assert got.tolist() == [fn(p, x) for x in lam.tolist()], (fn.__name__, N, s)
+        x = 0.5 + s + np.sqrt(lam)
+        for fn in (specfun.ln_gamma, specfun.digamma, specfun.trigamma):
+            assert fn(x).tolist() == [fn(xi) for xi in x.tolist()], (fn.__name__, N, s)
+        assert specfun.ln_beta(x, s).tolist() == [specfun.ln_beta(xi, s) for xi in x.tolist()]
+        assert specfun.bessel_k(s - 0.5, 1e-3 * x).tolist() == [
+            specfun.bessel_k(s - 0.5, xi) for xi in (1e-3 * x).tolist()]
+    for N in range(1, 6):
+        lam = eigenvalue(N, k)
+        assert symbol_log(N, lam).tolist() == [symbol_log(N, x) for x in lam.tolist()]
+
+    p = Params(3, 0.3)
+    for v in (symbol_s(p, 2.0), phi0(p, 2.0), symbol_slog(p, 2.0), symbol_log(3, 2.0),
+              eigenvalue(3, 4), specfun.ln_gamma(2.5), specfun.digamma(2.5),
+              specfun.trigamma(2.5), specfun.ln_beta(2.5, 0.5), specfun.bessel_k(0.3, 2.5)):
+        assert type(v) is float
+    bad_lam = np.array([0.0, 2.0, -1.0, 6.0])
+    for call in (lambda: symbol_s(p, bad_lam), lambda: phi0(p, bad_lam),
+                 lambda: symbol_slog(p, bad_lam), lambda: symbol_log(3, bad_lam)):
+        with pytest.raises(DomainError):
+            call()
+    bad_x = np.array([1.0, 2.0, 0.0, 3.0])
+    for call in (lambda: specfun.ln_gamma(bad_x), lambda: specfun.digamma(bad_x),
+                 lambda: specfun.trigamma(bad_x), lambda: specfun.ln_beta(bad_x, 1.0),
+                 lambda: specfun.ln_beta(1.0, bad_x), lambda: specfun.bessel_k(0.3, bad_x),
+                 lambda: specfun.bessel_k(np.array([0.3, np.nan]), 1.0)):
+        with pytest.raises(DomainError):
+            call()
+
+
+def test_eigentable_large_k_against_poch():
+    k_max = 2500
+    k = np.arange(k_max + 1)
+    for N, s in _ARRAY_GRID:
+        p = Params(N, s)
+        rows = eigentable(p, k_max)
+        assert [r.k for r in rows] == k.tolist()
+        assert [r.d_k for r in rows] == [
+            math.comb(N + kk, N) - (math.comb(N + kk - 2, N) if N + kk >= 2 else 0)
+            for kk in range(k_max + 1)]
+        lam = k * (k + N - 1.0)
+        assert [r.lambda_k for r in rows] == lam.tolist()
+        a = np.sqrt(lam + 0.25 * (N - 1) ** 2)
+        ratio = sp.poch(0.5 - s + a, 2.0 * s)
+        psi_hi, psi_lo = sp.psi(0.5 + s + a), sp.psi(0.5 - s + a)
+        scale = np.abs(ratio) * (np.abs(psi_hi) + np.abs(psi_lo))
+        got = {name: np.array([getattr(r, name) for r in rows])
+               for name in ("phi_s", "phi_slog", "phi_log")}
+        assert np.all(np.abs(got["phi_s"] - ratio) <= 1e-10 * scale), (N, s)
+        assert np.all(np.abs(got["phi_slog"] - ratio * (psi_hi + psi_lo)) <= 1e-10 * scale), (N, s)
+        log_sym = 2.0 * sp.psi(0.5 + a)
+        assert np.all(np.abs(got["phi_log"] - log_sym) <= 1e-10 * np.abs(log_sym)), N
+        audit = monotonicity_audit(p, k_max)
+        assert audit.details["min_gap"] == min(np.diff(got["phi_slog"])), (N, s)
 
 
 def test_monotonicity_sweep_grid():
