@@ -10,23 +10,42 @@ and the inverse transform has the identical form. Numerical transforms
 use QUADPACK's oscillatory rules (QAWO on finite pieces, QAWF on tails
 with algebraic decay).
 
-Exact pairs. With G_alpha(rho) := transform of (1+r^2)^{-alpha/2},
+Exact pairs. With f_nu(rho) := rho^nu K_nu(rho) and phi(r) = 2/(1+r^2),
 
-    G_alpha(rho) = 2^{1-alpha/2} / Gamma(alpha/2) rho^{(alpha-N)/2}
-                   K_{(N-alpha)/2}(rho),   alpha > 0,
+    phi^a         maps to  T_a(rho) = 2/Gamma(a) f_nu(rho),          a > 0,
+    phi^a ln phi  maps to  dT_a/da  = 2/Gamma(a) [df_nu/dnu - psi(a) f_nu],
 
-every profile of the form sum_j c_j phi^{a_j} (ln phi)^{0|1}, with
-phi(r) = 2/(1+r^2), has a closed-form transform: phi^a = 2^a (1+r^2)^{-a}
-maps to 2^a G_{2a}, and phi^a ln phi maps to
-2^a [ln 2 G_{2a} + 2 dG_alpha/dalpha |_{alpha=2a}], the alpha-derivative
-being evaluated by a central difference at h = 1e-6. The evaluation
-noise of G_alpha divided by h, not the h^2 term, sets its error: against
-30-digit mpmath on N in {1, 3}, alpha in [0.4, 5], rho in [0.05, 10] it
-reaches 8e-8 relative to |G_alpha| + |dG_alpha/dalpha|, and 1.2e-6
-relative to the derivative alone near its zeros. Pullbacks of
-polynomial zonal functions are exactly of this form, which keeps the
-conformal pipelines quadrature-light; the numeric transform remains the
-independent cross-route and is tested against the closed forms.
+nu = a - N/2 (K_{-nu} = K_nu, so nu keeps its sign). phi_poly_profile
+folds the terms of sum_j c_j phi^{a_j} (ln phi)^{0|1} into weights on
+f_nu and df_nu/dnu once, when the profile is built (one ln Gamma per
+term, one psi per log term); terms of equal order share a weight.
+Orders an integer apart (up to rounding) form a ladder: f obeys
+f_{nu+1} = rho^2 f_{nu-1} + 2 nu f_nu (DLMF 10.29.1 times rho^{nu+1}),
+and df/dnu the same recurrence plus 2 f_nu. Each ladder is seeded by
+two bessel_k calls at its two adjacent orders of smallest |nu| and run
+outward only, upward above and downward below, where every step adds
+terms of one sign. A ladder with log terms also seeds df/dnu by the
+fourth-order central difference on nu +- h, nu +- 2h, h = 1e-3 (eight
+more calls). A pullback of Z_d thus costs 2 Bessel calls instead of
+d + 1, its log-factor twin 10. Plain terms are within 1.2e-14 of
+40-digit mpmath relative to sum_j |c_j T_{a_j}|, log terms within
+4.1e-10 relative to sum_j |c_j dT_{a_j}/da| (tests/test_euclid_radial.py
+grid); the seed differences set the latter. The two-point difference
+at h = 1e-6 it replaces gave 7.9e-7 there (Bessel-K rounding divided
+by h), and at h = 1e-4 its truncation error, amplified by the
+recurrence, tripled the intertwining residuals. The recurrence carries
+one seed error to every rung, so cancelling pullback coefficients do
+not amplify it as a difference per term would: the intertwining audit
+(N = 3, s = 0.3) errs by 8.9e-10 at d = 8 and 2.8e-8 at d = 12,
+against 4.6e-6 and 4.3e-4 with a two-point difference per term. Each
+profile memoises its transform in an LRU cache of _MEMO_SIZE values,
+since QUADPACK revisits nodes (the energies of one frozen bubble; the
+transform pipelines integrating one density under several multipliers);
+failures are not cached, so rho <= 0 raises DomainError on every call.
+Pullbacks of polynomial zonal functions are exactly of this form, which
+keeps the conformal pipelines quadrature-light; the numeric transform
+remains the independent cross-route and is tested against the closed
+forms.
 
 Closed-form radial integrals used as oracles and for bubble norms:
 
@@ -39,7 +58,9 @@ Closed-form radial integrals used as oracles and for bubble norms:
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -54,7 +75,9 @@ from .specfun import bessel_k, digamma, ln_beta, ln_gamma
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _RHO_MAX_EXP = 80.0  # exponential-decay densities are negligible beyond this
-_DALPHA = 1e-6
+_DNU = 1e-3  # step of the fourth-order nu-derivative at the ladder seeds
+_LADDER_TOL = 1e-12  # integer spacing up to float rounding of m + i
+_MEMO_SIZE = 4096  # transform values kept per profile; 1024 evicts repeats in the audits
 
 
 def p_of_s(N: int, s: float) -> float:
@@ -97,16 +120,6 @@ def phi(r: float) -> float:
 # -- exact transforms of phi-power profiles ------------------------------------
 
 
-def _G_alpha(N: int, alpha: float, rho) -> float:
-    lg = ln_gamma(0.5 * alpha)
-    return (2.0 ** (1.0 - 0.5 * alpha) / math.exp(lg) * rho ** (0.5 * (alpha - N))
-            * bessel_k(0.5 * (N - alpha), rho))
-
-
-def _dG_dalpha(N: int, alpha: float, rho) -> float:
-    return (_G_alpha(N, alpha + _DALPHA, rho) - _G_alpha(N, alpha - _DALPHA, rho)) / (2.0 * _DALPHA)
-
-
 @dataclass(frozen=True)
 class PhiTerm:
     """coef * phi(r)^power, optionally times ln(phi(r))."""
@@ -114,6 +127,90 @@ class PhiTerm:
     coef: float
     power: float
     log_factor: bool = False
+
+
+def _phi_power_rungs(N: int, terms: Sequence[PhiTerm]) -> list[tuple[float, float, float]]:
+    """(nu, wf, wg): the transform is sum wf f_nu(rho) + wg df_nu/dnu(rho).
+
+    phi^a maps to T(a) = 2/Gamma(a) f_{a-N/2}, f_nu = rho^nu K_nu(rho);
+    phi^a ln phi maps to dT/da = 2/Gamma(a) (df/dnu - psi(a) f).
+    """
+    rungs = []
+    for t in terms:
+        w = 2.0 * t.coef * math.exp(-ln_gamma(t.power))
+        nu = 0.5 * (2.0 * t.power - N)
+        rungs.append((nu, -w * digamma(t.power), w) if t.log_factor else (nu, w, 0.0))
+    return rungs
+
+
+def _ladders(rungs: list[tuple[float, float, float]]) -> list[tuple]:
+    """Group integer-spaced orders into ladders (base, i0, wf, wg).
+
+    wf[i], wg[i] are the summed weights of the order base + i (0.0 for a
+    missing rung; wg is None without log terms). The seeds i0, i0 + 1 are
+    the adjacent orders of smallest largest |nu|, so the recurrence runs
+    upward from nu >= 0 and downward from nu <= 0 only.
+    """
+    groups: list[tuple[float, dict[int, list[float]]]] = []
+    for nu, wf, wg in rungs:
+        for base, ws in groups:
+            k = round(nu - base)
+            if abs(nu - base - k) <= _LADDER_TOL:
+                break
+        else:
+            base, ws, k = nu, {}, 0
+            groups.append((base, ws))
+        w = ws.setdefault(k, [0.0, 0.0])
+        w[0] += wf
+        w[1] += wg
+    ladders = []
+    for base, ws in groups:
+        lo, hi = min(ws), max(ws)
+        base += lo
+        wf = [ws.get(k, (0.0, 0.0))[0] for k in range(lo, hi + 1)]
+        wg = [ws.get(k, (0.0, 0.0))[1] for k in range(lo, hi + 1)]
+        i0 = min(range(max(hi - lo, 1)), key=lambda i: max(abs(base + i), abs(base + i + 1)))
+        ladders.append((base, i0, wf, wg if any(wg) else None))
+    return ladders
+
+
+def _recur(rho: float, base: float, i0: int, n: int, seeds: list[float], f=None) -> list[float]:
+    """y_i, i < n, from the seeds y_{i0}, y_{i0+1} by the order recurrence.
+
+    y_{i+1} = rho^2 y_{i-1} + 2 nu_i y_i (+ 2 f_i), nu_i = base + i: the
+    recurrence of f_nu = rho^nu K_nu(rho) (DLMF 10.29.1 times rho^{nu+1}),
+    or with the source 2 f_i that of its nu-derivative. Every step adds
+    terms of one sign upward from nu >= 0 and downward from nu <= 0.
+    """
+    y = [0.0] * n
+    y[i0:i0 + len(seeds)] = seeds
+    rho2 = rho * rho
+    for i in range(i0 + 1, n - 1):
+        y[i + 1] = rho2 * y[i - 1] + 2.0 * (base + i) * y[i] + (2.0 * f[i] if f else 0.0)
+    for i in range(i0, 0, -1):
+        y[i - 1] = (y[i + 1] - 2.0 * (base + i) * y[i] - (2.0 * f[i] if f else 0.0)) / rho2
+    return y
+
+
+def _ladder_sum(rho: float, base: float, i0: int, wf: list[float], wg) -> float:
+    """sum_i wf[i] f_{base+i}(rho) + wg[i] df/dnu, from Bessel-K seeds at i0, i0 + 1.
+
+    The nu-derivative seeds are fourth-order central differences,
+    [8 (f(nu+h) - f(nu-h)) - (f(nu+2h) - f(nu-2h))] / 12h, h = _DNU.
+    """
+    if wg is None and len(wf) == 1:  # one plain order: a bubble
+        return wf[0] * rho ** base * bessel_k(base, rho)
+    n, nu = len(wf), base + i0
+    seeds = (nu,) if n == 1 else (nu, nu + 1.0)
+    f = lambda v: rho ** v * bessel_k(v, rho)
+    fs = _recur(rho, base, i0, n, [f(v) for v in seeds])
+    acc = sum(map(operator.mul, wf, fs))
+    if wg is not None:
+        h = _DNU
+        dfs = [(8.0 * (f(v + h) - f(v - h)) - (f(v + 2.0 * h) - f(v - 2.0 * h))) / (12.0 * h)
+               for v in seeds]
+        acc += sum(map(operator.mul, wg, _recur(rho, base, i0, n, dfs, fs)))
+    return acc
 
 
 def phi_poly_profile(N: int, terms: Sequence[PhiTerm], kind: str = "composite",
@@ -130,15 +227,15 @@ def phi_poly_profile(N: int, terms: Sequence[PhiTerm], kind: str = "composite",
             acc += t.coef * p ** t.power * (math.log(p) if t.log_factor else 1.0)
         return acc
 
+    ladders = _ladders(_phi_power_rungs(N, terms))
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
     def ev_hat(rho):
+        if not rho > 0.0:
+            raise DomainError(f"exact transforms require rho > 0, got {rho}")
         acc = 0.0
-        for t in terms:
-            g = _G_alpha(N, 2.0 * t.power, rho)
-            if t.log_factor:
-                acc += t.coef * 2.0 ** t.power * (
-                    math.log(2.0) * g + 2.0 * _dG_dalpha(N, 2.0 * t.power, rho))
-            else:
-                acc += t.coef * 2.0 ** t.power * g
+        for ladder in ladders:
+            acc += _ladder_sum(rho, *ladder)
         return acc
 
     decay = 2.0 * min(t.power for t in terms)
@@ -229,6 +326,20 @@ def _transform_point(N: int, fn, k: float, r_max: float) -> tuple[float, float]:
     raise DomainError(f"numeric radial transforms support N in {{1, 3}}, got {N}")
 
 
+def _tabulate(N: int, fn, grid: Sequence[float], r_max: float):
+    """Transform fn at the grid points and spline the values: (evaluator, meta)."""
+    points = [_transform_point(N, fn, float(k), r_max) for k in grid]
+    grid = np.asarray(grid, dtype=float)
+    vals = np.asarray([v for v, _ in points])
+    if len(grid) >= 4:
+        spline = CubicSpline(grid, vals)
+        ev = lambda x: float(spline(x))
+    else:
+        ev = lambda x: float(np.interp(x, grid, vals))
+    return ev, {"grid": grid.tolist(), "values": vals.tolist(),
+                "errors": [e for _, e in points], "N": N}
+
+
 def radial_fourier(N: int, f: RadialProfile, rho_grid: Sequence[float]) -> SpectralDensity:
     """Numeric radial Fourier transform of f on rho_grid (unitary convention)."""
     if N not in (1, 3):
@@ -237,47 +348,22 @@ def radial_fourier(N: int, f: RadialProfile, rho_grid: Sequence[float]) -> Spect
     if f.decay_exponent <= 0.0:
         raise DivergentIntegralError(
             f"profile {f.kind!r} lacks decay (exponent {f.decay_exponent}); transform diverges")
+    if 0.0 in rho_grid and weight_decay <= 1.0:
+        raise DivergentIntegralError(
+            f"profile {f.kind!r}: transform at rho=0 requires integrable weight "
+            f"(decay exponent {f.decay_exponent} too small)")
     r_max = math.inf if math.isfinite(f.decay_exponent) else 60.0
-    values, errors = [], []
-    for k in rho_grid:
-        if k == 0.0 and weight_decay <= 1.0:
-            raise DivergentIntegralError(
-                f"profile {f.kind!r}: transform at rho=0 requires integrable weight "
-                f"(decay exponent {f.decay_exponent} too small)")
-        v, e = _transform_point(N, f.evaluator, float(k), r_max)
-        values.append(v)
-        errors.append(e)
-    grid = np.asarray(rho_grid, dtype=float)
-    vals = np.asarray(values)
-    if len(grid) >= 4:
-        spline = CubicSpline(grid, vals)
-        ev = lambda rho: float(spline(rho))
-    else:
-        ev = lambda rho: float(np.interp(rho, grid, vals))
-    return SpectralDensity(ev, decay="algebraic", rho_max=float(grid.max()),
-                           meta={"grid": grid.tolist(), "values": vals.tolist(),
-                                 "errors": errors, "numeric": True, "N": N})
+    ev, meta = _tabulate(N, f.evaluator, rho_grid, r_max)
+    return SpectralDensity(ev, decay="algebraic", rho_max=max(meta["grid"]),
+                           meta=dict(meta, numeric=True))
 
 
 def radial_inverse_fourier(N: int, g: SpectralDensity, r_grid: Sequence[float]) -> RadialProfile:
     """Numeric inverse transform of g on r_grid; same kernel by symmetry."""
     if N not in (1, 3):
         raise DomainError(f"numeric radial transforms support N in {{1, 3}}, got {N}")
-    values, errors = [], []
-    for r in r_grid:
-        v, e = _transform_point(N, g.evaluator, float(r), g.rho_max)
-        values.append(v)
-        errors.append(e)
-    grid = np.asarray(r_grid, dtype=float)
-    vals = np.asarray(values)
-    if len(grid) >= 4:
-        spline = CubicSpline(grid, vals)
-        ev = lambda r: float(spline(r))
-    else:
-        ev = lambda r: float(np.interp(r, grid, vals))
-    return RadialProfile(ev, decay_exponent=1.0, kind="tabulated",
-                         meta={"grid": grid.tolist(), "values": vals.tolist(),
-                               "errors": errors, "N": N})
+    ev, meta = _tabulate(N, g.evaluator, r_grid, g.rho_max)
+    return RadialProfile(ev, decay_exponent=1.0, kind="tabulated", meta=meta)
 
 
 def inverse_at(N: int, g: SpectralDensity, r: float) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from fraclog.constants import Params, bessel_bubble_coeff, eval_constants, sphere_area_equator
 from fraclog.errors import DivergentIntegralError, DomainError
-from fraclog import euclid_radial as er
-from fraclog.specfun import bessel_k
+from fraclog import conformal, euclid_radial as er
+from fraclog.specfun import bessel_k, ln_gamma
+from fraclog.spectral import ZonalExpansion
 
 
 def test_bubble_values_at_origin():
@@ -19,7 +21,7 @@ def test_bubble_values_at_origin():
 
 
 def test_bubble_exact_pair_matches_numeric_transform():
-    # the G_alpha pair against its Bessel form coef 2^m C_{N,s} rho^{-s} K_s(rho),
+    # the exact pair against its Bessel form coef 2^m C_{N,s} rho^{-s} K_s(rho),
     # and, where numeric transforms exist (N in {1, 3}), against quadrature
     for N in (1, 2, 3, 5):
         for s in (0.1, 0.3, 0.45, 0.9):
@@ -302,3 +304,93 @@ def test_phi_poly_rejects_nonpositive_powers():
         er.phi_poly_profile(3, [er.PhiTerm(1.0, 0.0)])
     with pytest.raises(DomainError):
         er.phi_poly_profile(3, [])
+
+
+def _pullback_pair(N, s, d):
+    """Pullback of Z_d and its log-factor twin, as in the intertwining pipeline."""
+    V = conformal.pullback_expansion(s, ZonalExpansion(N, d, tuple([0.0] * d + [1.0])))
+    W = er.phi_poly_profile(N, [er.PhiTerm(t.coef, t.power, log_factor=True)
+                                for t in V.fourier.meta["phi_terms"]])
+    return V, W
+
+
+def test_phi_power_pair_against_mpmath():
+    # phi^a maps to T(a) = 2/Gamma(a) rho^{a-N/2} K_{a-N/2}(rho), phi^a ln phi to
+    # dT/da; both from T(a +- h) at 40 digits, h = 1e-12 (errors ~1e-24)
+    mp = pytest.importorskip("mpmath")
+    worst = {False: 0.0, True: 0.0}
+    for N, s, d in itertools.product((1, 3), (0.1, 0.3, 0.45), (0, 2, 4, 8, 12)):
+        V, W = _pullback_pair(N, s, d)
+        with mp.workdps(40):
+            h = mp.mpf("1e-12")
+            powers = [mp.mpf(t.power) for t in V.fourier.meta["phi_terms"]]
+            for rho in (0.05, 0.3, 1.0, 3.0, 10.0, 40.0):
+                x = mp.mpf(rho)
+                T = lambda a: 2 / mp.gamma(a) * x ** (a - N / mp.mpf(2)) \
+                    * mp.besselk(a - N / mp.mpf(2), x)
+                pm = [(T(a + h), T(a - h)) for a in powers]
+                dT = {False: [(tp + tm) / 2 for tp, tm in pm],
+                      True: [(tp - tm) / (2 * h) for tp, tm in pm]}
+                for prof in (V, W):
+                    terms = prof.fourier.meta["phi_terms"]
+                    log = terms[0].log_factor
+                    parts = [t.coef * v for t, v in zip(terms, dT[log])]
+                    err = abs(prof.fourier.evaluator(rho) - sum(parts)) / sum(map(abs, parts))
+                    worst[log] = max(worst[log], float(err))
+    assert worst[False] < 5e-14, worst
+    assert worst[True] < 1e-8, worst
+
+
+def _direct_transform(N, terms, rho):
+    """Per-term G_alpha reference: (value, sum of |pieces|)."""
+    def G(alpha):
+        return (2.0 ** (1.0 - 0.5 * alpha) / math.exp(ln_gamma(0.5 * alpha))
+                * rho ** (0.5 * (alpha - N)) * bessel_k(0.5 * (N - alpha), rho))
+
+    h, pieces = 1e-6, []
+    for t in terms:
+        c, alpha = t.coef * 2.0 ** t.power, 2.0 * t.power
+        if t.log_factor:
+            pieces += [c * math.log(2.0) * G(alpha), c * G(alpha + h) / h, -c * G(alpha - h) / h]
+        else:
+            pieces.append(c * G(alpha))
+    return math.fsum(pieces), sum(map(abs, pieces))
+
+
+def test_phi_power_ladder_edge_cases():
+    T = er.PhiTerm
+    C, m = 2.5, 1.2
+    cases = {
+        "two ladders": (3, [T(1.0, 0.7), T(-0.4, 1.7), T(0.8, 1.2), T(0.3, 2.2)]),
+        "missing rung above": (1, [T(1.0, 0.4), T(0.6, 3.4)]),
+        "missing seed rung below": (3, [T(1.0, 0.1), T(-0.7, 2.1)]),
+        "plain and log of equal power": (3, [T(C * math.log(C), m), T(C * m, m, True)]),
+        "orders crossing zero": (1, [T(1.0, 0.1), T(-0.5, 1.1), T(0.25, 2.1), T(0.3, 0.1, True)]),
+        "integer orders through zero": (3, [T(1.0, 0.5), T(0.5, 1.5), T(-0.2, 2.5)]),
+        "orders far below zero": (7, [T(1.0, 0.05), T(-0.8, 1.05), T(0.6, 2.05),
+                                      T(-0.4, 3.05), T(0.2, 4.05, True)]),
+        "orders nearly an integer apart": (3, [T(1.0, 0.5), T(-0.5, 1.5 + 3e-7)]),
+    }
+    for name, (N, terms) in cases.items():
+        ev_hat = er.phi_poly_profile(N, terms).fourier.evaluator
+        for rho in (0.05, 0.3, 1.0, 3.0, 10.0, 40.0):
+            ref, scale = _direct_transform(N, terms, rho)
+            val = ev_hat(rho)
+            assert abs(val - ref) <= 1e-13 * scale, (name, rho, val, ref)
+            assert ev_hat(rho) == val  # memoised repeat is bit-identical
+        for rho in (0.0, -1.0):
+            for _ in range(2):  # failures are not memoised
+                with pytest.raises(DomainError):
+                    ev_hat(rho)
+
+
+def test_phi_power_bessel_calls_per_ladder(monkeypatch):
+    # a pullback of Z_8 is one ladder: 2 Bessel calls, its log-factor twin 10
+    calls = []
+    monkeypatch.setattr(er, "bessel_k", lambda nu, x: calls.append(nu) or bessel_k(nu, x))
+    for prof, expected in zip(_pullback_pair(3, 0.3, 8), (2, 10)):
+        calls.clear()
+        prof.fourier.evaluator(0.7)
+        assert len(calls) == expected
+        prof.fourier.evaluator(0.7)  # memoised
+        assert len(calls) == expected
