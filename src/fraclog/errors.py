@@ -27,6 +27,10 @@ class DivergentIntegralError(ValueError):
     """Integral diverges for the given parameters (head or tail blow-up)."""
 
 
+class SelfTestError(RuntimeError):
+    """A built-in convention self-test found the library inconsistent."""
+
+
 def require(ok, message: str, value) -> None:
     """Raise DomainError(f"{message}, got {value}") unless `ok` holds.
 

@@ -38,7 +38,7 @@ import numpy as np
 from .audit import AuditReport, identity_audit
 from .constants import (Params, B_N, C_N, a_N, c_N, A_N, eval_constants,
                         sphere_area, sphere_area_equator)
-from .errors import DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError, SelfTestError
 from .quadrature import Integrand, integrate
 from .specfun import digamma, ln_beta, ln_gamma
 from . import euclid_radial as er
@@ -243,7 +243,7 @@ def beckner_convention_selftest() -> float:
     ent = _entropy_halfln(f, N)
     gap = lhs - (ent + B_N(N))
     if abs(gap) > 1e-6:
-        raise AssertionError(f"Beckner convention self-test failed: gap {gap:.3e}")
+        raise SelfTestError(f"Beckner convention self-test failed: gap {gap:.3e}")
     return gap
 
 

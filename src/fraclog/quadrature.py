@@ -1,14 +1,10 @@
 """Deterministic 1-D quadrature with error estimates, and bracketed roots.
 
 The heavy lifting is QUADPACK (scipy.integrate.quad: adaptive
-Gauss–Kronrod panels with epsilon-algorithm extrapolation). This module
-adds the contract layer the rest of the package relies on:
+Gauss–Kronrod panels with epsilon-algorithm extrapolation, which also
+takes integrable endpoint singularities). This module adds the contract
+layer the rest of the package relies on:
 
-* declared endpoint singularities (1+x)^alpha with alpha > -1, with or
-  without a logarithmic factor, are flattened before quadrature by the
-  substitution  x - a = w^{1/(1+alpha)}  (left endpoint; mirrored on the
-  right), which turns the algebraic factor into a constant Jacobian and
-  leaves at most a benign ln w that the extrapolation handles;
 * semi-infinite domains use the map r = t/(1-t) by default, or, when the
   integrand supplies an explicit tail bound (exponentially decaying
   integrands such as K_nu^2), truncation at the radius where the tail
@@ -36,25 +32,9 @@ _INF = math.inf
 
 
 @dataclass(frozen=True)
-class SingularitySpec:
-    endpoint: str  # "left" | "right"
-    algebraic_exponent: float  # > -1, integrability
-    has_log_factor: bool = False
-
-    def validate(self):
-        if self.endpoint not in ("left", "right"):
-            raise DomainError(f"singularity endpoint must be left|right, got {self.endpoint}")
-        if not self.algebraic_exponent > -1.0:
-            raise DomainError(
-                f"non-integrable endpoint exponent {self.algebraic_exponent} <= -1"
-            )
-
-
-@dataclass(frozen=True)
 class Integrand:
     evaluator: Callable[[float], float]
     domain: tuple  # (a, b) finite, or (0, inf)
-    singularity: Optional[SingularitySpec] = None
     #: optional bound on | int_R^inf f |, enables truncation on (0, inf)
     tail_bound: Optional[Callable[[float], float]] = None
     name: str = ""
@@ -87,24 +67,6 @@ def _quad_limit(limit):
     return _QUAD_LIMIT if limit is None else int(limit)
 
 
-def _flatten_singularity(f, a, b, spec: SingularitySpec):
-    """Substitute away a declared algebraic endpoint singularity.
-
-    Left endpoint: x = a + w^p with p = 1/(1+alpha); then
-    (x-a)^alpha dx = p dw, so the transformed integrand is bounded up to
-    a possible ln w factor.
-    """
-    p = 1.0 / (1.0 + spec.algebraic_exponent)
-    if spec.endpoint == "left":
-        def g(w):
-            return f(a + w ** p) * p * w ** (p - 1.0)
-    else:
-        def g(w):
-            return f(b - w ** p) * p * w ** (p - 1.0)
-    width = b - a
-    return g, 0.0, width ** (1.0 / p)
-
-
 def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
               limit: int | None = None) -> QuadResult:
     """Integrate `f` over its domain to the requested tolerance.
@@ -115,8 +77,6 @@ def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
     """
     if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise DomainError("tolerances must be positive")
-    if f.singularity is not None:
-        f.singularity.validate()
     a, b = f.domain
     lim = _quad_limit(limit)
 
@@ -137,9 +97,6 @@ def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
                 r = t / (1.0 - t)
                 return f.evaluator(r) / (1.0 - t) ** 2
             value, err, neval = _quad_raw(g, 0.0, 1.0, abs_tol, rel_tol, lim)
-    elif f.singularity is not None:
-        g, wa, wb = _flatten_singularity(f.evaluator, a, b, f.singularity)
-        value, err, neval = _quad_raw(g, wa, wb, abs_tol, rel_tol, lim)
     else:
         value, err, neval = _quad_raw(f.evaluator, a, b, abs_tol, rel_tol, lim)
 

@@ -6,11 +6,11 @@ the sphere integral only sees the spherical mean
 
     M(t) = mean of u over the (N-1)-sphere {zeta : z . zeta = t},
 
-so P u(z) is the pole formula applied to the profile M. In the angle
-theta from z (t = cos theta, d2 = |z - zeta|^2 = 2 - 2t = 4 sin^2(theta/2)):
+so P u(z) is the pole formula applied to the profile M. In t = z . zeta
+(d2 = |z - zeta|^2 = 2 - 2t, and sin^{N-1} theta dtheta = (1-t^2)^{(N-2)/2} dt),
 
-    P   u(z) = coeff * |S^{N-1}| * int_0^pi [M(1) - M(cos theta)]
-               * d2^{-e} * w(theta) * sin^{N-1}(theta) dtheta
+    P   u(z) = coeff * |S^{N-1}| * int_{-1}^{1} [M(1) - M(t)]
+               * d2^{-e} * w(t) * (1 - t^2)^{(N-2)/2} dt
                + zero_order * M(1),          M(1) = f(t0),
 
 with, per operator,
@@ -25,26 +25,42 @@ e . zeta = t t0 + sqrt(1-t^2) sqrt(1-t0^2) x, where x = eta . e' has
 density (1-x^2)^{(N-3)/2} on [-1, 1]. For a profile of degree d,
 Gauss-Gegenbauer with d//2 + 1 nodes (parameter (N-2)/2; the two points
 +-1 for N = 1) makes each mean exact, and M is again a polynomial of
-degree d. It is sampled at d + 1 Chebyshev points, converted to
-Chebyshev coefficients and divided exactly by 1 - t (Trefethen,
-Approximation Theory and Approximation Practice, ch. 3), which gives
-q(t) = (M(1) - M(t))/(1 - t) without cancellation. With 1 - t = d2/2 and
-sin^{N-1} theta = d2^{(N-1)/2} cos^{N-1}(theta/2) the integrand becomes
+degree d. It is sampled at the d + 1 Chebyshev points of the second
+kind, which start at t = 1, converted to Chebyshev coefficients and
+divided exactly by 1 - t (Trefethen, Approximation Theory and
+Approximation Practice, ch. 3), which gives q(t) = (M(1) - M(t))/(1 - t)
+without cancellation; the two steps are one cached matrix per degree. With
+M(1) - M(t) = (1 - t) q(t) the integral is
 
-    0.5 * q(cos theta) * w * d2^{(N+1)/2 - e} * cos^{N-1}(theta/2),
+    2^{-e} int_{-1}^{1} q(t) w(t) (1-t)^alpha (1+t)^beta dt,
+    alpha = N/2 - e (= -s, or 0 for P_log),  beta = N/2 - 1,
 
-one finite power of d2 that behaves like theta^{1-2s} (log factor for
-P_slog) at theta = 0: absolutely integrable for s < 1, so no principal
-value is needed; the quadrature module flattens the endpoint. The route
-uses profile values, Gauss nodes and quadrature only, never the
-symbols, so it stays independent of the spectral route.
+and for P_slog w = b - ln 2 - ln(1 - t). q has degree d - 1, so the
+m = max(d, 1)-point Gauss-Jacobi rule for (alpha, beta) integrates it
+exactly, and so do log weights that project ln(1 - t) onto the
+orthonormal Jacobi polynomials p_0..p_{m-1}. Their moments are closed
+forms (DLMF 18.5(ii) and the Beta integral):
 
-The error estimate adds to the quadrature's estimate the rounding in q:
-q carries an error of about (d+1) eps sum_j |q_j| at every point (the
-T_j are bounded by 1), which the integral multiplies by the mass
-int 0.5 |w| d2^{(N+1)/2-e} cos^{N-1}(theta/2) dtheta. That mass is a Beta
-function, bounded for P_slog through |ln d2| <= 2 ln 4 - ln d2 by a
-digamma difference.
+    int P_n^{(alpha,beta)}(t) ln(1-t) (1-t)^alpha (1+t)^beta dt
+        = -2^{alpha+beta+1} B(alpha+1, beta+n+1) / n                 (n >= 1)
+        = 2^{alpha+beta+1} B(alpha+1, beta+1)
+          * [ln 2 + psi(alpha+1) - psi(alpha+beta+2)]                (n = 0).
+
+One rule per (N, alpha, d) is built once and folded into its Chebyshev
+moments sum_i w_i T_j(x_i) and sum_i l_i T_j(x_i); P_s and P_slog share
+it. A kernel value is then the mean, the quotient and one or two dot
+products, with no adaptive quadrature. The route uses profile values,
+Gauss nodes, Beta functions and digamma, never the symbols, so it stays
+independent of the spectral route.
+
+The error estimate is a rounding bound. q carries an error of about
+(d+1) eps sum_j |q_j| at every point (the T_j are bounded by 1), which
+the rule multiplies by 2^{-e} (|b - ln 2| sum_i w_i + sum_i |l_i|)
+(2^{-e} sum_i w_i for P_s and P_log); the estimate is four times that,
+times |coeff| |S^{N-1}|, plus 4 eps |zero_order M(1)|. The tests check it
+at the pole against 40-digit mpmath symbols (N 1..5, five orders,
+k 27..97) and off the pole against the spectral route (k <= 20): no
+error exceeds it by more than 64 ulp of sup |P Z_k|.
 
 Also provided: the difference-quotient audit (order-derivative of P_t at
 t = s), the s -> 0 audit against P_log, and the fractional-logarithmic
@@ -62,18 +78,17 @@ import numpy as np
 from numpy.polynomial import chebyshev as cheb
 # not called here; perfbench/tracer.py looks this name up to count quad evaluations
 from scipy.integrate import quad as _scipy_quad
-from scipy.special import roots_gegenbauer
+from scipy.special import roots_gegenbauer, roots_jacobi
 
 from .audit import AuditReport
 from .constants import Params, eval_constants, A_N, c_N, sphere_area, sphere_area_equator
 from .errors import DomainError
-from .quadrature import Integrand, QuadResult, SingularitySpec, integrate
+from .quadrature import Integrand, QuadResult, integrate
 from .specfun import digamma, ln_beta
 from . import spectral
 
-KERNEL_ABS_TOL = 1e-11
-KERNEL_REL_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -99,18 +114,18 @@ class ZonalFunction:
 
 
 def _kernel_setup(op: str, p: Params | None, N: int):
+    """coeff, the Jacobi exponent alpha at t = 1, the zero-order factor and b (P_slog)."""
     if op in ("P_s", "P_slog"):
         if p is None:
             raise DomainError(f"{op} requires Params")
         if not p.s < 1.0:
             raise DomainError("kernel path requires s < 1")
         cs = eval_constants(p)
-        expo = 0.5 * (N + 2.0 * p.s)
         if op == "P_s":
-            return cs.c_Ns, expo, cs.A_Ns, None
-        return cs.c_Ns, expo, cs.Aprime_Ns, cs.b_Ns
+            return cs.c_Ns, -p.s, cs.A_Ns, None
+        return cs.c_Ns, -p.s, cs.Aprime_Ns, cs.b_Ns
     if op == "P_log":
-        return c_N(N), 0.5 * N, A_N(N), None
+        return c_N(N), 0.0, A_N(N), None
     raise DomainError(f"unknown operator {op!r}")
 
 
@@ -123,72 +138,176 @@ def _mean_rule(N: int, degree: int):
     return x, w / w.sum()
 
 
+@lru_cache(maxsize=256)
+def _quotient_map(degree: int):
+    """Chebyshev points y_k = cos(pi k/d), sqrt(1 - y^2) and the map M(y) -> q.
+
+    The points of the second kind start at y_0 = 1, so M(1) is the first
+    sample. The interpolant's Chebyshev coefficients are the DCT-I of
+    the samples, m_j = (2/d) sum_k'' M(y_k) T_j(y_k) with the end terms
+    and m_0, m_d halved; T_j(y_k) = cos(pi jk/d) with the angle reduced
+    exactly in integers (the three-term recurrence would lose about j
+    ulp in row j). The map's rows are those of M(1) - M divided exactly
+    by 1 - t: with t T_0 = T_1 and t T_j = (T_{j+1} + T_{j-1})/2, the
+    numerator's T_n coefficient is p_n = q_n - q_{n-1}/2 - q_{n+1}/2
+    (n >= 2) and p_1 = q_1 - q_0 - q_2/2, solved from the top.
+    """
+    if degree == 0:
+        return np.ones(1), np.zeros(1), np.zeros((0, 1))
+    k = np.arange(degree + 1)
+    angle = np.outer(k, k) % (2 * degree) * (np.pi / degree)
+    num = np.cos(angle) * (-2.0 / degree)
+    num[:, [0, degree]] *= 0.5
+    num[[0, degree]] *= 0.5
+    num[0, 0] += 1.0  # M(1) T_0
+    q = np.zeros((degree + 2, degree + 1))
+    for n in range(degree, 1, -1):
+        q[n - 1] = 2.0 * q[n] - q[n + 1] - 2.0 * num[n]
+    q[0] = q[1] - 0.5 * q[2] - num[1]
+    theta = k * (np.pi / degree)
+    return np.cos(theta), np.sin(theta), q[:degree]
+
+
 def _mean_quotient(u: ZonalFunction, t0: float):
-    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), and M(1)."""
+    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), M(1) and the profile evaluations."""
     degree = u.expansion.degree_max
-    x, w = _mean_rule(u.N, degree)
+    y, sy, quotient = _quotient_map(degree)
     sin0 = math.sqrt(1.0 - t0 * t0)
-
-    def mean(t):
-        t = t[:, None]
-        return u.profile(t0 * t + sin0 * np.sqrt(1.0 - t * t) * x) @ w
-
-    m = cheb.chebinterpolate(mean, degree)
-    m1 = float(m.sum())  # M(1), since T_j(1) = 1
-    num = -m
-    num[0] += m1
-    q, _ = cheb.chebdiv(num, [1.0, -1.0])
-    return q.tolist(), m1
+    if sin0 == 0.0:  # at either pole the mean is the profile itself
+        mean = u.profile(t0 * y)
+        evals = y.size
+    else:
+        x, w = _mean_rule(u.N, degree)
+        mean = u.profile(t0 * y[:, None] + sin0 * sy[:, None] * x) @ w
+        evals = y.size * x.size
+    return quotient @ mean, float(mean[0]), evals
 
 
-def _weight_mass(N: int, power: float, b_shift: float | None) -> float:
-    """Bound on int_0^pi 0.5 |w| d2^power cos^{N-1}(theta/2) dtheta."""
-    a = power + 0.5
-    mass = 0.5 * 4.0 ** power * math.exp(ln_beta(a, 0.5 * N))
-    if b_shift is None:
-        return mass
-    return mass * (abs(b_shift) + math.log(4.0) + digamma(a + 0.5 * N) - digamma(a))
+def _jacobi_recurrence(alpha: float, beta: float, m: int):
+    """a_1..a_m and b_0..b_{m-1} of t p_n = a_{n+1} p_{n+1} + b_n p_n + a_n p_{n-1}."""
+    ab = alpha + beta
+    n = np.arange(2.0, m + 1.0)
+    s = 2.0 * n + ab
+    # n = 1 separately: there n + alpha + beta cancels (0/0 at alpha + beta = -1)
+    a = 2.0 / s * np.sqrt(n * (n + alpha) * (n + beta) * (n + ab) / ((s - 1.0) * (s + 1.0)))
+    a1 = 2.0 / (ab + 2.0) * math.sqrt((alpha + 1.0) * (beta + 1.0) / (ab + 3.0))
+    b = (beta * beta - alpha * alpha) / ((s - 2.0) * s)
+    return np.concatenate(([a1], a)), np.concatenate(([(beta - alpha) / (ab + 2.0)], b))
 
 
-def _clenshaw(c, x):
-    """sum_j c_j T_j(x) for a list of Chebyshev coefficients."""
-    b1 = b2 = 0.0
-    for a in reversed(c[1:]):
-        b1, b2 = a + 2.0 * x * b1 - b2, b1
-    return c[0] + x * b1 - b2
+def _orthonormal(x, a, b, p0: float, m: int):
+    """Rows p_0..p_m of the orthonormal Jacobi polynomials at x, and p_m'."""
+    p = np.empty((m + 1, x.size))
+    p[0] = p0
+    prev = dprev = dp = 0.0
+    for n in range(m):
+        a_n = a[n - 1] if n else 0.0
+        p[n + 1] = ((x - b[n]) * p[n] - a_n * prev) / a[n]
+        dp, dprev = ((x - b[n]) * dp + p[n] - a_n * dprev) / a[n], dp
+        prev = p[n]
+    return p, dp
+
+
+def _log_moments(alpha: float, beta: float, m: int, mass: float):
+    """mu_n = int p_n(t) ln(1 - t) (1-t)^alpha (1+t)^beta dt for n < m.
+
+    mu_n = m_n / sqrt(h_n), with the closed forms m_n of the module
+    docstring and mass = h_0. The Beta values and h_n enter as running
+    products of their ratios in n: a few ulp per step, where a log-Gamma
+    route would lose eps |ln Gamma|.
+    """
+    ab = alpha + beta
+    root = math.sqrt(mass)
+    mu = np.empty(m)
+    mu[0] = root * (math.log(2.0) + digamma(alpha + 1.0) - digamma(ab + 2.0))
+    n = np.arange(1.0, m)
+    h_ratio = ((2.0 * n + ab - 1.0) / (2.0 * n + ab + 1.0) * (n + alpha) * (n + beta)
+               / ((n + ab) * n))
+    if m > 1:
+        h_ratio[0] = (alpha + 1.0) * (beta + 1.0) / (ab + 3.0)
+    mu[1:] = -root * np.cumprod((beta + n) / (ab + n + 1.0) / np.sqrt(h_ratio)) / n
+    return mu
+
+
+def _jacobi_rule(alpha: float, beta: float, m: int):
+    """m-point Gauss-Jacobi nodes x, weights w and log weights l.
+
+    For W = (1-t)^alpha (1+t)^beta on [-1, 1], sum_i w_i f(x_i) is the
+    integral of f W for polynomials f of degree < 2m, and sum_i l_i f(x_i)
+    that of f(t) ln(1 - t) W for degree < m.
+
+    scipy's roots_jacobi rule drifts as m grows at alpha near -1: at
+    alpha = -0.9 it misses the plain integral of the P_slog N = 5 s = 0.9
+    k = 23 quotient by 5.0e-14 at m = 12, 4.9e-13 at m = 24 and 1.4e-12 at
+    m = 40 (against 40-digit mpmath). So its nodes only start two Newton
+    steps on p_m, evaluated with p_m' by the orthonormal three-term
+    recurrence, after which each lies within eps of a zero of p_m. The
+    weights are the Christoffel numbers w_i = 1 / sum_{n<m} p_n(x_i)^2,
+    then one refinement step on sum_i w_i p_n(x_i) = delta_n0 sqrt(h_0),
+    n < m, at the rounded nodes, with diag(w) p^T as the approximate
+    inverse of p: the same integral is then off by 2e-16 to 3e-15 for
+    m = 12..40. Without that step the kernel's estimate missed its error
+    in 7 of the 561 pole cases of the test scan (P_s, s = 0.9, k >= 55).
+    The log weights project ln(1 - t) onto p_0..p_{m-1},
+    l_i = w_i sum_n p_n(x_i) mu_n, refined the same way. (Hale and
+    Townsend, SIAM J. Sci. Comput. 35 (2013), for the polished rule; the
+    modified moments of QUADPACK's QAWS, Piessens et al. 1983.)
+    """
+    mass = 2.0 ** (alpha + beta + 1.0) * math.exp(ln_beta(alpha + 1.0, beta + 1.0))
+    a, b = _jacobi_recurrence(alpha, beta, m)
+    p0 = 1.0 / math.sqrt(mass)
+    x = roots_jacobi(m, alpha, beta)[0]
+    for _ in range(2):
+        p, dp = _orthonormal(x, a, b, p0, m)
+        x = x - p[m] / dp
+    p = _orthonormal(x, a, b, p0, m)[0][:m]
+    w = 1.0 / np.einsum("ij,ij->j", p, p)
+    target = np.zeros(m)
+    target[0] = 1.0 / p0
+    w -= w * ((p @ w - target) @ p)
+    mu = _log_moments(alpha, beta, m, mass)
+    log_w = w * (mu @ p)
+    return x, w, log_w - w * ((p @ log_w - mu) @ p)
+
+
+# sized for sweeps over orders and degrees: a cache that cycles rebuilds a
+# rule, about 1 ms, on every call
+@lru_cache(maxsize=4096)
+def _kernel_moments(N: int, alpha: float, degree: int):
+    """2^{-e} times the plain and log Chebyshev moments sum_i w_i T_j(x_i),
+    sum_i l_i T_j(x_i), j < degree, and 2^{-e} sum w_i, 2^{-e} sum |l_i|."""
+    m = max(degree, 1)
+    x, w, log_w = _jacobi_rule(alpha, 0.5 * N - 1.0, m)
+    scale = 2.0 ** (alpha - 0.5 * N)  # 2^{-e}
+    t = cheb.chebvander(x, m - 1)[:, :degree]
+    return (scale * (w @ t), scale * (log_w @ t), scale * float(w.sum()),
+            scale * float(np.abs(log_w).sum()))
 
 
 def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> QuadResult:
-    """Evaluate P_s / P_slog / P_log applied to u at polar cosine t0 in [-1, 1]."""
+    """Evaluate P_s / P_slog / P_log applied to u at polar cosine t0 in [-1, 1].
+
+    `evaluations` counts the profile values the spherical mean used.
+    """
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"polar cosine must lie in [-1, 1], got {t0}")
     if u.expansion is None:
         raise DomainError("kernel route needs a zonal expansion (its degree)")
     N = u.N
-    coeff, expo, zero_order, b_shift = _kernel_setup(op, p, N)
-    q, m1 = _mean_quotient(u, t0)
-    power = 0.5 * (N + 1) - expo
-
-    def integrand(theta):
-        half = math.sin(0.5 * theta)
-        d2 = 4.0 * half * half  # |z - zeta|^2, stable for tiny theta
-        if d2 == 0.0:
-            return 0.0
-        w = 1.0 if b_shift is None else (-math.log(d2) + b_shift)
-        return (0.5 * _clenshaw(q, math.cos(theta)) * w * d2 ** power
-                * math.cos(0.5 * theta) ** (N - 1))
-
-    # theta = 0 exponent of d2^power: N + 1 - 2*expo (= 1 - 2s for
-    # P_s/P_slog, 1 for P_log)
-    spec = SingularitySpec("left", 2.0 * power, has_log_factor=b_shift is not None)
-    integ = Integrand(integrand, (0.0, math.pi), singularity=spec, name=f"{op}-kernel")
-    res = integrate(integ, abs_tol=KERNEL_ABS_TOL, rel_tol=KERNEL_REL_TOL)
-    rounding = (_EPS * (u.expansion.degree_max + 1) * sum(map(abs, q))
-                * _weight_mass(N, power, b_shift))
+    degree = u.expansion.degree_max
+    coeff, alpha, zero_order, b_shift = _kernel_setup(op, p, N)
+    q, m1, evals = _mean_quotient(u, t0)
+    plain, log, mass, log_mass = _kernel_moments(N, alpha, degree)
+    value = float(plain @ q)
+    if b_shift is not None:  # w = -ln 2 - ln(1 - t) + b
+        shift = b_shift - _LN2
+        value = shift * value - float(log @ q)
+        mass = abs(shift) * mass + log_mass
+    rounding = 4.0 * _EPS * (degree + 1) * float(np.abs(q).sum()) * mass
     area = sphere_area_equator(N)
-    return QuadResult(coeff * area * res.value + zero_order * m1,
-                      abs(coeff) * area * (res.abs_error_estimate + rounding),
-                      res.evaluations)
+    zero = zero_order * m1
+    return QuadResult(coeff * area * value + zero,
+                      abs(coeff) * area * rounding + 4.0 * _EPS * abs(zero), evals)
 
 
 def apply_kernel_at_pole(op: str, p: Params | None, u: ZonalFunction) -> QuadResult:

@@ -5,7 +5,7 @@ import pytest
 
 from fraclog import euclid_radial as er, inequalities as ineq
 from fraclog.constants import Params, eval_constants, c_N, C_N
-from fraclog.errors import DivergentIntegralError, DomainError
+from fraclog.errors import DivergentIntegralError, DomainError, SelfTestError
 from fraclog.spectral import ZonalExpansion
 
 
@@ -112,6 +112,16 @@ def test_sphere_identity_kappa_sensitivity():
 
 def test_beckner_convention_selftest_gap():
     assert abs(ineq.beckner_convention_selftest()) <= 1e-6
+
+
+def test_beckner_convention_selftest_raises_library_error(monkeypatch):
+    # a B_N convention off by 1e-3 must fail loudly with the library's own
+    # error, not an AssertionError; __wrapped__ bypasses the result cache
+    B_N = ineq.B_N
+    monkeypatch.setattr(ineq, "B_N", lambda N: B_N(N) + 1e-3)
+    with pytest.raises(SelfTestError, match="gap -1.000e-03"):
+        ineq.beckner_convention_selftest.__wrapped__()
+    assert not issubclass(SelfTestError, AssertionError)
 
 
 def test_beckner_equality_for_extremal():

@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -5,10 +6,12 @@ from fraclog.constants import Params, eval_constants, A_N
 from fraclog.errors import DomainError
 from fraclog.spectral import (ZonalExpansion, eigenvalue, symbol_log, symbol_s,
                               symbol_slog, zonal_basis_eval)
-from fraclog.sphere_kernel import (ZonalFunction, apply_kernel,
+from fraclog.sphere_kernel import (ZonalFunction, _jacobi_rule, apply_kernel,
                                    apply_kernel_at_pole,
                                    difference_quotient_check, dini_test,
                                    slimit_check)
+
+EPS = np.finfo(float).eps
 
 
 def _basis_fn(N, k):
@@ -123,10 +126,21 @@ def _symbol(op, p, lam):
     return (symbol_s if op == "P_s" else symbol_slog)(p, lam)
 
 
-def _kernel_error(op, p, k, t0):
+def _mp_symbol(op, p, lam):
+    """The symbol at 40 digits; free of the eps |ln Gamma| loss of symbol_s."""
+    with mp.workdps(40):
+        a = mp.sqrt(mp.mpf(lam) + mp.mpf(p.N - 1) ** 2 / 4)
+        if op == "P_log":
+            return float(2 * mp.digamma(a + 0.5))
+        hi, lo = a + 0.5 + mp.mpf(p.s), a + 0.5 - mp.mpf(p.s)
+        ratio = mp.gammaprod([hi], [lo])
+        return float(ratio if op == "P_s" else ratio * (mp.digamma(hi) + mp.digamma(lo)))
+
+
+def _kernel_error(op, p, k, t0, symbol=_symbol):
     """Observed error of the kernel at t0, its estimate and sup |P Z_k|."""
     res = apply_kernel(op, None if op == "P_log" else p, _basis_fn(p.N, k), t0)
-    sym = _symbol(op, p, eigenvalue(p.N, k))
+    sym = symbol(op, p, eigenvalue(p.N, k))
     sup = abs(sym * zonal_basis_eval(p.N, k, 1.0))
     return abs(res.value - sym * zonal_basis_eval(p.N, k, t0)), res.abs_error_estimate, sup
 
@@ -147,8 +161,8 @@ def test_offpole_kernel_matches_spectral(N, t0):
         for k in (0, 1, 2, 5, 10, 20):
             for op in ops:
                 err, est, sup = _kernel_error(op, Params(N, s), k, t0)
-                assert err <= 1e-10 * sup, (op, s, k, err / sup)
-                assert err <= est + 64 * np.finfo(float).eps * sup, (op, s, k, err, est)
+                assert err <= 1e-12 * sup, (op, s, k, err / sup)
+                assert err <= est + 64 * EPS * sup, (op, s, k, err, est)
 
 
 def test_offpole_kernel_at_pole_delegates():
@@ -194,8 +208,99 @@ def test_pole_kernel_high_degree(N, s):
     for k in sorted(set(range(30, 101, 10)) | set(range(60, 101, 5))):
         for op in ("P_s", "P_slog", "P_log"):
             err, est, sup = _kernel_error(op, Params(N, s), k, 1.0)
-            assert err <= 1e-10 * sup, (op, k, err / sup)
-            assert err <= est + 64 * np.finfo(float).eps * sup, (op, k, err, est)
+            assert err <= 1e-12 * sup, (op, k, err / sup)
+            assert err <= est + 64 * EPS * sup, (op, k, err, est)
+
+
+@pytest.mark.parametrize("op,N,s,k", [
+    # errors of the adaptive route, against its own estimate
+    ("P_s", 8, 0.45, 73),     # 7.9e-10 against 1.5e-11
+    ("P_s", 5, 0.45, 150),    # 2.0e-8 against 2.4e-11
+    ("P_slog", 2, 0.9, 90),   # 3.2e-13 against 9.6e-14
+    ("P_slog", 8, 0.9, 24),   # raised NonConvergedError in its first version
+])
+def test_pole_kernel_pinned_high_degree(op, N, s, k):
+    err, est, sup = _kernel_error(op, Params(N, s), k, 1.0, _mp_symbol)
+    assert err <= 1e-12 * sup, err / sup
+    assert err <= est, (err, est)
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_pole_estimate_bounds_error_scan(N):
+    # k 27..97 at the pole, against 40-digit symbols; the adaptive route
+    # missed here for P_slog at s >= 3/4 by up to 5.8 times its estimate
+    for s in [s for s in (0.1, 0.25, 0.45, 0.75, 0.9) if N > 2.0 * s]:
+        for k in range(27, 101, 7):
+            for op in ("P_s", "P_slog", "P_log") if s == 0.1 else ("P_s", "P_slog"):
+                err, est, sup = _kernel_error(op, Params(N, s), k, 1.0, _mp_symbol)
+                assert err <= est + 64 * EPS * sup, (op, s, k, err, est)
+
+
+def _ld(x):
+    return np.longdouble(mp.nstr(x, 30))
+
+
+def _jacobi_values(alpha, beta, x, count):
+    """p_n(x) and p_n'(x), n < count, for the orthonormal Jacobi p_n, and sqrt(h_0).
+
+    The three-term recurrence runs in extended precision on coefficients
+    from 40-digit mpmath.
+    """
+    A, B = mp.mpf(alpha), mp.mpf(beta)
+    root = mp.sqrt(2 ** (A + B + 1) * mp.beta(A + 1, B + 1))
+    x = np.asarray(x, np.longdouble)
+    p = np.zeros((count + 1, x.size), np.longdouble)
+    d = np.zeros_like(p)
+    p[1] = _ld(1 / root)  # row n + 1 holds p_n; row 0 is p_{-1} = 0
+    a_n = mp.mpf(0)
+    for n in range(count - 1):
+        s = 2 * n + A + B
+        b_n = (B - A) / (A + B + 2) if n == 0 else (B * B - A * A) / (s * (s + 2))
+        a_next = 2 / (s + 2) * mp.sqrt((n + 1) * (n + 1 + A) * (n + 1 + B) * (n + 1 + A + B)
+                                       / ((s + 1) * (s + 3))) if n else \
+            2 / (A + B + 2) * mp.sqrt((A + 1) * (B + 1) / (A + B + 3))
+        xb, a, a1 = x - _ld(b_n), _ld(a_n), _ld(a_next)
+        p[n + 2] = (xb * p[n + 1] - a * p[n]) / a1
+        d[n + 2] = (xb * d[n + 1] + p[n + 1] - a * d[n]) / a1
+        a_n = a_next
+    return p[1:], d[1:], float(root)
+
+
+def _mp_log_moments(alpha, beta, m):
+    """int p_n(t) ln(1-t) (1-t)^alpha (1+t)^beta dt, n < m, from the Beta closed forms."""
+    A, B = mp.mpf(alpha), mp.mpf(beta)
+    c = 2 ** (A + B + 1)
+    mu = [mp.sqrt(c * mp.beta(A + 1, B + 1)) * (mp.log(2) + mp.digamma(A + 1)
+                                                - mp.digamma(A + B + 2))]
+    for n in range(1, m):
+        h = (c / (2 * n + A + B + 1) * mp.gamma(n + A + 1) * mp.gamma(n + B + 1)
+             / (mp.gamma(n + A + B + 1) * mp.factorial(n)))
+        mu.append(-c * mp.beta(A + 1, B + n + 1) / n / mp.sqrt(h))
+    return np.array([float(v) for v in mu])
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
+                    reason="the reference values need extended precision")
+@pytest.mark.parametrize("alpha", (-0.9, -0.45, -0.1, 0.0))
+@pytest.mark.parametrize("beta", (-0.5, 0.0, 0.5, 3.0))
+def test_jacobi_rule_against_mpmath(alpha, beta):
+    # nodes: one Newton step on p_m from each node moves it by <= eps
+    # (roots_jacobi's own nodes: up to 1.8 eps). The rest are weighted sums
+    # of p_n, independent of node order: Gauss exactness
+    # sum_i w_i p_n(x_i) = sqrt(h_0) delta_n0 for n < 2m checks the weights
+    # (roots_jacobi's miss it at alpha = -0.9 by up to about 2000 m eps at
+    # m = 151), and sum_i l_i p_n(x_i) = mu_n for n < m the log weights
+    with mp.workdps(40):
+        for m in (1, 2, 12, 24, 75, 151):
+            x, w, log_w = _jacobi_rule(alpha, beta, m)
+            p, d, root = _jacobi_values(alpha, beta, x, 2 * m)
+            assert np.max(np.abs(p[m] / d[m])) <= EPS, m
+            sums = (p @ w).astype(float)
+            sums[0] -= root
+            assert np.max(np.abs(sums)) <= 32 * m * EPS * root, m
+            mu = _mp_log_moments(alpha, beta, m)
+            err = np.abs((p[:m] @ log_w).astype(float) - mu)
+            assert np.max(err) <= 8 * m * EPS * (np.sum(np.abs(mu)) + root), m
 
 
 def test_dini_power_modulus_finite():
