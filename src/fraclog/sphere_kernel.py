@@ -35,32 +35,42 @@ M(1) - M(t) = (1 - t) q(t) the integral is
     2^{-e} int_{-1}^{1} q(t) w(t) (1-t)^alpha (1+t)^beta dt,
     alpha = N/2 - e (= -s, or 0 for P_log),  beta = N/2 - 1,
 
-and for P_slog w = b - ln 2 - ln(1 - t). q has degree d - 1, so the
-m = max(d, 1)-point Gauss-Jacobi rule for (alpha, beta) integrates it
-exactly, and so do log weights that project ln(1 - t) onto the
-orthonormal Jacobi polynomials p_0..p_{m-1}. Their moments are closed
-forms (DLMF 18.5(ii) and the Beta integral):
+and for P_slog w = b - ln 2 - ln(1 - t). q has degree d - 1, so with
+W = (1-t)^alpha (1+t)^beta the integral is sum_j q_j M_j, plus
+-sum_j q_j L_j for the log term, over the Chebyshev modified moments
 
-    int P_n^{(alpha,beta)}(t) ln(1-t) (1-t)^alpha (1+t)^beta dt
-        = -2^{alpha+beta+1} B(alpha+1, beta+n+1) / n                 (n >= 1)
-        = 2^{alpha+beta+1} B(alpha+1, beta+1)
-          * [ln 2 + psi(alpha+1) - psi(alpha+beta+2)]                (n = 0).
+    M_j = int T_j W dt,    L_j = int T_j(t) ln(1 - t) W dt = dM_j/dalpha.
 
-One rule per (N, alpha, d) is built once and folded into its Chebyshev
-moments sum_i w_i T_j(x_i) and sum_i l_i T_j(x_i); P_s and P_slog share
-it. A kernel value is then the mean, the quotient and one or two dot
-products, with no adaptive quadrature. The route uses profile values,
-Gauss nodes, Beta functions and digamma, never the symbols, so it stays
-independent of the spectral route.
+They obey the three-term recurrence (Piessens and Branders, BIT 13
+(1973), the moments behind QUADPACK's QAWS)
+
+    (j+alpha+beta+2) M_{j+1} = 2(beta-alpha) M_j + (j-alpha-beta-2) M_{j-1},
+
+and L_j its alpha-derivative, run forward from the closed forms
+
+    M_0 = 2^{alpha+beta+1} B(alpha+1, beta+1),   M_1 = M_0 (beta-alpha)/(alpha+beta+2),
+    L_0 = M_0 [ln 2 + psi(alpha+1) - psi(alpha+beta+2)],
+    L_1 = L_0 (beta-alpha)/(alpha+beta+2) - 2 M_0 (beta+1)/(alpha+beta+2)^2.
+
+Forward they hold about 20 eps of M_0 (of |L_0| + M_0 for L) to j = 159
+for alpha in [-0.95, 0]. One table per (N, alpha, d) is built once;
+P_s and P_slog share it. A kernel value is then the mean, the quotient
+and one or two dot products, with no adaptive quadrature. The route
+uses profile values, Gauss-Gegenbauer nodes, Beta functions and
+digamma, never the symbols, so it stays independent of the spectral
+route.
 
 The error estimate is a rounding bound. q carries an error of about
 (d+1) eps sum_j |q_j| at every point (the T_j are bounded by 1), which
-the rule multiplies by 2^{-e} (|b - ln 2| sum_i w_i + sum_i |l_i|)
-(2^{-e} sum_i w_i for P_s and P_log); the estimate is four times that,
-times |coeff| |S^{N-1}|, plus 4 eps |zero_order M(1)|. The tests check it
-at the pole against 40-digit mpmath symbols (N 1..5, five orders,
-k 27..97) and off the pole against the spectral route (k <= 20): no
-error exceeds it by more than 64 ulp of sup |P Z_k|.
+the integral multiplies by 2^{-e} (|b - ln 2| M_0 + 2 ln 2 M_0 - L_0)
+(2^{-e} M_0 for P_s and P_log); 2 ln 2 M_0 - L_0 bounds int |ln(1-t)| W
+because |ln(1-t)| <= 2 ln 2 - ln(1-t) on [-1, 1]. The estimate is four
+times that, times |coeff| |S^{N-1}|, plus 4 eps |M(1)| times the size
+of the zero-order constant: |A_{N,s}| (|psi(N/2+s)| + |psi(N/2-s)|) for
+A'_{N,s}, whose digamma sum cancels near its sign change. The tests
+check it at the pole against 40-digit mpmath symbols (N 1..5, five
+orders, k 27..97) and off the pole against the spectral route (k <= 20):
+no error exceeds it by more than 64 ulp of sup |P Z_k|.
 
 Also provided: the difference-quotient audit (order-derivative of P_t at
 t = s), the s -> 0 audit against P_log, and the fractional-logarithmic
@@ -75,10 +85,9 @@ from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from numpy.polynomial import chebyshev as cheb
 # not called here; perfbench/tracer.py looks this name up to count quad evaluations
 from scipy.integrate import quad as _scipy_quad
-from scipy.special import roots_gegenbauer, roots_jacobi
+from scipy.special import roots_gegenbauer
 
 from .audit import AuditReport
 from .constants import Params, eval_constants, A_N, c_N, sphere_area, sphere_area_equator
@@ -114,7 +123,8 @@ class ZonalFunction:
 
 
 def _kernel_setup(op: str, p: Params | None, N: int):
-    """coeff, the Jacobi exponent alpha at t = 1, the zero-order factor and b (P_slog)."""
+    """coeff, the Jacobi exponent alpha at t = 1, the zero-order factor, the
+    size its rounding scales with, and b (P_slog)."""
     if op in ("P_s", "P_slog"):
         if p is None:
             raise DomainError(f"{op} requires Params")
@@ -122,10 +132,12 @@ def _kernel_setup(op: str, p: Params | None, N: int):
             raise DomainError("kernel path requires s < 1")
         cs = eval_constants(p)
         if op == "P_s":
-            return cs.c_Ns, -p.s, cs.A_Ns, None
-        return cs.c_Ns, -p.s, cs.Aprime_Ns, cs.b_Ns
+            return cs.c_Ns, -p.s, cs.A_Ns, abs(cs.A_Ns), None
+        # A' = A (psi(N/2+s) + psi(N/2-s)) cancels where the digamma sum changes sign
+        size = abs(cs.A_Ns) * (abs(digamma(0.5 * N + p.s)) + abs(digamma(0.5 * N - p.s)))
+        return cs.c_Ns, -p.s, cs.Aprime_Ns, size, cs.b_Ns
     if op == "P_log":
-        return c_N(N), 0.0, A_N(N), None
+        return c_N(N), 0.0, A_N(N), abs(A_N(N)), None
     raise DomainError(f"unknown operator {op!r}")
 
 
@@ -183,105 +195,28 @@ def _mean_quotient(u: ZonalFunction, t0: float):
     return quotient @ mean, float(mean[0]), evals
 
 
-def _jacobi_recurrence(alpha: float, beta: float, m: int):
-    """a_1..a_m and b_0..b_{m-1} of t p_n = a_{n+1} p_{n+1} + b_n p_n + a_n p_{n-1}."""
-    ab = alpha + beta
-    n = np.arange(2.0, m + 1.0)
-    s = 2.0 * n + ab
-    # n = 1 separately: there n + alpha + beta cancels (0/0 at alpha + beta = -1)
-    a = 2.0 / s * np.sqrt(n * (n + alpha) * (n + beta) * (n + ab) / ((s - 1.0) * (s + 1.0)))
-    a1 = 2.0 / (ab + 2.0) * math.sqrt((alpha + 1.0) * (beta + 1.0) / (ab + 3.0))
-    b = (beta * beta - alpha * alpha) / ((s - 2.0) * s)
-    return np.concatenate(([a1], a)), np.concatenate(([(beta - alpha) / (ab + 2.0)], b))
-
-
-def _orthonormal(x, a, b, p0: float, m: int):
-    """Rows p_0..p_m of the orthonormal Jacobi polynomials at x, and p_m'."""
-    p = np.empty((m + 1, x.size))
-    p[0] = p0
-    prev = dprev = dp = 0.0
-    for n in range(m):
-        a_n = a[n - 1] if n else 0.0
-        p[n + 1] = ((x - b[n]) * p[n] - a_n * prev) / a[n]
-        dp, dprev = ((x - b[n]) * dp + p[n] - a_n * dprev) / a[n], dp
-        prev = p[n]
-    return p, dp
-
-
-def _log_moments(alpha: float, beta: float, m: int, mass: float):
-    """mu_n = int p_n(t) ln(1 - t) (1-t)^alpha (1+t)^beta dt for n < m.
-
-    mu_n = m_n / sqrt(h_n), with the closed forms m_n of the module
-    docstring and mass = h_0. The Beta values and h_n enter as running
-    products of their ratios in n: a few ulp per step, where a log-Gamma
-    route would lose eps |ln Gamma|.
-    """
-    ab = alpha + beta
-    root = math.sqrt(mass)
-    mu = np.empty(m)
-    mu[0] = root * (math.log(2.0) + digamma(alpha + 1.0) - digamma(ab + 2.0))
-    n = np.arange(1.0, m)
-    h_ratio = ((2.0 * n + ab - 1.0) / (2.0 * n + ab + 1.0) * (n + alpha) * (n + beta)
-               / ((n + ab) * n))
-    if m > 1:
-        h_ratio[0] = (alpha + 1.0) * (beta + 1.0) / (ab + 3.0)
-    mu[1:] = -root * np.cumprod((beta + n) / (ab + n + 1.0) / np.sqrt(h_ratio)) / n
-    return mu
-
-
-def _jacobi_rule(alpha: float, beta: float, m: int):
-    """m-point Gauss-Jacobi nodes x, weights w and log weights l.
-
-    For W = (1-t)^alpha (1+t)^beta on [-1, 1], sum_i w_i f(x_i) is the
-    integral of f W for polynomials f of degree < 2m, and sum_i l_i f(x_i)
-    that of f(t) ln(1 - t) W for degree < m.
-
-    scipy's roots_jacobi rule drifts as m grows at alpha near -1: at
-    alpha = -0.9 it misses the plain integral of the P_slog N = 5 s = 0.9
-    k = 23 quotient by 5.0e-14 at m = 12, 4.9e-13 at m = 24 and 1.4e-12 at
-    m = 40 (against 40-digit mpmath). So its nodes only start two Newton
-    steps on p_m, evaluated with p_m' by the orthonormal three-term
-    recurrence, after which each lies within eps of a zero of p_m. The
-    weights are the Christoffel numbers w_i = 1 / sum_{n<m} p_n(x_i)^2,
-    then one refinement step on sum_i w_i p_n(x_i) = delta_n0 sqrt(h_0),
-    n < m, at the rounded nodes, with diag(w) p^T as the approximate
-    inverse of p: the same integral is then off by 2e-16 to 3e-15 for
-    m = 12..40. Without that step the kernel's estimate missed its error
-    in 7 of the 561 pole cases of the test scan (P_s, s = 0.9, k >= 55).
-    The log weights project ln(1 - t) onto p_0..p_{m-1},
-    l_i = w_i sum_n p_n(x_i) mu_n, refined the same way. (Hale and
-    Townsend, SIAM J. Sci. Comput. 35 (2013), for the polished rule; the
-    modified moments of QUADPACK's QAWS, Piessens et al. 1983.)
-    """
-    mass = 2.0 ** (alpha + beta + 1.0) * math.exp(ln_beta(alpha + 1.0, beta + 1.0))
-    a, b = _jacobi_recurrence(alpha, beta, m)
-    p0 = 1.0 / math.sqrt(mass)
-    x = roots_jacobi(m, alpha, beta)[0]
-    for _ in range(2):
-        p, dp = _orthonormal(x, a, b, p0, m)
-        x = x - p[m] / dp
-    p = _orthonormal(x, a, b, p0, m)[0][:m]
-    w = 1.0 / np.einsum("ij,ij->j", p, p)
-    target = np.zeros(m)
-    target[0] = 1.0 / p0
-    w -= w * ((p @ w - target) @ p)
-    mu = _log_moments(alpha, beta, m, mass)
-    log_w = w * (mu @ p)
-    return x, w, log_w - w * ((p @ log_w - mu) @ p)
-
-
-# sized for sweeps over orders and degrees: a cache that cycles rebuilds a
-# rule, about 1 ms, on every call
+# sized for sweeps over orders and degrees; a miss reruns the recurrence,
+# about 0.1 ms at degree 150 on one Xeon core (Python 3.11)
 @lru_cache(maxsize=4096)
 def _kernel_moments(N: int, alpha: float, degree: int):
-    """2^{-e} times the plain and log Chebyshev moments sum_i w_i T_j(x_i),
-    sum_i l_i T_j(x_i), j < degree, and 2^{-e} sum w_i, 2^{-e} sum |l_i|."""
-    m = max(degree, 1)
-    x, w, log_w = _jacobi_rule(alpha, 0.5 * N - 1.0, m)
+    """2^{-e} times the plain and log Chebyshev moments M_j, L_j, j < degree,
+    and 2^{-e} M_0 and 2^{-e} (2 ln 2 M_0 - L_0), a bound on int |ln(1-t)| W."""
+    beta = 0.5 * N - 1.0
+    ab = alpha + beta
+    m0 = 2.0 ** (ab + 1.0) * math.exp(ln_beta(alpha + 1.0, beta + 1.0))
+    l0 = m0 * (_LN2 + digamma(alpha + 1.0) - digamma(ab + 2.0))
+    ratio = (beta - alpha) / (ab + 2.0)
+    M = [m0, m0 * ratio]
+    L = [l0, l0 * ratio - 2.0 * m0 * (beta + 1.0) / (ab + 2.0) ** 2]
+    for j in range(1, degree - 1):
+        # (j+a+b+2) M_{j+1} = 2(b-a) M_j + (j-a-b-2) M_{j-1}, and its alpha-derivative
+        lead, back = j + ab + 2.0, j - ab - 2.0
+        M.append((2.0 * (beta - alpha) * M[j] + back * M[j - 1]) / lead)
+        L.append((2.0 * (beta - alpha) * L[j] + back * L[j - 1]
+                  - M[j + 1] - 2.0 * M[j] - M[j - 1]) / lead)
     scale = 2.0 ** (alpha - 0.5 * N)  # 2^{-e}
-    t = cheb.chebvander(x, m - 1)[:, :degree]
-    return (scale * (w @ t), scale * (log_w @ t), scale * float(w.sum()),
-            scale * float(np.abs(log_w).sum()))
+    return (scale * np.array(M[:degree]), scale * np.array(L[:degree]), scale * m0,
+            scale * (2.0 * _LN2 * m0 - l0))
 
 
 def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> QuadResult:
@@ -295,7 +230,7 @@ def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> Quad
         raise DomainError("kernel route needs a zonal expansion (its degree)")
     N = u.N
     degree = u.expansion.degree_max
-    coeff, alpha, zero_order, b_shift = _kernel_setup(op, p, N)
+    coeff, alpha, zero_order, zero_size, b_shift = _kernel_setup(op, p, N)
     q, m1, evals = _mean_quotient(u, t0)
     plain, log, mass, log_mass = _kernel_moments(N, alpha, degree)
     value = float(plain @ q)
@@ -305,9 +240,8 @@ def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> Quad
         mass = abs(shift) * mass + log_mass
     rounding = 4.0 * _EPS * (degree + 1) * float(np.abs(q).sum()) * mass
     area = sphere_area_equator(N)
-    zero = zero_order * m1
-    return QuadResult(coeff * area * value + zero,
-                      abs(coeff) * area * rounding + 4.0 * _EPS * abs(zero), evals)
+    return QuadResult(coeff * area * value + zero_order * m1,
+                      abs(coeff) * area * rounding + 4.0 * _EPS * zero_size * abs(m1), evals)
 
 
 def apply_kernel_at_pole(op: str, p: Params | None, u: ZonalFunction) -> QuadResult:

@@ -6,7 +6,7 @@ from fraclog.constants import Params, eval_constants, A_N
 from fraclog.errors import DomainError
 from fraclog.spectral import (ZonalExpansion, eigenvalue, symbol_log, symbol_s,
                               symbol_slog, zonal_basis_eval)
-from fraclog.sphere_kernel import (ZonalFunction, _jacobi_rule, apply_kernel,
+from fraclog.sphere_kernel import (ZonalFunction, _kernel_moments, apply_kernel,
                                    apply_kernel_at_pole,
                                    difference_quotient_check, dini_test,
                                    slimit_check)
@@ -218,6 +218,9 @@ def test_pole_kernel_high_degree(N, s):
     ("P_s", 5, 0.45, 150),    # 2.0e-8 against 2.4e-11
     ("P_slog", 2, 0.9, 90),   # 3.2e-13 against 9.6e-14
     ("P_slog", 8, 0.9, 24),   # raised NonConvergedError in its first version
+    # u = 1: A'_{N,s} cancels to 1.5e-14 relative, 17 times an estimate
+    # that took the zero-order constant as exact
+    ("P_slog", 3, 0.3, 0),
 ])
 def test_pole_kernel_pinned_high_degree(op, N, s, k):
     err, est, sup = _kernel_error(op, Params(N, s), k, 1.0, _mp_symbol)
@@ -236,71 +239,30 @@ def test_pole_estimate_bounds_error_scan(N):
                 assert err <= est + 64 * EPS * sup, (op, s, k, err, est)
 
 
-def _ld(x):
-    return np.longdouble(mp.nstr(x, 30))
+def _mp_moment(j, alpha, beta):
+    """int T_j(t) (1-t)^alpha (1+t)^beta dt as a terminating 3F2 at 1."""
+    return (2 ** (alpha + beta + 1) * mp.beta(alpha + 1, beta + 1)
+            * mp.hyp3f2(-j, j, alpha + 1, 0.5, alpha + beta + 2, 1, zeroprec=300))
 
 
-def _jacobi_values(alpha, beta, x, count):
-    """p_n(x) and p_n'(x), n < count, for the orthonormal Jacobi p_n, and sqrt(h_0).
-
-    The three-term recurrence runs in extended precision on coefficients
-    from 40-digit mpmath.
-    """
-    A, B = mp.mpf(alpha), mp.mpf(beta)
-    root = mp.sqrt(2 ** (A + B + 1) * mp.beta(A + 1, B + 1))
-    x = np.asarray(x, np.longdouble)
-    p = np.zeros((count + 1, x.size), np.longdouble)
-    d = np.zeros_like(p)
-    p[1] = _ld(1 / root)  # row n + 1 holds p_n; row 0 is p_{-1} = 0
-    a_n = mp.mpf(0)
-    for n in range(count - 1):
-        s = 2 * n + A + B
-        b_n = (B - A) / (A + B + 2) if n == 0 else (B * B - A * A) / (s * (s + 2))
-        a_next = 2 / (s + 2) * mp.sqrt((n + 1) * (n + 1 + A) * (n + 1 + B) * (n + 1 + A + B)
-                                       / ((s + 1) * (s + 3))) if n else \
-            2 / (A + B + 2) * mp.sqrt((A + 1) * (B + 1) / (A + B + 3))
-        xb, a, a1 = x - _ld(b_n), _ld(a_n), _ld(a_next)
-        p[n + 2] = (xb * p[n + 1] - a * p[n]) / a1
-        d[n + 2] = (xb * d[n + 1] + p[n + 1] - a * d[n]) / a1
-        a_n = a_next
-    return p[1:], d[1:], float(root)
-
-
-def _mp_log_moments(alpha, beta, m):
-    """int p_n(t) ln(1-t) (1-t)^alpha (1+t)^beta dt, n < m, from the Beta closed forms."""
-    A, B = mp.mpf(alpha), mp.mpf(beta)
-    c = 2 ** (A + B + 1)
-    mu = [mp.sqrt(c * mp.beta(A + 1, B + 1)) * (mp.log(2) + mp.digamma(A + 1)
-                                                - mp.digamma(A + B + 2))]
-    for n in range(1, m):
-        h = (c / (2 * n + A + B + 1) * mp.gamma(n + A + 1) * mp.gamma(n + B + 1)
-             / (mp.gamma(n + A + B + 1) * mp.factorial(n)))
-        mu.append(-c * mp.beta(A + 1, B + n + 1) / n / mp.sqrt(h))
-    return np.array([float(v) for v in mu])
-
-
-@pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18,
-                    reason="the reference values need extended precision")
-@pytest.mark.parametrize("alpha", (-0.9, -0.45, -0.1, 0.0))
+@pytest.mark.parametrize("alpha", (-0.95, -0.9, -0.45, -0.1, 0.0))
 @pytest.mark.parametrize("beta", (-0.5, 0.0, 0.5, 3.0))
-def test_jacobi_rule_against_mpmath(alpha, beta):
-    # nodes: one Newton step on p_m from each node moves it by <= eps
-    # (roots_jacobi's own nodes: up to 1.8 eps). The rest are weighted sums
-    # of p_n, independent of node order: Gauss exactness
-    # sum_i w_i p_n(x_i) = sqrt(h_0) delta_n0 for n < 2m checks the weights
-    # (roots_jacobi's miss it at alpha = -0.9 by up to about 2000 m eps at
-    # m = 151), and sum_i l_i p_n(x_i) = mu_n for n < m the log weights
+def test_kernel_moments_against_mpmath(alpha, beta):
+    # M_j from the closed form, L_j = int T_j ln(1-t) W as its
+    # alpha-derivative; the forward recurrence holds about 20 eps of the
+    # mass M_0 (of |L_0| + M_0 for L) to j = 159
+    degree = 160
+    plain, log, mass, log_mass = _kernel_moments(int(2 * beta + 2), alpha, degree)
+    scale = 2.0 ** (alpha - beta - 1.0)
     with mp.workdps(40):
-        for m in (1, 2, 12, 24, 75, 151):
-            x, w, log_w = _jacobi_rule(alpha, beta, m)
-            p, d, root = _jacobi_values(alpha, beta, x, 2 * m)
-            assert np.max(np.abs(p[m] / d[m])) <= EPS, m
-            sums = (p @ w).astype(float)
-            sums[0] -= root
-            assert np.max(np.abs(sums)) <= 32 * m * EPS * root, m
-            mu = _mp_log_moments(alpha, beta, m)
-            err = np.abs((p[:m] @ log_w).astype(float) - mu)
-            assert np.max(err) <= 8 * m * EPS * (np.sum(np.abs(mu)) + root), m
+        A, B = mp.mpf(alpha), mp.mpf(beta)
+        M = [float(_mp_moment(j, A, B)) for j in range(degree)]
+        L = [float(mp.diff(lambda a: _mp_moment(j, a, B), A)) for j in range(degree)]
+    m0, l0 = M[0], L[0]
+    assert mass / scale == pytest.approx(m0, rel=4 * EPS)
+    assert log_mass / scale == pytest.approx(2 * np.log(2) * m0 - l0, rel=4 * EPS)
+    assert np.max(np.abs(plain / scale - M)) <= 64 * EPS * m0
+    assert np.max(np.abs(log / scale - L)) <= 64 * EPS * (abs(l0) + m0)
 
 
 def test_dini_power_modulus_finite():
