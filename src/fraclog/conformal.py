@@ -33,7 +33,6 @@ Audits implemented here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,29 +119,6 @@ def pullback_inverse(s: float, v: er.RadialProfile, N: int) -> ZonalFunction:
     return ZonalFunction(N, profile)
 
 
-@dataclass(frozen=True)
-class SphereEuclidPair:
-    """A sphere function and its asserted order-s pullback."""
-
-    sphere_fn: ZonalFunction
-    euclid_fn: er.RadialProfile
-    order: float
-    consistency_tag: str = "constructed"  # "constructed" | "asserted"
-
-    @staticmethod
-    def constructed(s: float, u: ZonalFunction) -> "SphereEuclidPair":
-        return SphereEuclidPair(u, pullback(s, u), s, "constructed")
-
-    def max_deviation(self, r_grid: Sequence[float]) -> float:
-        N = self.sphere_fn.N
-        m = 0.5 * (N - 2.0 * self.order)
-        dev = 0.0
-        for r in r_grid:
-            expected = er.phi(r) ** m * self.sphere_fn.profile(polar_cosine(r))
-            dev = max(dev, abs(self.euclid_fn.evaluator(r) - expected))
-        return dev
-
-
 def _weighted_log_phi_mean(u: spectral.ZonalExpansion, power: float = 2.0) -> float:
     """int (|u|^power / ||u||_power^power) ln(phi circ sigma) dV on the sphere."""
     N = u.N
@@ -209,8 +185,6 @@ def intertwining_residual(p: Params, u: spectral.ZonalExpansion,
                           r_samples: Sequence[float]) -> AuditReport:
     """Spectral route vs transform route for T_s[P^{s+ln} u]."""
     N, s = p.N, p.s
-    if N == 1 and s >= 0.5:
-        raise DomainError("N = 1 requires s < 1/2")
     if N not in (1, 3):
         raise DomainError("transform pipeline implemented for N in {1, 3}")
     m = 0.5 * (N - 2.0 * s)
@@ -284,8 +258,6 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float],
     N, s = p.N, p.s
     if N not in (1, 3):
         raise DomainError("transform pipeline implemented for N in {1, 3}")
-    if N == 1 and s >= 0.5:
-        raise DomainError("N = 1 requires s < 1/2")
     cs = eval_constants(p)
     m = 0.5 * (N - 2.0 * s)
     v = er.bubble_profile(p, C)  # C phi^m

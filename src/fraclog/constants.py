@@ -48,18 +48,17 @@ LN_PI = math.log(math.pi)
 
 @dataclass(frozen=True)
 class Params:
-    """A validated (dimension, order) pair."""
+    """A validated (dimension, order) pair: integer N >= 1, 0 < s < 1, N > 2s."""
 
     N: int
     s: float
-    require_subcritical: bool = True
 
     def __post_init__(self):
         if not (isinstance(self.N, int) and self.N >= 1):
             raise DomainError(f"N must be an integer >= 1, got {self.N!r}")
         if not (0.0 < self.s < 1.0):
             raise DomainError(f"s must lie in (0, 1), got {self.s!r}")
-        if self.require_subcritical and not self.N > 2.0 * self.s:
+        if not self.N > 2.0 * self.s:
             raise DomainError(f"subcritical regime requires N > 2s, got N={self.N}, s={self.s}")
 
 
@@ -152,9 +151,7 @@ def _eval_constants_cached(N: int, s: float) -> ConstantSet:
 
 
 def eval_constants(p: Params) -> ConstantSet:
-    """All named constants at (N, s); requires the subcritical regime N > 2s."""
-    if not p.N > 2.0 * p.s:
-        raise DomainError(f"constants require N > 2s, got N={p.N}, s={p.s}")
+    """All named constants at (N, s)."""
     return _eval_constants_cached(p.N, p.s)
 
 
@@ -180,7 +177,5 @@ def bessel_bubble_coeff(p: Params) -> float:
     so that the Fourier transform of (1+|x|^2)^{-(N-2s)/2} equals
     C_{N,s} |xi|^{-s} K_s(|xi|) under the (2pi)^{-N/2} convention.
     """
-    if not p.N > 2.0 * p.s:
-        raise DomainError(f"bubble coefficient requires N > 2s, got N={p.N}, s={p.s}")
     m = 0.5 * (p.N - 2.0 * p.s)
     return math.exp((1.0 - m) * LN2 - ln_gamma(m))

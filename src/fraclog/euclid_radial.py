@@ -6,9 +6,12 @@ For radial functions in the two dimensions with elementary kernels,
     N = 1:  fhat(k) = sqrt(2/pi) int_0^inf f(r) cos(kr) dr
     N = 3:  fhat(k) = sqrt(2/pi) k^{-1} int_0^inf r f(r) sin(kr) dr
 
-and the inverse transform has the identical form. Numerical transforms
-use QUADPACK's oscillatory rules (QAWO on finite pieces, QAWF on tails
-with algebraic decay).
+and the inverse transform has the identical form. The numeric transforms
+(radial_fourier, inverse_at) return (value, error estimate) pairs from
+QUADPACK: plain quadrature on [0, 1], then the Fourier rule beyond it,
+QAWF on an infinite tail and QAWO up to a finite cut-off. The cut-off is
+a density's rho_max, or for a profile of unbounded decay exponent the
+first R = 2^j at which it falls to 1e-18 of its largest sampled value.
 
 Exact pairs. With f_nu(rho) := rho^nu K_nu(rho) and phi(r) = 2/(1+r^2),
 
@@ -64,9 +67,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-import numpy as np
 from scipy.integrate import quad as _quad
-from scipy.interpolate import CubicSpline
 
 from .constants import Params, bessel_bubble_coeff, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError
@@ -92,8 +93,6 @@ class SpectralDensity:
     """Radial Fourier profile ghat(rho), rho >= 0, unitary convention."""
 
     evaluator: Callable[[float], float]
-    convention: str = "unitary (2pi)^{-N/2}"
-    decay: str = "exponential"  # "exponential" | "algebraic"
     rho_max: float = _RHO_MAX_EXP
     meta: dict = field(default_factory=dict)
 
@@ -239,8 +238,7 @@ def phi_poly_profile(N: int, terms: Sequence[PhiTerm], kind: str = "composite",
         return acc
 
     decay = 2.0 * min(t.power for t in terms)
-    pair = SpectralDensity(ev_hat, decay="exponential", rho_max=_RHO_MAX_EXP,
-                           meta={"phi_terms": terms, "N": N})
+    pair = SpectralDensity(ev_hat, meta={"phi_terms": terms, "N": N})
     return RadialProfile(ev, decay, kind=kind, fourier=pair,
                          meta=dict(meta or {}, N=N))
 
@@ -276,7 +274,7 @@ def gaussian_profile(N: int, sigma: float = 1.0, amplitude: float = 1.0) -> Radi
 
     ev = lambda r: amplitude * math.exp(-0.5 * (r / sigma) ** 2)
     ev_hat = lambda rho: amplitude * sigma ** N * math.exp(-0.5 * (sigma * rho) ** 2)
-    pair = SpectralDensity(ev_hat, decay="exponential", rho_max=max(20.0, 12.0 / sigma))
+    pair = SpectralDensity(ev_hat, rho_max=max(20.0, 12.0 / sigma))
     return RadialProfile(ev, math.inf, kind="gaussian", fourier=pair,
                          meta={"sigma": sigma, "amplitude": amplitude, "N": N})
 
@@ -290,60 +288,42 @@ def gaussian_density_profile(N: int, sigma: float = 1.0) -> RadialProfile:
 # -- numeric transforms ---------------------------------------------------------
 
 
-def _oscillatory_integral(fn, k, trig, r_split, r_max):
-    """int_0^{r_max or inf} fn(r) trig(kr) dr, split at r_split.
-
-    trig is "cos" or "sin"; r_max = inf uses the QAWF Fourier rule on
-    the tail, finite r_max uses QAWO.
-    """
-    wfun = math.cos if trig == "cos" else math.sin
-    head, err1 = _quad(lambda r: fn(r) * wfun(k * r), 0.0, r_split, limit=200)
-    if math.isinf(r_max):
-        tail, err2 = _quad(fn, r_split, np.inf, weight=trig, wvar=k, limlst=120, limit=200)
-    else:
-        tail, err2 = _quad(fn, r_split, r_max, weight=trig, wvar=k, limit=300)
-    return head + tail, err1 + err2
-
-
 def _transform_point(N: int, fn, k: float, r_max: float) -> tuple[float, float]:
-    """One point of the radial transform; returns (value, error estimate)."""
-    if N == 1:
-        if k == 0.0:
-            v, e = _quad(fn, 0.0, r_max, limit=300) if math.isfinite(r_max) else \
-                _quad(fn, 0.0, np.inf, limit=300)
-        else:
-            v, e = _oscillatory_integral(fn, k, "cos", 1.0, r_max)
-        return _SQRT_2_OVER_PI * v, _SQRT_2_OVER_PI * e
-    if N == 3:
-        g = lambda r: r * fn(r)
-        if k == 0.0:
-            gg = lambda r: r * r * fn(r)
-            v, e = _quad(gg, 0.0, r_max, limit=300) if math.isfinite(r_max) else \
-                _quad(gg, 0.0, np.inf, limit=300)
-            return _SQRT_2_OVER_PI * v, _SQRT_2_OVER_PI * e
-        v, e = _oscillatory_integral(g, k, "sin", 1.0, r_max)
-        return _SQRT_2_OVER_PI * v / k, _SQRT_2_OVER_PI * e / k
-    raise DomainError(f"numeric radial transforms support N in {{1, 3}}, got {N}")
+    """sqrt(2/pi) int_0^r_max fn(r) cos(kr) dr (N = 1) or r fn(r) sin(kr)/k dr (N = 3).
 
-
-def _tabulate(N: int, fn, grid: Sequence[float], r_max: float):
-    """Transform fn at the grid points and spline the values: (evaluator, meta)."""
-    points = [_transform_point(N, fn, float(k), r_max) for k in grid]
-    grid = np.asarray(grid, dtype=float)
-    vals = np.asarray([v for v, _ in points])
-    if len(grid) >= 4:
-        spline = CubicSpline(grid, vals)
-        ev = lambda x: float(spline(x))
-    else:
-        ev = lambda x: float(np.interp(x, grid, vals))
-    return ev, {"grid": grid.tolist(), "values": vals.tolist(),
-                "errors": [e for _, e in points], "N": N}
-
-
-def radial_fourier(N: int, f: RadialProfile, rho_grid: Sequence[float]) -> SpectralDensity:
-    """Numeric radial Fourier transform of f on rho_grid (unitary convention)."""
+    Returns (value, error estimate). k = 0 takes the limits cos -> 1 and
+    sin(kr)/k -> r; otherwise [0, 1] is integrated plainly and the rest
+    by QUADPACK's Fourier rule (QAWF if r_max = inf, else QAWO).
+    """
     if N not in (1, 3):
         raise DomainError(f"numeric radial transforms support N in {{1, 3}}, got {N}")
+    if k == 0.0:
+        v, e = _quad(fn if N == 1 else lambda r: r * r * fn(r), 0.0, r_max, limit=300)
+        return _SQRT_2_OVER_PI * v, _SQRT_2_OVER_PI * e
+    g, trig, wfun, scale = ((fn, "cos", math.cos, 1.0) if N == 1
+                            else (lambda r: r * fn(r), "sin", math.sin, k))
+    head, err1 = _quad(lambda r: g(r) * wfun(k * r), 0.0, 1.0, limit=200)
+    opts = {"limlst": 120, "limit": 200} if r_max == math.inf else {"limit": 300}
+    tail, err2 = _quad(g, 1.0, r_max, weight=trig, wvar=k, **opts)
+    return _SQRT_2_OVER_PI * (head + tail) / scale, _SQRT_2_OVER_PI * (err1 + err2) / scale
+
+
+def _cutoff(fn) -> float:
+    """First R = 2^j, j >= 0, with |fn(R)| <= 1e-18 of the largest |fn| sampled so far."""
+    R, peak = 1.0, 0.0
+    while True:
+        v = abs(fn(R))
+        peak = max(peak, v)
+        if v <= 1e-18 * peak:
+            return R
+        if R > 1e150:
+            raise DivergentIntegralError("profile of unbounded decay exponent does not decay")
+        R *= 2.0
+
+
+def radial_fourier(N: int, f: RadialProfile,
+                   rho_grid: Sequence[float]) -> list[tuple[float, float]]:
+    """Numeric radial Fourier transform of f: (value, error estimate) at each rho."""
     weight_decay = f.decay_exponent - (N - 1)  # decay of the 1-D integrand
     if f.decay_exponent <= 0.0:
         raise DivergentIntegralError(
@@ -352,18 +332,8 @@ def radial_fourier(N: int, f: RadialProfile, rho_grid: Sequence[float]) -> Spect
         raise DivergentIntegralError(
             f"profile {f.kind!r}: transform at rho=0 requires integrable weight "
             f"(decay exponent {f.decay_exponent} too small)")
-    r_max = math.inf if math.isfinite(f.decay_exponent) else 60.0
-    ev, meta = _tabulate(N, f.evaluator, rho_grid, r_max)
-    return SpectralDensity(ev, decay="algebraic", rho_max=max(meta["grid"]),
-                           meta=dict(meta, numeric=True))
-
-
-def radial_inverse_fourier(N: int, g: SpectralDensity, r_grid: Sequence[float]) -> RadialProfile:
-    """Numeric inverse transform of g on r_grid; same kernel by symmetry."""
-    if N not in (1, 3):
-        raise DomainError(f"numeric radial transforms support N in {{1, 3}}, got {N}")
-    ev, meta = _tabulate(N, g.evaluator, r_grid, g.rho_max)
-    return RadialProfile(ev, decay_exponent=1.0, kind="tabulated", meta=meta)
+    r_max = math.inf if math.isfinite(f.decay_exponent) else _cutoff(f.evaluator)
+    return [_transform_point(N, f.evaluator, float(k), r_max) for k in rho_grid]
 
 
 def inverse_at(N: int, g: SpectralDensity, r: float) -> tuple[float, float]:
@@ -387,9 +357,7 @@ def _multiplier(kind: str, s: float):
 def apply_multiplier(kind: str, g: SpectralDensity, s: float = 0.0) -> SpectralDensity:
     """Multiply a spectral density by rho^{2s}, rho^{2s} ln rho^2 or ln rho^2."""
     m = _multiplier(kind, s)
-    return SpectralDensity(lambda rho: m(rho) * g.evaluator(rho),
-                           convention=g.convention, decay=g.decay,
-                           rho_max=g.rho_max,
+    return SpectralDensity(lambda rho: m(rho) * g.evaluator(rho), rho_max=g.rho_max,
                            meta=dict(g.meta, multiplier=(kind, s)))
 
 
@@ -397,10 +365,9 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0,
            abs_tol: float = 1e-11, rel_tol: float = 1e-10) -> QuadResult:
     """|S^{N-1}| int_0^inf rho^{N-1} m(rho) |g(rho)|^2 drho.
 
-    m is the multiplier selected by `kind`. Exponentially decaying
-    densities are truncated with the tail bound 2*|integrand(R)| (valid
-    once the e^{-2 rho} factor dominates, R >= N); algebraically decaying
-    (numeric, grid-backed) densities integrate over their tabulated range.
+    m is the multiplier selected by `kind`. Every density is an exact pair
+    with exponential decay, so the integral is truncated with the tail bound
+    2*|integrand(R)| (valid once the e^{-2 rho} factor dominates, R >= N).
     """
     m = _multiplier(kind, s)
     area = sphere_area_equator(N)
@@ -412,19 +379,17 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0,
     probe = abs(integrand(1e-8))
     if probe > 1e12:
         raise DivergentIntegralError(f"energy head diverges for kind={kind!r}")
-    if g.decay == "exponential":
-        # multi-point probe: the log multipliers vanish at rho = 1, so a
-        # single-point bound there would truncate the whole tail
-        def tail(R):
-            if R < max(N, 4.0):
-                return math.inf
-            peak = max(abs(integrand(R)), abs(integrand(1.07 * R)),
-                       abs(integrand(1.31 * R)))
-            return 2.0 * peak * (1.0 + math.log1p(R)) + 1e-300
 
-        integ = Integrand(integrand, (0.0, math.inf), tail_bound=tail, name=f"energy-{kind}")
-    else:
-        integ = Integrand(integrand, (0.0, g.rho_max), name=f"energy-{kind}")
+    # multi-point probe: the log multipliers vanish at rho = 1, so a
+    # single-point bound there would truncate the whole tail
+    def tail(R):
+        if R < max(N, 4.0):
+            return math.inf
+        peak = max(abs(integrand(R)), abs(integrand(1.07 * R)),
+                   abs(integrand(1.31 * R)))
+        return 2.0 * peak * (1.0 + math.log1p(R)) + 1e-300
+
+    integ = Integrand(integrand, (0.0, math.inf), tail_bound=tail, name=f"energy-{kind}")
     res = integrate(integ, abs_tol=abs_tol, rel_tol=rel_tol)
     return QuadResult(area * res.value, area * res.abs_error_estimate, res.evaluations)
 

@@ -173,8 +173,6 @@ def eigentable(p: Params, k_max: int) -> list[SpectrumPoint]:
 
 def monotonicity_audit(p: Params, k_max: int) -> AuditReport:
     """Check strict increase of k -> phi^{s+ln}_N(lambda_k) up to k_max."""
-    if p.N == 1 and p.s >= 0.5:
-        raise DomainError("N = 1 requires s < 1/2")
     vals = symbol_slog(p, eigenvalue(p.N, np.arange(k_max + 1)))
     gaps = np.diff(vals)
     min_gap = float(gaps.min())

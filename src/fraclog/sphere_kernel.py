@@ -128,8 +128,6 @@ def _kernel_setup(op: str, p: Params | None, N: int):
     if op in ("P_s", "P_slog"):
         if p is None:
             raise DomainError(f"{op} requires Params")
-        if not p.s < 1.0:
-            raise DomainError("kernel path requires s < 1")
         cs = eval_constants(p)
         if op == "P_s":
             return cs.c_Ns, -p.s, cs.A_Ns, abs(cs.A_Ns), None

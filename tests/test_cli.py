@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -116,21 +119,28 @@ def test_byte_stable_output(capsys):
     assert t1 == t2
 
 
-def test_byte_stable_across_processes():
-    import os
-    import subprocess
-    import sys
-
+def _child_env():
     import fraclog
     # the child imports the package this process tested
     src = os.path.dirname(os.path.dirname(fraclog.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def test_byte_stable_across_processes():
+    env = _child_env()
     cmd = [sys.executable, "-m", "fraclog.cli", "eigentable", "--dim", "3",
            "--order", "0.25", "--kmax", "8"]
     a = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     b = subprocess.run(cmd, capture_output=True, check=True, env=env).stdout
     assert a == b and len(a) > 0
+
+
+def test_cold_import_skips_scipy_interpolate():
+    code = "import sys, fraclog.cli; print('scipy.interpolate' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         env=_child_env()).stdout
+    assert out.strip() == b"False"
 
 
 def test_out_file(tmp_path, capsys):

@@ -70,12 +70,6 @@ def test_pullback_round_trip():
         assert back.profile(t) == pytest.approx(zonal_eval(u, t), rel=1e-11, abs=1e-11)
 
 
-def test_sphere_euclid_pair_consistency():
-    pair = conformal.SphereEuclidPair.constructed(
-        0.3, ZonalFunction.from_expansion(ZonalExpansion(3, 1, (1.0, 0.7))))
-    assert pair.max_deviation([0.0, 0.5, 1.0, 2.0, 8.0]) <= 1e-12
-
-
 def test_endpoint_pullback_isometry_on_basis():
     # ||T_0 u||_{L^2(R^N)} = ||u||_{L^2(S^N)} for u = Z_1, N = 2
     u = ZonalExpansion(2, 1, (0.0, 1.0))
@@ -138,8 +132,7 @@ def test_intertwining_rejects_bad_dims():
     with pytest.raises(DomainError):
         conformal.intertwining_residual(Params(2, 0.3), ZonalExpansion(2, 0, (1.0,)), [0.5])
     with pytest.raises(DomainError):
-        conformal.intertwining_residual(Params(1, 0.6, require_subcritical=False),
-                                        ZonalExpansion(1, 0, (1.0,)), [0.5])
+        conformal.intertwining_residual(Params(1, 0.6), ZonalExpansion(1, 0, (1.0,)), [0.5])
 
 
 def test_operator_level_s_to_zero_coherence():
@@ -198,8 +191,8 @@ def test_pullback_exact_pair_matches_numeric_transform():
     # cross-validated against the independent oscillatory quadrature route
     u = ZonalExpansion(3, 1, (1.0, 0.5))
     V = conformal.pullback_expansion(0.4, u)
-    num = er.radial_fourier(3, V, [0.3, 1.0, 2.5])
-    for rho, val in zip(num.meta["grid"], num.meta["values"]):
+    grid = [0.3, 1.0, 2.5]
+    for rho, (val, _) in zip(grid, er.radial_fourier(3, V, grid)):
         assert val == pytest.approx(V.fourier.evaluator(rho), rel=1e-6)
 
 

@@ -10,7 +10,6 @@ from fraclog.specfun import EULER_GAMMA, digamma, ln_gamma
 
 def test_params_validation():
     Params(3, 0.5)
-    Params(1, 0.7, require_subcritical=False)
     with pytest.raises(DomainError):
         Params(0, 0.5)
     with pytest.raises(DomainError):
@@ -110,7 +109,7 @@ def test_rho_N_closed_value():
 
 def test_eval_constants_requires_subcritical():
     with pytest.raises(DomainError):
-        eval_constants(Params(1, 0.6, require_subcritical=False))
+        eval_constants(Params(1, 0.6))
 
 
 def test_bubble_mu_at_unit_scale():

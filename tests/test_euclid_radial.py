@@ -37,24 +37,36 @@ def test_bubble_exact_pair_matches_numeric_transform():
                         c_pair * rho ** -s * bessel_k(s, rho), rel=1e-12), (N, s, C, rho)
             if N in (1, 3):
                 u = er.talenti_bubble(p)
-                num = er.radial_fourier(N, u, [0.5, 1.0, 2.0])
-                for rho, val in zip(num.meta["grid"], num.meta["values"]):
+                grid = [0.5, 1.0, 2.0]
+                for rho, (val, _) in zip(grid, er.radial_fourier(N, u, grid)):
                     assert val == pytest.approx(u.fourier.evaluator(rho), rel=1e-6), (N, s)
 
 
 def test_gaussian_self_dual():
     for N in (1, 3):
         g = er.gaussian_profile(N)
-        num = er.radial_fourier(N, g, [0.0, 1.0, 3.0])
-        for rho, val in zip(num.meta["grid"], num.meta["values"]):
+        grid = [0.0, 1.0, 3.0]
+        for rho, (val, _) in zip(grid, er.radial_fourier(N, g, grid)):
             assert val == pytest.approx(math.exp(-0.5 * rho * rho), rel=1e-8, abs=1e-12)
+
+
+def test_radial_fourier_cutoff_follows_gaussian_width():
+    # the cut-off of an unbounded-decay profile comes from the profile, so a
+    # wide Gaussian is not truncated at a fixed radius
+    for N, sigma in itertools.product((1, 3), (0.3, 20.0)):
+        g = er.gaussian_profile(N, sigma)
+        grid = [0.0, 0.05, 1.0]
+        for rho, (val, est) in zip(grid, er.radial_fourier(N, g, grid)):
+            err = abs(val - g.fourier.evaluator(rho))
+            assert err <= 1e-12 * sigma ** N, (N, sigma, rho, err)
+            assert err <= est + 64 * math.ulp(1.0) * sigma ** N, (N, sigma, rho, err, est)
 
 
 def test_n1_endpoint_bubble_transform_proportional_to_k0():
     # (1+x^2)^{-1/2} on the line: transform = sqrt(2/pi) K_0(rho)
     prof = er.phi_poly_profile(1, [er.PhiTerm(2.0 ** -0.5, 0.5)], kind="bubble-endpoint")
-    num = er.radial_fourier(1, prof, [0.5, 1.0, 2.0])
-    for rho, val in zip(num.meta["grid"], num.meta["values"]):
+    grid = [0.5, 1.0, 2.0]
+    for rho, (val, _) in zip(grid, er.radial_fourier(1, prof, grid)):
         expected = math.sqrt(2.0 / math.pi) * bessel_k(0.0, rho)
         assert val == pytest.approx(expected, rel=1e-7)
 
@@ -65,8 +77,8 @@ def test_numeric_transform_linearity():
     g = er.gaussian_profile(N, sigma=2.0)
     combo = er.RadialProfile(lambda r: f.evaluator(r) + 2.0 * g.evaluator(r),
                              decay_exponent=math.inf, kind="composite")
-    num = er.radial_fourier(N, combo, [0.5, 1.5])
-    for rho, val in zip(num.meta["grid"], num.meta["values"]):
+    grid = [0.5, 1.5]
+    for rho, (val, _) in zip(grid, er.radial_fourier(N, combo, grid)):
         expected = f.fourier.evaluator(rho) + 2.0 * g.fourier.evaluator(rho)
         assert val == pytest.approx(expected, rel=1e-8)
 
@@ -74,18 +86,16 @@ def test_numeric_transform_linearity():
 def test_round_trip_gaussian():
     N = 3
     g = er.gaussian_profile(N)
-    grid = [0.0, 0.5, 1.0, 2.0]
-    back = er.radial_inverse_fourier(N, g.fourier, grid)
-    for r, val in zip(grid, back.meta["values"]):
+    for r in (0.0, 0.5, 1.0, 2.0):
+        val, _ = er.inverse_at(N, g.fourier, r)
         assert val == pytest.approx(g.evaluator(r), rel=1e-7, abs=1e-12)
 
 
 def test_round_trip_bubble():
     p = Params(3, 0.5)
     u = er.talenti_bubble(p)
-    grid = [0.0, 0.5, 2.0]
-    back = er.radial_inverse_fourier(3, u.fourier, grid)
-    for r, val in zip(grid, back.meta["values"]):
+    for r in (0.0, 0.5, 2.0):
+        val, _ = er.inverse_at(3, u.fourier, r)
         assert val == pytest.approx(u.evaluator(r), rel=1e-5)
 
 

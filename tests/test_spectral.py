@@ -116,7 +116,7 @@ def test_monotonicity_audit_passes():
 def test_monotonicity_audit_requires_small_s_for_N1():
     assert monotonicity_audit(Params(1, 0.45), 5).passed
     with pytest.raises(DomainError):
-        monotonicity_audit(Params(1, 0.6, require_subcritical=False), 5)
+        monotonicity_audit(Params(1, 0.6), 5)
 
 
 def test_thresholds_values_and_sign_patterns():

@@ -76,8 +76,7 @@ def test_kernel_linearity():
 
 def test_kernel_rejects_supercritical_order():
     with pytest.raises(DomainError):
-        apply_kernel_at_pole("P_s", Params(1, 0.75, require_subcritical=False),
-                             ZonalFunction.constant(1))
+        apply_kernel_at_pole("P_s", Params(1, 0.75), ZonalFunction.constant(1))
     with pytest.raises(DomainError):
         apply_kernel_at_pole("P_x", Params(3, 0.5), ZonalFunction.constant(3))
 
