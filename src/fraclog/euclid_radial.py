@@ -38,17 +38,42 @@ at h = 1e-6 it replaces gave 7.9e-7 there (Bessel-K rounding divided
 by h), and at h = 1e-4 its truncation error, amplified by the
 recurrence, tripled the intertwining residuals. The recurrence carries
 one seed error to every rung, so cancelling pullback coefficients do
-not amplify it as a difference per term would: the intertwining audit
-(N = 3, s = 0.3) errs by 8.9e-10 at d = 8 and 2.8e-8 at d = 12,
-against 4.6e-6 and 4.3e-4 with a two-point difference per term. Each
-profile memoises its transform in an LRU cache of _MEMO_SIZE values,
-since QUADPACK revisits nodes (the energies of one frozen bubble; the
-transform pipelines integrating one density under several multipliers);
-failures are not cached, so rho <= 0 raises DomainError on every call.
-Pullbacks of polynomial zonal functions are exactly of this form, which
-keeps the conformal pipelines quadrature-light; the numeric transform
-remains the independent cross-route and is tested against the closed
-forms.
+not amplify it as a difference per term would: through the numeric
+transform, the intertwining identity (N = 3, s = 0.3) erred by 8.9e-10
+at d = 8 and 2.8e-8 at d = 12, against 4.6e-6 and 4.3e-4 with a
+two-point difference per term. Each profile memoises its transform in
+an LRU cache of _MEMO_SIZE values, since QUADPACK revisits nodes:
+failure_demo integrates one frozen bubble's density at every point of
+its s grid, and beckner_fraclog_check one density under two
+multipliers. Over the radial benchmark tasks (seeds 1-3) a cache of 768
+values keeps every repeat that an unbounded one keeps; 512 loses 1165
+of beckner's 9305 repeats and 384 half of failure_demo's. Failures are
+not cached, so rho <= 0 raises DomainError on every call.
+
+Closed-form multiplier images. multiplier_at gives F^{-1}[m fhat](r)
+for a phi-power profile without any transform, from Dyda's formula
+(Fractional calculus for power functions, FCAA 15, 2012) after Pfaff
+(DLMF 15.8.1), c = N/2, w = r^2/(1+r^2):
+
+    (-Delta)^s phi^a = 2^{a+2s} Gamma(a+s) Gamma(c+s) / (Gamma(a) Gamma(c))
+                       (1+r^2)^{-a-s} 2F1(a+s, -s; c; w).
+
+The multiplier rho^{2s} ln rho^2 is d/ds of rho^{2s} and the factor
+ln phi is d/da of phi^a, so one hypergeometric pass with its parameter
+derivatives gives the frac image of phi^a and of phi^a ln phi and the
+fraclog image of phi^a. The series runs for w <= 1/2; beyond, the 1 - w
+connection (DLMF 15.8.4) keeps every series at z <= 1/2, so no point
+costs more than about 90 terms (powers up to (N-2s)/2 + 12). Its
+reciprocal Gammas pass through their zeros, which a pullback term hits
+(c - a = -i, where d/dx 1/Gamma = (-1)^i i!), and N/2 - a an integer
+has no such connection and raises DomainError beyond r = 1. The error
+estimate propagates the rounding of every factor and of the parameters;
+against 40-digit mpmath (N = 1..5, s from 1e-4 to 0.999, r to 1e4) it
+is at least 14 times the error, and for s >= 0.01 the value and both
+derivatives are within 2.3e-12 of the largest of the three. The Yamabe
+and intertwining audits use these images in every dimension; the
+numeric transform stays the independent route, which the tests hold
+them to at N in {1, 3}.
 
 Closed-form radial integrals used as oracles and for bubble norms:
 
@@ -69,7 +94,7 @@ from typing import Callable, Optional, Sequence
 
 from scipy.integrate import quad as _quad
 
-from .constants import Params, bessel_bubble_coeff, sphere_area_equator
+from .constants import LN2, Params, bessel_bubble_coeff, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError
 from .quadrature import Integrand, QuadResult, integrate
 from .specfun import bessel_k, digamma, ln_beta, ln_gamma
@@ -78,7 +103,11 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _RHO_MAX_EXP = 80.0  # exponential-decay densities are negligible beyond this
 _DNU = 1e-3  # step of the fourth-order nu-derivative at the ladder seeds
 _LADDER_TOL = 1e-12  # integer spacing up to float rounding of m + i
-_MEMO_SIZE = 4096  # transform values kept per profile; 1024 evicts repeats in the audits
+_HEAD_U = 64.0  # energies take rho in [e^{-64}, 1] as u = -ln rho
+#: relative rounding of a density value: scipy's K_nu errs by up to 7.4e-14
+#: near x = 2 (bubble densities, N = 1..5, against 30-digit mpmath)
+_DENSITY_REL = 1e-13
+_MEMO_SIZE = 4096  # transform values kept per profile; 768 already keeps every measured repeat
 
 
 def p_of_s(N: int, s: float) -> float:
@@ -361,6 +390,165 @@ def apply_multiplier(kind: str, g: SpectralDensity, s: float = 0.0) -> SpectralD
                            meta=dict(g.meta, multiplier=(kind, s)))
 
 
+_EPS = 2.0 ** -52
+_IMAGE_ULPS = 8.0  # safety factor on the propagated rounding bound of a closed-form image
+_SERIES_K = 8.0  # relative rounding of a hypergeometric sum, in eps of its |terms|
+_DEGENERATE_E = 1e-9  # N/2 - sigma this close to an integer has no 1 - w connection
+
+
+def _series(a: float, b: float, c: float, z: float) -> tuple[tuple, tuple]:
+    """2F1(a, b; c; z), 0 <= z <= 1/2, with its a-, b- and c-derivatives.
+
+    One pass of t_{n+1} = t_n q_n, q_n = (a+n)(b+n) z / ((c+n)(n+1)), and
+    of its three derivative recurrences, which stay exact where a + n or
+    b + n vanishes. Returns the sums (F, F_a, F_b, F_c) and the sums of
+    their |terms|. The pass stops once |q_n| <= 3/4 and every new term is
+    below eps of its magnitude, so each tail is below 3 eps of it.
+    """
+    t, ta, tb, tc = 1.0, 0.0, 0.0, 0.0
+    F, Fa, Fb, Fc = 1.0, 0.0, 0.0, 0.0
+    mF, ma, mb, mc = 1.0, 0.0, 0.0, 0.0
+    n = 0
+    while True:
+        cn = c + n
+        u = z / (cn * (n + 1.0))
+        qa, qb = (b + n) * u, (a + n) * u  # dq/da, dq/db
+        q = (a + n) * qa
+        ta, tb, tc = ta * q + t * qa, tb * q + t * qb, (tc - t / cn) * q
+        t *= q
+        n += 1
+        F, Fa, Fb, Fc = F + t, Fa + ta, Fb + tb, Fc + tc
+        mF, ma, mb, mc = mF + abs(t), ma + abs(ta), mb + abs(tb), mc + abs(tc)
+        if (abs(q) <= 0.75 and abs(t) <= _EPS * mF and abs(ta) <= _EPS * ma
+                and abs(tb) <= _EPS * mb and abs(tc) <= _EPS * mc):
+            return (F, Fa, Fb, Fc), (mF, ma, mb, mc)
+
+
+def _jet_mul(x: tuple, y: tuple) -> tuple:
+    """Product of jets (v, v_a, v_b, |v|, |v_a|, |v_b|, k) in the parameters a, b.
+
+    |.| are the magnitudes the rounding acts on, and k eps bounds their
+    relative rounding; a product adds the two k.
+    """
+    xv, xa, xb, xm, xam, xbm, xk = x
+    yv, ya, yb, ym, yam, ybm, yk = y
+    return (xv * yv, xa * yv + xv * ya, xb * yv + xv * yb,
+            xm * ym, xam * ym + xm * yam, xbm * ym + xm * ybm, xk + yk + 1.0)
+
+
+def _rgamma_jet(x: float, da: float, db: float) -> tuple:
+    """Jet of 1/Gamma(x) for real x with dx/da = da, dx/db = db.
+
+    Below x = 1/2 it is sin(pi x) Gamma(1-x)/pi, finite through the zeros
+    at x = 0, -1, ..., where the derivative is (-1)^i i!. The sine and
+    cosine take pi (x - round(x)), exact in floating point, so the value
+    keeps its relative accuracy next to a zero.
+    """
+    if x >= 0.5:
+        lg, psi = ln_gamma(x), digamma(x)
+        v = math.exp(-lg)
+        d, md = -psi * v, abs(psi) * v
+    else:
+        lg, psi = ln_gamma(1.0 - x), digamma(1.0 - x)
+        n = round(x)
+        g = math.exp(lg) / math.pi * (-1.0 if n % 2 else 1.0)
+        sn, cs = math.sin(math.pi * (x - n)), math.cos(math.pi * (x - n))
+        v, d = sn * g, g * (math.pi * cs - sn * psi)
+        md = abs(g) * (math.pi * abs(cs) + abs(sn * psi))
+    return (v, d * da, d * db, abs(v), md * abs(da), md * abs(db), 4.0 + abs(lg))
+
+
+def _gamma_jet(x: float, da: float, db: float) -> tuple:
+    """Jet of Gamma(x), x not a pole, as the reciprocal of _rgamma_jet."""
+    v, va, vb, mv, mva, mvb, k = _rgamma_jet(x, da, db)
+    w = 1.0 / (v * v)
+    return (1.0 / v, -va * w, -vb * w, 1.0 / mv, mva * w, mvb * w, 2.0 * k + 2.0)
+
+
+def _series_jet(a: float, b: float, c: float, z: float, sa: float) -> tuple:
+    """Jet of 2F1(sa a', sa b'; c; z) where a', b' move with a, b and c with a + b.
+
+    sa = 1 is F(a, b; c; z) with c = a + b + const; sa = -1 is
+    F(c0 - a, c0 - b; c; z) with c = const - a - b, as in DLMF 15.8.4.
+    """
+    (F, Fa, Fb, Fc), (mF, ma, mb, mc) = _series(a, b, c, z)
+    return (F, sa * (Fa + Fc), sa * (Fb + Fc), mF, ma + mc, mb + mc, _SERIES_K)
+
+
+def _phi_power_image(N: int, sigma: float, s: float, r: float) -> tuple[tuple, tuple]:
+    """E = (-Delta)^s phi^sigma at r, with dE/ds and dE/dsigma, and their error bounds.
+
+    Dyda's formula after Pfaff (DLMF 15.8.1), c = N/2, w = r^2/(1+r^2):
+    E = 2^{sigma+2s} Gamma(sigma+s) Gamma(c+s) / (Gamma(sigma) Gamma(c))
+        (1+r^2)^{-sigma-s} 2F1(a, b; c; w),  a = sigma + s, b = -s.
+    Everything is a jet in (a, b): d/ds = d/da - d/db, d/dsigma = d/da.
+    For w > 1/2 the hypergeometric function goes through the 1 - w
+    connection (DLMF 15.8.4), e = c - a - b = N/2 - sigma:
+    F / Gamma(c) = Gamma(e) / (Gamma(c-a) Gamma(c-b)) F(a, b; 1-e; 1-w)
+                 + (1-w)^e Gamma(-e) / (Gamma(a) Gamma(b)) F(c-a, c-b; 1+e; 1-w),
+    so no series runs past z = 1/2.
+    """
+    c, a, b = 0.5 * N, sigma + s, -s
+    L = math.log1p(r * r)
+    zc = 1.0 / (1.0 + r * r)  # 1 - w, exact for large r
+    lgs = (ln_gamma(a), ln_gamma(c - b), ln_gamma(sigma), ln_gamma(c))
+    lp = (a - b) * LN2 + lgs[0] + lgs[1] - lgs[2] - lgs[3] - a * L
+    psa, psb, pss = digamma(a), digamma(c - b), digamma(sigma)
+    pre = math.exp(lp)
+    pa, pb = LN2 + psa - pss - L, -LN2 - psb - pss
+    pre_jet = (pre, pre * pa, pre * pb, pre, pre * (LN2 + abs(psa) + abs(pss) + L),
+               pre * (LN2 + abs(psb) + abs(pss)),
+               4.0 + (a - b) * LN2 + sum(map(abs, lgs)) + a * L)
+    if zc >= 0.5:
+        (F, Fa, Fb, _), (mF, ma, mb, _) = _series(a, b, c, r * r * zc)
+        g, de = (F, Fa, Fb, mF, ma, mb, _SERIES_K), 1.0
+    else:
+        e = c - a - b
+        de = abs(e - round(e))
+        if de <= _DEGENERATE_E:
+            raise DomainError(f"N/2 - sigma = {e} is an integer: no closed form beyond r = 1")
+        ze = math.exp(-e * L)
+        t1 = functools.reduce(_jet_mul, (
+            _gamma_jet(e, -1.0, -1.0), _rgamma_jet(c - a, -1.0, 0.0),
+            _rgamma_jet(c - b, 0.0, -1.0), _series_jet(a, b, 1.0 - e, zc, 1.0)))
+        t2 = functools.reduce(_jet_mul, (
+            (ze, L * ze, L * ze, ze, L * ze, L * ze, 2.0 + abs(e) * L),
+            _gamma_jet(-e, 1.0, 1.0), _rgamma_jet(a, 1.0, 0.0), _rgamma_jet(b, 0.0, 1.0),
+            _series_jet(c - a, c - b, 1.0 + e, zc, -1.0)))
+        gc = math.exp(lgs[3])
+        g = tuple(gc * (x + y) for x, y in zip(t1[:6], t2[:6])) + (
+            max(t1[6], t2[6]) + 4.0 + abs(lgs[3]),)
+    v, va, vb, mv, ma, mb, k = _jet_mul(pre_jet, g)
+    # the rounding of a, b, c - a, c - b and e, to first order; the second
+    # derivatives it takes for dE grow like 1/de next to the poles of Gamma(+-e)
+    arg = (c + a - b) * (ma + mb)
+    return (v, va - vb, va), (k * mv + arg, k * (ma + mb) + arg / de, k * ma + arg / de)
+
+
+def multiplier_at(kind: str, N: int, terms: Sequence[PhiTerm], s: float,
+                  r: float) -> tuple[float, float]:
+    """F^{-1}[m(rho) fhat](r) in closed form for f = sum_j coef_j phi^{a_j} (ln phi)^{0|1}.
+
+    With E(a, s) = (-Delta)^s phi^a (Dyda, FCAA 15, 2012), kind "frac"
+    (m = rho^{2s}) maps phi^a to E and phi^a ln phi to dE/da; kind
+    "fraclog" (m = rho^{2s} ln rho^2) maps phi^a to dE/ds. Returns
+    (value, error estimate); one series pass per term gives all three.
+    """
+    if kind not in ("frac", "fraclog"):
+        raise DomainError(f"closed-form images exist for frac and fraclog, got {kind!r}")
+    if kind == "fraclog" and any(t.log_factor for t in terms):
+        raise DomainError("the fraclog image of a phi^a ln phi term is not implemented")
+    if not (0.0 < s < 1.0 and 0.0 <= r < math.inf):
+        raise DomainError(f"closed-form images need 0 < s < 1 and r >= 0, got s={s}, r={r}")
+    acc = mag = 0.0
+    for t in terms:
+        vals, mags = _phi_power_image(N, t.power, s, r)
+        j = 2 if t.log_factor else (1 if kind == "fraclog" else 0)
+        acc += t.coef * vals[j]
+        mag += abs(t.coef) * mags[j]
+    return acc, _IMAGE_ULPS * _EPS * mag
+
+
 def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0,
            abs_tol: float = 1e-11, rel_tol: float = 1e-10) -> QuadResult:
     """|S^{N-1}| int_0^inf rho^{N-1} m(rho) |g(rho)|^2 drho.
@@ -368,6 +556,13 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0,
     m is the multiplier selected by `kind`. Every density is an exact pair
     with exponential decay, so the integral is truncated with the tail bound
     2*|integrand(R)| (valid once the e^{-2 rho} factor dominates, R >= N).
+    On e^{-_HEAD_U} <= rho <= 1 the variable is u = -ln rho: the terms
+    rho^a and rho^a ln rho of the integrand at rho = 0 become smooth
+    exponentials in u, where the Gauss-Kronrod estimate holds. Left in
+    rho, QUADPACK's extrapolation on the singular endpoint erred by up to
+    4e-10 under estimates of 1e-12 (a near -1, or near an integer); below
+    e^{-_HEAD_U} it takes only a small remainder. The error estimate adds
+    the density's own rounding (_DENSITY_REL).
     """
     m = _multiplier(kind, s)
     area = sphere_area_equator(N)
@@ -389,9 +584,23 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0,
                    abs(integrand(1.31 * R)))
         return 2.0 * peak * (1.0 + math.log1p(R)) + 1e-300
 
-    integ = Integrand(integrand, (0.0, math.inf), tail_bound=tail, name=f"energy-{kind}")
-    res = integrate(integ, abs_tol=abs_tol, rel_tol=rel_tol)
-    return QuadResult(area * res.value, area * res.abs_error_estimate, res.evaluations)
+    def head(u):
+        rho = math.exp(-u)
+        return rho * integrand(rho)
+
+    parts = [
+        Integrand(integrand, (0.0, math.exp(-_HEAD_U)), name=f"energy-{kind}-core"),
+        Integrand(head, (0.0, _HEAD_U), name=f"energy-{kind}-head"),
+        Integrand(lambda t: integrand(1.0 + t), (0.0, math.inf),
+                  tail_bound=lambda t: tail(1.0 + t), name=f"energy-{kind}"),
+    ]
+    res = [integrate(f, abs_tol=abs_tol, rel_tol=rel_tol) for f in parts]
+    # the integrand keeps one sign on each side of rho = 1, so the parts'
+    # magnitudes add up to int |integrand|, which the density's rounding scales
+    rounding = 2.0 * _DENSITY_REL * sum(abs(r.value) for r in res)
+    return QuadResult(area * math.fsum(r.value for r in res),
+                      area * (sum(r.abs_error_estimate for r in res) + rounding),
+                      sum(r.evaluations for r in res))
 
 
 # -- closed-form radial integrals ----------------------------------------------
@@ -449,8 +658,13 @@ def bubble_entropy(N: int) -> float:
     return -N * (digamma(float(N)) - digamma(0.5 * N)) - math.log(I)
 
 
-def entropy(p_exponent: float, f: RadialProfile, N: int) -> QuadResult:
-    """Ent_p(f) = int (|f|^p/||f||_p^p) ln(|f|^p/||f||_p^p) dx by quadrature."""
+def entropy(p_exponent: float, f: RadialProfile, N: int,
+            breaks: Sequence[float] = ()) -> QuadResult:
+    """Ent_p(f) = int (|f|^p/||f||_p^p) ln(|f|^p/||f||_p^p) dx by quadrature.
+
+    `breaks` are radii where f changes sign; the log integral is split
+    there, at the kinks of |f|^p ln|f|.
+    """
     if not p_exponent > 0.0:
         raise DomainError("entropy exponent must be positive")
     area = sphere_area_equator(N)
@@ -469,8 +683,12 @@ def entropy(p_exponent: float, f: RadialProfile, N: int) -> QuadResult:
             f"entropy diverges: p*decay = {p_exponent * f.decay_exponent} <= N = {N}")
     I = integrate(Integrand(dens, (0.0, math.inf), name="entropy-mass"),
                   abs_tol=1e-12, rel_tol=1e-11)
-    E = integrate(Integrand(dens_log, (0.0, math.inf), name="entropy-log"),
-                  abs_tol=1e-12, rel_tol=1e-10)
+    edges = [0.0, *sorted(b for b in breaks if b > 0.0)]
+    parts = [Integrand(dens_log, (a, b), name="entropy-log") for a, b in zip(edges, edges[1:])]
+    parts.append(Integrand(lambda t: dens_log(edges[-1] + t), (0.0, math.inf), name="entropy-log"))
+    logs = [integrate(part, abs_tol=1e-12, rel_tol=1e-10) for part in parts]
+    E = QuadResult(math.fsum(r.value for r in logs), sum(r.abs_error_estimate for r in logs),
+                   sum(r.evaluations for r in logs))
     if not I.value > 0.0:
         raise DivergentIntegralError("entropy needs a nonzero profile")
     mass = area * I.value

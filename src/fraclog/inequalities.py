@@ -93,8 +93,6 @@ def sobolev_deficit(p: Params, v: er.RadialProfile,
     N = p.N
     Fs, errs = [], []
     for s in s_grid:
-        if not N > 2.0 * s:
-            raise DomainError(f"grid point s={s} violates N > 2s")
         kap = eval_constants(Params(N, s)).kappa_Ns
         en = er.energy("frac", v.fourier, N, s)
         lp, lp_err = _lp_norm_sq(v, er.p_of_s(N, s), N)
@@ -276,8 +274,6 @@ def beckner_fraclog_check(N: int, s: float, f_choice: str) -> AuditReport:
     Equality (to 1e-4) is asserted for the extremal choice.
     """
     beckner_convention_selftest()
-    if N == 1 and not s < 0.5:
-        raise DomainError("N = 1 requires s < 1/2 so that |xi|^{-s} fhat stays in L^2")
     if not N > 2.0 * s:
         raise DomainError(f"require N > 2s, got N={N}, s={s}")
     if f_choice == "extremal":

@@ -44,7 +44,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -237,15 +237,22 @@ def zonal_basis_eval(N: int, k: int, t):
     return zonal_eval(ZonalExpansion(N, k, (0.0,) * k + (1.0,)), t)
 
 
-def zonal_integral(N: int, fn, abs_tol: float = 1e-12, rel_tol: float = 1e-11) -> float:
-    """int_{S^N} fn(t) dV for a zonal integrand, t the polar cosine."""
+def zonal_integral(N: int, fn, abs_tol: float = 1e-12, rel_tol: float = 1e-11,
+                   breaks: Sequence[float] = ()) -> float:
+    """int_{S^N} fn(t) dV for a zonal integrand, t the polar cosine.
+
+    `breaks` are polar cosines where fn is not smooth; the polar angle is
+    integrated piecewise between them.
+    """
 
     def g(theta):
         return fn(math.cos(theta)) * math.sin(theta) ** (N - 1)
 
-    res = integrate(Integrand(g, (0.0, math.pi), name="zonal-integral"),
-                    abs_tol=abs_tol, rel_tol=rel_tol)
-    return sphere_area_equator(N) * res.value
+    edges = [0.0, *sorted(math.acos(t) for t in breaks if -1.0 < t < 1.0), math.pi]
+    total = math.fsum(integrate(Integrand(g, (a, b), name="zonal-integral"),
+                                abs_tol=abs_tol, rel_tol=rel_tol).value
+                      for a, b in zip(edges, edges[1:]))
+    return sphere_area_equator(N) * total
 
 
 def symbol_for(op: str, p: Params | None, N: int, lam):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -95,6 +96,25 @@ def test_confcore_mixture():
     assert abs(rep.details["log_energy_residual"]) <= 1e-5
 
 
+def test_confcore_profile_with_a_zero():
+    # u changes sign at t = 0.853: |u|^2 ln|u| has a kink there, and
+    # integrated across it the sphere entropy erred by 4.6e-10
+    u = ZonalExpansion(3, 2, (1.0, -0.2943340417175824, -0.2605315496075311))
+    rep = conformal.confcore_checks(u, 3)
+    assert abs(rep.details["entropy_residual"]) <= 1e-12
+    assert abs(rep.details["log_energy_residual"]) <= 1e-12
+    zeros = conformal._sign_changes(u)
+    assert len(zeros) == 1 and abs(zonal_eval(u, zeros[0])) <= 1e-14
+
+
+def test_zonal_integral_breaks():
+    # |t| has a kink at t = 0: piecewise, the integral is exact to rounding
+    for N in (1, 2, 3):
+        whole = zonal_integral(N, abs, breaks=[0.0])
+        exact = 2.0 * er.sphere_area_equator(N) / N
+        assert whole == pytest.approx(exact, rel=1e-13), N
+
+
 def test_log_phi_correction_integral_two_routes():
     from fraclog.inequalities import log_phi_sphere_integral
     for N in (1, 2, 3):
@@ -129,8 +149,8 @@ def test_intertwining_broken_pipeline_guard():
 
 
 def test_intertwining_rejects_bad_dims():
-    with pytest.raises(DomainError):
-        conformal.intertwining_residual(Params(2, 0.3), ZonalExpansion(2, 0, (1.0,)), [0.5])
+    rep = conformal.intertwining_residual(Params(2, 0.3), ZonalExpansion(2, 0, (1.0,)), [0.5])
+    assert rep.passed and rep.residual <= 1e-10
     with pytest.raises(DomainError):
         conformal.intertwining_residual(Params(1, 0.6), ZonalExpansion(1, 0, (1.0,)), [0.5])
 
@@ -162,6 +182,43 @@ def test_yamabe_sphere_reduces_to_mu_at_unit_scale():
 def test_yamabe_euclid_bubble(N, s):
     rep = conformal.yamabe_residual_euclid(Params(N, s), 1.0, [0.0, 0.5, 1.0, 2.0])
     assert rep.passed and rep.residual <= 1e-4
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 4, 5])
+def test_yamabe_and_intertwining_every_dimension(N):
+    radii = [0.0, 0.5, 1.0, 2.0, 7.0]
+    for s in (0.15, 0.45):
+        p = Params(N, s)
+        for C in (0.53, 1.0, 2.5):
+            rep = conformal.yamabe_residual_euclid(p, C, radii)
+            assert rep.passed and rep.residual <= 1e-10, (s, C, rep.residual)
+        for d in range(5):
+            u = ZonalExpansion(N, d, tuple([0.3] * d + [1.0]))
+            rep = conformal.intertwining_residual(p, u, radii)
+            assert rep.passed and rep.residual <= 1e-10, (s, d, rep.residual)
+
+
+def test_intertwining_pinned_degree_eight():
+    u = ZonalExpansion(3, 8, tuple([0.0] * 8 + [1.0]))
+    rep = conformal.intertwining_residual(Params(3, 0.3), u, [0.0, 0.5, 1.0, 2.0])
+    assert rep.residual <= 1e-10
+
+
+def test_yamabe_euclid_small_order_emits_no_warning():
+    # N = 1 at small s: the numeric transform at r = 0 warned "probably divergent"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = conformal.yamabe_residual_euclid(Params(1, 0.1114), 0.53, [0.0, 0.5, 1.0, 2.0])
+    assert rep.passed and rep.residual <= 1e-10
+
+
+def test_audits_use_the_closed_form_images(monkeypatch):
+    def numeric_route(*args, **kwargs):
+        raise AssertionError("numeric transform called")
+    monkeypatch.setattr(er, "inverse_at", numeric_route)
+    monkeypatch.setattr(er, "apply_multiplier", numeric_route)
+    conformal.yamabe_residual_euclid(Params(3, 0.4), 1.5, [0.0, 1.0, 2.0])
+    conformal.intertwining_residual(Params(3, 0.4), ZonalExpansion(3, 1, (0.5, 1.0)), [0.0, 2.0])
 
 
 def test_yamabe_euclid_scaled_bubble():

@@ -149,6 +149,43 @@ def test_energy_mellin_cross_check():
     assert en.abs_error_estimate < 1e-6 * abs(closed)
 
 
+def _frozen_bubble_energy(N, s0, s, log):
+    """Energy of u_{s0} at order s in closed form: the K^2 Mellin moment
+    c^2 M(N + 2s - 2s0, s0), or for the fraclog multiplier its s-derivative."""
+    from fraclog.specfun import digamma
+    a, c = N + 2.0 * s - 2.0 * s0, bessel_bubble_coeff(Params(N, s0))
+    val = sphere_area_equator(N) * c * c * er.mellin_k2_moment(a, s0)
+    if log:
+        val *= (digamma(0.5 * a) + digamma(0.5 * a + s0) + digamma(0.5 * a - s0)
+                - digamma(0.5 * (a + 1.0)))
+    return val
+
+
+def test_energy_of_frozen_bubble_over_failure_grid():
+    # the failure_demo grid of v = u_{s0}: with rho <= 1 integrated in
+    # u = -ln rho, no point errs by more than 1e-12; the singular-endpoint
+    # extrapolation erred by 1.1e-10 near s = 0.0555 under an estimate of 2.6e-12
+    for N, s0 in ((3, 0.2751), (2, 0.473), (1, 0.24), (5, 0.8994)):
+        u = er.talenti_bubble(Params(N, s0))
+        for s in np.linspace(0.05 * s0, s0, 120):
+            en = er.energy("frac", u.fourier, N, float(s))
+            exact = _frozen_bubble_energy(N, s0, float(s), log=False)
+            assert abs(en.value - exact) <= 1e-12 * exact, (N, s0, s)
+            assert abs(en.value - exact) <= en.abs_error_estimate, (N, s0, s)
+
+
+def test_fraclog_energy_of_bubble_near_critical_order():
+    # rho^{N-1-2s} ln rho at rho = 0, nearly non-integrable for N = 1, s -> 1/2
+    # and N = 2, s -> 1; the extrapolation erred by 4.1e-10 at N = 1, s = 0.4143
+    for N, hi in ((1, 0.45), (2, 0.95)):
+        for s in np.linspace(0.05, hi, 37):
+            u = er.talenti_bubble(Params(N, float(s)))
+            en = er.energy("fraclog", u.fourier, N, float(s))
+            exact = _frozen_bubble_energy(N, float(s), float(s), log=True)
+            assert abs(en.value - exact) <= 1e-11 * abs(exact), (N, s)
+            assert abs(en.value - exact) <= en.abs_error_estimate, (N, s)
+
+
 def test_energy_extremality_inverse_kappa():
     # kappa_{N,s} ||u_s||_{Hs}^2 = ||u_s||_{p(s)}^2 at every admissible (N, s)
     for (N, s) in [(1, 0.25), (2, 0.3), (3, 0.5), (4, 0.5), (5, 0.75)]:
@@ -404,3 +441,82 @@ def test_phi_power_bessel_calls_per_ladder(monkeypatch):
         assert len(calls) == expected
         prof.fourier.evaluator(0.7)  # memoised
         assert len(calls) == expected
+
+
+def _dyda_mp(mp, N, power, s, r):
+    """(-Delta)^s phi^power at r by Dyda's formula, with its s- and power-derivatives."""
+    def E(a, t):
+        c, x = mp.mpf(N) / 2, mp.mpf(r)
+        return (2 ** (a + 2 * t) * mp.gamma(a + t) * mp.gamma(c + t) / (mp.gamma(a) * mp.gamma(c))
+                * (1 + x * x) ** (-a - t) * mp.hyp2f1(a + t, -t, c, x * x / (1 + x * x)))
+    a, t = mp.mpf(power), mp.mpf(s)
+    return E(a, t), mp.diff(lambda y: E(a, y), t), mp.diff(lambda y: E(y, t), a)
+
+
+def _images(N, power, s, r):
+    """Closed-form (value, estimate) of the frac, fraclog and frac-of-log-factor images."""
+    return (er.multiplier_at("frac", N, [er.PhiTerm(1.0, power)], s, r),
+            er.multiplier_at("fraclog", N, [er.PhiTerm(1.0, power)], s, r),
+            er.multiplier_at("frac", N, [er.PhiTerm(1.0, power, True)], s, r))
+
+
+def test_multiplier_at_against_mpmath():
+    # value, d/ds and d/dpower of (-Delta)^s phi^power against 40-digit
+    # mpmath: pullback powers (N - 2s)/2 + i and two generic ones, on both
+    # sides of the 1 - w switch at r = 1; every estimate bounds its error
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    for N, s in itertools.product(range(1, 6), (0.01, 0.3, 0.9)):
+        m = 0.5 * (N - 2.0 * s)
+        powers = [m + i for i in (0, 1, 4, 8) if m + i > 0.0] + [0.37, 2.71]
+        for power, r in itertools.product(powers, (0.0, 0.5, 2.0, 10.0, 100.0)):
+            with mp.workdps(40):
+                refs = [float(x) for x in _dyda_mp(mp, N, power, s, r)]
+            scale = max(map(abs, refs))
+            for (val, est), ref in zip(_images(N, power, s, r), refs):
+                assert abs(val - ref) <= est, (N, s, power, r, val, ref, est)
+                assert est <= 1e-9 * scale, (N, s, power, r, est, scale)
+                worst = max(worst, abs(val - ref) / scale)
+    assert worst < 2e-11, worst
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_multiplier_at_against_numeric_route(N):
+    # the closed form against the independent QUADPACK inverse transform of
+    # the exact pair times the multiplier, within the two estimates
+    s = 0.3
+    V, W = _pullback_pair(N, s, 2)
+    profiles = [(V, "frac"), (V, "fraclog"), (W, "frac"),
+                (er.bubble_profile(Params(N, s), 1.7), "fraclog")]
+    for prof, kind in profiles:
+        terms = prof.fourier.meta["phi_terms"]
+        for r in (0.0, 0.5, 2.0):
+            val, est = er.multiplier_at(kind, N, terms, s, r)
+            num, num_est = er.inverse_at(N, er.apply_multiplier(kind, prof.fourier, s), r)
+            assert abs(val - num) <= est + num_est, (kind, r, val, num, est, num_est)
+
+
+def test_multiplier_at_bubble_closed_form():
+    # (-Delta)^s v_{s,C} = A_{N,s} C phi^{(N+2s)/2} in every dimension
+    for N, s in itertools.product(range(1, 6), (0.2, 0.45)):
+        p, C = Params(N, s), 1.7
+        terms = er.bubble_profile(p, C).fourier.meta["phi_terms"]
+        for r in (0.0, 0.7, 1.0, 3.0, 50.0):
+            val, est = er.multiplier_at("frac", N, terms, s, r)
+            expected = eval_constants(p).A_Ns * C * er.phi(r) ** (0.5 * N + s)
+            assert abs(val - expected) <= est + 4e-16 * abs(expected), (N, s, r)
+
+
+def test_multiplier_at_domain():
+    T = er.PhiTerm
+    with pytest.raises(DomainError):
+        er.multiplier_at("log", 3, [T(1.0, 1.2)], 0.3, 1.0)
+    with pytest.raises(DomainError):
+        er.multiplier_at("fraclog", 3, [T(1.0, 1.2, True)], 0.3, 1.0)
+    for s, r in ((0.0, 1.0), (1.0, 1.0), (0.3, -1.0)):
+        with pytest.raises(DomainError):
+            er.multiplier_at("frac", 3, [T(1.0, 1.2)], s, r)
+    # N/2 - power an integer: the 1 - w connection degenerates beyond r = 1
+    er.multiplier_at("frac", 3, [T(1.0, 2.5)], 0.3, 0.5)
+    with pytest.raises(DomainError):
+        er.multiplier_at("frac", 3, [T(1.0, 2.5)], 0.3, 2.0)
