@@ -16,6 +16,9 @@ such a combination needs, (-Delta)^s, (-Delta)^{s+ln} and (-Delta)^s
 after a ln(phi) factor, has a closed form (euclid_radial.multiplier_at,
 Dyda's formula and its s- and power-derivatives), so the Yamabe and
 intertwining audits below run in every dimension N with no transform.
+They take all three from one series pass per phi-power and radius, and
+report the images' propagated error as details["error_budget"], on the
+relative scale of their residual.
 
 Audits implemented here:
 
@@ -206,25 +209,30 @@ def _sign_changes(u: spectral.ZonalExpansion) -> list[float]:
 
 def intertwining_residual(p: Params, u: spectral.ZonalExpansion,
                           r_samples: Sequence[float]) -> AuditReport:
-    """Spectral route vs closed-form multiplier images for T_s[P^{s+ln} u]."""
+    """Spectral route vs closed-form multiplier images for T_s[P^{s+ln} u].
+
+    details["error_budget"] is the largest propagated error of the three
+    images at a sample, relative to the same scale as the residual.
+    """
     N, s = p.N, p.s
     m = 0.5 * (N - 2.0 * s)
     v_terms = pullback_expansion(s, u).fourier.meta["phi_terms"]
-    logphi_terms = [er.PhiTerm(t.coef, t.power, log_factor=True) for t in v_terms]
     slog_u = spectral.apply_spectral("P_slog", p, u)
 
-    rows, worst = [], 0.0
+    rows, worst, budget = [], 0.0, 0.0
     for r in r_samples:
         lhs = er.phi(r) ** m * spectral.zonal_eval(slog_u, polar_cosine(r))
-        t1, _ = er.multiplier_at("fraclog", N, v_terms, s, r)
-        t2, _ = er.multiplier_at("frac", N, logphi_terms, s, r)
-        t3 = math.log(er.phi(r)) * er.multiplier_at("frac", N, v_terms, s, r)[0]
+        (t1, e1), (t2, e2), (frac_v, e3) = er.multiplier_at(
+            ("fraclog", "frac_lnphi", "frac"), N, v_terms, s, r)
+        ln_phi = math.log(er.phi(r))
+        t3 = ln_phi * frac_v
         w = er.phi(r) ** (-2.0 * s)
         rhs = w * (t1 - t2 - t3)
         broken = w * t1
         scale = max(abs(lhs), abs(w * t1), abs(w * t2), abs(w * t3), 1e-12)
         rel = abs(lhs - rhs) / scale
         worst = max(worst, rel)
+        budget = max(budget, w * (e1 + e2 + abs(ln_phi) * e3) / scale)
         rows.append({"r": r, "lhs": lhs, "rhs": rhs, "rel_residual": rel,
                      "broken_rel_residual": abs(lhs - broken) / scale})
     return AuditReport(
@@ -232,7 +240,7 @@ def intertwining_residual(p: Params, u: spectral.ZonalExpansion,
         lhs=rows[0]["lhs"], rhs=rows[0]["rhs"], residual=worst,
         tolerance=1e-4, passed=worst <= 1e-4,
         inputs={"N": N, "s": s, "r_samples": list(r_samples)},
-        details={"rows": rows},
+        details={"rows": rows, "error_budget": budget},
     )
 
 
@@ -270,39 +278,43 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float],
 
     (-Delta)^s v has the closed form A_{N,s} C phi^{(N+2s)/2}; the
     fractional-logarithmic term and (-Delta)^s(v ln v) are the closed-form
-    multiplier images of euclid_radial.multiplier_at. mu_scale != 1
-    perturbs mu for sensitivity tests.
+    multiplier images of euclid_radial.multiplier_at, all three from one
+    series pass per radius. details["error_budget"] is the largest
+    propagated error of the images, relative to the residual's scale.
+    mu_scale != 1 perturbs mu for sensitivity tests.
     """
     N, s = p.N, p.s
     cs = eval_constants(p)
     m = 0.5 * (N - 2.0 * s)
     v = er.bubble_profile(p, C)  # C phi^m
-    v_terms = v.fourier.meta["phi_terms"]
-    # v ln v = C ln(C) phi^m + C m phi^m ln(phi)
-    w_terms = [er.PhiTerm(C * m, m, log_factor=True)]
-    if C != 1.0:
-        w_terms.insert(0, er.PhiTerm(C * math.log(C), m))
+    unit = [er.PhiTerm(1.0, m)]
     mu = bubble_mu(p, C) * mu_scale
     pw = (N + 2.0 * s) / (N - 2.0 * s)
+    k = 2.0 / (N - 2.0 * s)
 
-    rows, worst = [], 0.0
+    rows, worst, budget = [], 0.0, 0.0
     for r in r_samples:
-        t1, _ = er.multiplier_at("fraclog", N, v_terms, s, r)
+        (slog, e_slog), (frac, e_frac), (frac_ln, e_ln) = er.multiplier_at(
+            ("fraclog", "frac", "frac_lnphi"), N, unit, s, r)
+        t1 = C * slog
         frac_v = cs.A_Ns * C * er.phi(r) ** (0.5 * (N + 2.0 * s))
         t2 = math.log(v.evaluator(r)) * frac_v
-        t3, _ = er.multiplier_at("frac", N, w_terms, s, r)
+        # v ln v = C ln(C) phi^m + C m phi^m ln(phi)
+        t3 = C * math.log(C) * frac + C * m * frac_ln
         rhs = mu * v.evaluator(r) ** pw
-        res = t1 - 2.0 / (N - 2.0 * s) * (t2 + t3) - rhs
+        res = t1 - k * (t2 + t3) - rhs
         scale = max(abs(t1), abs(t2), abs(t3), abs(rhs), 1e-12)
         rel = abs(res) / scale
         worst = max(worst, rel)
+        err = C * e_slog + k * (abs(C * math.log(C)) * e_frac + C * m * e_ln)
+        budget = max(budget, err / scale)
         rows.append({"r": r, "residual": res, "scale": scale, "rel_residual": rel})
     return AuditReport(
         name="euclid-yamabe-bubble",
         lhs=rows[0]["residual"], rhs=0.0, residual=worst,
         tolerance=1e-4, passed=worst <= 1e-4,
         inputs={"N": N, "s": s, "C": C, "mu_scale": mu_scale},
-        details={"mu": mu, "rows": rows},
+        details={"mu": mu, "rows": rows, "error_budget": budget},
     )
 
 

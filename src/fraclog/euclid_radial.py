@@ -43,12 +43,15 @@ transform, the intertwining identity (N = 3, s = 0.3) erred by 8.9e-10
 at d = 8 and 2.8e-8 at d = 12, against 4.6e-6 and 4.3e-4 with a
 two-point difference per term. Each profile memoises its transform in
 an LRU cache of _MEMO_SIZE values, since QUADPACK revisits nodes:
-failure_demo integrates one frozen bubble's density at every point of
-its s grid, and beckner_fraclog_check one density under two
-multipliers. Over the radial benchmark tasks (seeds 1-3) a cache of 768
-values keeps every repeat that an unbounded one keeps; 512 loses 1165
-of beckner's 9305 repeats and 384 half of failure_demo's. Failures are
-not cached, so rho <= 0 raises DomainError on every call.
+sharp_fraclog_identity integrates one bubble's density under two
+multipliers, and beckner_fraclog_check one density under two more.
+Over the radial benchmark tasks (seeds 1-3) an unbounded cache keeps
+55582 repeats, 23634 of them sharp_fraclog_identity's and 22230
+beckner_fraclog_check's; caches of 4096 and 768 values keep all but 2
+of moment_check's, 512 loses 2865 of sharp_fraclog_identity's and 384
+over half of all repeats (failure_demo builds no profile: its curve is
+a closed form). Failures are not cached, so rho <= 0 raises DomainError
+on every call.
 
 Closed-form multiplier images. multiplier_at gives F^{-1}[m fhat](r)
 for a phi-power profile without any transform, from Dyda's formula
@@ -61,8 +64,9 @@ for a phi-power profile without any transform, from Dyda's formula
 The multiplier rho^{2s} ln rho^2 is d/ds of rho^{2s} and the factor
 ln phi is d/da of phi^a, so one hypergeometric pass with its parameter
 derivatives gives the frac image of phi^a and of phi^a ln phi and the
-fraclog image of phi^a. The series runs for w <= 1/2; beyond, the 1 - w
-connection (DLMF 15.8.4) keeps every series at z <= 1/2, so no point
+fraclog image of phi^a; multiplier_at returns every image an audit asks
+for from that one pass per term. The series runs for w <= 1/2; beyond,
+the 1 - w connection (DLMF 15.8.4) keeps every series at z <= 1/2, so no point
 costs more than about 90 terms (powers up to (N-2s)/2 + 12). Its
 reciprocal Gammas pass through their zeros, which a pullback term hits
 (c - a = -i, where d/dx 1/Gamma = (-1)^i i!), and N/2 - a an integer
@@ -107,7 +111,7 @@ _HEAD_U = 64.0  # energies take rho in [e^{-64}, 1] as u = -ln rho
 #: relative rounding of a density value: scipy's K_nu errs by up to 7.4e-14
 #: near x = 2 (bubble densities, N = 1..5, against 30-digit mpmath)
 _DENSITY_REL = 1e-13
-_MEMO_SIZE = 4096  # transform values kept per profile; 768 already keeps every measured repeat
+_MEMO_SIZE = 4096  # transform values kept per profile; 768 keeps as many measured repeats
 
 
 def p_of_s(N: int, s: float) -> float:
@@ -525,28 +529,40 @@ def _phi_power_image(N: int, sigma: float, s: float, r: float) -> tuple[tuple, t
     return (v, va - vb, va), (k * mv + arg, k * (ma + mb) + arg / de, k * ma + arg / de)
 
 
-def multiplier_at(kind: str, N: int, terms: Sequence[PhiTerm], s: float,
-                  r: float) -> tuple[float, float]:
+#: index into the (E, dE/ds, dE/da) of _phi_power_image, by kind and log factor
+_IMAGE_INDEX = {("frac", False): 0, ("fraclog", False): 1, ("frac", True): 2,
+                ("frac_lnphi", False): 2}
+
+
+def multiplier_at(kinds: Sequence[str], N: int, terms: Sequence[PhiTerm], s: float,
+                  r: float) -> list[tuple[float, float]]:
     """F^{-1}[m(rho) fhat](r) in closed form for f = sum_j coef_j phi^{a_j} (ln phi)^{0|1}.
 
     With E(a, s) = (-Delta)^s phi^a (Dyda, FCAA 15, 2012), kind "frac"
     (m = rho^{2s}) maps phi^a to E and phi^a ln phi to dE/da; kind
-    "fraclog" (m = rho^{2s} ln rho^2) maps phi^a to dE/ds. Returns
-    (value, error estimate); one series pass per term gives all three.
+    "fraclog" (m = rho^{2s} ln rho^2) maps phi^a to dE/ds; kind
+    "frac_lnphi", the frac image of (ln phi) f, maps phi^a to dE/da.
+    Returns one (value, error estimate) per kind; one series pass per
+    term gives all of them.
     """
-    if kind not in ("frac", "fraclog"):
-        raise DomainError(f"closed-form images exist for frac and fraclog, got {kind!r}")
-    if kind == "fraclog" and any(t.log_factor for t in terms):
-        raise DomainError("the fraclog image of a phi^a ln phi term is not implemented")
+    if isinstance(kinds, str):
+        raise DomainError(f"kinds must be a sequence of kind names, got the string {kinds!r}")
+    for kind in kinds:
+        if kind not in ("frac", "fraclog", "frac_lnphi"):
+            raise DomainError(f"closed-form images exist for frac, fraclog and frac_lnphi, "
+                              f"got {kind!r}")
+        if kind != "frac" and any(t.log_factor for t in terms):
+            raise DomainError(f"the {kind} image of a phi^a ln phi term is not implemented")
     if not (0.0 < s < 1.0 and 0.0 <= r < math.inf):
         raise DomainError(f"closed-form images need 0 < s < 1 and r >= 0, got s={s}, r={r}")
-    acc = mag = 0.0
+    acc, mag = [0.0] * len(kinds), [0.0] * len(kinds)
     for t in terms:
         vals, mags = _phi_power_image(N, t.power, s, r)
-        j = 2 if t.log_factor else (1 if kind == "fraclog" else 0)
-        acc += t.coef * vals[j]
-        mag += abs(t.coef) * mags[j]
-    return acc, _IMAGE_ULPS * _EPS * mag
+        for i, kind in enumerate(kinds):
+            j = _IMAGE_INDEX[kind, t.log_factor]
+            acc[i] += t.coef * vals[j]
+            mag[i] += abs(t.coef) * mags[j]
+    return [(a, _IMAGE_ULPS * _EPS * m) for a, m in zip(acc, mag)]
 
 
 def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0,
@@ -621,13 +637,18 @@ def beta_log_integral(N: int, beta: float) -> float:
     return 0.5 * b * (digamma(beta) - digamma(beta - 0.5 * N))
 
 
-def mellin_k2_moment(a: float, nu: float) -> float:
-    """int_0^inf t^{a-1} K_nu(t)^2 dt, valid for a > 2|nu|."""
+def mellin_k2_lngammas(a: float, nu: float) -> tuple[float, float, float, float]:
+    """The signed ln Gamma terms that sum to ln of mellin_k2_moment(a, nu) / (sqrt(pi)/4)."""
     if not a > 2.0 * abs(nu):
         raise DivergentIntegralError(f"K^2 moment diverges: a={a} <= 2|nu|={2 * abs(nu)}")
-    lg = (ln_gamma(0.5 * a) + ln_gamma(0.5 * a + nu)
-          + ln_gamma(0.5 * a - nu) - ln_gamma(0.5 * (a + 1.0)))
-    return 0.25 * math.sqrt(math.pi) * math.exp(lg)
+    return (ln_gamma(0.5 * a), ln_gamma(0.5 * a + nu),
+            ln_gamma(0.5 * a - nu), -ln_gamma(0.5 * (a + 1.0)))
+
+
+def mellin_k2_moment(a: float, nu: float) -> float:
+    """int_0^inf t^{a-1} K_nu(t)^2 dt, valid for a > 2|nu|."""
+    g1, g2, g3, g4 = mellin_k2_lngammas(a, nu)
+    return 0.25 * math.sqrt(math.pi) * math.exp(g1 + g2 + g3 + g4)
 
 
 def lp_norm_bubble(p: Params, q_exponent: float) -> float:

@@ -36,8 +36,8 @@ from typing import Sequence
 import numpy as np
 
 from .audit import AuditReport, identity_audit
-from .constants import (Params, B_N, C_N, a_N, c_N, A_N, eval_constants,
-                        sphere_area, sphere_area_equator)
+from .constants import (Params, B_N, C_N, a_N, c_N, A_N, bessel_bubble_coeff,
+                        eval_constants, sphere_area, sphere_area_equator)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
 from .quadrature import Integrand, integrate
 from .specfun import digamma, ln_beta, ln_gamma
@@ -85,6 +85,13 @@ def _lp_norm_sq(v: er.RadialProfile, p_exp: float, N: int) -> tuple[float, float
     return val, err
 
 
+def _deficit_curve(tag: str, s_grid: Sequence[float], Fs: list, errs: list) -> DeficitCurve:
+    fp = [math.nan] * len(Fs)
+    for i in range(1, len(Fs) - 1):
+        fp[i] = (Fs[i + 1] - Fs[i - 1]) / (s_grid[i + 1] - s_grid[i - 1])
+    return DeficitCurve(tag, tuple(s_grid), tuple(Fs), tuple(fp), tuple(errs))
+
+
 def sobolev_deficit(p: Params, v: er.RadialProfile,
                     s_grid: Sequence[float]) -> DeficitCurve:
     """F_v(s) over s_grid for a profile with exact Fourier pair; p.s is unused."""
@@ -98,10 +105,45 @@ def sobolev_deficit(p: Params, v: er.RadialProfile,
         lp, lp_err = _lp_norm_sq(v, er.p_of_s(N, s), N)
         Fs.append(kap * en.value - lp)
         errs.append(kap * en.abs_error_estimate + lp_err)
-    fp = [math.nan] * len(Fs)
-    for i in range(1, len(Fs) - 1):
-        fp[i] = (Fs[i + 1] - Fs[i - 1]) / (s_grid[i + 1] - s_grid[i - 1])
-    return DeficitCurve(v.kind, tuple(s_grid), tuple(Fs), tuple(fp), tuple(errs))
+    return _deficit_curve(v.kind, s_grid, Fs, errs)
+
+
+_EPS = 2.0 ** -52
+_DEFICIT_ULPS = 16.0  # safety factor on the first-order rounding bound of the closed form
+
+
+def _frozen_bubble_deficit(p0: Params, s_grid: Sequence[float]) -> DeficitCurve:
+    """F_v over s_grid for v = u_{s0} in closed form, with no quadrature.
+
+    ||v||_{dot H^s}^2 = |S^{N-1}| C_{N,s0}^2 M(N + 2s - 2 s0, s0), M the
+    K^2 Mellin moment, and ||v||_{L^p(s)}^2 = I^{2/p(s)} with the Beta
+    integral I = ||v||_{L^p(s)}^{p(s)}. Each factor is an exponential of
+    ln Gamma terms, so it rounds by eps times the magnitudes of its
+    exponent; F_errors is that first-order bound on kappa E and on L. Both
+    also hold a Gamma at an argument proportional to g = N + 2s - 4 s0,
+    whose rounding of about eps N moves ln Gamma by eps N / g: the term
+    that dominates next to the edge g = 0 of the finite-norm box, beyond
+    which (s0 >= N/3.9 on the grid of failure_demo) I and M raise
+    DivergentIntegralError.
+    """
+    N, s0 = p0.N, p0.s
+    c2 = bessel_bubble_coeff(p0) ** 2
+    area = sphere_area_equator(N)
+    Fs, errs = [], []
+    for s in s_grid:
+        p_exp = er.p_of_s(N, s)
+        I = er.lp_norm_bubble(p0, p_exp)
+        a = N + 2.0 * s - 2.0 * s0
+        kap = eval_constants(Params(N, s)).kappa_Ns
+        kE = kap * c2 * area * er.mellin_k2_moment(a, s0)
+        L = I ** (2.0 / p_exp)
+        lg = sum(map(abs, er.mellin_k2_lngammas(a, s0)))
+        pole = N / (a - 2.0 * s0)
+        Fs.append(kE - L)
+        errs.append(_DEFICIT_ULPS * _EPS * (
+            (8.0 + lg + abs(math.log(c2)) + abs(math.log(kap)) + pole) * kE
+            + (4.0 + abs(math.log(I)) + pole) * L))
+    return _deficit_curve("bubble", s_grid, Fs, errs)
 
 
 def sharp_fraclog_identity(p: Params, tol_scale: float = 1.0) -> AuditReport:
@@ -149,14 +191,15 @@ def euclid_log_identity(N: int) -> AuditReport:
 def failure_demo(N: int, s0: float, grid_points: int = 40) -> tuple[AuditReport, DeficitCurve]:
     """Freeze v = u_{s0} and exhibit a strictly negative deficit derivative.
 
-    The curve F_v on [0.05 s0, s0] vanishes at s0, is nonnegative, and
-    its central-difference derivative attains a negative minimum whose
-    magnitude must exceed 10x the propagated quadrature budget.
+    The curve F_v on [0.05 s0, s0] is the closed form of
+    _frozen_bubble_deficit (sobolev_deficit is the independent quadrature
+    route to it). It vanishes at s0, is nonnegative, and its
+    central-difference derivative attains a negative minimum whose
+    magnitude must exceed 10x the propagated rounding budget.
     """
     p0 = Params(N, s0)
-    v = er.talenti_bubble(p0)
-    grid = list(np.linspace(0.05 * s0, s0, grid_points))
-    curve = sobolev_deficit(p0, v, grid)
+    grid = np.linspace(0.05 * s0, s0, grid_points).tolist()  # floats: specfun's scalar path
+    curve = _frozen_bubble_deficit(p0, grid)
     scale = eval_constants(p0).kappa_Ns * er.bubble_hs_energy(p0)
 
     F = curve.F_values

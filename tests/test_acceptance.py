@@ -161,18 +161,33 @@ def test_criterion_6_sharp_identity():
                    f"for N in 1..3, runtime {elapsed:.1f}s")
 
 
+def _min_derivative(curve):
+    """(min F', its budget) with the budget of failure_demo: max (e_{i-1} + e_{i+1}) / ds."""
+    ds = curve.s_grid[2] - curve.s_grid[0]
+    e = curve.F_errors
+    budget = max((e[i - 1] + e[i + 1]) / ds for i in range(1, len(e) - 1))
+    return min(x for x in curve.Fprime_fd if not math.isnan(x)), budget
+
+
 def test_criterion_7_naive_inequality_failure():
     t0 = time.perf_counter()
-    rep, _ = ineq.failure_demo(3, 0.5, 40)
+    rep, curve = ineq.failure_demo(3, 0.5, 40)
     rep2, _ = ineq.failure_demo(3, 0.5, 80)
     d, d2 = rep.details, rep2.details
     cell = 0.95 * 0.5 / 39
     stable = (abs(d["argmin_s"] - d2["argmin_s"]) <= cell
               and rep2.passed)
     ok = rep.passed and stable
+    # the quadrature route on the same grid: both minima agree within the
+    # sum of the two derivative budgets
+    p0 = Params(3, 0.5)
+    min_q, budget_q = _min_derivative(ineq.sobolev_deficit(p0, er.talenti_bubble(p0),
+                                                           curve.s_grid))
+    ok &= abs(d["min_Fprime"] - min_q) <= d["derivative_budget"] + budget_q
     elapsed = time.perf_counter() - t0
     _report(7, ok, f"F(s0)={d['F_at_s0']:.1e}, min F'={d['min_Fprime']:.3f} "
-                   f"(budget {d['derivative_budget']:.1e}), grid-doubling stable, "
+                   f"(budget {d['derivative_budget']:.1e}), quadrature route "
+                   f"{min_q:.3f} (budget {budget_q:.1e}), grid-doubling stable, "
                    f"runtime {elapsed:.1f}s")
 
 

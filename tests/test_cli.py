@@ -98,6 +98,8 @@ def test_bubble_residual(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["sphere"]["pass"] and payload["euclid"]["pass"]
+    euclid = payload["euclid"]
+    assert float(euclid["residual"]) <= float(euclid["details"]["error_budget"])
 
 
 def test_dini_subcommand(capsys):
@@ -171,6 +173,10 @@ def test_beckner_subcommand(capsys):
 def test_intertwine_subcommand(capsys):
     code, out = run(capsys, "intertwine", "--dim", "3", "--order", "0.25")
     assert code == 0
+    report = json.loads(out)["report"]
+    assert float(report["residual"]) <= float(report["details"]["error_budget"])
+    _, again = run(capsys, "intertwine", "--dim", "3", "--order", "0.25")
+    assert again == out
 
 
 def test_confcore_subcommand(capsys):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -10,7 +11,7 @@ from fraclog import conformal, euclid_radial as er
 from fraclog.constants import Params, eval_constants
 from fraclog.errors import DomainError
 from fraclog.quadrature import Integrand, integrate
-from fraclog.spectral import ZonalExpansion, zonal_eval, zonal_integral
+from fraclog.spectral import ZonalExpansion, apply_spectral, zonal_eval, zonal_integral
 from fraclog.sphere_kernel import ZonalFunction
 
 
@@ -219,6 +220,97 @@ def test_audits_use_the_closed_form_images(monkeypatch):
     monkeypatch.setattr(er, "apply_multiplier", numeric_route)
     conformal.yamabe_residual_euclid(Params(3, 0.4), 1.5, [0.0, 1.0, 2.0])
     conformal.intertwining_residual(Params(3, 0.4), ZonalExpansion(3, 1, (0.5, 1.0)), [0.0, 2.0])
+
+
+def _count_images(monkeypatch):
+    calls = []
+    image = er._phi_power_image
+
+    def counted(N, sigma, s, r):
+        calls.append((sigma, r))
+        return image(N, sigma, s, r)
+    monkeypatch.setattr(er, "_phi_power_image", counted)
+    return calls
+
+
+def _intertwining_rows_kind_by_kind(p, u, radii):
+    """The rows with one multiplier_at pass per image, the log factor on the terms."""
+    N, s = p.N, p.s
+    v_terms = conformal.pullback_expansion(s, u).fourier.meta["phi_terms"]
+    logphi_terms = [er.PhiTerm(t.coef, t.power, log_factor=True) for t in v_terms]
+    slog_u = apply_spectral("P_slog", p, u)
+    rows = []
+    for r in radii:
+        lhs = er.phi(r) ** (0.5 * (N - 2.0 * s)) * zonal_eval(slog_u, conformal.polar_cosine(r))
+        [(t1, _)] = er.multiplier_at(("fraclog",), N, v_terms, s, r)
+        [(t2, _)] = er.multiplier_at(("frac",), N, logphi_terms, s, r)
+        t3 = math.log(er.phi(r)) * er.multiplier_at(("frac",), N, v_terms, s, r)[0][0]
+        w = er.phi(r) ** (-2.0 * s)
+        scale = max(abs(lhs), abs(w * t1), abs(w * t2), abs(w * t3), 1e-12)
+        rhs = w * (t1 - t2 - t3)
+        rows.append({"r": r, "lhs": lhs, "rhs": rhs, "rel_residual": abs(lhs - rhs) / scale,
+                     "broken_rel_residual": abs(lhs - w * t1) / scale})
+    return rows
+
+
+def _yamabe_rows_kind_by_kind(p, C, radii):
+    N, s = p.N, p.s
+    m = 0.5 * (N - 2.0 * s)
+    v = er.bubble_profile(p, C)
+    w_terms = [er.PhiTerm(C * m, m, log_factor=True)]
+    if C != 1.0:
+        w_terms.insert(0, er.PhiTerm(C * math.log(C), m))
+    mu = conformal.bubble_mu(p, C)
+    rows = []
+    for r in radii:
+        [(t1, _)] = er.multiplier_at(("fraclog",), N, v.fourier.meta["phi_terms"], s, r)
+        frac_v = eval_constants(p).A_Ns * C * er.phi(r) ** (0.5 * (N + 2.0 * s))
+        t2 = math.log(v.evaluator(r)) * frac_v
+        [(t3, _)] = er.multiplier_at(("frac",), N, w_terms, s, r)
+        rhs = mu * v.evaluator(r) ** ((N + 2.0 * s) / (N - 2.0 * s))
+        res = t1 - 2.0 / (N - 2.0 * s) * (t2 + t3) - rhs
+        scale = max(abs(t1), abs(t2), abs(t3), abs(rhs), 1e-12)
+        rows.append({"r": r, "residual": res, "scale": scale, "rel_residual": abs(res) / scale})
+    return rows
+
+
+def test_audits_make_one_series_pass_per_image(monkeypatch):
+    # each (power, r) is evaluated once per audit call, and the rows are
+    # bit-identical to one pass per image kind
+    radii = [0.0, 0.5, 1.0, 2.0]
+    p, u = Params(3, 0.3), ZonalExpansion(3, 8, tuple([0.0] * 8 + [1.0]))
+    want = _intertwining_rows_kind_by_kind(p, u, radii)
+    calls = _count_images(monkeypatch)
+    rep = conformal.intertwining_residual(p, u, radii)
+    assert len(calls) == 9 * len(radii) == len(set(calls))
+    assert rep.details["rows"] == want
+    assert rep.residual == max(row["rel_residual"] for row in want)
+    for C in (1.0, 1.7):
+        want = _yamabe_rows_kind_by_kind(Params(3, 0.4), C, radii)
+        calls.clear()
+        rep = conformal.yamabe_residual_euclid(Params(3, 0.4), C, radii)
+        assert len(calls) == len(radii)
+        assert rep.details["rows"] == want
+        assert rep.residual == max(row["rel_residual"] for row in want)
+
+
+def test_intertwining_error_budget_bounds_residual():
+    radii = [0.0, 0.5, 1.0, 2.0, 5.0]
+    for N, s, d in itertools.product(range(1, 6), (0.05, 0.3, 0.45), range(0, 13, 3)):
+        rep = conformal.intertwining_residual(
+            Params(N, s), ZonalExpansion(N, d, tuple([0.0] * d + [1.0])), radii)
+        assert 0.0 < rep.residual <= rep.details["error_budget"], (N, s, d)
+
+
+def test_yamabe_error_budget_bounds_residual():
+    rng = np.random.default_rng(11)
+    radii = [0.0, 0.3, 1.0, 2.0, 4.0, 7.0]
+    for N in range(1, 6):
+        for i in range(6):
+            s = float(rng.uniform(0.02, min(0.98, 0.5 * N - 0.02)))
+            C = 1.0 if i % 3 == 0 else float(rng.uniform(0.2, 5.0))
+            rep = conformal.yamabe_residual_euclid(Params(N, s), C, radii)
+            assert rep.residual <= rep.details["error_budget"], (N, s, C)
 
 
 def test_yamabe_euclid_scaled_bubble():

@@ -455,9 +455,11 @@ def _dyda_mp(mp, N, power, s, r):
 
 def _images(N, power, s, r):
     """Closed-form (value, estimate) of the frac, fraclog and frac-of-log-factor images."""
-    return (er.multiplier_at("frac", N, [er.PhiTerm(1.0, power)], s, r),
-            er.multiplier_at("fraclog", N, [er.PhiTerm(1.0, power)], s, r),
-            er.multiplier_at("frac", N, [er.PhiTerm(1.0, power, True)], s, r))
+    frac, fraclog, frac_lnphi = er.multiplier_at(("frac", "fraclog", "frac_lnphi"), N,
+                                                 [er.PhiTerm(1.0, power)], s, r)
+    # the log-factor term under "frac" is the same image
+    assert er.multiplier_at(("frac",), N, [er.PhiTerm(1.0, power, True)], s, r) == [frac_lnphi]
+    return frac, fraclog, frac_lnphi
 
 
 def test_multiplier_at_against_mpmath():
@@ -491,7 +493,7 @@ def test_multiplier_at_against_numeric_route(N):
     for prof, kind in profiles:
         terms = prof.fourier.meta["phi_terms"]
         for r in (0.0, 0.5, 2.0):
-            val, est = er.multiplier_at(kind, N, terms, s, r)
+            [(val, est)] = er.multiplier_at((kind,), N, terms, s, r)
             num, num_est = er.inverse_at(N, er.apply_multiplier(kind, prof.fourier, s), r)
             assert abs(val - num) <= est + num_est, (kind, r, val, num, est, num_est)
 
@@ -502,21 +504,23 @@ def test_multiplier_at_bubble_closed_form():
         p, C = Params(N, s), 1.7
         terms = er.bubble_profile(p, C).fourier.meta["phi_terms"]
         for r in (0.0, 0.7, 1.0, 3.0, 50.0):
-            val, est = er.multiplier_at("frac", N, terms, s, r)
+            [(val, est)] = er.multiplier_at(("frac",), N, terms, s, r)
             expected = eval_constants(p).A_Ns * C * er.phi(r) ** (0.5 * N + s)
             assert abs(val - expected) <= est + 4e-16 * abs(expected), (N, s, r)
 
 
 def test_multiplier_at_domain():
     T = er.PhiTerm
-    with pytest.raises(DomainError):
-        er.multiplier_at("log", 3, [T(1.0, 1.2)], 0.3, 1.0)
-    with pytest.raises(DomainError):
-        er.multiplier_at("fraclog", 3, [T(1.0, 1.2, True)], 0.3, 1.0)
+    for kinds in (("log",), ("frac", "log"), "frac"):
+        with pytest.raises(DomainError):
+            er.multiplier_at(kinds, 3, [T(1.0, 1.2)], 0.3, 1.0)
+    for kind in ("fraclog", "frac_lnphi"):
+        with pytest.raises(DomainError):
+            er.multiplier_at((kind,), 3, [T(1.0, 1.2, True)], 0.3, 1.0)
     for s, r in ((0.0, 1.0), (1.0, 1.0), (0.3, -1.0)):
         with pytest.raises(DomainError):
-            er.multiplier_at("frac", 3, [T(1.0, 1.2)], s, r)
+            er.multiplier_at(("frac",), 3, [T(1.0, 1.2)], s, r)
     # N/2 - power an integer: the 1 - w connection degenerates beyond r = 1
-    er.multiplier_at("frac", 3, [T(1.0, 2.5)], 0.3, 0.5)
+    er.multiplier_at(("frac",), 3, [T(1.0, 2.5)], 0.3, 0.5)
     with pytest.raises(DomainError):
-        er.multiplier_at("frac", 3, [T(1.0, 2.5)], 0.3, 2.0)
+        er.multiplier_at(("frac",), 3, [T(1.0, 2.5)], 0.3, 2.0)

@@ -79,6 +79,57 @@ def test_failure_demo_stable_under_grid_doubling():
         rep2.details["min_Fprime"], rel=0.05)
 
 
+#: (N, s0) across the benchmark box, s0 up to its edge 0.24 / 0.48 / 0.75 / 0.9
+DEFICIT_CASES = [(1, 0.12), (1, 0.24), (2, 0.2), (2, 0.48), (3, 0.3), (3, 0.75),
+                 (5, 0.2), (5, 0.9)]
+
+
+@pytest.mark.parametrize("N,s0", DEFICIT_CASES)
+def test_failure_curve_matches_quadrature_route(N, s0):
+    # the closed-form curve against the K_s-energy and L^p quadrature of
+    # sobolev_deficit, point by point within the two estimates
+    rep, curve = ineq.failure_demo(N, s0, 120)
+    p0 = Params(N, s0)
+    quad = ineq.sobolev_deficit(p0, er.talenti_bubble(p0), curve.s_grid)
+    assert rep.passed and quad.s_grid == curve.s_grid
+    for F, e, Fq, eq in zip(curve.F_values, curve.F_errors, quad.F_values, quad.F_errors):
+        assert abs(F - Fq) <= e + eq, (F, Fq, e, eq)
+
+
+def _frozen_deficit_mp(mp, N, s0, s):
+    """F_v(s) for v = u_{s0} in mpmath: the K^2 Mellin moment and the Beta integral."""
+    N, s0, s = mp.mpf(N), mp.mpf(s0), mp.mpf(s)
+    m0, a, p = (N - 2 * s0) / 2, N + 2 * s - 2 * s0, 2 * N / (N - 2 * s)
+    area = 2 * mp.pi ** (N / 2) / mp.gamma(N / 2)
+    kappa = ((4 * mp.pi) ** -s * mp.gamma(N / 2 - s) / mp.gamma(N / 2 + s)
+             * (mp.gamma(N) / mp.gamma(N / 2)) ** (2 * s / N))
+    moment = (mp.sqrt(mp.pi) / 4 * mp.gamma(a / 2) * mp.gamma(a / 2 + s0)
+              * mp.gamma(a / 2 - s0) / mp.gamma((a + 1) / 2))
+    energy = area * (2 ** (1 - m0) / mp.gamma(m0)) ** 2 * moment
+    lp = area * mp.beta(N / 2, p * m0 - N / 2) / 2
+    return kappa * energy - lp ** (2 / p)
+
+
+@pytest.mark.parametrize("N,s0", DEFICIT_CASES + [(1, 0.2563), (2, 0.5128), (4, 0.999)])
+def test_failure_curve_errors_bound_mpmath(N, s0):
+    # F_errors bounds the error against 40 digits, also at the edge of the
+    # finite-norm box (s0 just below N/3.9), where a Gamma argument ~ N + 2s - 4 s0
+    # nears zero
+    mp = pytest.importorskip("mpmath")
+    _, curve = ineq.failure_demo(N, s0, 120)
+    for i in (0, 1, 17, 60, 118, 119):
+        with mp.workdps(40):
+            ref = float(_frozen_deficit_mp(mp, N, s0, curve.s_grid[i]))
+        assert abs(curve.F_values[i] - ref) <= curve.F_errors[i], (i, curve.F_values[i], ref)
+
+
+@pytest.mark.parametrize("N,s0", [(1, 0.3), (1, 0.45), (2, 0.6), (3, 0.9)])
+def test_failure_demo_outside_finite_norm_box(N, s0):
+    # s0 >= N/3.9: ||u_{s0}||_{L^p(s)} is infinite at the low end of the grid
+    with pytest.raises(DivergentIntegralError):
+        ineq.failure_demo(N, s0, 40)
+
+
 @pytest.mark.parametrize("N,s", [(1, 0.25), (2, 0.3), (3, 0.5), (4, 0.5), (5, 0.75)])
 def test_sphere_identity_constant_instance(N, s):
     rep = ineq.sphere_identity_check(Params(N, s))
