@@ -222,8 +222,7 @@ def intertwining_residual(p: Params, u: spectral.ZonalExpansion,
     rows, worst, budget = [], 0.0, 0.0
     for r in r_samples:
         lhs = er.phi(r) ** m * spectral.zonal_eval(slog_u, polar_cosine(r))
-        (t1, e1), (t2, e2), (frac_v, e3) = er.multiplier_at(
-            ("fraclog", "frac_lnphi", "frac"), N, v_terms, s, r)
+        (frac_v, e3), (t1, e1), (t2, e2) = er.multiplier_at(N, v_terms, s, r)
         ln_phi = math.log(er.phi(r))
         t3 = ln_phi * frac_v
         w = er.phi(r) ** (-2.0 * s)
@@ -294,8 +293,7 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float],
 
     rows, worst, budget = [], 0.0, 0.0
     for r in r_samples:
-        (slog, e_slog), (frac, e_frac), (frac_ln, e_ln) = er.multiplier_at(
-            ("fraclog", "frac", "frac_lnphi"), N, unit, s, r)
+        (frac, e_frac), (slog, e_slog), (frac_ln, e_ln) = er.multiplier_at(N, unit, s, r)
         t1 = C * slog
         frac_v = cs.A_Ns * C * er.phi(r) ** (0.5 * (N + 2.0 * s))
         t2 = math.log(v.evaluator(r)) * frac_v

@@ -64,8 +64,8 @@ for a phi-power profile without any transform, from Dyda's formula
 The multiplier rho^{2s} ln rho^2 is d/ds of rho^{2s} and the factor
 ln phi is d/da of phi^a, so one hypergeometric pass with its parameter
 derivatives gives the frac image of phi^a and of phi^a ln phi and the
-fraclog image of phi^a; multiplier_at returns every image an audit asks
-for from that one pass per term. The series runs for w <= 1/2; beyond,
+fraclog image of phi^a; multiplier_at returns all three from that one
+pass per term. The series runs for w <= 1/2; beyond,
 the 1 - w connection (DLMF 15.8.4) keeps every series at z <= 1/2, so no point
 costs more than about 90 terms (powers up to (N-2s)/2 + 12). Its
 reciprocal Gammas pass through their zeros, which a pullback term hits
@@ -529,40 +529,28 @@ def _phi_power_image(N: int, sigma: float, s: float, r: float) -> tuple[tuple, t
     return (v, va - vb, va), (k * mv + arg, k * (ma + mb) + arg / de, k * ma + arg / de)
 
 
-#: index into the (E, dE/ds, dE/da) of _phi_power_image, by kind and log factor
-_IMAGE_INDEX = {("frac", False): 0, ("fraclog", False): 1, ("frac", True): 2,
-                ("frac_lnphi", False): 2}
+def multiplier_at(N: int, terms: Sequence[PhiTerm], s: float,
+                  r: float) -> tuple[tuple[float, float], ...]:
+    """F^{-1}[m(rho) fhat](r) in closed form for f = sum_j coef_j phi^{a_j}.
 
-
-def multiplier_at(kinds: Sequence[str], N: int, terms: Sequence[PhiTerm], s: float,
-                  r: float) -> list[tuple[float, float]]:
-    """F^{-1}[m(rho) fhat](r) in closed form for f = sum_j coef_j phi^{a_j} (ln phi)^{0|1}.
-
-    With E(a, s) = (-Delta)^s phi^a (Dyda, FCAA 15, 2012), kind "frac"
-    (m = rho^{2s}) maps phi^a to E and phi^a ln phi to dE/da; kind
-    "fraclog" (m = rho^{2s} ln rho^2) maps phi^a to dE/ds; kind
-    "frac_lnphi", the frac image of (ln phi) f, maps phi^a to dE/da.
-    Returns one (value, error estimate) per kind; one series pass per
-    term gives all of them.
+    With E(a, s) = (-Delta)^s phi^a (Dyda, FCAA 15, 2012), the frac image
+    (m = rho^{2s}) maps phi^a to E, the fraclog image (m = rho^{2s} ln rho^2)
+    to dE/ds, and the frac image of (ln phi) f to dE/da. Returns the
+    (value, error estimate) pairs (frac, fraclog, frac_lnphi), all three
+    from one series pass per term.
     """
-    if isinstance(kinds, str):
-        raise DomainError(f"kinds must be a sequence of kind names, got the string {kinds!r}")
-    for kind in kinds:
-        if kind not in ("frac", "fraclog", "frac_lnphi"):
-            raise DomainError(f"closed-form images exist for frac, fraclog and frac_lnphi, "
-                              f"got {kind!r}")
-        if kind != "frac" and any(t.log_factor for t in terms):
-            raise DomainError(f"the {kind} image of a phi^a ln phi term is not implemented")
+    if any(t.log_factor for t in terms):
+        raise DomainError("multiplier_at takes plain phi^a terms; the frac image of "
+                          "phi^a ln phi is its frac_lnphi image")
     if not (0.0 < s < 1.0 and 0.0 <= r < math.inf):
         raise DomainError(f"closed-form images need 0 < s < 1 and r >= 0, got s={s}, r={r}")
-    acc, mag = [0.0] * len(kinds), [0.0] * len(kinds)
+    acc, mag = [0.0] * 3, [0.0] * 3
     for t in terms:
         vals, mags = _phi_power_image(N, t.power, s, r)
-        for i, kind in enumerate(kinds):
-            j = _IMAGE_INDEX[kind, t.log_factor]
-            acc[i] += t.coef * vals[j]
-            mag[i] += abs(t.coef) * mags[j]
-    return [(a, _IMAGE_ULPS * _EPS * m) for a, m in zip(acc, mag)]
+        for j in range(3):
+            acc[j] += t.coef * vals[j]
+            mag[j] += abs(t.coef) * mags[j]
+    return tuple((a, _IMAGE_ULPS * _EPS * m) for a, m in zip(acc, mag))
 
 
 def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0,

@@ -108,7 +108,6 @@ def sobolev_deficit(p: Params, v: er.RadialProfile,
     return _deficit_curve(v.kind, s_grid, Fs, errs)
 
 
-_EPS = 2.0 ** -52
 _DEFICIT_ULPS = 16.0  # safety factor on the first-order rounding bound of the closed form
 
 
@@ -140,7 +139,7 @@ def _frozen_bubble_deficit(p0: Params, s_grid: Sequence[float]) -> DeficitCurve:
         lg = sum(map(abs, er.mellin_k2_lngammas(a, s0)))
         pole = N / (a - 2.0 * s0)
         Fs.append(kE - L)
-        errs.append(_DEFICIT_ULPS * _EPS * (
+        errs.append(_DEFICIT_ULPS * er._EPS * (
             (8.0 + lg + abs(math.log(c2)) + abs(math.log(kap)) + pole) * kE
             + (4.0 + abs(math.log(I)) + pole) * L))
     return _deficit_curve("bubble", s_grid, Fs, errs)

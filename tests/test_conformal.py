@@ -234,17 +234,16 @@ def _count_images(monkeypatch):
 
 
 def _intertwining_rows_kind_by_kind(p, u, radii):
-    """The rows with one multiplier_at pass per image, the log factor on the terms."""
+    """The rows with one multiplier_at pass per image."""
     N, s = p.N, p.s
     v_terms = conformal.pullback_expansion(s, u).fourier.meta["phi_terms"]
-    logphi_terms = [er.PhiTerm(t.coef, t.power, log_factor=True) for t in v_terms]
     slog_u = apply_spectral("P_slog", p, u)
     rows = []
     for r in radii:
         lhs = er.phi(r) ** (0.5 * (N - 2.0 * s)) * zonal_eval(slog_u, conformal.polar_cosine(r))
-        [(t1, _)] = er.multiplier_at(("fraclog",), N, v_terms, s, r)
-        [(t2, _)] = er.multiplier_at(("frac",), N, logphi_terms, s, r)
-        t3 = math.log(er.phi(r)) * er.multiplier_at(("frac",), N, v_terms, s, r)[0][0]
+        t1 = er.multiplier_at(N, v_terms, s, r)[1][0]
+        t2 = er.multiplier_at(N, v_terms, s, r)[2][0]
+        t3 = math.log(er.phi(r)) * er.multiplier_at(N, v_terms, s, r)[0][0]
         w = er.phi(r) ** (-2.0 * s)
         scale = max(abs(lhs), abs(w * t1), abs(w * t2), abs(w * t3), 1e-12)
         rhs = w * (t1 - t2 - t3)
@@ -257,16 +256,16 @@ def _yamabe_rows_kind_by_kind(p, C, radii):
     N, s = p.N, p.s
     m = 0.5 * (N - 2.0 * s)
     v = er.bubble_profile(p, C)
-    w_terms = [er.PhiTerm(C * m, m, log_factor=True)]
-    if C != 1.0:
-        w_terms.insert(0, er.PhiTerm(C * math.log(C), m))
+    unit = [er.PhiTerm(1.0, m)]
     mu = conformal.bubble_mu(p, C)
     rows = []
     for r in radii:
-        [(t1, _)] = er.multiplier_at(("fraclog",), N, v.fourier.meta["phi_terms"], s, r)
+        t1 = er.multiplier_at(N, v.fourier.meta["phi_terms"], s, r)[1][0]
         frac_v = eval_constants(p).A_Ns * C * er.phi(r) ** (0.5 * (N + 2.0 * s))
         t2 = math.log(v.evaluator(r)) * frac_v
-        [(t3, _)] = er.multiplier_at(("frac",), N, w_terms, s, r)
+        # v ln v = C ln(C) phi^m + C m phi^m ln(phi)
+        t3 = (C * math.log(C) * er.multiplier_at(N, unit, s, r)[0][0]
+              + C * m * er.multiplier_at(N, unit, s, r)[2][0])
         rhs = mu * v.evaluator(r) ** ((N + 2.0 * s) / (N - 2.0 * s))
         res = t1 - 2.0 / (N - 2.0 * s) * (t2 + t3) - rhs
         scale = max(abs(t1), abs(t2), abs(t3), abs(rhs), 1e-12)

@@ -453,15 +453,6 @@ def _dyda_mp(mp, N, power, s, r):
     return E(a, t), mp.diff(lambda y: E(a, y), t), mp.diff(lambda y: E(y, t), a)
 
 
-def _images(N, power, s, r):
-    """Closed-form (value, estimate) of the frac, fraclog and frac-of-log-factor images."""
-    frac, fraclog, frac_lnphi = er.multiplier_at(("frac", "fraclog", "frac_lnphi"), N,
-                                                 [er.PhiTerm(1.0, power)], s, r)
-    # the log-factor term under "frac" is the same image
-    assert er.multiplier_at(("frac",), N, [er.PhiTerm(1.0, power, True)], s, r) == [frac_lnphi]
-    return frac, fraclog, frac_lnphi
-
-
 def test_multiplier_at_against_mpmath():
     # value, d/ds and d/dpower of (-Delta)^s phi^power against 40-digit
     # mpmath: pullback powers (N - 2s)/2 + i and two generic ones, on both
@@ -475,7 +466,8 @@ def test_multiplier_at_against_mpmath():
             with mp.workdps(40):
                 refs = [float(x) for x in _dyda_mp(mp, N, power, s, r)]
             scale = max(map(abs, refs))
-            for (val, est), ref in zip(_images(N, power, s, r), refs):
+            for (val, est), ref in zip(er.multiplier_at(N, [er.PhiTerm(1.0, power)], s, r),
+                                       refs):
                 assert abs(val - ref) <= est, (N, s, power, r, val, ref, est)
                 assert est <= 1e-9 * scale, (N, s, power, r, est, scale)
                 worst = max(worst, abs(val - ref) / scale)
@@ -485,16 +477,18 @@ def test_multiplier_at_against_mpmath():
 @pytest.mark.parametrize("N", [1, 3])
 def test_multiplier_at_against_numeric_route(N):
     # the closed form against the independent QUADPACK inverse transform of
-    # the exact pair times the multiplier, within the two estimates
+    # the exact pair times the multiplier, within the two estimates; the
+    # log-factor twin W of V is checked as the frac_lnphi image of V's terms
     s = 0.3
     V, W = _pullback_pair(N, s, 2)
-    profiles = [(V, "frac"), (V, "fraclog"), (W, "frac"),
-                (er.bubble_profile(Params(N, s), 1.7), "fraclog")]
-    for prof, kind in profiles:
+    bubble = er.bubble_profile(Params(N, s), 1.7)
+    cases = [(V, V, "frac", 0), (V, V, "fraclog", 1), (V, W, "frac", 2),
+             (bubble, bubble, "fraclog", 1)]
+    for prof, numeric, kind, image in cases:
         terms = prof.fourier.meta["phi_terms"]
         for r in (0.0, 0.5, 2.0):
-            [(val, est)] = er.multiplier_at((kind,), N, terms, s, r)
-            num, num_est = er.inverse_at(N, er.apply_multiplier(kind, prof.fourier, s), r)
+            val, est = er.multiplier_at(N, terms, s, r)[image]
+            num, num_est = er.inverse_at(N, er.apply_multiplier(kind, numeric.fourier, s), r)
             assert abs(val - num) <= est + num_est, (kind, r, val, num, est, num_est)
 
 
@@ -504,23 +498,20 @@ def test_multiplier_at_bubble_closed_form():
         p, C = Params(N, s), 1.7
         terms = er.bubble_profile(p, C).fourier.meta["phi_terms"]
         for r in (0.0, 0.7, 1.0, 3.0, 50.0):
-            [(val, est)] = er.multiplier_at(("frac",), N, terms, s, r)
+            val, est = er.multiplier_at(N, terms, s, r)[0]
             expected = eval_constants(p).A_Ns * C * er.phi(r) ** (0.5 * N + s)
             assert abs(val - expected) <= est + 4e-16 * abs(expected), (N, s, r)
 
 
 def test_multiplier_at_domain():
     T = er.PhiTerm
-    for kinds in (("log",), ("frac", "log"), "frac"):
-        with pytest.raises(DomainError):
-            er.multiplier_at(kinds, 3, [T(1.0, 1.2)], 0.3, 1.0)
-    for kind in ("fraclog", "frac_lnphi"):
-        with pytest.raises(DomainError):
-            er.multiplier_at((kind,), 3, [T(1.0, 1.2, True)], 0.3, 1.0)
+    # a log-factor term has no separate route: it is the frac_lnphi image
+    with pytest.raises(DomainError):
+        er.multiplier_at(3, [T(1.0, 0.7), T(1.0, 1.2, True)], 0.3, 1.0)
     for s, r in ((0.0, 1.0), (1.0, 1.0), (0.3, -1.0)):
         with pytest.raises(DomainError):
-            er.multiplier_at(("frac",), 3, [T(1.0, 1.2)], s, r)
+            er.multiplier_at(3, [T(1.0, 1.2)], s, r)
     # N/2 - power an integer: the 1 - w connection degenerates beyond r = 1
-    er.multiplier_at(("frac",), 3, [T(1.0, 2.5)], 0.3, 0.5)
+    er.multiplier_at(3, [T(1.0, 2.5)], 0.3, 0.5)
     with pytest.raises(DomainError):
-        er.multiplier_at(("frac",), 3, [T(1.0, 2.5)], 0.3, 2.0)
+        er.multiplier_at(3, [T(1.0, 2.5)], 0.3, 2.0)
