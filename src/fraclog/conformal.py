@@ -8,17 +8,35 @@ to polar cosine t(r) = (1-r^2)/(1+r^2) relative to the north pole, and
 phi(sigma(omega)) = 1 + t(omega): sphere-side ln(phi) integrals are
 one-dimensional integrals against ln(1+t).
 
-The order-s pullback is T_s[u](x) = phi(x)^{(N-2s)/2} u(sigma^{-1}(x)).
-For zonal u given by a degree-d expansion, Z_k(t) is a polynomial in
-t = phi - 1, so T_s[u] is a combination of phi-powers with an exact
-Fourier pair (euclid_radial.phi_poly_profile). Every multiplier image
-such a combination needs, (-Delta)^s, (-Delta)^{s+ln} and (-Delta)^s
-after a ln(phi) factor, has a closed form (euclid_radial.multiplier_at,
-Dyda's formula and its s- and power-derivatives), so the Yamabe and
-intertwining audits below run in every dimension N with no transform.
-They take all three from one series pass per phi-power and radius, and
-report the images' propagated error as details["error_budget"], on the
-relative scale of their residual.
+Exact pullbacks. T_s[u](x) = phi(x)^{(N-2s)/2} u(sigma^{-1}(x)). With
+c = N/2, Z_k = Z_k(1) p_k(t), p_k = (-1)^k 2F1(-k, k+N-1; c; phi/2) the
+Jacobi polynomial P_k^{(c-1,c-1)} with p_k(1) = 1 (DLMF 18.5.7), so
+T_s[u] = sum_i c_i phi^{c-s+i} with c_i exact rationals once each float
+weight a_k Z_k(1) is read exactly; pullback_expansion rounds each once.
+
+Terminating images. With w = r^2/(1+r^2) = 1 - phi/2, Dyda's formula
+(FCAA 15, 2012) (-Delta)^s phi^a = 2^{a+2s} Gamma(a+s) Gamma(c+s) /
+(Gamma(a) Gamma(c)) (1-w)^{a+s} 2F1(a+s, -s; c; w) terminates at every
+pullback power a = c - s + i after Euler's transformation (DLMF 15.8.1):
+
+    (-Delta)^s phi^{c-s+i} = G (1-w)^{c+s} 2^i (c)_i/(c-s)_i P_i(w),
+    G = 2^{c+s} Gamma(c+s)/Gamma(c-s),
+    P_i(w) = 2F1(-i, x; c; w) = sum_k (-i)_k (x)_k / ((c)_k k!) w^k,  x = c+s.
+
+In the intertwining law, t1 = (-Delta)^{s+ln} V and t2 = (-Delta)^s((ln phi) V)
+are the s- and a-derivatives of Dyda's formula, V = T_s[u]. t1 - t2 is
+minus its derivative in b = -s at fixed a + s, which terminates too, and
+its ln(1-w) cancels in t3 = (ln phi)(-Delta)^s V, ln phi = ln 2 + ln(1-w):
+
+    t1 - t2 - t3 = G (1-w)^{c+s} [(psi(c+s) + psi(c-s)) Q(w) + R(w)],
+    Q = sum_i c_i 2^i (c)_i/(c-s)_i P_i,
+    R = sum_i c_i 2^i (c)_i/(c-s)_i (H_i P_i + dP_i/dx),  H_i = sum_{j<i} 1/(c-s+j).
+
+A float s is a dyadic rational, so Q and R have rational coefficients;
+they are built once per audit call, evaluated at the exact w of each
+radius and rounded once, and the phi-power terms (|c_i| up to 2.3e12 at
+degree 24) cancel exactly. At s = 0 the same polynomials give the
+logarithmic law; the Yamabe bubble is the i = 0 term.
 
 Audits implemented here:
 
@@ -27,32 +45,41 @@ Audits implemented here:
   2 * <ln phi> (density-weighted means);
 * intertwining_residual: T_s[P^{s+ln} u] (spectral route) against
   phi^{-2s} [ (-Delta)^{s+ln} V - (-Delta)^s((ln phi) V)
-  - (ln phi) (-Delta)^s V ],  V = T_s[u] (closed-form images);
-* log_intertwining_residual: its s = 0 endpoint, through the numeric
-  transform (N in {1, 3});
+  - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
+* log_intertwining_residual: its s = 0 endpoint, T_0[P^ln u] against
+  (-Delta)^ln V - 2 (ln phi) V, on the same route;
 * yamabe_residual_sphere / yamabe_residual_euclid: the constant bubble
   u = C and its pullback v_{s,C} solve the two Yamabe-type equations at
   the level mu = bubble_mu(p, C);
 * conf_covariance_check: the covariance law under a constant conformal
   factor eta reduces to eta^{-s}[phi^{s+ln} - ln(eta) phi_s] acting
   spectrally, and degenerates to the logarithmic law as s -> 0.
+
+The intertwining and Yamabe audits report details["error_budget"], a
+first-order bound on their residual from the rounding of both routes
+(specfun values within 8 ulp, 1e-14 absolute floor), relative to the
+magnitude of the terms the routes form, the residual's scale.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from numpy.polynomial import Chebyshev, Polynomial
 
 from .audit import AuditReport, identity_audit
 from .constants import Params, bubble_mu, eval_constants
 from .errors import DomainError
 from .quadrature import Integrand, find_root, integrate
+from .specfun import digamma, ln_gamma
 from . import euclid_radial as er
 from . import spectral
 from .sphere_kernel import ZonalFunction
+
+_EPS = 2.0 ** -52
 
 
 def stereographic(z: Sequence[float]) -> np.ndarray:
@@ -84,24 +111,37 @@ def radius_of_cosine(t: float) -> float:
     return math.sqrt((1.0 - t) / (1.0 + t))
 
 
-def pullback_expansion(s: float, u: spectral.ZonalExpansion) -> er.RadialProfile:
-    """T_s[u] for zonal u, as an exact phi-power profile.
+def _zonal_norm(N: int, k: int) -> float:
+    """Z_k(1) = sqrt(d_k / |S^N|), with |S^N| = q pi^j and q rational."""
+    j = (N + 1) // 2
+    q = (Fraction(2, math.factorial(j - 1)) if N % 2
+         else Fraction(2 ** (j + 1), math.prod(range(N - 1, 0, -2))))
+    return math.sqrt(spectral.multiplicities(N, k)[k] / q) / math.pi ** (0.5 * j)
 
-    u(t) with t = phi - 1 is a polynomial of degree d in phi; its
-    Chebyshev interpolant on phi in [0, 2], converted to powers of phi,
-    turns phi^{(N-2s)/2} u(t(r)) into sum_i c_i phi^{(N-2s)/2 + i}.
-    """
+
+def _phi_coefficients(u: spectral.ZonalExpansion) -> list[Fraction]:
+    """Exact c_i with u(t) = sum_i c_i phi^i, phi = 1 + t (module docstring)."""
+    N = u.N
+    out = [Fraction(0)] * (u.degree_max + 1)
+    for k, a in enumerate(u.coeffs):
+        if a:
+            term = Fraction(a) * Fraction(_zonal_norm(N, k)) * (-1) ** k
+            for i in range(k + 1):
+                out[i] += term
+                term *= Fraction((i - k) * (k + N - 1 + i), (N + 2 * i) * (i + 1))
+    return out
+
+
+def pullback_expansion(s: float, u: spectral.ZonalExpansion) -> er.RadialProfile:
+    """T_s[u] = sum_i c_i phi^{(N-2s)/2 + i}, each exact c_i rounded once."""
     if not 0.0 <= s < 1.0:
         raise DomainError(f"pullback order must lie in [0, 1), got {s}")
     m = 0.5 * (u.N - 2.0 * s)
-    deg = u.degree_max
-    c_phi = Chebyshev.interpolate(lambda phi: spectral.zonal_eval(u, phi - 1.0), deg,
-                                  domain=[0.0, 2.0]).convert(kind=Polynomial).coef
-    terms = [er.PhiTerm(c, m + i) for i, c in enumerate(c_phi) if c != 0.0]
+    terms = [er.PhiTerm(float(c), m + i) for i, c in enumerate(_phi_coefficients(u)) if c]
     if not terms:
         raise DomainError("pullback of the zero function")
     return er.phi_poly_profile(u.N, terms, kind="pullback",
-                               meta={"s": s, "degree_max": deg})
+                               meta={"s": s, "degree_max": u.degree_max})
 
 
 def pullback(s: float, u: ZonalFunction) -> er.RadialProfile:
@@ -207,33 +247,123 @@ def _sign_changes(u: spectral.ZonalExpansion) -> list[float]:
             for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
 
 
+def _integer_form(coefs: list[Fraction]) -> tuple[list[int], int]:
+    """Rationals as integer numerators over one common denominator."""
+    den = math.lcm(*(f.denominator for f in coefs))
+    return [f.numerator * (den // f.denominator) for f in coefs], den
+
+
+def _image_polynomials(N: int, s: float, c_phi: list[Fraction]) -> tuple[tuple, tuple]:
+    """Q(w) and R(w) of the module docstring, exact, in _integer_form.
+
+    With alpha_i = c_i 2^i (c)_i/(c-s)_i, w^j has the coefficient beta_j S_j
+    in Q and beta_j (T_j + D_j S_j) in R: S_j = sum_i alpha_i (-i)_j and
+    T_j = sum_i alpha_i H_i (-i)_j in integers, beta_j = (x)_j/((c)_j j!),
+    D_j = sum_{l<j} 1/(x+l) = d/dx ln (x)_j.
+    """
+    c, s = Fraction(N, 2), Fraction(s)
+    x, y = c + s, c - s
+    alpha, alpha_h, ratio, h = [], [], Fraction(1), Fraction(0)
+    for i, ci in enumerate(c_phi):
+        alpha.append(ci * ratio)
+        alpha_h.append(alpha[-1] * h)
+        ratio *= 2 * (c + i) / (y + i)
+        h += 1 / (y + i)
+    (a, a_den), (b, b_den) = _integer_form(alpha), _integer_form(alpha_h)
+    poch = [1] * len(a)  # (-i)_j
+    q, r, beta, dx = [], [], Fraction(1), Fraction(0)
+    for j in range(len(a)):
+        S = Fraction(sum(map(operator.mul, a[j:], poch[j:])), a_den)
+        T = Fraction(sum(map(operator.mul, b[j:], poch[j:])), b_den)
+        q.append(beta * S)
+        r.append(beta * (T + dx * S))
+        poch[j:] = [p * (j - i) for i, p in enumerate(poch[j:], j)]
+        beta *= (x + j) / ((c + j) * (j + 1))
+        dx += 1 / (x + j)
+    return _integer_form(q), _integer_form(r)
+
+
+def _at(poly: tuple[list[int], int], t: float) -> float:
+    """The polynomial at w = (1-t)/2, t a polar cosine, exact, rounded once."""
+    nums, den = poly
+    w = (1 - Fraction(t)) / 2
+    p, q = w.numerator, w.denominator
+    acc, qj = 0, 1
+    for a in reversed(nums):  # sum_j a_j p^j q^{d-j}
+        acc = acc * p + a * qj
+        qj *= q
+    return acc / (den * (qj // q))
+
+
+def _specfun_error(v: float) -> float:
+    return max(1e-14, 8.0 * _EPS * abs(v))  # 8 ulp, 1e-14 absolute floor
+
+
+def _symbol_error(N: int, s: float, k: int) -> float:
+    """Error bound of the spectral P^{s+ln} (P^ln at s = 0) symbol times Z_k, per |Z_k|.
+
+    Gamma(hi)/Gamma(lo) (psi(hi) + psi(lo)), hi, lo = N/2 +- s + k: its ln Gamma
+    and psi values, the rounding of hi and lo, and 4k ulp of Clenshaw."""
+    hi, lo = 0.5 * N + s + k, 0.5 * N - s + k
+    lg_hi, lg_lo, ps_hi, ps_lo = ln_gamma(hi), ln_gamma(lo), digamma(hi), digamma(lo)
+    rel = (_EPS * (8.0 + 4.0 * k + hi * abs(ps_hi) + lo * abs(ps_lo))
+           + _specfun_error(lg_hi) + _specfun_error(lg_lo))
+    return math.exp(lg_hi - lg_lo) * ((abs(ps_hi) + abs(ps_lo)) * rel
+                                      + _specfun_error(ps_hi) + _specfun_error(ps_lo))
+
+
+def _images(N: int, s: float, c_phi: list[Fraction],
+            t_samples: Sequence[float]) -> list[tuple[tuple, tuple, float]]:
+    """((-Delta)^s V, error) and (t1 - t2 - t3, error) at polar cosines t, with the latter's scale.
+
+    V = sum_i c_i phi^{c-s+i}, 0 <= s < 1; G (1-w)^{c+s} = A phi^{c+s}, A = Gamma(c+s)/Gamma(c-s),
+    and the scale A phi^{c+s} ((|psi(c+s)| + |psi(c-s)|) |Q| + |R|) is the magnitude of the terms.
+    Every factor is taken at the float t, phi = 1 + t: one point for both sides of an audit.
+    """
+    c = 0.5 * N
+    Q, R = _image_polynomials(N, s, c_phi)
+    lg, psi = (ln_gamma(c + s), ln_gamma(c - s)), (digamma(c + s), digamma(c - s))
+    A = math.exp(lg[0] - lg[1])
+    # exp, phi^{c+s} and the roundings of Q, R and the products, to first order
+    rel = sum(map(_specfun_error, lg)) + (8.0 + c + s) * _EPS
+    psi_err = sum(map(_specfun_error, psi))
+    out = []
+    for t in t_samples:
+        pre = A * (1.0 + t) ** (c + s)
+        q, rr = _at(Q, t), _at(R, t)
+        E, L = pre * q, pre * ((psi[0] + psi[1]) * q + rr)
+        mag = pre * ((abs(psi[0]) + abs(psi[1])) * abs(q) + abs(rr))
+        out.append(((E, rel * abs(E)), (L, rel * mag + pre * abs(q) * psi_err), mag))
+    return out
+
+
+def _log_law_rows(s: float, u: spectral.ZonalExpansion, sym_u: spectral.ZonalExpansion,
+                  r_samples: Sequence[float]) -> tuple[list[dict], float, float]:
+    """Rows of T_s[P u] (sym_u = P u) against phi^{-2s} (t1 - t2 - t3), 0 <= s < 1,
+    each on the scale max(|lhs|, phi^{-2s} times that of _images), with the
+    largest relative residual and error bound."""
+    N, m = u.N, 0.5 * u.N - s
+    sym_err = [(k, abs(a) * _symbol_error(N, s, k)) for k, a in enumerate(u.coeffs) if a]
+    rows, worst, budget = [], 0.0, 0.0
+    ts = [polar_cosine(r) for r in r_samples]
+    for r, t, (_, (L, L_err), mag) in zip(r_samples, ts, _images(N, s, _phi_coefficients(u), ts)):
+        phi_m, w = (1.0 + t) ** m, (1.0 + t) ** (-2.0 * s)
+        lhs = phi_m * spectral.zonal_eval(sym_u, t)
+        rhs, mag = w * L, w * mag
+        err = (w * L_err + (N + 4.0) * _EPS * mag  # phi^m against phi^{c+s} phi^{-2s}
+               + phi_m * sum(e * abs(spectral.zonal_basis_eval(N, k, t)) for k, e in sym_err))
+        scale = max(abs(lhs), mag) or 1.0  # 0 only where both sides are exactly 0
+        rel = abs(lhs - rhs) / scale
+        worst, budget = max(worst, rel), max(budget, err / scale)
+        rows.append({"r": r, "lhs": lhs, "rhs": rhs, "rel_residual": rel})
+    return rows, worst, budget
+
+
 def intertwining_residual(p: Params, u: spectral.ZonalExpansion,
                           r_samples: Sequence[float]) -> AuditReport:
-    """Spectral route vs closed-form multiplier images for T_s[P^{s+ln} u].
-
-    details["error_budget"] is the largest propagated error of the three
-    images at a sample, relative to the same scale as the residual.
-    """
+    """Spectral route vs terminating closed-form images for T_s[P^{s+ln} u]."""
     N, s = p.N, p.s
-    m = 0.5 * (N - 2.0 * s)
-    v_terms = pullback_expansion(s, u).fourier.meta["phi_terms"]
-    slog_u = spectral.apply_spectral("P_slog", p, u)
-
-    rows, worst, budget = [], 0.0, 0.0
-    for r in r_samples:
-        lhs = er.phi(r) ** m * spectral.zonal_eval(slog_u, polar_cosine(r))
-        (frac_v, e3), (t1, e1), (t2, e2) = er.multiplier_at(N, v_terms, s, r)
-        ln_phi = math.log(er.phi(r))
-        t3 = ln_phi * frac_v
-        w = er.phi(r) ** (-2.0 * s)
-        rhs = w * (t1 - t2 - t3)
-        broken = w * t1
-        scale = max(abs(lhs), abs(w * t1), abs(w * t2), abs(w * t3), 1e-12)
-        rel = abs(lhs - rhs) / scale
-        worst = max(worst, rel)
-        budget = max(budget, w * (e1 + e2 + abs(ln_phi) * e3) / scale)
-        rows.append({"r": r, "lhs": lhs, "rhs": rhs, "rel_residual": rel,
-                     "broken_rel_residual": abs(lhs - broken) / scale})
+    rows, worst, budget = _log_law_rows(s, u, spectral.apply_spectral("P_slog", p, u), r_samples)
     return AuditReport(
         name="fractional-log-intertwining",
         lhs=rows[0]["lhs"], rhs=rows[0]["rhs"], residual=worst,
@@ -246,16 +376,9 @@ def intertwining_residual(p: Params, u: spectral.ZonalExpansion,
 def log_intertwining_residual(N: int, u: spectral.ZonalExpansion,
                               r_samples: Sequence[float]) -> float:
     """Max relative residual of T_0[P^ln u] = (-Delta)^ln V - 2 (ln phi) V."""
-    V = pullback_expansion(0.0, u)
-    log_u = spectral.apply_spectral("P_log", None, u)
-    worst = 0.0
-    for r in r_samples:
-        lhs = er.phi(r) ** (0.5 * N) * spectral.zonal_eval(log_u, polar_cosine(r))
-        t1, _ = er.inverse_at(N, er.apply_multiplier("log", V.fourier), r)
-        rhs = t1 - 2.0 * math.log(er.phi(r)) * V.evaluator(r)
-        scale = max(abs(lhs), abs(t1), 1e-12)
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst
+    if u.N != N:
+        raise DomainError("expansion dimension mismatch")
+    return _log_law_rows(0.0, u, spectral.apply_spectral("P_log", None, u), r_samples)[1]
 
 
 def yamabe_residual_sphere(p: Params, C: float) -> AuditReport:
@@ -275,37 +398,38 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float],
                            mu_scale: float = 1.0) -> AuditReport:
     """Bubble residual of the Euclidean Yamabe-type equation at sample radii.
 
-    (-Delta)^s v has the closed form A_{N,s} C phi^{(N+2s)/2}; the
-    fractional-logarithmic term and (-Delta)^s(v ln v) are the closed-form
-    multiplier images of euclid_radial.multiplier_at, all three from one
-    series pass per radius. details["error_budget"] is the largest
-    propagated error of the images, relative to the residual's scale.
-    mu_scale != 1 perturbs mu for sensitivity tests.
+    (-Delta)^{s+ln} v - k [(ln v)(-Delta)^s v + (-Delta)^s(v ln v)] = mu v^pw,
+    k = 2/(N-2s), v = C phi^m, m = (N-2s)/2: (-Delta)^s v = A_{N,s} C phi^{c+s}
+    (constants route), and v is C times the i = 0 pullback term phi^m. As k m = 1,
+    (-Delta)^s(C m phi^m ln phi) cancels the a-derivative in the first image,
+    leaving C (t1 - t2 - t3 + (ln phi) E_0) of _images for phi^m, which is
+    C (psi(c+s) + psi(c-s) + ln phi) E_0. mu_scale != 1 perturbs mu for tests.
     """
-    N, s = p.N, p.s
-    cs = eval_constants(p)
-    m = 0.5 * (N - 2.0 * s)
-    v = er.bubble_profile(p, C)  # C phi^m
-    unit = [er.PhiTerm(1.0, m)]
+    N, s, c = p.N, p.s, 0.5 * p.N
+    m, A = c - s, eval_constants(p).A_Ns
     mu = bubble_mu(p, C) * mu_scale
-    pw = (N + 2.0 * s) / (N - 2.0 * s)
-    k = 2.0 / (N - 2.0 * s)
-
+    pw, k = (N + 2.0 * s) / (N - 2.0 * s), 2.0 / (N - 2.0 * s)
+    psi_err = sum(map(_specfun_error, (digamma(c + s), digamma(m))))
+    lg_err = sum(map(_specfun_error, (ln_gamma(c + s), ln_gamma(m))))
+    log_c = math.log(C)
     rows, worst, budget = [], 0.0, 0.0
-    for r in r_samples:
-        (frac, e_frac), (slog, e_slog), (frac_ln, e_ln) = er.multiplier_at(N, unit, s, r)
-        t1 = C * slog
-        frac_v = cs.A_Ns * C * er.phi(r) ** (0.5 * (N + 2.0 * s))
-        t2 = math.log(v.evaluator(r)) * frac_v
-        # v ln v = C ln(C) phi^m + C m phi^m ln(phi)
-        t3 = C * math.log(C) * frac + C * m * frac_ln
-        rhs = mu * v.evaluator(r) ** pw
+    ts = [polar_cosine(r) for r in r_samples]
+    for r, t, ((e0, e0_err), (l0, l0_err), l0_mag) in zip(
+            r_samples, ts, _images(N, s, [Fraction(1)], ts)):
+        ph = 1.0 + t
+        ln_phi, v = math.log(ph), C * ph ** m
+        t1 = C * (l0 + ln_phi * e0)
+        t2 = math.log(v) * A * C * ph ** (c + s)
+        t3 = C * log_c * e0
+        rhs = mu * v ** pw
         res = t1 - k * (t2 + t3) - rhs
-        scale = max(abs(t1), abs(t2), abs(t3), abs(rhs), 1e-12)
+        scale = C * (l0_mag + abs(ln_phi * e0)) + k * (abs(t2) + abs(t3)) + abs(rhs)
         rel = abs(res) / scale
-        worst = max(worst, rel)
-        err = C * e_slog + k * (abs(C * math.log(C)) * e_frac + C * m * e_ln)
-        budget = max(budget, err / scale)
+        # the images' bounds; A_{N,s}, logarithms and powers to first order;
+        # mu's digammas, times C A_{N,s} phi^{c+s} = C e0
+        ulps = (16.0 + N * (1.0 + pw) + abs(log_c)) * _EPS + 2.0 * lg_err
+        err = C * (l0_err + abs(ln_phi) * e0_err + e0 * psi_err) + ulps * scale
+        worst, budget = max(worst, rel), max(budget, err / scale)
         rows.append({"r": r, "residual": res, "scale": scale, "rel_residual": rel})
     return AuditReport(
         name="euclid-yamabe-bubble",

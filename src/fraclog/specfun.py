@@ -9,11 +9,11 @@ functions add the domain checks.
 
 Each function takes floats or numpy arrays, as the scipy ufunc does: a
 float in gives a float out, an array gives an array, and an array with
-any entry outside the domain raises DomainError. A float argument is
-checked by one comparison whose result is tested with `is True` (an
-array comparison never is `True`), which keeps the scalar path within a
-few percent of a float-only check; quadrature integrands make millions
-of scalar calls.
+any entry outside the domain raises DomainError. A float or numpy scalar
+argument is checked by one comparison whose result is tested with
+`is True` or `is np.True_` (an array comparison is neither), which keeps
+the scalar path within a few percent of a float-only check; quadrature
+integrands make millions of scalar calls.
 
 The accuracy model lives in the tests: tests/test_specfun.py and
 acceptance criterion 10 audit every value against a 50-digit fixture
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy import special as _sp
 
 from .errors import require
@@ -37,7 +38,7 @@ EULER_GAMMA = 0.5772156649015328606
 
 def ln_gamma(x):
     """ln Gamma(x) for x > 0."""
-    if (x > 0.0) is True:
+    if (ok := x > 0.0) is True or ok is np.True_:
         return float(_sp.gammaln(x))
     require(x > 0.0, "ln_gamma requires x > 0", x)
     return _sp.gammaln(x)
@@ -45,7 +46,7 @@ def ln_gamma(x):
 
 def digamma(x):
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
-    if (x > 0.0) is True:
+    if (ok := x > 0.0) is True or ok is np.True_:
         return float(_sp.psi(x))
     require(x > 0.0, "digamma requires x > 0", x)
     return _sp.psi(x)
@@ -53,7 +54,7 @@ def digamma(x):
 
 def trigamma(x):
     """psi'(x) for x > 0; strictly positive and strictly decreasing."""
-    if (x > 0.0) is True:
+    if (ok := x > 0.0) is True or ok is np.True_:
         return float(_sp.polygamma(1, x))
     require(x > 0.0, "trigamma requires x > 0", x)
     return _sp.polygamma(1, x)
@@ -61,7 +62,7 @@ def trigamma(x):
 
 def ln_beta(a, b):
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), a, b > 0."""
-    if (a > 0.0) is True and (b > 0.0) is True:
+    if (ok := (a > 0.0) & (b > 0.0)) is True or ok is np.True_:
         return float(_sp.betaln(a, b))
     require((a > 0.0) & (b > 0.0), "ln_beta requires positive arguments", (a, b))
     return _sp.betaln(a, b)
@@ -74,7 +75,7 @@ def bessel_k(nu, x):
     value underflows to 0.0.
     """
     nu = abs(nu)
-    if (nu < math.inf) is True and (x > 0.0) is True:
+    if (ok := (nu < math.inf) & (x > 0.0)) is True or ok is np.True_:
         return float(_sp.kv(nu, x))
     require(nu < math.inf, "bessel_k requires a finite order", nu)  # nan fails too
     require(x > 0.0, "bessel_k requires x > 0", x)

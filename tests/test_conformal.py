@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fraclog import conformal, euclid_radial as er
 from fraclog.constants import Params, eval_constants
 from fraclog.errors import DomainError
 from fraclog.quadrature import Integrand, integrate
-from fraclog.spectral import ZonalExpansion, apply_spectral, zonal_eval, zonal_integral
+from fraclog.spectral import ZonalExpansion, multiplicities, zonal_eval, zonal_integral
 from fraclog.sphere_kernel import ZonalFunction
 
 
@@ -142,11 +143,16 @@ def test_intertwining_degree_one():
 
 
 def test_intertwining_broken_pipeline_guard():
-    # deleting the ln(phi) terms must NOT give a small residual
-    rep = conformal.intertwining_residual(Params(3, 0.4), ZonalExpansion(3, 0, (1.0,)),
-                                          [0.5, 1.0])
-    for row in rep.details["rows"]:
-        assert row["broken_rel_residual"] > 100.0 * max(row["rel_residual"], 1e-9)
+    # deleting the ln(phi) terms must NOT give a small residual; t1 alone
+    # comes from the independent numeric route
+    for N, s in ((1, 0.3), (3, 0.4)):
+        V = conformal.pullback_expansion(s, ZonalExpansion(N, 0, (1.0,)))
+        rep = conformal.intertwining_residual(Params(N, s), ZonalExpansion(N, 0, (1.0,)),
+                                              [0.5, 1.0])
+        for row in rep.details["rows"]:
+            t1, _ = er.inverse_at(N, er.apply_multiplier("fraclog", V.fourier, s), row["r"])
+            broken = abs(row["lhs"] - er.phi(row["r"]) ** (-2.0 * s) * t1) / abs(row["lhs"])
+            assert broken > 100.0 * max(row["rel_residual"], 1e-9), (N, row["r"])
 
 
 def test_intertwining_rejects_bad_dims():
@@ -222,75 +228,127 @@ def test_audits_use_the_closed_form_images(monkeypatch):
     conformal.intertwining_residual(Params(3, 0.4), ZonalExpansion(3, 1, (0.5, 1.0)), [0.0, 2.0])
 
 
-def _count_images(monkeypatch):
+def test_audits_build_image_polynomials_once(monkeypatch):
+    # Q and R are built once per audit call, not once per radius
     calls = []
-    image = er._phi_power_image
-
-    def counted(N, sigma, s, r):
-        calls.append((sigma, r))
-        return image(N, sigma, s, r)
-    monkeypatch.setattr(er, "_phi_power_image", counted)
-    return calls
-
-
-def _intertwining_rows_kind_by_kind(p, u, radii):
-    """The rows with one multiplier_at pass per image."""
-    N, s = p.N, p.s
-    v_terms = conformal.pullback_expansion(s, u).fourier.meta["phi_terms"]
-    slog_u = apply_spectral("P_slog", p, u)
-    rows = []
-    for r in radii:
-        lhs = er.phi(r) ** (0.5 * (N - 2.0 * s)) * zonal_eval(slog_u, conformal.polar_cosine(r))
-        t1 = er.multiplier_at(N, v_terms, s, r)[1][0]
-        t2 = er.multiplier_at(N, v_terms, s, r)[2][0]
-        t3 = math.log(er.phi(r)) * er.multiplier_at(N, v_terms, s, r)[0][0]
-        w = er.phi(r) ** (-2.0 * s)
-        scale = max(abs(lhs), abs(w * t1), abs(w * t2), abs(w * t3), 1e-12)
-        rhs = w * (t1 - t2 - t3)
-        rows.append({"r": r, "lhs": lhs, "rhs": rhs, "rel_residual": abs(lhs - rhs) / scale,
-                     "broken_rel_residual": abs(lhs - w * t1) / scale})
-    return rows
-
-
-def _yamabe_rows_kind_by_kind(p, C, radii):
-    N, s = p.N, p.s
-    m = 0.5 * (N - 2.0 * s)
-    v = er.bubble_profile(p, C)
-    unit = [er.PhiTerm(1.0, m)]
-    mu = conformal.bubble_mu(p, C)
-    rows = []
-    for r in radii:
-        t1 = er.multiplier_at(N, v.fourier.meta["phi_terms"], s, r)[1][0]
-        frac_v = eval_constants(p).A_Ns * C * er.phi(r) ** (0.5 * (N + 2.0 * s))
-        t2 = math.log(v.evaluator(r)) * frac_v
-        # v ln v = C ln(C) phi^m + C m phi^m ln(phi)
-        t3 = (C * math.log(C) * er.multiplier_at(N, unit, s, r)[0][0]
-              + C * m * er.multiplier_at(N, unit, s, r)[2][0])
-        rhs = mu * v.evaluator(r) ** ((N + 2.0 * s) / (N - 2.0 * s))
-        res = t1 - 2.0 / (N - 2.0 * s) * (t2 + t3) - rhs
-        scale = max(abs(t1), abs(t2), abs(t3), abs(rhs), 1e-12)
-        rows.append({"r": r, "residual": res, "scale": scale, "rel_residual": abs(res) / scale})
-    return rows
-
-
-def test_audits_make_one_series_pass_per_image(monkeypatch):
-    # each (power, r) is evaluated once per audit call, and the rows are
-    # bit-identical to one pass per image kind
+    build = conformal._image_polynomials
+    monkeypatch.setattr(conformal, "_image_polynomials",
+                        lambda *args: calls.append(args) or build(*args))
     radii = [0.0, 0.5, 1.0, 2.0]
-    p, u = Params(3, 0.3), ZonalExpansion(3, 8, tuple([0.0] * 8 + [1.0]))
-    want = _intertwining_rows_kind_by_kind(p, u, radii)
-    calls = _count_images(monkeypatch)
-    rep = conformal.intertwining_residual(p, u, radii)
-    assert len(calls) == 9 * len(radii) == len(set(calls))
-    assert rep.details["rows"] == want
-    assert rep.residual == max(row["rel_residual"] for row in want)
-    for C in (1.0, 1.7):
-        want = _yamabe_rows_kind_by_kind(Params(3, 0.4), C, radii)
-        calls.clear()
-        rep = conformal.yamabe_residual_euclid(Params(3, 0.4), C, radii)
-        assert len(calls) == len(radii)
-        assert rep.details["rows"] == want
-        assert rep.residual == max(row["rel_residual"] for row in want)
+    rep = conformal.intertwining_residual(Params(3, 0.3), ZonalExpansion(3, 8, (0.0,) * 8 + (1.0,)),
+                                          radii)
+    assert len(calls) == 1 and len(rep.details["rows"]) == len(radii)
+    conformal.log_intertwining_residual(3, ZonalExpansion(3, 2, (1.0, 0.5, 0.2)), radii)
+    conformal.yamabe_residual_euclid(Params(3, 0.4), 1.7, radii)
+    assert len(calls) == 3
+
+
+def _basis(N, d):
+    return ZonalExpansion(N, d, (0.0,) * d + (1.0,))
+
+
+def test_intertwining_sweep_grid_every_degree():
+    # the phi-power coefficients of T_s[Z_24] reach 2.3e12: every degree
+    # holds rounding level only because they cancel in exact arithmetic
+    radii = [0.0, 0.5, 1.0, 2.0, 5.0]
+    for N, s in itertools.product(range(1, 6), (0.05, 0.3, 0.9)):
+        if N <= 2.0 * s:
+            continue
+        for d in range(0, 25, 4):
+            rep = conformal.intertwining_residual(Params(N, s), _basis(N, d), radii)
+            budget = rep.details["error_budget"]
+            assert rep.residual <= 1e-12 and rep.residual <= budget <= 1e-11, (N, s, d)
+
+
+def test_log_intertwining_every_dimension():
+    # odd d at r = 1 sits on a node of u, where both sides vanish exactly
+    radii = [0.0, 0.5, 1.0, 2.0, 5.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for N, d in itertools.product(range(1, 6), range(25)):
+            assert conformal.log_intertwining_residual(N, _basis(N, d), radii) <= 1e-12, (N, d)
+        u = ZonalExpansion(2, 3, (1.0, -0.4, 0.25, 0.1))
+        assert conformal.log_intertwining_residual(2, u, [0.3, 1.0, 3.0]) <= 1e-12
+    with pytest.raises(DomainError):
+        conformal.log_intertwining_residual(3, _basis(2, 1), radii)
+
+
+def test_pullback_coefficients_round_once():
+    # each phi-power coefficient of T_s[Z_d] is within 2 ulp of its exact
+    # value sqrt(d_k/|S^N|) (-1)^d (-d)_i (d+N-1)_i / ((N/2)_i i! 2^i)
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        for N in range(1, 6):
+            area = 2 * mp.pi ** (mp.mpf(N + 1) / 2) / mp.gamma(mp.mpf(N + 1) / 2)
+            for d in range(25):
+                terms = conformal.pullback_expansion(0.3, _basis(N, d)).fourier.meta["phi_terms"]
+                assert len(terms) == d + 1
+                g = mp.sqrt(multiplicities(N, d)[d] / area) * (-1) ** d
+                for i, t in enumerate(terms):
+                    assert abs(t.coef - g) <= 2.0 * math.ulp(float(g)), (N, d, i)
+                    g *= mp.mpf((i - d) * (d + N - 1 + i)) / ((N + 2 * i) * (i + 1))
+
+
+def _dyda_mp(mp, N, power, s, r):
+    """(-Delta)^s phi^power at r by Dyda's formula, with its s- and power-derivatives."""
+    def E(a, t):
+        c, x = mp.mpf(N) / 2, mp.mpf(r)
+        return (2 ** (a + 2 * t) * mp.gamma(a + t) * mp.gamma(c + t) / (mp.gamma(a) * mp.gamma(c))
+                * (1 + x * x) ** (-a - t) * mp.hyp2f1(a + t, -t, c, x * x / (1 + x * x)))
+    a, t = mp.mpf(power), mp.mpf(s)
+    return E(a, t), mp.diff(lambda y: E(a, y), t), mp.diff(lambda y: E(y, t), a)
+
+
+def _unit(i):
+    return [Fraction(0)] * i + [Fraction(1)]
+
+
+def test_pullback_images_against_mpmath():
+    # (-Delta)^s phi^a and t1 - t2 - t3 = dE/ds - dE/da - ln(phi) E at the
+    # pullback powers a = N/2 - s + i against 40-digit mpmath (Dyda's
+    # formula, no Euler transformation); every estimate bounds its error
+    mp = pytest.importorskip("mpmath")
+    ts = [conformal.polar_cosine(r) for r in (0.0, 0.5, 2.0, 10.0, 100.0)]
+    for N, s, i in itertools.product(range(1, 6), (0.01, 0.3, 0.9), (0, 1, 4, 8)):
+        if N <= 2.0 * s:
+            continue
+        for t, ((E, e_err), (L, l_err), mag) in zip(ts, conformal._images(N, s, _unit(i), ts)):
+            with mp.workdps(40):
+                r = mp.sqrt((1 - mp.mpf(t)) / (1 + mp.mpf(t)))  # the radius of the float t
+                E_ref, dE_ds, dE_da = _dyda_mp(mp, N, mp.mpf(N) / 2 - mp.mpf(s) + i, s, r)
+                L_ref = float(dE_ds - dE_da - mp.log(1 + mp.mpf(t)) * E_ref)
+            assert abs(E - float(E_ref)) <= e_err, (N, s, i, t)
+            assert abs(L - L_ref) <= l_err <= 1e-12 * mag, (N, s, i, t)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_pullback_images_against_numeric_route(N):
+    # the terminating images against the independent QUADPACK inverse
+    # transform of the exact pair times the multiplier, within both estimates
+    s, radii = 0.3, (0.0, 0.5, 2.0)
+    u = ZonalExpansion(N, 2, (0.0, 0.0, 1.0))
+    V = conformal.pullback_expansion(s, u)
+    W = er.phi_poly_profile(N, [er.PhiTerm(t.coef, t.power, log_factor=True)
+                                for t in V.fourier.meta["phi_terms"]])
+    ts = [conformal.polar_cosine(r) for r in radii]
+    for r, ((E, e_err), (L, l_err), _) in zip(
+            radii, conformal._images(N, s, conformal._phi_coefficients(u), ts)):
+        (f, f_err), (t1, e1), (t2, e2) = (
+            er.inverse_at(N, er.apply_multiplier(kind, prof.fourier, s), r)
+            for kind, prof in (("frac", V), ("fraclog", V), ("frac", W)))
+        assert abs(E - f) <= e_err + f_err, (r, E, f)
+        t3 = math.log(er.phi(r)) * f
+        assert abs(L - (t1 - t2 - t3)) <= l_err + e1 + e2 + abs(math.log(er.phi(r))) * f_err, r
+
+
+def test_pullback_image_bubble_closed_form():
+    # (-Delta)^s v_{s,C} = A_{N,s} C phi^{(N+2s)/2} in every dimension
+    ts = [conformal.polar_cosine(r) for r in (0.0, 0.7, 1.0, 3.0, 50.0)]
+    for N, s in itertools.product(range(1, 6), (0.2, 0.45)):
+        A = eval_constants(Params(N, s)).A_Ns
+        for t, ((E, est), _, _) in zip(ts, conformal._images(N, s, [Fraction(1.7)], ts)):
+            expected = A * 1.7 * (1.0 + t) ** (0.5 * N + s)  # phi = 1 + t
+            assert abs(E - expected) <= est + 4e-16 * abs(expected), (N, s, t)
 
 
 def test_intertwining_error_budget_bounds_residual():

@@ -441,77 +441,3 @@ def test_phi_power_bessel_calls_per_ladder(monkeypatch):
         assert len(calls) == expected
         prof.fourier.evaluator(0.7)  # memoised
         assert len(calls) == expected
-
-
-def _dyda_mp(mp, N, power, s, r):
-    """(-Delta)^s phi^power at r by Dyda's formula, with its s- and power-derivatives."""
-    def E(a, t):
-        c, x = mp.mpf(N) / 2, mp.mpf(r)
-        return (2 ** (a + 2 * t) * mp.gamma(a + t) * mp.gamma(c + t) / (mp.gamma(a) * mp.gamma(c))
-                * (1 + x * x) ** (-a - t) * mp.hyp2f1(a + t, -t, c, x * x / (1 + x * x)))
-    a, t = mp.mpf(power), mp.mpf(s)
-    return E(a, t), mp.diff(lambda y: E(a, y), t), mp.diff(lambda y: E(y, t), a)
-
-
-def test_multiplier_at_against_mpmath():
-    # value, d/ds and d/dpower of (-Delta)^s phi^power against 40-digit
-    # mpmath: pullback powers (N - 2s)/2 + i and two generic ones, on both
-    # sides of the 1 - w switch at r = 1; every estimate bounds its error
-    mp = pytest.importorskip("mpmath")
-    worst = 0.0
-    for N, s in itertools.product(range(1, 6), (0.01, 0.3, 0.9)):
-        m = 0.5 * (N - 2.0 * s)
-        powers = [m + i for i in (0, 1, 4, 8) if m + i > 0.0] + [0.37, 2.71]
-        for power, r in itertools.product(powers, (0.0, 0.5, 2.0, 10.0, 100.0)):
-            with mp.workdps(40):
-                refs = [float(x) for x in _dyda_mp(mp, N, power, s, r)]
-            scale = max(map(abs, refs))
-            for (val, est), ref in zip(er.multiplier_at(N, [er.PhiTerm(1.0, power)], s, r),
-                                       refs):
-                assert abs(val - ref) <= est, (N, s, power, r, val, ref, est)
-                assert est <= 1e-9 * scale, (N, s, power, r, est, scale)
-                worst = max(worst, abs(val - ref) / scale)
-    assert worst < 2e-11, worst
-
-
-@pytest.mark.parametrize("N", [1, 3])
-def test_multiplier_at_against_numeric_route(N):
-    # the closed form against the independent QUADPACK inverse transform of
-    # the exact pair times the multiplier, within the two estimates; the
-    # log-factor twin W of V is checked as the frac_lnphi image of V's terms
-    s = 0.3
-    V, W = _pullback_pair(N, s, 2)
-    bubble = er.bubble_profile(Params(N, s), 1.7)
-    cases = [(V, V, "frac", 0), (V, V, "fraclog", 1), (V, W, "frac", 2),
-             (bubble, bubble, "fraclog", 1)]
-    for prof, numeric, kind, image in cases:
-        terms = prof.fourier.meta["phi_terms"]
-        for r in (0.0, 0.5, 2.0):
-            val, est = er.multiplier_at(N, terms, s, r)[image]
-            num, num_est = er.inverse_at(N, er.apply_multiplier(kind, numeric.fourier, s), r)
-            assert abs(val - num) <= est + num_est, (kind, r, val, num, est, num_est)
-
-
-def test_multiplier_at_bubble_closed_form():
-    # (-Delta)^s v_{s,C} = A_{N,s} C phi^{(N+2s)/2} in every dimension
-    for N, s in itertools.product(range(1, 6), (0.2, 0.45)):
-        p, C = Params(N, s), 1.7
-        terms = er.bubble_profile(p, C).fourier.meta["phi_terms"]
-        for r in (0.0, 0.7, 1.0, 3.0, 50.0):
-            val, est = er.multiplier_at(N, terms, s, r)[0]
-            expected = eval_constants(p).A_Ns * C * er.phi(r) ** (0.5 * N + s)
-            assert abs(val - expected) <= est + 4e-16 * abs(expected), (N, s, r)
-
-
-def test_multiplier_at_domain():
-    T = er.PhiTerm
-    # a log-factor term has no separate route: it is the frac_lnphi image
-    with pytest.raises(DomainError):
-        er.multiplier_at(3, [T(1.0, 0.7), T(1.0, 1.2, True)], 0.3, 1.0)
-    for s, r in ((0.0, 1.0), (1.0, 1.0), (0.3, -1.0)):
-        with pytest.raises(DomainError):
-            er.multiplier_at(3, [T(1.0, 1.2)], s, r)
-    # N/2 - power an integer: the 1 - w connection degenerates beyond r = 1
-    er.multiplier_at(3, [T(1.0, 2.5)], 0.3, 0.5)
-    with pytest.raises(DomainError):
-        er.multiplier_at(3, [T(1.0, 2.5)], 0.3, 2.0)

@@ -1,9 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fraclog import specfun
 from fraclog.errors import DomainError
 from fraclog.fixtures_io import load_fixture
 from fraclog.specfun import (EULER_GAMMA, bessel_k, digamma, ln_beta, ln_gamma,
@@ -142,3 +144,15 @@ def test_domain_errors():
             bessel_k(bad_order, 1.0)
     with pytest.raises(DomainError):
         ln_beta(1.0, -2.0)
+
+
+def test_numpy_scalars_take_the_float_path(monkeypatch):
+    # np.float64(x) > 0.0 is np.True_, not True: numpy scalars must not fall
+    # through to the array path and its domain check
+    def no_require(*args):
+        raise AssertionError("array path taken")
+    monkeypatch.setattr(specfun, "require", no_require)
+    for fn, args in ((ln_gamma, (2.5,)), (digamma, (0.7,)), (trigamma, (3.0,)),
+                     (ln_beta, (0.5, 1.5)), (bessel_k, (0.3, 1.2))):
+        v = fn(*map(np.float64, args))
+        assert type(v) is float and v == fn(*args), fn.__name__
