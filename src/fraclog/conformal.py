@@ -55,10 +55,11 @@ Audits implemented here:
   factor eta reduces to eta^{-s}[phi^{s+ln} - ln(eta) phi_s] acting
   spectrally, and degenerates to the logarithmic law as s -> 0.
 
-The intertwining and Yamabe audits report details["error_budget"], a
-first-order bound on their residual from the rounding of both routes
-(specfun values within 8 ulp, 1e-14 absolute floor), relative to the
-magnitude of the terms the routes form, the residual's scale.
+The two intertwining audits and the Euclidean Yamabe audit report
+details["error_budget"], a first-order bound on their residual from the
+rounding of both routes (specfun values within 8 ulp, 1e-14 absolute
+floor), relative to the magnitude of the terms the routes form, the
+residual's scale.
 """
 
 from __future__ import annotations
@@ -167,16 +168,13 @@ def pullback_inverse(s: float, v: er.RadialProfile, N: int) -> ZonalFunction:
     return ZonalFunction(N, profile)
 
 
-def _weighted_log_phi_mean(u: spectral.ZonalExpansion, power: float = 2.0) -> float:
-    """int (|u|^power / ||u||_power^power) ln(phi circ sigma) dV on the sphere."""
-    N = u.N
-    mass = spectral.zonal_integral(N, lambda t: abs(spectral.zonal_eval(u, t)) ** power)
-    num = spectral.zonal_integral(
-        N, lambda t: abs(spectral.zonal_eval(u, t)) ** power * math.log1p(t))
-    return num / mass
+def _weighted_log_phi_mean(u: spectral.ZonalExpansion) -> float:
+    """int (|u|^2 / ||u||_2^2) ln(phi circ sigma) dV on the sphere, ||u||_2 by Parseval."""
+    num = spectral.zonal_integral(u.N, lambda t: spectral.zonal_eval(u, t) ** 2 * math.log1p(t))
+    return num / u.norm_sq()
 
 
-def confcore_checks(u: spectral.ZonalExpansion, N: int, tol: float = 1e-5) -> AuditReport:
+def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     """Audit the three endpoint-pullback transfer laws for v = T_0[u]."""
     if u.N != N:
         raise DomainError("expansion dimension mismatch")
@@ -194,8 +192,8 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int, tol: float = 1e-5) -> Au
     # (ii) entropy transfer
     zeros = _sign_changes(u)
     ent_euclid = er.entropy(2.0, v, N, breaks=[radius_of_cosine(t) for t in zeros]).value
-    ent_sphere = _sphere_entropy(u, power=2.0, breaks=zeros)
-    logphi_mean = _weighted_log_phi_mean(u, power=2.0)
+    ent_sphere = _sphere_entropy(u, zeros)
+    logphi_mean = _weighted_log_phi_mean(u)
     res_entropy = ent_euclid - (ent_sphere + N * logphi_mean)
 
     # (iii) logarithmic energy transfer
@@ -207,7 +205,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int, tol: float = 1e-5) -> Au
     return AuditReport(
         name="endpoint-pullback-transfer",
         lhs=ent_euclid, rhs=ent_sphere + N * logphi_mean,
-        residual=worst, tolerance=tol, passed=worst <= tol,
+        residual=worst, tolerance=1e-5, passed=worst <= 1e-5,
         inputs={"N": N, "coeffs": list(u.coeffs)},
         details={"norm_residual": res_norm, "entropy_residual": res_entropy,
                  "log_energy_residual": res_logenergy,
@@ -215,22 +213,20 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int, tol: float = 1e-5) -> Au
     )
 
 
-def _sphere_entropy(u: spectral.ZonalExpansion, power: float,
-                    breaks: Sequence[float] = ()) -> float:
-    """int (|u|^p/||u||_p^p) ln(|u|^p/||u||_p^p) dV over the sphere.
+def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> float:
+    """int (|u|^2/||u||_2^2) ln(|u|^2/||u||_2^2) dV over the sphere, ||u||_2 by Parseval.
 
     `breaks` are the polar cosines where u changes sign (_sign_changes).
     """
-    N = u.N
-    mass = spectral.zonal_integral(N, lambda t: abs(spectral.zonal_eval(u, t)) ** power)
+    mass = u.norm_sq()
 
     def num(t):
-        a = abs(spectral.zonal_eval(u, t))
+        a = spectral.zonal_eval(u, t) ** 2
         if a == 0.0:
             return 0.0
-        return a ** power * power * math.log(a)
+        return a * math.log(a)
 
-    e = spectral.zonal_integral(N, num, breaks=breaks)
+    e = spectral.zonal_integral(u.N, num, breaks=breaks)
     return e / mass - math.log(mass)
 
 
@@ -337,11 +333,15 @@ def _images(N: int, s: float, c_phi: list[Fraction],
     return out
 
 
-def _log_law_rows(s: float, u: spectral.ZonalExpansion, sym_u: spectral.ZonalExpansion,
-                  r_samples: Sequence[float]) -> tuple[list[dict], float, float]:
-    """Rows of T_s[P u] (sym_u = P u) against phi^{-2s} (t1 - t2 - t3), 0 <= s < 1,
-    each on the scale max(|lhs|, phi^{-2s} times that of _images), with the
-    largest relative residual and error bound."""
+def _log_law_audit(name: str, s: float, u: spectral.ZonalExpansion,
+                   sym_u: spectral.ZonalExpansion, r_samples: Sequence[float],
+                   inputs: dict) -> AuditReport:
+    """T_s[P u] (sym_u = P u) against phi^{-2s} (t1 - t2 - t3), 0 <= s < 1.
+
+    Each row is on the scale max(|lhs|, phi^{-2s} times that of _images);
+    the residual is the largest relative one, details["error_budget"] the
+    largest relative error bound.
+    """
     N, m = u.N, 0.5 * u.N - s
     sym_err = [(k, abs(a) * _symbol_error(N, s, k)) for k, a in enumerate(u.coeffs) if a]
     rows, worst, budget = [], 0.0, 0.0
@@ -356,29 +356,29 @@ def _log_law_rows(s: float, u: spectral.ZonalExpansion, sym_u: spectral.ZonalExp
         rel = abs(lhs - rhs) / scale
         worst, budget = max(worst, rel), max(budget, err / scale)
         rows.append({"r": r, "lhs": lhs, "rhs": rhs, "rel_residual": rel})
-    return rows, worst, budget
+    return AuditReport(
+        name=name, lhs=rows[0]["lhs"], rhs=rows[0]["rhs"], residual=worst,
+        tolerance=1e-4, passed=worst <= 1e-4,
+        inputs=dict(inputs, r_samples=list(r_samples)),
+        details={"rows": rows, "error_budget": budget},
+    )
 
 
 def intertwining_residual(p: Params, u: spectral.ZonalExpansion,
                           r_samples: Sequence[float]) -> AuditReport:
     """Spectral route vs terminating closed-form images for T_s[P^{s+ln} u]."""
-    N, s = p.N, p.s
-    rows, worst, budget = _log_law_rows(s, u, spectral.apply_spectral("P_slog", p, u), r_samples)
-    return AuditReport(
-        name="fractional-log-intertwining",
-        lhs=rows[0]["lhs"], rhs=rows[0]["rhs"], residual=worst,
-        tolerance=1e-4, passed=worst <= 1e-4,
-        inputs={"N": N, "s": s, "r_samples": list(r_samples)},
-        details={"rows": rows, "error_budget": budget},
-    )
+    return _log_law_audit("fractional-log-intertwining", p.s, u,
+                          spectral.apply_spectral("P_slog", p, u), r_samples,
+                          {"N": p.N, "s": p.s})
 
 
 def log_intertwining_residual(N: int, u: spectral.ZonalExpansion,
-                              r_samples: Sequence[float]) -> float:
-    """Max relative residual of T_0[P^ln u] = (-Delta)^ln V - 2 (ln phi) V."""
+                              r_samples: Sequence[float]) -> AuditReport:
+    """T_0[P^ln u] = (-Delta)^ln V - 2 (ln phi) V, the s = 0 endpoint of the law."""
     if u.N != N:
         raise DomainError("expansion dimension mismatch")
-    return _log_law_rows(0.0, u, spectral.apply_spectral("P_log", None, u), r_samples)[1]
+    return _log_law_audit("logarithmic-intertwining", 0.0, u,
+                          spectral.apply_spectral("P_log", None, u), r_samples, {"N": N})
 
 
 def yamabe_residual_sphere(p: Params, C: float) -> AuditReport:
@@ -394,8 +394,7 @@ def yamabe_residual_sphere(p: Params, C: float) -> AuditReport:
                           details={"mu": mu}, relative=True)
 
 
-def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float],
-                           mu_scale: float = 1.0) -> AuditReport:
+def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float]) -> AuditReport:
     """Bubble residual of the Euclidean Yamabe-type equation at sample radii.
 
     (-Delta)^{s+ln} v - k [(ln v)(-Delta)^s v + (-Delta)^s(v ln v)] = mu v^pw,
@@ -403,11 +402,11 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float],
     (constants route), and v is C times the i = 0 pullback term phi^m. As k m = 1,
     (-Delta)^s(C m phi^m ln phi) cancels the a-derivative in the first image,
     leaving C (t1 - t2 - t3 + (ln phi) E_0) of _images for phi^m, which is
-    C (psi(c+s) + psi(c-s) + ln phi) E_0. mu_scale != 1 perturbs mu for tests.
+    C (psi(c+s) + psi(c-s) + ln phi) E_0.
     """
     N, s, c = p.N, p.s, 0.5 * p.N
     m, A = c - s, eval_constants(p).A_Ns
-    mu = bubble_mu(p, C) * mu_scale
+    mu = bubble_mu(p, C)
     pw, k = (N + 2.0 * s) / (N - 2.0 * s), 2.0 / (N - 2.0 * s)
     psi_err = sum(map(_specfun_error, (digamma(c + s), digamma(m))))
     lg_err = sum(map(_specfun_error, (ln_gamma(c + s), ln_gamma(m))))
@@ -435,7 +434,7 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float],
         name="euclid-yamabe-bubble",
         lhs=rows[0]["residual"], rhs=0.0, residual=worst,
         tolerance=1e-4, passed=worst <= 1e-4,
-        inputs={"N": N, "s": s, "C": C, "mu_scale": mu_scale},
+        inputs={"N": N, "s": s, "C": C},
         details={"mu": mu, "rows": rows, "error_budget": budget},
     )
 

@@ -29,7 +29,7 @@ shifting every margin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Sequence
 
@@ -41,6 +41,7 @@ from .constants import (Params, B_N, C_N, a_N, c_N, A_N, bessel_bubble_coeff,
 from .errors import DivergentIntegralError, DomainError, SelfTestError
 from .quadrature import Integrand, integrate
 from .specfun import digamma, ln_beta, ln_gamma
+from . import conformal
 from . import euclid_radial as er
 from . import spectral
 
@@ -51,11 +52,10 @@ class DeficitCurve:
     s_grid: tuple
     F_values: tuple
     Fprime_fd: tuple  # central differences; NaN at both ends
-    F_errors: tuple = field(default=())
+    F_errors: tuple
 
     def as_rows(self):
-        for s, F, Fp, e in zip(self.s_grid, self.F_values, self.Fprime_fd,
-                               self.F_errors or [math.nan] * len(self.s_grid)):
+        for s, F, Fp, e in zip(self.s_grid, self.F_values, self.Fprime_fd, self.F_errors):
             yield {"s": s, "F": F, "Fprime_fd": Fp, "F_error": e}
 
 
@@ -145,22 +145,19 @@ def _frozen_bubble_deficit(p0: Params, s_grid: Sequence[float]) -> DeficitCurve:
     return _deficit_curve("bubble", s_grid, Fs, errs)
 
 
-def sharp_fraclog_identity(p: Params, tol_scale: float = 1.0) -> AuditReport:
+def sharp_fraclog_identity(p: Params) -> AuditReport:
     """Extremal identity at order s: entropy side vs kappa-weighted energies.
 
     The left side uses Beta closed forms; the two right-side energies run
-    through K_s quadrature, so the routes are independent. tol_scale
-    rescales the quadrature tolerances (stability probes).
+    through K_s quadrature, so the routes are independent.
     """
     N, s = p.N, p.s
     cs = eval_constants(p)
     u = er.talenti_bubble(p)
     lp2 = er.bubble_lp_sq(p)
     lhs = (2.0 / N) * er.bubble_entropy(N)
-    e_frac = er.energy("frac", u.fourier, N, s,
-                       abs_tol=1e-11 * tol_scale, rel_tol=1e-10 * tol_scale)
-    e_flog = er.energy("fraclog", u.fourier, N, s,
-                       abs_tol=1e-11 * tol_scale, rel_tol=1e-10 * tol_scale)
+    e_frac = er.energy("frac", u.fourier, N, s)
+    e_flog = er.energy("fraclog", u.fourier, N, s)
     rhs = cs.kappaprime_Ns * e_frac.value / lp2 + cs.kappa_Ns * e_flog.value / lp2
     err = (abs(cs.kappaprime_Ns) * e_frac.abs_error_estimate
            + abs(cs.kappa_Ns) * e_flog.abs_error_estimate) / lp2
@@ -301,11 +298,10 @@ def _entropy_halfln(f: er.RadialProfile, N: int) -> float:
     return sphere_area_equator(N) * res.value
 
 
-def _check_normalized(f: er.RadialProfile, N: int) -> float:
+def _check_normalized(f: er.RadialProfile, N: int) -> None:
     plancherel = er.energy("frac", f.fourier, N, 0.0).value
     if abs(plancherel - 1.0) > 1e-7:
         raise DomainError(f"profile must satisfy ||f||_2 = 1, got ||f||_2^2 = {plancherel}")
-    return plancherel
 
 
 def beckner_fraclog_check(N: int, s: float, f_choice: str) -> AuditReport:
@@ -397,8 +393,9 @@ def beckner_sphere_equivalence(N: int, u: spectral.ZonalExpansion) -> AuditRepor
     """Spherical Beckner deficit for zonal u; zero exactly at constants.
 
     DoubleEnergy = (2/c_N)[<u, P^ln u> - A_N ||u||^2] is assembled
-    spectrally; the entropy side integrates |u|^2 ln(|u|^2 |S^N|/||u||^2)
-    over the sphere. Deficit = DoubleEnergy - C_N * entropy >= 0.
+    spectrally; the entropy side is ||u||^2 (Ent_2(u) + ln|S^N|) =
+    int |u|^2 ln(|u|^2 |S^N|/||u||^2) over the sphere, with Ent_2 split at
+    the sign changes of u. Deficit = DoubleEnergy - C_N * entropy >= 0.
     """
     if u.degree_max > 16:
         raise DomainError("degree must not exceed 16")
@@ -408,14 +405,8 @@ def beckner_sphere_equivalence(N: int, u: spectral.ZonalExpansion) -> AuditRepor
     e_log = spectral.spectral_energy("P_log", None, u)
     double_energy = 2.0 / c_N(N) * (e_log - A_N(N) * norm2)
 
-    def ent_integrand(t):
-        a = spectral.zonal_eval(u, t) ** 2
-        if a == 0.0:
-            return 0.0
-        return a * math.log(a)
-
-    ent_raw = spectral.zonal_integral(N, ent_integrand)
-    entropy_side = ent_raw + norm2 * (math.log(sphere_area(N)) - math.log(norm2))
+    ent = conformal._sphere_entropy(u, conformal._sign_changes(u))
+    entropy_side = norm2 * (ent + math.log(sphere_area(N)))
     deficit = double_energy - C_N(N) * entropy_side
     cn_consistency = abs(C_N(N) - (4.0 / N) / c_N(N)) / C_N(N)
     return AuditReport(

@@ -2,14 +2,14 @@
 
 The heavy lifting is QUADPACK (scipy.integrate.quad: adaptive
 Gauss–Kronrod panels with epsilon-algorithm extrapolation, which also
-takes integrable endpoint singularities). This module adds the contract
-layer the rest of the package relies on:
+takes integrable endpoint singularities). This module is the only one
+that calls it, and adds the contract layer the rest of the package
+relies on:
 
-* semi-infinite domains use the map r = t/(1-t) by default, or, when the
-  integrand supplies an explicit tail bound (exponentially decaying
-  integrands such as K_nu^2), truncation at the radius where the tail
-  bound drops below abs_tol/10 - the bound is then added to the error
-  estimate;
+* a semi-infinite domain (a, inf) is mapped to [0, 1] by r = a + t/(1-t);
+* an integrand with a Fourier weight (cos or sin, omega) is integrated
+  against cos(omega r) or sin(omega r) by QUADPACK's Fourier rules: QAWO
+  on a finite domain, QAWF on (a, inf);
 * results always carry an error estimate and the evaluation count, and
   a result whose estimate misses the requested tolerance raises instead
   of returning silently.
@@ -29,15 +29,18 @@ from scipy.optimize import brentq as _brentq
 from .errors import BracketError, DomainError, NonConvergedError
 
 _INF = math.inf
+_QUAD_LIMIT = 400  # adaptive subdivisions per QUADPACK call
+_QUAD_LIMLST = 120  # QAWF cycles of a Fourier tail (QAWO ignores it)
+_ROOT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
 class Integrand:
     evaluator: Callable[[float], float]
-    domain: tuple  # (a, b) finite, or (0, inf)
-    #: optional bound on | int_R^inf f |, enables truncation on (0, inf)
-    tail_bound: Optional[Callable[[float], float]] = None
+    domain: tuple  # (a, b) finite, or (a, inf)
     name: str = ""
+    #: ("cos" | "sin", omega): integrate evaluator(r) * cos|sin(omega r)
+    weight: Optional[tuple] = None
 
 
 @dataclass(frozen=True)
@@ -54,51 +57,27 @@ class RootResult:
     residual: float
 
 
-_QUAD_LIMIT = 400
-
-
-def _quad_raw(f, a, b, abs_tol, rel_tol, limit=_QUAD_LIMIT):
-    value, err, info = _quad(f, a, b, epsabs=abs_tol, epsrel=rel_tol,
-                             limit=limit, full_output=True)[:3]
-    return value, err, int(info["neval"])
-
-
-def _quad_limit(limit):
-    return _QUAD_LIMIT if limit is None else int(limit)
-
-
-def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
-              limit: int | None = None) -> QuadResult:
+def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> QuadResult:
     """Integrate `f` over its domain to the requested tolerance.
 
-    `limit` caps the number of adaptive subdivisions (default 400).
     Raises NonConvergedError (carrying the best estimate) when the error
-    estimate exceeds max(abs_tol, rel_tol*|value|).
+    estimate exceeds max(abs_tol, rel_tol*|value|). QAWF, on a weighted
+    (a, inf), works to abs_tol alone.
     """
     if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise DomainError("tolerances must be positive")
     a, b = f.domain
-    lim = _quad_limit(limit)
-
-    if b == _INF:
-        if a != 0.0:
-            raise DomainError("semi-infinite domain must be (0, inf)")
-        if f.tail_bound is not None:
-            r_max, tail = 1.0, f.tail_bound(1.0)
-            while tail > abs_tol / 10.0 and r_max < 1e12:
-                r_max *= 2.0
-                tail = f.tail_bound(r_max)
-            value, err, neval = _quad_raw(f.evaluator, 0.0, r_max, abs_tol, rel_tol, lim)
-            err += tail
-        else:
-            def g(t):
-                if t >= 1.0:
-                    return 0.0
-                r = t / (1.0 - t)
-                return f.evaluator(r) / (1.0 - t) ** 2
-            value, err, neval = _quad_raw(g, 0.0, 1.0, abs_tol, rel_tol, lim)
-    else:
-        value, err, neval = _quad_raw(f.evaluator, a, b, abs_tol, rel_tol, lim)
+    fn, opts = f.evaluator, {}
+    if f.weight is not None:
+        opts = {"weight": f.weight[0], "wvar": f.weight[1], "limlst": _QUAD_LIMLST}
+    elif b == _INF:
+        def fn(t, a=a):  # a as given, before the domain becomes [0, 1]
+            if t >= 1.0:
+                return 0.0
+            return f.evaluator(a + t / (1.0 - t)) / (1.0 - t) ** 2
+        a, b = 0.0, 1.0
+    value, err, info = _quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_QUAD_LIMIT,
+                             full_output=True, **opts)[:3]
 
     if err > max(abs_tol, rel_tol * abs(value)) * 50.0:
         raise NonConvergedError(
@@ -106,11 +85,10 @@ def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9,
             f"(abs {abs_tol:.1e}, rel {rel_tol:.1e}) for integrand {f.name!r}",
             value=value, error_estimate=err,
         )
-    return QuadResult(value, err, neval)
+    return QuadResult(value, err, int(info["neval"]))
 
 
-def find_root(g: Callable[[float], float], bracket: tuple, tol: float = 1e-12,
-              max_iter: int = 200) -> RootResult:
+def find_root(g: Callable[[float], float], bracket: tuple, tol: float = 1e-12) -> RootResult:
     """Bracketed root of a continuous scalar function (Brent's method)."""
     a, b = bracket
     if not a < b:
@@ -123,10 +101,10 @@ def find_root(g: Callable[[float], float], bracket: tuple, tol: float = 1e-12,
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(f"no sign change on ({a}, {b}): g={fa:.3e}, {fb:.3e}")
     try:
-        root, res = _brentq(g, a, b, xtol=tol, rtol=8.9e-16, maxiter=max_iter,
+        root, res = _brentq(g, a, b, xtol=tol, rtol=8.9e-16, maxiter=_ROOT_MAX_ITER,
                             full_output=True)
     except RuntimeError as exc:  # scipy signals maxiter this way
-        raise NonConvergedError(f"root search exceeded {max_iter} iterations") from exc
+        raise NonConvergedError(f"root search exceeded {_ROOT_MAX_ITER} iterations") from exc
     if not res.converged:
         raise NonConvergedError(f"root search did not converge on ({a}, {b})")
     return RootResult(float(root), (a, b), float(g(root)))

@@ -237,8 +237,7 @@ def zonal_basis_eval(N: int, k: int, t):
     return zonal_eval(ZonalExpansion(N, k, (0.0,) * k + (1.0,)), t)
 
 
-def zonal_integral(N: int, fn, abs_tol: float = 1e-12, rel_tol: float = 1e-11,
-                   breaks: Sequence[float] = ()) -> float:
+def zonal_integral(N: int, fn, breaks: Sequence[float] = ()) -> float:
     """int_{S^N} fn(t) dV for a zonal integrand, t the polar cosine.
 
     `breaks` are polar cosines where fn is not smooth; the polar angle is
@@ -250,7 +249,7 @@ def zonal_integral(N: int, fn, abs_tol: float = 1e-12, rel_tol: float = 1e-11,
 
     edges = [0.0, *sorted(math.acos(t) for t in breaks if -1.0 < t < 1.0), math.pi]
     total = math.fsum(integrate(Integrand(g, (a, b), name="zonal-integral"),
-                                abs_tol=abs_tol, rel_tol=rel_tol).value
+                                abs_tol=1e-12, rel_tol=1e-11).value
                       for a, b in zip(edges, edges[1:]))
     return sphere_area_equator(N) * total
 
