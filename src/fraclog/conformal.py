@@ -42,7 +42,8 @@ Audits implemented here:
 
 * confcore_checks: the endpoint pullback T_0 preserves the L^2 norm,
   shifts the entropy by N * <ln phi> and the logarithmic energy by
-  2 * <ln phi> (density-weighted means);
+  2 * <ln phi> (density-weighted means); the Euclidean log energy is the
+  closed form of V's Bessel-K pair (euclid_radial.pair_energy);
 * intertwining_residual: T_s[P^{s+ln} u] (spectral route) against
   phi^{-2s} [ (-Delta)^{s+ln} V - (-Delta)^s((ln phi) V)
   - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
@@ -197,7 +198,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     res_entropy = ent_euclid - (ent_sphere + N * logphi_mean)
 
     # (iii) logarithmic energy transfer
-    e_euclid = er.energy("log", v.fourier, N).value / norm_euclid
+    e_euclid = er.pair_energy("log", v.fourier, N).value / norm_euclid
     e_sphere = spectral.spectral_energy("P_log", None, u) / norm_sphere
     res_logenergy = e_euclid - (e_sphere + 2.0 * logphi_mean)
 

@@ -46,28 +46,40 @@ transform, the intertwining identity (N = 3, s = 0.3) erred by 8.9e-10
 at d = 8 and 2.8e-8 at d = 12, against 4.6e-6 and 4.3e-4 with a
 two-point difference per term. Each profile memoises its transform in
 an LRU cache of _MEMO_SIZE values, since QUADPACK revisits nodes:
-sharp_fraclog_identity integrates one bubble's density under two
-multipliers, and beckner_fraclog_check one density under two more.
-Over the radial benchmark tasks (seeds 1-3) an unbounded cache keeps
-55582 repeats, 23634 of them sharp_fraclog_identity's and 22230
-beckner_fraclog_check's; caches of 4096 and 768 values keep all but 2
-of moment_check's, 512 loses 2865 of sharp_fraclog_identity's and 384
-over half of all repeats (failure_demo builds no profile: its curve is
-a closed form). Failures are not cached, so rho <= 0 raises DomainError
-on every call.
+sobolev_deficit integrates one density at every order of its grid, and
+the quadrature route of an energy meets the same nodes under each
+multiplier. The audits take their energies in closed form (pair_energy
+below) and evaluate no transform. Failures are not cached, so rho <= 0
+raises DomainError on every call.
 
 Closed-form multiplier images of pullbacks, phi-powers N/2 - s + i at which
 Dyda's formula (FCAA 15, 2012) terminates after Euler's transformation
 (DLMF 15.8.1), live in conformal; the numeric transforms here, with
 apply_multiplier, are their independent route at N in {1, 3}.
 
-Closed-form radial integrals used as oracles and for bubble norms:
+Closed-form radial integrals used as oracles, for bubble norms and for
+the energies of exact pairs:
 
     int_0^inf r^{N-1} (1+r^2)^{-beta} dr           = B(N/2, beta-N/2)/2
     int_0^inf r^{N-1} (1+r^2)^{-beta} ln(1+r^2) dr =
         B(N/2, beta-N/2) [psi(beta) - psi(beta-N/2)] / 2
     int_0^inf t^{a-1} K_nu(t)^2 dt =
         sqrt(pi) Gamma(a/2) Gamma(a/2+nu) Gamma(a/2-nu) / (4 Gamma((a+1)/2))
+    H_ij = int_0^inf rho^{beta-1} f_{nu_i} f_{nu_j} drho                (GR 6.576.4)
+         = 2^{beta+nu_i+nu_j-3} Gamma(beta/2+nu_i+nu_j) Gamma(beta/2+nu_i)
+           Gamma(beta/2+nu_j) Gamma(beta/2) / Gamma(beta+nu_i+nu_j)
+
+The last reduces to the K^2 moment at nu_i = nu_j (Legendre duplication).
+pair_energy sums it over the rungs (nu_i, w_i) of a plain phi-power
+pair, sum_i w_i f_{nu_i}, with beta = N + 2s for rho^{2s} (N for ln rho^2);
+a ln rho^2 factor is 2 d/dbeta, the digamma sum
+2 ln 2 + psi(beta/2+nu_i+nu_j) + psi(beta/2+nu_i) + psi(beta/2+nu_j)
++ psi(beta/2) - 2 psi(beta+nu_i+nu_j). A Gaussian pair A exp(-sigma^2 rho^2/2)
+gives A^2 Gamma(beta/2) / (2 sigma^beta). Its estimate is a first-order
+rounding bound over the pair sum's magnitudes, evaluations = 0. energy is
+the quadrature route to the same numbers, for any density (apply_multiplier
+products included); sobolev_deficit, the Beckner convention self-test and
+the tests use it as the independent second route.
 """
 
 from __future__ import annotations
@@ -81,7 +93,7 @@ from typing import Callable, Optional, Sequence
 # not called here; perfbench/tracer.py looks this name up to count quad evaluations
 from scipy.integrate import quad as _quad
 
-from .constants import Params, bessel_bubble_coeff, sphere_area_equator
+from .constants import LN2, LN_PI, Params, bessel_bubble_coeff, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError
 from .quadrature import Integrand, QuadResult, integrate
 from .specfun import bessel_k, digamma, ln_beta, ln_gamma
@@ -95,8 +107,9 @@ _HEAD_U = 64.0  # energies take rho in [e^{-64}, 1] as u = -ln rho
 #: relative rounding of a density value: scipy's K_nu errs by up to 7.4e-14
 #: near x = 2 (bubble densities, N = 1..5, against 30-digit mpmath)
 _DENSITY_REL = 1e-13
-_MEMO_SIZE = 4096  # transform values kept per profile; 768 keeps as many measured repeats
+_MEMO_SIZE = 4096  # transform values kept per profile
 _TRANSFORM_TOL = 1.49e-8  # absolute and relative tolerance of a numeric transform point
+_PAIR_ROUNDINGS = 8.0  # roundings of one closed-form pair term beyond its exponent's magnitudes
 
 
 def p_of_s(N: int, s: float) -> float:
@@ -291,8 +304,10 @@ def gaussian_profile(N: int, sigma: float = 1.0, amplitude: float = 1.0) -> Radi
         raise DomainError("sigma must be positive")
 
     ev = lambda r: amplitude * math.exp(-0.5 * (r / sigma) ** 2)
-    ev_hat = lambda rho: amplitude * sigma ** N * math.exp(-0.5 * (sigma * rho) ** 2)
-    pair = SpectralDensity(ev_hat, rho_max=max(20.0, 12.0 / sigma))
+    A = amplitude * sigma ** N
+    ev_hat = lambda rho: A * math.exp(-0.5 * (sigma * rho) ** 2)
+    pair = SpectralDensity(ev_hat, rho_max=max(20.0, 12.0 / sigma),
+                           meta={"gaussian": (A, sigma), "N": N})
     return RadialProfile(ev, math.inf, kind="gaussian", fourier=pair,
                          meta={"sigma": sigma, "amplitude": amplitude, "N": N})
 
@@ -383,9 +398,11 @@ def apply_multiplier(kind: str, g: SpectralDensity, s: float = 0.0) -> SpectralD
 
 
 def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
-    """|S^{N-1}| int_0^inf rho^{N-1} m(rho) |g(rho)|^2 drho.
+    """|S^{N-1}| int_0^inf rho^{N-1} m(rho) |g(rho)|^2 drho by quadrature.
 
-    m is the multiplier selected by `kind`. On rho >= 1 the integral takes
+    m is the multiplier selected by `kind`. This is the route for any
+    density and the independent check of pair_energy, the closed form that
+    the audits use for exact pairs. On rho >= 1 the integral takes
     the map rho = 1 + t/(1-t) of every semi-infinite domain. On
     e^{-_HEAD_U} <= rho <= 1 the variable is u = -ln rho: the terms
     rho^a and rho^a ln rho of the integrand at rho = 0 become smooth
@@ -422,6 +439,81 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
     return QuadResult(area * math.fsum(r.value for r in res),
                       area * (sum(r.abs_error_estimate for r in res) + rounding),
                       sum(r.evaluations for r in res))
+
+
+def _gamma_moment(c: float, dc: float, num: Sequence[float], den: Sequence[float],
+                  log: bool) -> tuple[float, float]:
+    """(v, e): v = exp(c + sum ln Gamma(num) - sum ln Gamma(den)), times
+    D = dc + sum psi(num) - 2 sum psi(den) when `log`; e bounds v's rounding.
+
+    D is 2 d/dbeta of the exponent when c moves by dc/2 per unit of beta,
+    the num arguments by 1/2 and the den arguments by 1. The first-order
+    bound counts, per argument a, the rounding of ln Gamma(a) and that of
+    a itself (|a psi(a)| <= |ln Gamma(a)| + 2a + 1), per psi(a) its own
+    rounding and a psi'(a) <= 1 + 1/a, plus _PAIR_ROUNDINGS.
+    """
+    if min((*num, *den)) <= 0.0:
+        raise DivergentIntegralError(f"Gamma moment diverges at arguments {(*num, *den)}")
+    lgs = [ln_gamma(a) for a in num] + [-ln_gamma(a) for a in den]
+    v = math.exp(c + math.fsum(lgs))
+    rel = (2.0 * abs(c) + sum(map(abs, lgs)) + 2.0 * sum(num) + 2.0 * sum(den)
+           + 2.0 * len(lgs) + _PAIR_ROUNDINGS)
+    if not log:
+        return v, _EPS * rel * abs(v)
+    psis = [digamma(a) for a in num] + [-2.0 * digamma(a) for a in den]
+    d = dc + math.fsum(psis)
+    d_err = (abs(dc) + sum(map(abs, psis)) + sum(1.0 + 1.0 / a for a in num)
+             + sum(2.0 + 2.0 / a for a in den) + len(psis))
+    return v * d, _EPS * abs(v) * (rel * abs(d) + d_err)
+
+
+def pair_energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
+    """energy(kind, g, N, s) in closed form for an exact pair, evaluations = 0.
+
+    With beta = N + 2s (N for "log"), a phi-power pair sum_i w_i f_{nu_i}
+    has energy |S^{N-1}| sum_ij w_i w_j H_ij (GR 6.576.4; module
+    docstring), a Gaussian pair A exp(-sigma^2 rho^2/2) the energy
+    |S^{N-1}| A^2 Gamma(beta/2) / (2 sigma^beta); a ln rho^2 factor of the
+    multiplier is 2 d/dbeta. The error estimate is a first-order rounding
+    bound: eps times sum_ij |w_i w_j H_ij| times the magnitudes of its
+    exponent, so it carries cancellation across the pair sum. Log-factor
+    phi terms, a density of apply_multiplier and one with neither pair
+    raise DomainError; a Gamma argument <= 0 raises DivergentIntegralError.
+    """
+    _multiplier(kind, s)  # rejects an unknown kind, as energy does
+    if "multiplier" in g.meta:
+        raise DomainError("pair_energy takes an exact pair, not a multiplied density")
+    if g.meta.get("N") != N:
+        raise DomainError(f"exact pair of dimension {g.meta.get('N')}, energy asked at N={N}")
+    beta = float(N) if kind == "log" else N + 2.0 * s
+    log = kind != "frac"
+    area = sphere_area_equator(N)
+    if "gaussian" in g.meta:
+        A, sigma = g.meta["gaussian"]
+        ln_sigma = math.log(sigma)
+        v, e = _gamma_moment(-beta * ln_sigma - LN2, -2.0 * ln_sigma, (0.5 * beta,), (), log)
+        terms, errs = [A * A * v], [A * A * e]
+    elif "phi_terms" in g.meta:
+        if any(t.log_factor for t in g.meta["phi_terms"]):
+            raise DomainError("pair_energy takes plain phi-power terms only")
+        rungs = [(nu, w, _EPS * (abs(ln_gamma(t.power)) + 2.0 * t.power + 4.0))
+                 for (nu, w, _), t in zip(_phi_power_rungs(N, g.meta["phi_terms"]),
+                                          g.meta["phi_terms"])]
+        terms, errs, h = [], [], 0.5 * beta
+        for i, (nu_i, w_i, ew_i) in enumerate(rungs):
+            for j in range(i, len(rungs)):
+                nu_j, w_j, ew_j = rungs[j]
+                nn = nu_i + nu_j
+                v, e = _gamma_moment((beta + nn - 3.0) * LN2, 2.0 * LN2,
+                                     (h + nn, h + nu_i, h + nu_j, h), (beta + nn,), log)
+                ww = (1.0 if j == i else 2.0) * w_i * w_j
+                terms.append(ww * v)
+                errs.append(abs(ww) * (e + (ew_i + ew_j) * abs(v)))
+    else:
+        raise DomainError("pair_energy needs meta 'phi_terms' or 'gaussian'")
+    val = math.fsum(terms)
+    area_rel = LN2 + 0.5 * N * LN_PI + abs(ln_gamma(0.5 * N)) + 4.0
+    return QuadResult(area * val, area * (math.fsum(errs) + _EPS * area_rel * abs(val)), 0)
 
 
 # -- closed-form radial integrals ----------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -6,7 +7,7 @@ import pytest
 
 from fraclog.constants import Params, bessel_bubble_coeff, eval_constants, sphere_area_equator
 from fraclog.errors import DivergentIntegralError, DomainError
-from fraclog import conformal, euclid_radial as er
+from fraclog import conformal, euclid_radial as er, inequalities as ineq
 from fraclog.specfun import bessel_k, ln_gamma
 from fraclog.spectral import ZonalExpansion
 
@@ -228,6 +229,115 @@ def test_plancherel():
         direct = integrate(Integrand(lambda r: prof.evaluator(r) ** 2 * r ** (N - 1),
                                      (0.0, math.inf)), abs_tol=1e-12, rel_tol=1e-10)
         assert lhs == pytest.approx(sphere_area_equator(N) * direct.value, rel=1e-7)
+
+
+def _pair_cases(N):
+    """(name, exact pair, [(kind, s), ...]) of the pair_energy grid at dimension N."""
+    orders = [s for s in (0.01, 0.3, 0.9) if N > 2 * s]
+    kinds = ("frac", "fraclog", "log")
+    s_free = [(kind, s) for s in orders for kind in kinds[:2]] + [("log", 0.0)]
+    u4 = ZonalExpansion(N, 4, (1.0, -0.3, 0.25, 0.15, -0.1))
+    yield "extremal", ineq.extremal_profile(N).fourier, s_free
+    yield "gaussian", er.gaussian_density_profile(N).fourier, s_free
+    yield "pullback T_0 of degree 4", conformal.pullback_expansion(0.0, u4).fourier, s_free
+    for s in orders:
+        yield f"bubble s={s}", er.talenti_bubble(Params(N, s)).fourier, [(k, s) for k in kinds]
+    if N == 3:
+        u1 = ZonalExpansion(N, 1, (1.0, 0.4))
+        yield "pullback T_s", conformal.pullback_expansion(0.3, u1).fourier, [(k, 0.3) for k in kinds]
+
+
+def test_pair_energy_against_mpmath():
+    # 40-digit tanh-sinh quadrature in u = ln rho, where the rho^c head and
+    # the e^{-2 rho} tail are smooth. mpmath's K_n at an integer order costs
+    # five times a generic one: f_0, f_1 take the orders 1e-30 and 1 + 1e-30
+    # (relative change < 1e-28), f_n, n >= 2, the recurrence
+    # f_n = rho^2 f_{n-2} + 2 (n-1) f_{n-1} (DLMF 10.29.1)
+    mp = pytest.importorskip("mpmath")
+    rho = functools.lru_cache(maxsize=None)(mp.exp)
+
+    @functools.lru_cache(maxsize=None)
+    def f(nu, u):
+        if nu == int(nu):
+            if nu >= 2:
+                return rho(u) ** 2 * f(nu - 2, u) + 2 * (nu - 1) * f(nu - 1, u)
+            return rho(u) ** nu * mp.besselk(nu + mp.mpf("1e-30"), rho(u))
+        return rho(u) ** nu * mp.besselk(nu, rho(u))
+
+    def density_squared(g, N):
+        if "gaussian" in g.meta:
+            A, sigma = map(mp.mpf, g.meta["gaussian"])
+            return lambda u: A * A * mp.exp(-(sigma * rho(u)) ** 2)
+        ws = [(2 * mp.mpf(t.coef) / mp.gamma(t.power), mp.mpf(t.power) - mp.mpf(N) / 2)
+              for t in g.meta["phi_terms"]]
+        return lambda u: mp.fsum(w * f(nu, u) for w, nu in ws) ** 2
+
+    worst, cases = 0.0, 0
+    with mp.workdps(40):
+        for N in range(1, 6):
+            area = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
+            for name, g, runs in _pair_cases(N):
+                d2 = functools.lru_cache(maxsize=None)(density_squared(g, N))
+                for kind, s in runs:
+                    try:
+                        res = er.pair_energy(kind, g, N, s)
+                    except DivergentIntegralError:
+                        # the bubble's log energy at N <= 4s: its head is rho^{N-1-4s} ln rho
+                        assert kind == "log" and name.startswith("bubble") and N <= 4 * s
+                        continue
+                    beta = mp.mpf(N) if kind == "log" else N + 2 * mp.mpf(s)
+                    for degree in (5, 6):  # degree 5's error estimate may be pessimistic
+                        ref, quad_err = mp.quad(
+                            lambda u: (2 * u if kind != "frac" else 1) * mp.exp(beta * u) * d2(u),
+                            [-mp.inf, 0, 4.5], error=True, maxdegree=degree)
+                        if area * quad_err <= 0.1 * res.abs_error_estimate:
+                            break
+                    ratio = float((abs(res.value - area * ref) + area * quad_err)
+                                  / res.abs_error_estimate)
+                    assert ratio <= 1.0, (N, s, name, kind, ratio)
+                    worst, cases = max(worst, ratio), cases + 1
+    assert cases == 141 and worst > 1e-2, (cases, worst)  # every case ran; not vacuous
+
+
+def test_pair_energy_reduces_to_the_k2_moment():
+    # at mu = nu, H_ii is the K^2 Mellin moment: bubble_hs_energy, and over
+    # the failure grid of v = u_{s0} the moment and its s-derivative
+    for N, s in ((1, 0.25), (2, 0.3), (3, 0.5), (4, 0.5), (5, 0.75)):
+        p = Params(N, s)
+        res = er.pair_energy("frac", er.talenti_bubble(p).fourier, N, s)
+        assert res.value == pytest.approx(er.bubble_hs_energy(p), rel=1e-13)
+        assert res.evaluations == 0
+    for N, s0 in ((3, 0.2751), (2, 0.473), (1, 0.24), (5, 0.8994)):
+        g = er.talenti_bubble(Params(N, s0)).fourier
+        for s in np.linspace(0.05 * s0, s0, 12):
+            for kind, log in (("frac", False), ("fraclog", True)):
+                res = er.pair_energy(kind, g, N, float(s))
+                exact = _frozen_bubble_energy(N, s0, float(s), log)
+                assert abs(res.value - exact) <= 1e-13 * abs(exact), (N, s0, s, kind)
+
+
+def test_pair_energy_rejects_what_it_cannot_do():
+    p = Params(3, 0.3)
+    g = er.talenti_bubble(p).fourier
+    log_twin = er.phi_poly_profile(3, [er.PhiTerm(1.0, 1.2, log_factor=True)]).fourier
+    bare = er.SpectralDensity(g.evaluator, meta={"N": 3})
+    cases = {
+        "log-factor phi term": (log_twin, 3),
+        "neither pair": (bare, 3),
+        "pair of another dimension": (g, 1),
+        "multiplied density": (er.apply_multiplier("frac", g, 0.3), 3),
+        "multiplied Gaussian": (er.apply_multiplier("log", er.gaussian_profile(3).fourier), 3),
+    }
+    for name, (density, N) in cases.items():
+        with pytest.raises(DomainError):
+            er.pair_energy("frac", density, N, 0.3)
+    with pytest.raises(DomainError):
+        er.pair_energy("cubic", g, 3, 0.3)
+    # the bubble's log energy diverges at N <= 4s, as energy's head does
+    with pytest.raises(DivergentIntegralError):
+        er.pair_energy("log", er.talenti_bubble(Params(2, 0.9)).fourier, 2)
+    with pytest.raises(DivergentIntegralError):
+        er.energy("log", er.talenti_bubble(Params(2, 0.9)).fourier, 2)
 
 
 def test_lp_norm_bubble_closed_form():

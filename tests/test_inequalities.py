@@ -1,11 +1,13 @@
 import math
+import os
 
 import numpy as np
 import pytest
 
-from fraclog import euclid_radial as er, inequalities as ineq
+from fraclog import conformal, euclid_radial as er, inequalities as ineq
 from fraclog.constants import Params, eval_constants, c_N, C_N
 from fraclog.errors import DivergentIntegralError, DomainError, SelfTestError
+from fraclog.quadrature import QuadResult
 from fraclog.spectral import ZonalExpansion
 
 
@@ -177,7 +179,57 @@ def test_beckner_equality_for_extremal():
     rep = ineq.beckner_fraclog_check(1, 0.25, "extremal")
     assert rep.passed
     assert abs(rep.residual) <= 1e-4
-    assert rep.details["inverse_transform_grid_dev"] <= 1e-6
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("profile", [ineq.extremal_profile, er.gaussian_density_profile])
+def test_beckner_profiles_invert_to_their_pairs(N, profile):
+    # the exact pair whose log energy the Beckner audits take in closed form
+    f = profile(N)
+    for r in (0.0, 0.7, 1.5):
+        value, _ = er.inverse_at(N, f.fourier, r)
+        assert abs(value - f.evaluator(r)) <= 1e-6, (r, value)
+
+
+def test_exact_pair_audits_skip_the_quadrature_route(monkeypatch):
+    def quadrature_route(*args, **kwargs):
+        raise AssertionError("euclid_radial.energy called")
+    ineq.beckner_convention_selftest()  # cached: its quadrature route runs once per process
+    monkeypatch.setattr(er, "energy", quadrature_route)
+    ineq.sharp_fraclog_identity(Params(3, 0.4))
+    ineq.euclid_log_identity(2)
+    ineq.beckner_fraclog_check(3, 0.4, "extremal")
+    ineq.beckner_fraclog_check(1, 0.2, "gaussian")
+    ineq.moment_check(3, 0.4, er.gaussian_density_profile(3))
+    ineq.lq_check(3, 0.4, 1.5, ineq.extremal_profile(3))
+    conformal.confcore_checks(ZonalExpansion(3, 2, (1.0, 0.1, -0.2)), 3)
+
+
+def test_pair_energy_agrees_with_quadrature_on_the_radial_tasks(monkeypatch):
+    # every exact-pair energy that the radial benchmark tasks of seeds 1-3
+    # take, against the quadrature route within the sum of both estimates
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    import workloads
+
+    calls, pair_energy = [], er.pair_energy
+    monkeypatch.setattr(er, "pair_energy",
+                        lambda *args: calls.append(args) or pair_energy(*args))
+    for seed in (1, 2, 3):
+        for task in workloads.radial_tasks(seed):
+            task.run()
+    assert len(calls) > 300
+    for kind, g, N, *s in calls:
+        closed, quad = pair_energy(kind, g, N, *s), er.energy(kind, g, N, *s)
+        assert abs(closed.value - quad.value) <= closed.abs_error_estimate + quad.abs_error_estimate, \
+            (kind, N, s, g.meta)
+
+
+def test_beckner_convention_selftest_compares_the_two_energy_routes(monkeypatch):
+    pair_energy = er.pair_energy
+    monkeypatch.setattr(er, "pair_energy", lambda *args: QuadResult(
+        pair_energy(*args).value + 1e-9, 1e-14, 0))
+    with pytest.raises(SelfTestError, match="closed form"):
+        ineq.beckner_convention_selftest.__wrapped__()
 
 
 @pytest.mark.parametrize("N,s", [(1, 0.25), (3, 0.5)])
