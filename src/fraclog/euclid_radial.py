@@ -57,29 +57,27 @@ Dyda's formula (FCAA 15, 2012) terminates after Euler's transformation
 (DLMF 15.8.1), live in conformal; the numeric transforms here, with
 apply_multiplier, are their independent route at N in {1, 3}.
 
-Closed-form radial integrals used as oracles, for bubble norms and for
-the energies of exact pairs:
+Closed forms. pair_energy and phi_moment, both through _gamma_moment,
+take the integrals of exact profiles as Gamma products, evaluations = 0.
+pair_energy sums over the rungs (nu_i, w_i) of a plain phi-power pair
+sum_i w_i f_{nu_i}, with beta = N + 2s for rho^{2s} (N for ln rho^2),
 
-    int_0^inf r^{N-1} (1+r^2)^{-beta} dr           = B(N/2, beta-N/2)/2
-    int_0^inf r^{N-1} (1+r^2)^{-beta} ln(1+r^2) dr =
-        B(N/2, beta-N/2) [psi(beta) - psi(beta-N/2)] / 2
-    int_0^inf t^{a-1} K_nu(t)^2 dt =
-        sqrt(pi) Gamma(a/2) Gamma(a/2+nu) Gamma(a/2-nu) / (4 Gamma((a+1)/2))
     H_ij = int_0^inf rho^{beta-1} f_{nu_i} f_{nu_j} drho                (GR 6.576.4)
          = 2^{beta+nu_i+nu_j-3} Gamma(beta/2+nu_i+nu_j) Gamma(beta/2+nu_i)
-           Gamma(beta/2+nu_j) Gamma(beta/2) / Gamma(beta+nu_i+nu_j)
+           Gamma(beta/2+nu_j) Gamma(beta/2) / Gamma(beta+nu_i+nu_j),
 
-The last reduces to the K^2 moment at nu_i = nu_j (Legendre duplication).
-pair_energy sums it over the rungs (nu_i, w_i) of a plain phi-power
-pair, sum_i w_i f_{nu_i}, with beta = N + 2s for rho^{2s} (N for ln rho^2);
-a ln rho^2 factor is 2 d/dbeta, the digamma sum
-2 ln 2 + psi(beta/2+nu_i+nu_j) + psi(beta/2+nu_i) + psi(beta/2+nu_j)
-+ psi(beta/2) - 2 psi(beta+nu_i+nu_j). A Gaussian pair A exp(-sigma^2 rho^2/2)
-gives A^2 Gamma(beta/2) / (2 sigma^beta). Its estimate is a first-order
-rounding bound over the pair sum's magnitudes, evaluations = 0. energy is
-the quadrature route to the same numbers, for any density (apply_multiplier
-products included); sobolev_deficit, the Beckner convention self-test and
-the tests use it as the independent second route.
+the K^2 Mellin moment at nu_i = nu_j (Legendre duplication); a Gaussian
+pair A exp(-sigma^2 rho^2/2) gives A^2 Gamma(beta/2) / (2 sigma^beta).
+phi_moment is its position-side twin, int_{R^N} phi^b dx =
+|S^{N-1}| 2^{b-1} B(N/2, b-N/2). A log factor differentiates the exponent:
+ln rho^2 is 2 d/dbeta, ln phi is d/db. Every Gamma argument is an fsum of
+float inputs (N/2, s, the phi powers, a Beta argument), so one that tends
+to 0 at the edge of a finite integral, such as N/2 - s, is rounded once
+instead of carrying the error eps N of a difference of rounded sums. The
+estimates are first-order rounding bounds. energy and entropy are the
+quadrature routes to the same numbers, for any profile; sobolev_deficit,
+the Beckner convention self-test and the tests use them as the
+independent second route.
 """
 
 from __future__ import annotations
@@ -93,10 +91,10 @@ from typing import Callable, Optional, Sequence
 # not called here; perfbench/tracer.py looks this name up to count quad evaluations
 from scipy.integrate import quad as _quad
 
-from .constants import LN2, LN_PI, Params, bessel_bubble_coeff, sphere_area_equator
+from .constants import LN2, LN_PI, Params, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError
 from .quadrature import Integrand, QuadResult, integrate
-from .specfun import bessel_k, digamma, ln_beta, ln_gamma
+from .specfun import bessel_k, digamma, ln_gamma
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _EPS = 2.0 ** -52
@@ -409,8 +407,9 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
     exponentials in u, where the Gauss-Kronrod estimate holds. Left in
     rho, QUADPACK's extrapolation on the singular endpoint erred by up to
     4e-10 under estimates of 1e-12 (a near -1, or near an integer); below
-    e^{-_HEAD_U} it takes only a small remainder. The error estimate adds
-    the density's own rounding (_DENSITY_REL).
+    e^{-_HEAD_U} it takes only a small remainder: a u-integrand that still
+    grows at u = _HEAD_U (from u = _HEAD_U - 1) raises DivergentIntegralError.
+    The error estimate adds the density's own rounding (_DENSITY_REL).
     """
     m = _multiplier(kind, s)
     area = sphere_area_equator(N)
@@ -419,14 +418,13 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
         gv = g.evaluator(rho)
         return rho ** (N - 1) * m(rho) * gv * gv
 
-    probe = abs(integrand(1e-8))
-    if probe > 1e12:
-        raise DivergentIntegralError(f"energy head diverges for kind={kind!r}")
-
     def head(u):
         rho = math.exp(-u)
         return rho * integrand(rho)
 
+    if abs(head(_HEAD_U)) > abs(head(_HEAD_U - 1.0)):
+        raise DivergentIntegralError(
+            f"energy head does not decay by u = -ln rho = {_HEAD_U} for kind={kind!r}")
     parts = [
         Integrand(integrand, (0.0, math.exp(-_HEAD_U)), name=f"energy-{kind}-core"),
         Integrand(head, (0.0, _HEAD_U), name=f"energy-{kind}-head"),
@@ -441,30 +439,55 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
                       sum(r.evaluations for r in res))
 
 
-def _gamma_moment(c: float, dc: float, num: Sequence[float], den: Sequence[float],
+def _gamma_moment(c: float, dc: float, num: Sequence[tuple], den: Sequence[tuple],
                   log: bool) -> tuple[float, float]:
     """(v, e): v = exp(c + sum ln Gamma(num) - sum ln Gamma(den)), times
-    D = dc + sum psi(num) - 2 sum psi(den) when `log`; e bounds v's rounding.
+    D = dc + sum w psi(num) - sum w psi(den) when `log`; e bounds v's rounding.
 
-    D is 2 d/dbeta of the exponent when c moves by dc/2 per unit of beta,
-    the num arguments by 1/2 and the den arguments by 1. The first-order
-    bound counts, per argument a, the rounding of ln Gamma(a) and that of
-    a itself (|a psi(a)| <= |ln Gamma(a)| + 2a + 1), per psi(a) its own
-    rounding and a psi'(a) <= 1 + 1/a, plus _PAIR_ROUNDINGS.
+    An argument (terms, w) is fsum(terms), rounded once however its float
+    inputs cancel, and w is its derivative in the variable of D, in which c
+    moves by dc. The first-order bound counts, per argument a, the rounding
+    of ln Gamma(a) and that of a itself (|a psi(a)| <= |ln Gamma(a)| + 2a + 1),
+    per psi(a) its own rounding and |w| a psi'(a) <= |w| (1 + 1/a), plus
+    _PAIR_ROUNDINGS.
     """
-    if min((*num, *den)) <= 0.0:
-        raise DivergentIntegralError(f"Gamma moment diverges at arguments {(*num, *den)}")
-    lgs = [ln_gamma(a) for a in num] + [-ln_gamma(a) for a in den]
-    v = math.exp(c + math.fsum(lgs))
-    rel = (2.0 * abs(c) + sum(map(abs, lgs)) + 2.0 * sum(num) + 2.0 * sum(den)
-           + 2.0 * len(lgs) + _PAIR_ROUNDINGS)
+    args = [math.fsum(terms) for terms, _ in num] + [math.fsum(terms) for terms, _ in den]
+    if min(args) <= 0.0:
+        raise DivergentIntegralError(f"Gamma moment diverges at arguments {args}")
+    k = len(num)
+    lgs = [ln_gamma(a) for a in args]
+    v = math.exp(c + math.fsum(lgs[:k] + [-lg for lg in lgs[k:]]))
+    rel = 2.0 * abs(c) + sum(map(abs, lgs)) + 2.0 * sum(args) + 2.0 * len(lgs) + _PAIR_ROUNDINGS
     if not log:
         return v, _EPS * rel * abs(v)
-    psis = [digamma(a) for a in num] + [-2.0 * digamma(a) for a in den]
+    ws = [w for _, w in num] + [-w for _, w in den]
+    psis = [w * digamma(a) for a, w in zip(args, ws)]
     d = dc + math.fsum(psis)
-    d_err = (abs(dc) + sum(map(abs, psis)) + sum(1.0 + 1.0 / a for a in num)
-             + sum(2.0 + 2.0 / a for a in den) + len(psis))
+    d_err = (abs(dc) + sum(map(abs, psis))
+             + sum(abs(w) * (1.0 + 1.0 / a) for a, w in zip(args, ws)) + len(psis))
     return v * d, _EPS * abs(v) * (rel * abs(d) + d_err)
+
+
+@functools.lru_cache(maxsize=None)
+def _area(N: int) -> tuple[float, float]:
+    """|S^{N-1}| and a bound on its relative rounding in units of eps."""
+    return sphere_area_equator(N), LN2 + 0.5 * N * LN_PI + abs(ln_gamma(0.5 * N)) + 4.0
+
+
+def _over_sphere(N: int, val: float, err: float) -> QuadResult:
+    """|S^{N-1}| (val, err), with the rounding of |S^{N-1}| itself; evaluations = 0."""
+    area, area_rel = _area(N)
+    return QuadResult(area * val, area * (err + _EPS * area_rel * abs(val)), 0)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _pair_rungs(N: int, terms: tuple) -> tuple:
+    """(a_i, w_i, rounding of w_i) per term of a plain phi-power pair, memoised
+    per pair: a failure curve takes the energy of one pair at every order."""
+    if any(t.log_factor for t in terms):
+        raise DomainError("pair_energy takes plain phi-power terms only")
+    return tuple((t.power, w, _EPS * (abs(ln_gamma(t.power)) + 2.0 * t.power + 4.0))
+                 for (_, w, _), t in zip(_phi_power_rungs(N, terms), terms))
 
 
 def pair_energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
@@ -474,106 +497,58 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadRe
     has energy |S^{N-1}| sum_ij w_i w_j H_ij (GR 6.576.4; module
     docstring), a Gaussian pair A exp(-sigma^2 rho^2/2) the energy
     |S^{N-1}| A^2 Gamma(beta/2) / (2 sigma^beta); a ln rho^2 factor of the
-    multiplier is 2 d/dbeta. The error estimate is a first-order rounding
-    bound: eps times sum_ij |w_i w_j H_ij| times the magnitudes of its
-    exponent, so it carries cancellation across the pair sum. Log-factor
-    phi terms, a density of apply_multiplier and one with neither pair
-    raise DomainError; a Gamma argument <= 0 raises DivergentIntegralError.
+    multiplier is 2 d/dbeta. Arguments are fsum'd from s, N/2 and the phi
+    powers a_i: beta/2 + nu_i + nu_j = s + a_i + a_j - N/2. The error
+    estimate is a first-order rounding bound: eps times sum_ij |w_i w_j H_ij|
+    times the magnitudes of its exponent, so it carries cancellation across
+    the pair sum. Log-factor phi terms, a density of apply_multiplier and
+    one with neither pair raise DomainError; a Gamma argument <= 0 raises
+    DivergentIntegralError.
     """
     _multiplier(kind, s)  # rejects an unknown kind, as energy does
     if "multiplier" in g.meta:
         raise DomainError("pair_energy takes an exact pair, not a multiplied density")
     if g.meta.get("N") != N:
         raise DomainError(f"exact pair of dimension {g.meta.get('N')}, energy asked at N={N}")
-    beta = float(N) if kind == "log" else N + 2.0 * s
+    sb = 0.0 if kind == "log" else s  # beta/2 = N/2 + sb
+    h = (0.5 * N, sb)
     log = kind != "frac"
-    area = sphere_area_equator(N)
     if "gaussian" in g.meta:
         A, sigma = g.meta["gaussian"]
         ln_sigma = math.log(sigma)
-        v, e = _gamma_moment(-beta * ln_sigma - LN2, -2.0 * ln_sigma, (0.5 * beta,), (), log)
+        v, e = _gamma_moment(-(N + 2.0 * sb) * ln_sigma - LN2, -2.0 * ln_sigma, [(h, 1.0)], [],
+                             log)
         terms, errs = [A * A * v], [A * A * e]
     elif "phi_terms" in g.meta:
-        if any(t.log_factor for t in g.meta["phi_terms"]):
-            raise DomainError("pair_energy takes plain phi-power terms only")
-        rungs = [(nu, w, _EPS * (abs(ln_gamma(t.power)) + 2.0 * t.power + 4.0))
-                 for (nu, w, _), t in zip(_phi_power_rungs(N, g.meta["phi_terms"]),
-                                          g.meta["phi_terms"])]
-        terms, errs, h = [], [], 0.5 * beta
-        for i, (nu_i, w_i, ew_i) in enumerate(rungs):
+        rungs = _pair_rungs(N, tuple(g.meta["phi_terms"]))
+        terms, errs = [], []
+        for i, (a_i, w_i, ew_i) in enumerate(rungs):
             for j in range(i, len(rungs)):
-                nu_j, w_j, ew_j = rungs[j]
-                nn = nu_i + nu_j
-                v, e = _gamma_moment((beta + nn - 3.0) * LN2, 2.0 * LN2,
-                                     (h + nn, h + nu_i, h + nu_j, h), (beta + nn,), log)
+                a_j, w_j, ew_j = rungs[j]
+                v, e = _gamma_moment(math.fsum([2.0 * sb, a_i, a_j, -3.0]) * LN2, 2.0 * LN2,
+                                     [((sb, a_i, a_j, -0.5 * N), 1.0), ((sb, a_i), 1.0),
+                                      ((sb, a_j), 1.0), (h, 1.0)],
+                                     [((2.0 * sb, a_i, a_j), 2.0)], log)
                 ww = (1.0 if j == i else 2.0) * w_i * w_j
                 terms.append(ww * v)
                 errs.append(abs(ww) * (e + (ew_i + ew_j) * abs(v)))
     else:
         raise DomainError("pair_energy needs meta 'phi_terms' or 'gaussian'")
-    val = math.fsum(terms)
-    area_rel = LN2 + 0.5 * N * LN_PI + abs(ln_gamma(0.5 * N)) + 4.0
-    return QuadResult(area * val, area * (math.fsum(errs) + _EPS * area_rel * abs(val)), 0)
+    return _over_sphere(N, math.fsum(terms), math.fsum(errs))
 
 
-# -- closed-form radial integrals ----------------------------------------------
+def phi_moment(N: int, excess: float, log: bool = False) -> QuadResult:
+    """int_{R^N} phi^b (ln phi)^{0|1} dx in closed form, b = N/2 + excess, evaluations = 0.
 
-
-def beta_integral(N: int, beta: float) -> float:
-    """int_0^inf r^{N-1}(1+r^2)^{-beta} dr = B(N/2, beta - N/2)/2."""
-    if not beta > 0.5 * N:
-        raise DivergentIntegralError(f"beta integral diverges: beta={beta} <= N/2={N / 2}")
-    return 0.5 * math.exp(ln_beta(0.5 * N, beta - 0.5 * N))
-
-
-def beta_log_integral(N: int, beta: float) -> float:
-    """int_0^inf r^{N-1}(1+r^2)^{-beta} ln(1+r^2) dr (Beta derivative in beta)."""
-    if not beta > 0.5 * N:
-        raise DivergentIntegralError(f"beta log integral diverges: beta={beta} <= N/2={N / 2}")
-    b = math.exp(ln_beta(0.5 * N, beta - 0.5 * N))
-    return 0.5 * b * (digamma(beta) - digamma(beta - 0.5 * N))
-
-
-def mellin_k2_lngammas(a: float, nu: float) -> tuple[float, float, float, float]:
-    """The signed ln Gamma terms that sum to ln of mellin_k2_moment(a, nu) / (sqrt(pi)/4)."""
-    if not a > 2.0 * abs(nu):
-        raise DivergentIntegralError(f"K^2 moment diverges: a={a} <= 2|nu|={2 * abs(nu)}")
-    return (ln_gamma(0.5 * a), ln_gamma(0.5 * a + nu),
-            ln_gamma(0.5 * a - nu), -ln_gamma(0.5 * (a + 1.0)))
-
-
-def mellin_k2_moment(a: float, nu: float) -> float:
-    """int_0^inf t^{a-1} K_nu(t)^2 dt, valid for a > 2|nu|."""
-    g1, g2, g3, g4 = mellin_k2_lngammas(a, nu)
-    return 0.25 * math.sqrt(math.pi) * math.exp(g1 + g2 + g3 + g4)
-
-
-def lp_norm_bubble(p: Params, q_exponent: float) -> float:
-    """||u_s||_{L^q}^q = |S^{N-1}| B(N/2, q(N-2s)/2 - N/2) / 2 in closed form."""
-    q = q_exponent
-    beta = 0.5 * q * (p.N - 2.0 * p.s)
-    if not q * (p.N - 2.0 * p.s) > p.N:
-        raise DivergentIntegralError(
-            f"||u_s||_q diverges: q(N-2s)={q * (p.N - 2 * p.s)} <= N={p.N}")
-    return sphere_area_equator(p.N) * beta_integral(p.N, beta)
-
-
-def bubble_lp_sq(p: Params) -> float:
-    """||u_s||_{L^{p(s)}}^2; |u_s|^{p(s)} = (1+r^2)^{-N} makes this s-free in base."""
-    I = sphere_area_equator(p.N) * beta_integral(p.N, float(p.N))
-    return I ** ((p.N - 2.0 * p.s) / p.N)
-
-
-def bubble_hs_energy(p: Params) -> float:
-    """||u_s||_{dot H^s}^2 in closed form via the K^2 Mellin moment."""
-    c = bessel_bubble_coeff(p)
-    return c * c * sphere_area_equator(p.N) * mellin_k2_moment(float(p.N), p.s)
-
-
-def bubble_entropy(N: int) -> float:
-    """Ent_{p(s)}(u_s) = -N[psi(N) - psi(N/2)] - ln I_N, independent of s."""
-    I = sphere_area_equator(N) * beta_integral(N, float(N))
-    return -N * (digamma(float(N)) - digamma(0.5 * N)) - math.log(I)
+    |S^{N-1}| 2^{b-1} B(N/2, b - N/2) [ln 2 + psi(b - N/2) - psi(b)]^{0|1}.
+    The caller passes the Beta argument b - N/2 itself, which a rounded b
+    would leave without digits as it nears 0 at the edge of finiteness;
+    excess <= 0 raises DivergentIntegralError.
+    """
+    h = 0.5 * N
+    v, e = _gamma_moment(math.fsum([h, excess, -1.0]) * LN2, LN2,
+                         [((h,), 0.0), ((excess,), 1.0)], [((h, excess), 1.0)], log)
+    return _over_sphere(N, v, e)
 
 
 def entropy(p_exponent: float, f: RadialProfile, N: int,

@@ -20,30 +20,35 @@ Central objects, all under the unitary Fourier convention:
   constant B_N and bubble extremals, the second-moment variant through
   the Shannon entropy bound, and the L^q variant through Jensen.
 
-Energies of exact pairs (bubbles, extremals, Gaussians) are closed forms,
-euclid_radial.pair_energy; its quadrature route, euclid_radial.energy,
-stays in sobolev_deficit and in the self-test below, which compares the
-two. Before any Beckner-family audit runs, a cached self-test pins the B_N
-convention by checking the classical equality case at N = 1 (no order s
-involved); a convention mismatch fails loudly rather than silently
-shifting every margin.
+The identities, the failure curve and the Beckner audit take every
+integral in closed form: energies of exact pairs (bubbles, extremals,
+Gaussians) from euclid_radial.pair_energy, norms and entropies of a single
+phi power from its position-side twin euclid_radial.phi_moment, and the
+Gaussian's entropy from its amplitude and width. The quadrature routes,
+euclid_radial.energy and entropy, stay in sobolev_deficit and in the
+self-test below, which compares them with the closed forms. Before any
+Beckner-family audit runs, that cached self-test pins the B_N convention
+by checking the classical equality case at N = 1 (no order s involved); a
+convention mismatch fails loudly rather than silently shifting every
+margin.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
 from .audit import AuditReport, identity_audit
-from .constants import (LN2, LN_PI, Params, B_N, C_N, a_N, c_N, A_N, bessel_bubble_coeff,
-                        eval_constants, sphere_area, sphere_area_equator)
+from .constants import (LN2, LN_PI, Params, B_N, C_N, a_N, c_N, A_N, eval_constants,
+                        sphere_area, sphere_area_equator)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
 from .quadrature import Integrand, integrate
-from .specfun import digamma, ln_beta, ln_gamma
+from .specfun import digamma, ln_gamma
 from . import conformal
 from . import euclid_radial as er
 from . import spectral
@@ -71,21 +76,53 @@ def extremal_profile(N: int) -> er.RadialProfile:
         kind="beckner-extremal", meta={"amplitude": amp})
 
 
+def _phi_power_lp_sq(v: er.RadialProfile, excess: float, p_exp: float) -> tuple[float, float]:
+    """(||v||_{L^p}^2, error estimate) for v = c phi^a: c^2 M^{2/p}, M the
+    phi-moment of b = a p = N/2 + excess, `excess` formed exactly by the caller."""
+    (t,) = v.fourier.meta["phi_terms"]
+    m = er.phi_moment(v.meta["N"], excess)
+    two_over_p = 2.0 / p_exp
+    val = t.coef * t.coef * m.value ** two_over_p
+    return val, val * (two_over_p * m.abs_error_estimate / m.value
+                       + er._EPS * (2.0 * abs(two_over_p * math.log(m.value)) + 5.0))
+
+
+def _bubble_entropy(N: int) -> tuple[float, float]:
+    """(Ent_2 of (1+|x|^2)^{-N/2}, error estimate); also Ent_{p(s)}(u_s) at every s.
+
+    |u|^p = 2^{-N} phi^N, so Ent = N M'/M - ln M, M and M' the phi-moments
+    of b = N without and with the ln phi factor; the bound adds their
+    estimates to first order and the roundings of the ratio, the logarithm
+    and the sum.
+    """
+    m, ml = er.phi_moment(N, 0.5 * N), er.phi_moment(N, 0.5 * N, log=True)
+    ratio = N * ml.value / m.value
+    val = ratio - math.log(m.value)
+    err = ((N * ml.abs_error_estimate + (abs(ratio) + 1.0) * m.abs_error_estimate) / m.value
+           + er._EPS * (3.0 * abs(ratio) + abs(math.log(m.value)) + abs(val)))
+    return val, err
+
+
 def _lp_norm_sq(v: er.RadialProfile, p_exp: float, N: int) -> tuple[float, float]:
-    """(||v||_{L^p}^2, error estimate); closed Beta form for pure powers."""
+    """(||v||_{L^p}^2, error estimate); a single phi power through the phi-moment."""
     terms = v.fourier.meta.get("phi_terms") if v.fourier else None
-    if terms and len(terms) == 1 and not terms[0].log_factor and terms[0].coef > 0.0:
-        coef, power = terms[0].coef, terms[0].power
-        beta = power * p_exp
-        val = (coef * 2.0 ** power) ** p_exp * sphere_area_equator(N) \
-            * er.beta_integral(N, beta)
-        return val ** (2.0 / p_exp), 1e-14 * val ** (2.0 / p_exp)
+    if terms and len(terms) == 1 and not terms[0].log_factor:
+        excess = float(Fraction(terms[0].power) * Fraction(p_exp) - Fraction(N, 2))  # rounded once
+        return _phi_power_lp_sq(v, excess, p_exp)
     res = integrate(Integrand(lambda r: abs(v.evaluator(r)) ** p_exp * r ** (N - 1),
                               (0.0, math.inf), name="lp-norm"),
                     abs_tol=1e-12, rel_tol=1e-11)
     val = (sphere_area_equator(N) * res.value) ** (2.0 / p_exp)
     err = abs(val) * (2.0 / p_exp) * res.abs_error_estimate / max(res.value, 1e-300)
     return val, err
+
+
+def _kappa_rel(N: int, s: float) -> float:
+    """First-order bound on the relative rounding of eval_constants' kappa_{N,s}."""
+    h = 0.5 * N
+    lg_ratio = abs(ln_gamma(float(N))) + abs(ln_gamma(h))
+    return er._EPS * (s * (2.0 * LN2 + LN_PI) + abs(ln_gamma(h - s)) + abs(ln_gamma(h + s))
+                      + 2.0 * s / N * lg_ratio + 2.0 * N + 8.0)
 
 
 def _deficit_curve(tag: str, s_grid: Sequence[float], Fs: list, errs: list) -> DeficitCurve:
@@ -95,12 +132,10 @@ def _deficit_curve(tag: str, s_grid: Sequence[float], Fs: list, errs: list) -> D
     return DeficitCurve(tag, tuple(s_grid), tuple(Fs), tuple(fp), tuple(errs))
 
 
-def sobolev_deficit(p: Params, v: er.RadialProfile,
-                    s_grid: Sequence[float]) -> DeficitCurve:
-    """F_v(s) over s_grid for a profile with exact Fourier pair; p.s is unused."""
+def sobolev_deficit(N: int, v: er.RadialProfile, s_grid: Sequence[float]) -> DeficitCurve:
+    """F_v(s) over s_grid for a profile with exact Fourier pair, energies by quadrature."""
     if v.fourier is None:
         raise DomainError("sobolev_deficit needs a profile with an exact Fourier pair")
-    N = p.N
     Fs, errs = [], []
     for s in s_grid:
         kap = eval_constants(Params(N, s)).kappa_Ns
@@ -111,89 +146,61 @@ def sobolev_deficit(p: Params, v: er.RadialProfile,
     return _deficit_curve(v.kind, s_grid, Fs, errs)
 
 
-_DEFICIT_ULPS = 16.0  # safety factor on the first-order rounding bound of the closed form
-
-
 def _frozen_bubble_deficit(p0: Params, s_grid: Sequence[float]) -> DeficitCurve:
     """F_v over s_grid for v = u_{s0} in closed form, with no quadrature.
 
-    ||v||_{dot H^s}^2 = |S^{N-1}| C_{N,s0}^2 M(N + 2s - 2 s0, s0), M the
-    K^2 Mellin moment, and ||v||_{L^p(s)}^2 = I^{2/p(s)} with the Beta
-    integral I = ||v||_{L^p(s)}^{p(s)}. Each factor is an exponential of
-    ln Gamma terms, so it rounds by eps times the magnitudes of its
-    exponent; F_errors is that first-order bound on kappa E and on L. Both
-    also hold a Gamma at an argument proportional to g = N + 2s - 4 s0,
-    whose rounding of about eps N moves ln Gamma by eps N / g: the term
-    that dominates next to the edge g = 0 of the finite-norm box, beyond
-    which (s0 >= N/3.9 on the grid of failure_demo) I and M raise
-    DivergentIntegralError.
+    ||v||_{dot H^s}^2 is pair_energy of v's pair, ||v||_{L^p(s)}^2 the
+    phi-moment of b = p(s)(N - 2 s0)/2 with the Beta argument
+    b - N/2 = N (N + 2s - 4 s0) / (2 (N - 2s)) from an fsum'd numerator:
+    it tends to 0 at the edge of the finite-norm box (s0 = N/3.9 on the
+    grid of failure_demo, beyond which DivergentIntegralError is raised).
+    F_errors adds both estimates and the rounding of kappa_{N,s} and of F.
     """
     N, s0 = p0.N, p0.s
-    c2 = bessel_bubble_coeff(p0) ** 2
-    area = sphere_area_equator(N)
+    v = er.talenti_bubble(p0)
+    eps = er._EPS
     Fs, errs = [], []
     for s in s_grid:
-        p_exp = er.p_of_s(N, s)
-        I = er.lp_norm_bubble(p0, p_exp)
-        a = N + 2.0 * s - 2.0 * s0
         kap = eval_constants(Params(N, s)).kappa_Ns
-        kE = kap * c2 * area * er.mellin_k2_moment(a, s0)
-        L = I ** (2.0 / p_exp)
-        lg = sum(map(abs, er.mellin_k2_lngammas(a, s0)))
-        pole = N / (a - 2.0 * s0)
-        Fs.append(kE - L)
-        errs.append(_DEFICIT_ULPS * er._EPS * (
-            (8.0 + lg + abs(math.log(c2)) + abs(math.log(kap)) + pole) * kE
-            + (4.0 + abs(math.log(I)) + pole) * L))
+        en = er.pair_energy("frac", v.fourier, N, s)
+        excess = N * math.fsum([N, 2.0 * s, -4.0 * s0]) / (2.0 * (N - 2.0 * s))
+        L, L_err = _phi_power_lp_sq(v, excess, er.p_of_s(N, s))
+        F = kap * en.value - L
+        Fs.append(F)
+        errs.append(kap * (en.abs_error_estimate + (_kappa_rel(N, s) + eps) * en.value)
+                    + L_err + eps * abs(F))
     return _deficit_curve("bubble", s_grid, Fs, errs)
-
-
-def _entropy_side(N: int) -> tuple[float, float, float]:
-    """((2/N) Ent(u_s), its rounding bound, the rounding bound of ln I).
-
-    Ent(u_s) = -N [psi(N) - psi(N/2)] - ln I with I = |S^{N-1}| B(N/2, N/2)/2
-    (bubble_entropy). Each bound is first order in eps: per term its
-    magnitude, its argument's rounding and a few roundings more.
-    """
-    h = 0.5 * N
-    ln_I_err = er._EPS * (2.0 * LN2 + h * LN_PI + 3.0 * abs(ln_gamma(h))
-                          + abs(ln_gamma(float(N))) + 2.0 * N + 8.0)
-    lhs = (2.0 / N) * er.bubble_entropy(N)
-    ent_err = er._EPS * N * (abs(digamma(float(N))) + abs(digamma(h)) + 6.0) + ln_I_err
-    return lhs, (2.0 / N) * ent_err + er._EPS * abs(lhs), ln_I_err
 
 
 def sharp_fraclog_identity(p: Params) -> AuditReport:
     """Extremal identity at order s: entropy side vs kappa-weighted energies.
 
-    The left side is the Beta/digamma closed form of the bubble entropy;
-    the right side takes the two energies in closed form from the bubble's
-    Bessel-K pair (euclid_radial.pair_energy), so the residual is rounding.
-    error_budget bounds it to first order: the energies' estimates, the
-    rounding of the entropy side, of ||u_s||_{p(s)}^2 = I^{(N-2s)/N}, of
-    kappa_{N,s} and of the digamma bracket kappa'/kappa.
+    Every term is a closed form: the bubble entropy Ent_{p(s)}(u_s) and
+    ||u_s||_{p(s)}^2 from the phi-moment of b = N, the two energies from
+    the bubble's Bessel-K pair (euclid_radial.pair_energy), so the residual
+    is rounding. error_budget bounds it to first order: the estimates of
+    the entropy side, of the energies and of ||u_s||_{p(s)}^2, and the
+    rounding of kappa_{N,s} and of the digamma bracket kappa'/kappa.
     """
     N, s = p.N, p.s
     h, eps = 0.5 * N, er._EPS
     cs = eval_constants(p)
     u = er.talenti_bubble(p)
-    lhs, lhs_err, ln_I_err = _entropy_side(N)
-    lp2 = er.bubble_lp_sq(p)
+    ent, ent_err = _bubble_entropy(N)
+    lhs = (2.0 / N) * ent
+    lp2, lp2_err = _phi_power_lp_sq(u, h, er.p_of_s(N, s))
     e_frac = er.pair_energy("frac", u.fourier, N, s)
     e_flog = er.pair_energy("fraclog", u.fourier, N, s)
     a = cs.kappaprime_Ns * e_frac.value / lp2
     b = cs.kappa_Ns * e_flog.value / lp2
     rhs = a + b
     lg_ratio = abs(ln_gamma(float(N))) + abs(ln_gamma(h))
-    kappa_rel = eps * (s * (2.0 * LN2 + LN_PI) + abs(ln_gamma(h - s)) + abs(ln_gamma(h + s))
-                       + 2.0 * s / N * lg_ratio + 2.0 * N + 8.0)
     bracket_err = eps * (2.0 * LN2 + LN_PI + abs(digamma(h - s)) + abs(digamma(h + s))
                          + 2.0 / N * lg_ratio + 1.0 / (h - s) + 1.0 / (h + s) + 10.0)
-    lp2_rel = (1.0 - 2.0 * s / N) * ln_I_err + eps * (abs(math.log(lp2)) + 2.0)
-    err = (lhs_err
+    err = ((2.0 / N) * ent_err + eps * abs(lhs)
            + (abs(cs.kappaprime_Ns) * e_frac.abs_error_estimate
               + abs(cs.kappa_Ns) * e_flog.abs_error_estimate) / lp2
-           + (abs(a) + abs(b)) * (kappa_rel + lp2_rel + 3.0 * eps)
+           + (abs(a) + abs(b)) * (_kappa_rel(N, s) + lp2_err / lp2 + 3.0 * eps)
            + abs(cs.kappa_Ns * e_frac.value / lp2) * bracket_err + eps * abs(rhs))
     return identity_audit(
         "sharp-fraclog-identity", lhs, rhs, 1e-5,
@@ -207,20 +214,22 @@ def sharp_fraclog_identity(p: Params) -> AuditReport:
 def euclid_log_identity(N: int) -> AuditReport:
     """s -> 0 degeneration: (2/N) Ent_2(u_0) = a_N + normalized log energy.
 
-    Both sides are closed forms, the log energy from the Bessel-K pair of
-    u_0; error_budget bounds the rounding of both to first order.
+    Both sides are closed forms, the entropy and the norm from the
+    phi-moment, the log energy from the Bessel-K pair of u_0;
+    error_budget bounds the rounding of both to first order.
     """
     u0 = er.phi_poly_profile(N, [er.PhiTerm(2.0 ** (-0.5 * N), 0.5 * N)],
                              kind="bubble-endpoint")
     norm2, norm2_err = _lp_norm_sq(u0, 2.0, N)
-    lhs, lhs_err, _ = _entropy_side(N)
-    e_log = er.pair_energy("log", u0.fourier, N)
     h, eps = 0.5 * N, er._EPS
+    ent, ent_err = _bubble_entropy(N)
+    lhs = (2.0 / N) * ent
+    e_log = er.pair_energy("log", u0.fourier, N)
     log_energy = e_log.value / norm2
     rhs = a_N(N) + log_energy
     a_N_err = eps * (2.0 / N * (abs(ln_gamma(float(N))) + abs(ln_gamma(h))) + math.log(4.0 * math.pi)
                      + 2.0 * abs(digamma(h)) + 2.0 / h + 8.0)
-    err = (lhs_err + a_N_err + e_log.abs_error_estimate / norm2
+    err = ((2.0 / N) * ent_err + eps * abs(lhs) + a_N_err + e_log.abs_error_estimate / norm2
            + abs(log_energy) * (norm2_err / norm2 + eps) + eps * abs(rhs))
     return identity_audit("log-sobolev-equality-case", lhs, rhs, 1e-5,
                           inputs={"N": N},
@@ -240,7 +249,8 @@ def failure_demo(N: int, s0: float, grid_points: int = 40) -> tuple[AuditReport,
     p0 = Params(N, s0)
     grid = np.linspace(0.05 * s0, s0, grid_points).tolist()  # floats: specfun's scalar path
     curve = _frozen_bubble_deficit(p0, grid)
-    scale = eval_constants(p0).kappa_Ns * er.bubble_hs_energy(p0)
+    scale = eval_constants(p0).kappa_Ns * er.pair_energy(
+        "frac", er.talenti_bubble(p0).fourier, N, s0).value
 
     F = curve.F_values
     fp = [x for x in curve.Fprime_fd if not math.isnan(x)]
@@ -272,10 +282,7 @@ def log_phi_sphere_integral(N: int) -> dict:
         lambda r: r ** (N - 1) * er.phi(r) ** N * math.log(er.phi(r)),
         (0.0, math.inf), name="logphi-euclid"), abs_tol=1e-12, rel_tol=1e-10)
     quad_euclid = sphere_area_equator(N) * res.value
-    closed = (sphere_area_equator(N) * 2.0 ** (N - 1)
-              * math.exp(ln_beta(0.5 * N, 0.5 * N))
-              * (math.log(2.0) - digamma(float(N))
-                 + digamma(0.5 * N)))
+    closed = er.phi_moment(N, 0.5 * N, log=True).value  # phi^N ln phi: b = N
     return {"sphere_quadrature": quad_sphere, "euclid_quadrature": quad_euclid,
             "closed_form": closed}
 
@@ -317,36 +324,55 @@ def beckner_convention_selftest() -> float:
 
     Pins the B_N convention (which carries the (N/2) ln(2pi) term of the
     unitary Fourier normalization) before any Beckner-family audit runs.
-    The log energy is taken by quadrature, and must agree with the closed
-    form that the Beckner audits use within the sum of both estimates.
+    The log energy and the entropy are taken by quadrature, and each must
+    agree with the closed form that the Beckner audits use within the sum
+    of both estimates.
     """
     N = 1
-    f = extremal_profile(N)
+    f, ent, ent_err = _beckner_profile(N, "extremal")
     quad = er.energy("log", f.fourier, N)
     closed = er.pair_energy("log", f.fourier, N)
     if abs(quad.value - closed.value) > quad.abs_error_estimate + closed.abs_error_estimate:
         raise SelfTestError(f"log energy: quadrature {quad.value!r} against closed form "
                             f"{closed.value!r}")
+    ent_quad = er.entropy(2.0, f, N)  # Ent_2(f) = 2 int |f|^2 ln|f| at ||f||_2 = 1
+    if abs(ent_quad.value - 2.0 * ent) > ent_quad.abs_error_estimate + 2.0 * ent_err:
+        raise SelfTestError(f"entropy: quadrature {ent_quad.value!r} against closed form "
+                            f"{2.0 * ent!r}")
     lhs = 0.25 * N * quad.value
-    ent = _entropy_halfln(f, N)
     gap = lhs - (ent + B_N(N))
     if abs(gap) > 1e-6:
         raise SelfTestError(f"Beckner convention self-test failed: gap {gap:.3e}")
     return gap
 
 
-def _entropy_halfln(f: er.RadialProfile, N: int) -> float:
-    """int |f|^2 ln|f| dx for a positive radial profile."""
+def _beckner_profile(N: int, f_choice: str) -> tuple[er.RadialProfile, float, float]:
+    """(f, int |f|^2 ln|f| dx, its rounding bound) for the Beckner audit's profiles.
 
-    def integrand(r):
-        v = f.evaluator(r)
-        if v == 0.0:
-            return 0.0
-        return v * v * math.log(abs(v)) * r ** (N - 1)
-
-    res = integrate(Integrand(integrand, (0.0, math.inf), name="entropy-halfln"),
-                    abs_tol=1e-12, rel_tol=1e-10)
-    return sphere_area_equator(N) * res.value
+    Both integrals are closed forms: for the extremal through the
+    phi-moment, (m/2)(Ent_2(f) + ln m) with m = ||f||_2^2; for the Gaussian
+    A exp(-r^2/(2 sigma^2)) from its amplitude and width,
+    A^2 (pi sigma^2)^{N/2} (ln A - N/4).
+    """
+    eps = er._EPS
+    if f_choice == "extremal":
+        f = extremal_profile(N)
+        m, m_err = _phi_power_lp_sq(f, 0.5 * N, 2.0)
+        ent2, ent2_err = _bubble_entropy(N)
+        bracket = ent2 + math.log(m)
+        val = 0.5 * m * bracket
+        err = (0.5 * (m_err * abs(bracket) + m * (ent2_err + m_err / m))
+               + eps * (2.0 * abs(val) + m * abs(math.log(m))))
+    elif f_choice == "gaussian":
+        f = er.gaussian_density_profile(N)
+        A, sigma = f.meta["amplitude"], f.meta["sigma"]
+        ln_width = 0.5 * N * math.log(math.pi * sigma * sigma)
+        m = A * A * math.exp(ln_width)
+        val = m * (math.log(A) - 0.25 * N)
+        err = eps * (abs(val) * (2.0 * abs(ln_width) + 6.0) + m * (abs(math.log(A)) + 0.25 * N))
+    else:
+        raise DomainError(f"f_choice must be extremal|gaussian, got {f_choice!r}")
+    return f, val, err
 
 
 def _check_normalized(f: er.RadialProfile, N: int) -> None:
@@ -360,22 +386,17 @@ def beckner_fraclog_check(N: int, s: float, f_choice: str) -> AuditReport:
 
     LHS = (N/4) <u, (-Delta)^{s+ln} u> = (N/2) int ln|xi| |fhat|^2 via the
     multiplier route; RHS = int |f|^2 ln|f| + B_N from the position side.
-    Equality (to 1e-4) is asserted for the extremal choice. The energy is
-    the closed form of the exact pair; the pair itself is checked against
-    the numeric inverse transform in the tests.
+    Equality (to 1e-4) is asserted for the extremal choice. Both sides are
+    closed forms, the energy of the exact pair and the entropy term of
+    _beckner_profile; the pair itself is checked against the numeric
+    inverse transform in the tests.
     """
     beckner_convention_selftest()
     if not N > 2.0 * s:
         raise DomainError(f"require N > 2s, got N={N}, s={s}")
-    if f_choice == "extremal":
-        f = extremal_profile(N)
-    elif f_choice == "gaussian":
-        f = er.gaussian_density_profile(N)
-    else:
-        raise DomainError(f"f_choice must be extremal|gaussian, got {f_choice!r}")
+    f, ent, _ = _beckner_profile(N, f_choice)
     _check_normalized(f, N)
     lhs = 0.25 * N * er.pair_energy("log", f.fourier, N).value
-    ent = _entropy_halfln(f, N)
     rhs = ent + B_N(N)
     margin = lhs - rhs
     passed = margin >= -1e-6 and (f_choice != "extremal" or abs(margin) <= 1e-4)

@@ -181,7 +181,7 @@ def test_criterion_7_naive_inequality_failure():
     # the quadrature route on the same grid: both minima agree within the
     # sum of the two derivative budgets
     p0 = Params(3, 0.5)
-    min_q, budget_q = _min_derivative(ineq.sobolev_deficit(p0, er.talenti_bubble(p0),
+    min_q, budget_q = _min_derivative(ineq.sobolev_deficit(3, er.talenti_bubble(p0),
                                                            curve.s_grid))
     ok &= abs(d["min_Fprime"] - min_q) <= d["derivative_budget"] + budget_q
     elapsed = time.perf_counter() - t0

@@ -3,6 +3,7 @@ import math
 import warnings
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,7 +278,6 @@ def test_log_intertwining_every_dimension():
 def test_pullback_coefficients_round_once():
     # each phi-power coefficient of T_s[Z_d] is within 2 ulp of its exact
     # value sqrt(d_k/|S^N|) (-1)^d (-d)_i (d+N-1)_i / ((N/2)_i i! 2^i)
-    mp = pytest.importorskip("mpmath")
     with mp.workdps(40):
         for N in range(1, 6):
             area = 2 * mp.pi ** (mp.mpf(N + 1) / 2) / mp.gamma(mp.mpf(N + 1) / 2)
@@ -308,7 +308,6 @@ def test_pullback_images_against_mpmath():
     # (-Delta)^s phi^a and t1 - t2 - t3 = dE/ds - dE/da - ln(phi) E at the
     # pullback powers a = N/2 - s + i against 40-digit mpmath (Dyda's
     # formula, no Euler transformation); every estimate bounds its error
-    mp = pytest.importorskip("mpmath")
     ts = [conformal.polar_cosine(r) for r in (0.0, 0.5, 2.0, 10.0, 100.0)]
     for N, s, i in itertools.product(range(1, 6), (0.01, 0.3, 0.9), (0, 1, 4, 8)):
         if N <= 2.0 * s:

@@ -2,6 +2,7 @@ import functools
 import itertools
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -145,21 +146,57 @@ def test_energy_mellin_cross_check():
     p = Params(3, 0.5)
     u = er.talenti_bubble(p)
     en = er.energy("frac", u.fourier, 3, p.s)
-    closed = er.bubble_hs_energy(p)
+    closed = float(_bubble_energy_mp(u.fourier, 3, p.s, log=False))
     assert en.value == pytest.approx(closed, rel=1e-8)
     assert en.abs_error_estimate < 1e-6 * abs(closed)
 
 
-def _frozen_bubble_energy(N, s0, s, log):
-    """Energy of u_{s0} at order s in closed form: the K^2 Mellin moment
-    c^2 M(N + 2s - 2s0, s0), or for the fraclog multiplier its s-derivative."""
-    from fraclog.specfun import digamma
-    a, c = N + 2.0 * s - 2.0 * s0, bessel_bubble_coeff(Params(N, s0))
-    val = sphere_area_equator(N) * c * c * er.mellin_k2_moment(a, s0)
-    if log:
-        val *= (digamma(0.5 * a) + digamma(0.5 * a + s0) + digamma(0.5 * a - s0)
-                - digamma(0.5 * (a + 1.0)))
-    return val
+def _bubble_energy_mp(g, N, s, log):
+    """40-digit energy of a one-term pair w f_nu at order s from its float inputs:
+    |S^{N-1}| w^2 M(N + 2s + 2nu, nu), M(a, nu) = int t^{a-1} K_nu(t)^2 dt the
+    K^2 Mellin moment, or for the fraclog multiplier its s-derivative."""
+    (t,) = g.meta["phi_terms"]
+    with mp.workdps(40):
+        a, N = mp.mpf(t.power), mp.mpf(N)
+        nu, w = a - N / 2, 2 * mp.mpf(t.coef) / mp.gamma(a)
+        area = 2 * mp.pi ** (N / 2) / mp.gamma(N / 2)
+
+        def energy(s):
+            b = N + 2 * s + 2 * nu
+            return (area * w * w * mp.sqrt(mp.pi) / 4 * mp.gamma(b / 2) * mp.gamma(b / 2 + nu)
+                    * mp.gamma(b / 2 - nu) / mp.gamma((b + 1) / 2))
+        return +mp.diff(energy, mp.mpf(s)) if log else energy(mp.mpf(s))
+
+
+def _phi_moment_mp(N, excess, log):
+    """40-digit |S^{N-1}| 2^{b-1} B(N/2, e) [ln 2 + psi(e) - psi(b)]^{0|1}, b = N/2 + e."""
+    with mp.workdps(40):
+        h, e = mp.mpf(N) / 2, mp.mpf(excess)
+        val = 2 * mp.pi ** h * 2 ** (h + e - 1) * mp.gamma(e) / mp.gamma(h + e)
+        return val * (mp.log(2) + mp.digamma(e) - mp.digamma(h + e)) if log else val
+
+
+def test_closed_forms_bound_their_error_at_the_edge_of_finiteness():
+    # a Gamma argument near 0: N/2 - s for the bubble u_s as s -> N/2, and
+    # N/2 + s - 2 s0 for u_{s0} at s = 0.05 s0 as s0 -> N/3.9, where the
+    # Beta argument N (N + 2s - 4 s0) / (2 (N - 2s)) of ||u_{s0}||_{p(s)}
+    # nears 0 too. Against 40-digit mpmath from the same float inputs, each
+    # error is within its estimate; the parent's rounded arguments erred by
+    # 5.5e-12 under an estimate of 1.7e-14 at N = 1, s = 0.49999
+    cases = [(1, s, s) for s in (0.49999, 0.4999999)] + [(2, s, s) for s in (0.99999, 0.9999999)]
+    cases += [(N, 0.05 * s0, s0) for N in (1, 2, 3) for s0 in (N / 3.9 - d for d in (1e-3, 1e-6, 1e-9))]
+    for N, s, s0 in cases:
+        g = er.talenti_bubble(Params(N, s0)).fourier
+        excess = (math.fsum([0.5 * N, -s]) if s == s0 else
+                  N * math.fsum([N, 2.0 * s, -4.0 * s0]) / (2.0 * (N - 2.0 * s)))
+        for log in (False, True):
+            res = er.pair_energy("fraclog" if log else "frac", g, N, s)
+            ref = _bubble_energy_mp(g, N, s, log)
+            assert float(abs(res.value - ref)) <= res.abs_error_estimate, (N, s, s0, log)
+            res = er.phi_moment(N, excess, log)
+            ref = _phi_moment_mp(N, excess, log)
+            assert float(abs(res.value - ref)) <= res.abs_error_estimate, (N, s, s0, log)
+            assert res.evaluations == 0
 
 
 def test_energy_of_frozen_bubble_over_failure_grid():
@@ -170,7 +207,7 @@ def test_energy_of_frozen_bubble_over_failure_grid():
         u = er.talenti_bubble(Params(N, s0))
         for s in np.linspace(0.05 * s0, s0, 120):
             en = er.energy("frac", u.fourier, N, float(s))
-            exact = _frozen_bubble_energy(N, s0, float(s), log=False)
+            exact = float(_bubble_energy_mp(u.fourier, N, float(s), log=False))
             assert abs(en.value - exact) <= 1e-12 * exact, (N, s0, s)
             assert abs(en.value - exact) <= en.abs_error_estimate, (N, s0, s)
 
@@ -182,7 +219,7 @@ def test_fraclog_energy_of_bubble_near_critical_order():
         for s in np.linspace(0.05, hi, 37):
             u = er.talenti_bubble(Params(N, float(s)))
             en = er.energy("fraclog", u.fourier, N, float(s))
-            exact = _frozen_bubble_energy(N, float(s), float(s), log=True)
+            exact = float(_bubble_energy_mp(u.fourier, N, float(s), log=True))
             assert abs(en.value - exact) <= 1e-11 * abs(exact), (N, s)
             assert abs(en.value - exact) <= en.abs_error_estimate, (N, s)
 
@@ -191,8 +228,15 @@ def test_energy_extremality_inverse_kappa():
     # kappa_{N,s} ||u_s||_{Hs}^2 = ||u_s||_{p(s)}^2 at every admissible (N, s)
     for (N, s) in [(1, 0.25), (2, 0.3), (3, 0.5), (4, 0.5), (5, 0.75)]:
         p = Params(N, s)
-        ratio = eval_constants(p).kappa_Ns * er.bubble_hs_energy(p) / er.bubble_lp_sq(p)
+        u = er.talenti_bubble(p)
+        energy = _bubble_energy_mp(u.fourier, N, s, log=False)
+        with mp.workdps(40):  # ||u_s||_{p(s)}^2 = (2^{-N} int phi^N)^{(N-2s)/N}
+            lp_sq = (_phi_moment_mp(N, N / 2, False) / 2 ** N) ** (1 - 2 * mp.mpf(s) / N)
+        ratio = eval_constants(p).kappa_Ns * float(energy / lp_sq)
         assert ratio == pytest.approx(1.0, rel=1e-12)
+        # the closed forms that the audits use
+        assert er.pair_energy("frac", u.fourier, N, s).value == pytest.approx(float(energy), rel=1e-13)
+        assert ineq._lp_norm_sq(u, er.p_of_s(N, s), N)[0] == pytest.approx(float(lp_sq), rel=1e-13)
 
 
 def test_gaussian_frac_energy_increasing_in_s():
@@ -253,7 +297,6 @@ def test_pair_energy_against_mpmath():
     # five times a generic one: f_0, f_1 take the orders 1e-30 and 1 + 1e-30
     # (relative change < 1e-28), f_n, n >= 2, the recurrence
     # f_n = rho^2 f_{n-2} + 2 (n-1) f_{n-1} (DLMF 10.29.1)
-    mp = pytest.importorskip("mpmath")
     rho = functools.lru_cache(maxsize=None)(mp.exp)
 
     @functools.lru_cache(maxsize=None)
@@ -300,19 +343,20 @@ def test_pair_energy_against_mpmath():
 
 
 def test_pair_energy_reduces_to_the_k2_moment():
-    # at mu = nu, H_ii is the K^2 Mellin moment: bubble_hs_energy, and over
-    # the failure grid of v = u_{s0} the moment and its s-derivative
+    # at mu = nu, H_ii is the K^2 Mellin moment (in 40-digit mpmath), and
+    # over the failure grid of v = u_{s0} the moment and its s-derivative
     for N, s in ((1, 0.25), (2, 0.3), (3, 0.5), (4, 0.5), (5, 0.75)):
         p = Params(N, s)
         res = er.pair_energy("frac", er.talenti_bubble(p).fourier, N, s)
-        assert res.value == pytest.approx(er.bubble_hs_energy(p), rel=1e-13)
+        g = er.talenti_bubble(p).fourier
+        assert res.value == pytest.approx(float(_bubble_energy_mp(g, N, s, log=False)), rel=1e-13)
         assert res.evaluations == 0
     for N, s0 in ((3, 0.2751), (2, 0.473), (1, 0.24), (5, 0.8994)):
         g = er.talenti_bubble(Params(N, s0)).fourier
         for s in np.linspace(0.05 * s0, s0, 12):
             for kind, log in (("frac", False), ("fraclog", True)):
                 res = er.pair_energy(kind, g, N, float(s))
-                exact = _frozen_bubble_energy(N, s0, float(s), log)
+                exact = float(_bubble_energy_mp(g, N, float(s), log))
                 assert abs(res.value - exact) <= 1e-13 * abs(exact), (N, s0, s, kind)
 
 
@@ -340,43 +384,68 @@ def test_pair_energy_rejects_what_it_cannot_do():
         er.energy("log", er.talenti_bubble(Params(2, 0.9)).fourier, 2)
 
 
+def test_energy_raises_where_its_head_does_not_decay():
+    # the N = 1 bubble's log energy has the head rho^{-4s} ln rho^2 and
+    # diverges for s >= 1/4; the head probe at rho = 1e-8 alone returned
+    # -2144.8 under an estimate of 8.0e-6 at s = 0.26
+    for s in (0.26, 0.3):
+        with pytest.raises(DivergentIntegralError):
+            er.energy("log", er.talenti_bubble(Params(1, s)).fourier, 1)
+    for s in (0.2, 0.24, 0.245):
+        g = er.talenti_bubble(Params(1, s)).fourier
+        quad, closed = er.energy("log", g, 1), er.pair_energy("log", g, 1)
+        assert abs(quad.value - closed.value) <= quad.abs_error_estimate + closed.abs_error_estimate
+
+
 def test_lp_norm_bubble_closed_form():
-    # q = p(s): independent of s
-    vals = [er.lp_norm_bubble(Params(3, s), er.p_of_s(3, s)) for s in (0.2, 0.5, 0.8)]
+    # q = p(s): ||u_s||_{p(s)}^{p(s)} is independent of s
+    vals = [ineq._lp_norm_sq(er.talenti_bubble(Params(3, s)), er.p_of_s(3, s), 3)[0]
+            ** (0.5 * er.p_of_s(3, s)) for s in (0.2, 0.5, 0.8)]
     for v in vals[1:]:
         assert v == pytest.approx(vals[0], rel=1e-13)
-    # quadrature cross-check at (N=3, s=1/2, q=3)
+    # ||u||_q^q = 2^{-b} int phi^b, b = q (N - 2s)/2: against quadrature at
+    # (N=3, s=1/2, q=3) and 40-digit mpmath down to a Beta argument of 1e-9
     p = Params(3, 0.5)
     q = 3.0
     from fraclog.quadrature import Integrand, integrate
     u = er.talenti_bubble(p)
     direct = integrate(Integrand(lambda r: abs(u.evaluator(r)) ** q * r ** 2,
                                  (0.0, math.inf)), abs_tol=1e-12, rel_tol=1e-11)
-    assert er.lp_norm_bubble(p, q) == pytest.approx(
+    assert 2.0 ** -3 * er.phi_moment(3, 1.5).value == pytest.approx(
         sphere_area_equator(3) * direct.value, rel=1e-10)
+    for N, excess in itertools.product((1, 2, 5), (1e-9, 0.3, 2.5, 7.0)):
+        res = er.phi_moment(N, excess)
+        assert float(abs(res.value - _phi_moment_mp(N, excess, False))) <= res.abs_error_estimate
 
 
 def test_lp_norm_bubble_divergence_flag():
     p = Params(3, 0.5)
     q_boundary = 3.0 / (3 - 2 * 0.5)  # q(N-2s) = N
     with pytest.raises(DivergentIntegralError):
-        er.lp_norm_bubble(p, q_boundary)
+        ineq._lp_norm_sq(er.talenti_bubble(p), q_boundary, 3)
+    with pytest.raises(DivergentIntegralError):
+        er.phi_moment(3, 0.0)
 
 
 def test_beta_log_integral_oracle():
-    # int r^{N-1}(1+r^2)^{-beta} ln(1+r^2) dr via quadrature at (N, beta) = (3, 3)
+    # int phi^b ln phi dx via quadrature at (N, b) = (3, 3), and against
+    # 40-digit mpmath
     from fraclog.quadrature import Integrand, integrate
-    N, beta = 3, 3.0
+    N, b = 3, 3.0
     direct = integrate(Integrand(
-        lambda r: r ** (N - 1) * (1 + r * r) ** -beta * math.log1p(r * r),
+        lambda r: r ** (N - 1) * er.phi(r) ** b * math.log(er.phi(r)),
         (0.0, math.inf)), abs_tol=1e-12, rel_tol=1e-11)
-    assert er.beta_log_integral(N, beta) == pytest.approx(direct.value, abs=1e-9)
+    res = er.phi_moment(N, b - 0.5 * N, log=True)
+    assert res.value == pytest.approx(sphere_area_equator(N) * direct.value, rel=1e-9)
+    for N, excess in itertools.product((1, 2, 5), (1e-9, 0.3, 2.5, 7.0)):
+        res = er.phi_moment(N, excess, log=True)
+        assert float(abs(res.value - _phi_moment_mp(N, excess, True))) <= res.abs_error_estimate
 
 
 def test_entropy_bubble_matches_beta_derivative_closed_form():
     # Ent_{p(s)}(u_s) closed form, s-independent at fixed N
     N = 3
-    closed = er.bubble_entropy(N)
+    closed, _ = ineq._bubble_entropy(N)
     for s in (0.2, 0.5, 0.8):
         p = Params(N, s)
         ent = er.entropy(er.p_of_s(N, s), er.talenti_bubble(p), N)
@@ -474,7 +543,6 @@ def _pullback_pair(N, s, d):
 def test_phi_power_pair_against_mpmath():
     # phi^a maps to T(a) = 2/Gamma(a) rho^{a-N/2} K_{a-N/2}(rho), phi^a ln phi to
     # dT/da; both from T(a +- h) at 40 digits, h = 1e-12 (errors ~1e-24)
-    mp = pytest.importorskip("mpmath")
     worst = {False: 0.0, True: 0.0}
     for N, s, d in itertools.product((1, 3), (0.1, 0.3, 0.45), (0, 2, 4, 8, 12)):
         V, W = _pullback_pair(N, s, d)

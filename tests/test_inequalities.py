@@ -1,6 +1,7 @@
 import math
 import os
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -14,16 +15,15 @@ from fraclog.spectral import ZonalExpansion
 def test_deficit_vanishes_at_own_order():
     p = Params(3, 0.5)
     v = er.talenti_bubble(p)
-    curve = ineq.sobolev_deficit(p, v, [0.2, 0.35, 0.5])
-    scale = eval_constants(p).kappa_Ns * er.bubble_hs_energy(p)
+    curve = ineq.sobolev_deficit(3, v, [0.2, 0.35, 0.5])
+    scale = eval_constants(p).kappa_Ns * er.pair_energy("frac", v.fourier, 3, p.s).value
     assert abs(curve.F_values[-1]) <= 1e-9 * scale
     assert all(F > 0.0 for F in curve.F_values[:-1])
 
 
 def test_deficit_positive_for_gaussian():
-    p = Params(3, 0.5)
     g = er.gaussian_profile(3)
-    curve = ineq.sobolev_deficit(p, g, list(np.linspace(0.1, 0.9, 5)))
+    curve = ineq.sobolev_deficit(3, g, list(np.linspace(0.1, 0.9, 5)))
     assert all(F > 1e-3 for F in curve.F_values)
 
 
@@ -33,8 +33,8 @@ def test_deficit_derivative_vanishes_at_extremal_order():
     p = Params(N, s0)
     v = er.talenti_bubble(p)
     h = 1e-4
-    curve = ineq.sobolev_deficit(p, v, [s0 - h, s0, s0 + h])
-    scale = eval_constants(p).kappa_Ns * er.bubble_hs_energy(p)
+    curve = ineq.sobolev_deficit(N, v, [s0 - h, s0, s0 + h])
+    scale = eval_constants(p).kappa_Ns * er.pair_energy("frac", v.fourier, N, s0).value
     assert abs(curve.Fprime_fd[1]) <= 1e-6 * scale
 
 
@@ -49,6 +49,18 @@ def test_sharp_fraclog_identity(N, s):
 def test_sharp_fraclog_identity_within_error_budget():
     rep = ineq.sharp_fraclog_identity(Params(3, 0.5))
     assert abs(rep.residual) <= rep.details["error_budget"]
+
+
+def test_sharp_fraclog_identity_near_the_critical_order():
+    # as s -> N/2 the Gamma argument N/2 - s of both energies tends to 0 and
+    # kappa' E~ and kappa L~ cancel to O(1); from rounded arguments the
+    # identity failed at N = 1, s = 0.4999999 with residual 1.1e-3 against
+    # a budget of 1.1e-7
+    for N, s in [(1, 0.49), (1, 0.499), (1, 0.49999), (1, 0.4999999),
+                 (2, 0.999), (2, 0.99999), (2, 0.9999999)]:
+        rep = ineq.sharp_fraclog_identity(Params(N, s))
+        budget = rep.details["error_budget"] / max(abs(rep.lhs), abs(rep.rhs))
+        assert rep.passed and abs(rep.residual) <= budget, (N, s, rep.residual, budget)
 
 
 @pytest.mark.parametrize("N", [1, 2, 3])
@@ -90,7 +102,7 @@ def test_failure_curve_matches_quadrature_route(N, s0):
     # sobolev_deficit, point by point within the two estimates
     rep, curve = ineq.failure_demo(N, s0, 120)
     p0 = Params(N, s0)
-    quad = ineq.sobolev_deficit(p0, er.talenti_bubble(p0), curve.s_grid)
+    quad = ineq.sobolev_deficit(N, er.talenti_bubble(p0), curve.s_grid)
     assert rep.passed and quad.s_grid == curve.s_grid
     for F, e, Fq, eq in zip(curve.F_values, curve.F_errors, quad.F_values, quad.F_errors):
         assert abs(F - Fq) <= e + eq, (F, Fq, e, eq)
@@ -115,7 +127,6 @@ def test_failure_curve_errors_bound_mpmath(N, s0):
     # F_errors bounds the error against 40 digits, also at the edge of the
     # finite-norm box (s0 just below N/3.9), where a Gamma argument ~ N + 2s - 4 s0
     # nears zero
-    mp = pytest.importorskip("mpmath")
     _, curve = ineq.failure_demo(N, s0, 120)
     for i in (0, 1, 17, 60, 118, 119):
         with mp.workdps(40):
@@ -193,16 +204,30 @@ def test_beckner_profiles_invert_to_their_pairs(N, profile):
 
 def test_exact_pair_audits_skip_the_quadrature_route(monkeypatch):
     def quadrature_route(*args, **kwargs):
-        raise AssertionError("euclid_radial.energy called")
+        raise AssertionError("quadrature route called")
     ineq.beckner_convention_selftest()  # cached: its quadrature route runs once per process
     monkeypatch.setattr(er, "energy", quadrature_route)
-    ineq.sharp_fraclog_identity(Params(3, 0.4))
-    ineq.euclid_log_identity(2)
-    ineq.beckner_fraclog_check(3, 0.4, "extremal")
-    ineq.beckner_fraclog_check(1, 0.2, "gaussian")
     ineq.moment_check(3, 0.4, er.gaussian_density_profile(3))
     ineq.lq_check(3, 0.4, 1.5, ineq.extremal_profile(3))
     conformal.confcore_checks(ZonalExpansion(3, 2, (1.0, 0.1, -0.2)), 3)
+    # these take every integral in closed form: no quadrature of their own either
+    monkeypatch.setattr(ineq, "integrate", quadrature_route)
+    for N, s in ((3, 0.4), (1, 0.2)):
+        ineq.beckner_fraclog_check(N, s, "extremal")
+        ineq.beckner_fraclog_check(N, s, "gaussian")
+    ineq.sharp_fraclog_identity(Params(3, 0.4))
+    ineq.euclid_log_identity(2)
+    ineq.failure_demo(3, 0.5, 40)
+
+
+@pytest.mark.parametrize("N", [1, 3])
+@pytest.mark.parametrize("f_choice", ["extremal", "gaussian"])
+def test_beckner_entropy_closed_form_against_quadrature(N, f_choice):
+    # int |f|^2 ln|f| = Ent_2(f) / 2 at ||f||_2 = 1, within both estimates
+    f, ent, ent_err = ineq._beckner_profile(N, f_choice)
+    quad = er.entropy(2.0, f, N)
+    assert abs(quad.value - 2.0 * ent) <= quad.abs_error_estimate + 2.0 * ent_err
+    assert abs(quad.value - 2.0 * ent) <= 1e-9
 
 
 def test_pair_energy_agrees_with_quadrature_on_the_radial_tasks(monkeypatch):
@@ -229,6 +254,12 @@ def test_beckner_convention_selftest_compares_the_two_energy_routes(monkeypatch)
     monkeypatch.setattr(er, "pair_energy", lambda *args: QuadResult(
         pair_energy(*args).value + 1e-9, 1e-14, 0))
     with pytest.raises(SelfTestError, match="closed form"):
+        ineq.beckner_convention_selftest.__wrapped__()
+    monkeypatch.undo()
+    beckner_profile = ineq._beckner_profile
+    monkeypatch.setattr(ineq, "_beckner_profile", lambda *args: (
+        lambda f, ent, err: (f, ent + 1e-9, 1e-14))(*beckner_profile(*args)))
+    with pytest.raises(SelfTestError, match="entropy: quadrature"):
         ineq.beckner_convention_selftest.__wrapped__()
 
 
