@@ -3,8 +3,10 @@
 The heavy lifting is QUADPACK (scipy.integrate.quad: adaptive
 Gauss–Kronrod panels with epsilon-algorithm extrapolation, which also
 takes integrable endpoint singularities). This module is the only one
-that calls it, and adds the contract layer the rest of the package
-relies on:
+that calls it, and it imports scipy.integrate on the first `integrate`
+call, not at import: loading QUADPACK takes about a fifth of a second,
+and most CLI subcommands never integrate. It adds the contract layer the
+rest of the package relies on:
 
 * a semi-infinite domain (a, inf) is mapped to [0, 1] by r = a + t/(1-t);
 * an integrand with a Fourier weight (cos or sin, omega) is integrated
@@ -13,6 +15,10 @@ relies on:
 * results always carry an error estimate and the evaluation count, and
   a result whose estimate misses the requested tolerance raises instead
   of returning silently.
+
+`find_root` is Brent's method (Brent 1973, ch. 4), ported statement by
+statement from scipy's brentq.c, so it returns scipy.optimize.brentq's
+roots bit for bit without importing scipy.optimize.
 
 Everything here is deterministic for fixed inputs.
 """
@@ -23,15 +29,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from scipy.integrate import quad as _quad
-from scipy.optimize import brentq as _brentq
-
 from .errors import BracketError, DomainError, NonConvergedError
 
 _INF = math.inf
 _QUAD_LIMIT = 400  # adaptive subdivisions per QUADPACK call
 _QUAD_LIMLST = 120  # QAWF cycles of a Fourier tail (QAWO ignores it)
 _ROOT_MAX_ITER = 200
+_ROOT_RTOL = 8.9e-16  # brentq's floor, 4 * machine epsilon, rounded up
 
 
 @dataclass(frozen=True)
@@ -55,6 +59,14 @@ class RootResult:
     root: float
     bracket: tuple
     residual: float
+
+
+# perfbench/tracer.py wraps this name to count QUADPACK calls and evaluations
+def _quad(*args, **kwargs):
+    """scipy.integrate.quad, imported on the first call."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> QuadResult:
@@ -89,22 +101,71 @@ def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> Qu
 
 
 def find_root(g: Callable[[float], float], bracket: tuple, tol: float = 1e-12) -> RootResult:
-    """Bracketed root of a continuous scalar function (Brent's method)."""
+    """Bracketed root of a continuous scalar function (Brent's method).
+
+    Stops when half the bracket is below (tol + 8.9e-16 |x|)/2; raises
+    NonConvergedError, carrying the last iterate, after _ROOT_MAX_ITER
+    steps, and DomainError where g is NaN.
+    """
     a, b = bracket
+    if not tol > 0.0:
+        raise DomainError(f"tol must be positive, got {tol}")
     if not a < b:
         raise BracketError(f"empty bracket ({a}, {b})")
-    fa, fb = g(a), g(b)
+    fa, fb = _root_value(g, a), _root_value(g, b)
     if fa == 0.0:
         return RootResult(a, (a, b), 0.0)
     if fb == 0.0:
         return RootResult(b, (a, b), 0.0)
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(f"no sign change on ({a}, {b}): g={fa:.3e}, {fb:.3e}")
-    try:
-        root, res = _brentq(g, a, b, xtol=tol, rtol=8.9e-16, maxiter=_ROOT_MAX_ITER,
-                            full_output=True)
-    except RuntimeError as exc:  # scipy signals maxiter this way
-        raise NonConvergedError(f"root search exceeded {_ROOT_MAX_ITER} iterations") from exc
-    if not res.converged:
-        raise NonConvergedError(f"root search did not converge on ({a}, {b})")
-    return RootResult(float(root), (a, b), float(g(root)))
+    root = _brent(g, float(a), float(b), fa, fb, tol)
+    return RootResult(root, (a, b), float(g(root)))
+
+
+def _root_value(g: Callable[[float], float], x: float) -> float:
+    gx = float(g(x))
+    if math.isnan(gx):
+        raise DomainError(f"root search: g({x!r}) is NaN")
+    return gx
+
+
+def _brent(g, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
+    """scipy's brentq.c loop: the same operations in the same order."""
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_ROOT_MAX_ITER):
+        if fpre != 0.0 and fcur != 0.0 and (
+                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = _root_value(g, xcur)
+    raise NonConvergedError(f"root search exceeded {_ROOT_MAX_ITER} iterations",
+                            value=xcur)

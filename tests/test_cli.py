@@ -145,6 +145,33 @@ def test_cold_import_skips_scipy_interpolate():
     assert out.strip() == b"False"
 
 
+_LOADED_SCIPY = """
+import contextlib, io, json, sys
+import fraclog.cli
+heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.interpolate")
+loaded = lambda: [m for m in heavy if m in sys.modules]
+seen = [loaded()]
+with contextlib.redirect_stdout(io.StringIO()):
+    fraclog.cli.main(["thresholds"])
+    fraclog.cli.main(["constants", "--dim", "3", "--order", "0.5"])
+    seen.append(loaded())
+    fraclog.cli.main(["dini", "--order", "0.3"])
+    seen.append(loaded())
+print(json.dumps(seen))
+"""
+
+
+def test_cold_start_loads_quadpack_on_first_integrate():
+    # a cold import loads no QUADPACK and no root finder; the first integral loads
+    # QUADPACK (and whatever scipy.integrate itself imports)
+    out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], capture_output=True,
+                         check=True, env=_child_env()).stdout
+    after_import, after_closed_forms, after_dini = json.loads(out)
+    assert after_import == []
+    assert after_closed_forms == []
+    assert "scipy.integrate" in after_dini
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "c.json"
     code, out = run(capsys, "constants", "--dim", "3", "--order", "0.25",

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import fraclog
+from fraclog import conformal, quadrature, spectral
 from fraclog.errors import BracketError, DomainError, NonConvergedError
 from fraclog.quadrature import Integrand, find_root, integrate
 from fraclog.specfun import digamma, ln_beta
@@ -132,29 +134,108 @@ def test_find_root_no_sign_change():
         find_root(lambda x: x, (2.0, 1.0))
 
 
-def test_only_quadrature_calls_scipy_integrate():
-    # every integral goes through integrate; other modules may import a
-    # scipy.integrate name (perfbench/tracer.py counts calls through it) but not call it
-    pkg = pathlib.Path(fraclog.__file__).parent
-    offenders = []
-    for path in sorted(pkg.glob("*.py")):
-        if path.name == "quadrature.py":
+def _assert_matches_brentq(g, bracket, tol):
+    # scipy's brentq at find_root's settings is the oracle: the port must agree bit for bit
+    root = find_root(g, bracket, tol=tol).root
+    expected = brentq(g, *bracket, xtol=tol, rtol=8.9e-16, maxiter=200)
+    assert root.hex() == float(expected).hex(), (bracket, tol)
+
+
+def test_find_root_matches_brentq_on_the_threshold_brackets():
+    cases = [(lambda a: digamma(a + 1.0) + digamma(a - 1.0), (1.0 + 1e-9, 2.0)),
+             (lambda a: digamma(a + 0.5) + digamma(a - 0.5), (0.5 + 1e-9, 2.0)),
+             (lambda s: digamma(1.5 + s) + digamma(1.5 - s), (1e-9, 0.5 - 1e-9))]
+    for g, bracket in cases:
+        _assert_matches_brentq(g, bracket, 1e-13)
+    # spectral.thresholds solves these three brackets; its values are brentq's
+    values = {r.name: r.value for r in spectral.thresholds()}
+    for name, (g, bracket) in zip(("a0", "a1", "s0_N3"), cases):
+        assert values[name] == brentq(g, *bracket, xtol=1e-13, rtol=8.9e-16), name
+
+
+@pytest.mark.parametrize("N, coeffs", [(3, (1.0, -0.294, -0.261)), (3, (1.0, -0.220, -0.200)),
+                                       (3, (0.4, -0.3, 1.1)), (2, (0.3, 1.0, -0.4)),
+                                       (5, (0.1, -0.7, 0.4, 0.9, -0.2, 0.6))])
+def test_find_root_matches_brentq_on_the_nodal_roots(N, coeffs):
+    # the sign changes of a zonal u that conformal._sign_changes brackets on its grid
+    u = spectral.ZonalExpansion(N, len(coeffs) - 1, coeffs)
+    t = np.linspace(-1.0, 1.0, 16 * len(coeffs) + 1)
+    v = spectral.zonal_eval(u, t)
+    brackets = [(t[i], t[i + 1]) for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
+    g = lambda x: spectral.zonal_eval(u, x)
+    expected = [brentq(g, *b, xtol=1e-12, rtol=8.9e-16) for b in brackets]
+    assert expected and [r.hex() for r in conformal._sign_changes(u)] == [
+        r.hex() for r in expected]
+
+
+def test_find_root_matches_brentq_on_random_polynomials():
+    rng = np.random.default_rng(20261019)
+    checked = 0
+    while checked < 400:
+        roots = rng.uniform(-3.0, 3.0, size=rng.integers(1, 8))
+        scale = rng.choice((-1.0, 1.0)) * rng.uniform(0.1, 10.0)
+        g = lambda x, roots=roots, scale=scale: scale * math.prod(x - float(r) for r in roots)
+        a, b = sorted(float(x) for x in rng.uniform(-4.0, 4.0, size=2))
+        if not g(a) * g(b) < 0.0:
             continue
+        _assert_matches_brentq(g, (a, b), float(10.0 ** rng.uniform(-14.0, -4.0)))
+        checked += 1
+
+
+def test_find_root_raises_when_iterations_run_out(monkeypatch):
+    monkeypatch.setattr(quadrature, "_ROOT_MAX_ITER", 2)
+    with pytest.raises(NonConvergedError, match="2 iterations") as info:
+        find_root(lambda x: x ** 3 - 2.0, (0.0, 2.0), tol=1e-14)
+    assert 0.0 < info.value.value < 2.0
+
+
+def test_find_root_rejects_nan_and_nonpositive_tolerance():
+    with pytest.raises(DomainError):
+        find_root(lambda x: math.nan if x > 0.5 else -1.0, (0.0, 1.0))
+    with pytest.raises(DomainError):
+        find_root(lambda x: x, (-1.0, 1.0), tol=0.0)
+
+
+def _scipy_solver_references(tree):
+    """(submodule, enclosing function or None) for each reference to scipy.integrate or
+    scipy.optimize: an import, or an attribute such as scipy.integrate.quad."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                names = [a.name for a in child.names]
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                names = [child.module] + [f"{child.module}.{a.name}" for a in child.names]
+            elif isinstance(child, ast.Attribute):
+                names = [ast.unparse(child)]
+            else:
+                names = []
+            for sub in ("scipy.integrate", "scipy.optimize"):
+                if any(n == sub or n.startswith(sub + ".") for n in names):
+                    found.append((sub, func))
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+def test_only_quadrature_calls_scipy_integrate():
+    # every integral goes through integrate, and a cold import loads neither QUADPACK nor
+    # scipy.optimize: the one reference to scipy.integrate is quadrature._quad's call-time
+    # import, and other modules may bind _quad (perfbench/tracer.py counts calls through
+    # their names) but not call it
+    pkg = pathlib.Path(fraclog.__file__).parent
+    found, calls = set(), []
+    for path in sorted(pkg.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        aliases, modules = set(), {"scipy.integrate"}
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ImportFrom) and node.module == "scipy.integrate":
-                aliases.update(a.asname or a.name for a in node.names)
-            elif isinstance(node, ast.ImportFrom) and node.module == "scipy":
-                modules.update(a.asname or a.name for a in node.names if a.name == "integrate")
-            elif isinstance(node, ast.Import):
-                modules.update(a.asname for a in node.names
-                               if a.name == "scipy.integrate" and a.asname)
-        for node in ast.walk(tree):
-            if not isinstance(node, ast.Call):
-                continue
-            fn = node.func
-            if (isinstance(fn, ast.Name) and fn.id in aliases) or (
-                    isinstance(fn, ast.Attribute) and ast.unparse(fn.value) in modules):
-                offenders.append(f"{path.name}:{node.lineno}")
-    assert not offenders, offenders
+        found.update((path.name, sub, func) for sub, func in _scipy_solver_references(tree))
+        aliases = {a.asname or a.name for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "quadrature"
+                   for a in node.names if a.name == "_quad"}
+        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                  and node.func.id in aliases]
+    assert found == {("quadrature.py", "scipy.integrate", "_quad")}
+    assert not calls, calls
