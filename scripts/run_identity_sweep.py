@@ -1,17 +1,21 @@
 #!/usr/bin/env python3
 """Audit the sharp fractional-logarithmic identity over an (N, s) grid,
-plus its s -> 0 logarithmic degeneration, and the intertwining law on
-Z_d, d = 0, 4, .., 24, with its s = 0 endpoint.
+plus its s -> 0 logarithmic degeneration, the intertwining law on
+Z_d, d = 0, 4, .., 24, with its s = 0 endpoint, and the three endpoint
+transfer laws of confcore_checks on N 1..5.
 
 Both identities are closed forms on both sides, so each residual is
 rounding: exits 1 when an identity's relative residual exceeds its
 relative error_budget or the budget exceeds 1e-12, when an audit fails,
-or when an intertwining residual exceeds 1e-12 or its own error_budget.
+when an intertwining residual exceeds 1e-12 or its own error_budget, or
+when a transfer law's residual exceeds its error_budget.
 
 Usage: python3 scripts/run_identity_sweep.py
 """
 
 import sys
+
+import numpy as np
 
 from fraclog.constants import Params
 from fraclog import conformal, inequalities as ineq
@@ -46,6 +50,16 @@ def identity_sweep():
         yield 0.0, ineq.euclid_log_identity(N)
 
 
+def confcore_sweep():
+    """Reports of confcore_checks on N 1..5: seeded u of degree 0..4, and one
+    u per N whose Z_1 term dominates, so that it changes sign."""
+    rng = np.random.default_rng(5)
+    for N in (1, 2, 3, 4, 5):
+        profiles = [(1.0,) + tuple(rng.uniform(-0.3, 0.3, d).tolist()) for d in range(5)]
+        for coeffs in profiles + [(0.2, 1.0, -0.3)]:
+            yield conformal.confcore_checks(ZonalExpansion(N, len(coeffs) - 1, coeffs), N)
+
+
 def main():
     status = 0
     print("N,s,lhs,rhs,rel_residual,rel_error_budget,pass")
@@ -62,6 +76,17 @@ def main():
         if not ok:
             status = 1
         print(f"{kind},{N},{s},{d},{res:.3e},{budget:.3e},{ok}")
+    laws = ("norm", "entropy", "log_energy")
+    print("N,coeffs," + ",".join(f"{law}_residual,{law}_budget" for law in laws) + ",pass")
+    for rep in confcore_sweep():
+        budget = rep.details["error_budget"]
+        res = [rep.details[f"{law}_residual"] for law in laws]
+        ok = rep.passed and all(abs(r) <= budget[law] for r, law in zip(res, laws))
+        if not ok:
+            status = 1
+        coeffs = " ".join(f"{c:.6g}" for c in rep.inputs["coeffs"])
+        print(f"{rep.inputs['N']},{coeffs},"
+              + ",".join(f"{r:.3e},{budget[law]:.3e}" for r, law in zip(res, laws)) + f",{ok}")
     return status
 
 

@@ -42,8 +42,11 @@ Audits implemented here:
 
 * confcore_checks: the endpoint pullback T_0 preserves the L^2 norm,
   shifts the entropy by N * <ln phi> and the logarithmic energy by
-  2 * <ln phi> (density-weighted means); the Euclidean log energy is the
-  closed form of V's Bessel-K pair (euclid_radial.pair_energy);
+  2 * <ln phi> (density-weighted means). ||V||^2 and <ln phi> are closed
+  forms over the phi-power pairs of V (one array euclid_radial.phi_moment
+  call each), held against Parseval; the entropies on both sides are
+  quadratures; the Euclidean log energy is the closed form of V's
+  Bessel-K pair (euclid_radial.pair_energy), held against the spectral sum;
 * intertwining_residual: T_s[P^{s+ln} u] (spectral route) against
   phi^{-2s} [ (-Delta)^{s+ln} V - (-Delta)^s((ln phi) V)
   - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
@@ -60,7 +63,8 @@ The two intertwining audits and the Euclidean Yamabe audit report
 details["error_budget"], a first-order bound on their residual from the
 rounding of both routes (specfun values within 8 ulp, 1e-14 absolute
 floor), relative to the magnitude of the terms the routes form, the
-residual's scale.
+residual's scale. confcore_checks reports one per law, from the
+quadrature estimates and the rounding of the closed forms.
 """
 
 from __future__ import annotations
@@ -75,13 +79,15 @@ import numpy as np
 from .audit import AuditReport, identity_audit
 from .constants import Params, bubble_mu, eval_constants
 from .errors import DomainError
-from .quadrature import Integrand, find_root, integrate
+from .quadrature import QuadResult, find_root
 from .specfun import digamma, ln_gamma
 from . import euclid_radial as er
 from . import spectral
 from .sphere_kernel import ZonalFunction
 
 _EPS = 2.0 ** -52
+#: ulps of _zonal_norm's float Z_k(1): sqrt of a rounded ratio, pi^{j/2}, a division
+_ZONAL_NORM_ULPS = 4.0
 
 
 def stereographic(z: Sequence[float]) -> np.ndarray:
@@ -169,55 +175,102 @@ def pullback_inverse(s: float, v: er.RadialProfile, N: int) -> ZonalFunction:
     return ZonalFunction(N, profile)
 
 
-def _weighted_log_phi_mean(u: spectral.ZonalExpansion) -> float:
-    """int (|u|^2 / ||u||_2^2) ln(phi circ sigma) dV on the sphere, ||u||_2 by Parseval."""
-    num = spectral.zonal_integral(u.N, lambda t: spectral.zonal_eval(u, t) ** 2 * math.log1p(t))
-    return num / u.norm_sq()
-
-
 def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
-    """Audit the three endpoint-pullback transfer laws for v = T_0[u]."""
+    """Audit the three endpoint-pullback transfer laws for V = T_0[u].
+
+    V = sum_i c_i phi^{a_i}, a_i = N/2 + i (pullback_expansion), so with M
+    and M' the phi-moments of b = a_i + a_j without and with ln phi
+    (euclid_radial.phi_moment, one array call each over the pairs i <= j,
+    the excess a_i + a_j - N/2 fsum'd):
+
+        ||V||^2 = sum_ij c_i c_j M,  <ln phi> = sum_ij c_i c_j M' / ||V||^2.
+
+    The norm law holds ||V||^2 against Parseval's sum_k u_k^2; the entropy
+    law takes both entropies by quadrature (euclid_radial.entropy and
+    _sphere_entropy, split at the sign changes of u); the log-energy law
+    takes V's pair energy in closed form against the spectral sum.
+    details carries ||V||^2 and <ln phi> with their estimates, and
+    details["error_budget"] bounds each law's residual to first order: the
+    norm by the phi-moment estimates, Parseval's rounding and that of
+    Z_k(1) in the pullback coefficients; the entropy by both entropy
+    estimates and N times that of <ln phi>; the log energy by the rounding
+    of the pair energy and of the spectral energy and 2 times the estimate
+    of <ln phi>.
+    """
     if u.N != N:
         raise DomainError("expansion dimension mismatch")
+    eps = _EPS
     v = pullback_expansion(0.0, u)
-    area = er.sphere_area_equator(N)
 
-    # (i) L^2 norms
+    # (i) L^2 norms, and <ln phi> from the same phi-power pairs
+    terms = v.fourier.meta["phi_terms"]
+    pairs = [(i, j) for i in range(len(terms)) for j in range(i, len(terms))]
+    ww = np.array([(1.0 if i == j else 2.0) * terms[i].coef * terms[j].coef for i, j in pairs])
+    excess = np.array([math.fsum((terms[i].power, terms[j].power, -0.5 * N)) for i, j in pairs])
+
+    def pair_sum(m):  # c_i c_j rounds thrice, its product with M once, the fsum once
+        return (math.fsum(ww * m.value),
+                float(np.abs(ww) @ (m.abs_error_estimate + 4.0 * eps * np.abs(m.value))))
+    norm_euclid, norm_err = pair_sum(er.phi_moment(N, excess))
+    num, num_err = pair_sum(er.phi_moment(N, excess, log=True))
     norm_sphere = u.norm_sq()
-    res = integrate(Integrand(lambda r: v.evaluator(r) ** 2 * r ** (N - 1),
-                              (0.0, math.inf), name="pullback-l2"),
-                    abs_tol=1e-12, rel_tol=1e-10)
-    norm_euclid = area * res.value
+    parseval_rel = (u.degree_max + 2) * eps
+    zk_rel = 2.0 * _ZONAL_NORM_ULPS * eps  # of ||u||^2 through the c_i
     res_norm = norm_euclid / norm_sphere - 1.0
+    budget_norm = (norm_err / norm_sphere + abs(norm_euclid / norm_sphere) * (parseval_rel + eps)
+                   + zk_rel + eps)
+    logphi_mean = num / norm_euclid
+    logphi_err = (num_err + abs(logphi_mean) * norm_err) / norm_euclid + eps * abs(logphi_mean)
 
     # (ii) entropy transfer
     zeros = _sign_changes(u)
-    ent_euclid = er.entropy(2.0, v, N, breaks=[radius_of_cosine(t) for t in zeros]).value
+    ent_euclid = er.entropy(2.0, v, N, breaks=[radius_of_cosine(t) for t in zeros])
     ent_sphere = _sphere_entropy(u, zeros)
-    logphi_mean = _weighted_log_phi_mean(u)
-    res_entropy = ent_euclid - (ent_sphere + N * logphi_mean)
+    res_entropy = ent_euclid.value - (ent_sphere.value + N * logphi_mean)
+    budget_entropy = (ent_euclid.abs_error_estimate + ent_sphere.abs_error_estimate
+                      + N * logphi_err
+                      + 2.0 * eps * (abs(ent_euclid.value) + abs(ent_sphere.value)
+                                     + N * abs(logphi_mean)))
 
     # (iii) logarithmic energy transfer
-    e_euclid = er.pair_energy("log", v.fourier, N).value / norm_euclid
+    pe = er.pair_energy("log", v.fourier, N)
+    e_euclid = pe.value / norm_euclid
     e_sphere = spectral.spectral_energy("P_log", None, u) / norm_sphere
+    # sum_k sym_k u_k^2 / ||u||^2 in magnitudes: each symbol 2 psi within 2 _specfun_error
+    # of psi, and the products and the sum round (degree + 4) times
+    sym = np.abs(spectral.symbol_log(N, spectral.eigenvalue(N, np.arange(u.degree_max + 1))))
+    coeff_sq = np.array(u.coeffs) ** 2
+    abs_sphere = float(sym @ coeff_sq) / norm_sphere
+    spectral_err = (float(coeff_sq @ (2.0 * np.maximum(1e-14, 4.0 * eps * sym))) / norm_sphere
+                    + (u.degree_max + 4) * eps * abs_sphere)
     res_logenergy = e_euclid - (e_sphere + 2.0 * logphi_mean)
+    budget_logenergy = (pe.abs_error_estimate / norm_euclid
+                        + abs(e_euclid) * (norm_err / norm_euclid + eps)
+                        + spectral_err + abs(e_sphere) * (parseval_rel + eps)
+                        + zk_rel * (abs_sphere + abs(e_sphere))
+                        + 2.0 * logphi_err
+                        + 2.0 * eps * (abs(e_euclid) + abs(e_sphere) + 2.0 * abs(logphi_mean)))
 
     worst = max(abs(res_norm), abs(res_entropy), abs(res_logenergy))
     return AuditReport(
         name="endpoint-pullback-transfer",
-        lhs=ent_euclid, rhs=ent_sphere + N * logphi_mean,
+        lhs=ent_euclid.value, rhs=ent_sphere.value + N * logphi_mean,
         residual=worst, tolerance=1e-5, passed=worst <= 1e-5,
         inputs={"N": N, "coeffs": list(u.coeffs)},
         details={"norm_residual": res_norm, "entropy_residual": res_entropy,
                  "log_energy_residual": res_logenergy,
-                 "log_phi_mean": logphi_mean},
+                 "norm_sq": norm_euclid, "norm_sq_error": norm_err,
+                 "log_phi_mean": logphi_mean, "log_phi_mean_error": logphi_err,
+                 "error_budget": {"norm": budget_norm, "entropy": budget_entropy,
+                                  "log_energy": budget_logenergy}},
     )
 
 
-def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> float:
+def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> QuadResult:
     """int (|u|^2/||u||_2^2) ln(|u|^2/||u||_2^2) dV over the sphere, ||u||_2 by Parseval.
 
-    `breaks` are the polar cosines where u changes sign (_sign_changes).
+    `breaks` are the polar cosines where u changes sign (_sign_changes). The
+    estimate is zonal_integral's, plus the rounding of Parseval's sum.
     """
     mass = u.norm_sq()
 
@@ -228,7 +281,11 @@ def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> floa
         return a * math.log(a)
 
     e = spectral.zonal_integral(u.N, num, breaks=breaks)
-    return e / mass - math.log(mass)
+    val = e.value / mass - math.log(mass)
+    mass_rel = (u.degree_max + 2) * _EPS
+    err = (e.abs_error_estimate / mass + mass_rel * (abs(e.value) / mass + 1.0)
+           + 2.0 * _EPS * abs(val))
+    return QuadResult(val, err, e.evaluations)
 
 
 def _sign_changes(u: spectral.ZonalExpansion) -> list[float]:

@@ -22,6 +22,9 @@ psi = Gamma'/Gamma:
     C_N          = (4/N) pi^{N/2} / Gamma(N/2)
     |S^N|        = 2 pi^{(N+1)/2} / Gamma((N+1)/2)
 
+kappa_Ns(N, s) also takes a numpy array of orders, as the failure curve
+does; each element equals eval_constants' value bit for bit.
+
 kappa'_{N,s} is the analytic derivative d kappa_{N,s}/ds (obtained by
 differentiating ln kappa); a finite-difference value is used only as a
 cross-check in the tests, since kappa' multiplies large energies and
@@ -38,6 +41,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .errors import DomainError
 from .specfun import EULER_GAMMA, digamma, ln_gamma
@@ -120,6 +125,15 @@ def rho_N(N: int) -> float:
     return 2.0 * LN2 + digamma(0.5 * N) - EULER_GAMMA
 
 
+def kappa_Ns(N: int, s):
+    """kappa_{N,s} for 0 < s < N/2; a numpy array of orders gives an array, each
+    element bit-identical to the float call (exp runs per element)."""
+    half = 0.5 * N
+    x = (-2.0 * s * LN2 - s * LN_PI + ln_gamma(half - s) - ln_gamma(half + s)
+         + (2.0 * s / N) * (ln_gamma(N) - ln_gamma(half)))
+    return np.array([math.exp(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else math.exp(x)
+
+
 @lru_cache(maxsize=4096)
 def _eval_constants_cached(N: int, s: float) -> ConstantSet:
     half = 0.5 * N
@@ -129,8 +143,7 @@ def _eval_constants_cached(N: int, s: float) -> ConstantSet:
     b_ns = 2.0 * LN2 + digamma(half + s) + digamma(2.0 - s) + 1.0 / s - 1.0 / (1.0 - s)
     aprime_ns = A_ns * (digamma(half + s) + digamma(half - s))
     ln_gamma_ratio = ln_gamma(N) - ln_gamma(half)
-    kappa = math.exp(-2.0 * s * LN2 - s * LN_PI + ln_gamma(half - s) - ln_gamma(half + s)
-                     + (2.0 * s / N) * ln_gamma_ratio)
+    kappa = kappa_Ns(N, s)
     kappaprime = kappa * (-2.0 * LN2 - LN_PI - digamma(half - s) - digamma(half + s)
                           + (2.0 / N) * ln_gamma_ratio)
     return ConstantSet(

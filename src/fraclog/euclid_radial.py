@@ -74,19 +74,28 @@ ln rho^2 is 2 d/dbeta, ln phi is d/db. Every Gamma argument is an fsum of
 float inputs (N/2, s, the phi powers, a Beta argument), so one that tends
 to 0 at the edge of a finite integral, such as N/2 - s, is rounded once
 instead of carrying the error eps N of a difference of rounded sums. The
-estimates are first-order rounding bounds. energy and entropy are the
-quadrature routes to the same numbers, for any profile; sobolev_deficit,
-the Beckner convention self-test and the tests use them as the
-independent second route.
+estimates are first-order rounding bounds. Both closed forms take a numpy
+array of orders s (pair_energy) or of Beta arguments (phi_moment), as the
+specfun functions do: a float in gives floats out, an array gives arrays,
+and each element is bit-identical to the float call, since every fsum,
+exp, log and power runs per element (_map) and only ln Gamma and psi take
+whole arrays. The failure curve takes its energies and norms so, in one
+call each, and confcore_checks its ||V||^2 and <ln phi>. energy and
+entropy are the quadrature routes to the same numbers, for any profile;
+sobolev_deficit, the Beckner convention self-test and the tests use them
+as the independent second route.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .constants import LN2, LN_PI, Params, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError
@@ -109,9 +118,10 @@ _TRANSFORM_TOL = 1.49e-8  # absolute and relative tolerance of a numeric transfo
 _PAIR_ROUNDINGS = 8.0  # roundings of one closed-form pair term beyond its exponent's magnitudes
 
 
-def p_of_s(N: int, s: float) -> float:
-    """Critical exponent p(s) = 2N/(N-2s)."""
-    if not N > 2.0 * s:
+def p_of_s(N: int, s):
+    """Critical exponent p(s) = 2N/(N-2s); an array of orders gives an array."""
+    ok = N > 2.0 * s
+    if not (ok.all() if isinstance(ok, np.ndarray) else ok):
         raise DomainError(f"p(s) requires N > 2s, got N={N}, s={s}")
     return 2.0 * N / (N - 2.0 * s)
 
@@ -438,8 +448,42 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
                       sum(r.evaluations for r in res))
 
 
-def _gamma_moment(c: float, dc: float, num: Sequence[tuple], den: Sequence[tuple],
-                  log: bool) -> tuple[float, float]:
+def _columns(xs: Sequence):
+    """(shape, columns) of the numpy arrays and floats xs broadcast together,
+    each column a list or a repeated float; None if no x is an array."""
+    arrays = [x for x in xs if isinstance(x, np.ndarray)]
+    if not arrays:
+        return None
+    shape = arrays[0].shape
+    if any(a.shape != shape for a in arrays):
+        shape = np.broadcast_shapes(*(a.shape for a in arrays))
+    return shape, [(x if x.shape == shape else np.broadcast_to(x, shape)).ravel().tolist()
+                   if isinstance(x, np.ndarray) else itertools.repeat(x) for x in xs]
+
+
+def _map(fn, *xs):
+    """fn(*xs) for floats; with numpy arrays among xs, fn per element (floats
+    broadcast), an array out. A scalar function run per element keeps every
+    element bit-identical to the scalar call, which numpy's vector loops of
+    exp, log and ** need not be."""
+    bc = _columns(xs)
+    if bc is None:
+        return fn(*xs)
+    shape, cols = bc
+    return np.array(list(map(fn, *cols))).reshape(shape)
+
+
+def _fsum_map(terms: Sequence):
+    """math.fsum of float and array terms, per element as _map runs it."""
+    bc = _columns(terms)
+    if bc is None:
+        return math.fsum(terms)
+    shape, cols = bc
+    return np.array(list(map(math.fsum, zip(*cols)))).reshape(shape)
+
+
+def _gamma_moment(c, dc: float, num: Sequence[tuple], den: Sequence[tuple],
+                  log: bool) -> tuple:
     """(v, e): v = exp(c + sum ln Gamma(num) - sum ln Gamma(den)), times
     D = dc + sum w psi(num) - sum w psi(den) when `log`; e bounds v's rounding.
 
@@ -448,20 +492,28 @@ def _gamma_moment(c: float, dc: float, num: Sequence[tuple], den: Sequence[tuple
     moves by dc. The first-order bound counts, per argument a, the rounding
     of ln Gamma(a) and that of a itself (|a psi(a)| <= |ln Gamma(a)| + 2a + 1),
     per psi(a) its own rounding and |w| a psi'(a) <= |w| (1 + 1/a), plus
-    _PAIR_ROUNDINGS.
+    _PAIR_ROUNDINGS. An array c (of orders or excesses, from the caller)
+    makes v and e arrays, and terms may then be arrays too: every fsum and
+    exp runs per element (_map), each argument takes one array ln_gamma and
+    digamma call, and each element is bit-identical to the call with that
+    element's floats.
     """
-    args = [math.fsum(terms) for terms, _ in num] + [math.fsum(terms) for terms, _ in den]
-    if min(args) <= 0.0:
+    vec = isinstance(c, np.ndarray)  # floats take math.fsum and math.exp directly
+    fsum = _fsum_map if vec else math.fsum
+    args = [fsum(terms) for terms, _ in num] + [fsum(terms) for terms, _ in den]
+    lo = min(a.min() if isinstance(a, np.ndarray) else a for a in args) if vec else min(args)
+    if not lo > 0.0:
         raise DivergentIntegralError(f"Gamma moment diverges at arguments {args}")
     k = len(num)
     lgs = [ln_gamma(a) for a in args]
-    v = math.exp(c + math.fsum(lgs[:k] + [-lg for lg in lgs[k:]]))
+    x = c + fsum(lgs[:k] + [-lg for lg in lgs[k:]])
+    v = _map(math.exp, x) if vec else math.exp(x)
     rel = 2.0 * abs(c) + sum(map(abs, lgs)) + 2.0 * sum(args) + 2.0 * len(lgs) + _PAIR_ROUNDINGS
     if not log:
         return v, _EPS * rel * abs(v)
     ws = [w for _, w in num] + [-w for _, w in den]
     psis = [w * digamma(a) for a, w in zip(args, ws)]
-    d = dc + math.fsum(psis)
+    d = dc + fsum(psis)
     d_err = (abs(dc) + sum(map(abs, psis))
              + sum(abs(w) * (1.0 + 1.0 / a) for a, w in zip(args, ws)) + len(psis))
     return v * d, _EPS * abs(v) * (rel * abs(d) + d_err)
@@ -489,7 +541,7 @@ def _pair_rungs(N: int, terms: tuple) -> tuple:
                  for (_, w, _), t in zip(_phi_power_rungs(N, terms), terms))
 
 
-def pair_energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
+def pair_energy(kind: str, g: SpectralDensity, N: int, s=0.0) -> QuadResult:
     """energy(kind, g, N, s) in closed form for an exact pair, evaluations = 0.
 
     With beta = N + 2s (N for "log"), a phi-power pair sum_i w_i f_{nu_i}
@@ -500,8 +552,10 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadRe
     powers a_i: beta/2 + nu_i + nu_j = s + a_i + a_j - N/2. The error
     estimate is a first-order rounding bound: eps times sum_ij |w_i w_j H_ij|
     times the magnitudes of its exponent, so it carries cancellation across
-    the pair sum. Log-factor phi terms, a density of apply_multiplier and
-    one with neither pair raise DomainError; a Gamma argument <= 0 raises
+    the pair sum. A numpy array of orders s gives a QuadResult of arrays,
+    each element bit-identical to the call at that float s. Log-factor phi
+    terms, a density of apply_multiplier and one with neither pair raise
+    DomainError; a Gamma argument <= 0 (at any element) raises
     DivergentIntegralError.
     """
     _multiplier(kind, s)  # rejects an unknown kind, as energy does
@@ -509,7 +563,11 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadRe
         raise DomainError("pair_energy takes an exact pair, not a multiplied density")
     if g.meta.get("N") != N:
         raise DomainError(f"exact pair of dimension {g.meta.get('N')}, energy asked at N={N}")
-    sb = 0.0 if kind == "log" else s  # beta/2 = N/2 + sb
+    vec = isinstance(s, np.ndarray)
+    fsum = _fsum_map if vec else math.fsum
+    sb = s  # beta/2 = N/2 + sb
+    if kind == "log":
+        sb = np.zeros(s.shape) if vec else 0.0
     h = (0.5 * N, sb)
     log = kind != "frac"
     if "gaussian" in g.meta:
@@ -524,7 +582,7 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadRe
         for i, (a_i, w_i, ew_i) in enumerate(rungs):
             for j in range(i, len(rungs)):
                 a_j, w_j, ew_j = rungs[j]
-                v, e = _gamma_moment(math.fsum([2.0 * sb, a_i, a_j, -3.0]) * LN2, 2.0 * LN2,
+                v, e = _gamma_moment(fsum((2.0 * sb, a_i, a_j, -3.0)) * LN2, 2.0 * LN2,
                                      [((sb, a_i, a_j, -0.5 * N), 1.0), ((sb, a_i), 1.0),
                                       ((sb, a_j), 1.0), (h, 1.0)],
                                      [((2.0 * sb, a_i, a_j), 2.0)], log)
@@ -533,19 +591,22 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadRe
                 errs.append(abs(ww) * (e + (ew_i + ew_j) * abs(v)))
     else:
         raise DomainError("pair_energy needs meta 'phi_terms' or 'gaussian'")
-    return _over_sphere(N, math.fsum(terms), math.fsum(errs))
+    return _over_sphere(N, fsum(terms), fsum(errs))
 
 
-def phi_moment(N: int, excess: float, log: bool = False) -> QuadResult:
+def phi_moment(N: int, excess, log: bool = False) -> QuadResult:
     """int_{R^N} phi^b (ln phi)^{0|1} dx in closed form, b = N/2 + excess, evaluations = 0.
 
     |S^{N-1}| 2^{b-1} B(N/2, b - N/2) [ln 2 + psi(b - N/2) - psi(b)]^{0|1}.
     The caller passes the Beta argument b - N/2 itself, which a rounded b
-    would leave without digits as it nears 0 at the edge of finiteness;
-    excess <= 0 raises DivergentIntegralError.
+    would leave without digits as it nears 0 at the edge of finiteness.
+    A numpy array of excesses gives a QuadResult of arrays, each element
+    bit-identical to the float call; excess <= 0 (at any element) raises
+    DivergentIntegralError.
     """
     h = 0.5 * N
-    v, e = _gamma_moment(math.fsum([h, excess, -1.0]) * LN2, LN2,
+    fsum = _fsum_map if isinstance(excess, np.ndarray) else math.fsum
+    v, e = _gamma_moment(fsum((h, excess, -1.0)) * LN2, LN2,
                          [((h,), 0.0), ((excess,), 1.0)], [((h, excess), 1.0)], log)
     return _over_sphere(N, v, e)
 

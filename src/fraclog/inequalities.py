@@ -24,7 +24,9 @@ The identities, the failure curve and the Beckner audit take every
 integral in closed form: energies of exact pairs (bubbles, extremals,
 Gaussians) from euclid_radial.pair_energy, norms and entropies of a single
 phi power from its position-side twin euclid_radial.phi_moment, and the
-Gaussian's entropy from its amplitude and width. The quadrature routes,
+Gaussian's entropy from its amplitude and width. Both closed forms take
+arrays, so the failure curve is one pair_energy and one phi_moment call
+over its whole grid of orders, bit-identical to a call per order. The quadrature routes,
 euclid_radial.energy and entropy, stay in sobolev_deficit and in the
 self-test below, which compares them with the closed forms. Before any
 Beckner-family audit runs, that cached self-test pins the B_N convention
@@ -36,6 +38,7 @@ margin.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -45,9 +48,9 @@ import numpy as np
 
 from .audit import AuditReport, identity_audit
 from .constants import (LN2, LN_PI, Params, B_N, C_N, a_N, c_N, A_N, eval_constants,
-                        sphere_area, sphere_area_equator)
+                        kappa_Ns, sphere_area, sphere_area_equator)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
-from .quadrature import Integrand, integrate
+from .quadrature import Integrand, QuadResult, integrate
 from .specfun import digamma, ln_gamma
 from . import conformal
 from . import euclid_radial as er
@@ -78,13 +81,14 @@ def extremal_profile(N: int) -> er.RadialProfile:
 
 def _phi_power_lp_sq(v: er.RadialProfile, excess: float, p_exp: float) -> tuple[float, float]:
     """(||v||_{L^p}^2, error estimate) for v = c phi^a: c^2 M^{2/p}, M the
-    phi-moment of b = a p = N/2 + excess, `excess` formed exactly by the caller."""
+    phi-moment of b = a p = N/2 + excess, `excess` formed exactly by the caller;
+    arrays of excesses and exponents give arrays, per element as phi_moment."""
     (t,) = v.fourier.meta["phi_terms"]
     m = er.phi_moment(v.meta["N"], excess)
     two_over_p = 2.0 / p_exp
-    val = t.coef * t.coef * m.value ** two_over_p
+    val = t.coef * t.coef * er._map(operator.pow, m.value, two_over_p)
     return val, val * (two_over_p * m.abs_error_estimate / m.value
-                       + er._EPS * (2.0 * abs(two_over_p * math.log(m.value)) + 5.0))
+                       + er._EPS * (2.0 * abs(two_over_p * er._map(math.log, m.value)) + 5.0))
 
 
 def _bubble_entropy(N: int) -> tuple[float, float]:
@@ -117,8 +121,9 @@ def _lp_norm_sq(v: er.RadialProfile, p_exp: float, N: int) -> tuple[float, float
     return val, err
 
 
-def _kappa_rel(N: int, s: float) -> float:
-    """First-order bound on the relative rounding of eval_constants' kappa_{N,s}."""
+def _kappa_rel(N: int, s):
+    """First-order bound on the relative rounding of eval_constants' kappa_{N,s};
+    an array of orders gives an array."""
     h = 0.5 * N
     lg_ratio = abs(ln_gamma(float(N))) + abs(ln_gamma(h))
     return er._EPS * (s * (2.0 * LN2 + LN_PI) + abs(ln_gamma(h - s)) + abs(ln_gamma(h + s))
@@ -146,30 +151,33 @@ def sobolev_deficit(N: int, v: er.RadialProfile, s_grid: Sequence[float]) -> Def
     return _deficit_curve(v.kind, s_grid, Fs, errs)
 
 
-def _frozen_bubble_deficit(p0: Params, s_grid: Sequence[float]) -> DeficitCurve:
-    """F_v over s_grid for v = u_{s0} in closed form, with no quadrature.
+def _frozen_bubble_deficit(p0: Params,
+                           s_grid: Sequence[float]) -> tuple[DeficitCurve, np.ndarray]:
+    """F_v over s_grid for v = u_{s0} in closed form, with no quadrature,
+    and kappa_{N,s} ||v||_{dot H^s}^2 over the grid.
 
     ||v||_{dot H^s}^2 is pair_energy of v's pair, ||v||_{L^p(s)}^2 the
     phi-moment of b = p(s)(N - 2 s0)/2 with the Beta argument
     b - N/2 = N (N + 2s - 4 s0) / (2 (N - 2s)) from an fsum'd numerator:
     it tends to 0 at the edge of the finite-norm box (s0 = N/3.9 on the
     grid of failure_demo, beyond which DivergentIntegralError is raised).
+    Both are one call over the whole grid (an array of orders), each point
+    bit-identical to the call at its float s, and so is kappa_{N,s}.
     F_errors adds both estimates and the rounding of kappa_{N,s} and of F.
     """
     N, s0 = p0.N, p0.s
     v = er.talenti_bubble(p0)
     eps = er._EPS
-    Fs, errs = [], []
-    for s in s_grid:
-        kap = eval_constants(Params(N, s)).kappa_Ns
-        en = er.pair_energy("frac", v.fourier, N, s)
-        excess = N * math.fsum([N, 2.0 * s, -4.0 * s0]) / (2.0 * (N - 2.0 * s))
-        L, L_err = _phi_power_lp_sq(v, excess, er.p_of_s(N, s))
-        F = kap * en.value - L
-        Fs.append(F)
-        errs.append(kap * (en.abs_error_estimate + (_kappa_rel(N, s) + eps) * en.value)
-                    + L_err + eps * abs(F))
-    return _deficit_curve("bubble", s_grid, Fs, errs)
+    s = np.array(s_grid, dtype=float)
+    kap = kappa_Ns(N, s)
+    en = er.pair_energy("frac", v.fourier, N, s)
+    excess = N * er._fsum_map((N, 2.0 * s, -4.0 * s0)) / (2.0 * (N - 2.0 * s))
+    L, L_err = _phi_power_lp_sq(v, excess, er.p_of_s(N, s))
+    kap_en = kap * en.value
+    F = kap_en - L
+    errs = (kap * (en.abs_error_estimate + (_kappa_rel(N, s) + eps) * en.value)
+            + L_err + eps * abs(F))
+    return _deficit_curve("bubble", s_grid, F.tolist(), errs.tolist()), kap_en
 
 
 def sharp_fraclog_identity(p: Params) -> AuditReport:
@@ -247,10 +255,9 @@ def failure_demo(N: int, s0: float, grid_points: int = 40) -> tuple[AuditReport,
     magnitude must exceed 10x the propagated rounding budget.
     """
     p0 = Params(N, s0)
-    grid = np.linspace(0.05 * s0, s0, grid_points).tolist()  # floats: specfun's scalar path
-    curve = _frozen_bubble_deficit(p0, grid)
-    scale = eval_constants(p0).kappa_Ns * er.pair_energy(
-        "frac", er.talenti_bubble(p0).fourier, N, s0).value
+    grid = np.linspace(0.05 * s0, s0, grid_points).tolist()  # the last point is s0 exactly
+    curve, kap_en = _frozen_bubble_deficit(p0, grid)
+    scale = float(kap_en[-1])  # kappa_{N,s0} ||v||_{dot H^s0}^2
 
     F = curve.F_values
     fp = [x for x in curve.Fprime_fd if not math.isnan(x)]
@@ -275,16 +282,25 @@ def failure_demo(N: int, s0: float, grid_points: int = 40) -> tuple[AuditReport,
     return report, curve
 
 
+_J_ROUTES = ("sphere_quadrature", "euclid_quadrature", "closed_form")
+
+
 def log_phi_sphere_integral(N: int) -> dict:
-    """J = int_{S^N} ln(phi o sigma) dV three ways (quadrature x2, closed form)."""
-    quad_sphere = spectral.zonal_integral(N, math.log1p)
+    """J = int_{S^N} ln(phi o sigma) dV three ways (quadrature x2, closed form).
+
+    Each route's value is keyed by its name in _J_ROUTES, and its error
+    estimate by the same name under "error_estimates".
+    """
+    area = sphere_area_equator(N)
     res = integrate(Integrand(
         lambda r: r ** (N - 1) * er.phi(r) ** N * math.log(er.phi(r)),
         (0.0, math.inf), name="logphi-euclid"), abs_tol=1e-12, rel_tol=1e-10)
-    quad_euclid = sphere_area_equator(N) * res.value
-    closed = er.phi_moment(N, 0.5 * N, log=True).value  # phi^N ln phi: b = N
-    return {"sphere_quadrature": quad_sphere, "euclid_quadrature": quad_euclid,
-            "closed_form": closed}
+    routes = (spectral.zonal_integral(N, math.log1p),
+              QuadResult(area * res.value, area * res.abs_error_estimate, res.evaluations),
+              er.phi_moment(N, 0.5 * N, log=True))  # phi^N ln phi: b = N
+    J = {name: r.value for name, r in zip(_J_ROUTES, routes)}
+    J["error_estimates"] = {name: r.abs_error_estimate for name, r in zip(_J_ROUTES, routes)}
+    return J
 
 
 def sphere_identity_check(p: Params) -> AuditReport:
@@ -311,7 +327,8 @@ def sphere_identity_check(p: Params) -> AuditReport:
         "sphere-fraclog-identity-constant", lhs, rhs, 1e-6,
         inputs={"N": N, "s": s},
         details={"J": J, "correction_sum": corr1 + corr2,
-                 "J_route_spread": max(J.values()) - min(J.values())},
+                 "J_route_spread": (max(J[k] for k in _J_ROUTES)
+                                    - min(J[k] for k in _J_ROUTES))},
         relative=True)
 
 
@@ -476,7 +493,7 @@ def beckner_sphere_equivalence(N: int, u: spectral.ZonalExpansion) -> AuditRepor
     e_log = spectral.spectral_energy("P_log", None, u)
     double_energy = 2.0 / c_N(N) * (e_log - A_N(N) * norm2)
 
-    ent = conformal._sphere_entropy(u, conformal._sign_changes(u))
+    ent = conformal._sphere_entropy(u, conformal._sign_changes(u)).value
     entropy_side = norm2 * (ent + math.log(sphere_area(N)))
     deficit = double_energy - C_N(N) * entropy_side
     cn_consistency = abs(C_N(N) - (4.0 / N) / c_N(N)) / C_N(N)

@@ -51,7 +51,7 @@ import numpy as np
 from .audit import AuditReport
 from .constants import Params, sphere_area, sphere_area_equator
 from .errors import DomainError, require
-from .quadrature import Integrand, find_root, integrate
+from .quadrature import Integrand, QuadResult, find_root, integrate
 from .specfun import digamma, ln_gamma
 
 
@@ -237,21 +237,24 @@ def zonal_basis_eval(N: int, k: int, t):
     return zonal_eval(ZonalExpansion(N, k, (0.0,) * k + (1.0,)), t)
 
 
-def zonal_integral(N: int, fn, breaks: Sequence[float] = ()) -> float:
+def zonal_integral(N: int, fn, breaks: Sequence[float] = ()) -> QuadResult:
     """int_{S^N} fn(t) dV for a zonal integrand, t the polar cosine.
 
     `breaks` are polar cosines where fn is not smooth; the polar angle is
-    integrated piecewise between them.
+    integrated piecewise between them. The error estimate is the sum of
+    the pieces' QUADPACK estimates, times |S^{N-1}|.
     """
 
     def g(theta):
         return fn(math.cos(theta)) * math.sin(theta) ** (N - 1)
 
     edges = [0.0, *sorted(math.acos(t) for t in breaks if -1.0 < t < 1.0), math.pi]
-    total = math.fsum(integrate(Integrand(g, (a, b), name="zonal-integral"),
-                                abs_tol=1e-12, rel_tol=1e-11).value
-                      for a, b in zip(edges, edges[1:]))
-    return sphere_area_equator(N) * total
+    res = [integrate(Integrand(g, (a, b), name="zonal-integral"), abs_tol=1e-12, rel_tol=1e-11)
+           for a, b in zip(edges, edges[1:])]
+    area = sphere_area_equator(N)
+    return QuadResult(area * math.fsum(r.value for r in res),
+                      area * sum(r.abs_error_estimate for r in res),
+                      sum(r.evaluations for r in res))
 
 
 def symbol_for(op: str, p: Params | None, N: int, lam):

@@ -15,7 +15,8 @@ from fraclog.constants import Params
 from fraclog.fixtures_io import load_fixture
 from fraclog import spectral
 from fraclog.specfun import bessel_k, digamma, ln_gamma, trigamma
-from fraclog.sphere_kernel import ZonalFunction, apply_kernel_at_pole
+from fraclog.sphere_kernel import (ZonalFunction, apply_kernel_at_pole, difference_quotient_check,
+                                   slimit_check)
 from test_specfun import error_bound
 
 
@@ -102,27 +103,16 @@ def test_criterion_3_monotonicity_and_sign_table():
 def test_criterion_4_convergence_orders():
     t0 = time.perf_counter()
     # difference quotient in the order, three decades of h
-    u = _basis(3, 1)
-    p = Params(3, 0.4)
-    h_list = list(np.logspace(-1.5, -4.5, 7))
-    base = apply_kernel_at_pole("P_s", p, u).value
-    target = apply_kernel_at_pole("P_slog", p, u).value
-    errs = []
-    for h in h_list:
-        shifted = apply_kernel_at_pole("P_s", Params(3, 0.4 + h), u).value
-        errs.append(abs((shifted - base) / h - target))
-    slope_q = float(np.polyfit(np.log(h_list), np.log(errs), 1)[0])
-    # s -> 0 limit, three decades of s
-    u2 = _basis(2, 1)
-    log_val = apply_kernel_at_pole("P_log", None, u2).value
-    s_list = list(np.logspace(-1, -4, 7))
-    gaps = [abs(apply_kernel_at_pole("P_slog", Params(2, s), u2).value - log_val)
-            for s in s_list]
-    slope_s = float(np.polyfit(np.log(s_list), np.log(gaps), 1)[0])
+    quotient = difference_quotient_check(Params(3, 0.4), _basis(3, 1),
+                                         list(np.logspace(-1.5, -4.5, 7)))
+    # s -> 0 limit, three decades of s; the gaps must also shrink monotonically
+    limit = slimit_check(2, _basis(2, 1), list(np.logspace(-1, -4, 7)))
+    slope_q, slope_s = quotient.lhs, limit.lhs  # the fitted log-log slopes
     elapsed = time.perf_counter() - t0
-    ok = abs(slope_q - 1.0) <= 0.2 and abs(slope_s - 1.0) <= 0.2
+    ok = (quotient.passed and limit.passed
+          and abs(slope_q - 1.0) <= 0.2 and abs(slope_s - 1.0) <= 0.2)
     _report(4, ok, f"quotient order {slope_q:.3f}, s->0 order {slope_s:.3f} "
-                   f"(target 1.0 +- 0.2), runtime {elapsed:.1f}s")
+                   f"(target 1.0 +- 0.2, s->0 gaps monotone), runtime {elapsed:.1f}s")
 
 
 def test_criterion_5_bubble_verification():

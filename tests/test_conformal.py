@@ -113,7 +113,7 @@ def test_confcore_profile_with_a_zero():
 def test_zonal_integral_breaks():
     # |t| has a kink at t = 0: piecewise, the integral is exact to rounding
     for N in (1, 2, 3):
-        whole = zonal_integral(N, abs, breaks=[0.0])
+        whole = zonal_integral(N, abs, breaks=[0.0]).value
         exact = 2.0 * er.sphere_area_equator(N) / N
         assert whole == pytest.approx(exact, rel=1e-13), N
 
@@ -414,5 +414,118 @@ def test_pullback_preserves_critical_norm():
             lambda r: abs(prof.evaluator(r)) ** pexp * r ** (N - 1),
             (0.0, math.inf)), abs_tol=1e-12, rel_tol=1e-10)
         euclid = er.sphere_area_equator(N) * res.value
-        sphere = zonal_integral(N, lambda t: abs(zonal_eval(u, t)) ** pexp)
+        sphere = zonal_integral(N, lambda t: abs(zonal_eval(u, t)) ** pexp).value
         assert euclid == pytest.approx(sphere, rel=1e-8)
+
+
+# -- closed forms of the endpoint transfer laws -------------------------------------
+
+
+def _confcore_profiles():
+    """(N, u): seeded u of degree <= 4 on N 1..5, and one that changes sign per N."""
+    rng = np.random.default_rng(16)
+    out = []
+    for N in range(1, 6):
+        for d in range(5):
+            coeffs = (1.0,) + tuple(rng.uniform(-0.3, 0.3, d).tolist())
+            out.append((N, ZonalExpansion(N, d, coeffs)))
+        out.append((N, ZonalExpansion(N, 2, (0.2, 1.0, 0.3))))  # Z_1 dominates: a sign change
+    return out
+
+
+CONFCORE_PROFILES = _confcore_profiles()
+
+
+def _log_phi_mean_sphere(u):
+    """(<ln phi>, estimate) by quadrature on the sphere, ||u||^2 by Parseval."""
+    r = zonal_integral(u.N, lambda t: zonal_eval(u, t) ** 2 * math.log1p(t))
+    return r.value / u.norm_sq(), r.abs_error_estimate / u.norm_sq()
+
+
+def _log_phi_mean_mp(u):
+    """<ln phi> = int u^2 ln(1 + t) / int u^2 over S^N in 40-digit mpmath.
+
+    u = sum_k u_k sqrt(d_k) R_k(t) up to a constant, R_k = C_k^lam / C_k^lam(1)
+    the Gegenbauer polynomial of lam = (N-1)/2 at unit value, by the recurrence
+    (2 lam + k) R_{k+1} = 2 (k + lam) t R_k - k R_{k-1}; t = cos x on the
+    northern half and t = -cos x on the southern one, where 1 + t = 2 sin^2(x/2)
+    keeps its digits.
+    """
+    N = u.N
+    lam = mp.mpf(N - 1) / 2
+    with mp.workdps(40):
+        def uu(t):
+            r = [mp.mpf(1), t]
+            for k in range(1, u.degree_max):
+                r.append((2 * (k + lam) * t * r[k] - k * r[k - 1]) / (2 * lam + k))
+            return mp.fsum(a * mp.sqrt(multiplicities(N, k)[k]) * r[k]
+                           for k, a in enumerate(u.coeffs))
+
+        def halves(f):
+            north = mp.quad(lambda x: uu(mp.cos(x)) ** 2 * mp.sin(x) ** (N - 1)
+                            * f(mp.log(1 + mp.cos(x))), [0, mp.pi / 2])
+            south = mp.quad(lambda x: uu(-mp.cos(x)) ** 2 * mp.sin(x) ** (N - 1)
+                            * f(mp.log(2 * mp.sin(x / 2) ** 2)), [0, mp.pi / 2])
+            return north + south
+        return float(halves(lambda ln_phi: ln_phi) / halves(lambda ln_phi: 1))
+
+
+@pytest.mark.parametrize("N,u", CONFCORE_PROFILES)
+def test_confcore_norm_closed_form_against_parseval_and_quadrature(N, u):
+    rep = conformal.confcore_checks(u, N)
+    norm, err = rep.details["norm_sq"], rep.details["norm_sq_error"]
+    parseval = u.norm_sq()
+    parseval_err = (u.degree_max + 2) * 2.0 ** -52 * parseval
+    assert abs(norm - parseval) <= err + parseval_err, (norm, parseval)
+    v = conformal.pullback_expansion(0.0, u)
+    res = integrate(Integrand(lambda r: v.evaluator(r) ** 2 * r ** (N - 1), (0.0, math.inf)),
+                    abs_tol=1e-12, rel_tol=1e-10)
+    area = er.sphere_area_equator(N)
+    assert abs(norm - area * res.value) <= err + area * res.abs_error_estimate
+
+
+@pytest.mark.parametrize("N,u", CONFCORE_PROFILES)
+def test_confcore_log_phi_mean_against_sphere_quadrature_and_mpmath(N, u):
+    rep = conformal.confcore_checks(u, N)
+    mean, err = rep.details["log_phi_mean"], rep.details["log_phi_mean_error"]
+    quad, quad_err = _log_phi_mean_sphere(u)
+    assert abs(mean - quad) <= err + quad_err, (mean, quad, err, quad_err)
+    assert abs(mean - _log_phi_mean_mp(u)) <= err, (mean, err)
+
+
+@pytest.mark.parametrize("N,u", CONFCORE_PROFILES)
+def test_confcore_budgets_bound_the_residuals(N, u):
+    rep = conformal.confcore_checks(u, N)
+    budget = rep.details["error_budget"]
+    for law in ("norm", "entropy", "log_energy"):
+        assert abs(rep.details[f"{law}_residual"]) <= budget[law], (law, budget)
+    assert rep.passed
+
+
+def test_confcore_integrates_only_its_two_entropies(monkeypatch):
+    import fraclog
+    names = []
+
+    def recording(f, *args, **kwargs):
+        names.append(f.name)
+        return integrate(f, *args, **kwargs)
+    for mod in vars(fraclog).values():
+        if getattr(mod, "integrate", None) is integrate:
+            monkeypatch.setattr(mod, "integrate", recording)
+    split = 0
+    for N, u in CONFCORE_PROFILES:
+        names.clear()
+        conformal.confcore_checks(u, N)
+        pieces = len(conformal._sign_changes(u)) + 1  # each entropy is split at the sign changes
+        split += pieces > 1
+        assert sorted(names) == sorted(["entropy-mass"] + ["entropy-log"] * pieces
+                                       + ["zonal-integral"] * pieces), (N, u)
+    assert split >= 5
+
+
+def test_confcore_radial_n1_profile_to_rounding():
+    # this radial benchmark profile (seed 1) read 1.2e-12, the error of the
+    # sphere quadrature of <ln phi>; in closed form it is rounding
+    u = ZonalExpansion(1, 2, (1.0, -0.2845409583770819, 0.21034486441687933))
+    rep = conformal.confcore_checks(u, 1)
+    assert rep.residual <= 1e-13

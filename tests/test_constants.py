@@ -1,9 +1,10 @@
 import math
 
+import numpy as np
 import pytest
 
 from fraclog.constants import (Params, bessel_bubble_coeff, bubble_mu,
-                               eval_constants, sphere_area)
+                               eval_constants, kappa_Ns, sphere_area)
 from fraclog.errors import DomainError
 from fraclog.specfun import EULER_GAMMA, digamma, ln_gamma
 
@@ -158,3 +159,12 @@ def test_constant_set_cache_is_idempotent():
     p = Params(4, 0.321)
     assert eval_constants(p) is eval_constants(p)
     assert eval_constants(p) == eval_constants(Params(4, 0.321))
+
+
+def test_kappa_over_an_array_of_orders_equals_eval_constants():
+    for N in (1, 2, 3, 5):
+        s = np.linspace(0.001, 0.499 * min(N, 2), 53)
+        kap = kappa_Ns(N, s)
+        assert isinstance(kap, np.ndarray) and kap.shape == s.shape
+        assert kap.tolist() == [eval_constants(Params(N, x)).kappa_Ns for x in s.tolist()]
+        assert type(kappa_Ns(N, 0.25)) is float

@@ -619,3 +619,102 @@ def test_phi_power_bessel_calls_per_ladder(monkeypatch):
         assert len(calls) == expected
         prof.fourier.evaluator(0.7)  # memoised
         assert len(calls) == expected
+
+
+# -- closed forms over arrays ---------------------------------------------------
+
+
+def _exact_pairs(N):
+    """A bubble, a 3-term pullback and a Gaussian: the three kinds of exact pair."""
+    return [er.talenti_bubble(Params(N, 0.3 * N / 2)).fourier,
+            conformal.pullback_expansion(0.0, ZonalExpansion(N, 2, (1.0, 0.21, -0.17))).fourier,
+            er.gaussian_profile(N, 1.3, 0.7).fourier]
+
+
+def _same_as_scalar_calls(res, scalar_call, xs):
+    assert isinstance(res.value, np.ndarray) and res.value.shape == np.shape(xs)
+    for x, v, e in zip(np.ravel(xs).tolist(), res.value.ravel().tolist(),
+                       res.abs_error_estimate.ravel().tolist()):
+        one = scalar_call(x)
+        assert type(one.value) is float and type(one.abs_error_estimate) is float
+        assert (one.value, one.abs_error_estimate) == (v, e), x
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_pair_energy_over_an_array_of_orders_equals_the_scalar_calls(N):
+    s = np.linspace(0.01, 0.49 * min(N, 2), 37)
+    for g in _exact_pairs(N):
+        for kind in ("frac", "fraclog", "log"):
+            _same_as_scalar_calls(er.pair_energy(kind, g, N, s),
+                                  lambda x: er.pair_energy(kind, g, N, x), s)
+    # a 2-d array keeps its shape
+    g = _exact_pairs(N)[1]
+    _same_as_scalar_calls(er.pair_energy("fraclog", g, N, s[:36].reshape(4, 9)),
+                          lambda x: er.pair_energy("fraclog", g, N, x), s[:36].reshape(4, 9))
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5])
+def test_phi_moment_over_an_array_of_excesses_equals_the_scalar_calls(N):
+    excess = np.concatenate([np.linspace(1e-3, 6.0, 41), [0.5 * N, 1e-12, 37.25]])
+    for log in (False, True):
+        _same_as_scalar_calls(er.phi_moment(N, excess, log),
+                              lambda x: er.phi_moment(N, x, log), excess)
+
+
+def test_gamma_moment_over_arrays_equals_the_scalar_calls():
+    # c and the Gamma arguments vary per element; a float term broadcasts
+    s = np.linspace(0.02, 0.9, 23)
+    a = np.linspace(1.1, 4.0, 23)
+    for log in (False, True):
+        def moment(s, a, c):
+            return er._gamma_moment(c, 0.7, [((s, a, -0.5), 1.0), ((1.5, s), 1.0), ((a,), 0.0)],
+                                    [((2.0 * s, a, 0.25), 2.0)], log)
+        v, e = moment(s, a, -0.3 * s + a)
+        for i, (si, ai) in enumerate(zip(s.tolist(), a.tolist())):
+            assert moment(si, ai, -0.3 * si + ai) == (v[i], e[i]), i
+
+
+def test_closed_forms_keep_floats_for_floats():
+    g = _exact_pairs(3)[0]
+    for res in (er.pair_energy("frac", g, 3, 0.3), er.pair_energy("log", g, 3),
+                er.phi_moment(3, 1.5), er.phi_moment(3, 1.5, log=True)):
+        assert type(res.value) is float and type(res.abs_error_estimate) is float
+    v, e = er._gamma_moment(0.1, 0.0, [((1.5, 0.25), 1.0)], [], True)
+    assert type(v) is float and type(e) is float
+
+
+def test_an_array_with_one_divergent_element_raises():
+    with pytest.raises(DivergentIntegralError):
+        er.phi_moment(3, np.array([1.0, 0.5, 0.0, 2.0]))
+    with pytest.raises(DivergentIntegralError):
+        er.phi_moment(3, np.array([1.0, -1e-300]), log=True)
+    g = er.talenti_bubble(Params(1, 0.2)).fourier  # Gamma(s + a - N/2) = Gamma(s): s > 0
+    with pytest.raises(DivergentIntegralError):
+        er.pair_energy("frac", g, 1, np.array([0.1, 0.2, -0.3]))
+
+
+def _scalar_failure_curve(N, s0, grid):
+    """F_v over the grid of failure_demo by one scalar pair_energy and phi_moment per point."""
+    v, eps = er.talenti_bubble(Params(N, s0)), er._EPS
+    Fs, errs = [], []
+    for s in np.linspace(0.05 * s0, s0, grid).tolist():
+        kap = eval_constants(Params(N, s)).kappa_Ns
+        en = er.pair_energy("frac", v.fourier, N, s)
+        excess = N * math.fsum([N, 2.0 * s, -4.0 * s0]) / (2.0 * (N - 2.0 * s))
+        L, L_err = ineq._phi_power_lp_sq(v, excess, er.p_of_s(N, s))
+        F = kap * en.value - L
+        Fs.append(F)
+        errs.append(kap * (en.abs_error_estimate + (ineq._kappa_rel(N, s) + eps) * en.value)
+                    + L_err + eps * abs(F))
+    return Fs, errs
+
+
+@pytest.mark.parametrize("N,s0", [(1, 0.2), (2, 0.3), (3, 0.5), (3, 0.74), (5, 0.8)])
+def test_failure_curve_equals_the_scalar_loop_bit_for_bit(N, s0):
+    rep, curve = ineq.failure_demo(N, s0, 120)
+    Fs, errs = _scalar_failure_curve(N, s0, 120)
+    assert list(curve.F_values) == Fs and list(curve.F_errors) == errs
+    assert all(type(x) is float for x in curve.F_values + curve.F_errors)
+    scale = (eval_constants(Params(N, s0)).kappa_Ns
+             * er.pair_energy("frac", er.talenti_bubble(Params(N, s0)).fourier, N, s0).value)
+    assert rep.details["scale"] == scale
