@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Audit the sharp fractional-logarithmic identity over an (N, s) grid,
-plus its s -> 0 logarithmic degeneration, the intertwining law on
-Z_d, d = 0, 4, .., 24, with its s = 0 endpoint, and the three endpoint
-transfer laws of confcore_checks on N 1..5.
+plus its s -> 0 logarithmic degeneration (the same code at s = 0) on
+N 1..8, the intertwining law on Z_d, d = 0, 4, .., 24, with its s = 0
+endpoint, and the three endpoint transfer laws of confcore_checks on N 1..5.
 
 Both identities are closed forms on both sides, so each residual is
 rounding: exits 1 when an identity's relative residual exceeds its
@@ -41,12 +41,12 @@ def intertwining_sweep():
 
 def identity_sweep():
     """Reports of the sharp identity on N 1..5 x s in {0.05, 0.3, 0.6, 0.9}, N > 2s,
-    then of its s = 0 degeneration on N 1..5."""
+    then of its s = 0 degeneration on N 1..8."""
     for N in (1, 2, 3, 4, 5):
         for s in (0.05, 0.3, 0.6, 0.9):
             if N > 2 * s:
                 yield s, ineq.sharp_fraclog_identity(Params(N, s))
-    for N in (1, 2, 3, 4, 5):
+    for N in range(1, 9):
         yield 0.0, ineq.euclid_log_identity(N)
 
 

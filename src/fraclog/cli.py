@@ -19,7 +19,7 @@ import numpy as np
 from . import conformal, euclid_radial as er, inequalities as ineq, spectral
 from .constants import Params, eval_constants
 from .errors import DomainError, NonConvergedError
-from .sphere_kernel import ZonalFunction, apply_kernel_at_pole, dini_test
+from .sphere_kernel import dini_test, kernel_vs_spectral
 
 SCHEMA_VERSION = 1
 
@@ -78,22 +78,9 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_kernel_vs_spectral(args) -> int:
-    p = _params(args)
-    lam = spectral.eigenvalue(p.N, np.arange(args.kmax + 1))
-    rows = []
-    worst = 0.0
-    for op in ("P_s", "P_slog", "P_log"):
-        for k, sym in enumerate(spectral.symbol_for(op, p, p.N, lam).tolist()):
-            u = ZonalFunction.from_expansion(
-                spectral.ZonalExpansion(p.N, k, tuple([0.0] * k + [1.0])))
-            kern = apply_kernel_at_pole(op, p, u).value
-            target = sym * spectral.zonal_basis_eval(p.N, k, 1.0)
-            rel = abs(kern - target) / max(abs(target), 1e-30)
-            worst = max(worst, rel)
-            rows.append({"op": op, "k": k, "kernel": kern, "spectral": target,
-                         "rel_error": rel})
+    rows = kernel_vs_spectral(_params(args), args.kmax)
     _emit_csv(["op", "k", "kernel", "spectral", "rel_error"], rows, args.out)
-    return 0 if worst <= args.tol_scale * 1e-6 else 1
+    return 0 if max(r["rel_error"] for r in rows) <= 1e-6 else 1
 
 
 def cmd_bubble(args) -> int:
@@ -111,27 +98,20 @@ def cmd_bubble(args) -> int:
     return 0
 
 
-def _passes(report, tol_scale: float) -> bool:
-    if tol_scale == 1.0:
-        return report.passed
-    return abs(report.residual) <= report.tolerance * tol_scale
-
-
 def _finish_audit(report, args, extra=None) -> int:
     payload = {"report": report.as_dict()}
     if extra:
         payload.update(extra)
     _emit_json(payload, args.out)
-    return 0 if _passes(report, args.tol_scale) else 1
+    return 0 if report.passed else 1
 
 
 def cmd_bubble_residual(args) -> int:
     p = _params(args)
     sphere = conformal.yamabe_residual_sphere(p, args.scale)
     euclid = conformal.yamabe_residual_euclid(p, args.scale, [0.0, 0.5, 1.0, 2.0])
-    payload = {"sphere": sphere.as_dict(), "euclid": euclid.as_dict()}
-    _emit_json(payload, args.out)
-    return 0 if (_passes(sphere, args.tol_scale) and _passes(euclid, args.tol_scale)) else 1
+    _emit_json({"sphere": sphere.as_dict(), "euclid": euclid.as_dict()}, args.out)
+    return 0 if (sphere.passed and euclid.passed) else 1
 
 
 def cmd_intertwine(args) -> int:
@@ -190,8 +170,6 @@ def build_parser() -> argparse.ArgumentParser:
         if order:
             sp.add_argument("--order", type=float, required=True, help="order s in (0,1)")
         sp.add_argument("--out", default="-", help="output path, '-' for stdout")
-        sp.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0,
-                        help="multiply default tolerances")
 
     sp = sub.add_parser("constants", help="named constants as JSON")
     common(sp)
@@ -231,12 +209,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_identity)
 
     sp = sub.add_parser("failure", help="naive-inequality failure demo")
-    sp.add_argument("--dim", type=int, required=True)
+    common(sp, order=False)
     sp.add_argument("--order0", type=float, required=True)
     sp.add_argument("--grid", type=int, default=40)
     sp.add_argument("--csv", default=None, help="also write the deficit curve CSV here")
-    sp.add_argument("--out", default="-")
-    sp.add_argument("--tol-scale", dest="tol_scale", type=float, default=1.0)
     sp.set_defaults(fn=cmd_failure)
 
     sp = sub.add_parser("beckner", help="fractional-logarithmic uncertainty audit")

@@ -16,19 +16,19 @@ psi = Gamma'/Gamma:
                    * (Gamma(N)/Gamma(N/2))^{2s/N}
     kappa'_{N,s} = kappa_{N,s} [ -2 ln 2 - ln pi - psi((N-2s)/2)
                    - psi((N+2s)/2) + (2/N) ln(Gamma(N)/Gamma(N/2)) ]
-    a_N          = (2/N) ln(Gamma(N)/Gamma(N/2)) - ln(4 pi) - 2 psi(N/2)
-    B_N          = (N/2) psi(N/2) - (N/4) ln pi
-                   - (1/2) ln(Gamma(N)/Gamma(N/2)) + (N/2) ln(2 pi)
+    a_N          = kappa'_{N,0} = (2/N) ln(Gamma(N)/Gamma(N/2)) - ln(4 pi) - 2 psi(N/2)
+    B_N          = -(N/4) kappa'_{N,0}
     C_N          = (4/N) pi^{N/2} / Gamma(N/2)
     |S^N|        = 2 pi^{(N+1)/2} / Gamma((N+1)/2)
 
-kappa_Ns(N, s) also takes a numpy array of orders, as the failure curve
-does; each element equals eval_constants' value bit for bit.
+kappa_Ns(N, s) and kappaprime_Ns(N, s) hold on 0 <= s < N/2 and also take
+a numpy array of orders, each element equal to the float call bit for bit.
 
 kappa'_{N,s} is the analytic derivative d kappa_{N,s}/ds (obtained by
 differentiating ln kappa); a finite-difference value is used only as a
 cross-check in the tests, since kappa' multiplies large energies and
-must not dominate the error budget. Note kappa'_{N,s} -> a_N as s -> 0.
+must not dominate the error budget. kappaprime_Ns is its one formula:
+eval_constants calls it, and a_N and B_N call it at s = 0.
 
 Two algebraically equal forms of c_{N,s} circulate, with the factor
 s(1-s)/Gamma(2-s) or s/Gamma(1-s); they agree via
@@ -100,13 +100,11 @@ def sphere_area_equator(N: int) -> float:
 
 
 def a_N(N: int) -> float:
-    return ((2.0 / N) * (ln_gamma(N) - ln_gamma(0.5 * N)) - math.log(4.0 * math.pi)
-            - 2.0 * digamma(0.5 * N))
+    return kappaprime_Ns(N, 0.0)
 
 
 def B_N(N: int) -> float:
-    return (0.5 * N * digamma(0.5 * N) - 0.25 * N * LN_PI
-            - 0.5 * (ln_gamma(N) - ln_gamma(0.5 * N)) + 0.5 * N * math.log(2.0 * math.pi))
+    return -0.25 * N * kappaprime_Ns(N, 0.0)
 
 
 def C_N(N: int) -> float:
@@ -126,12 +124,19 @@ def rho_N(N: int) -> float:
 
 
 def kappa_Ns(N: int, s):
-    """kappa_{N,s} for 0 < s < N/2; a numpy array of orders gives an array, each
+    """kappa_{N,s} for 0 <= s < N/2; a numpy array of orders gives an array, each
     element bit-identical to the float call (exp runs per element)."""
     half = 0.5 * N
     x = (-2.0 * s * LN2 - s * LN_PI + ln_gamma(half - s) - ln_gamma(half + s)
          + (2.0 * s / N) * (ln_gamma(N) - ln_gamma(half)))
     return np.array([math.exp(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def kappaprime_Ns(N: int, s):
+    """d kappa_{N,s}/ds for 0 <= s < N/2; an array of orders gives an array, as kappa_Ns."""
+    half = 0.5 * N
+    return kappa_Ns(N, s) * (-2.0 * LN2 - LN_PI - digamma(half - s) - digamma(half + s)
+                             + (2.0 / N) * (ln_gamma(N) - ln_gamma(half)))
 
 
 @lru_cache(maxsize=4096)
@@ -142,10 +147,6 @@ def _eval_constants_cached(N: int, s: float) -> ConstantSet:
                     + ln_gamma(half + s) - ln_gamma(2.0 - s))
     b_ns = 2.0 * LN2 + digamma(half + s) + digamma(2.0 - s) + 1.0 / s - 1.0 / (1.0 - s)
     aprime_ns = A_ns * (digamma(half + s) + digamma(half - s))
-    ln_gamma_ratio = ln_gamma(N) - ln_gamma(half)
-    kappa = kappa_Ns(N, s)
-    kappaprime = kappa * (-2.0 * LN2 - LN_PI - digamma(half - s) - digamma(half + s)
-                          + (2.0 / N) * ln_gamma_ratio)
     return ConstantSet(
         c_Ns=c_ns,
         A_Ns=A_ns,
@@ -154,8 +155,8 @@ def _eval_constants_cached(N: int, s: float) -> ConstantSet:
         c_N=c_N(N),
         A_N=A_N(N),
         rho_N=rho_N(N),
-        kappa_Ns=kappa,
-        kappaprime_Ns=kappaprime,
+        kappa_Ns=kappa_Ns(N, s),
+        kappaprime_Ns=kappaprime_Ns(N, s),
         a_N=a_N(N),
         B_N=B_N(N),
         C_N=C_N(N),

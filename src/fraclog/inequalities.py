@@ -9,7 +9,8 @@ Central objects, all under the unitary Fourier convention:
   with E~, L~ the L^{p(s)}-normalized |xi|^{2s} and |xi|^{2s} ln|xi|^2
   energies of the bubble u_s = (1+|x|^2)^{-(N-2s)/2}; its s -> 0 form
   (2/N) Ent_2(u_0) = a_N + normalized ln|xi|^2 energy of
-  u_0 = (1+|x|^2)^{-N/2};
+  u_0 = (1+|x|^2)^{-N/2} is the same code at s = 0, where p = 2,
+  kappa_{N,0} = 1 and kappa'_{N,0} = a_N;
 * the failure demonstration: with v = u_{s_0} frozen, F_v vanishes at
   s_0, stays nonnegative, and its derivative must dip below zero on
   (0, s_0) - so the naive fractional-logarithmic inequality (which is
@@ -26,13 +27,15 @@ Gaussians) from euclid_radial.pair_energy, norms and entropies of a single
 phi power from its position-side twin euclid_radial.phi_moment, and the
 Gaussian's entropy from its amplitude and width. Both closed forms take
 arrays, so the failure curve is one pair_energy and one phi_moment call
-over its whole grid of orders, bit-identical to a call per order. The quadrature routes,
-euclid_radial.energy and entropy, stay in sobolev_deficit and in the
-self-test below, which compares them with the closed forms. Before any
-Beckner-family audit runs, that cached self-test pins the B_N convention
-by checking the classical equality case at N = 1 (no order s involved); a
-convention mismatch fails loudly rather than silently shifting every
-margin.
+over its whole grid of orders, bit-identical to a call per order. The
+quadrature routes, euclid_radial.energy and entropy, stay in
+sobolev_deficit and in the self-test below, which compares them with the
+closed forms. sobolev_deficit is independent of the failure curve in its
+energy half only: for a single phi power its L^p norm is the same
+phi-moment closed form. Before any Beckner-family audit runs, that cached
+self-test pins the B_N convention by checking the classical equality case
+at N = 1 (no order s involved); a convention mismatch fails loudly rather
+than silently shifting every margin.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ from typing import Sequence
 import numpy as np
 
 from .audit import AuditReport, identity_audit
-from .constants import (LN2, LN_PI, Params, B_N, C_N, a_N, c_N, A_N, eval_constants,
-                        kappa_Ns, sphere_area, sphere_area_equator)
+from .constants import (LN2, LN_PI, Params, B_N, C_N, c_N, A_N, eval_constants,
+                        kappa_Ns, kappaprime_Ns, sphere_area, sphere_area_equator)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
 from .quadrature import Integrand, QuadResult, integrate
 from .specfun import digamma, ln_gamma
@@ -180,8 +183,8 @@ def _frozen_bubble_deficit(p0: Params,
     return _deficit_curve("bubble", s_grid, F.tolist(), errs.tolist()), kap_en
 
 
-def sharp_fraclog_identity(p: Params) -> AuditReport:
-    """Extremal identity at order s: entropy side vs kappa-weighted energies.
+def _extremal_identity(N: int, s: float, name: str, inputs: dict) -> AuditReport:
+    """Extremal identity at order 0 <= s < N/2: entropy side vs kappa-weighted energies.
 
     Every term is a closed form: the bubble entropy Ent_{p(s)}(u_s) and
     ||u_s||_{p(s)}^2 from the phi-moment of b = N, the two energies from
@@ -190,69 +193,54 @@ def sharp_fraclog_identity(p: Params) -> AuditReport:
     the entropy side, of the energies and of ||u_s||_{p(s)}^2, and the
     rounding of kappa_{N,s} and of the digamma bracket kappa'/kappa.
     """
-    N, s = p.N, p.s
     h, eps = 0.5 * N, er._EPS
-    cs = eval_constants(p)
-    u = er.talenti_bubble(p)
+    m = 0.5 * (N - 2.0 * s)
+    u = er.phi_poly_profile(N, [er.PhiTerm(2.0 ** (-m), m)], kind="bubble")
+    kap, kap_prime = kappa_Ns(N, s), kappaprime_Ns(N, s)
     ent, ent_err = _bubble_entropy(N)
     lhs = (2.0 / N) * ent
     lp2, lp2_err = _phi_power_lp_sq(u, h, er.p_of_s(N, s))
     e_frac = er.pair_energy("frac", u.fourier, N, s)
     e_flog = er.pair_energy("fraclog", u.fourier, N, s)
-    a = cs.kappaprime_Ns * e_frac.value / lp2
-    b = cs.kappa_Ns * e_flog.value / lp2
+    a = kap_prime * e_frac.value / lp2
+    b = kap * e_flog.value / lp2
     rhs = a + b
     lg_ratio = abs(ln_gamma(float(N))) + abs(ln_gamma(h))
     bracket_err = eps * (2.0 * LN2 + LN_PI + abs(digamma(h - s)) + abs(digamma(h + s))
                          + 2.0 / N * lg_ratio + 1.0 / (h - s) + 1.0 / (h + s) + 10.0)
     err = ((2.0 / N) * ent_err + eps * abs(lhs)
-           + (abs(cs.kappaprime_Ns) * e_frac.abs_error_estimate
-              + abs(cs.kappa_Ns) * e_flog.abs_error_estimate) / lp2
+           + (abs(kap_prime) * e_frac.abs_error_estimate
+              + abs(kap) * e_flog.abs_error_estimate) / lp2
            + (abs(a) + abs(b)) * (_kappa_rel(N, s) + lp2_err / lp2 + 3.0 * eps)
-           + abs(cs.kappa_Ns * e_frac.value / lp2) * bracket_err + eps * abs(rhs))
+           + abs(kap * e_frac.value / lp2) * bracket_err + eps * abs(rhs))
     return identity_audit(
-        "sharp-fraclog-identity", lhs, rhs, 1e-5,
-        inputs={"N": N, "s": s},
+        name, lhs, rhs, 1e-5, inputs=inputs,
         details={"normalized_frac_energy": e_frac.value / lp2,
-                 "inverse_kappa_check": e_frac.value / lp2 * cs.kappa_Ns,
+                 "inverse_kappa_check": e_frac.value / lp2 * kap,
                  "error_budget": err},
         relative=True)
 
 
-def euclid_log_identity(N: int) -> AuditReport:
-    """s -> 0 degeneration: (2/N) Ent_2(u_0) = a_N + normalized log energy.
+def sharp_fraclog_identity(p: Params) -> AuditReport:
+    """The extremal identity at order s (_extremal_identity)."""
+    return _extremal_identity(p.N, p.s, "sharp-fraclog-identity", {"N": p.N, "s": p.s})
 
-    Both sides are closed forms, the entropy and the norm from the
-    phi-moment, the log energy from the Bessel-K pair of u_0;
-    error_budget bounds the rounding of both to first order.
-    """
-    u0 = er.phi_poly_profile(N, [er.PhiTerm(2.0 ** (-0.5 * N), 0.5 * N)],
-                             kind="bubble-endpoint")
-    norm2, norm2_err = _lp_norm_sq(u0, 2.0, N)
-    h, eps = 0.5 * N, er._EPS
-    ent, ent_err = _bubble_entropy(N)
-    lhs = (2.0 / N) * ent
-    e_log = er.pair_energy("log", u0.fourier, N)
-    log_energy = e_log.value / norm2
-    rhs = a_N(N) + log_energy
-    a_N_err = eps * (2.0 / N * (abs(ln_gamma(float(N))) + abs(ln_gamma(h))) + math.log(4.0 * math.pi)
-                     + 2.0 * abs(digamma(h)) + 2.0 / h + 8.0)
-    err = ((2.0 / N) * ent_err + eps * abs(lhs) + a_N_err + e_log.abs_error_estimate / norm2
-           + abs(log_energy) * (norm2_err / norm2 + eps) + eps * abs(rhs))
-    return identity_audit("log-sobolev-equality-case", lhs, rhs, 1e-5,
-                          inputs={"N": N},
-                          details={"log_energy": log_energy, "error_budget": err},
-                          relative=True)
+
+def euclid_log_identity(N: int) -> AuditReport:
+    """s -> 0 degeneration (2/N) Ent_2(u_0) = a_N + normalized log energy: the
+    extremal identity at s = 0, where p = 2, kappa = 1 and kappa' = a_N."""
+    return _extremal_identity(N, 0.0, "log-sobolev-equality-case", {"N": N})
 
 
 def failure_demo(N: int, s0: float, grid_points: int = 40) -> tuple[AuditReport, DeficitCurve]:
     """Freeze v = u_{s0} and exhibit a strictly negative deficit derivative.
 
     The curve F_v on [0.05 s0, s0] is the closed form of
-    _frozen_bubble_deficit (sobolev_deficit is the independent quadrature
-    route to it). It vanishes at s0, is nonnegative, and its
-    central-difference derivative attains a negative minimum whose
-    magnitude must exceed 10x the propagated rounding budget.
+    _frozen_bubble_deficit (sobolev_deficit takes its energy half by
+    quadrature, its L^p half by the same phi-moment closed form). It
+    vanishes at s0, is nonnegative, and its central-difference derivative
+    attains a negative minimum whose magnitude must exceed 10x the
+    propagated rounding budget.
     """
     p0 = Params(N, s0)
     grid = np.linspace(0.05 * s0, s0, grid_points).tolist()  # the last point is s0 exactly

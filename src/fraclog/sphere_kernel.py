@@ -64,17 +64,20 @@ The error estimate is a rounding bound. q carries an error of about
 (d+1) eps sum_j |q_j| at every point (the T_j are bounded by 1), which
 the integral multiplies by 2^{-e} (|b - ln 2| M_0 + 2 ln 2 M_0 - L_0)
 (2^{-e} M_0 for P_s and P_log); 2 ln 2 M_0 - L_0 bounds int |ln(1-t)| W
-because |ln(1-t)| <= 2 ln 2 - ln(1-t) on [-1, 1]. The estimate is four
-times that, times |coeff| |S^{N-1}|, plus 4 eps |M(1)| times the size
-of the zero-order constant: |A_{N,s}| (|psi(N/2+s)| + |psi(N/2-s)|) for
-A'_{N,s}, whose digamma sum cancels near its sign change. The tests
-check it at the pole against 40-digit mpmath symbols (N 1..5, five
-orders, k 27..97) and off the pole against the spectral route (k <= 20):
-no error exceeds it by more than 64 ulp of sup |P Z_k|.
+because |ln(1-t)| <= 2 ln 2 - ln(1-t) on [-1, 1]. The samples of M add
+(d+1) eps (|b - ln 2| |w_plain| + |w_log|) . |M|, w the moment rows times
+the quotient map, which dominates on dense expansions. The estimate is
+four times both, times |coeff| |S^{N-1}|, plus 4 eps |M(1)| times the
+size of the zero-order constant: |A_{N,s}| (|psi(N/2+s)| + |psi(N/2-s)|)
+for A'_{N,s}, whose digamma sum cancels near its sign change. The tests
+check it against 40-digit mpmath symbols at the pole (N 1..5, five
+orders, k 27..97) and on 2^{-k} expansions of degree 16..32 off it, and
+against the spectral route off the pole (k <= 20): no error exceeds it
+by more than 64 ulp of sup |P Z_k|.
 
-Also provided: the difference-quotient audit (order-derivative of P_t at
-t = s), the s -> 0 audit against P_log, and the fractional-logarithmic
-Dini integral test.
+Also provided: the kernel-vs-symbol table at the pole, the
+difference-quotient audit (order-derivative of P_t at t = s), the s -> 0
+audit against P_log, and the fractional-logarithmic Dini integral test.
 """
 
 from __future__ import annotations
@@ -124,7 +127,7 @@ class ZonalFunction:
 
 def _kernel_setup(op: str, p: Params | None, N: int):
     """coeff, the Jacobi exponent alpha at t = 1, the zero-order factor, the
-    size its rounding scales with, and b (P_slog)."""
+    size its rounding scales with, and the shift b - ln 2 of the log weight (P_slog)."""
     if op in ("P_s", "P_slog"):
         if p is None:
             raise DomainError(f"{op} requires Params")
@@ -133,7 +136,7 @@ def _kernel_setup(op: str, p: Params | None, N: int):
             return cs.c_Ns, -p.s, cs.A_Ns, abs(cs.A_Ns), None
         # A' = A (psi(N/2+s) + psi(N/2-s)) cancels where the digamma sum changes sign
         size = abs(cs.A_Ns) * (abs(digamma(0.5 * N + p.s)) + abs(digamma(0.5 * N - p.s)))
-        return cs.c_Ns, -p.s, cs.Aprime_Ns, size, cs.b_Ns
+        return cs.c_Ns, -p.s, cs.Aprime_Ns, size, cs.b_Ns - _LN2
     if op == "P_log":
         return c_N(N), 0.0, A_N(N), abs(A_N(N)), None
     raise DomainError(f"unknown operator {op!r}")
@@ -179,7 +182,7 @@ def _quotient_map(degree: int):
 
 
 def _mean_quotient(u: ZonalFunction, t0: float):
-    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), M(1) and the profile evaluations."""
+    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), the samples of M, the evaluations."""
     degree = u.expansion.degree_max
     y, sy, quotient = _quotient_map(degree)
     sin0 = math.sqrt(1.0 - t0 * t0)
@@ -190,7 +193,7 @@ def _mean_quotient(u: ZonalFunction, t0: float):
         x, w = _mean_rule(u.N, degree)
         mean = u.profile(t0 * y[:, None] + sin0 * sy[:, None] * x) @ w
         evals = y.size * x.size
-    return quotient @ mean, float(mean[0]), evals
+    return quotient @ mean, mean, evals
 
 
 # sized for sweeps over orders and degrees; a miss reruns the recurrence,
@@ -217,6 +220,15 @@ def _kernel_moments(N: int, alpha: float, degree: int):
             scale * (2.0 * _LN2 * m0 - l0))
 
 
+@lru_cache(maxsize=4096)
+def _sample_weights(N: int, alpha: float, degree: int, shift: float | None):
+    """|w_plain|, or |shift| |w_plain| + |w_log| for P_slog: the weights of M's samples."""
+    plain, log, _, _ = _kernel_moments(N, alpha, degree)
+    quotient = _quotient_map(degree)[2]
+    weights = np.abs(plain @ quotient)
+    return weights if shift is None else abs(shift) * weights + np.abs(log @ quotient)
+
+
 def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> QuadResult:
     """Evaluate P_s / P_slog / P_log applied to u at polar cosine t0 in [-1, 1].
 
@@ -228,15 +240,17 @@ def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> Quad
         raise DomainError("kernel route needs a zonal expansion (its degree)")
     N = u.N
     degree = u.expansion.degree_max
-    coeff, alpha, zero_order, zero_size, b_shift = _kernel_setup(op, p, N)
-    q, m1, evals = _mean_quotient(u, t0)
+    coeff, alpha, zero_order, zero_size, shift = _kernel_setup(op, p, N)
+    q, mean, evals = _mean_quotient(u, t0)
+    m1 = float(mean[0])
     plain, log, mass, log_mass = _kernel_moments(N, alpha, degree)
     value = float(plain @ q)
-    if b_shift is not None:  # w = -ln 2 - ln(1 - t) + b
-        shift = b_shift - _LN2
+    if shift is not None:  # w = -ln 2 - ln(1 - t) + b
         value = shift * value - float(log @ q)
         mass = abs(shift) * mass + log_mass
-    rounding = 4.0 * _EPS * (degree + 1) * float(np.abs(q).sum()) * mass
+    rounding = 4.0 * _EPS * (degree + 1) * (
+        float(np.abs(q).sum()) * mass
+        + float(_sample_weights(N, alpha, degree, shift) @ np.abs(mean)))
     area = sphere_area_equator(N)
     return QuadResult(coeff * area * value + zero_order * m1,
                       abs(coeff) * area * rounding + 4.0 * _EPS * zero_size * abs(m1), evals)
@@ -245,6 +259,21 @@ def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> Quad
 def apply_kernel_at_pole(op: str, p: Params | None, u: ZonalFunction) -> QuadResult:
     """Evaluate P_s / P_slog / P_log applied to u at the pole of symmetry."""
     return apply_kernel(op, p, u, 1.0)
+
+
+def kernel_vs_spectral(p: Params, kmax: int) -> list[dict]:
+    """Rows {op, k, kernel, spectral, rel_error}: the kernel at the pole of Z_k, k <= kmax,
+    against symbol * Z_k(1), relative to |symbol * Z_k(1)| floored at 1e-30."""
+    lam = spectral.eigenvalue(p.N, np.arange(kmax + 1))
+    rows = []
+    for op in ("P_s", "P_slog", "P_log"):
+        for k, sym in enumerate(spectral.symbol_for(op, p, p.N, lam).tolist()):
+            u = spectral.ZonalExpansion(p.N, k, tuple([0.0] * k + [1.0]))
+            kern = apply_kernel_at_pole(op, p, ZonalFunction.from_expansion(u)).value
+            target = sym * spectral.zonal_basis_eval(p.N, k, 1.0)
+            rows.append({"op": op, "k": k, "kernel": kern, "spectral": target,
+                         "rel_error": abs(kern - target) / max(abs(target), 1e-30)})
+    return rows
 
 
 def _loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:

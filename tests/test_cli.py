@@ -61,13 +61,13 @@ def test_kernel_vs_spectral_high_degree(capsys):
 
 
 def test_nonconverged_exit_3_with_record(monkeypatch, capsys):
-    from fraclog import cli
+    from fraclog import sphere_kernel
     from fraclog.errors import NonConvergedError
 
     def fail(*args):
         raise NonConvergedError("quadrature stalled", value=1.25, error_estimate=3e-4)
 
-    monkeypatch.setattr(cli, "apply_kernel_at_pole", fail)
+    monkeypatch.setattr(sphere_kernel, "apply_kernel_at_pole", fail)
     code = main(["kernel-vs-spectral", "--dim", "2", "--order", "0.25", "--kmax", "1"])
     captured = capsys.readouterr()
     assert code == 3
@@ -217,10 +217,19 @@ def test_identity_subcommand(capsys):
     assert code == 0
 
 
-def test_tol_scale_loosens_and_tightens(capsys):
-    code, _ = run(capsys, "identity", "--dim", "3", "--order", "0.5",
-                  "--tol-scale", "1e6")
+@pytest.mark.parametrize("argv", [
+    # margin audits: a pass is a margin above -1e-6, not |margin| <= tolerance
+    ("beckner", "--dim", "3", "--order", "0.3", "--profile", "gaussian"),
+    ("failure", "--dim", "3", "--order0", "0.5"),
+    ("identity", "--dim", "3", "--order", "0.5"),
+])
+def test_exit_status_is_the_report_pass(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == (0 if json.loads(out)["report"]["pass"] else 1)
     assert code == 0
-    code, _ = run(capsys, "identity", "--dim", "3", "--order", "0.5",
-                  "--tol-scale", "1e-12")
-    assert code == 1
+
+
+def test_tol_scale_is_gone(capsys):
+    for argv in (("identity", "--dim", "3", "--order", "0.5"),
+                 ("failure", "--dim", "3", "--order0", "0.5")):
+        assert main([*argv, "--tol-scale", "2"]) == 2

@@ -1,10 +1,11 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
-from fraclog.constants import (Params, bessel_bubble_coeff, bubble_mu,
-                               eval_constants, kappa_Ns, sphere_area)
+from fraclog.constants import (B_N, Params, a_N, bessel_bubble_coeff, bubble_mu,
+                               eval_constants, kappa_Ns, kappaprime_Ns, sphere_area)
 from fraclog.errors import DomainError
 from fraclog.specfun import EULER_GAMMA, digamma, ln_gamma
 
@@ -168,3 +169,35 @@ def test_kappa_over_an_array_of_orders_equals_eval_constants():
         assert isinstance(kap, np.ndarray) and kap.shape == s.shape
         assert kap.tolist() == [eval_constants(Params(N, x)).kappa_Ns for x in s.tolist()]
         assert type(kappa_Ns(N, 0.25)) is float
+
+
+def test_kappaprime_over_an_array_of_orders_equals_the_float_call():
+    for N in (1, 2, 3, 5, 8):
+        s = np.linspace(0.0, 0.499 * min(N, 2), 53)
+        kp = kappaprime_Ns(N, s)
+        assert isinstance(kp, np.ndarray) and kp.shape == s.shape
+        assert kp.tolist() == [kappaprime_Ns(N, x) for x in s.tolist()]
+        assert kp[1:].tolist() == [eval_constants(Params(N, x)).kappaprime_Ns
+                                   for x in s[1:].tolist()]
+        assert type(kappaprime_Ns(N, 0.25)) is float
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_a_N_and_B_N_are_kappaprime_at_zero_and_match_mpmath(N):
+    # a_N = kappa'_{N,0} and B_N = -(N/4) kappa'_{N,0}, bit for bit; against
+    # 40 digits within the rounding of the terms of kappa'_{N,0}
+    assert a_N(N) == kappaprime_Ns(N, 0.0) == eval_constants(Params(N, 0.25)).a_N
+    assert B_N(N) == -0.25 * N * a_N(N) == eval_constants(Params(N, 0.25)).B_N
+    h = 0.5 * N
+    terms = (2.0 / N * (abs(ln_gamma(float(N))) + abs(ln_gamma(h))) + math.log(4.0 * math.pi)
+             + 2.0 * abs(digamma(h)))
+    with mp.workdps(40):
+        H = mp.mpf(N) / 2
+        a = (2 / mp.mpf(N) * (mp.loggamma(N) - mp.loggamma(H)) - mp.log(4 * mp.pi)
+             - 2 * mp.digamma(H))
+        B = H * mp.digamma(H) - H / 2 * mp.log(mp.pi) - (mp.loggamma(N) - mp.loggamma(H)) / 2 \
+            + H * mp.log(2 * mp.pi)
+        a, B = float(a), float(B)
+    eps = np.finfo(float).eps
+    assert abs(a_N(N) - a) <= 4 * eps * terms
+    assert abs(B_N(N) - B) <= 4 * eps * (0.25 * N * terms + abs(B))

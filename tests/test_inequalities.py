@@ -69,6 +69,20 @@ def test_euclid_log_identity(N):
     assert rep.passed and abs(rep.residual) <= 1e-5
 
 
+@pytest.mark.parametrize("N", range(1, 9))
+def test_euclid_log_identity_within_error_budget(N):
+    # the extremal identity at s = 0: the same code as the order-s identity,
+    # with p = 2, kappa_{N,0} = 1 and kappa'_{N,0} = a_N
+    rep = ineq.euclid_log_identity(N)
+    budget = rep.details["error_budget"] / max(abs(rep.lhs), abs(rep.rhs))
+    assert rep.name == "log-sobolev-equality-case" and rep.inputs == {"N": N}
+    assert rep.passed and abs(rep.residual) <= budget <= 1e-12, (rep.residual, budget)
+    assert rep.details["normalized_frac_energy"] == pytest.approx(1.0, abs=1e-14)
+    # the order-s identity tends to it as s -> 0
+    near = ineq.sharp_fraclog_identity(Params(N, 1e-9))
+    assert near.lhs == rep.lhs and near.rhs == pytest.approx(rep.rhs, rel=1e-7)
+
+
 def test_failure_demo():
     rep, curve = ineq.failure_demo(3, 0.5, 40)
     assert rep.passed
@@ -98,8 +112,9 @@ DEFICIT_CASES = [(1, 0.12), (1, 0.24), (2, 0.2), (2, 0.48), (3, 0.3), (3, 0.75),
 
 @pytest.mark.parametrize("N,s0", DEFICIT_CASES)
 def test_failure_curve_matches_quadrature_route(N, s0):
-    # the closed-form curve against the K_s-energy and L^p quadrature of
-    # sobolev_deficit, point by point within the two estimates
+    # the closed-form curve against sobolev_deficit, point by point within
+    # the two estimates; only the K_s energy is an independent quadrature,
+    # the L^p norm of a single phi power takes the same closed form
     rep, curve = ineq.failure_demo(N, s0, 120)
     p0 = Params(N, s0)
     quad = ineq.sobolev_deficit(N, er.talenti_bubble(p0), curve.s_grid)
