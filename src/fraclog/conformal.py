@@ -42,11 +42,12 @@ Audits implemented here:
 
 * confcore_checks: the endpoint pullback T_0 preserves the L^2 norm,
   shifts the entropy by N * <ln phi> and the logarithmic energy by
-  2 * <ln phi> (density-weighted means). ||V||^2 and <ln phi> are closed
-  forms over the phi-power pairs of V (one array euclid_radial.phi_moment
-  call each), held against Parseval; the entropies on both sides are
-  quadratures; the Euclidean log energy is the closed form of V's
-  Bessel-K pair (euclid_radial.pair_energy), held against the spectral sum;
+  2 * <ln phi> (density-weighted means). ||V||^2 and <ln phi> are the
+  phi-moments of b = N and exact rational sums over the phi powers of V^2
+  (_square_sums), good to a few roundings at any degree; the norm is held
+  against Parseval; the entropies on both sides are quadratures; the
+  Euclidean log energy is the closed form of V's Bessel-K pair
+  (euclid_radial.pair_energy), held against the spectral sum;
 * intertwining_residual: T_s[P^{s+ln} u] (spectral route) against
   phi^{-2s} [ (-Delta)^{s+ln} V - (-Delta)^s((ln phi) V)
   - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
@@ -72,6 +73,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -83,7 +85,6 @@ from .quadrature import QuadResult, find_root
 from .specfun import digamma, ln_gamma
 from . import euclid_radial as er
 from . import spectral
-from .sphere_kernel import ZonalFunction
 
 _EPS = 2.0 ** -52
 #: ulps of _zonal_norm's float Z_k(1): sqrt of a rounded ratio, pi^{j/2}, a division
@@ -141,58 +142,69 @@ def _phi_coefficients(u: spectral.ZonalExpansion) -> list[Fraction]:
 
 
 def pullback_expansion(s: float, u: spectral.ZonalExpansion) -> er.RadialProfile:
-    """T_s[u] = sum_i c_i phi^{(N-2s)/2 + i}, each exact c_i rounded once."""
+    """T_s[u] = sum_i c_i phi^{(N-2s)/2 + i}, each exact c_i rounded once and kept in meta."""
     if not 0.0 <= s < 1.0:
         raise DomainError(f"pullback order must lie in [0, 1), got {s}")
     m = 0.5 * (u.N - 2.0 * s)
-    terms = [er.PhiTerm(float(c), m + i) for i, c in enumerate(_phi_coefficients(u)) if c]
+    c = _phi_coefficients(u)
+    terms = [er.PhiTerm(float(ci), m + i) for i, ci in enumerate(c) if ci]
     if not terms:
         raise DomainError("pullback of the zero function")
     return er.phi_poly_profile(u.N, terms, kind="pullback",
-                               meta={"s": s, "degree_max": u.degree_max})
+                               meta={"s": s, "degree_max": u.degree_max, "phi_coefficients": c})
 
 
-def pullback(s: float, u: ZonalFunction) -> er.RadialProfile:
-    """T_s[u](r) = phi(r)^{(N-2s)/2} u(t(r)) for a generic zonal function."""
-    if u.expansion is not None:
-        return pullback_expansion(s, u.expansion)
-    N = u.N
-    m = 0.5 * (N - 2.0 * s)
-    ev = lambda r: er.phi(r) ** m * u.profile(polar_cosine(r))
-    return er.RadialProfile(ev, decay_exponent=2.0 * m, kind="pullback",
-                            meta={"s": s, "N": N})
+@lru_cache(maxsize=64)
+def _square_weights(N: int, K: int) -> tuple[tuple, tuple]:
+    """r_k = M(N+k)/M(N) and r_k d_k, k < K, in _integer_form (_square_sums).
+
+    r_k = prod_{l<k} (N+2l)/(N+l), and d_k = sum_{l<k} 2/(N+2l) - 1/(N+l) is
+    the shift of psi(N/2+k) - psi(N+k), so M'(N+k) = r_k (M'(N) + d_k M(N)).
+    """
+    r, d, rs, rds = Fraction(1), Fraction(0), [], []
+    for k in range(K):
+        rs.append(r)
+        rds.append(r * d)
+        r *= Fraction(N + 2 * k, N + k)
+        d += Fraction(N, (N + 2 * k) * (N + k))
+    return _integer_form(rs), _integer_form(rds)
 
 
-def pullback_inverse(s: float, v: er.RadialProfile, N: int) -> ZonalFunction:
-    """Divide out the conformal factor: u(t) = v(r(t)) / phi(r(t))^{(N-2s)/2}."""
-    m = 0.5 * (N - 2.0 * s)
+def _square_sums(N: int, c: list[Fraction]) -> tuple[float, float]:
+    """S and T/S, each exact and rounded once: ||V||^2 = M(N) S, <ln phi> = M'(N)/M(N) + T/S.
 
-    def profile(t):
-        t = min(max(t, -1.0 + 1e-14), 1.0)
-        r = radius_of_cosine(t)
-        return v.evaluator(r) / er.phi(r) ** m
-
-    return ZonalFunction(N, profile)
+    V = sum_i c_i phi^{N/2+i}, so V^2 = sum_k g_k phi^{N+k}, g_k = sum_{i+j=k} c_i c_j,
+    S = sum_k g_k r_k and T = sum_k g_k r_k d_k (_square_weights).
+    """
+    nums, den = _integer_form(c)
+    g = [0] * (2 * len(nums) - 1)
+    for i, a in enumerate(nums):
+        for j, b in enumerate(nums):
+            g[i + j] += a * b
+    (r, r_den), (rd, rd_den) = _square_weights(N, len(g))
+    S, T = sum(map(operator.mul, g, r)), sum(map(operator.mul, g, rd))
+    return S / (den * den * r_den), T * r_den / (S * rd_den)  # int / int rounds once
 
 
 def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     """Audit the three endpoint-pullback transfer laws for V = T_0[u].
 
-    V = sum_i c_i phi^{a_i}, a_i = N/2 + i (pullback_expansion), so with M
-    and M' the phi-moments of b = a_i + a_j without and with ln phi
-    (euclid_radial.phi_moment, one array call each over the pairs i <= j,
-    the excess a_i + a_j - N/2 fsum'd):
+    V = sum_i c_i phi^{N/2+i} with the exact c_i of pullback_expansion, so
+    V^2 = sum_k g_k phi^{N+k}, and with M and M' the phi-moments of b = N
+    without and with ln phi (euclid_radial.phi_moment, two scalar calls):
 
-        ||V||^2 = sum_ij c_i c_j M,  <ln phi> = sum_ij c_i c_j M' / ||V||^2.
+        ||V||^2 = M S,  <ln phi> = M'/M + T/S,
 
+    S and T the exact rationals of _square_sums, each rounded once.
     The norm law holds ||V||^2 against Parseval's sum_k u_k^2; the entropy
     law takes both entropies by quadrature (euclid_radial.entropy and
     _sphere_entropy, split at the sign changes of u); the log-energy law
     takes V's pair energy in closed form against the spectral sum.
     details carries ||V||^2 and <ln phi> with their estimates, and
     details["error_budget"] bounds each law's residual to first order: the
-    norm by the phi-moment estimates, Parseval's rounding and that of
-    Z_k(1) in the pullback coefficients; the entropy by both entropy
+    norm by the estimate of M, a fixed count of roundings, Parseval's and
+    that of Z_k(1) in the c_i; <ln phi> carries those of M and M' and three
+    roundings; the entropy by both entropy
     estimates and N times that of <ln phi>; the log energy by the rounding
     of the pair energy and of the spectral energy and 2 times the estimate
     of <ln phi>.
@@ -202,25 +214,22 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     eps = _EPS
     v = pullback_expansion(0.0, u)
 
-    # (i) L^2 norms, and <ln phi> from the same phi-power pairs
-    terms = v.fourier.meta["phi_terms"]
-    pairs = [(i, j) for i in range(len(terms)) for j in range(i, len(terms))]
-    ww = np.array([(1.0 if i == j else 2.0) * terms[i].coef * terms[j].coef for i, j in pairs])
-    excess = np.array([math.fsum((terms[i].power, terms[j].power, -0.5 * N)) for i, j in pairs])
-
-    def pair_sum(m):  # c_i c_j rounds thrice, its product with M once, the fsum once
-        return (math.fsum(ww * m.value),
-                float(np.abs(ww) @ (m.abs_error_estimate + 4.0 * eps * np.abs(m.value))))
-    norm_euclid, norm_err = pair_sum(er.phi_moment(N, excess))
-    num, num_err = pair_sum(er.phi_moment(N, excess, log=True))
+    # (i) L^2 norms, and <ln phi>: exact sums over the phi powers of V^2
+    S, T_over_S = _square_sums(N, v.meta["phi_coefficients"])
+    m, ml = er.phi_moment(N, 0.5 * N), er.phi_moment(N, 0.5 * N, log=True)
+    norm_euclid = m.value * S
     norm_sphere = u.norm_sq()
     parseval_rel = (u.degree_max + 2) * eps
     zk_rel = 2.0 * _ZONAL_NORM_ULPS * eps  # of ||u||^2 through the c_i
+    # M's estimate, S and the product rounded once each, and Z_k(1) in the c_i
+    norm_err = S * m.abs_error_estimate + (2.0 * eps + zk_rel) * abs(norm_euclid)
     res_norm = norm_euclid / norm_sphere - 1.0
     budget_norm = (norm_err / norm_sphere + abs(norm_euclid / norm_sphere) * (parseval_rel + eps)
-                   + zk_rel + eps)
-    logphi_mean = num / norm_euclid
-    logphi_err = (num_err + abs(logphi_mean) * norm_err) / norm_euclid + eps * abs(logphi_mean)
+                   + eps)
+    base = ml.value / m.value
+    logphi_mean = base + T_over_S
+    logphi_err = ((ml.abs_error_estimate + abs(base) * m.abs_error_estimate) / m.value
+                  + eps * (abs(base) + abs(T_over_S) + abs(logphi_mean)))
 
     # (ii) entropy transfer
     zeros = _sign_changes(u)

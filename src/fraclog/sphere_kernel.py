@@ -1,7 +1,8 @@
 """Singular-integral evaluation of the conformal operators on zonal functions.
 
-One formula serves every point. Let u(zeta) = f(e . zeta) be zonal about
-a pole e and z a point with polar cosine t0 = e . z. Rotating about z,
+One formula serves every point. Let u(zeta) = f(e . zeta), a
+spectral.ZonalExpansion (its degree fixes the orders below), be zonal
+about a pole e and z a point with polar cosine t0 = e . z. Rotating about z,
 the sphere integral only sees the spherical mean
 
     M(t) = mean of u over the (N-1)-sphere {zeta : z . zeta = t},
@@ -65,15 +66,18 @@ The error estimate is a rounding bound. q carries an error of about
 the integral multiplies by 2^{-e} (|b - ln 2| M_0 + 2 ln 2 M_0 - L_0)
 (2^{-e} M_0 for P_s and P_log); 2 ln 2 M_0 - L_0 bounds int |ln(1-t)| W
 because |ln(1-t)| <= 2 ln 2 - ln(1-t) on [-1, 1]. The samples of M add
-(d+1) eps (|b - ln 2| |w_plain| + |w_log|) . |M|, w the moment rows times
-the quotient map, which dominates on dense expansions. The estimate is
+(d+1) eps (|b - ln 2| |w_plain| + |w_log|) . S, w the moment rows times
+the quotient map and S = sum |f| w over each mean's Gauss nodes (|M| at
+the poles), which dominates on dense expansions and, unlike |M|, stays
+off zero where a mean cancels to an exact zero. The estimate is
 four times both, times |coeff| |S^{N-1}|, plus 4 eps |M(1)| times the
 size of the zero-order constant: |A_{N,s}| (|psi(N/2+s)| + |psi(N/2-s)|)
 for A'_{N,s}, whose digamma sum cancels near its sign change. The tests
 check it against 40-digit mpmath symbols at the pole (N 1..5, five
-orders, k 27..97) and on 2^{-k} expansions of degree 16..32 off it, and
-against the spectral route off the pole (k <= 20): no error exceeds it
-by more than 64 ulp of sup |P Z_k|.
+orders, k 27..97), on 2^{-k} expansions of degree 16..32 off it, at the
+exact zero of Z_32 at t0 = -1/2 (N = 3), and against the spectral route
+off the pole (k <= 20): no error exceeds it by more than 64 ulp of
+sup |P Z_k|.
 
 Also provided: the kernel-vs-symbol table at the pole, the
 difference-quotient audit (order-derivative of P_t at t = s), the s -> 0
@@ -83,15 +87,14 @@ audit against P_log, and the fractional-logarithmic Dini integral test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import roots_gegenbauer
 
 from .audit import AuditReport
-from .constants import Params, eval_constants, A_N, c_N, sphere_area, sphere_area_equator
+from .constants import Params, eval_constants, A_N, c_N, sphere_area_equator
 from .errors import DomainError
 from .quadrature import Integrand, QuadResult, integrate
 # never called here: perfbench/tracer.py wraps this name to count quad calls by caller
@@ -103,26 +106,9 @@ _EPS = float(np.finfo(float).eps)
 _LN2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
+# the kernels take the ZonalExpansion itself; perfbench/workloads.py still wraps it in this
 class ZonalFunction:
-    """u(zeta) = profile(z . zeta) for a fixed pole z; profile on [-1, 1].
-
-    The kernels need `expansion`: its degree fixes the Gauss and
-    Chebyshev orders, and its profile accepts numpy arrays.
-    """
-
-    N: int
-    profile: Callable[[float], float]
-    expansion: Optional[spectral.ZonalExpansion] = None
-
-    @staticmethod
-    def from_expansion(u: spectral.ZonalExpansion) -> "ZonalFunction":
-        return ZonalFunction(u.N, lambda t: spectral.zonal_eval(u, t), expansion=u)
-
-    @staticmethod
-    def constant(N: int, value: float = 1.0) -> "ZonalFunction":
-        return ZonalFunction.from_expansion(
-            spectral.ZonalExpansion(N, 0, (value * math.sqrt(sphere_area(N)),)))
+    from_expansion = staticmethod(lambda u: u)
 
 
 def _kernel_setup(op: str, p: Params | None, N: int):
@@ -181,19 +167,18 @@ def _quotient_map(degree: int):
     return np.cos(theta), np.sin(theta), q[:degree]
 
 
-def _mean_quotient(u: ZonalFunction, t0: float):
-    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), the samples of M, the evaluations."""
-    degree = u.expansion.degree_max
-    y, sy, quotient = _quotient_map(degree)
+def _mean_quotient(u: spectral.ZonalExpansion, t0: float):
+    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), the samples of M, the
+    magnitudes each sample's mean rounds (sum |value| w), the evaluations."""
+    y, sy, quotient = _quotient_map(u.degree_max)
     sin0 = math.sqrt(1.0 - t0 * t0)
     if sin0 == 0.0:  # at either pole the mean is the profile itself
-        mean = u.profile(t0 * y)
-        evals = y.size
-    else:
-        x, w = _mean_rule(u.N, degree)
-        mean = u.profile(t0 * y[:, None] + sin0 * sy[:, None] * x) @ w
-        evals = y.size * x.size
-    return quotient @ mean, mean, evals
+        mean = spectral.zonal_eval(u, t0 * y)
+        return quotient @ mean, mean, np.abs(mean), y.size
+    x, w = _mean_rule(u.N, u.degree_max)
+    values = spectral.zonal_eval(u, t0 * y[:, None] + sin0 * sy[:, None] * x)
+    mean = values @ w
+    return quotient @ mean, mean, np.abs(values) @ w, values.size
 
 
 # sized for sweeps over orders and degrees; a miss reruns the recurrence,
@@ -229,19 +214,16 @@ def _sample_weights(N: int, alpha: float, degree: int, shift: float | None):
     return weights if shift is None else abs(shift) * weights + np.abs(log @ quotient)
 
 
-def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> QuadResult:
+def apply_kernel(op: str, p: Params | None, u: spectral.ZonalExpansion, t0: float) -> QuadResult:
     """Evaluate P_s / P_slog / P_log applied to u at polar cosine t0 in [-1, 1].
 
     `evaluations` counts the profile values the spherical mean used.
     """
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"polar cosine must lie in [-1, 1], got {t0}")
-    if u.expansion is None:
-        raise DomainError("kernel route needs a zonal expansion (its degree)")
-    N = u.N
-    degree = u.expansion.degree_max
+    N, degree = u.N, u.degree_max
     coeff, alpha, zero_order, zero_size, shift = _kernel_setup(op, p, N)
-    q, mean, evals = _mean_quotient(u, t0)
+    q, mean, size, evals = _mean_quotient(u, t0)
     m1 = float(mean[0])
     plain, log, mass, log_mass = _kernel_moments(N, alpha, degree)
     value = float(plain @ q)
@@ -249,14 +231,13 @@ def apply_kernel(op: str, p: Params | None, u: ZonalFunction, t0: float) -> Quad
         value = shift * value - float(log @ q)
         mass = abs(shift) * mass + log_mass
     rounding = 4.0 * _EPS * (degree + 1) * (
-        float(np.abs(q).sum()) * mass
-        + float(_sample_weights(N, alpha, degree, shift) @ np.abs(mean)))
+        float(np.abs(q).sum()) * mass + float(_sample_weights(N, alpha, degree, shift) @ size))
     area = sphere_area_equator(N)
     return QuadResult(coeff * area * value + zero_order * m1,
                       abs(coeff) * area * rounding + 4.0 * _EPS * zero_size * abs(m1), evals)
 
 
-def apply_kernel_at_pole(op: str, p: Params | None, u: ZonalFunction) -> QuadResult:
+def apply_kernel_at_pole(op: str, p: Params | None, u: spectral.ZonalExpansion) -> QuadResult:
     """Evaluate P_s / P_slog / P_log applied to u at the pole of symmetry."""
     return apply_kernel(op, p, u, 1.0)
 
@@ -269,7 +250,7 @@ def kernel_vs_spectral(p: Params, kmax: int) -> list[dict]:
     for op in ("P_s", "P_slog", "P_log"):
         for k, sym in enumerate(spectral.symbol_for(op, p, p.N, lam).tolist()):
             u = spectral.ZonalExpansion(p.N, k, tuple([0.0] * k + [1.0]))
-            kern = apply_kernel_at_pole(op, p, ZonalFunction.from_expansion(u)).value
+            kern = apply_kernel_at_pole(op, p, u).value
             target = sym * spectral.zonal_basis_eval(p.N, k, 1.0)
             rows.append({"op": op, "k": k, "kernel": kern, "spectral": target,
                          "rel_error": abs(kern - target) / max(abs(target), 1e-30)})
@@ -281,13 +262,12 @@ def _loglog_slope(x: Sequence[float], y: Sequence[float]) -> float:
     return float(np.polyfit(lx, ly, 1)[0])
 
 
-def difference_quotient_check(p: Params, u: ZonalFunction,
+def difference_quotient_check(p: Params, u: spectral.ZonalExpansion,
                               h_list: Sequence[float]) -> AuditReport:
     """Audit (P^{s+h} u - P^s u)/h -> P^{s+ln} u at the pole, order ~ h.
 
-    Uses the kernel route throughout; when u carries a zonal expansion the
-    same quotient is also formed on the symbol side and the two routes are
-    compared at the smallest h.
+    Uses the kernel route throughout; the same quotient is also formed on
+    the symbol side and the two routes are compared at the smallest h.
     """
     if not all(0.0 < p.s + h < 1.0 and h > 0.0 for h in h_list):
         raise DomainError("need s + h in (0, 1) and h > 0 for every h")
@@ -301,25 +281,22 @@ def difference_quotient_check(p: Params, u: ZonalFunction,
         errs.append(abs(q - target))
     slope = _loglog_slope(h_list, errs)
 
-    details = {"h": list(h_list), "quotient": quotients, "error": errs,
-               "target": target, "slope": slope}
-    if u.expansion is not None:
-        h = min(h_list)
-        pole = lambda op, pp: spectral.zonal_eval(
-            spectral.apply_spectral(op, pp, u.expansion), 1.0)
-        sym_q = (pole("P_s", Params(p.N, p.s + h)) - pole("P_s", p)) / h
-        kernel_q = quotients[list(h_list).index(h)]
-        details["symbol_quotient"] = sym_q
-        details["route_gap_at_min_h"] = abs(sym_q - kernel_q)
+    h = min(h_list)
+    pole = lambda pp: spectral.zonal_eval(spectral.apply_spectral("P_s", pp, u), 1.0)
+    sym_q = (pole(Params(p.N, p.s + h)) - pole(p)) / h
+    kernel_q = quotients[list(h_list).index(h)]
     return AuditReport(
         name="difference-quotient-order",
         lhs=slope, rhs=1.0, residual=slope - 1.0, tolerance=0.2,
         passed=abs(slope - 1.0) <= 0.2,
-        inputs={"N": p.N, "s": p.s}, details=details,
+        inputs={"N": p.N, "s": p.s},
+        details={"h": list(h_list), "quotient": quotients, "error": errs,
+                 "target": target, "slope": slope, "symbol_quotient": sym_q,
+                 "route_gap_at_min_h": abs(sym_q - kernel_q)},
     )
 
 
-def slimit_check(N: int, u: ZonalFunction, s_list: Sequence[float]) -> AuditReport:
+def slimit_check(N: int, u: spectral.ZonalExpansion, s_list: Sequence[float]) -> AuditReport:
     """Audit P^{s+ln} u -> P^{ln} u at the pole as s -> 0+, gap ~ s."""
     s_arr = list(s_list)
     if any(b >= a for a, b in zip(s_arr, s_arr[1:])):

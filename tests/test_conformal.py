@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fraclog import conformal, euclid_radial as er
-from fraclog.constants import Params, eval_constants
+from fraclog.constants import Params, eval_constants, sphere_area
 from fraclog.errors import DomainError
 from fraclog.quadrature import Integrand, integrate
 from fraclog.spectral import ZonalExpansion, multiplicities, zonal_eval, zonal_integral
-from fraclog.sphere_kernel import ZonalFunction
 
 
 def test_stereographic_special_points():
@@ -52,7 +51,7 @@ def test_polar_cosine_consistency():
 
 
 def test_pullback_of_constant_is_power_of_phi():
-    prof = conformal.pullback(0.5, ZonalFunction.constant(3))
+    prof = conformal.pullback_expansion(0.5, ZonalExpansion(3, 0, (math.sqrt(sphere_area(3)),)))
     for r in (0.0, 0.7, 2.0):
         assert prof.evaluator(r) == pytest.approx(er.phi(r), rel=1e-14)
 
@@ -60,18 +59,9 @@ def test_pullback_of_constant_is_power_of_phi():
 def test_pullback_expansion_matches_generic_route():
     u = ZonalExpansion(3, 2, (0.4, -0.3, 1.1))
     exact = conformal.pullback_expansion(0.25, u)
-    generic = conformal.pullback(0.25, ZonalFunction(
-        3, lambda t: zonal_eval(u, t), expansion=None))
     for r in (0.0, 0.5, 1.3, 4.0):
-        assert exact.evaluator(r) == pytest.approx(generic.evaluator(r), rel=1e-12)
-
-
-def test_pullback_round_trip():
-    u = ZonalExpansion(3, 2, (1.0, 0.2, -0.5))
-    prof = conformal.pullback_expansion(0.4, u)
-    back = conformal.pullback_inverse(0.4, prof, 3)
-    for t in (-0.9, 0.0, 0.5, 1.0):
-        assert back.profile(t) == pytest.approx(zonal_eval(u, t), rel=1e-11, abs=1e-11)
+        generic = er.phi(r) ** 1.25 * zonal_eval(u, conformal.polar_cosine(r))  # phi^{(N-2s)/2} u(t)
+        assert exact.evaluator(r) == pytest.approx(generic, rel=1e-12)
 
 
 def test_endpoint_pullback_isometry_on_basis():
@@ -500,6 +490,47 @@ def test_confcore_budgets_bound_the_residuals(N, u):
     for law in ("norm", "entropy", "log_energy"):
         assert abs(rep.details[f"{law}_residual"]) <= budget[law], (law, budget)
     assert rep.passed
+
+
+def _high_degree_profiles():
+    """(N, u): seeded u of degree 6 and 8 on N 1..5."""
+    rng = np.random.default_rng(18)
+    return [(N, ZonalExpansion(N, d, (1.0,) + tuple(rng.uniform(-0.3, 0.3, d).tolist())))
+            for N in range(1, 6) for d in (6, 8)]
+
+
+@pytest.mark.parametrize("N,u", _high_degree_profiles())
+def test_confcore_norm_and_log_phi_mean_exact_at_high_degree(N, u):
+    # summed pair by pair over rounded phi-moments, at degree 8 the norm
+    # erred by up to 7.4e-6 and <ln phi> by up to 1.1e-5
+    rep = conformal.confcore_checks(u, N)
+    norm, norm_err = rep.details["norm_sq"], rep.details["norm_sq_error"]
+    mean, mean_err = rep.details["log_phi_mean"], rep.details["log_phi_mean_error"]
+    with mp.workdps(40):
+        parseval = mp.fsum(mp.mpf(a) ** 2 for a in u.coeffs)
+        assert abs(norm - parseval) <= min(1e-15 * parseval, norm_err), (norm, norm_err)
+    exact = _log_phi_mean_mp(u)
+    assert abs(mean - exact) <= min(1e-15, mean_err), (mean, exact, mean_err)
+
+
+@pytest.mark.parametrize("N,u", [(N, u) for N, u in _high_degree_profiles() if u.degree_max == 8])
+def test_confcore_entropy_law_at_degree_8(N, u):
+    # the entropy residual read up to 3.4e-5 while <ln phi> was summed pair by pair
+    rep = conformal.confcore_checks(u, N)
+    assert abs(rep.details["entropy_residual"]) <= 1e-11
+    assert abs(rep.details["entropy_residual"]) <= rep.details["error_budget"]["entropy"]
+
+
+def test_confcore_takes_two_scalar_phi_moments(monkeypatch):
+    # M(N) and M'(N) only: the phi powers of V^2 enter through exact rationals
+    excesses, original = [], er.phi_moment
+
+    def recording(N, excess, log=False):
+        excesses.append(excess)
+        return original(N, excess, log)
+    monkeypatch.setattr(er, "phi_moment", recording)
+    conformal.confcore_checks(ZonalExpansion(3, 4, (1.0, 0.2, -0.1, 0.05, 0.3)), 3)
+    assert excesses == [1.5, 1.5]
 
 
 def test_confcore_integrates_only_its_two_entropies(monkeypatch):

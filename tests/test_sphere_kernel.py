@@ -1,13 +1,14 @@
+import math
+
 import mpmath as mp
 import numpy as np
 import pytest
 
-from fraclog.constants import Params, eval_constants, A_N
+from fraclog.constants import Params, eval_constants, sphere_area, A_N
 from fraclog.errors import DomainError
 from fraclog.spectral import (ZonalExpansion, eigenvalue, symbol_log, symbol_s,
                               symbol_slog, zonal_basis_eval)
-from fraclog.sphere_kernel import (ZonalFunction, _kernel_moments, apply_kernel,
-                                   apply_kernel_at_pole,
+from fraclog.sphere_kernel import (_kernel_moments, apply_kernel, apply_kernel_at_pole,
                                    difference_quotient_check, dini_test,
                                    kernel_vs_spectral, slimit_check)
 
@@ -15,8 +16,12 @@ EPS = np.finfo(float).eps
 
 
 def _basis_fn(N, k):
-    return ZonalFunction.from_expansion(
-        ZonalExpansion(N, k, tuple([0.0] * k + [1.0])))
+    return ZonalExpansion(N, k, tuple([0.0] * k + [1.0]))
+
+
+def _constant(N):
+    """u == 1, as |S^N|^{1/2} Z_0."""
+    return ZonalExpansion(N, 0, (math.sqrt(sphere_area(N)),))
 
 
 def test_constant_maps_to_zero_order_constant():
@@ -24,7 +29,7 @@ def test_constant_maps_to_zero_order_constant():
     for (N, s) in [(1, 0.25), (2, 0.6), (3, 0.5), (4, 0.75)]:
         p = Params(N, s)
         cs = eval_constants(p)
-        one = ZonalFunction.constant(N)
+        one = _constant(N)
         assert apply_kernel_at_pole("P_s", p, one).value == pytest.approx(
             cs.A_Ns, rel=1e-10)
         assert apply_kernel_at_pole("P_slog", p, one).value == pytest.approx(
@@ -67,7 +72,7 @@ def test_kernel_linearity():
     p = Params(2, 0.4)
     rng = np.random.default_rng(7)
     a, b = rng.normal(size=2)
-    u = ZonalFunction.from_expansion(ZonalExpansion(2, 3, (0.0, a, 0.0, b)))
+    u = ZonalExpansion(2, 3, (0.0, a, 0.0, b))
     combo = apply_kernel_at_pole("P_slog", p, u).value
     parts = (a * apply_kernel_at_pole("P_slog", p, _basis_fn(2, 1)).value
              + b * apply_kernel_at_pole("P_slog", p, _basis_fn(2, 3)).value)
@@ -76,9 +81,9 @@ def test_kernel_linearity():
 
 def test_kernel_rejects_supercritical_order():
     with pytest.raises(DomainError):
-        apply_kernel_at_pole("P_s", Params(1, 0.75), ZonalFunction.constant(1))
+        apply_kernel_at_pole("P_s", Params(1, 0.75), _constant(1))
     with pytest.raises(DomainError):
-        apply_kernel_at_pole("P_x", Params(3, 0.5), ZonalFunction.constant(3))
+        apply_kernel_at_pole("P_x", Params(3, 0.5), _constant(3))
 
 
 def test_difference_quotient_order_one():
@@ -92,7 +97,7 @@ def test_difference_quotient_order_one():
 def test_difference_quotient_constant_reduces_to_scalar_calculus():
     # u == 1: quotient of A_{N,t} against A'_{N,s}, error O(h)
     p = Params(3, 0.4)
-    rep = difference_quotient_check(p, ZonalFunction.constant(3), [1e-2, 1e-3])
+    rep = difference_quotient_check(p, _constant(3), [1e-2, 1e-3])
     cs = eval_constants(p)
     h = 1e-3
     scalar = (eval_constants(Params(3, p.s + h)).A_Ns - cs.A_Ns) / h
@@ -113,7 +118,7 @@ def test_slimit_decay_to_log_operator():
 
 def test_slimit_constant_gap_is_constant_difference():
     N = 3
-    rep = slimit_check(N, ZonalFunction.constant(N), [0.05, 0.01])
+    rep = slimit_check(N, _constant(N), [0.05, 0.01])
     for s, gap in zip(rep.details["s"], rep.details["gap"]):
         cs = eval_constants(Params(N, s))
         assert gap == pytest.approx(abs(cs.Aprime_Ns - cs.A_N), rel=1e-6, abs=1e-9)
@@ -194,16 +199,12 @@ def test_offpole_kernel_at_pole_delegates():
         apply_kernel_at_pole("P_s", p, u).value, rel=1e-14)
 
 
-def test_offpole_large_order_and_profile_only_input():
+def test_offpole_large_order():
     p = Params(3, 0.75)
     u = _basis_fn(3, 2)
     val = apply_kernel("P_slog", p, u, 0.4).value
     target = symbol_slog(p, eigenvalue(3, 2)) * zonal_basis_eval(3, 2, 0.4)
     assert val == pytest.approx(target, rel=1e-10)
-    # without an expansion there is no degree to make the mean exact
-    bare = ZonalFunction(3, lambda t: t * t)
-    with pytest.raises(DomainError):
-        apply_kernel("P_slog", p, bare, 0.4)
 
 
 @pytest.mark.parametrize("op,N,s,k,t0", [
@@ -267,8 +268,7 @@ DENSE_COSINES = (1.0, 0.7, 0.3, -0.5, -0.9)
 
 
 def _dense_error(op, p, coeffs, t0):
-    res = apply_kernel(op, p, ZonalFunction.from_expansion(
-        ZonalExpansion(p.N, len(coeffs) - 1, tuple(coeffs))), t0)
+    res = apply_kernel(op, p, ZonalExpansion(p.N, len(coeffs) - 1, tuple(coeffs)), t0)
     return abs(res.value - _mp_spectral_sum(op, p, coeffs, t0)), res.abs_error_estimate
 
 
@@ -297,6 +297,15 @@ def test_estimate_bounds_error_on_a_single_harmonic_off_the_pole(s):
     for op in ("P_s", "P_slog"):
         err, est = _dense_error(op, Params(3, s), [0.0] * 20 + [1.0], -0.9)
         assert err <= est, (op, err, est)
+
+
+@pytest.mark.parametrize("op", ("P_s", "P_slog"))
+def test_estimate_bounds_error_at_an_exact_zero_off_the_pole(op):
+    # Z_32 at N = 3, t0 = -1/2 is an exact zero (U_32(cos 2 pi/3) = 0): the
+    # Gauss means cancel, and an estimate scaled by |M| read 1.2e-27 (P_s)
+    # and 1.1e-26 (P_slog) against errors of 6.7e-15 and 5.3e-14
+    err, est = _dense_error(op, Params(3, 0.75), [0.0] * 32 + [1.0], -0.5)
+    assert err <= est, (err, est)
 
 
 def test_kernel_vs_spectral_rows():
