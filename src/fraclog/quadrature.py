@@ -1,12 +1,15 @@
 """Deterministic 1-D quadrature with error estimates, and bracketed roots.
 
-The heavy lifting is QUADPACK (scipy.integrate.quad: adaptive
-Gauss–Kronrod panels with epsilon-algorithm extrapolation, which also
-takes integrable endpoint singularities). This module is the only one
-that calls it, and it imports scipy.integrate on the first `integrate`
-call, not at import: loading QUADPACK takes about a fifth of a second,
-and most CLI subcommands never integrate. It adds the contract layer the
-rest of the package relies on:
+The heavy lifting is QUADPACK (adaptive Gauss–Kronrod panels with
+epsilon-algorithm extrapolation, which also takes integrable endpoint
+singularities). This module is the only one that calls it, through three
+routines of scipy's compiled QUADPACK module: QAGS (`_qagse`) on a finite
+domain, and QAWO (`_qawoe`) and QAWF (`_qawfe`) for Fourier weights. They
+are called with the arguments scipy.integrate.quad passes them, so values,
+error estimates and evaluation counts equal quad's bit for bit, and the
+module is loaded without scipy.integrate's package init (see
+`_extensions`). It adds the contract layer the rest of the package relies
+on:
 
 * a semi-infinite domain (a, inf) is mapped to [0, 1] by r = a + t/(1-t);
 * an integrand with a Fourier weight (cos or sin, omega) is integrated
@@ -29,11 +32,16 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._extensions import load_extension
 from .errors import BracketError, DomainError, NonConvergedError
+
+_quadpack = load_extension("scipy.integrate", "_quadpack")
 
 _INF = math.inf
 _QUAD_LIMIT = 400  # adaptive subdivisions per QUADPACK call
 _QUAD_LIMLST = 120  # QAWF cycles of a Fourier tail (QAWO ignores it)
+_QUAD_MAXP1 = 50  # Chebyshev moments of QAWO/QAWF: scipy's default, so the bits match quad's
+_FOURIER = {"cos": 1, "sin": 2}  # QUADPACK's integr code of each weight
 _ROOT_MAX_ITER = 200
 _ROOT_RTOL = 8.9e-16  # brentq's floor, 4 * machine epsilon, rounded up
 
@@ -62,11 +70,28 @@ class RootResult:
 
 
 # perfbench/tracer.py wraps this name to count QUADPACK calls and evaluations
-def _quad(*args, **kwargs):
-    """scipy.integrate.quad, imported on the first call."""
-    from scipy.integrate import quad
+def _quad(func, a, b, epsabs, epsrel, weight=None):
+    """(value, error estimate, info) of QUADPACK on [a, b], as
+    scipy.integrate.quad(..., full_output=True) computes them: QAGS, or with
+    weight = ("cos" | "sin", omega) QAWO on a finite domain and QAWF on (a, inf).
 
-    return quad(*args, **kwargs)
+    Like quad, an empty interval returns zeros without calling QUADPACK, b < a
+    integrates over [b, a] and negates, and invalid input (ier 6) raises ValueError.
+    """
+    if a == b:
+        return 0.0, 0.0, {"neval": 0}
+    flip, a, b = b < a, min(a, b), max(a, b)
+    if weight is None:
+        value, err, info, ier = _quadpack._qagse(func, a, b, (), 1, epsabs, epsrel, _QUAD_LIMIT)
+    elif b == _INF:
+        value, err, info, ier = _quadpack._qawfe(func, a, weight[1], _FOURIER[weight[0]], (), 1,
+                                                 epsabs, _QUAD_LIMLST, _QUAD_LIMIT, _QUAD_MAXP1)
+    else:
+        value, err, info, ier = _quadpack._qawoe(func, a, b, weight[1], _FOURIER[weight[0]], (), 1,
+                                                 epsabs, epsrel, _QUAD_LIMIT, _QUAD_MAXP1, 1)
+    if ier == 6:
+        raise ValueError(f"QUADPACK rejected its input on ({a}, {b}), weight {weight!r}")
+    return (-value if flip else value), err, info
 
 
 def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> QuadResult:
@@ -79,17 +104,14 @@ def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> Qu
     if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise DomainError("tolerances must be positive")
     a, b = f.domain
-    fn, opts = f.evaluator, {}
-    if f.weight is not None:
-        opts = {"weight": f.weight[0], "wvar": f.weight[1], "limlst": _QUAD_LIMLST}
-    elif b == _INF:
+    fn = f.evaluator
+    if f.weight is None and b == _INF:
         def fn(t, a=a):  # a as given, before the domain becomes [0, 1]
             if t >= 1.0:
                 return 0.0
             return f.evaluator(a + t / (1.0 - t)) / (1.0 - t) ** 2
         a, b = 0.0, 1.0
-    value, err, info = _quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, limit=_QUAD_LIMIT,
-                             full_output=True, **opts)[:3]
+    value, err, info = _quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, weight=f.weight)
 
     if err > max(abs_tol, rel_tol * abs(value)) * 50.0:
         raise NonConvergedError(

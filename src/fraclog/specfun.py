@@ -3,9 +3,12 @@
 Every constant and spectral symbol in this package reduces to the
 log-Gamma function, the digamma/trigamma functions, the Beta function
 and the modified Bessel function of the second kind K_nu. Evaluation is
-delegated to scipy.special (Lanczos/Stirling for ln Gamma, series +
-asymptotic switching for psi, psi', Temme/asymptotic for K_nu); these
-functions add the domain checks.
+delegated to scipy.special's compiled ufuncs, the same objects that
+scipy.special exports (Lanczos/Stirling for ln Gamma, series + asymptotic
+switching for psi, the Hurwitz zeta(2, x) for psi' as polygamma(1, x)
+computes it, Temme/asymptotic for K_nu), loaded without running
+scipy.special's package init (see `_extensions`); these functions add the
+domain checks.
 
 Each function takes floats or numpy arrays, as the scipy ufunc does: a
 float in gives a float out, an array gives an array, and an array with
@@ -29,9 +32,14 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as _sp
 
+from ._extensions import load_extension
 from .errors import require
+
+_ufuncs = load_extension("scipy.special", "_ufuncs")
+# psi'(x) = zeta(2, x) with the order a float64, as polygamma(1, x) passes it, so that
+# float32 arrays also take the double-precision loop
+_TRIGAMMA_ORDER = np.float64(2.0)
 
 EULER_GAMMA = 0.5772156649015328606
 
@@ -39,33 +47,33 @@ EULER_GAMMA = 0.5772156649015328606
 def ln_gamma(x):
     """ln Gamma(x) for x > 0."""
     if (ok := x > 0.0) is True or ok is np.True_:
-        return float(_sp.gammaln(x))
+        return float(_ufuncs.gammaln(x))
     require(x > 0.0, "ln_gamma requires x > 0", x)
-    return _sp.gammaln(x)
+    return _ufuncs.gammaln(x)
 
 
 def digamma(x):
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if (ok := x > 0.0) is True or ok is np.True_:
-        return float(_sp.psi(x))
+        return float(_ufuncs.psi(x))
     require(x > 0.0, "digamma requires x > 0", x)
-    return _sp.psi(x)
+    return _ufuncs.psi(x)
 
 
 def trigamma(x):
     """psi'(x) for x > 0; strictly positive and strictly decreasing."""
     if (ok := x > 0.0) is True or ok is np.True_:
-        return float(_sp.polygamma(1, x))
+        return float(_ufuncs._zeta(_TRIGAMMA_ORDER, x))
     require(x > 0.0, "trigamma requires x > 0", x)
-    return _sp.polygamma(1, x)
+    return _ufuncs._zeta(_TRIGAMMA_ORDER, x)
 
 
 def ln_beta(a, b):
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), a, b > 0."""
     if (ok := (a > 0.0) & (b > 0.0)) is True or ok is np.True_:
-        return float(_sp.betaln(a, b))
+        return float(_ufuncs.betaln(a, b))
     require((a > 0.0) & (b > 0.0), "ln_beta requires positive arguments", (a, b))
-    return _sp.betaln(a, b)
+    return _ufuncs.betaln(a, b)
 
 
 def bessel_k(nu, x):
@@ -76,7 +84,7 @@ def bessel_k(nu, x):
     """
     nu = abs(nu)
     if (ok := (nu < math.inf) & (x > 0.0)) is True or ok is np.True_:
-        return float(_sp.kv(nu, x))
+        return float(_ufuncs.kv(nu, x))
     require(nu < math.inf, "bessel_k requires a finite order", nu)  # nan fails too
     require(x > 0.0, "bessel_k requires x > 0", x)
-    return _sp.kv(nu, x)
+    return _ufuncs.kv(nu, x)

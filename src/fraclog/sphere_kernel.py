@@ -91,7 +91,6 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import roots_gegenbauer
 
 from .audit import AuditReport
 from .constants import Params, eval_constants, A_N, c_N, sphere_area_equator
@@ -133,6 +132,10 @@ def _mean_rule(N: int, degree: int):
     """Nodes and unit-sum weights of x = eta . e', exact to `degree`."""
     if N == 1:
         return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    # the one call into the full scipy.special package, whose import costs about a
+    # third of a second: only an off-pole kernel at N >= 2 pays it
+    from scipy.special import roots_gegenbauer
+
     x, w = roots_gegenbauer(degree // 2 + 1, 0.5 * (N - 2))
     return x, w / w.sum()
 

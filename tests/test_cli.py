@@ -148,28 +148,41 @@ def test_cold_import_skips_scipy_interpolate():
 _LOADED_SCIPY = """
 import contextlib, io, json, sys
 import fraclog.cli
-heavy = ("scipy.integrate", "scipy.optimize", "scipy.linalg", "scipy.interpolate")
-loaded = lambda: [m for m in heavy if m in sys.modules]
-seen = [loaded()]
-with contextlib.redirect_stdout(io.StringIO()):
-    fraclog.cli.main(["thresholds"])
-    fraclog.cli.main(["constants", "--dim", "3", "--order", "0.5"])
-    seen.append(loaded())
-    fraclog.cli.main(["dini", "--order", "0.3"])
-    seen.append(loaded())
-print(json.dumps(seen))
+packages = ("scipy.special", "scipy.integrate", "scipy.optimize", "scipy.linalg",
+            "scipy.interpolate")
+seen = {"import": [m for m in packages if m in sys.modules]}
+quadpack, codes = "scipy.integrate._quadpack" in sys.modules, []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(fraclog.cli.main(argv))
+    seen[argv[0]] = [m for m in packages if m in sys.modules]
+print(json.dumps({"packages": seen, "quadpack_at_import": quadpack, "codes": codes}))
 """
 
+# one of each subcommand the cli benchmark workload runs; confcore, beckner and dini integrate
+_COLD_SUBCOMMANDS = [
+    ["thresholds"], ["constants", "--dim", "3", "--order", "0.5"],
+    ["eigentable", "--dim", "2", "--order", "0.5", "--kmax", "200"],
+    ["kernel-vs-spectral", "--dim", "3", "--order", "0.5", "--kmax", "20"],
+    ["bubble-residual", "--dim", "3", "--order", "0.5"],
+    ["identity", "--dim", "5", "--order", "0.4"],
+    ["failure", "--dim", "3", "--order0", "0.5", "--grid", "40"],
+    ["intertwine", "--dim", "1", "--order", "0.3"],
+    ["confcore", "--dim", "1", "--profile", "mix"],
+    ["beckner", "--dim", "3", "--order", "0.6"], ["dini", "--order", "0.3"],
+]
 
-def test_cold_start_loads_quadpack_on_first_integrate():
-    # a cold import loads no QUADPACK and no root finder; the first integral loads
-    # QUADPACK (and whatever scipy.integrate itself imports)
-    out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY], capture_output=True,
-                         check=True, env=_child_env()).stdout
-    after_import, after_closed_forms, after_dini = json.loads(out)
-    assert after_import == []
-    assert after_closed_forms == []
-    assert "scipy.integrate" in after_dini
+
+def test_cold_start_runs_no_scipy_package_init():
+    # fraclog loads scipy's compiled ufuncs and QUADPACK at import without running the
+    # scipy.special or scipy.integrate package init, and no subcommand loads either
+    # package, or scipy.optimize, scipy.linalg or scipy.interpolate, later
+    out = subprocess.run([sys.executable, "-c", _LOADED_SCIPY, json.dumps(_COLD_SUBCOMMANDS)],
+                         capture_output=True, check=True, env=_child_env()).stdout
+    result = json.loads(out)
+    assert result["quadpack_at_import"]
+    assert result["codes"] == [0] * len(_COLD_SUBCOMMANDS)
+    assert result["packages"] == {key: [] for key in ["import"] + [a[0] for a in _COLD_SUBCOMMANDS]}
 
 
 def test_out_file(tmp_path, capsys):

@@ -1,12 +1,15 @@
 import ast
 import cmath
+import inspect
 import math
 import pathlib
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
 
 import fraclog
@@ -196,9 +199,9 @@ def test_find_root_rejects_nan_and_nonpositive_tolerance():
         find_root(lambda x: x, (-1.0, 1.0), tol=0.0)
 
 
-def _scipy_solver_references(tree):
-    """(submodule, enclosing function or None) for each reference to scipy.integrate or
-    scipy.optimize: an import, or an attribute such as scipy.integrate.quad."""
+def _scipy_imports(tree):
+    """(module, enclosing function or None) for each scipy module an import names, or an
+    attribute chain such as scipy.integrate.quad."""
     found = []
 
     def visit(node, func):
@@ -211,9 +214,7 @@ def _scipy_solver_references(tree):
                 names = [ast.unparse(child)]
             else:
                 names = []
-            for sub in ("scipy.integrate", "scipy.optimize"):
-                if any(n == sub or n.startswith(sub + ".") for n in names):
-                    found.append((sub, func))
+            found.extend((n, func) for n in names if n == "scipy" or n.startswith("scipy."))
             inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else func
             visit(child, inner)
 
@@ -221,21 +222,86 @@ def _scipy_solver_references(tree):
     return found
 
 
-def test_only_quadrature_calls_scipy_integrate():
-    # every integral goes through integrate, and a cold import loads neither QUADPACK nor
-    # scipy.optimize: the one reference to scipy.integrate is quadrature._quad's call-time
-    # import, and other modules may bind _quad (perfbench/tracer.py counts calls through
-    # their names) but not call it
+def test_only_quadrature_calls_quadpack():
+    # fraclog reaches scipy's private modules only through _extensions.load_extension: the
+    # special-function ufuncs in specfun and QUADPACK in quadrature, which alone calls it.
+    # No module imports scipy.integrate or scipy.optimize, or names either in a string; the
+    # one scipy import is the Gegenbauer rule of an off-pole kernel. Other modules may bind
+    # _quad (perfbench/tracer.py counts calls through their names) but not call it
     pkg = pathlib.Path(fraclog.__file__).parent
-    found, calls = set(), []
+    imports, strings, loads, quadpack, calls = set(), set(), set(), set(), []
     for path in sorted(pkg.glob("*.py")):
         tree = ast.parse(path.read_text(), str(path))
-        found.update((path.name, sub, func) for sub, func in _scipy_solver_references(tree))
-        aliases = {a.asname or a.name for node in ast.walk(tree)
+        imports.update((path.name, name, func) for name, func in _scipy_imports(tree))
+        nodes = list(ast.walk(tree))
+        strings.update((path.name, node.value) for node in nodes
+                       if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                       and re.fullmatch(r"scipy(\.\w+)*", node.value))
+        loads.update((path.name, *map(ast.literal_eval, node.args)) for node in nodes
+                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                     and node.func.id == "load_extension")
+        quadpack.update(path.name for node in nodes
+                        if isinstance(node, ast.Name) and node.id == "_quadpack")
+        aliases = {a.asname or a.name for node in nodes
                    if isinstance(node, ast.ImportFrom) and node.module == "quadrature"
                    for a in node.names if a.name == "_quad"}
-        calls += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+        calls += [f"{path.name}:{node.lineno}" for node in nodes
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id in aliases]
-    assert found == {("quadrature.py", "scipy.integrate", "_quad")}
+    assert imports == {("sphere_kernel.py", "scipy.special", "_mean_rule"),
+                       ("sphere_kernel.py", "scipy.special.roots_gegenbauer", "_mean_rule")}
+    assert loads == {("specfun.py", "scipy.special", "_ufuncs"),
+                     ("quadrature.py", "scipy.integrate", "_quadpack")}
+    assert strings == {("specfun.py", "scipy.special"), ("quadrature.py", "scipy.integrate")}
+    assert quadpack == {"quadrature.py"}
     assert not calls, calls
+
+
+# (integrand, a, b, weight): QAGS, QAWO with cos (subdividing deep enough to read the
+# Chebyshev-moment limit maxp1) and sin, QAWF, flipped QAGS and QAWO intervals, an empty
+# interval, and a divergent integral on which QUADPACK stops with ier 1
+_QUAD_ROUTES = [
+    (lambda x: x ** -0.5 * math.cos(x), 0.0, 2.0, None),
+    (lambda x: math.sqrt(x) * math.exp(-x), 0.0, 1.0, ("cos", 100.0)),
+    (lambda x: 1.0 / (1.0 + x * x), 0.0, 7.0, ("sin", 40.0)),
+    (lambda x: 1.0 / (1.0 + x * x), 1.0, math.inf, ("cos", 0.3)),
+    (lambda x: math.log(x), 3.0, 0.5, None),
+    (lambda x: math.exp(-x), 4.0, 1.0, ("sin", 2.0)),
+    (lambda x: x, 1.5, 1.5, None),
+    (lambda x: 1.0 / x, 0.0, 1.0, None),
+]
+
+
+def _scipy_route(f, a, b, weight, **tol):
+    opts = {} if weight is None else {"weight": weight[0], "wvar": weight[1],
+                                      "limlst": quadrature._QUAD_LIMLST}
+    return scipy_quad(f, a, b, limit=quadrature._QUAD_LIMIT, full_output=True, **tol, **opts)
+
+
+@pytest.mark.parametrize("case", range(len(_QUAD_ROUTES)))
+def test_quad_equals_scipy_quad_bit_for_bit(case):
+    # _quad calls QUADPACK's routines with the arguments scipy.integrate.quad passes them
+    assert quadrature._QUAD_MAXP1 == inspect.signature(scipy_quad).parameters["maxp1"].default
+    f, a, b, weight = _QUAD_ROUTES[case]
+    value, err, info = quadrature._quad(f, a, b, epsabs=1e-10, epsrel=1e-9, weight=weight)
+    want = _scipy_route(f, a, b, weight, epsabs=1e-10, epsrel=1e-9)
+    assert (value.hex(), err.hex(), info["neval"]) == (
+        float(want[0]).hex(), float(want[1]).hex(), want[2]["neval"])
+
+
+def test_nonconverged_integral_carries_scipy_quads_estimate():
+    f = Integrand(lambda x: 1.0 / x, (0.0, 1.0), name="divergent")
+    value, err = _scipy_route(f.evaluator, 0.0, 1.0, None, epsabs=1e-10, epsrel=1e-9)[:2]
+    with pytest.raises(NonConvergedError, match="divergent") as info:
+        integrate(f)
+    assert (info.value.value, info.value.error_estimate) == (value, err)
+
+
+@pytest.mark.parametrize("b, weight", [(1.0, None), (1.0, ("cos", 1.0)), (math.inf, ("sin", 1.0))])
+def test_quad_rejects_invalid_input_as_scipy_quad_does(b, weight):
+    # QUADPACK's ier 6: a zero absolute tolerance with a relative one below 50 eps
+    f = lambda x: math.exp(-x)  # noqa: E731
+    with pytest.raises(ValueError):
+        _scipy_route(f, 0.0, b, weight, epsabs=0.0, epsrel=1e-30)
+    with pytest.raises(ValueError):
+        quadrature._quad(f, 0.0, b, epsabs=0.0, epsrel=1e-30, weight=weight)

@@ -1,4 +1,8 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -156,3 +160,47 @@ def test_numpy_scalars_take_the_float_path(monkeypatch):
                      (ln_beta, (0.5, 1.5)), (bessel_k, (0.3, 1.2))):
         v = fn(*map(np.float64, args))
         assert type(v) is float and v == fn(*args), fn.__name__
+
+
+_SPECFUN_ROUTES = """
+import json, sys
+import numpy as np
+if sys.argv[1] == "scipy":
+    import scipy.special  # the benchmark worker imports scipy before fraclog
+from fraclog import specfun
+import scipy.special as sp
+
+rng = np.random.default_rng(7)
+x, y = np.exp(rng.uniform(-7.0, 7.0, (2, 4000)))
+nu = rng.uniform(-6.0, 6.0, 4000)
+routes = {"ln_gamma": (specfun.ln_gamma, sp.gammaln, (x,)),
+          "digamma": (specfun.digamma, sp.psi, (x,)),
+          "trigamma": (specfun.trigamma, lambda v: sp.polygamma(1, v), (x,)),
+          "ln_beta": (specfun.ln_beta, sp.betaln, (x, y)),
+          "bessel_k": (specfun.bessel_k, sp.kv, (nu, x))}
+same = {}
+for name, (ours, theirs, args) in routes.items():
+    arrays = ours(*args).tobytes() == np.asarray(theirs(*args), float).tobytes()
+    points = zip(*(a[:300].tolist() for a in args))
+    scalars = all(ours(*p).hex() == float(theirs(*p)).hex() for p in points)
+    same[name] = arrays and scalars
+u = specfun._ufuncs
+objects = [u is sp._ufuncs, u.gammaln is sp.gammaln, u.psi is sp.psi, u.betaln is sp.betaln,
+           u.kv is sp.kv]
+print(json.dumps({"same": same, "objects": objects}))
+"""
+
+
+@pytest.mark.parametrize("first", ["fraclog", "scipy"])
+def test_specfun_equals_scipy_special_bit_for_bit(first):
+    # specfun calls scipy.special's compiled ufuncs, loaded without the package init; the
+    # package functions are the second route (polygamma(1, x) for trigamma). Whichever is
+    # imported first, a later import hands out the ufunc objects that specfun holds
+    src = os.path.dirname(os.path.dirname(specfun.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", _SPECFUN_ROUTES, first], capture_output=True,
+                         check=True, env=env).stdout
+    result = json.loads(out)
+    assert result["same"] == dict.fromkeys(_FNS, True)
+    assert all(result["objects"])
