@@ -65,9 +65,14 @@ def cmd_constants(args) -> int:
     return 0
 
 
+#: one CSV line per SpectrumPoint: "%d" and "%.17g" give the bytes `_fmt` gives an int and a float
+_EIGENTABLE_ROW = "%d,%.17g,%d,%.17g,%.17g,%.17g"
+
+
 def cmd_eigentable(args) -> int:
     rows = spectral.eigentable(_params(args), args.kmax)
-    _emit_csv(spectral.SpectrumPoint._fields, [r._asdict() for r in rows], args.out)
+    lines = [",".join(spectral.SpectrumPoint._fields), *map(_EIGENTABLE_ROW.__mod__, rows)]
+    _emit("\n".join(lines) + "\n", args.out)
     return 0
 
 

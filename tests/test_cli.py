@@ -35,6 +35,17 @@ def test_eigentable_csv(capsys):
     assert all(b > a for a, b in zip(slog, slog[1:]))
 
 
+def test_eigentable_csv_cells_are_fmt_of_the_rows(capsys):
+    from fraclog.cli import _fmt
+    from fraclog.constants import Params
+    from fraclog.spectral import eigentable
+    code, out = run(capsys, "eigentable", "--dim", "2", "--order", "0.3", "--kmax", "300")
+    assert code == 0
+    want = ["k,lambda_k,d_k,phi_s,phi_slog,phi_log"] + [
+        ",".join(map(_fmt, row)) for row in eigentable(Params(2, 0.3), 300)]
+    assert out == "\n".join(want) + "\n"
+
+
 def test_constants_json(capsys):
     code, out = run(capsys, "constants", "--dim", "3", "--order", "0.5")
     assert code == 0

@@ -9,7 +9,7 @@ from scipy import special as sp
 from fraclog.constants import Params, eval_constants, sphere_area, sphere_area_equator
 from fraclog.errors import DomainError
 from fraclog import specfun, spectral
-from fraclog.spectral import (ZonalExpansion, apply_spectral, eigenvalue,
+from fraclog.spectral import (SpectrumPoint, ZonalExpansion, apply_spectral, eigenvalue,
                               eigentable, monotonicity_audit, multiplicities,
                               phi0, sign_table, spectral_energy, symbol_log,
                               symbol_s, symbol_slog, thresholds,
@@ -331,6 +331,40 @@ def test_eigentable_large_k_against_poch():
         assert np.all(np.abs(got["phi_log"] - log_sym) <= 1e-10 * np.abs(log_sym)), N
         audit = monotonicity_audit(p, k_max)
         assert audit.details["min_gap"] == min(np.diff(got["phi_slog"])), (N, s)
+
+
+def test_eigentable_rows_equal_scalar_calls_bit_for_bit():
+    # the table shares one Gamma ratio between phi_s and phi_slog and memoizes d_k;
+    # each row must still be the scalar calls and the binomial formula, bit for bit
+    def want_d(N, k):
+        return math.comb(N + k, N) - (math.comb(N + k - 2, N) if N + k >= 2 else 0)
+
+    for N, s in _ARRAY_GRID:
+        p = Params(N, s)
+        for k_max in (0, 1, 2, 12, 2500):
+            rows = eigentable(p, k_max)
+            assert len(rows) == k_max + 1
+            for k, row in enumerate(rows):
+                assert type(row) is SpectrumPoint
+                assert type(row.k) is int and type(row.d_k) is int
+                assert (row.k, row.d_k) == (k, want_d(N, k)), (N, s, k)
+                lam = eigenvalue(N, k)
+                got = (row.lambda_k, row.phi_s, row.phi_slog, row.phi_log)
+                want = (lam, symbol_s(p, lam), symbol_slog(p, lam), symbol_log(N, lam))
+                assert [x.hex() for x in got] == [x.hex() for x in want], (N, s, k)
+            assert eigentable(p, k_max) == rows
+        assert eigentable(p, -1) == []
+
+
+def test_multiplicities_exact_and_fresh():
+    k_max = 300
+    d = multiplicities(40, k_max)
+    assert max(d) > 2 ** 63
+    assert d == [1] + [math.comb(40 + k, 40) - math.comb(38 + k, 40) for k in range(1, k_max + 1)]
+    d[5] = -1
+    d.append(0)
+    assert multiplicities(40, k_max)[5] == math.comb(45, 40) - math.comb(43, 40)
+    assert len(multiplicities(40, k_max)) == k_max + 1
 
 
 def test_monotonicity_sweep_grid():
