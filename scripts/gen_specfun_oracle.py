@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Regenerate fixtures/specfun_oracle.json from a 50-digit mpmath run.
+"""Regenerate tests/fixtures/specfun_oracle.json from a 50-digit mpmath run.
 
 Offline tool: mpmath is deliberately not a runtime dependency of the
 package. The fixture freezes reference values for ln_gamma, digamma,
@@ -51,5 +51,5 @@ def main(outfile):
 
 
 if __name__ == "__main__":
-    out = sys.argv[1] if len(sys.argv) > 1 else "src/fraclog/fixtures/specfun_oracle.json"
+    out = sys.argv[1] if len(sys.argv) > 1 else "tests/fixtures/specfun_oracle.json"
     main(out)

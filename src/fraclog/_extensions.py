@@ -1,10 +1,11 @@
 """Load one of scipy's compiled extension modules without its package's __init__.
 
 Outside the off-pole kernel's Gauss-Gegenbauer rule, fraclog calls scipy through
-two compiled modules only: the special-function ufuncs (scipy.special._ufuncs)
-and QUADPACK (scipy.integrate._quadpack). Importing them through their
-packages runs scipy/special/__init__.py, whose array-API layer loads
-numpy.f2py, and scipy/integrate/__init__.py, which loads scipy.optimize,
+three compiled modules only: the special-function ufuncs (scipy.special._ufuncs),
+QUADPACK (scipy.integrate._quadpack) and the bracketing root finders
+(scipy.optimize._zeros). Importing them through their packages runs
+scipy/special/__init__.py, whose array-API layer loads numpy.f2py, and
+scipy/integrate/__init__.py or scipy/optimize/__init__.py, which load
 scipy.sparse.linalg, scipy.linalg and scipy.spatial: together most of a cold
 `python -m fraclog.cli`. The extension objects are the ones the
 packages re-export, so a later `import scipy.special` finds the loaded module

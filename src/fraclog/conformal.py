@@ -121,11 +121,16 @@ def radius_of_cosine(t: float) -> float:
 
 
 def _zonal_norm(N: int, k: int) -> float:
-    """Z_k(1) = sqrt(d_k / |S^N|), with |S^N| = q pi^j and q rational."""
+    """Z_k(1) = sqrt(d_k / |S^N|), with |S^N| = q pi^j and q rational.
+
+    d_k is spectral.multiplicities' int, formed alone: a whole table would
+    take a slot of that function's small memo for every degree.
+    """
     j = (N + 1) // 2
     q = (Fraction(2, math.factorial(j - 1)) if N % 2
          else Fraction(2 ** (j + 1), math.prod(range(N - 1, 0, -2))))
-    return math.sqrt(spectral.multiplicities(N, k)[k] / q) / math.pi ** (0.5 * j)
+    d = math.comb(N + k, N) - math.comb(N + k - 2, N) if k else 1
+    return math.sqrt(d / q) / math.pi ** (0.5 * j)
 
 
 def _phi_coefficients(u: spectral.ZonalExpansion) -> list[Fraction]:

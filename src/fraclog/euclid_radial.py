@@ -98,7 +98,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .constants import LN2, LN_PI, Params, sphere_area_equator
-from .errors import DivergentIntegralError, DomainError
+from .errors import DivergentIntegralError, DomainError, NonConvergedError
 from .quadrature import Integrand, QuadResult, integrate
 # never called here: perfbench/tracer.py wraps this name to count quad calls by caller
 from .quadrature import _quad
@@ -110,6 +110,8 @@ _RHO_MAX_EXP = 80.0  # exponential-decay densities are negligible beyond this
 _DNU = 1e-3  # step of the fourth-order nu-derivative at the ladder seeds
 _LADDER_TOL = 1e-12  # integer spacing up to float rounding of m + i
 _HEAD_U = 64.0  # energies take rho in [e^{-64}, 1] as u = -ln rho
+_TAIL_U = 256.0  # ... or [e^{-256}, 1] and a fitted tail, where the head still grows at 64
+_TAIL_STEP = 32.0  # spacing of the tail's samples below _TAIL_U
 #: relative rounding of a density value: scipy's K_nu errs by up to 7.4e-14
 #: near x = 2 (bubble densities, N = 1..5, against 30-digit mpmath)
 _DENSITY_REL = 1e-13
@@ -416,8 +418,13 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
     exponentials in u, where the Gauss-Kronrod estimate holds. Left in
     rho, QUADPACK's extrapolation on the singular endpoint erred by up to
     4e-10 under estimates of 1e-12 (a near -1, or near an integer); below
-    e^{-_HEAD_U} it takes only a small remainder: a u-integrand that still
-    grows at u = _HEAD_U (from u = _HEAD_U - 1) raises DivergentIntegralError.
+    e^{-_HEAD_U} it takes only a small remainder. Where the u-integrand
+    still grows at u = _HEAD_U (from u = _HEAD_U - 1), the remainder is most
+    of the integral, and QUADPACK's estimate of it missed its error 2.4x
+    even below e^{-256} (N = 1 log energy of the bubble at s = 0.249). The
+    integral then converges only if the u-integrand decays once the factor
+    ln rho^2 = -2u of the log kinds is taken out: u runs to _TAIL_U, and
+    _fitted_tail takes the rest; otherwise DivergentIntegralError is raised.
     The error estimate adds the density's own rounding (_DENSITY_REL).
     """
     m = _multiplier(kind, s)
@@ -431,21 +438,51 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
         rho = math.exp(-u)
         return rho * integrand(rho)
 
-    if abs(head(_HEAD_U)) > abs(head(_HEAD_U - 1.0)):
+    tol = {"abs_tol": 1e-11, "rel_tol": 1e-10}
+    h1, h0 = abs(head(_HEAD_U)), abs(head(_HEAD_U - 1.0))
+    if not h1 > h0:
+        cut = _HEAD_U
+        rest = integrate(Integrand(integrand, (0.0, math.exp(-cut)), name=f"energy-{kind}-core"),
+                         **tol)
+    elif kind == "frac" or h1 / _HEAD_U >= h0 / (_HEAD_U - 1.0):
         raise DivergentIntegralError(
             f"energy head does not decay by u = -ln rho = {_HEAD_U} for kind={kind!r}")
-    parts = [
-        Integrand(integrand, (0.0, math.exp(-_HEAD_U)), name=f"energy-{kind}-core"),
-        Integrand(head, (0.0, _HEAD_U), name=f"energy-{kind}-head"),
-        Integrand(integrand, (1.0, math.inf), name=f"energy-{kind}"),
-    ]
-    res = [integrate(f, abs_tol=1e-11, rel_tol=1e-10) for f in parts]
+    else:  # a head A u e^{-au}, 0 < a < 1/_HEAD_U
+        cut = _TAIL_U
+        rest = _fitted_tail(head, **tol)
+    res = [rest,
+           integrate(Integrand(head, (0.0, cut), name=f"energy-{kind}-head"), **tol),
+           integrate(Integrand(integrand, (1.0, math.inf), name=f"energy-{kind}"), **tol)]
     # the integrand keeps one sign on each side of rho = 1, so the parts'
     # magnitudes add up to int |integrand|, which the density's rounding scales
     rounding = 2.0 * _DENSITY_REL * sum(abs(r.value) for r in res)
     return QuadResult(area * math.fsum(r.value for r in res),
                       area * (sum(r.abs_error_estimate for r in res) + rounding),
                       sum(r.evaluations for r in res))
+
+
+def _fitted_tail(head, abs_tol: float, rel_tol: float) -> QuadResult:
+    """int_{_TAIL_U}^inf head(u) du for a head A u e^{-au}, a > 0.
+
+    The rate a is fitted from head(u)/u at _TAIL_U and _TAIL_STEP below it.
+    The estimate adds the change of the value under the rate of the next
+    step down (the model's misfit) and under the density's rounding in a.
+    A rate within that rounding of 0 raises DivergentIntegralError, an
+    estimate that misses the tolerance NonConvergedError.
+    """
+    us = [_TAIL_U - i * _TAIL_STEP for i in range(3)]
+    w = [head(u) / u for u in us]
+    rates = [math.log(w[i + 1] / w[i]) / _TAIL_STEP for i in range(2)]
+    da = 4.0 * _DENSITY_REL / _TAIL_STEP  # |g|^2 rounds by 2 _DENSITY_REL at each sample
+    if not min(rates) > da:
+        raise DivergentIntegralError(f"energy head does not decay by u = -ln rho = {_TAIL_U}")
+    tail = lambda a: w[0] * (_TAIL_U / a + 1.0 / (a * a))
+    value = tail(rates[0])
+    err = abs(tail(rates[1]) - value) + abs(tail(rates[0] - da) - value)
+    if err > max(abs_tol, rel_tol * abs(value)) * 50.0:
+        raise NonConvergedError(f"energy tail estimate {err:.3e} misses tolerance",
+                                value=value, error_estimate=err)
+    return QuadResult(value, err, len(us))
 
 
 def _columns(xs: Sequence):

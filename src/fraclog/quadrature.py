@@ -19,9 +19,10 @@ on:
   a result whose estimate misses the requested tolerance raises instead
   of returning silently.
 
-`find_root` is Brent's method (Brent 1973, ch. 4), ported statement by
-statement from scipy's brentq.c, so it returns scipy.optimize.brentq's
-roots bit for bit without importing scipy.optimize.
+`find_root` is Brent's method (Brent 1973, ch. 4) as scipy's compiled
+brentq: `_brentq` of scipy.optimize._zeros, the routine scipy.optimize.brentq
+calls, loaded like QUADPACK without its package's init. Its roots are
+brentq's bit for bit.
 
 Everything here is deterministic for fixed inputs.
 """
@@ -30,12 +31,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 from ._extensions import load_extension
 from .errors import BracketError, DomainError, NonConvergedError
 
 _quadpack = load_extension("scipy.integrate", "_quadpack")
+_zeros = load_extension("scipy.optimize", "_zeros")
 
 _INF = math.inf
 _QUAD_LIMIT = 400  # adaptive subdivisions per QUADPACK call
@@ -123,7 +126,7 @@ def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> Qu
 
 
 def find_root(g: Callable[[float], float], bracket: tuple, tol: float = 1e-12) -> RootResult:
-    """Bracketed root of a continuous scalar function (Brent's method).
+    """Bracketed root of a continuous scalar function (scipy's compiled brentq).
 
     Stops when half the bracket is below (tol + 8.9e-16 |x|)/2; raises
     NonConvergedError, carrying the last iterate, after _ROOT_MAX_ITER
@@ -141,7 +144,10 @@ def find_root(g: Callable[[float], float], bracket: tuple, tol: float = 1e-12) -
         return RootResult(b, (a, b), 0.0)
     if math.copysign(1.0, fa) == math.copysign(1.0, fb):
         raise BracketError(f"no sign change on ({a}, {b}): g={fa:.3e}, {fb:.3e}")
-    root = _brent(g, float(a), float(b), fa, fb, tol)
+    root, _, _, flag = _zeros._brentq(partial(_root_value, g), a, b, tol, _ROOT_RTOL,
+                                      _ROOT_MAX_ITER, (), True, False)
+    if flag:
+        raise NonConvergedError(f"root search exceeded {_ROOT_MAX_ITER} iterations", value=root)
     return RootResult(root, (a, b), float(g(root)))
 
 
@@ -150,44 +156,3 @@ def _root_value(g: Callable[[float], float], x: float) -> float:
     if math.isnan(gx):
         raise DomainError(f"root search: g({x!r}) is NaN")
     return gx
-
-
-def _brent(g, xpre: float, xcur: float, fpre: float, fcur: float, xtol: float) -> float:
-    """scipy's brentq.c loop: the same operations in the same order."""
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(_ROOT_MAX_ITER):
-        if fpre != 0.0 and fcur != 0.0 and (
-                math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + _ROOT_RTOL * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = _root_value(g, xcur)
-    raise NonConvergedError(f"root search exceeded {_ROOT_MAX_ITER} iterations",
-                            value=xcur)

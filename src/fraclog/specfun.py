@@ -20,7 +20,7 @@ integrands make millions of scalar calls.
 
 The accuracy model lives in the tests: tests/test_specfun.py and
 acceptance criterion 10 audit every value against a 50-digit fixture
-(fixtures/specfun_oracle.json, regenerated offline by
+(tests/fixtures/specfun_oracle.json, regenerated offline by
 scripts/gen_specfun_oracle.py) at 8 ulp with a 1e-14 absolute floor for
 the Gamma family and 5e-12 relative for K_nu.
 

@@ -4,6 +4,7 @@ Run with `pytest -s tests/test_acceptance.py` to see the PASS/FAIL lines;
 each criterion is also enforced by assertions at its stated tolerance.
 """
 
+import json
 import math
 import time
 
@@ -12,11 +13,10 @@ import pytest
 
 from fraclog import conformal, euclid_radial as er, inequalities as ineq
 from fraclog.constants import Params
-from fraclog.fixtures_io import load_fixture
 from fraclog import spectral
 from fraclog.specfun import bessel_k, digamma, ln_gamma, trigamma
 from fraclog.sphere_kernel import apply_kernel_at_pole, difference_quotient_check, slimit_check
-from test_specfun import error_bound
+from test_specfun import ORACLE, error_bound
 
 
 def _report(num: int, ok: bool, desc: str):
@@ -220,7 +220,7 @@ def test_criterion_9_confcore_and_sphere_identity():
 
 def test_criterion_10_special_function_suite():
     t0 = time.perf_counter()
-    fixture = load_fixture("specfun_oracle.json")
+    fixture = json.loads(ORACLE.read_text())
     fns = {"ln_gamma": lambda a: ln_gamma(*a), "digamma": lambda a: digamma(*a),
            "trigamma": lambda a: trigamma(*a), "bessel_k": lambda a: bessel_k(*a)}
     ok = True

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclog import conformal, euclid_radial as er
+from fraclog import conformal, euclid_radial as er, spectral
 from fraclog.constants import Params, eval_constants, sphere_area
 from fraclog.errors import DomainError
 from fraclog.quadrature import Integrand, integrate
@@ -98,6 +98,17 @@ def test_confcore_profile_with_a_zero():
     assert abs(rep.details["log_energy_residual"]) <= 1e-12
     zeros = conformal._sign_changes(u)
     assert len(zeros) == 1 and abs(zonal_eval(u, zeros[0])) <= 1e-14
+
+
+def test_confcore_keeps_the_eigentable_memo():
+    # _zonal_norm forms each d_k alone: a table per degree would fill spectral's
+    # 8-entry multiplicity memo at degree 8 and evict the eigentable's (3, 2500)
+    spectral.eigentable(Params(3, 0.3), 2500)
+    u = ZonalExpansion(3, 8, (1.0, 0.2, -0.1, 0.15, -0.05, 0.1, 0.05, -0.1, 0.08))
+    conformal.confcore_checks(u, 3)
+    misses = spectral._multiplicities.cache_info().misses
+    spectral.eigentable(Params(3, 0.3), 2500)
+    assert spectral._multiplicities.cache_info().misses == misses
 
 
 def test_zonal_integral_breaks():
