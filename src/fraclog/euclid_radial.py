@@ -13,8 +13,8 @@ Fourier rule beyond it, QAWF on an infinite tail and QAWO up to a finite
 cut-off, and at k = 0 the map r = t/(1-t) on an infinite domain. The
 cut-off is a density's rho_max, or for a profile of unbounded decay
 exponent the first R = 2^j at which it falls to 1e-18 of its largest
-sampled value. Energies and entropies take every semi-infinite part by
-the same map; a point that misses its tolerance raises NonConvergedError.
+sampled value. Energies and radial_integral take every semi-infinite part
+by the same map; a point that misses its tolerance raises NonConvergedError.
 
 Exact pairs. With f_nu(rho) := rho^nu K_nu(rho) and phi(r) = 2/(1+r^2),
 
@@ -99,7 +99,7 @@ import numpy as np
 
 from .constants import LN2, LN_PI, Params, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError, NonConvergedError
-from .quadrature import Integrand, QuadResult, integrate
+from .quadrature import Integrand, QuadResult, _sum_results, integrate
 # never called here: perfbench/tracer.py wraps this name to count quad calls by caller
 from .quadrature import _quad
 from .specfun import bessel_k, digamma, ln_gamma
@@ -348,9 +348,9 @@ def _transform_point(N: int, fn, k: float, r_max: float) -> tuple[float, float]:
                                 else (lambda r: r * fn(r), "sin", math.sin, k))
         parts = [Integrand(lambda r: g(r) * wfun(k * r), (0.0, 1.0), name="transform-head"),
                  Integrand(g, (1.0, r_max), name="transform-tail", weight=(trig, k))]
-    res = [integrate(part, _TRANSFORM_TOL, _TRANSFORM_TOL) for part in parts]
-    return (_SQRT_2_OVER_PI * sum(r.value for r in res) / scale,
-            _SQRT_2_OVER_PI * sum(r.abs_error_estimate for r in res) / scale)
+    res = _sum_results([integrate(part, _TRANSFORM_TOL, _TRANSFORM_TOL) for part in parts],
+                       _SQRT_2_OVER_PI)
+    return res.value / scale, res.abs_error_estimate / scale
 
 
 def _cutoff(fn) -> float:
@@ -428,11 +428,10 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
     The error estimate adds the density's own rounding (_DENSITY_REL).
     """
     m = _multiplier(kind, s)
-    area = sphere_area_equator(N)
 
-    def integrand(rho):
-        gv = g.evaluator(rho)
-        return rho ** (N - 1) * m(rho) * gv * gv
+    def integrand(rho):  # in rho^{N-1} g^2, rho^{N-1} underflows near e^{-256} while g^2 is large
+        h = rho ** (0.5 * (N - 1)) * g.evaluator(rho)
+        return m(rho) * h * h
 
     def head(u):
         rho = math.exp(-u)
@@ -456,9 +455,7 @@ def energy(kind: str, g: SpectralDensity, N: int, s: float = 0.0) -> QuadResult:
     # the integrand keeps one sign on each side of rho = 1, so the parts'
     # magnitudes add up to int |integrand|, which the density's rounding scales
     rounding = 2.0 * _DENSITY_REL * sum(abs(r.value) for r in res)
-    return QuadResult(area * math.fsum(r.value for r in res),
-                      area * (sum(r.abs_error_estimate for r in res) + rounding),
-                      sum(r.evaluations for r in res))
+    return _sum_results([*res, QuadResult(0.0, rounding, 0)], sphere_area_equator(N))
 
 
 def _fitted_tail(head, abs_tol: float, rel_tol: float) -> QuadResult:
@@ -571,7 +568,7 @@ def _over_sphere(N: int, val: float, err: float) -> QuadResult:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _pair_rungs(N: int, terms: tuple) -> tuple:
     """(a_i, w_i, rounding of w_i) per term of a plain phi-power pair, memoised
-    per pair: a failure curve takes the energy of one pair at every order."""
+    per pair: the identity, Beckner and confcore audits take the same pairs again."""
     if any(t.log_factor for t in terms):
         raise DomainError("pair_energy takes plain phi-power terms only")
     return tuple((t.power, w, _EPS * (abs(ln_gamma(t.power)) + 2.0 * t.power + 4.0))
@@ -648,6 +645,19 @@ def phi_moment(N: int, excess, log: bool = False) -> QuadResult:
     return _over_sphere(N, v, e)
 
 
+def radial_integral(N: int, fn, breaks: Sequence[float] = (), abs_tol: float = 1e-12,
+                    rel_tol: float = 1e-10, name: str = "radial-integral") -> QuadResult:
+    """|S^{N-1}| int_0^inf fn(r) r^{N-1} dr, the integral over R^N of a radial fn.
+
+    `breaks` are radii where fn is not smooth, the inner edges of one
+    integrate call's domain. The estimate is the pieces' sum times
+    |S^{N-1}|. spectral.zonal_integral is its twin on the sphere.
+    """
+    edges = (0.0, *sorted(b for b in breaks if 0.0 < b < math.inf), math.inf)
+    res = integrate(Integrand(lambda r: fn(r) * r ** (N - 1), edges, name=name), abs_tol, rel_tol)
+    return _sum_results([res], sphere_area_equator(N))
+
+
 def entropy(p_exponent: float, f: RadialProfile, N: int,
             breaks: Sequence[float] = ()) -> QuadResult:
     """Ent_p(f) = int (|f|^p/||f||_p^p) ln(|f|^p/||f||_p^p) dx by quadrature.
@@ -657,31 +667,21 @@ def entropy(p_exponent: float, f: RadialProfile, N: int,
     """
     if not p_exponent > 0.0:
         raise DomainError("entropy exponent must be positive")
-    area = sphere_area_equator(N)
-
-    def dens(r):
-        return abs(f.evaluator(r)) ** p_exponent * r ** (N - 1)
 
     def dens_log(r):
         v = abs(f.evaluator(r))
         if v == 0.0:
             return 0.0  # t^p ln t^p -> 0
-        return v ** p_exponent * p_exponent * math.log(v) * r ** (N - 1)
+        return v ** p_exponent * p_exponent * math.log(v)
 
     if p_exponent * f.decay_exponent <= N:
         raise DivergentIntegralError(
             f"entropy diverges: p*decay = {p_exponent * f.decay_exponent} <= N = {N}")
-    I = integrate(Integrand(dens, (0.0, math.inf), name="entropy-mass"),
-                  abs_tol=1e-12, rel_tol=1e-11)
-    edges = [0.0, *sorted(b for b in breaks if b > 0.0)]
-    parts = [Integrand(dens_log, (a, b), name="entropy-log") for a, b in zip(edges, edges[1:])]
-    parts.append(Integrand(dens_log, (edges[-1], math.inf), name="entropy-log"))
-    logs = [integrate(part, abs_tol=1e-12, rel_tol=1e-10) for part in parts]
-    E = QuadResult(math.fsum(r.value for r in logs), sum(r.abs_error_estimate for r in logs),
-                   sum(r.evaluations for r in logs))
+    I = radial_integral(N, lambda r: abs(f.evaluator(r)) ** p_exponent, rel_tol=1e-11,
+                        name="entropy-mass")
+    E = radial_integral(N, dens_log, breaks, name="entropy-log")
     if not I.value > 0.0:
         raise DivergentIntegralError("entropy needs a nonzero profile")
-    mass = area * I.value
-    val = area * E.value / mass - math.log(mass)
-    err = area * (E.abs_error_estimate + abs(E.value) * I.abs_error_estimate / I.value) / mass
+    val = E.value / I.value - math.log(I.value)
+    err = (E.abs_error_estimate + abs(E.value) * I.abs_error_estimate / I.value) / I.value
     return QuadResult(val, err, I.evaluations + E.evaluations)

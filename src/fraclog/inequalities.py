@@ -51,9 +51,8 @@ import numpy as np
 
 from .audit import AuditReport, identity_audit
 from .constants import (LN2, LN_PI, Params, B_N, C_N, c_N, A_N, eval_constants,
-                        kappa_Ns, kappaprime_Ns, sphere_area, sphere_area_equator)
+                        kappa_Ns, kappaprime_Ns, sphere_area)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
-from .quadrature import Integrand, QuadResult, integrate
 from .specfun import digamma, ln_gamma
 from . import conformal
 from . import euclid_radial as er
@@ -116,10 +115,9 @@ def _lp_norm_sq(v: er.RadialProfile, p_exp: float, N: int) -> tuple[float, float
     if terms and len(terms) == 1 and not terms[0].log_factor:
         excess = float(Fraction(terms[0].power) * Fraction(p_exp) - Fraction(N, 2))  # rounded once
         return _phi_power_lp_sq(v, excess, p_exp)
-    res = integrate(Integrand(lambda r: abs(v.evaluator(r)) ** p_exp * r ** (N - 1),
-                              (0.0, math.inf), name="lp-norm"),
-                    abs_tol=1e-12, rel_tol=1e-11)
-    val = (sphere_area_equator(N) * res.value) ** (2.0 / p_exp)
+    res = er.radial_integral(N, lambda r: abs(v.evaluator(r)) ** p_exp, rel_tol=1e-11,
+                             name="lp-norm")
+    val = res.value ** (2.0 / p_exp)
     err = abs(val) * (2.0 / p_exp) * res.abs_error_estimate / max(res.value, 1e-300)
     return val, err
 
@@ -279,12 +277,9 @@ def log_phi_sphere_integral(N: int) -> dict:
     Each route's value is keyed by its name in _J_ROUTES, and its error
     estimate by the same name under "error_estimates".
     """
-    area = sphere_area_equator(N)
-    res = integrate(Integrand(
-        lambda r: r ** (N - 1) * er.phi(r) ** N * math.log(er.phi(r)),
-        (0.0, math.inf), name="logphi-euclid"), abs_tol=1e-12, rel_tol=1e-10)
     routes = (spectral.zonal_integral(N, math.log1p),
-              QuadResult(area * res.value, area * res.abs_error_estimate, res.evaluations),
+              er.radial_integral(N, lambda r: er.phi(r) ** N * math.log(er.phi(r)),
+                                 name="logphi-euclid"),
               er.phi_moment(N, 0.5 * N, log=True))  # phi^N ln phi: b = N
     J = {name: r.value for name, r in zip(_J_ROUTES, routes)}
     J["error_estimates"] = {name: r.abs_error_estimate for name, r in zip(_J_ROUTES, routes)}
@@ -423,10 +418,7 @@ def moment_check(N: int, s: float, f: er.RadialProfile) -> AuditReport:
         raise DivergentIntegralError(
             f"second moment of |f|^2 diverges for decay exponent {f.decay_exponent}")
     lhs = er.pair_energy("log", f.fourier, N).value
-    res = integrate(Integrand(lambda r: r ** (N + 1) * f.evaluator(r) ** 2,
-                              (0.0, math.inf), name="second-moment"),
-                    abs_tol=1e-12, rel_tol=1e-10)
-    m2 = sphere_area_equator(N) * res.value
+    m2 = er.radial_integral(N, lambda r: r * r * f.evaluator(r) ** 2, name="second-moment").value
     rhs = -math.log(2.0 * math.pi * math.e / N * m2) + (4.0 / N) * B_N(N)
     margin = lhs - rhs
     return AuditReport(
@@ -449,10 +441,7 @@ def lq_check(N: int, s: float, q: float, f: er.RadialProfile) -> AuditReport:
     if math.isfinite(f.decay_exponent) and q * f.decay_exponent <= N:
         raise DivergentIntegralError(
             f"||f||_q diverges: q * decay = {q * f.decay_exponent} <= N = {N}")
-    res = integrate(Integrand(lambda r: abs(f.evaluator(r)) ** q * r ** (N - 1),
-                              (0.0, math.inf), name="lq-norm"),
-                    abs_tol=1e-12, rel_tol=1e-10)
-    fq = sphere_area_equator(N) * res.value
+    fq = er.radial_integral(N, lambda r: abs(f.evaluator(r)) ** q, name="lq-norm").value
     lhs = 0.25 * N * er.pair_energy("log", f.fourier, N).value
     rhs = math.log(fq) / (q - 2.0) + B_N(N)
     margin = lhs - rhs

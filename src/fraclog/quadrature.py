@@ -11,13 +11,16 @@ module is loaded without scipy.integrate's package init (see
 `_extensions`). It adds the contract layer the rest of the package relies
 on:
 
-* a semi-infinite domain (a, inf) is mapped to [0, 1] by r = a + t/(1-t);
+* a domain is a tuple of edges (e0, ..., en), n >= 1, only en may be inf,
+  and each piece between two edges is one QUADPACK call; `_sum_results`,
+  the only code that adds results up, sums the pieces and callers' parts;
+* a semi-infinite piece (a, inf) is mapped to [0, 1] by r = a + t/(1-t);
 * an integrand with a Fourier weight (cos or sin, omega) is integrated
   against cos(omega r) or sin(omega r) by QUADPACK's Fourier rules: QAWO
-  on a finite domain, QAWF on (a, inf);
+  on a finite piece, QAWF on (a, inf);
 * results always carry an error estimate and the evaluation count, and
-  a result whose estimate misses the requested tolerance raises instead
-  of returning silently.
+  a piece whose estimate misses the requested tolerance raises instead
+  of returning silently; a two-edge domain keeps quad's bits.
 
 `find_root` is Brent's method (Brent 1973, ch. 4) as scipy's compiled
 brentq: `_brentq` of scipy.optimize._zeros, the routine scipy.optimize.brentq
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 from ._extensions import load_extension
 from .errors import BracketError, DomainError, NonConvergedError
@@ -52,7 +55,7 @@ _ROOT_RTOL = 8.9e-16  # brentq's floor, 4 * machine epsilon, rounded up
 @dataclass(frozen=True)
 class Integrand:
     evaluator: Callable[[float], float]
-    domain: tuple  # (a, b) finite, or (a, inf)
+    domain: tuple  # edges (e0, ..., en), n >= 1; only en may be inf
     name: str = ""
     #: ("cos" | "sin", omega): integrate evaluator(r) * cos|sin(omega r)
     weight: Optional[tuple] = None
@@ -98,31 +101,42 @@ def _quad(func, a, b, epsabs, epsrel, weight=None):
 
 
 def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> QuadResult:
-    """Integrate `f` over its domain to the requested tolerance.
+    """Integrate `f` over its domain to the requested tolerance: one QUADPACK
+    call per piece between consecutive edges, summed by _sum_results.
 
-    Raises NonConvergedError (carrying the best estimate) when the error
-    estimate exceeds max(abs_tol, rel_tol*|value|). QAWF, on a weighted
-    (a, inf), works to abs_tol alone.
+    Raises NonConvergedError (carrying the piece's best estimate) when a
+    piece's error estimate exceeds max(abs_tol, rel_tol*|value|) of that
+    piece. QAWF, on a weighted (a, inf), works to abs_tol alone.
     """
     if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise DomainError("tolerances must be positive")
-    a, b = f.domain
-    fn = f.evaluator
-    if f.weight is None and b == _INF:
-        def fn(t, a=a):  # a as given, before the domain becomes [0, 1]
-            if t >= 1.0:
-                return 0.0
-            return f.evaluator(a + t / (1.0 - t)) / (1.0 - t) ** 2
-        a, b = 0.0, 1.0
-    value, err, info = _quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, weight=f.weight)
+    if len(f.domain) < 2:
+        raise DomainError(f"a domain needs two or more edges, got {f.domain!r}")
+    pieces = []
+    for a, b in zip(f.domain, f.domain[1:]):
+        fn = f.evaluator
+        if f.weight is None and b == _INF:
+            def fn(t, a=a):  # a as given, before the piece becomes [0, 1]
+                if t >= 1.0:
+                    return 0.0
+                return f.evaluator(a + t / (1.0 - t)) / (1.0 - t) ** 2
+            a, b = 0.0, 1.0
+        value, err, info = _quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, weight=f.weight)
+        if err > max(abs_tol, rel_tol * abs(value)) * 50.0:
+            raise NonConvergedError(
+                f"quadrature error estimate {err:.3e} misses tolerance "
+                f"(abs {abs_tol:.1e}, rel {rel_tol:.1e}) for integrand {f.name!r}",
+                value=value, error_estimate=err,
+            )
+        pieces.append(QuadResult(value, err, int(info["neval"])))
+    return _sum_results(pieces)
 
-    if err > max(abs_tol, rel_tol * abs(value)) * 50.0:
-        raise NonConvergedError(
-            f"quadrature error estimate {err:.3e} misses tolerance "
-            f"(abs {abs_tol:.1e}, rel {rel_tol:.1e}) for integrand {f.name!r}",
-            value=value, error_estimate=err,
-        )
-    return QuadResult(value, err, int(info["neval"]))
+
+def _sum_results(results: Sequence[QuadResult], scale: float = 1.0) -> QuadResult:
+    """scale times the sum of `results`: values by math.fsum, the rest by plain sums."""
+    return QuadResult(scale * math.fsum(r.value for r in results),
+                      scale * sum(r.abs_error_estimate for r in results),
+                      sum(r.evaluations for r in results))
 
 
 def find_root(g: Callable[[float], float], bracket: tuple, tol: float = 1e-12) -> RootResult:

@@ -58,7 +58,7 @@ import numpy as np
 from .audit import AuditReport
 from .constants import Params, sphere_area, sphere_area_equator
 from .errors import DomainError, require
-from .quadrature import Integrand, QuadResult, find_root, integrate
+from .quadrature import Integrand, QuadResult, _sum_results, find_root, integrate
 from .specfun import digamma, ln_gamma
 
 
@@ -274,21 +274,17 @@ def zonal_basis_eval(N: int, k: int, t):
 def zonal_integral(N: int, fn, breaks: Sequence[float] = ()) -> QuadResult:
     """int_{S^N} fn(t) dV for a zonal integrand, t the polar cosine.
 
-    `breaks` are polar cosines where fn is not smooth; the polar angle is
-    integrated piecewise between them. The error estimate is the sum of
-    the pieces' QUADPACK estimates, times |S^{N-1}|.
+    `breaks` are polar cosines where fn is not smooth, the inner edges of
+    the polar angle's domain. The error estimate is the pieces' sum times
+    |S^{N-1}|. euclid_radial.radial_integral is its twin on R^N.
     """
 
     def g(theta):
         return fn(math.cos(theta)) * math.sin(theta) ** (N - 1)
 
-    edges = [0.0, *sorted(math.acos(t) for t in breaks if -1.0 < t < 1.0), math.pi]
-    res = [integrate(Integrand(g, (a, b), name="zonal-integral"), abs_tol=1e-12, rel_tol=1e-11)
-           for a, b in zip(edges, edges[1:])]
-    area = sphere_area_equator(N)
-    return QuadResult(area * math.fsum(r.value for r in res),
-                      area * sum(r.abs_error_estimate for r in res),
-                      sum(r.evaluations for r in res))
+    edges = (0.0, *sorted(math.acos(t) for t in breaks if -1.0 < t < 1.0), math.pi)
+    res = integrate(Integrand(g, edges, name="zonal-integral"), abs_tol=1e-12, rel_tol=1e-11)
+    return _sum_results([res], sphere_area_equator(N))
 
 
 def symbol_for(op: str, p: Params | None, N: int, lam):

@@ -103,6 +103,25 @@ def test_failure_exit_status_and_csv(tmp_path, capsys):
     assert len(lines) == 13
 
 
+@pytest.mark.parametrize("fourier", [False, True])
+def test_bubble_table_cells_are_fmt_of_the_profile(capsys, fourier):
+    from fraclog.cli import _fmt
+    from fraclog.constants import Params
+    from fraclog.euclid_radial import bubble_profile
+    code, out = run(capsys, "bubble", "--dim", "3", "--order", "0.5", "--scale", "2",
+                    *(["--fourier"] if fourier else []))
+    assert code == 0
+    lines = out.strip().splitlines()
+    assert lines[0] == ("r,v,rho,v_hat" if fourier else "r,v")
+    prof = bubble_profile(Params(3, 0.5), 2.0)
+    assert len(lines) == 8
+    for line in lines[1:]:
+        cells = line.split(",")
+        assert cells[1] == _fmt(prof.evaluator(float(cells[0])))
+        if fourier:
+            assert cells[3] == _fmt(prof.fourier.evaluator(float(cells[2])))
+
+
 def test_bubble_residual(capsys):
     code, out = run(capsys, "bubble-residual", "--dim", "3", "--order", "0.4",
                     "--scale", "1.0")

@@ -398,6 +398,17 @@ def test_energy_raises_where_its_head_does_not_decay():
         assert abs(quad.value - closed.value) <= quad.abs_error_estimate + closed.abs_error_estimate
 
 
+@pytest.mark.parametrize("N,s", [(2, 0.495), (3, 0.74), (4, 0.9999)])
+def test_log_energy_estimate_bounds_near_the_edge_at_n_ge_2(N, s):
+    # the bubble's log energy is finite for s < N/4; with the integrand formed
+    # as rho^{N-1} g^2, rho^{N-1} underflowed near rho = e^{-256} while g^2 was
+    # large: (4, 0.9999) raised ZeroDivisionError in the fitted tail, and the
+    # other two missed by 1.5x and 1.06x the sum of both estimates
+    g = er.talenti_bubble(Params(N, s)).fourier
+    quad, closed = er.energy("log", g, N), er.pair_energy("log", g, N)
+    assert abs(quad.value - closed.value) <= quad.abs_error_estimate + closed.abs_error_estimate
+
+
 def test_lp_norm_bubble_closed_form():
     # q = p(s): ||u_s||_{p(s)}^{p(s)} is independent of s
     vals = [ineq._lp_norm_sq(er.talenti_bubble(Params(3, s)), er.p_of_s(3, s), 3)[0]

@@ -105,6 +105,24 @@ def test_invalid_tolerance():
         integrate(Integrand(lambda x: x, (0.0, 1.0)), rel_tol=0.0)
 
 
+def test_piecewise_domain_is_the_fsum_of_its_pieces():
+    # one QUADPACK call per piece, values by fsum, estimates and evaluations summed;
+    # a kink at |x| = 1 and a semi-infinite last piece
+    fn = lambda x: abs(1.0 - x) * math.exp(-x)
+    whole = integrate(Integrand(fn, (0.0, 1.0, 3.0, math.inf)), abs_tol=1e-12, rel_tol=1e-12)
+    parts = [integrate(Integrand(fn, dom), abs_tol=1e-12, rel_tol=1e-12)
+             for dom in ((0.0, 1.0), (1.0, 3.0), (3.0, math.inf))]
+    assert whole.value == math.fsum(r.value for r in parts)
+    assert whole.abs_error_estimate == sum(r.abs_error_estimate for r in parts)
+    assert whole.evaluations == sum(r.evaluations for r in parts)
+    assert whole.value == pytest.approx(2.0 / math.e, rel=1e-14)
+    weighted = integrate(Integrand(lambda x: math.exp(-x), (0.0, 2.0, math.inf),
+                                   weight=("cos", 1.0)))
+    assert weighted.value == pytest.approx(0.5, rel=1e-10)  # int_0^inf e^{-x} cos x dx
+    with pytest.raises(DomainError):
+        integrate(Integrand(fn, (0.0,)))
+
+
 def test_find_root_sqrt2():
     res = find_root(lambda x: x * x - 2.0, (1.0, 2.0), tol=1e-13)
     assert res.root == pytest.approx(math.sqrt(2.0), abs=1e-12)
