@@ -16,10 +16,12 @@ import sys
 
 import numpy as np
 
-from . import conformal, euclid_radial as er, inequalities as ineq, spectral
+# conformal, euclid_radial, inequalities and sphere_kernel are imported inside the
+# subcommands that use them, so a cold process loads only its own subcommand's
+# modules; these three the package init loads anyway
+from . import spectral
 from .constants import Params, eval_constants
 from .errors import DomainError, NonConvergedError
-from .sphere_kernel import dini_test, kernel_vs_spectral
 
 SCHEMA_VERSION = 1
 
@@ -83,12 +85,14 @@ def cmd_thresholds(args) -> int:
 
 
 def cmd_kernel_vs_spectral(args) -> int:
+    from .sphere_kernel import kernel_vs_spectral
     rows = kernel_vs_spectral(_params(args), args.kmax)
     _emit_csv(["op", "k", "kernel", "spectral", "rel_error"], rows, args.out)
     return 0 if max(r["rel_error"] for r in rows) <= 1e-6 else 1
 
 
 def cmd_bubble(args) -> int:
+    from . import euclid_radial as er
     p = _params(args)
     prof = er.bubble_profile(p, args.scale)
     radii = [0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0]
@@ -112,6 +116,7 @@ def _finish_audit(report, args, extra=None) -> int:
 
 
 def cmd_bubble_residual(args) -> int:
+    from . import conformal
     p = _params(args)
     sphere = conformal.yamabe_residual_sphere(p, args.scale)
     euclid = conformal.yamabe_residual_euclid(p, args.scale, [0.0, 0.5, 1.0, 2.0])
@@ -120,6 +125,7 @@ def cmd_bubble_residual(args) -> int:
 
 
 def cmd_intertwine(args) -> int:
+    from . import conformal
     p = _params(args)
     u = spectral.ZonalExpansion(p.N, 1, (1.0, 0.5))
     report = conformal.intertwining_residual(p, u, [0.0, 0.5, 1.0, 2.0])
@@ -127,11 +133,13 @@ def cmd_intertwine(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    from . import inequalities as ineq
     report = ineq.sharp_fraclog_identity(_params(args))
     return _finish_audit(report, args)
 
 
 def cmd_failure(args) -> int:
+    from . import inequalities as ineq
     report, curve = ineq.failure_demo(args.dim, args.order0, args.grid)
     if args.csv:
         _emit_csv(["s", "F", "Fprime_fd", "F_error"], list(curve.as_rows()), args.csv)
@@ -139,11 +147,13 @@ def cmd_failure(args) -> int:
 
 
 def cmd_beckner(args) -> int:
+    from . import inequalities as ineq
     report = ineq.beckner_fraclog_check(args.dim, args.order, args.profile)
     return _finish_audit(report, args)
 
 
 def cmd_confcore(args) -> int:
+    from . import conformal
     if args.profile == "const":
         u = spectral.ZonalExpansion(args.dim, 0, (1.0,))
     else:
@@ -153,6 +163,7 @@ def cmd_confcore(args) -> int:
 
 
 def cmd_dini(args) -> int:
+    from .sphere_kernel import dini_test
     if args.modulus == "zero":
         modulus = lambda r: 0.0
     elif args.modulus == "power":

@@ -54,7 +54,6 @@ from .constants import (LN2, LN_PI, Params, B_N, C_N, c_N, A_N, eval_constants,
                         kappa_Ns, kappaprime_Ns, sphere_area)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
 from .specfun import digamma, ln_gamma
-from . import conformal
 from . import euclid_radial as er
 from . import spectral
 
@@ -462,6 +461,8 @@ def beckner_sphere_equivalence(N: int, u: spectral.ZonalExpansion) -> AuditRepor
     int |u|^2 ln(|u|^2 |S^N|/||u||^2) over the sphere, with Ent_2 split at
     the sign changes of u. Deficit = DoubleEnergy - C_N * entropy >= 0.
     """
+    from . import conformal  # only this audit needs it; the Euclidean audits skip its import
+
     if u.degree_max > 16:
         raise DomainError("degree must not exceed 16")
     norm2 = u.norm_sq()

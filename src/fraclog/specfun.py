@@ -7,16 +7,19 @@ delegated to scipy.special's compiled ufuncs, the same objects that
 scipy.special exports (Lanczos/Stirling for ln Gamma, series + asymptotic
 switching for psi, the Hurwitz zeta(2, x) for psi' as polygamma(1, x)
 computes it, Temme/asymptotic for K_nu), loaded without running
-scipy.special's package init (see `_extensions`); these functions add the
-domain checks.
+scipy.special's package init (see `_extensions`); these functions add a
+domain check to each call. The spectral symbols validate lambda once and
+then call `_ufuncs.gammaln` and `_ufuncs.psi` directly, since their
+arguments lie in the domain whenever lambda >= 0 (`spectral._gamma_args`).
 
 Each function takes floats or numpy arrays, as the scipy ufunc does: a
 float in gives a float out, an array gives an array, and an array with
-any entry outside the domain raises DomainError. A float or numpy scalar
-argument is checked by one comparison whose result is tested with
-`is True` or `is np.True_` (an array comparison is neither), which keeps
-the scalar path within a few percent of a float-only check; quadrature
-integrands make millions of scalar calls.
+any entry outside the domain raises DomainError. Every argument is
+checked by one comparison. For a float or numpy scalar its result is
+tested with `is True` or `is np.True_` (an array comparison is neither),
+which keeps the scalar path within a few percent of a float-only check;
+quadrature integrands make millions of scalar calls. For an array the
+same mask goes to `require`.
 
 The accuracy model lives in the tests: tests/test_specfun.py and
 acceptance criterion 10 audit every value against a 50-digit fixture
@@ -48,7 +51,7 @@ def ln_gamma(x):
     """ln Gamma(x) for x > 0."""
     if (ok := x > 0.0) is True or ok is np.True_:
         return float(_ufuncs.gammaln(x))
-    require(x > 0.0, "ln_gamma requires x > 0", x)
+    require(ok, "ln_gamma requires x > 0", x)
     return _ufuncs.gammaln(x)
 
 
@@ -56,7 +59,7 @@ def digamma(x):
     """psi(x) = Gamma'(x)/Gamma(x) for x > 0."""
     if (ok := x > 0.0) is True or ok is np.True_:
         return float(_ufuncs.psi(x))
-    require(x > 0.0, "digamma requires x > 0", x)
+    require(ok, "digamma requires x > 0", x)
     return _ufuncs.psi(x)
 
 
@@ -64,7 +67,7 @@ def trigamma(x):
     """psi'(x) for x > 0; strictly positive and strictly decreasing."""
     if (ok := x > 0.0) is True or ok is np.True_:
         return float(_ufuncs._zeta(_TRIGAMMA_ORDER, x))
-    require(x > 0.0, "trigamma requires x > 0", x)
+    require(ok, "trigamma requires x > 0", x)
     return _ufuncs._zeta(_TRIGAMMA_ORDER, x)
 
 
@@ -72,7 +75,7 @@ def ln_beta(a, b):
     """ln B(a, b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), a, b > 0."""
     if (ok := (a > 0.0) & (b > 0.0)) is True or ok is np.True_:
         return float(_ufuncs.betaln(a, b))
-    require((a > 0.0) & (b > 0.0), "ln_beta requires positive arguments", (a, b))
+    require(ok, "ln_beta requires positive arguments", (a, b))
     return _ufuncs.betaln(a, b)
 
 

@@ -21,12 +21,14 @@ the same numbers either way: a float in gives a float, an array an
 array, bit for bit equal to the elementwise calls. Every table-shaped
 caller (`eigentable`, `monotonicity_audit`, `sign_table`,
 `apply_spectral`, `spectral_energy`) is one vectorised pass over its
-degrees k = 0..k_max; rows and details are plain Python numbers.
-`eigentable` forms the Gamma ratio once and takes phi^{s+ln} as that
-ratio times the digamma sum, builds its rows in C (`tuple.__new__` over
-the zipped columns), and reads d_k from a memo of at most eight
-(N, k_max) entries: d_k does not depend on s, and one entry holds
-k_max+1 exact ints, about 8 MB at 200 000 rows.
+degrees k = 0..k_max; rows and details are plain Python numbers. A
+symbol call checks lambda >= 0 once and then runs only scipy's compiled
+ln Gamma and psi ufuncs, whose arguments need no check of their own
+(`_gamma_args`). `eigentable` forms a and the Gamma ratio once, takes
+phi^{s+ln} as that ratio times the digamma sum, builds its rows in C
+(`tuple.__new__` over the zipped columns), and reads d_k from a memo of
+at most eight (N, k_max) entries: d_k does not depend on s, and one
+entry holds k_max+1 exact ints, about 8 MB at 200 000 rows.
 
 Zonal harmonics: Z_k is the rotation-symmetric element of the degree-k
 eigenspace, L^2(S^N)-normalized. In the polar cosine t it is a multiple
@@ -59,7 +61,7 @@ from .audit import AuditReport
 from .constants import Params, sphere_area, sphere_area_equator
 from .errors import DomainError, require
 from .quadrature import Integrand, QuadResult, _sum_results, find_root, integrate
-from .specfun import digamma, ln_gamma
+from .specfun import _ufuncs, digamma
 
 
 class SpectrumPoint(NamedTuple):
@@ -135,21 +137,30 @@ def _a(N: int, lam):
     return _float(np.sqrt(lam + 0.25 * (N - 1) ** 2))
 
 
-def _gamma_args(p: Params, lam, what: str):
-    """1/2 + s + a and 1/2 - s + a, with a = sqrt(lambda + (N-1)^2/4)."""
-    a = _a(p.N, lam)
-    lo = 0.5 - p.s + a
-    require(lo > 0.0, f"{what} undefined: 1/2 - s + a <= 0", lo)
-    return 0.5 + p.s + a, lo
+def _gamma_args(p: Params, a):
+    """1/2 + s + a and 1/2 - s + a, for a = `_a(p.N, lambda)`.
+
+    Both lie in the domain of ln Gamma and psi with no further check.
+    `Params` gives N >= 1, 0 < s < 1 and N > 2s, and `_a` has checked
+    lambda >= 0, so a = sqrt(lambda + (N-1)^2/4) >= (N-1)/2 exactly:
+    (N-1)^2/4 is exact, and sqrt is correctly rounded and monotone. For
+    N = 1, s < 1/2, so fl(1/2 - s) > 0 and a >= 0. For N >= 2, 1/2 - s is
+    exact (Sterbenz for s >= 1/4, and positive below), it is > -1/2, and
+    a >= 1/2. Either way the exact sum (1/2 - s) + a is positive, so its
+    rounding lo is too, hi >= lo, and 1/2 + a > 0. The argument is in
+    double precision: a float lambda or a float64 array, as `eigenvalue`
+    gives.
+    """
+    return 0.5 + p.s + a, 0.5 - p.s + a
 
 
 def _gamma_ratio(hi, lo):
     """Gamma(hi) / Gamma(lo) as exp(ln Gamma(hi) - ln Gamma(lo))."""
-    return np.exp(ln_gamma(hi) - ln_gamma(lo))
+    return np.exp(_ufuncs.gammaln(hi) - _ufuncs.gammaln(lo))
 
 
 def _psi_sum(hi, lo):
-    return digamma(hi) + digamma(lo)
+    return _ufuncs.psi(hi) + _ufuncs.psi(lo)
 
 
 def symbol_s(p: Params, lam):
@@ -161,26 +172,28 @@ def symbol_s(p: Params, lam):
     N > 2s) the worst relative error over k = K-20..K is 1.1e-11 for
     K = 2500 and 7.0e-10 for K = 200000. The open fix is a log-ratio by
     Stirling differences (3e-15 measured), but in a prototype it cost
-    60 us on 13 rows against 5 us for this array route, which would
-    double the median latency of a small sign table.
+    60 us on 13 rows. This array route, one domain check and then the
+    compiled ufuncs, takes 6-9 us on 13 rows (12-18 us with a check in
+    every ufunc call; BENCH_23.json): the cost a small sign table pays,
+    and the one that fix has to beat.
     """
-    return _float(_gamma_ratio(*_gamma_args(p, lam, "symbol")))
+    return _float(_gamma_ratio(*_gamma_args(p, _a(p.N, lam))))
 
 
 def phi0(p: Params, lam):
     """Digamma factor psi(1/2+s+a) + psi(1/2-s+a) = phi^{s+ln}/phi_s."""
-    return _float(_psi_sum(*_gamma_args(p, lam, "phi0")))
+    return _float(_psi_sum(*_gamma_args(p, _a(p.N, lam))))
 
 
 def symbol_slog(p: Params, lam):
     """phi^{s+ln}_N(lambda) = phi_{N,s}(lambda) * phi0(s,N;lambda)."""
-    hi, lo = _gamma_args(p, lam, "symbol")
+    hi, lo = _gamma_args(p, _a(p.N, lam))
     return _float(_gamma_ratio(hi, lo) * _psi_sum(hi, lo))
 
 
 def symbol_log(N: int, lam):
     """phi^{ln}_N(lambda) = 2 psi(1/2 + a), the s -> 0 endpoint symbol."""
-    return _float(2.0 * digamma(0.5 + _a(N, lam)))
+    return _float(2.0 * _ufuncs.psi(0.5 + _a(N, lam)))
 
 
 #: SpectrumPoint._make without its Python frame per row
@@ -197,11 +210,12 @@ def eigentable(p: Params, k_max: int) -> list[SpectrumPoint]:
     N reuses it. k and d_k are ints, the other fields floats.
     """
     lam = eigenvalue(p.N, np.arange(k_max + 1))
-    hi, lo = _gamma_args(p, lam, "symbol")
+    a = _a(p.N, lam)
+    hi, lo = _gamma_args(p, a)
     phi_s = _gamma_ratio(hi, lo)
     columns = (range(k_max + 1), lam.tolist(), _multiplicities(p.N, k_max),
                phi_s.tolist(), (phi_s * _psi_sum(hi, lo)).tolist(),
-               symbol_log(p.N, lam).tolist())
+               (2.0 * _ufuncs.psi(0.5 + a)).tolist())
     return list(map(_spectrum_point, zip(*columns)))
 
 

@@ -276,3 +276,34 @@ def test_tol_scale_is_gone(capsys):
     for argv in (("identity", "--dim", "3", "--order", "0.5"),
                  ("failure", "--dim", "3", "--order0", "0.5")):
         assert main([*argv, "--tol-scale", "2"]) == 2
+
+
+_LOADED_AUDIT_MODULES = """
+import contextlib, io, json, sys
+import fraclog.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = fraclog.cli.main(json.loads(sys.argv[1]))
+modules = ("conformal", "euclid_radial", "inequalities", "sphere_kernel")
+print(json.dumps([code, [m for m in modules if "fraclog." + m in sys.modules]]))
+"""
+
+#: the audit modules each subcommand needs, and so the only ones a cold process loads
+_SUBCOMMAND_MODULES = {
+    "thresholds": [], "constants": [], "eigentable": [],
+    "kernel-vs-spectral": ["sphere_kernel"], "dini": ["sphere_kernel"],
+    "identity": ["euclid_radial", "inequalities"], "failure": ["euclid_radial", "inequalities"],
+    "beckner": ["euclid_radial", "inequalities"],
+    "bubble-residual": ["conformal", "euclid_radial"], "intertwine": ["conformal", "euclid_radial"],
+    "confcore": ["conformal", "euclid_radial"],
+}
+
+
+def test_cold_subcommands_load_only_their_audit_modules():
+    env = _child_env()
+    loaded = {}
+    for argv in _COLD_SUBCOMMANDS:
+        out = subprocess.run([sys.executable, "-c", _LOADED_AUDIT_MODULES, json.dumps(argv)],
+                             capture_output=True, check=True, env=env).stdout
+        code, loaded[argv[0]] = json.loads(out)
+        assert code == 0, argv
+    assert loaded == _SUBCOMMAND_MODULES

@@ -293,11 +293,11 @@ def test_symbols_and_specfun_accept_arrays():
               eigenvalue(3, 4), specfun.ln_gamma(2.5), specfun.digamma(2.5),
               specfun.trigamma(2.5), specfun.ln_beta(2.5, 0.5), specfun.bessel_k(0.3, 2.5)):
         assert type(v) is float
-    bad_lam = np.array([0.0, 2.0, -1.0, 6.0])
-    for call in (lambda: symbol_s(p, bad_lam), lambda: phi0(p, bad_lam),
-                 lambda: symbol_slog(p, bad_lam), lambda: symbol_log(3, bad_lam)):
-        with pytest.raises(DomainError):
-            call()
+    for bad_lam in (np.array([0.0, 2.0, -1.0, 6.0]), np.array([0.0, np.nan, 6.0]), math.nan):
+        for call in (lambda: symbol_s(p, bad_lam), lambda: phi0(p, bad_lam),
+                     lambda: symbol_slog(p, bad_lam), lambda: symbol_log(3, bad_lam)):
+            with pytest.raises(DomainError):
+                call()
     bad_x = np.array([1.0, 2.0, 0.0, 3.0])
     for call in (lambda: specfun.ln_gamma(bad_x), lambda: specfun.digamma(bad_x),
                  lambda: specfun.trigamma(bad_x), lambda: specfun.ln_beta(bad_x, 1.0),
@@ -305,6 +305,87 @@ def test_symbols_and_specfun_accept_arrays():
                  lambda: specfun.bessel_k(np.array([0.3, np.nan]), 1.0)):
         with pytest.raises(DomainError):
             call()
+
+
+#: Params at the edges of N > 2s and s < 1, where 1/2 - s + a is smallest at lambda = 0
+_EDGE_PARAMS = [Params(1, math.nextafter(0.5, 0.0)), Params(2, math.nextafter(1.0, 0.0)),
+                Params(3, math.nextafter(1.0, 0.0))]
+
+
+def _assert_in_ufunc_domain(p, lam):
+    # the invariant that lets the symbols skip the ln Gamma and psi domain checks
+    hi, lo = spectral._gamma_args(p, spectral._a(p.N, lam))
+    assert np.all(lo > 0.0) and np.all(hi >= lo), (p, lam)
+    for v in (symbol_s(p, lam), phi0(p, lam), symbol_slog(p, lam), symbol_log(p.N, lam)):
+        assert np.all(np.isfinite(v)), (p, lam)
+
+
+def test_gamma_args_stay_in_the_ufunc_domain_at_the_edges():
+    for p in _EDGE_PARAMS:
+        lam = eigenvalue(p.N, np.arange(6))
+        _assert_in_ufunc_domain(p, lam)
+        for x in lam.tolist():
+            _assert_in_ufunc_domain(p, x)
+    # at lambda = 0, a = 0 for N = 1 and a = 1/2 for N = 2: lo is the exact 2^-54 and
+    # 2^-53, so no rounding reaches 0
+    assert spectral._gamma_args(_EDGE_PARAMS[0], spectral._a(1, 0.0))[1] == 2.0 ** -54
+    assert spectral._gamma_args(_EDGE_PARAMS[1], spectral._a(2, 0.0))[1] == 2.0 ** -53
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=12),
+       st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+       st.floats(min_value=0.0, max_value=1e10))
+def test_gamma_args_stay_in_the_ufunc_domain(N, s, lam):
+    if not N > 2.0 * s:
+        s = math.nextafter(0.5, 0.0) * s  # N = 1 only: map s into (0, 1/2)
+    _assert_in_ufunc_domain(Params(N, s), lam)
+
+
+def _checked_route(p, N, lam):
+    """The symbols through the checked specfun wrappers, as formed before they called
+    the ufuncs directly: phi_s, phi0, phi^{s+ln} and phi^{ln}."""
+    a = spectral._float(np.sqrt(lam + 0.25 * (N - 1) ** 2))
+    hi, lo = 0.5 + p.s + a, 0.5 - p.s + a
+    ratio = np.exp(specfun.ln_gamma(hi) - specfun.ln_gamma(lo))
+    psi_sum = specfun.digamma(hi) + specfun.digamma(lo)
+    return ratio, psi_sum, ratio * psi_sum, 2.0 * specfun.digamma(0.5 + a)
+
+
+def _hex(v):
+    return [float.hex(x) for x in np.atleast_1d(v).tolist()]
+
+
+def test_symbols_equal_the_checked_route_bit_for_bit():
+    lam_k = {N: eigenvalue(N, np.arange(2501)) for N in range(1, 6)}
+    for N, s in _ARRAY_GRID:
+        p = Params(N, s)
+        for lam in (lam_k[N], *lam_k[N].tolist()):
+            got = (symbol_s(p, lam), phi0(p, lam), symbol_slog(p, lam), symbol_log(N, lam))
+            want = _checked_route(p, N, lam)
+            assert [_hex(v) for v in got] == [_hex(v) for v in want], (N, s, lam)
+
+
+def test_symbols_make_one_domain_check_per_call(monkeypatch):
+    # lambda >= 0 in `_a` is the one check; the ufunc arguments need none (`_gamma_args`)
+    checks, a_calls = [], []
+    check, form_a = spectral.require, spectral._a
+    monkeypatch.setattr(spectral, "require", lambda *args: checks.append(args) or check(*args))
+    monkeypatch.setattr(spectral, "_a", lambda *args: a_calls.append(args) or form_a(*args))
+    # a call of a checked specfun wrapper would now fail
+    monkeypatch.setattr(spectral, "digamma", None)
+    for name in ("ln_gamma", "digamma", "trigamma", "ln_beta"):
+        monkeypatch.setattr(specfun, name, None)
+    p = Params(3, 0.3)
+    for lam in (2.0, eigenvalue(3, np.arange(13))):
+        for call in (lambda: symbol_s(p, lam), lambda: phi0(p, lam),
+                     lambda: symbol_slog(p, lam), lambda: symbol_log(3, lam)):
+            checks.clear()
+            call()
+            assert len(checks) == 1
+    a_calls.clear()
+    eigentable(p, 12)
+    assert len(a_calls) == 1
 
 
 def test_eigentable_large_k_against_poch():
