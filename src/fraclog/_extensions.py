@@ -1,8 +1,8 @@
 """Load one of scipy's compiled extension modules without its package's __init__.
 
-Outside the off-pole kernel's Gauss-Gegenbauer rule, fraclog calls scipy through
-three compiled modules only: the special-function ufuncs (scipy.special._ufuncs),
-QUADPACK (scipy.integrate._quadpack) and the bracketing root finders
+fraclog calls scipy through three compiled modules only, and imports no scipy
+package: the special-function ufuncs (scipy.special._ufuncs), QUADPACK
+(scipy.integrate._quadpack) and the bracketing root finders
 (scipy.optimize._zeros). Importing them through their packages runs
 scipy/special/__init__.py, whose array-API layer loads numpy.f2py, and
 scipy/integrate/__init__.py or scipy/optimize/__init__.py, which load

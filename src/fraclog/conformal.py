@@ -418,12 +418,14 @@ def _log_law_audit(name: str, s: float, u: spectral.ZonalExpansion,
     sym_err = [(k, abs(a) * _symbol_error(N, s, k)) for k, a in enumerate(u.coeffs) if a]
     rows, worst, budget = [], 0.0, 0.0
     ts = [polar_cosine(r) for r in r_samples]
-    for r, t, (_, (L, L_err), mag) in zip(r_samples, ts, _images(N, s, _phi_coefficients(u), ts)):
+    basis = spectral._zonal_basis(N, u.degree_max, ts).tolist()
+    for r, t, z, (_, (L, L_err), mag) in zip(r_samples, ts, basis,
+                                             _images(N, s, _phi_coefficients(u), ts)):
         phi_m, w = (1.0 + t) ** m, (1.0 + t) ** (-2.0 * s)
         lhs = phi_m * spectral.zonal_eval(sym_u, t)
         rhs, mag = w * L, w * mag
         err = (w * L_err + (N + 4.0) * _EPS * mag  # phi^m against phi^{c+s} phi^{-2s}
-               + phi_m * sum(e * abs(spectral.zonal_basis_eval(N, k, t)) for k, e in sym_err))
+               + phi_m * sum(e * abs(z[k]) for k, e in sym_err))
         scale = max(abs(lhs), mag) or 1.0  # 0 only where both sides are exactly 0
         rel = abs(lhs - rhs) / scale
         worst, budget = max(worst, rel), max(budget, err / scale)

@@ -278,6 +278,12 @@ def zonal_eval(u: ZonalExpansion, t):
     return z0 * y1
 
 
+def _zonal_basis(N: int, degree: int, t) -> np.ndarray:
+    """Rows Z_0..Z_degree at each polar cosine in the sequence t, by one Clenshaw pass
+    over the identity basis; row i is zonal_basis_eval(N, k, t[i]) bit for bit."""
+    return zonal_eval(ZonalExpansion(N, degree, tuple(np.eye(degree + 1))), np.reshape(t, (-1, 1)))
+
+
 def zonal_basis_eval(N: int, k: int, t):
     """Orthonormal zonal harmonic Z_k at polar cosine t in [-1, 1]."""
     if k < 0:

@@ -20,18 +20,17 @@ with, per operator,
     P_slog:  e = (N+2s)/2, w = -ln(d2)+b_{N,s}, coeff = c_{N,s},  zero = A'_{N,s}
     P_log:   e = N/2,      w = 1,               coeff = c_N,      zero = A_N
 
-Writing zeta = t z + sqrt(1-t^2) eta with eta on the unit sphere of
-z-perp and e' the unit vector along the part of e in z-perp,
-e . zeta = t t0 + sqrt(1-t^2) sqrt(1-t0^2) x, where x = eta . e' has
-density (1-x^2)^{(N-3)/2} on [-1, 1]. For a profile of degree d,
-Gauss-Gegenbauer with d//2 + 1 nodes (parameter (N-2)/2; the two points
-+-1 for N = 1) makes each mean exact, and M is again a polynomial of
-degree d. It is sampled at the d + 1 Chebyshev points of the second
-kind, which start at t = 1, converted to Chebyshev coefficients and
-divided exactly by 1 - t (Trefethen, Approximation Theory and
-Approximation Practice, ch. 3), which gives q(t) = (M(1) - M(t))/(1 - t)
-without cancellation; the two steps are one cached matrix per degree. With
-M(1) - M(t) = (1 - t) q(t) the integral is
+By the Funk-Hecke formula (the addition theorem; Mueller, Spherical
+Harmonics, LNM 17) the mean operator is diagonal on the Z_k: for
+u = sum_k c_k Z_k of degree d, M = sum_k c_k f_k Z_k with
+f_k = Z_k(t0)/Z_k(1), from one cached Clenshaw pass over the identity
+basis (`spectral._zonal_basis`). At t0 = +-1, f_k = (+-1)^k exactly, so
+the pole needs no branch. M is sampled by one `zonal_eval` at the d + 1
+Chebyshev points of the second kind, which start at t = 1, converted to
+Chebyshev coefficients and divided exactly by 1 - t (Trefethen,
+Approximation Theory and Approximation Practice, ch. 3), which gives
+q(t) = (M(1) - M(t))/(1 - t) without cancellation; the two steps are one
+cached matrix per degree. With M(1) - M(t) = (1 - t) q(t) the integral is
 
     2^{-e} int_{-1}^{1} q(t) w(t) (1-t)^alpha (1+t)^beta dt,
     alpha = N/2 - e (= -s, or 0 for P_log),  beta = N/2 - 1,
@@ -57,20 +56,20 @@ Forward they hold about 20 eps of M_0 (of |L_0| + M_0 for L) to j = 159
 for alpha in [-0.95, 0]. One table per (N, alpha, d) is built once;
 P_s and P_slog share it. A kernel value is then the mean, the quotient
 and one or two dot products, with no adaptive quadrature. The route
-uses profile values, Gauss-Gegenbauer nodes, Beta functions and
-digamma, never the symbols, so it stays independent of the spectral
-route.
+uses the zonal basis, Beta functions and digamma, never the symbols:
+f_k is an eigenvalue of the mean operator, not of P, and P acts only
+through the moments, so the route stays independent of the spectral one.
 
 The error estimate is a rounding bound. q carries an error of about
 (d+1) eps sum_j |q_j| at every point (the T_j are bounded by 1), which
 the integral multiplies by 2^{-e} (|b - ln 2| M_0 + 2 ln 2 M_0 - L_0)
 (2^{-e} M_0 for P_s and P_log); 2 ln 2 M_0 - L_0 bounds int |ln(1-t)| W
 because |ln(1-t)| <= 2 ln 2 - ln(1-t) on [-1, 1]. The samples of M add
-(d+1) eps (|b - ln 2| |w_plain| + |w_log|) . S, w the moment rows times
-the quotient map and S = sum |f| w over each mean's Gauss nodes (|M| at
-the poles), which dominates on dense expansions and, unlike |M|, stays
-off zero where a mean cancels to an exact zero. The estimate is
-four times both, times |coeff| |S^{N-1}|, plus 4 eps |M(1)| times the
+(d+1) eps S sum_j (|b - ln 2| |w_plain,j| + |w_log,j|), w the moment rows
+times the quotient map and S = sum_k |c_k| Z_k(1), which bounds
+sum_k |c_k f_k Z_k(t)| because |Z_k(t)| <= Z_k(1) and |f_k| <= 1. It
+dominates on dense expansions and, unlike |M|, stays off zero where M
+cancels to an exact zero. The estimate is four times both, times |coeff| |S^{N-1}|, plus 4 eps |M(1)| times the
 size of the zero-order constant: |A_{N,s}| (|psi(N/2+s)| + |psi(N/2-s)|)
 for A'_{N,s}, whose digamma sum cancels near its sign change. The tests
 check it against 40-digit mpmath symbols at the pole (N 1..5, five
@@ -88,6 +87,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -128,21 +128,8 @@ def _kernel_setup(op: str, p: Params | None, N: int):
 
 
 @lru_cache(maxsize=256)
-def _mean_rule(N: int, degree: int):
-    """Nodes and unit-sum weights of x = eta . e', exact to `degree`."""
-    if N == 1:
-        return np.array([-1.0, 1.0]), np.array([0.5, 0.5])
-    # the one call into the full scipy.special package, whose import costs about a
-    # third of a second: only an off-pole kernel at N >= 2 pays it
-    from scipy.special import roots_gegenbauer
-
-    x, w = roots_gegenbauer(degree // 2 + 1, 0.5 * (N - 2))
-    return x, w / w.sum()
-
-
-@lru_cache(maxsize=256)
 def _quotient_map(degree: int):
-    """Chebyshev points y_k = cos(pi k/d), sqrt(1 - y^2) and the map M(y) -> q.
+    """Chebyshev points y_k = cos(pi k/d) and the map M(y) -> q.
 
     The points of the second kind start at y_0 = 1, so M(1) is the first
     sample. The interpolant's Chebyshev coefficients are the DCT-I of
@@ -155,7 +142,7 @@ def _quotient_map(degree: int):
     (n >= 2) and p_1 = q_1 - q_0 - q_2/2, solved from the top.
     """
     if degree == 0:
-        return np.ones(1), np.zeros(1), np.zeros((0, 1))
+        return np.ones(1), np.zeros((0, 1))
     k = np.arange(degree + 1)
     angle = np.outer(k, k) % (2 * degree) * (np.pi / degree)
     num = np.cos(angle) * (-2.0 / degree)
@@ -166,22 +153,25 @@ def _quotient_map(degree: int):
     for n in range(degree, 1, -1):
         q[n - 1] = 2.0 * q[n] - q[n + 1] - 2.0 * num[n]
     q[0] = q[1] - 0.5 * q[2] - num[1]
-    theta = k * (np.pi / degree)
-    return np.cos(theta), np.sin(theta), q[:degree]
+    return np.cos(k * (np.pi / degree)), q[:degree]
+
+
+@lru_cache(maxsize=1024)
+def _mean_factors(N: int, degree: int, t0: float):
+    """f_k = Z_k(t0)/Z_k(1) and Z_k(1), k = 0..degree, as tuples of floats."""
+    at_t0, at_pole = spectral._zonal_basis(N, degree, (t0, 1.0))
+    return tuple((at_t0 / at_pole).tolist()), tuple(at_pole.tolist())
 
 
 def _mean_quotient(u: spectral.ZonalExpansion, t0: float):
-    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), the samples of M, the
-    magnitudes each sample's mean rounds (sum |value| w), the evaluations."""
-    y, sy, quotient = _quotient_map(u.degree_max)
-    sin0 = math.sqrt(1.0 - t0 * t0)
-    if sin0 == 0.0:  # at either pole the mean is the profile itself
-        mean = spectral.zonal_eval(u, t0 * y)
-        return quotient @ mean, mean, np.abs(mean), y.size
-    x, w = _mean_rule(u.N, u.degree_max)
-    values = spectral.zonal_eval(u, t0 * y[:, None] + sin0 * sy[:, None] * x)
-    mean = values @ w
-    return quotient @ mean, mean, np.abs(values) @ w, values.size
+    """Chebyshev coefficients of q = (M(1) - M)/(1 - t), the samples of M and
+    S = sum_k |c_k| Z_k(1), the magnitude every sample rounds on."""
+    y, quotient = _quotient_map(u.degree_max)
+    factors, pole = _mean_factors(u.N, u.degree_max, t0)
+    # via a list: a growing tuple(map(...)) fragments the heap (+4 MiB RSS in 60 passes)
+    mean = spectral.zonal_eval(spectral.ZonalExpansion(
+        u.N, u.degree_max, tuple([*map(mul, u.coeffs, factors)])), y)
+    return quotient @ mean, mean, sum(map(mul, map(abs, u.coeffs), pole))
 
 
 # sized for sweeps over orders and degrees; a miss reruns the recurrence,
@@ -210,23 +200,23 @@ def _kernel_moments(N: int, alpha: float, degree: int):
 
 @lru_cache(maxsize=4096)
 def _sample_weights(N: int, alpha: float, degree: int, shift: float | None):
-    """|w_plain|, or |shift| |w_plain| + |w_log| for P_slog: the weights of M's samples."""
+    """sum |w_plain|, or |shift| sum |w_plain| + sum |w_log| for P_slog: M's samples' weight."""
     plain, log, _, _ = _kernel_moments(N, alpha, degree)
-    quotient = _quotient_map(degree)[2]
-    weights = np.abs(plain @ quotient)
-    return weights if shift is None else abs(shift) * weights + np.abs(log @ quotient)
+    quotient = _quotient_map(degree)[1]
+    weight = float(np.abs(plain @ quotient).sum())
+    return weight if shift is None else abs(shift) * weight + float(np.abs(log @ quotient).sum())
 
 
 def apply_kernel(op: str, p: Params | None, u: spectral.ZonalExpansion, t0: float) -> QuadResult:
     """Evaluate P_s / P_slog / P_log applied to u at polar cosine t0 in [-1, 1].
 
-    `evaluations` counts the profile values the spherical mean used.
+    `evaluations` counts the samples of the spherical mean, d + 1 at every t0.
     """
     if not -1.0 <= t0 <= 1.0:
         raise DomainError(f"polar cosine must lie in [-1, 1], got {t0}")
     N, degree = u.N, u.degree_max
     coeff, alpha, zero_order, zero_size, shift = _kernel_setup(op, p, N)
-    q, mean, size, evals = _mean_quotient(u, t0)
+    q, mean, size = _mean_quotient(u, t0)
     m1 = float(mean[0])
     plain, log, mass, log_mass = _kernel_moments(N, alpha, degree)
     value = float(plain @ q)
@@ -234,10 +224,10 @@ def apply_kernel(op: str, p: Params | None, u: spectral.ZonalExpansion, t0: floa
         value = shift * value - float(log @ q)
         mass = abs(shift) * mass + log_mass
     rounding = 4.0 * _EPS * (degree + 1) * (
-        float(np.abs(q).sum()) * mass + float(_sample_weights(N, alpha, degree, shift) @ size))
+        float(np.abs(q).sum()) * mass + _sample_weights(N, alpha, degree, shift) * size)
     area = sphere_area_equator(N)
     return QuadResult(coeff * area * value + zero_order * m1,
-                      abs(coeff) * area * rounding + 4.0 * _EPS * zero_size * abs(m1), evals)
+                      abs(coeff) * area * rounding + 4.0 * _EPS * zero_size * abs(m1), degree + 1)
 
 
 def apply_kernel_at_pole(op: str, p: Params | None, u: spectral.ZonalExpansion) -> QuadResult:
@@ -249,12 +239,13 @@ def kernel_vs_spectral(p: Params, kmax: int) -> list[dict]:
     """Rows {op, k, kernel, spectral, rel_error}: the kernel at the pole of Z_k, k <= kmax,
     against symbol * Z_k(1), relative to |symbol * Z_k(1)| floored at 1e-30."""
     lam = spectral.eigenvalue(p.N, np.arange(kmax + 1))
+    pole = spectral._zonal_basis(p.N, kmax, (1.0,))[0].tolist()
     rows = []
     for op in ("P_s", "P_slog", "P_log"):
         for k, sym in enumerate(spectral.symbol_for(op, p, p.N, lam).tolist()):
             u = spectral.ZonalExpansion(p.N, k, tuple([0.0] * k + [1.0]))
             kern = apply_kernel_at_pole(op, p, u).value
-            target = sym * spectral.zonal_basis_eval(p.N, k, 1.0)
+            target = sym * pole[k]
             rows.append({"op": op, "k": k, "kernel": kern, "spectral": target,
                          "rel_error": abs(kern - target) / max(abs(target), 1e-30)})
     return rows

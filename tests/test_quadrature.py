@@ -243,10 +243,9 @@ def _scipy_imports(tree):
 def test_only_quadrature_calls_quadpack():
     # fraclog reaches scipy's private modules only through _extensions.load_extension: the
     # special-function ufuncs in specfun, and QUADPACK and brentq in quadrature, which alone
-    # calls QUADPACK. No module imports scipy.integrate or scipy.optimize, or names either in
-    # a string outside those loads; the one scipy import is the Gegenbauer rule of an
-    # off-pole kernel. Other modules may bind _quad (perfbench/tracer.py counts calls
-    # through their names) but not call it
+    # calls QUADPACK. No module imports a scipy package, or names scipy.integrate or
+    # scipy.optimize in a string outside those loads. Other modules may bind _quad
+    # (perfbench/tracer.py counts calls through their names) but not call it
     pkg = pathlib.Path(fraclog.__file__).parent
     imports, strings, loads, quadpack, calls = set(), set(), set(), set(), []
     for path in sorted(pkg.glob("*.py")):
@@ -267,8 +266,7 @@ def test_only_quadrature_calls_quadpack():
         calls += [f"{path.name}:{node.lineno}" for node in nodes
                   if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                   and node.func.id in aliases]
-    assert imports == {("sphere_kernel.py", "scipy.special", "_mean_rule"),
-                       ("sphere_kernel.py", "scipy.special.roots_gegenbauer", "_mean_rule")}
+    assert imports == set()
     assert loads == {("specfun.py", "scipy.special", "_ufuncs"),
                      ("quadrature.py", "scipy.integrate", "_quadpack"),
                      ("quadrature.py", "scipy.optimize", "_zeros")}

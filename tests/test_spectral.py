@@ -218,6 +218,18 @@ def test_zonal_eval_matches_gegenbauer(N):
         assert np.array_equal(got, [zonal_eval(u, float(x)) for x in t])
 
 
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 8])
+def test_zonal_basis_pass_equals_per_degree_values(N):
+    # the identity-basis pass is bit for bit the per-degree Clenshaw pass, and
+    # Z_k(-1)/Z_k(1) comes out exactly (-1)^k
+    t = (1.0, -1.0, 0.3, -0.77, 0.5, 0.999)
+    for d in (0, 1, 7, 16, 40):
+        rows = spectral._zonal_basis(N, d, t)
+        assert rows.shape == (len(t), d + 1)
+        assert rows.tolist() == [[zonal_basis_eval(N, k, x) for k in range(d + 1)] for x in t]
+        assert (rows[1] / rows[0]).tolist() == [(-1.0) ** k for k in range(d + 1)]
+
+
 def test_apply_spectral_on_basis_vectors():
     p = Params(3, 0.4)
     for k in (0, 1, 3):

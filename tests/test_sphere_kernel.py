@@ -1,14 +1,19 @@
 import math
+import os
+import subprocess
+import sys
 
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.special import roots_gegenbauer
 
 from fraclog.constants import Params, eval_constants, sphere_area, A_N
 from fraclog.errors import DomainError
 from fraclog.spectral import (ZonalExpansion, eigenvalue, symbol_log, symbol_s,
-                              symbol_slog, zonal_basis_eval)
-from fraclog.sphere_kernel import (_kernel_moments, apply_kernel, apply_kernel_at_pole,
+                              symbol_slog, zonal_basis_eval, zonal_eval)
+from fraclog.sphere_kernel import (_kernel_moments, _mean_quotient, _quotient_map,
+                                   apply_kernel, apply_kernel_at_pole,
                                    difference_quotient_check, dini_test,
                                    kernel_vs_spectral, slimit_check)
 
@@ -190,6 +195,58 @@ def test_offpole_kernel_matches_spectral(N, t0):
                 err, est, sup = _kernel_error(op, Params(N, s), k, t0)
                 assert err <= 1e-12 * sup, (op, s, k, err / sup)
                 assert err <= est + 64 * EPS * sup, (op, s, k, err, est)
+
+
+def _gauss_mean(u, t0, y):
+    """The spherical mean of u about polar cosine t0 at heights y, by quadrature.
+
+    With zeta = y z + sqrt(1-y^2) eta, e . zeta = y t0 + sqrt(1-y^2) sqrt(1-t0^2) x,
+    where x = eta . e' has density (1-x^2)^{(N-3)/2} on [-1, 1] (the two points +-1
+    for N = 1). Gauss-Gegenbauer with d//2 + 1 nodes is exact for degree d.
+    """
+    if u.N == 1:
+        x, w = np.array([-1.0, 1.0]), np.array([0.5, 0.5])
+    else:
+        x, w = roots_gegenbauer(u.degree_max // 2 + 1, 0.5 * (u.N - 2))
+        w = w / w.sum()
+    sy = np.sqrt(np.maximum(1.0 - y * y, 0.0))[:, None]
+    return zonal_eval(u, t0 * y[:, None] + math.sqrt(1.0 - t0 * t0) * sy * x) @ w
+
+
+@pytest.mark.parametrize("N", range(1, 6))
+def test_funk_hecke_mean_matches_gauss_mean(N):
+    # the samples M(y_j) = sum_k c_k Z_k(t0)/Z_k(1) Z_k(y_j) against the mean taken
+    # over the (N-1)-sphere by a rule, within the rounding bound 4 (d+1) eps S,
+    # S = sum_k |c_k| Z_k(1)
+    rng = np.random.default_rng(N)
+    for d in (0, 1, 7, 16, 32):
+        u = ZonalExpansion(N, d, tuple(rng.uniform(-1.0, 1.0, d + 1).tolist()))
+        y = _quotient_map(d)[0]
+        for t0 in (1.0, -1.0, 0.99, 0.3, -0.5, -0.9):
+            _, mean, size = _mean_quotient(u, t0)
+            assert size == sum(abs(c) * zonal_basis_eval(N, k, 1.0)
+                               for k, c in enumerate(u.coeffs))
+            gap = np.max(np.abs(mean - _gauss_mean(u, t0, y)))
+            assert gap <= 4 * (d + 1) * EPS * size, (d, t0, gap / (EPS * size))
+
+
+def test_offpole_kernel_loads_no_scipy_package():
+    # the spherical mean needs no quadrature rule, so an off-pole kernel runs on the
+    # compiled ufuncs alone and never imports the scipy.special package
+    import fraclog
+    src = os.path.dirname(os.path.dirname(fraclog.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys\n"
+            "from fraclog.constants import Params\n"
+            "from fraclog.spectral import ZonalExpansion\n"
+            "from fraclog.sphere_kernel import apply_kernel\n"
+            "u = ZonalExpansion(3, 8, tuple(0.5 ** k for k in range(9)))\n"
+            "apply_kernel('P_s', Params(3, 0.3), u, 0.3)\n"
+            "print('scipy.special' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True,
+                         env=env).stdout
+    assert out.strip() == b"False"
 
 
 def test_offpole_kernel_at_pole_delegates():
