@@ -24,11 +24,14 @@ caller (`eigentable`, `monotonicity_audit`, `sign_table`,
 degrees k = 0..k_max; rows and details are plain Python numbers. A
 symbol call checks lambda >= 0 once and then runs only scipy's compiled
 ln Gamma and psi ufuncs, whose arguments need no check of their own
-(`_gamma_args`). `eigentable` forms a and the Gamma ratio once, takes
-phi^{s+ln} as that ratio times the digamma sum, builds its rows in C
-(`tuple.__new__` over the zipped columns), and reads d_k from a memo of
-at most eight (N, k_max) entries: d_k does not depend on s, and one
-entry holds k_max+1 exact ints, about 8 MB at 200 000 rows.
+(`_gamma_args`). Only the Gamma ratio and the digamma sum depend on s, so
+`eigentable` reads k, lambda_k, d_k, phi^ln and a from a memo of at most
+eight (N, k_max) entries (`_columns`, which `multiplicities` reads too),
+forms the Gamma ratio once, takes phi^{s+ln} as that ratio times the
+digamma sum, and builds its rows in C (`tuple.__new__` over the zipped
+columns). Every order of a sweep at fixed N shares the memo's int and
+float objects; an entry is about 0.35 MiB at 2500 rows and 29 MiB at
+200 000.
 
 Zonal harmonics: Z_k is the rotation-symmetric element of the degree-k
 eigenspace, L^2(S^N)-normalized. In the polar cosine t it is a multiple
@@ -49,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import repeat
 from math import comb
 from operator import sub
@@ -108,22 +111,45 @@ def eigenvalue(N: int, k):
 
 
 def multiplicities(N: int, k_max: int) -> list[int]:
-    """d_k = C(N+k, N) - C(N+k-2, N) for k = 0..k_max, as exact ints (d_0 = 1)."""
-    return list(_multiplicities(N, k_max))
+    """d_k = C(N+k, N) - C(N+k-2, N) for k = 0..k_max, as exact ints (d_0 = 1).
+
+    A fresh list of the d_k column of `_columns`' memo, which `eigentable`
+    shares: a call fills one of its eight (N, k_max) entries, each holding
+    k, lambda_k, d_k, phi^ln and a, about 0.35 MiB at 2500 rows and 29 MiB
+    at 200 000.
+    """
+    return list(_columns(N, k_max).d_k)
+
+
+class _Columns(NamedTuple):
+    """The columns of an eigentable that do not depend on the order s."""
+
+    k: tuple
+    lambda_k: tuple
+    d_k: tuple
+    phi_log: tuple
+    a: np.ndarray
 
 
 @lru_cache(maxsize=8)
-def _multiplicities(N: int, k_max: int) -> tuple:
-    """The d_k of `multiplicities` as a tuple, memoized per (N, k_max).
+def _columns(N: int, k_max: int) -> _Columns:
+    """k, lambda_k, d_k and phi^ln as tuples of Python numbers, and the array a.
 
-    With c_i = C(N-1+i, N), d_k = c_{k+1} - c_{k-1} for k >= 1, so each
-    binomial is evaluated once. An entry holds k_max+1 ints: about 0.1 MB
-    at 2500 rows and 8 MB at 200 000, hence the small bound.
+    Memoized per (N, k_max): every row of every order at that key shares
+    these objects. With c_i = C(N-1+i, N), d_k = c_{k+1} - c_{k-1} for
+    k >= 1, so each binomial is evaluated once. An entry is about 0.35 MiB
+    at 2500 rows and 29 MiB at 200 000, hence the small bound. The small
+    symbol tables (`sign_table`, `monotonicity_audit`, `apply_spectral`,
+    `spectral_energy`) do not read it, so their many keys cannot evict a
+    large table.
     """
-    if k_max < 0:
-        return ()
+    lam = eigenvalue(N, np.arange(k_max + 1))
+    a = _a(N, lam)
+    a.flags.writeable = False
     c = list(map(comb, range(N - 1, N + k_max + 1), repeat(N)))
-    return (1, *map(sub, c[2:], c[:-2]))
+    d = (1, *map(sub, c[2:], c[:-2])) if k_max >= 0 else ()
+    return _Columns(tuple(range(k_max + 1)), tuple(lam.tolist()), d,
+                    tuple((2.0 * _ufuncs.psi(0.5 + a)).tolist()), a)
 
 
 def _float(v):
@@ -196,27 +222,23 @@ def symbol_log(N: int, lam):
     return _float(2.0 * _ufuncs.psi(0.5 + _a(N, lam)))
 
 
-#: SpectrumPoint._make without its Python frame per row
-_spectrum_point = partial(tuple.__new__, SpectrumPoint)
-
-
 def eigentable(p: Params, k_max: int) -> list[SpectrumPoint]:
     """Rows k = 0..k_max of the spectrum and the three symbols, one array pass.
 
-    phi_{N,s} and phi^{s+ln} share one Gamma ratio: phi^{s+ln} is that
-    ratio times the digamma sum, the expression `symbol_slog` evaluates,
-    so each column equals the scalar symbol bit for bit. The d_k column
-    comes from `_multiplicities`' memo, so every order of a sweep at fixed
-    N reuses it. k and d_k are ints, the other fields floats.
+    k, lambda_k, d_k and phi^ln come from `_columns`' memo (eight (N, k_max)
+    entries of about 0.35 MiB at 2500 rows and 29 MiB at 200 000), shared
+    by every order at (N, k_max); a call forms only the Gamma ratio and the
+    digamma sum. phi_{N,s} and phi^{s+ln} share that ratio: phi^{s+ln} is the ratio
+    times the digamma sum, the expression `symbol_slog` evaluates, so each
+    column equals the scalar symbol bit for bit. k and d_k are ints, the
+    other fields floats.
     """
-    lam = eigenvalue(p.N, np.arange(k_max + 1))
-    a = _a(p.N, lam)
-    hi, lo = _gamma_args(p, a)
+    col = _columns(p.N, k_max)
+    hi, lo = _gamma_args(p, col.a)
     phi_s = _gamma_ratio(hi, lo)
-    columns = (range(k_max + 1), lam.tolist(), _multiplicities(p.N, k_max),
-               phi_s.tolist(), (phi_s * _psi_sum(hi, lo)).tolist(),
-               (2.0 * _ufuncs.psi(0.5 + a)).tolist())
-    return list(map(_spectrum_point, zip(*columns)))
+    rows = zip(col.k, col.lambda_k, col.d_k, phi_s.tolist(),
+               (phi_s * _psi_sum(hi, lo)).tolist(), col.phi_log)
+    return list(map(tuple.__new__, repeat(SpectrumPoint), rows))
 
 
 def monotonicity_audit(p: Params, k_max: int) -> AuditReport:

@@ -102,13 +102,13 @@ def test_confcore_profile_with_a_zero():
 
 def test_confcore_keeps_the_eigentable_memo():
     # _zonal_norm forms each d_k alone: a table per degree would fill spectral's
-    # 8-entry multiplicity memo at degree 8 and evict the eigentable's (3, 2500)
+    # 8-entry column memo at degree 8 and evict the eigentable's (3, 2500)
     spectral.eigentable(Params(3, 0.3), 2500)
     u = ZonalExpansion(3, 8, (1.0, 0.2, -0.1, 0.15, -0.05, 0.1, 0.05, -0.1, 0.08))
     conformal.confcore_checks(u, 3)
-    misses = spectral._multiplicities.cache_info().misses
+    misses = spectral._columns.cache_info().misses
     spectral.eigentable(Params(3, 0.3), 2500)
-    assert spectral._multiplicities.cache_info().misses == misses
+    assert spectral._columns.cache_info().misses == misses
 
 
 def test_zonal_integral_breaks():

@@ -395,9 +395,15 @@ def test_symbols_make_one_domain_check_per_call(monkeypatch):
             checks.clear()
             call()
             assert len(checks) == 1
+    # eigentable forms a once per (N, k_max), in its memo: one call on a miss, none on
+    # another order's hit
+    spectral._columns.cache_clear()
     a_calls.clear()
     eigentable(p, 12)
     assert len(a_calls) == 1
+    a_calls.clear()
+    eigentable(Params(3, 0.45), 12)
+    assert a_calls == []
 
 
 def test_eigentable_large_k_against_poch():
@@ -447,6 +453,41 @@ def test_eigentable_rows_equal_scalar_calls_bit_for_bit():
                 assert [x.hex() for x in got] == [x.hex() for x in want], (N, s, k)
             assert eigentable(p, k_max) == rows
         assert eigentable(p, -1) == []
+
+
+def _row_hex(row):
+    return (row.k, row.d_k, *map(float.hex, (row.lambda_k, row.phi_s, row.phi_slog, row.phi_log)))
+
+
+def test_eigentable_memo_shares_the_order_free_columns():
+    # k, lambda_k, d_k and phi^ln do not depend on s: one memo entry per (N, k_max)
+    # serves every order, and the small symbol tables take none of its eight slots
+    p, q = Params(3, 0.3), Params(3, 0.75)
+    spectral._columns.cache_clear()
+    miss = eigentable(p, 2500)
+    hit = eigentable(p, 2500)
+    assert spectral._columns.cache_info()[:2] == (1, 1)
+    assert list(map(_row_hex, hit)) == list(map(_row_hex, miss))
+    other = eigentable(q, 2500)
+    assert all(a.k is b.k and a.lambda_k is b.lambda_k and a.d_k is b.d_k
+               and a.phi_log is b.phi_log for a, b in zip(miss, other))
+
+    orders = [Params(N, 0.45) for N in range(1, 6)]
+    for r in orders:
+        eigentable(r, 2500)
+    cached = spectral._columns.cache_info()
+    for r in orders:
+        for d in range(61):
+            u = ZonalExpansion(r.N, d, (1.0,) * (d + 1))
+            sign_table(r, range(d + 1))
+            monotonicity_audit(r, d + 1)  # a gap needs two degrees
+            for op in ("P_s", "P_slog", "P_log"):
+                apply_spectral(op, r, u)
+                spectral_energy(op, r, u)
+    assert spectral._columns.cache_info() == cached
+    for r in orders:
+        eigentable(r, 2500)
+    assert spectral._columns.cache_info().misses == cached.misses
 
 
 def test_multiplicities_exact_and_fresh():
