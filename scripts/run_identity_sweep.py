@@ -51,11 +51,11 @@ def identity_sweep():
 
 
 def confcore_sweep():
-    """Reports of confcore_checks on N 1..5: seeded u of degree 0..6, and one
+    """Reports of confcore_checks on N 1..5: seeded u of degree 0..16, and one
     u per N whose Z_1 term dominates, so that it changes sign."""
     rng = np.random.default_rng(5)
     for N in (1, 2, 3, 4, 5):
-        profiles = [(1.0,) + tuple(rng.uniform(-0.3, 0.3, d).tolist()) for d in range(7)]
+        profiles = [(1.0,) + tuple(rng.uniform(-0.3, 0.3, d).tolist()) for d in range(17)]
         for coeffs in profiles + [(0.2, 1.0, -0.3)]:
             yield conformal.confcore_checks(ZonalExpansion(N, len(coeffs) - 1, coeffs), N)
 

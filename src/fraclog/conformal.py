@@ -42,12 +42,13 @@ Audits implemented here:
 
 * confcore_checks: the endpoint pullback T_0 preserves the L^2 norm,
   shifts the entropy by N * <ln phi> and the logarithmic energy by
-  2 * <ln phi> (density-weighted means). ||V||^2 and <ln phi> are the
-  phi-moments of b = N and exact rational sums over the phi powers of V^2
-  (_square_sums), good to a few roundings at any degree; the norm is held
-  against Parseval; the entropies on both sides are quadratures; the
-  Euclidean log energy is the closed form of V's Bessel-K pair
-  (euclid_radial.pair_energy), held against the spectral sum;
+  2 * <ln phi> (density-weighted means). V enters only through its exact
+  c_i: ||V||^2, <ln phi> and the Euclidean log energy (V's Bessel-K pair
+  energy, GR 6.576.4 at s = 0) are the phi-moments of b = N and exact
+  rational sums over the phi powers of V^2 (_square_sums), good to a few
+  roundings at any degree; the norm is held against Parseval and the log
+  energy against the spectral sum; the entropies on both sides are
+  quadratures, the Euclidean one with V exact at each node;
 * intertwining_residual: T_s[P^{s+ln} u] (spectral route) against
   phi^{-2s} [ (-Delta)^{s+ln} V - (-Delta)^s((ln phi) V)
   - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
@@ -73,7 +74,6 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -147,80 +147,79 @@ def _phi_coefficients(u: spectral.ZonalExpansion) -> list[Fraction]:
 
 
 def pullback_expansion(s: float, u: spectral.ZonalExpansion) -> er.RadialProfile:
-    """T_s[u] = sum_i c_i phi^{(N-2s)/2 + i}, each exact c_i rounded once and kept in meta."""
+    """T_s[u] = sum_i c_i phi^{(N-2s)/2 + i}, each exact c_i rounded once."""
     if not 0.0 <= s < 1.0:
         raise DomainError(f"pullback order must lie in [0, 1), got {s}")
     m = 0.5 * (u.N - 2.0 * s)
-    c = _phi_coefficients(u)
-    terms = [er.PhiTerm(float(ci), m + i) for i, ci in enumerate(c) if ci]
+    terms = [er.PhiTerm(float(ci), m + i) for i, ci in enumerate(_phi_coefficients(u)) if ci]
     if not terms:
         raise DomainError("pullback of the zero function")
     return er.phi_poly_profile(u.N, terms, kind="pullback",
-                               meta={"s": s, "degree_max": u.degree_max, "phi_coefficients": c})
+                               meta={"s": s, "degree_max": u.degree_max})
 
 
-@lru_cache(maxsize=64)
-def _square_weights(N: int, K: int) -> tuple[tuple, tuple]:
-    """r_k = M(N+k)/M(N) and r_k d_k, k < K, in _integer_form (_square_sums).
+def _square_sums(N: int, c: tuple[list[int], int]) -> tuple[float, float, float]:
+    """S, T/S and X/S of confcore_checks, each exact and rounded once; c in _integer_form.
 
-    r_k = prod_{l<k} (N+2l)/(N+l), and d_k = sum_{l<k} 2/(N+2l) - 1/(N+l) is
-    the shift of psi(N/2+k) - psi(N+k), so M'(N+k) = r_k (M'(N) + d_k M(N)).
+    V^2 = sum_k g_k phi^{N+k}, g_k = sum_{i+j=k} c_i c_j. With r_k = M(N+k)/M(N)
+    = prod_{l<k} (N+2l)/(N+l), h_k = psi(N/2+k) - psi(N/2) = sum_{l<k} 2/(N+2l) and
+    d_k = h_k - psi(N+k) + psi(N), so that M'(N+k) = r_k (M'(N) + d_k M(N)),
+    S = sum_k g_k r_k, T = sum_k g_k r_k d_k and X = sum_ij c_i c_j r_{i+j} (h_i + h_j
+    - h_{i+j}) = 2 sum_i c_i h_i sum_j c_j r_{i+j} - sum_k g_k r_k h_k, all in integers.
     """
-    r, d, rs, rds = Fraction(1), Fraction(0), [], []
-    for k in range(K):
-        rs.append(r)
-        rds.append(r * d)
-        r *= Fraction(N + 2 * k, N + k)
-        d += Fraction(N, (N + 2 * k) * (N + k))
-    return _integer_form(rs), _integer_form(rds)
-
-
-def _square_sums(N: int, c: list[Fraction]) -> tuple[float, float]:
-    """S and T/S, each exact and rounded once: ||V||^2 = M(N) S, <ln phi> = M'(N)/M(N) + T/S.
-
-    V = sum_i c_i phi^{N/2+i}, so V^2 = sum_k g_k phi^{N+k}, g_k = sum_{i+j=k} c_i c_j,
-    S = sum_k g_k r_k and T = sum_k g_k r_k d_k (_square_weights).
-    """
-    nums, den = _integer_form(c)
-    g = [0] * (2 * len(nums) - 1)
+    nums, den = c
+    r, h, d = [Fraction(1)], [Fraction(0)], [Fraction(0)]
+    for l in range(2 * len(nums) - 2):
+        r.append(r[-1] * Fraction(N + 2 * l, N + l))
+        h.append(h[-1] + Fraction(2, N + 2 * l))
+        d.append(d[-1] + Fraction(N, (N + 2 * l) * (N + l)))
+    (r, r_den), (h, h_den), (d, d_den) = map(_integer_form, (r, h, d))
+    g, x = [0] * len(r), 0
     for i, a in enumerate(nums):
+        row = 0
         for j, b in enumerate(nums):
             g[i + j] += a * b
-    (r, r_den), (rd, rd_den) = _square_weights(N, len(g))
-    S, T = sum(map(operator.mul, g, r)), sum(map(operator.mul, g, rd))
-    return S / (den * den * r_den), T * r_den / (S * rd_den)  # int / int rounds once
+            row += b * r[i + j]
+        x += a * h[i] * row
+    gr = list(map(operator.mul, g, r))
+    S, T = sum(gr), sum(map(operator.mul, gr, d))
+    X = 2 * x - sum(map(operator.mul, gr, h))
+    return S / (den * den * r_den), T / (S * d_den), X / (S * h_den)  # int / int rounds once
 
 
 def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     """Audit the three endpoint-pullback transfer laws for V = T_0[u].
 
-    V = sum_i c_i phi^{N/2+i} with the exact c_i of pullback_expansion, so
-    V^2 = sum_k g_k phi^{N+k}, and with M and M' the phi-moments of b = N
-    without and with ln phi (euclid_radial.phi_moment, two scalar calls):
+    V = sum_i c_i phi^{N/2+i} with the exact c_i of _phi_coefficients. With
+    M and M' the phi-moments of b = N without and with ln phi
+    (euclid_radial.phi_moment, two scalar calls) and S, T/S, X/S the exact
+    sums of _square_sums, each rounded once,
 
-        ||V||^2 = M S,  <ln phi> = M'/M + T/S,
+        ||V||^2 = M S,  <ln phi> = M'/M + T/S,  E_ln(V)/||V||^2 = 2 <ln phi> + 2 psi(N/2) + X/S,
 
-    S and T the exact rationals of _square_sums, each rounded once.
-    The norm law holds ||V||^2 against Parseval's sum_k u_k^2; the entropy
-    law takes both entropies by quadrature (euclid_radial.entropy and
-    _sphere_entropy, split at the sign changes of u); the log-energy law
-    takes V's pair energy in closed form against the spectral sum.
-    details carries ||V||^2 and <ln phi> with their estimates, and
-    details["error_budget"] bounds each law's residual to first order: the
-    norm by the estimate of M, a fixed count of roundings, Parseval's and
-    that of Z_k(1) in the c_i; <ln phi> carries those of M and M' and three
-    roundings; the entropy by both entropy
-    estimates and N times that of <ln phi>; the log energy by the rounding
-    of the pair energy and of the spectral energy and 2 times the estimate
-    of <ln phi>.
+    the last V's pair energy (GR 6.576.4) at s = 0, where every Gamma
+    argument is N/2 or N plus an integer. The norm law holds ||V||^2 against
+    Parseval's sum_k u_k^2, the log-energy law the closed form against the
+    spectral sum; the entropy law takes int V^2 ln V^2 dx by one quadrature,
+    sum_i c_i phi^i exact at the float phi(r) and rounded once, against
+    _sphere_entropy (both split at the sign changes of u). details carries
+    ||V||^2 and <ln phi> with their estimates, and details["error_budget"]
+    bounds each law's residual to first order: the norm by the estimate of
+    M, a fixed count of roundings, Parseval's and that of Z_k(1) in the c_i;
+    <ln phi> carries those of M and M' and three roundings; the entropy by
+    both integrals' estimates, that of ||V||^2 and N times that of <ln phi>;
+    the log energy by the roundings of X/S, psi(N/2), the spectral energy and
+    Z_k(1), but not by <ln phi>'s estimate: one float enters both sides.
     """
     if u.N != N:
         raise DomainError("expansion dimension mismatch")
+    if not any(u.coeffs):
+        raise DomainError("pullback of the zero function")
     eps = _EPS
-    v = pullback_expansion(0.0, u)
+    c = _integer_form(_phi_coefficients(u))
 
     # (i) L^2 norms, and <ln phi>: exact sums over the phi powers of V^2
-    S, T_over_S = _square_sums(N, v.meta["phi_coefficients"])
+    S, T_over_S, X_over_S = _square_sums(N, c)
     m, ml = er.phi_moment(N, 0.5 * N), er.phi_moment(N, 0.5 * N, log=True)
     norm_euclid = m.value * S
     norm_sphere = u.norm_sq()
@@ -236,19 +235,27 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     logphi_err = ((ml.abs_error_estimate + abs(base) * m.abs_error_estimate) / m.value
                   + eps * (abs(base) + abs(T_over_S) + abs(logphi_mean)))
 
-    # (ii) entropy transfer
+    # (ii) entropy transfer: Ent_2(V) = int V^2 ln V^2 dx / ||V||^2 - ln ||V||^2
+    def v2_log_v2(r):
+        ph = er.phi(r)
+        v2 = _at(c, ph) ** 2 * ph ** N
+        return v2 * math.log(v2) if v2 else 0.0
+
     zeros = _sign_changes(u)
-    ent_euclid = er.entropy(2.0, v, N, breaks=[radius_of_cosine(t) for t in zeros])
+    e = er.radial_integral(N, v2_log_v2, [radius_of_cosine(t) for t in zeros],
+                           name="entropy-log")
+    ent_euclid = e.value / norm_euclid - math.log(norm_euclid)
     ent_sphere = _sphere_entropy(u, zeros)
-    res_entropy = ent_euclid.value - (ent_sphere.value + N * logphi_mean)
-    budget_entropy = (ent_euclid.abs_error_estimate + ent_sphere.abs_error_estimate
-                      + N * logphi_err
-                      + 2.0 * eps * (abs(ent_euclid.value) + abs(ent_sphere.value)
+    res_entropy = ent_euclid - (ent_sphere.value + N * logphi_mean)
+    budget_entropy = ((e.abs_error_estimate + (abs(e.value) / norm_euclid + 1.0) * norm_err)
+                      / norm_euclid
+                      + ent_sphere.abs_error_estimate + N * logphi_err
+                      + 2.0 * eps * (abs(ent_euclid) + abs(ent_sphere.value)
                                      + N * abs(logphi_mean)))
 
     # (iii) logarithmic energy transfer
-    pe = er.pair_energy("log", v.fourier, N)
-    e_euclid = pe.value / norm_euclid
+    psi_c = digamma(0.5 * N)
+    e_euclid = 2.0 * (logphi_mean + psi_c) + X_over_S
     e_sphere = spectral.spectral_energy("P_log", None, u) / norm_sphere
     # sum_k sym_k u_k^2 / ||u||^2 in magnitudes: each symbol 2 psi within 2 _specfun_error
     # of psi, and the products and the sum round (degree + 4) times
@@ -258,17 +265,15 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     spectral_err = (float(coeff_sq @ (2.0 * np.maximum(1e-14, 4.0 * eps * sym))) / norm_sphere
                     + (u.degree_max + 4) * eps * abs_sphere)
     res_logenergy = e_euclid - (e_sphere + 2.0 * logphi_mean)
-    budget_logenergy = (pe.abs_error_estimate / norm_euclid
-                        + abs(e_euclid) * (norm_err / norm_euclid + eps)
+    budget_logenergy = (eps * abs(X_over_S) + 2.0 * _specfun_error(psi_c)
                         + spectral_err + abs(e_sphere) * (parseval_rel + eps)
                         + zk_rel * (abs_sphere + abs(e_sphere))
-                        + 2.0 * logphi_err
                         + 2.0 * eps * (abs(e_euclid) + abs(e_sphere) + 2.0 * abs(logphi_mean)))
 
     worst = max(abs(res_norm), abs(res_entropy), abs(res_logenergy))
     return AuditReport(
         name="endpoint-pullback-transfer",
-        lhs=ent_euclid.value, rhs=ent_sphere.value + N * logphi_mean,
+        lhs=ent_euclid, rhs=ent_sphere.value + N * logphi_mean,
         residual=worst, tolerance=1e-5, passed=worst <= 1e-5,
         inputs={"N": N, "coeffs": list(u.coeffs)},
         details={"norm_residual": res_norm, "entropy_residual": res_entropy,
@@ -351,11 +356,10 @@ def _image_polynomials(N: int, s: float, c_phi: list[Fraction]) -> tuple[tuple, 
     return _integer_form(q), _integer_form(r)
 
 
-def _at(poly: tuple[list[int], int], t: float) -> float:
-    """The polynomial at w = (1-t)/2, t a polar cosine, exact, rounded once."""
+def _at(poly: tuple[list[int], int], x) -> float:
+    """The polynomial at x, a float or a Fraction, exact, rounded once."""
     nums, den = poly
-    w = (1 - Fraction(t)) / 2
-    p, q = w.numerator, w.denominator
+    p, q = x.as_integer_ratio()
     acc, qj = 0, 1
     for a in reversed(nums):  # sum_j a_j p^j q^{d-j}
         acc = acc * p + a * qj
@@ -398,7 +402,8 @@ def _images(N: int, s: float, c_phi: list[Fraction],
     out = []
     for t in t_samples:
         pre = A * (1.0 + t) ** (c + s)
-        q, rr = _at(Q, t), _at(R, t)
+        w = (1 - Fraction(t)) / 2
+        q, rr = _at(Q, w), _at(R, w)
         E, L = pre * q, pre * ((psi[0] + psi[1]) * q + rr)
         mag = pre * ((abs(psi[0]) + abs(psi[1])) * abs(q) + abs(rr))
         out.append(((E, rel * abs(E)), (L, rel * mag + pre * abs(q) * psi_err), mag))

@@ -80,10 +80,9 @@ specfun functions do: a float in gives floats out, an array gives arrays,
 and each element is bit-identical to the float call, since every fsum,
 exp, log and power runs per element (_map) and only ln Gamma and psi take
 whole arrays. The failure curve takes its energies and norms so, in one
-call each, and confcore_checks its ||V||^2 and <ln phi>. energy and
-entropy are the quadrature routes to the same numbers, for any profile;
-sobolev_deficit, the Beckner convention self-test and the tests use them
-as the independent second route.
+call each. energy and entropy are the quadrature routes to the same
+numbers, for any profile; sobolev_deficit, the Beckner convention
+self-test and the tests use them as the independent second route.
 """
 
 from __future__ import annotations
@@ -568,7 +567,7 @@ def _over_sphere(N: int, val: float, err: float) -> QuadResult:
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _pair_rungs(N: int, terms: tuple) -> tuple:
     """(a_i, w_i, rounding of w_i) per term of a plain phi-power pair, memoised
-    per pair: the identity, Beckner and confcore audits take the same pairs again."""
+    per pair: the identity and Beckner audits take the same pairs again."""
     if any(t.log_factor for t in terms):
         raise DomainError("pair_energy takes plain phi-power terms only")
     return tuple((t.power, w, _EPS * (abs(ln_gamma(t.power)) + 2.0 * t.power + 4.0))
@@ -658,13 +657,8 @@ def radial_integral(N: int, fn, breaks: Sequence[float] = (), abs_tol: float = 1
     return _sum_results([res], sphere_area_equator(N))
 
 
-def entropy(p_exponent: float, f: RadialProfile, N: int,
-            breaks: Sequence[float] = ()) -> QuadResult:
-    """Ent_p(f) = int (|f|^p/||f||_p^p) ln(|f|^p/||f||_p^p) dx by quadrature.
-
-    `breaks` are radii where f changes sign; the log integral is split
-    there, at the kinks of |f|^p ln|f|.
-    """
+def entropy(p_exponent: float, f: RadialProfile, N: int) -> QuadResult:
+    """Ent_p(f) = int (|f|^p/||f||_p^p) ln(|f|^p/||f||_p^p) dx by quadrature."""
     if not p_exponent > 0.0:
         raise DomainError("entropy exponent must be positive")
 
@@ -679,7 +673,7 @@ def entropy(p_exponent: float, f: RadialProfile, N: int,
             f"entropy diverges: p*decay = {p_exponent * f.decay_exponent} <= N = {N}")
     I = radial_integral(N, lambda r: abs(f.evaluator(r)) ** p_exponent, rel_tol=1e-11,
                         name="entropy-mass")
-    E = radial_integral(N, dens_log, breaks, name="entropy-log")
+    E = radial_integral(N, dens_log, name="entropy-log")
     if not I.value > 0.0:
         raise DivergentIntegralError("entropy needs a nonzero profile")
     val = E.value / I.value - math.log(I.value)

@@ -179,7 +179,9 @@ def _mean_quotient(u: spectral.ZonalExpansion, t0: float):
 @lru_cache(maxsize=4096)
 def _kernel_moments(N: int, alpha: float, degree: int):
     """2^{-e} times the plain and log Chebyshev moments M_j, L_j, j < degree,
-    and 2^{-e} M_0 and 2^{-e} (2 ln 2 M_0 - L_0), a bound on int |ln(1-t)| W."""
+    2^{-e} M_0 and 2^{-e} (2 ln 2 M_0 - L_0), a bound on int |ln(1-t)| W, and
+    sum |w_plain| and sum |w_log|, the weights w = (M or L) @ _quotient_map's
+    map of the mean's samples: P_slog weighs them |shift| w_plain + w_log."""
     beta = 0.5 * N - 1.0
     ab = alpha + beta
     m0 = 2.0 ** (ab + 1.0) * math.exp(ln_beta(alpha + 1.0, beta + 1.0))
@@ -194,17 +196,10 @@ def _kernel_moments(N: int, alpha: float, degree: int):
         L.append((2.0 * (beta - alpha) * L[j] + back * L[j - 1]
                   - M[j + 1] - 2.0 * M[j] - M[j - 1]) / lead)
     scale = 2.0 ** (alpha - 0.5 * N)  # 2^{-e}
-    return (scale * np.array(M[:degree]), scale * np.array(L[:degree]), scale * m0,
-            scale * (2.0 * _LN2 * m0 - l0))
-
-
-@lru_cache(maxsize=4096)
-def _sample_weights(N: int, alpha: float, degree: int, shift: float | None):
-    """sum |w_plain|, or |shift| sum |w_plain| + sum |w_log| for P_slog: M's samples' weight."""
-    plain, log, _, _ = _kernel_moments(N, alpha, degree)
+    plain, log = scale * np.array(M[:degree]), scale * np.array(L[:degree])
     quotient = _quotient_map(degree)[1]
-    weight = float(np.abs(plain @ quotient).sum())
-    return weight if shift is None else abs(shift) * weight + float(np.abs(log @ quotient).sum())
+    return (plain, log, scale * m0, scale * (2.0 * _LN2 * m0 - l0),
+            float(np.abs(plain @ quotient).sum()), float(np.abs(log @ quotient).sum()))
 
 
 def apply_kernel(op: str, p: Params | None, u: spectral.ZonalExpansion, t0: float) -> QuadResult:
@@ -218,13 +213,13 @@ def apply_kernel(op: str, p: Params | None, u: spectral.ZonalExpansion, t0: floa
     coeff, alpha, zero_order, zero_size, shift = _kernel_setup(op, p, N)
     q, mean, size = _mean_quotient(u, t0)
     m1 = float(mean[0])
-    plain, log, mass, log_mass = _kernel_moments(N, alpha, degree)
+    plain, log, mass, log_mass, weight, log_weight = _kernel_moments(N, alpha, degree)
     value = float(plain @ q)
     if shift is not None:  # w = -ln 2 - ln(1 - t) + b
         value = shift * value - float(log @ q)
         mass = abs(shift) * mass + log_mass
-    rounding = 4.0 * _EPS * (degree + 1) * (
-        float(np.abs(q).sum()) * mass + _sample_weights(N, alpha, degree, shift) * size)
+        weight = abs(shift) * weight + log_weight
+    rounding = 4.0 * _EPS * (degree + 1) * (float(np.abs(q).sum()) * mass + weight * size)
     area = sphere_area_equator(N)
     return QuadResult(coeff * area * value + zero_order * m1,
                       abs(coeff) * area * rounding + 4.0 * _EPS * zero_size * abs(m1), degree + 1)

@@ -391,7 +391,7 @@ def test_kernel_moments_against_mpmath(alpha, beta):
     # alpha-derivative; the forward recurrence holds about 20 eps of the
     # mass M_0 (of |L_0| + M_0 for L) to j = 159
     degree = 160
-    plain, log, mass, log_mass = _kernel_moments(int(2 * beta + 2), alpha, degree)
+    plain, log, mass, log_mass, _, _ = _kernel_moments(int(2 * beta + 2), alpha, degree)
     scale = 2.0 ** (alpha - beta - 1.0)
     with mp.workdps(40):
         A, B = mp.mpf(alpha), mp.mpf(beta)
