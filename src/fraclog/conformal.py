@@ -12,7 +12,9 @@ Exact pullbacks. T_s[u](x) = phi(x)^{(N-2s)/2} u(sigma^{-1}(x)). With
 c = N/2, Z_k = Z_k(1) p_k(t), p_k = (-1)^k 2F1(-k, k+N-1; c; phi/2) the
 Jacobi polynomial P_k^{(c-1,c-1)} with p_k(1) = 1 (DLMF 18.5.7), so
 T_s[u] = sum_i c_i phi^{c-s+i} with c_i exact rationals once each float
-weight a_k Z_k(1) is read exactly; pullback_expansion rounds each once.
+weight a_k Z_k(1) is read exactly. They are one euclid_radial.PhiSum,
+integer numerators over one denominator: pullback_expansion's pair rounds
+each c_i once, and confcore_checks reads them exactly.
 
 Terminating images. With w = r^2/(1+r^2) = 1 - phi/2, Dyda's formula
 (FCAA 15, 2012) (-Delta)^s phi^a = 2^{a+2s} Gamma(a+s) Gamma(c+s) /
@@ -33,22 +35,23 @@ its ln(1-w) cancels in t3 = (ln phi)(-Delta)^s V, ln phi = ln 2 + ln(1-w):
     R = sum_i c_i 2^i (c)_i/(c-s)_i (H_i P_i + dP_i/dx),  H_i = sum_{j<i} 1/(c-s+j).
 
 A float s is a dyadic rational, so Q and R have rational coefficients;
-they are built once per audit call, evaluated at the exact w of each
-radius and rounded once, and the phi-power terms (|c_i| up to 2.3e12 at
-degree 24) cancel exactly. At s = 0 the same polynomials give the
+they are built once per audit call as PhiSums of base 0 in w, evaluated
+at the exact w of each radius and rounded once, and the phi-power terms
+(|c_i| up to 2.3e12 at degree 24) cancel exactly. At s = 0 the same polynomials give the
 logarithmic law; the Yamabe bubble is the i = 0 term.
 
 Audits implemented here:
 
 * confcore_checks: the endpoint pullback T_0 preserves the L^2 norm,
   shifts the entropy by N * <ln phi> and the logarithmic energy by
-  2 * <ln phi> (density-weighted means). V enters only through its exact
-  c_i: ||V||^2, <ln phi> and the Euclidean log energy (V's Bessel-K pair
+  2 * <ln phi> (density-weighted means). V enters only as its exact
+  PhiSum: ||V||^2, <ln phi> and the Euclidean log energy (V's Bessel-K pair
   energy, GR 6.576.4 at s = 0) are the phi-moments of b = N and exact
-  rational sums over the phi powers of V^2 (_square_sums), good to a few
+  integer sums over the phi powers of V^2 (_square_sums), good to a few
   roundings at any degree; the norm is held against Parseval and the log
   energy against the spectral sum; the entropies on both sides are
-  quadratures, the Euclidean one with V exact at each node;
+  quadratures, the Euclidean one with V at each node by PhiSum.at, exact
+  and rounded once;
 * intertwining_residual: T_s[P^{s+ln} u] (spectral route) against
   phi^{-2s} [ (-Delta)^{s+ln} V - (-Delta)^s((ln phi) V)
   - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
@@ -147,19 +150,18 @@ def _phi_coefficients(u: spectral.ZonalExpansion) -> list[Fraction]:
 
 
 def pullback_expansion(s: float, u: spectral.ZonalExpansion) -> er.RadialProfile:
-    """T_s[u] = sum_i c_i phi^{(N-2s)/2 + i}, each exact c_i rounded once."""
+    """T_s[u] = sum_i c_i phi^{(N-2s)/2 + i}, one exact PhiSum."""
     if not 0.0 <= s < 1.0:
         raise DomainError(f"pullback order must lie in [0, 1), got {s}")
-    m = 0.5 * (u.N - 2.0 * s)
-    terms = [er.PhiTerm(float(ci), m + i) for i, ci in enumerate(_phi_coefficients(u)) if ci]
-    if not terms:
+    V = er.PhiSum.of(0.5 * (u.N - 2.0 * s), _phi_coefficients(u))
+    if not V.terms:
         raise DomainError("pullback of the zero function")
-    return er.phi_poly_profile(u.N, terms, kind="pullback",
+    return er.phi_poly_profile(u.N, [V], kind="pullback",
                                meta={"s": s, "degree_max": u.degree_max})
 
 
-def _square_sums(N: int, c: tuple[list[int], int]) -> tuple[float, float, float]:
-    """S, T/S and X/S of confcore_checks, each exact and rounded once; c in _integer_form.
+def _square_sums(N: int, c: er.PhiSum) -> tuple[float, float, float]:
+    """S, T/S and X/S of confcore_checks, each exact and rounded once; c V's PhiSum.
 
     V^2 = sum_k g_k phi^{N+k}, g_k = sum_{i+j=k} c_i c_j. With r_k = M(N+k)/M(N)
     = prod_{l<k} (N+2l)/(N+l), h_k = psi(N/2+k) - psi(N/2) = sum_{l<k} 2/(N+2l) and
@@ -167,30 +169,30 @@ def _square_sums(N: int, c: tuple[list[int], int]) -> tuple[float, float, float]
     S = sum_k g_k r_k, T = sum_k g_k r_k d_k and X = sum_ij c_i c_j r_{i+j} (h_i + h_j
     - h_{i+j}) = 2 sum_i c_i h_i sum_j c_j r_{i+j} - sum_k g_k r_k h_k, all in integers.
     """
-    nums, den = c
+    nums = c.nums
     r, h, d = [Fraction(1)], [Fraction(0)], [Fraction(0)]
     for l in range(2 * len(nums) - 2):
         r.append(r[-1] * Fraction(N + 2 * l, N + l))
         h.append(h[-1] + Fraction(2, N + 2 * l))
         d.append(d[-1] + Fraction(N, (N + 2 * l) * (N + l)))
-    (r, r_den), (h, h_den), (d, d_den) = map(_integer_form, (r, h, d))
-    g, x = [0] * len(r), 0
+    r, h, d = (er.PhiSum.of(0.0, f) for f in (r, h, d))  # integer numerators
+    g, x = [0] * len(r.nums), 0
     for i, a in enumerate(nums):
         row = 0
         for j, b in enumerate(nums):
             g[i + j] += a * b
-            row += b * r[i + j]
-        x += a * h[i] * row
-    gr = list(map(operator.mul, g, r))
-    S, T = sum(gr), sum(map(operator.mul, gr, d))
-    X = 2 * x - sum(map(operator.mul, gr, h))
-    return S / (den * den * r_den), T / (S * d_den), X / (S * h_den)  # int / int rounds once
+            row += b * r.nums[i + j]
+        x += a * h.nums[i] * row
+    gr = list(map(operator.mul, g, r.nums))
+    S, T = sum(gr), sum(map(operator.mul, gr, d.nums))
+    X = 2 * x - sum(map(operator.mul, gr, h.nums))
+    return S / (c.den * c.den * r.den), T / (S * d.den), X / (S * h.den)  # int / int rounds once
 
 
 def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     """Audit the three endpoint-pullback transfer laws for V = T_0[u].
 
-    V = sum_i c_i phi^{N/2+i} with the exact c_i of _phi_coefficients. With
+    V = sum_i c_i phi^{N/2+i}, the PhiSum of _phi_coefficients' exact c_i. With
     M and M' the phi-moments of b = N without and with ln phi
     (euclid_radial.phi_moment, two scalar calls) and S, T/S, X/S the exact
     sums of _square_sums, each rounded once,
@@ -201,7 +203,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     argument is N/2 or N plus an integer. The norm law holds ||V||^2 against
     Parseval's sum_k u_k^2, the log-energy law the closed form against the
     spectral sum; the entropy law takes int V^2 ln V^2 dx by one quadrature,
-    sum_i c_i phi^i exact at the float phi(r) and rounded once, against
+    sum_i c_i phi^i exact at the float phi(r) (PhiSum.at), against
     _sphere_entropy (both split at the sign changes of u). details carries
     ||V||^2 and <ln phi> with their estimates, and details["error_budget"]
     bounds each law's residual to first order: the norm by the estimate of
@@ -216,7 +218,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     if not any(u.coeffs):
         raise DomainError("pullback of the zero function")
     eps = _EPS
-    c = _integer_form(_phi_coefficients(u))
+    c = er.PhiSum.of(0.5 * N, _phi_coefficients(u))
 
     # (i) L^2 norms, and <ln phi>: exact sums over the phi powers of V^2
     S, T_over_S, X_over_S = _square_sums(N, c)
@@ -238,7 +240,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     # (ii) entropy transfer: Ent_2(V) = int V^2 ln V^2 dx / ||V||^2 - ln ||V||^2
     def v2_log_v2(r):
         ph = er.phi(r)
-        v2 = _at(c, ph) ** 2 * ph ** N
+        v2 = c.at(ph) ** 2 * ph ** N
         return v2 * math.log(v2) if v2 else 0.0
 
     zeros = _sign_changes(u)
@@ -308,26 +310,23 @@ def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> Quad
 
 
 def _sign_changes(u: spectral.ZonalExpansion) -> list[float]:
-    """Polar cosines where u changes sign, the kinks of |u|^p ln|u|.
+    """Polar cosines where u changes sign, the kinks of |u|^p ln|u|, ascending.
 
     Integrated across the kink, QUADPACK's estimate missed it: for N = 3,
     u = 1 - 0.294 Z_1 - 0.261 Z_2, the sphere entropy erred by 4.6e-10,
     and for u = 1 - 0.220 Z_1 - 0.200 Z_2 the Euclidean one by 1.6e-11.
+    A root between grid nodes is bracketed; one on a node, such as t = 0
+    of every odd u, is the node where u is 0 with opposite signs beside it.
     """
     t = np.linspace(-1.0, 1.0, 16 * (u.degree_max + 1) + 1)
     v = spectral.zonal_eval(u, t)
-    return [find_root(lambda x: spectral.zonal_eval(u, x), (t[i], t[i + 1])).root
-            for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
+    roots = [find_root(lambda x: spectral.zonal_eval(u, x), (t[i], t[i + 1])).root
+             for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
+    return sorted(roots + t[1:-1][(v[1:-1] == 0.0) & (v[:-2] * v[2:] < 0.0)].tolist())
 
 
-def _integer_form(coefs: list[Fraction]) -> tuple[list[int], int]:
-    """Rationals as integer numerators over one common denominator."""
-    den = math.lcm(*(f.denominator for f in coefs))
-    return [f.numerator * (den // f.denominator) for f in coefs], den
-
-
-def _image_polynomials(N: int, s: float, c_phi: list[Fraction]) -> tuple[tuple, tuple]:
-    """Q(w) and R(w) of the module docstring, exact, in _integer_form.
+def _image_polynomials(N: int, s: float, c_phi: list[Fraction]) -> tuple[er.PhiSum, er.PhiSum]:
+    """Q(w) and R(w) of the module docstring, exact, as PhiSums of base 0 in w.
 
     With alpha_i = c_i 2^i (c)_i/(c-s)_i, w^j has the coefficient beta_j S_j
     in Q and beta_j (T_j + D_j S_j) in R: S_j = sum_i alpha_i (-i)_j and
@@ -342,29 +341,18 @@ def _image_polynomials(N: int, s: float, c_phi: list[Fraction]) -> tuple[tuple, 
         alpha_h.append(alpha[-1] * h)
         ratio *= 2 * (c + i) / (y + i)
         h += 1 / (y + i)
-    (a, a_den), (b, b_den) = _integer_form(alpha), _integer_form(alpha_h)
-    poch = [1] * len(a)  # (-i)_j
+    a, b = er.PhiSum.of(0.0, alpha), er.PhiSum.of(0.0, alpha_h)
+    poch = [1] * len(alpha)  # (-i)_j
     q, r, beta, dx = [], [], Fraction(1), Fraction(0)
-    for j in range(len(a)):
-        S = Fraction(sum(map(operator.mul, a[j:], poch[j:])), a_den)
-        T = Fraction(sum(map(operator.mul, b[j:], poch[j:])), b_den)
+    for j in range(len(alpha)):
+        S = Fraction(sum(map(operator.mul, a.nums[j:], poch[j:])), a.den)
+        T = Fraction(sum(map(operator.mul, b.nums[j:], poch[j:])), b.den)
         q.append(beta * S)
         r.append(beta * (T + dx * S))
         poch[j:] = [p * (j - i) for i, p in enumerate(poch[j:], j)]
         beta *= (x + j) / ((c + j) * (j + 1))
         dx += 1 / (x + j)
-    return _integer_form(q), _integer_form(r)
-
-
-def _at(poly: tuple[list[int], int], x) -> float:
-    """The polynomial at x, a float or a Fraction, exact, rounded once."""
-    nums, den = poly
-    p, q = x.as_integer_ratio()
-    acc, qj = 0, 1
-    for a in reversed(nums):  # sum_j a_j p^j q^{d-j}
-        acc = acc * p + a * qj
-        qj *= q
-    return acc / (den * (qj // q))
+    return er.PhiSum.of(0.0, q), er.PhiSum.of(0.0, r)
 
 
 def _specfun_error(v: float) -> float:
@@ -402,8 +390,9 @@ def _images(N: int, s: float, c_phi: list[Fraction],
     out = []
     for t in t_samples:
         pre = A * (1.0 + t) ** (c + s)
-        w = (1 - Fraction(t)) / 2
-        q, rr = _at(Q, w), _at(R, w)
+        num, den = t.as_integer_ratio()
+        w = Fraction(den - num, 2 * den)  # (1 - t)/2 exactly
+        q, rr = Q.at(w), R.at(w)
         E, L = pre * q, pre * ((psi[0] + psi[1]) * q + rr)
         mag = pre * ((abs(psi[0]) + abs(psi[1])) * abs(q) + abs(rr))
         out.append(((E, rel * abs(E)), (L, rel * mag + pre * abs(q) * psi_err), mag))

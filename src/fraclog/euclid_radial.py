@@ -22,21 +22,21 @@ Exact pairs. With f_nu(rho) := rho^nu K_nu(rho) and phi(r) = 2/(1+r^2),
     phi^a ln phi  maps to  dT_a/da  = 2/Gamma(a) [df_nu/dnu - psi(a) f_nu],
 
 nu = a - N/2 (K_{-nu} = K_nu, so nu keeps its sign). phi_poly_profile
-folds the terms of sum_j c_j phi^{a_j} (ln phi)^{0|1} into weights on
-f_nu and df_nu/dnu once, when the profile is built (one ln Gamma per
-term, one psi per log term); terms of equal order share a weight.
-Orders an integer apart (up to rounding) form a ladder: f obeys
+folds each PhiSum of a profile into weights on f_nu and df_nu/dnu once,
+when the profile is built (one ln Gamma per term, one psi per term of a
+log sum). The orders of a sum are an integer apart exactly and form its
+ladder: f obeys
 f_{nu+1} = rho^2 f_{nu-1} + 2 nu f_nu (DLMF 10.29.1 times rho^{nu+1}),
 and df/dnu the same recurrence plus 2 f_nu. Each ladder is seeded by
 two bessel_k calls at its two adjacent orders of smallest |nu| and run
 outward only, upward above and downward below, where every step adds
-terms of one sign. A ladder with log terms also seeds df/dnu by the
-fourth-order central difference on nu +- h, nu +- 2h, h = 1e-3 (eight
-more calls). A pullback of Z_d thus costs 2 Bessel calls instead of
-d + 1, its log-factor twin 10. Plain terms are within 1.2e-14 of
-40-digit mpmath relative to sum_j |c_j T_{a_j}|, log terms within
-4.1e-10 relative to sum_j |c_j dT_{a_j}/da| (tests/test_euclid_radial.py
-grid); the seed differences set the latter. The two-point difference
+terms of one sign. A log sum also seeds df/dnu by the fourth-order
+central difference on nu +- h, nu +- 2h, h = 1e-3 (eight more calls).
+A pullback of Z_d thus costs 2 Bessel calls instead of d + 1, its log
+twin 10. Plain terms are within 1.2e-14 of 40-digit mpmath relative to
+sum_j |c_j T_{a_j}|, log terms within 4.1e-10 relative to
+sum_j |c_j dT_{a_j}/da| (tests/test_euclid_radial.py grid); the seed
+differences set the latter. The two-point difference
 at h = 1e-6 it replaces gave 7.9e-7 there (Bessel-K rounding divided
 by h), and at h = 1e-4 its truncation error, amplified by the
 recurrence, tripled the intertwining residuals. The recurrence carries
@@ -107,7 +107,6 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _EPS = 2.0 ** -52
 _RHO_MAX_EXP = 80.0  # exponential-decay densities are negligible beyond this
 _DNU = 1e-3  # step of the fourth-order nu-derivative at the ladder seeds
-_LADDER_TOL = 1e-12  # integer spacing up to float rounding of m + i
 _HEAD_U = 64.0  # energies take rho in [e^{-64}, 1] as u = -ln rho
 _TAIL_U = 256.0  # ... or [e^{-256}, 1] and a fitted tail, where the head still grows at 64
 _TAIL_STEP = 32.0  # spacing of the tail's samples below _TAIL_U
@@ -159,57 +158,56 @@ def phi(r: float) -> float:
 
 
 @dataclass(frozen=True)
-class PhiTerm:
-    """coef * phi(r)^power, optionally times ln(phi(r))."""
+class PhiSum:
+    """sum_i (nums[i]/den) phi(r)^{base+i}, times ln(phi(r)) if `log`: the exact
+    format of the pullbacks in conformal, and of their squares' and images' coefficients."""
 
-    coef: float
-    power: float
-    log_factor: bool = False
+    base: float
+    nums: tuple[int, ...]
+    den: int = 1
+    log: bool = False
+
+    @classmethod
+    def of(cls, base: float, coefs: Sequence, log: bool = False) -> PhiSum:
+        """The sum with coefficients coefs[i], floats or Fractions, each read exactly."""
+        ratios = [c.as_integer_ratio() for c in coefs]
+        den = math.lcm(*[q for _, q in ratios])
+        return cls(base, tuple([p * (den // q) for p, q in ratios]), den, log)
+
+    @functools.cached_property
+    def terms(self) -> tuple:
+        """(i, coef, power) per nonzero numerator: nums[i]/den rounded once, base + i."""
+        return tuple([(i, a / self.den, self.base + i) for i, a in enumerate(self.nums) if a])
+
+    def at(self, x) -> float:
+        """sum_i (nums[i]/den) x^i, the sum without its factor x^base (ln x), at a
+        float or Fraction x, exact, rounded once."""
+        p, q = x.as_integer_ratio()
+        acc, qj = 0, 1
+        for a in reversed(self.nums):  # sum_i a_i p^i q^{d-i}
+            acc = acc * p + a * qj
+            qj *= q
+        return acc / (self.den * (qj // q))
 
 
-def _phi_power_rungs(N: int, terms: Sequence[PhiTerm]) -> list[tuple[float, float, float]]:
-    """(nu, wf, wg): the transform is sum wf f_nu(rho) + wg df_nu/dnu(rho).
+def _ladder(N: int, s: PhiSum) -> tuple:
+    """(base, i0, wf, wg) of _ladder_sum for the transform of one sum.
 
     phi^a maps to T(a) = 2/Gamma(a) f_{a-N/2}, f_nu = rho^nu K_nu(rho);
-    phi^a ln phi maps to dT/da = 2/Gamma(a) (df/dnu - psi(a) f).
+    phi^a ln phi maps to dT/da = 2/Gamma(a) (df/dnu - psi(a) f). wf[i],
+    wg[i] are the weights of the order base + i from the first nonzero
+    term on (0.0 for a zero numerator; wg is None for a plain sum). The
+    seeds i0, i0 + 1 are the adjacent orders of smallest largest |nu|, so
+    the recurrence runs upward from nu >= 0 and downward from nu <= 0 only.
     """
-    rungs = []
-    for t in terms:
-        w = 2.0 * t.coef * math.exp(-ln_gamma(t.power))
-        nu = 0.5 * (2.0 * t.power - N)
-        rungs.append((nu, -w * digamma(t.power), w) if t.log_factor else (nu, w, 0.0))
-    return rungs
-
-
-def _ladders(rungs: list[tuple[float, float, float]]) -> list[tuple]:
-    """Group integer-spaced orders into ladders (base, i0, wf, wg).
-
-    wf[i], wg[i] are the summed weights of the order base + i (0.0 for a
-    missing rung; wg is None without log terms). The seeds i0, i0 + 1 are
-    the adjacent orders of smallest largest |nu|, so the recurrence runs
-    upward from nu >= 0 and downward from nu <= 0 only.
-    """
-    groups: list[tuple[float, dict[int, list[float]]]] = []
-    for nu, wf, wg in rungs:
-        for base, ws in groups:
-            k = round(nu - base)
-            if abs(nu - base - k) <= _LADDER_TOL:
-                break
-        else:
-            base, ws, k = nu, {}, 0
-            groups.append((base, ws))
-        w = ws.setdefault(k, [0.0, 0.0])
-        w[0] += wf
-        w[1] += wg
-    ladders = []
-    for base, ws in groups:
-        lo, hi = min(ws), max(ws)
-        base += lo
-        wf = [ws.get(k, (0.0, 0.0))[0] for k in range(lo, hi + 1)]
-        wg = [ws.get(k, (0.0, 0.0))[1] for k in range(lo, hi + 1)]
-        i0 = min(range(max(hi - lo, 1)), key=lambda i: max(abs(base + i), abs(base + i + 1)))
-        ladders.append((base, i0, wf, wg if any(wg) else None))
-    return ladders
+    lo, hi = s.terms[0][0], s.terms[-1][0]
+    wf, wg = [0.0] * (hi - lo + 1), [0.0] * (hi - lo + 1)
+    for i, coef, a in s.terms:
+        w = 2.0 * coef * math.exp(-ln_gamma(a))
+        wf[i - lo], wg[i - lo] = (-w * digamma(a), w) if s.log else (w, 0.0)
+    base = 0.5 * (2.0 * s.terms[0][2] - N)
+    i0 = min(range(max(hi - lo, 1)), key=lambda i: max(abs(base + i), abs(base + i + 1)))
+    return base, i0, wf, wg if s.log else None
 
 
 def _recur(rho: float, base: float, i0: int, n: int, seeds: list[float], f=None) -> list[float]:
@@ -251,21 +249,23 @@ def _ladder_sum(rho: float, base: float, i0: int, wf: list[float], wg) -> float:
     return acc
 
 
-def phi_poly_profile(N: int, terms: Sequence[PhiTerm], kind: str = "composite",
+def phi_poly_profile(N: int, sums: Sequence[PhiSum], kind: str = "composite",
                      meta: Optional[dict] = None) -> RadialProfile:
-    """Profile sum_j coef_j phi^{power_j} (ln phi)^{0|1} with its exact pair."""
-    terms = tuple(terms)
-    if not terms or any(t.power <= 0.0 for t in terms):
-        raise DomainError("phi powers must be positive")
+    """Profile sum_j coef_j phi^{power_j} (ln phi)^{0|1} over the terms of `sums`,
+    with its exact pair: one ladder per sum."""
+    sums = tuple(sums)
+    if not sums or not all(s.terms and s.terms[0][2] > 0.0 for s in sums):
+        raise DomainError("phi powers must be positive, and each sum nonzero")
+    terms = [(coef, a, s.log) for s in sums for _, coef, a in s.terms]
 
     def ev(r):
         p = phi(r)
         acc = 0.0
-        for t in terms:
-            acc += t.coef * p ** t.power * (math.log(p) if t.log_factor else 1.0)
+        for coef, a, log in terms:
+            acc += coef * p ** a * (math.log(p) if log else 1.0)
         return acc
 
-    ladders = _ladders(_phi_power_rungs(N, terms))
+    ladders = [_ladder(N, s) for s in sums]
 
     @functools.lru_cache(maxsize=_MEMO_SIZE)
     def ev_hat(rho):
@@ -276,8 +276,8 @@ def phi_poly_profile(N: int, terms: Sequence[PhiTerm], kind: str = "composite",
             acc += _ladder_sum(rho, *ladder)
         return acc
 
-    decay = 2.0 * min(t.power for t in terms)
-    pair = SpectralDensity(ev_hat, meta={"phi_terms": terms, "N": N})
+    decay = 2.0 * min(s.terms[0][2] for s in sums)
+    pair = SpectralDensity(ev_hat, meta={"phi_sums": sums, "N": N})
     return RadialProfile(ev, decay, kind=kind, fourier=pair,
                          meta=dict(meta or {}, N=N))
 
@@ -296,7 +296,7 @@ def bubble_profile(p: Params, C: float, two_power: bool = True) -> RadialProfile
         raise DomainError(f"bubble scale must be positive, got {C}")
     m = 0.5 * (p.N - 2.0 * p.s)
     coef = C if two_power else C * 2.0 ** (-m)
-    return phi_poly_profile(p.N, [PhiTerm(coef, m)], kind="bubble",
+    return phi_poly_profile(p.N, [PhiSum.of(m, [coef])], kind="bubble",
                             meta={"s": p.s, "C": C,
                                   "convention": "v_{s,C}" if two_power else "C*u_s"})
 
@@ -565,13 +565,14 @@ def _over_sphere(N: int, val: float, err: float) -> QuadResult:
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _pair_rungs(N: int, terms: tuple) -> tuple:
-    """(a_i, w_i, rounding of w_i) per term of a plain phi-power pair, memoised
-    per pair: the identity and Beckner audits take the same pairs again."""
-    if any(t.log_factor for t in terms):
-        raise DomainError("pair_energy takes plain phi-power terms only")
-    return tuple((t.power, w, _EPS * (abs(ln_gamma(t.power)) + 2.0 * t.power + 4.0))
-                 for (_, w, _), t in zip(_phi_power_rungs(N, terms), terms))
+def _pair_rungs(sums: tuple) -> tuple:
+    """(a_i, w_i, rounding of w_i) per term of a plain phi-power pair, w_i = 2 coef_i
+    / Gamma(a_i), memoised per pair: the identity and Beckner audits take the same
+    pairs again."""
+    if any(s.log for s in sums):
+        raise DomainError("pair_energy takes plain phi-power sums only")
+    return tuple((a, 2.0 * coef * math.exp(-ln_gamma(a)),
+                  _EPS * (abs(ln_gamma(a)) + 2.0 * a + 4.0)) for s in sums for _, coef, a in s.terms)
 
 
 def pair_energy(kind: str, g: SpectralDensity, N: int, s=0.0) -> QuadResult:
@@ -586,8 +587,8 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s=0.0) -> QuadResult:
     estimate is a first-order rounding bound: eps times sum_ij |w_i w_j H_ij|
     times the magnitudes of its exponent, so it carries cancellation across
     the pair sum. A numpy array of orders s gives a QuadResult of arrays,
-    each element bit-identical to the call at that float s. Log-factor phi
-    terms, a density of apply_multiplier and one with neither pair raise
+    each element bit-identical to the call at that float s. A log sum
+    (PhiSum.log), a density of apply_multiplier and one with neither pair raise
     DomainError; a Gamma argument <= 0 (at any element) raises
     DivergentIntegralError.
     """
@@ -609,8 +610,8 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s=0.0) -> QuadResult:
         v, e = _gamma_moment(-(N + 2.0 * sb) * ln_sigma - LN2, -2.0 * ln_sigma, [(h, 1.0)], [],
                              log)
         terms, errs = [A * A * v], [A * A * e]
-    elif "phi_terms" in g.meta:
-        rungs = _pair_rungs(N, tuple(g.meta["phi_terms"]))
+    elif "phi_sums" in g.meta:
+        rungs = _pair_rungs(g.meta["phi_sums"])
         terms, errs = [], []
         for i, (a_i, w_i, ew_i) in enumerate(rungs):
             for j in range(i, len(rungs)):
@@ -623,7 +624,7 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s=0.0) -> QuadResult:
                 terms.append(ww * v)
                 errs.append(abs(ww) * (e + (ew_i + ew_j) * abs(v)))
     else:
-        raise DomainError("pair_energy needs meta 'phi_terms' or 'gaussian'")
+        raise DomainError("pair_energy needs meta 'phi_sums' or 'gaussian'")
     return _over_sphere(N, fsum(terms), fsum(errs))
 
 

@@ -76,7 +76,7 @@ def extremal_profile(N: int) -> er.RadialProfile:
     amp = math.exp(-0.5 * (0.5 * N * math.log(math.pi)
                            + ln_gamma(0.5 * N) - ln_gamma(float(N))))
     return er.phi_poly_profile(
-        N, [er.PhiTerm(amp * 2.0 ** (-0.5 * N), 0.5 * N)],
+        N, [er.PhiSum.of(0.5 * N, [amp * 2.0 ** (-0.5 * N)])],
         kind="beckner-extremal", meta={"amplitude": amp})
 
 
@@ -84,10 +84,11 @@ def _phi_power_lp_sq(v: er.RadialProfile, excess: float, p_exp: float) -> tuple[
     """(||v||_{L^p}^2, error estimate) for v = c phi^a: c^2 M^{2/p}, M the
     phi-moment of b = a p = N/2 + excess, `excess` formed exactly by the caller;
     arrays of excesses and exponents give arrays, per element as phi_moment."""
-    (t,) = v.fourier.meta["phi_terms"]
+    (v_sum,) = v.fourier.meta["phi_sums"]
+    ((_, coef, _),) = v_sum.terms
     m = er.phi_moment(v.meta["N"], excess)
     two_over_p = 2.0 / p_exp
-    val = t.coef * t.coef * er._map(operator.pow, m.value, two_over_p)
+    val = coef * coef * er._map(operator.pow, m.value, two_over_p)
     return val, val * (two_over_p * m.abs_error_estimate / m.value
                        + er._EPS * (2.0 * abs(two_over_p * er._map(math.log, m.value)) + 5.0))
 
@@ -110,9 +111,10 @@ def _bubble_entropy(N: int) -> tuple[float, float]:
 
 def _lp_norm_sq(v: er.RadialProfile, p_exp: float, N: int) -> tuple[float, float]:
     """(||v||_{L^p}^2, error estimate); a single phi power through the phi-moment."""
-    terms = v.fourier.meta.get("phi_terms") if v.fourier else None
-    if terms and len(terms) == 1 and not terms[0].log_factor:
-        excess = float(Fraction(terms[0].power) * Fraction(p_exp) - Fraction(N, 2))  # rounded once
+    sums = v.fourier.meta.get("phi_sums") if v.fourier else None
+    if sums and len(sums) == 1 and not sums[0].log and len(sums[0].terms) == 1:
+        ((_, _, a),) = sums[0].terms
+        excess = float(Fraction(a) * Fraction(p_exp) - Fraction(N, 2))  # rounded once
         return _phi_power_lp_sq(v, excess, p_exp)
     res = er.radial_integral(N, lambda r: abs(v.evaluator(r)) ** p_exp, rel_tol=1e-11,
                              name="lp-norm")
@@ -192,7 +194,7 @@ def _extremal_identity(N: int, s: float, name: str, inputs: dict) -> AuditReport
     """
     h, eps = 0.5 * N, er._EPS
     m = 0.5 * (N - 2.0 * s)
-    u = er.phi_poly_profile(N, [er.PhiTerm(2.0 ** (-m), m)], kind="bubble")
+    u = er.phi_poly_profile(N, [er.PhiSum.of(m, [2.0 ** (-m)])], kind="bubble")
     kap, kap_prime = kappa_Ns(N, s), kappaprime_Ns(N, s)
     ent, ent_err = _bubble_entropy(N)
     lhs = (2.0 / N) * ent

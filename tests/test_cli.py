@@ -307,3 +307,14 @@ def test_cold_subcommands_load_only_their_audit_modules():
         code, loaded[argv[0]] = json.loads(out)
         assert code == 0, argv
     assert loaded == _SUBCOMMAND_MODULES
+
+
+def test_cold_bubble_loads_neither_fractions_nor_decimal():
+    # the exact pair is one PhiSum, read through as_integer_ratio: a cold bubble run
+    # loads no other audit module and not the fractions and decimal imports
+    script = _LOADED_AUDIT_MODULES + (
+        "print(json.dumps([m for m in ('fractions', 'decimal') if m in sys.modules]))\n")
+    argv = ["bubble", "--dim", "3", "--order", "0.5", "--fourier"]
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                         capture_output=True, check=True, env=_child_env()).stdout.splitlines()
+    assert list(map(json.loads, out)) == [[0, ["euclid_radial"]], []]

@@ -90,6 +90,13 @@ def test_confcore_mixture():
     assert abs(rep.details["log_energy_residual"]) <= 1e-5
 
 
+def test_sign_changes_keep_a_root_on_a_grid_node():
+    # t = 0 is a node of the bracketing grid, where every odd u vanishes
+    for N in range(1, 6):
+        assert conformal._sign_changes(ZonalExpansion(N, 1, (0.0, 1.0))) == [0.0]
+        assert 0.0 in conformal._sign_changes(ZonalExpansion(N, 3, (0.0, 1.0, 0.0, 0.5)))
+
+
 def test_confcore_profile_with_a_zero():
     # u changes sign at t = 0.853: |u|^2 ln|u| has a kink there, and
     # integrated across it the sphere entropy erred by 4.6e-10
@@ -284,11 +291,11 @@ def test_pullback_coefficients_round_once():
         for N in range(1, 6):
             area = 2 * mp.pi ** (mp.mpf(N + 1) / 2) / mp.gamma(mp.mpf(N + 1) / 2)
             for d in range(25):
-                terms = conformal.pullback_expansion(0.3, _basis(N, d)).fourier.meta["phi_terms"]
-                assert len(terms) == d + 1
+                (v,) = conformal.pullback_expansion(0.3, _basis(N, d)).fourier.meta["phi_sums"]
+                assert len(v.terms) == d + 1
                 g = mp.sqrt(multiplicities(N, d)[d] / area) * (-1) ** d
-                for i, t in enumerate(terms):
-                    assert abs(t.coef - g) <= 2.0 * math.ulp(float(g)), (N, d, i)
+                for i, coef, _ in v.terms:
+                    assert abs(coef - g) <= 2.0 * math.ulp(float(g)), (N, d, i)
                     g *= mp.mpf((i - d) * (d + N - 1 + i)) / ((N + 2 * i) * (i + 1))
 
 
@@ -330,8 +337,8 @@ def test_pullback_images_against_numeric_route(N):
     s, radii = 0.3, (0.0, 0.5, 2.0)
     u = ZonalExpansion(N, 2, (0.0, 0.0, 1.0))
     V = conformal.pullback_expansion(s, u)
-    W = er.phi_poly_profile(N, [er.PhiTerm(t.coef, t.power, log_factor=True)
-                                for t in V.fourier.meta["phi_terms"]])
+    (v,) = V.fourier.meta["phi_sums"]
+    W = er.phi_poly_profile(N, [er.PhiSum(v.base, v.nums, v.den, log=True)])
     ts = [conformal.polar_cosine(r) for r in radii]
     for r, ((E, e_err), (L, l_err), _) in zip(
             radii, conformal._images(N, s, conformal._phi_coefficients(u), ts)):
@@ -522,7 +529,7 @@ def _log_energy_ratio(N, u):
     """E_ln(V)/||V||^2 = 2 <ln phi> + 2 psi(N/2) + X/S of confcore_checks, V = T_0[u],
     with the report and a first-order bound on its rounding."""
     rep = conformal.confcore_checks(u, N)
-    c = conformal._integer_form(conformal._phi_coefficients(u))
+    c = er.PhiSum.of(0.5 * N, conformal._phi_coefficients(u))
     _, _, x_over_s = conformal._square_sums(N, c)
     psi = digamma(0.5 * N)
     ratio = 2.0 * (rep.details["log_phi_mean"] + psi) + x_over_s

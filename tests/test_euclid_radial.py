@@ -1,10 +1,13 @@
 import functools
 import itertools
 import math
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fraclog.constants import Params, bessel_bubble_coeff, eval_constants, sphere_area_equator
 from fraclog.errors import DivergentIntegralError, DomainError
@@ -66,7 +69,7 @@ def test_radial_fourier_cutoff_follows_gaussian_width():
 
 def test_n1_endpoint_bubble_transform_proportional_to_k0():
     # (1+x^2)^{-1/2} on the line: transform = sqrt(2/pi) K_0(rho)
-    prof = er.phi_poly_profile(1, [er.PhiTerm(2.0 ** -0.5, 0.5)], kind="bubble-endpoint")
+    prof = er.phi_poly_profile(1, [er.PhiSum.of(0.5, [2.0 ** -0.5])], kind="bubble-endpoint")
     grid = [0.5, 1.0, 2.0]
     for rho, (val, _) in zip(grid, er.radial_fourier(1, prof, grid)):
         expected = math.sqrt(2.0 / math.pi) * bessel_k(0.0, rho)
@@ -155,10 +158,10 @@ def _bubble_energy_mp(g, N, s, log):
     """40-digit energy of a one-term pair w f_nu at order s from its float inputs:
     |S^{N-1}| w^2 M(N + 2s + 2nu, nu), M(a, nu) = int t^{a-1} K_nu(t)^2 dt the
     K^2 Mellin moment, or for the fraclog multiplier its s-derivative."""
-    (t,) = g.meta["phi_terms"]
+    ((_, coef, power),) = g.meta["phi_sums"][0].terms
     with mp.workdps(40):
-        a, N = mp.mpf(t.power), mp.mpf(N)
-        nu, w = a - N / 2, 2 * mp.mpf(t.coef) / mp.gamma(a)
+        a, N = mp.mpf(power), mp.mpf(N)
+        nu, w = a - N / 2, 2 * mp.mpf(coef) / mp.gamma(a)
         area = 2 * mp.pi ** (N / 2) / mp.gamma(N / 2)
 
         def energy(s):
@@ -311,8 +314,8 @@ def test_pair_energy_against_mpmath():
         if "gaussian" in g.meta:
             A, sigma = map(mp.mpf, g.meta["gaussian"])
             return lambda u: A * A * mp.exp(-(sigma * rho(u)) ** 2)
-        ws = [(2 * mp.mpf(t.coef) / mp.gamma(t.power), mp.mpf(t.power) - mp.mpf(N) / 2)
-              for t in g.meta["phi_terms"]]
+        ws = [(2 * mp.mpf(coef) / mp.gamma(a), mp.mpf(a) - mp.mpf(N) / 2)
+              for v in g.meta["phi_sums"] for _, coef, a in v.terms]
         return lambda u: mp.fsum(w * f(nu, u) for w, nu in ws) ** 2
 
     worst, cases = 0.0, 0
@@ -363,7 +366,7 @@ def test_pair_energy_reduces_to_the_k2_moment():
 def test_pair_energy_rejects_what_it_cannot_do():
     p = Params(3, 0.3)
     g = er.talenti_bubble(p).fourier
-    log_twin = er.phi_poly_profile(3, [er.PhiTerm(1.0, 1.2, log_factor=True)]).fourier
+    log_twin = er.phi_poly_profile(3, [er.PhiSum.of(1.2, [1.0], log=True)]).fourier
     bare = er.SpectralDensity(g.evaluator, meta={"N": 3})
     cases = {
         "log-factor phi term": (log_twin, 3),
@@ -538,18 +541,16 @@ def test_kernel_constant_reconciles_with_multiplier_route(s):
 
 
 def test_phi_poly_rejects_nonpositive_powers():
-    with pytest.raises(DomainError):
-        er.phi_poly_profile(3, [er.PhiTerm(1.0, 0.0)])
-    with pytest.raises(DomainError):
-        er.phi_poly_profile(3, [])
+    for sums in ([er.PhiSum.of(0.0, [1.0])], [], [er.PhiSum.of(0.5, [0.0, 0.0])]):
+        with pytest.raises(DomainError):
+            er.phi_poly_profile(3, sums)
 
 
 def _pullback_pair(N, s, d):
     """Pullback of Z_d and its log-factor twin, as in the intertwining pipeline."""
     V = conformal.pullback_expansion(s, ZonalExpansion(N, d, tuple([0.0] * d + [1.0])))
-    W = er.phi_poly_profile(N, [er.PhiTerm(t.coef, t.power, log_factor=True)
-                                for t in V.fourier.meta["phi_terms"]])
-    return V, W
+    (v,) = V.fourier.meta["phi_sums"]
+    return V, er.phi_poly_profile(N, [er.PhiSum(v.base, v.nums, v.den, log=True)])
 
 
 def test_phi_power_pair_against_mpmath():
@@ -560,7 +561,8 @@ def test_phi_power_pair_against_mpmath():
         V, W = _pullback_pair(N, s, d)
         with mp.workdps(40):
             h = mp.mpf("1e-12")
-            powers = [mp.mpf(t.power) for t in V.fourier.meta["phi_terms"]]
+            (v,) = V.fourier.meta["phi_sums"]
+            powers = [mp.mpf(a) for _, _, a in v.terms]
             for rho in (0.05, 0.3, 1.0, 3.0, 10.0, 40.0):
                 x = mp.mpf(rho)
                 T = lambda a: 2 / mp.gamma(a) * x ** (a - N / mp.mpf(2)) \
@@ -569,49 +571,49 @@ def test_phi_power_pair_against_mpmath():
                 dT = {False: [(tp + tm) / 2 for tp, tm in pm],
                       True: [(tp - tm) / (2 * h) for tp, tm in pm]}
                 for prof in (V, W):
-                    terms = prof.fourier.meta["phi_terms"]
-                    log = terms[0].log_factor
-                    parts = [t.coef * v for t, v in zip(terms, dT[log])]
+                    (w,) = prof.fourier.meta["phi_sums"]
+                    parts = [coef * y for (_, coef, _), y in zip(w.terms, dT[w.log])]
                     err = abs(prof.fourier.evaluator(rho) - sum(parts)) / sum(map(abs, parts))
-                    worst[log] = max(worst[log], float(err))
+                    worst[w.log] = max(worst[w.log], float(err))
     assert worst[False] < 5e-14, worst
     assert worst[True] < 1e-8, worst
 
 
-def _direct_transform(N, terms, rho):
+def _direct_transform(N, sums, rho):
     """Per-term G_alpha reference: (value, sum of |pieces|)."""
     def G(alpha):
         return (2.0 ** (1.0 - 0.5 * alpha) / math.exp(ln_gamma(0.5 * alpha))
                 * rho ** (0.5 * (alpha - N)) * bessel_k(0.5 * (N - alpha), rho))
 
     h, pieces = 1e-6, []
-    for t in terms:
-        c, alpha = t.coef * 2.0 ** t.power, 2.0 * t.power
-        if t.log_factor:
-            pieces += [c * math.log(2.0) * G(alpha), c * G(alpha + h) / h, -c * G(alpha - h) / h]
-        else:
-            pieces.append(c * G(alpha))
+    for v in sums:
+        for _, coef, a in v.terms:
+            c, alpha = coef * 2.0 ** a, 2.0 * a
+            if v.log:
+                pieces += [c * math.log(2.0) * G(alpha), c * G(alpha + h) / h,
+                           -c * G(alpha - h) / h]
+            else:
+                pieces.append(c * G(alpha))
     return math.fsum(pieces), sum(map(abs, pieces))
 
 
 def test_phi_power_ladder_edge_cases():
-    T = er.PhiTerm
+    T = er.PhiSum.of
     C, m = 2.5, 1.2
     cases = {
-        "two ladders": (3, [T(1.0, 0.7), T(-0.4, 1.7), T(0.8, 1.2), T(0.3, 2.2)]),
-        "missing rung above": (1, [T(1.0, 0.4), T(0.6, 3.4)]),
-        "missing seed rung below": (3, [T(1.0, 0.1), T(-0.7, 2.1)]),
-        "plain and log of equal power": (3, [T(C * math.log(C), m), T(C * m, m, True)]),
-        "orders crossing zero": (1, [T(1.0, 0.1), T(-0.5, 1.1), T(0.25, 2.1), T(0.3, 0.1, True)]),
-        "integer orders through zero": (3, [T(1.0, 0.5), T(0.5, 1.5), T(-0.2, 2.5)]),
-        "orders far below zero": (7, [T(1.0, 0.05), T(-0.8, 1.05), T(0.6, 2.05),
-                                      T(-0.4, 3.05), T(0.2, 4.05, True)]),
-        "orders nearly an integer apart": (3, [T(1.0, 0.5), T(-0.5, 1.5 + 3e-7)]),
+        "two ladders": (3, [T(0.7, [1.0, -0.4]), T(1.2, [0.8, 0.3])]),
+        "missing rung above": (1, [T(0.4, [1.0, 0.0, 0.0, 0.6])]),
+        "missing seed rung below": (3, [T(0.1, [1.0, 0.0, -0.7])]),
+        "plain and log of equal power": (3, [T(m, [C * math.log(C)]), T(m, [C * m], True)]),
+        "orders crossing zero": (1, [T(0.1, [1.0, -0.5, 0.25]), T(0.1, [0.3], True)]),
+        "integer orders through zero": (3, [T(0.5, [1.0, 0.5, -0.2])]),
+        "orders far below zero": (7, [T(0.05, [1.0, -0.8, 0.6, -0.4]), T(4.05, [0.2], True)]),
+        "orders nearly an integer apart": (3, [T(0.5, [1.0]), T(1.5 + 3e-7, [-0.5])]),
     }
-    for name, (N, terms) in cases.items():
-        ev_hat = er.phi_poly_profile(N, terms).fourier.evaluator
+    for name, (N, sums) in cases.items():
+        ev_hat = er.phi_poly_profile(N, sums).fourier.evaluator
         for rho in (0.05, 0.3, 1.0, 3.0, 10.0, 40.0):
-            ref, scale = _direct_transform(N, terms, rho)
+            ref, scale = _direct_transform(N, sums, rho)
             val = ev_hat(rho)
             assert abs(val - ref) <= 1e-13 * scale, (name, rho, val, ref)
             assert ev_hat(rho) == val  # memoised repeat is bit-identical
@@ -619,6 +621,25 @@ def test_phi_power_ladder_edge_cases():
             for _ in range(2):  # failures are not memoised
                 with pytest.raises(DomainError):
                     ev_hat(rho)
+
+
+_RATIONALS = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 2 ** 64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(min_value=-4.0, max_value=4.0),
+       st.lists(st.one_of(st.floats(min_value=-1e6, max_value=1e6), _RATIONALS), min_size=1,
+                max_size=25),
+       st.one_of(st.floats(min_value=-3.0, max_value=3.0), _RATIONALS))
+def test_phi_sum_is_exact(base, coefs, x):
+    # of reads float and Fraction coefficients exactly: each term returns its float
+    # bit for bit (a Fraction rounded once) at the power base + i, and at(x) is the
+    # exact rational sum_i c_i x^i rounded once
+    v = er.PhiSum.of(base, coefs)
+    assert [(i, c.hex(), a.hex()) for i, c, a in v.terms] == [
+        (i, float(c).hex(), (base + i).hex()) for i, c in enumerate(coefs) if c]
+    exact = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(coefs))
+    assert v.at(x) == float(exact)
 
 
 def test_phi_power_bessel_calls_per_ladder(monkeypatch):
