@@ -76,7 +76,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
@@ -130,30 +129,47 @@ def _zonal_norm(N: int, k: int) -> float:
     take a slot of that function's small memo for every degree.
     """
     j = (N + 1) // 2
-    q = (Fraction(2, math.factorial(j - 1)) if N % 2
-         else Fraction(2 ** (j + 1), math.prod(range(N - 1, 0, -2))))
     d = math.comb(N + k, N) - math.comb(N + k - 2, N) if k else 1
-    return math.sqrt(d / q) / math.pi ** (0.5 * j)
+    num, den = ((d * math.factorial(j - 1), 2) if N % 2
+                else (d * math.prod(range(N - 1, 0, -2)), 2 ** (j + 1)))  # d/q
+    return math.sqrt(num / den) / math.pi ** (0.5 * j)  # int / int rounds once
 
 
-def _phi_coefficients(u: spectral.ZonalExpansion) -> list[Fraction]:
-    """Exact c_i with u(t) = sum_i c_i phi^i, phi = 1 + t (module docstring)."""
-    N = u.N
-    out = [Fraction(0)] * (u.degree_max + 1)
+def _phi_coefficients(u: spectral.ZonalExpansion) -> er.PhiSum:
+    """Exact c_i with u(t) = sum_i c_i phi^i, phi = 1 + t (module docstring), as the
+    PhiSum of base 0.
+
+    Term k is a_k Z_k(1) (-1)^k prod_{l<i} (l-k)(k+N-1+l) / ((N+2l)(l+1)) at phi^i;
+    the denominators D_i = prod_{l<i} (N+2l)(l+1) do not depend on k, so every c_i
+    is an integer over D_n times the dyadic denominator of the a_k Z_k(1).
+    """
+    N, n = u.N, u.degree_max
+    terms = []
     for k, a in enumerate(u.coeffs):
         if a:
-            term = Fraction(a) * Fraction(_zonal_norm(N, k)) * (-1) ** k
-            for i in range(k + 1):
-                out[i] += term
-                term *= Fraction((i - k) * (k + N - 1 + i), (N + 2 * i) * (i + 1))
-    return out
+            (pa, qa), (pz, qz) = a.as_integer_ratio(), _zonal_norm(N, k).as_integer_ratio()
+            terms.append((k, (-1) ** k * pa * pz, qa * qz))
+    q = math.lcm(*[qk for _, _, qk in terms])
+    acc = [0] * (n + 1)
+    for k, term, qk in terms:
+        term *= q // qk
+        for i in range(k + 1):
+            acc[i] += term
+            term *= (i - k) * (k + N - 1 + i)
+    scale = 1  # acc[i] is q D_i c_i: c_i = acc[i] (D_n/D_i) / (q D_n)
+    for i in range(n, 0, -1):
+        acc[i] *= scale
+        scale *= (N + 2 * i - 2) * i
+    acc[0] *= scale
+    return er.PhiSum.over(0.0, acc, q * scale)
 
 
 def pullback_expansion(s: float, u: spectral.ZonalExpansion) -> er.RadialProfile:
     """T_s[u] = sum_i c_i phi^{(N-2s)/2 + i}, one exact PhiSum."""
     if not 0.0 <= s < 1.0:
         raise DomainError(f"pullback order must lie in [0, 1), got {s}")
-    V = er.PhiSum.of(0.5 * (u.N - 2.0 * s), _phi_coefficients(u))
+    c = _phi_coefficients(u)
+    V = er.PhiSum(0.5 * (u.N - 2.0 * s), c.nums, c.den)
     if not V.terms:
         raise DomainError("pullback of the zero function")
     return er.phi_poly_profile(u.N, [V], kind="pullback",
@@ -170,12 +186,14 @@ def _square_sums(N: int, c: er.PhiSum) -> tuple[float, float, float]:
     - h_{i+j}) = 2 sum_i c_i h_i sum_j c_j r_{i+j} - sum_k g_k r_k h_k, all in integers.
     """
     nums = c.nums
-    r, h, d = [Fraction(1)], [Fraction(0)], [Fraction(0)]
-    for l in range(2 * len(nums) - 2):
-        r.append(r[-1] * Fraction(N + 2 * l, N + l))
-        h.append(h[-1] + Fraction(2, N + 2 * l))
-        d.append(d[-1] + Fraction(N, (N + 2 * l) * (N + l)))
-    r, h, d = (er.PhiSum.of(0.0, f) for f in (r, h, d))  # integer numerators
+    steps = [(N + 2 * l, N + l) for l in range(2 * len(nums) - 2)]
+    A, B = math.prod([a for a, _ in steps]), math.prod([b for _, b in steps])
+    r, h, d = [B], [0], [0]  # over B, A and A B
+    for a, b in steps:
+        r.append(r[-1] // b * a)
+        h.append(h[-1] + 2 * A // a)
+        d.append(d[-1] + N * A * B // (a * b))
+    r, h, d = (er.PhiSum.over(0.0, f, q) for f, q in ((r, B), (h, A), (d, A * B)))
     g, x = [0] * len(r.nums), 0
     for i, a in enumerate(nums):
         row = 0
@@ -218,7 +236,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     if not any(u.coeffs):
         raise DomainError("pullback of the zero function")
     eps = _EPS
-    c = er.PhiSum.of(0.5 * N, _phi_coefficients(u))
+    c = _phi_coefficients(u)
 
     # (i) L^2 norms, and <ln phi>: exact sums over the phi powers of V^2
     S, T_over_S, X_over_S = _square_sums(N, c)
@@ -325,34 +343,43 @@ def _sign_changes(u: spectral.ZonalExpansion) -> list[float]:
     return sorted(roots + t[1:-1][(v[1:-1] == 0.0) & (v[:-2] * v[2:] < 0.0)].tolist())
 
 
-def _image_polynomials(N: int, s: float, c_phi: list[Fraction]) -> tuple[er.PhiSum, er.PhiSum]:
+def _image_polynomials(N: int, s: float, c_phi: er.PhiSum) -> tuple[er.PhiSum, er.PhiSum]:
     """Q(w) and R(w) of the module docstring, exact, as PhiSums of base 0 in w.
 
     With alpha_i = c_i 2^i (c)_i/(c-s)_i, w^j has the coefficient beta_j S_j
-    in Q and beta_j (T_j + D_j S_j) in R: S_j = sum_i alpha_i (-i)_j and
-    T_j = sum_i alpha_i H_i (-i)_j in integers, beta_j = (x)_j/((c)_j j!),
-    D_j = sum_{l<j} 1/(x+l) = d/dx ln (x)_j.
+    in Q and beta_j (T_j + D_j S_j) in R: S_j = sum_i alpha_i (-i)_j,
+    T_j = sum_i alpha_i H_i (-i)_j, beta_j = (x)_j/((c)_j j!) and
+    D_j = sum_{l<j} 1/(x+l) = d/dx ln (x)_j. The float s is ps/qs, so c + l,
+    x + l and y + l = c - s + l are integers over L = 2 qs; every sum above is
+    an integer over a product of them, and Q and R are reduced once.
     """
-    c, s = Fraction(N, 2), Fraction(s)
-    x, y = c + s, c - s
-    alpha, alpha_h, ratio, h = [], [], Fraction(1), Fraction(0)
-    for i, ci in enumerate(c_phi):
-        alpha.append(ci * ratio)
-        alpha_h.append(alpha[-1] * h)
-        ratio *= 2 * (c + i) / (y + i)
-        h += 1 / (y + i)
-    a, b = er.PhiSum.of(0.0, alpha), er.PhiSum.of(0.0, alpha_h)
-    poch = [1] * len(alpha)  # (-i)_j
-    q, r, beta, dx = [], [], Fraction(1), Fraction(0)
-    for j in range(len(alpha)):
-        S = Fraction(sum(map(operator.mul, a.nums[j:], poch[j:])), a.den)
-        T = Fraction(sum(map(operator.mul, b.nums[j:], poch[j:])), b.den)
-        q.append(beta * S)
-        r.append(beta * (T + dx * S))
+    ps, qs = s.as_integer_ratio()
+    L, C = 2 * qs, N * qs
+    X, Y = C + 2 * ps, C - 2 * ps  # c = C/L, x = X/L, y = Y/L
+    n = len(c_phi.nums)
+    ys = [Y + l * L for l in range(n - 1)]
+    xs = [X + l * L for l in range(n - 1)]
+    cs = [(C + l * L) * (l + 1) for l in range(n - 1)]
+    PY, PX, W = math.prod(ys), math.prod(xs), math.prod(cs)
+    # alpha_i = A_i / (den PY) and H_i = hs / PY, g = 2^i PY prod_{l<i} (C + lL)/(Y + lL)
+    A, AH, g, hs = [], [], PY, 0
+    for a, y, cl in zip(c_phi.nums, ys + [1], range(C, C + n * L, L)):
+        A.append(a * g)
+        AH.append(A[-1] * hs)
+        g = g // y * 2 * cl
+        hs += L * PY // y
+    poch = [1] * n  # (-i)_j
+    # F = W / prod_{l<j} (C + lL)(l + 1), px = prod_{l<j} (X + lL) and dx = D_j PX
+    q, r, F, px, dx = [], [], W, 1, 0
+    for j, xl, cl in zip(range(n), xs + [1], cs + [1]):
+        S = sum(map(operator.mul, A[j:], poch[j:]))
+        T = sum(map(operator.mul, AH[j:], poch[j:]))
+        q.append(px * F * S)
+        r.append(px * F * (T * PX + dx * S * PY))
         poch[j:] = [p * (j - i) for i, p in enumerate(poch[j:], j)]
-        beta *= (x + j) / ((c + j) * (j + 1))
-        dx += 1 / (x + j)
-    return er.PhiSum.of(0.0, q), er.PhiSum.of(0.0, r)
+        F, px, dx = F // cl, px * xl, dx + L * PX // xl
+    den = W * c_phi.den * PY
+    return er.PhiSum.over(0.0, q, den), er.PhiSum.over(0.0, r, den * PY * PX)
 
 
 def _specfun_error(v: float) -> float:
@@ -372,7 +399,7 @@ def _symbol_error(N: int, s: float, k: int) -> float:
                                       + _specfun_error(ps_hi) + _specfun_error(ps_lo))
 
 
-def _images(N: int, s: float, c_phi: list[Fraction],
+def _images(N: int, s: float, c_phi: er.PhiSum,
             t_samples: Sequence[float]) -> list[tuple[tuple, tuple, float]]:
     """((-Delta)^s V, error) and (t1 - t2 - t3, error) at polar cosines t, with the latter's scale.
 
@@ -391,8 +418,7 @@ def _images(N: int, s: float, c_phi: list[Fraction],
     for t in t_samples:
         pre = A * (1.0 + t) ** (c + s)
         num, den = t.as_integer_ratio()
-        w = Fraction(den - num, 2 * den)  # (1 - t)/2 exactly
-        q, rr = Q.at(w), R.at(w)
+        q, rr = Q.at(den - num, 2 * den), R.at(den - num, 2 * den)  # w = (1 - t)/2
         E, L = pre * q, pre * ((psi[0] + psi[1]) * q + rr)
         mag = pre * ((abs(psi[0]) + abs(psi[1])) * abs(q) + abs(rr))
         out.append(((E, rel * abs(E)), (L, rel * mag + pre * abs(q) * psi_err), mag))
@@ -412,14 +438,13 @@ def _log_law_audit(name: str, s: float, u: spectral.ZonalExpansion,
     sym_err = [(k, abs(a) * _symbol_error(N, s, k)) for k, a in enumerate(u.coeffs) if a]
     rows, worst, budget = [], 0.0, 0.0
     ts = [polar_cosine(r) for r in r_samples]
-    basis = spectral._zonal_basis(N, u.degree_max, ts).tolist()
-    for r, t, z, (_, (L, L_err), mag) in zip(r_samples, ts, basis,
-                                             _images(N, s, _phi_coefficients(u), ts)):
+    images = _images(N, s, _phi_coefficients(u), ts)
+    for r, t, (_, (L, L_err), mag) in zip(r_samples, ts, images):
         phi_m, w = (1.0 + t) ** m, (1.0 + t) ** (-2.0 * s)
         lhs = phi_m * spectral.zonal_eval(sym_u, t)
         rhs, mag = w * L, w * mag
         err = (w * L_err + (N + 4.0) * _EPS * mag  # phi^m against phi^{c+s} phi^{-2s}
-               + phi_m * sum(e * abs(z[k]) for k, e in sym_err))
+               + phi_m * sum(e * abs(spectral.zonal_basis_eval(N, k, t)) for k, e in sym_err))
         scale = max(abs(lhs), mag) or 1.0  # 0 only where both sides are exactly 0
         rel = abs(lhs - rhs) / scale
         worst, budget = max(worst, rel), max(budget, err / scale)
@@ -482,7 +507,7 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float]) -> A
     rows, worst, budget = [], 0.0, 0.0
     ts = [polar_cosine(r) for r in r_samples]
     for r, t, ((e0, e0_err), (l0, l0_err), l0_mag) in zip(
-            r_samples, ts, _images(N, s, [Fraction(1)], ts)):
+            r_samples, ts, _images(N, s, er.PhiSum(0.0, (1,)), ts)):
         ph = 1.0 + t
         ln_phi, v = math.log(ph), C * ph ** m
         t1 = C * (l0 + ln_phi * e0)

@@ -23,10 +23,10 @@ Exact pairs. With f_nu(rho) := rho^nu K_nu(rho) and phi(r) = 2/(1+r^2),
 
 nu = a - N/2 (K_{-nu} = K_nu, so nu keeps its sign). phi_poly_profile
 folds each PhiSum of a profile into weights on f_nu and df_nu/dnu once,
-when the profile is built (one ln Gamma per term, one psi per term of a
-log sum). The orders of a sum are an integer apart exactly and form its
-ladder: f obeys
-f_{nu+1} = rho^2 f_{nu-1} + 2 nu f_nu (DLMF 10.29.1 times rho^{nu+1}),
+at the first transform call (one ln Gamma per term, one psi per term of
+a log sum); a profile whose transform is never evaluated pays nothing.
+The orders of a sum are an integer apart exactly and form its ladder:
+f obeys f_{nu+1} = rho^2 f_{nu-1} + 2 nu f_nu (DLMF 10.29.1 times rho^{nu+1}),
 and df/dnu the same recurrence plus 2 f_nu. Each ladder is seeded by
 two bessel_k calls at its two adjacent orders of smallest |nu| and run
 outward only, upward above and downward below, where every step adds
@@ -45,11 +45,11 @@ not amplify it as a difference per term would: through the numeric
 transform, the intertwining identity (N = 3, s = 0.3) erred by 8.9e-10
 at d = 8 and 2.8e-8 at d = 12, against 4.6e-6 and 4.3e-4 with a
 two-point difference per term. Each profile memoises its transform in
-an LRU cache of _MEMO_SIZE values, since QUADPACK revisits nodes:
-sobolev_deficit integrates one density at every order of its grid, and
-the quadrature route of an energy meets the same nodes under each
-multiplier. The audits take their energies in closed form (pair_energy
-below) and evaluate no transform. Failures are not cached, so rho <= 0
+an LRU cache of _MEMO_SIZE values, built with the weights, since
+QUADPACK revisits nodes: sobolev_deficit integrates one density at
+every order of its grid, and the quadrature route of an energy meets the
+same nodes under each multiplier. The audits take their energies in
+closed form (pair_energy below) and evaluate no transform. Failures are not cached, so rho <= 0
 raises DomainError on every call.
 
 Closed-form multiplier images of pullbacks, phi-powers N/2 - s + i at which
@@ -174,17 +174,29 @@ class PhiSum:
         den = math.lcm(*[q for _, q in ratios])
         return cls(base, tuple([p * (den // q) for p, q in ratios]), den, log)
 
+    @classmethod
+    def over(cls, base: float, nums: Sequence[int], den: int, log: bool = False) -> PhiSum:
+        """The sum with coefficients nums[i]/den, den > 0, in of's form: the common
+        factor of the numerators and den divided out, the least common denominator."""
+        g = math.gcd(den, *nums)
+        return cls(base, tuple([a // g for a in nums]), den // g, log)
+
     @functools.cached_property
     def terms(self) -> tuple:
         """(i, coef, power) per nonzero numerator: nums[i]/den rounded once, base + i."""
         return tuple([(i, a / self.den, self.base + i) for i, a in enumerate(self.nums) if a])
 
-    def at(self, x) -> float:
-        """sum_i (nums[i]/den) x^i, the sum without its factor x^base (ln x), at a
-        float or Fraction x, exact, rounded once."""
-        p, q = x.as_integer_ratio()
+    @functools.cached_property
+    def _horner(self) -> tuple[int, ...]:
+        return self.nums[::-1]
+
+    def at(self, x, q: int = 1) -> float:
+        """sum_i (nums[i]/den) y^i, the sum without its factor y^base (ln y), at
+        y = x/q, exact, rounded once: x a float, Fraction or int, q a positive int."""
+        p, qx = x.as_integer_ratio()
+        q *= qx
         acc, qj = 0, 1
-        for a in reversed(self.nums):  # sum_i a_i p^i q^{d-i}
+        for a in self._horner:  # sum_i a_i p^i q^{d-i}
             acc = acc * p + a * qj
             qj *= q
         return acc / (self.den * (qj // q))
@@ -249,6 +261,22 @@ def _ladder_sum(rho: float, base: float, i0: int, wf: list[float], wg) -> float:
     return acc
 
 
+def _exact_transform(N: int, sums: tuple[PhiSum, ...]):
+    """The exact transform of the sums, one ladder each, memoised."""
+    ladders = [_ladder(N, s) for s in sums]
+
+    @functools.lru_cache(maxsize=_MEMO_SIZE)
+    def ev_hat(rho):
+        if not rho > 0.0:
+            raise DomainError(f"exact transforms require rho > 0, got {rho}")
+        acc = 0.0
+        for ladder in ladders:
+            acc += _ladder_sum(rho, *ladder)
+        return acc
+
+    return ev_hat
+
+
 def phi_poly_profile(N: int, sums: Sequence[PhiSum], kind: str = "composite",
                      meta: Optional[dict] = None) -> RadialProfile:
     """Profile sum_j coef_j phi^{power_j} (ln phi)^{0|1} over the terms of `sums`,
@@ -265,16 +293,13 @@ def phi_poly_profile(N: int, sums: Sequence[PhiSum], kind: str = "composite",
             acc += coef * p ** a * (math.log(p) if log else 1.0)
         return acc
 
-    ladders = [_ladder(N, s) for s in sums]
+    memo = None
 
-    @functools.lru_cache(maxsize=_MEMO_SIZE)
     def ev_hat(rho):
-        if not rho > 0.0:
-            raise DomainError(f"exact transforms require rho > 0, got {rho}")
-        acc = 0.0
-        for ladder in ladders:
-            acc += _ladder_sum(rho, *ladder)
-        return acc
+        nonlocal memo
+        if memo is None:  # the first call folds the weights
+            memo = _exact_transform(N, sums)
+        return memo(rho)
 
     decay = 2.0 * min(s.terms[0][2] for s in sums)
     pair = SpectralDensity(ev_hat, meta={"phi_sums": sums, "N": N})

@@ -25,7 +25,8 @@ The identities, the failure curve and the Beckner audit take every
 integral in closed form: energies of exact pairs (bubbles, extremals,
 Gaussians) from euclid_radial.pair_energy, norms and entropies of a single
 phi power from its position-side twin euclid_radial.phi_moment, and the
-Gaussian's entropy from its amplitude and width. Both closed forms take
+Gaussian's entropy from its amplitude and width; lq_check takes the
+extremal's L^q norm by the same phi-moment. Both closed forms take
 arrays, so the failure curve is one pair_energy and one phi_moment call
 over its whole grid of orders, bit-identical to a call per order. The
 quadrature routes, euclid_radial.energy and entropy, stay in
@@ -43,7 +44,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
@@ -93,13 +93,14 @@ def _phi_power_lp_sq(v: er.RadialProfile, excess: float, p_exp: float) -> tuple[
                        + er._EPS * (2.0 * abs(two_over_p * er._map(math.log, m.value)) + 5.0))
 
 
+@lru_cache(maxsize=None)
 def _bubble_entropy(N: int) -> tuple[float, float]:
     """(Ent_2 of (1+|x|^2)^{-N/2}, error estimate); also Ent_{p(s)}(u_s) at every s.
 
     |u|^p = 2^{-N} phi^N, so Ent = N M'/M - ln M, M and M' the phi-moments
     of b = N without and with the ln phi factor; the bound adds their
     estimates to first order and the roundings of the ratio, the logarithm
-    and the sum.
+    and the sum. It depends on N alone, so each N is computed once.
     """
     m, ml = er.phi_moment(N, 0.5 * N), er.phi_moment(N, 0.5 * N, log=True)
     ratio = N * ml.value / m.value
@@ -114,7 +115,8 @@ def _lp_norm_sq(v: er.RadialProfile, p_exp: float, N: int) -> tuple[float, float
     sums = v.fourier.meta.get("phi_sums") if v.fourier else None
     if sums and len(sums) == 1 and not sums[0].log and len(sums[0].terms) == 1:
         ((_, _, a),) = sums[0].terms
-        excess = float(Fraction(a) * Fraction(p_exp) - Fraction(N, 2))  # rounded once
+        (pa, qa), (pp, qp) = a.as_integer_ratio(), p_exp.as_integer_ratio()
+        excess = (2 * pa * pp - N * qa * qp) / (2 * qa * qp)  # a p - N/2, int / int rounds once
         return _phi_power_lp_sq(v, excess, p_exp)
     res = er.radial_integral(N, lambda r: abs(v.evaluator(r)) ** p_exp, rel_tol=1e-11,
                              name="lp-norm")
@@ -432,7 +434,10 @@ def moment_check(N: int, s: float, f: er.RadialProfile) -> AuditReport:
 
 
 def lq_check(N: int, s: float, q: float, f: er.RadialProfile) -> AuditReport:
-    """L^q lower bound via Jensen (1 <= q < 2), strict margin."""
+    """L^q lower bound via Jensen (1 <= q < 2), strict margin.
+
+    int |f|^q is _lp_norm_sq's: the phi-moment closed form for one phi power
+    (the extremal), its quadrature otherwise."""
     beckner_convention_selftest()
     if not 1.0 <= q < 2.0:
         raise DomainError(f"q must lie in [1, 2), got {q}")
@@ -442,7 +447,7 @@ def lq_check(N: int, s: float, q: float, f: er.RadialProfile) -> AuditReport:
     if math.isfinite(f.decay_exponent) and q * f.decay_exponent <= N:
         raise DivergentIntegralError(
             f"||f||_q diverges: q * decay = {q * f.decay_exponent} <= N = {N}")
-    fq = er.radial_integral(N, lambda r: abs(f.evaluator(r)) ** q, name="lq-norm").value
+    fq = _lp_norm_sq(f, q, N)[0] ** (0.5 * q)
     lhs = 0.25 * N * er.pair_energy("log", f.fourier, N).value
     rhs = math.log(fq) / (q - 2.0) + B_N(N)
     margin = lhs - rhs

@@ -318,3 +318,15 @@ def test_cold_bubble_loads_neither_fractions_nor_decimal():
     out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
                          capture_output=True, check=True, env=_child_env()).stdout.splitlines()
     assert list(map(json.loads, out)) == [[0, ["euclid_radial"]], []]
+
+
+@pytest.mark.parametrize("argv", [("intertwine", "--dim", "3", "--order", "0.3"),
+                                  ("confcore", "--dim", "1", "--profile", "mix")])
+def test_cold_exact_audits_load_neither_fractions_nor_decimal(argv):
+    # the pullback coefficients, the Dyda images and the sums over V^2 are integers
+    # over one denominator: the exact audits need no fractions import either
+    script = _LOADED_AUDIT_MODULES + (
+        "print(json.dumps([m for m in ('fractions', 'decimal') if m in sys.modules]))\n")
+    out = subprocess.run([sys.executable, "-c", script, json.dumps(argv)],
+                         capture_output=True, check=True, env=_child_env()).stdout.splitlines()
+    assert list(map(json.loads, out)) == [[0, ["conformal", "euclid_radial"]], []]

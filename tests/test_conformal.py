@@ -299,6 +299,86 @@ def test_pullback_coefficients_round_once():
                     g *= mp.mpf((i - d) * (d + N - 1 + i)) / ((N + 2 * i) * (i + 1))
 
 
+# -- the integer forms against a Fraction transcription of the same sums ---------------
+
+
+def _ref_zonal_norm(N, k):
+    j = (N + 1) // 2
+    q = (Fraction(2, math.factorial(j - 1)) if N % 2
+         else Fraction(2 ** (j + 1), math.prod(range(N - 1, 0, -2))))
+    d = math.comb(N + k, N) - math.comb(N + k - 2, N) if k else 1
+    return math.sqrt(d / q) / math.pi ** (0.5 * j)
+
+
+def _ref_phi_coefficients(u):
+    out = [Fraction(0)] * (u.degree_max + 1)
+    for k, a in enumerate(u.coeffs):
+        if a:
+            term = Fraction(a) * Fraction(_ref_zonal_norm(u.N, k)) * (-1) ** k
+            for i in range(k + 1):
+                out[i] += term
+                term *= Fraction((i - k) * (k + u.N - 1 + i), (u.N + 2 * i) * (i + 1))
+    return out
+
+
+def _ref_square_sums(N, c):
+    r, h, d = [Fraction(1)], [Fraction(0)], [Fraction(0)]
+    for l in range(2 * len(c) - 2):
+        r.append(r[-1] * Fraction(N + 2 * l, N + l))
+        h.append(h[-1] + Fraction(2, N + 2 * l))
+        d.append(d[-1] + Fraction(N, (N + 2 * l) * (N + l)))
+    g = [sum(c[i] * c[k - i] for i in range(len(c)) if 0 <= k - i < len(c)) for k in range(len(r))]
+    S = sum(gk * rk for gk, rk in zip(g, r))
+    T = sum(gk * rk * dk for gk, rk, dk in zip(g, r, d))
+    X = sum(ci * cj * r[i + j] * (h[i] + h[j] - h[i + j])
+            for (i, ci), (j, cj) in itertools.product(enumerate(c), repeat=2))
+    return float(S), float(T / S), float(X / S)
+
+
+def _ref_image_polynomials(N, s, c_phi):
+    c, s = Fraction(N, 2), Fraction(s)
+    x, y = c + s, c - s
+    alpha, alpha_h, ratio, h = [], [], Fraction(1), Fraction(0)
+    for i, ci in enumerate(c_phi):
+        alpha.append(ci * ratio)
+        alpha_h.append(alpha[-1] * h)
+        ratio *= 2 * (c + i) / (y + i)
+        h += 1 / (y + i)
+    q, r, beta, dx = [], [], Fraction(1), Fraction(0)
+    for j in range(len(alpha)):
+        poch = [math.prod(range(j - i - 1, -i - 1, -1)) for i in range(len(alpha))]
+        S = sum(a * p for a, p in zip(alpha, poch))  # (-i)_j = (-i)(-i+1)...(-i+j-1)
+        T = sum(a * p for a, p in zip(alpha_h, poch))
+        q.append(beta * S)
+        r.append(beta * (T + dx * S))
+        beta *= (x + j) / ((c + j) * (j + 1))
+        dx += 1 / (x + j)
+    return er.PhiSum.of(0.0, q), er.PhiSum.of(0.0, r)
+
+
+#: the fixed orders of the exactness grid; each N adds two seeded ones
+_EXACT_ORDERS = (0.0, 0.25, 0.3, 0.45, 0.75, 0.9)
+
+
+@pytest.mark.parametrize("N", range(1, 9))
+def test_exact_sums_equal_their_fraction_transcription(N):
+    # the integer forms are the same rationals in the same reduced form: equal
+    # PhiSums and equal float bits, degree 0..16, some coefficients exactly 0
+    rng = np.random.default_rng([29, N])
+    orders = [s for s in _EXACT_ORDERS + tuple(rng.uniform(0.0, 1.0, 2).tolist()) if N > 2.0 * s]
+    for d in range(17):
+        assert conformal._zonal_norm(N, d).hex() == _ref_zonal_norm(N, d).hex()
+        coeffs = rng.uniform(-1.0, 1.0, d + 1) * (rng.uniform(size=d + 1) < 0.7)
+        u = ZonalExpansion(N, d, tuple(coeffs.tolist()[:-1]) + (1.0,))
+        ref = _ref_phi_coefficients(u)
+        c = conformal._phi_coefficients(u)
+        assert c == er.PhiSum.of(0.0, ref), d
+        got = conformal._square_sums(N, c)
+        assert [x.hex() for x in got] == [x.hex() for x in _ref_square_sums(N, ref)], d
+        for s in orders:
+            assert conformal._image_polynomials(N, s, c) == _ref_image_polynomials(N, s, ref), (d, s)
+
+
 def _dyda_mp(mp, N, power, s, r):
     """(-Delta)^s phi^power at r by Dyda's formula, with its s- and power-derivatives."""
     def E(a, t):
@@ -310,7 +390,7 @@ def _dyda_mp(mp, N, power, s, r):
 
 
 def _unit(i):
-    return [Fraction(0)] * i + [Fraction(1)]
+    return er.PhiSum(0.0, (0,) * i + (1,))
 
 
 def test_pullback_images_against_mpmath():
@@ -355,7 +435,7 @@ def test_pullback_image_bubble_closed_form():
     ts = [conformal.polar_cosine(r) for r in (0.0, 0.7, 1.0, 3.0, 50.0)]
     for N, s in itertools.product(range(1, 6), (0.2, 0.45)):
         A = eval_constants(Params(N, s)).A_Ns
-        for t, ((E, est), _, _) in zip(ts, conformal._images(N, s, [Fraction(1.7)], ts)):
+        for t, ((E, est), _, _) in zip(ts, conformal._images(N, s, er.PhiSum.of(0.0, [1.7]), ts)):
             expected = A * 1.7 * (1.0 + t) ** (0.5 * N + s)  # phi = 1 + t
             assert abs(E - expected) <= est + 4e-16 * abs(expected), (N, s, t)
 
@@ -529,8 +609,7 @@ def _log_energy_ratio(N, u):
     """E_ln(V)/||V||^2 = 2 <ln phi> + 2 psi(N/2) + X/S of confcore_checks, V = T_0[u],
     with the report and a first-order bound on its rounding."""
     rep = conformal.confcore_checks(u, N)
-    c = er.PhiSum.of(0.5 * N, conformal._phi_coefficients(u))
-    _, _, x_over_s = conformal._square_sums(N, c)
+    _, _, x_over_s = conformal._square_sums(N, conformal._phi_coefficients(u))
     psi = digamma(0.5 * N)
     ratio = 2.0 * (rep.details["log_phi_mean"] + psi) + x_over_s
     err = (2.0 * rep.details["log_phi_mean_error"] + 2.0 * conformal._specfun_error(psi)
@@ -557,9 +636,9 @@ def test_confcore_log_energy_against_gr_6576_in_mpmath(N, u):
     c = conformal._phi_coefficients(u)
     with mp.workdps(40):
         h = mp.mpf(N) / 2
-        w = [2 * mp.mpf(ci.numerator) / ci.denominator / mp.gamma(h + i) for i, ci in enumerate(c)]
+        w = [2 * mp.mpf(a) / c.den / mp.gamma(h + i) for i, a in enumerate(c.nums)]
         norm = energy = mp.mpf(0)
-        for i, j in itertools.product(range(len(c)), repeat=2):
+        for i, j in itertools.product(range(len(w)), repeat=2):
             H = (mp.mpf(2) ** (N + i + j - 3) * mp.gamma(h + i + j) * mp.gamma(h + i)
                  * mp.gamma(h + j) * mp.gamma(h) / mp.gamma(N + i + j))
             dlog = (2 * mp.log(2) + mp.digamma(h + i + j) + mp.digamma(h + i) + mp.digamma(h + j)

@@ -634,12 +634,32 @@ _RATIONALS = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 
 def test_phi_sum_is_exact(base, coefs, x):
     # of reads float and Fraction coefficients exactly: each term returns its float
     # bit for bit (a Fraction rounded once) at the power base + i, and at(x) is the
-    # exact rational sum_i c_i x^i rounded once
+    # exact rational sum_i c_i x^i rounded once, also from an unreduced integer
+    # ratio; over(base, nums, den) reduces integer numerators to of's form
     v = er.PhiSum.of(base, coefs)
     assert [(i, c.hex(), a.hex()) for i, c, a in v.terms] == [
         (i, float(c).hex(), (base + i).hex()) for i, c in enumerate(coefs) if c]
     exact = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(coefs))
     assert v.at(x) == float(exact)
+    p, q = x.as_integer_ratio()
+    assert v.at(6 * p, 6 * q) == float(exact)
+    assert er.PhiSum.over(base, [-6 * a for a in v.nums], 6 * v.den) == er.PhiSum.of(
+        base, [-c for c in coefs])
+
+
+def test_profiles_fold_their_weights_at_the_first_transform_call(monkeypatch):
+    # building a profile takes no ln Gamma and no memo: the identity and Beckner
+    # audits read only the pair's meta
+    calls = []
+    monkeypatch.setattr(er, "ln_gamma", lambda x: calls.append(x) or ln_gamma(x))
+    bubble = er.talenti_bubble(Params(3, 0.3))
+    pullback = conformal.pullback_expansion(0.3, ZonalExpansion(3, 2, (1.0, 0.2, -0.1)))
+    assert calls == []
+    value = bubble.fourier.evaluator(0.7)
+    assert len(calls) == 1
+    assert bubble.fourier.evaluator(0.7) == value and len(calls) == 1
+    pullback.fourier.evaluator(0.7)
+    assert len(calls) == 4
 
 
 def test_phi_power_bessel_calls_per_ladder(monkeypatch):

@@ -1,5 +1,6 @@
 import math
 import os
+from fractions import Fraction
 
 import mpmath as mp
 import numpy as np
@@ -341,6 +342,37 @@ def test_lq_check_margins():
     assert rep.passed and rep.residual > 0.01
     rep2 = ineq.lq_check(3, 0.5, 1.0, er.gaussian_density_profile(3))
     assert rep2.passed and rep2.residual > 0.01
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_lq_norm_closed_form_against_quadrature(N):
+    # the extremal's int |f|^q is one phi-moment: within the estimate of the
+    # radial_integral route that lq_check took before
+    f = ineq.extremal_profile(N)
+    for q in (1.1, 1.5, 1.9):
+        closed = ineq.lq_check(N, 0.25, q, f).details["lq_norm_q"]
+        quad = er.radial_integral(N, lambda r: abs(f.evaluator(r)) ** q, name="lq-norm")
+        assert abs(closed - quad.value) <= quad.abs_error_estimate, (q, closed, quad)
+
+
+def test_lp_norm_excess_equals_its_fraction_transcription(monkeypatch):
+    # a p - N/2 from the integer ratios of a and p, bit for bit the Fraction difference
+    excesses, phi_power_lp_sq = [], ineq._phi_power_lp_sq
+    monkeypatch.setattr(ineq, "_phi_power_lp_sq",
+                        lambda v, excess, p: excesses.append(excess) or phi_power_lp_sq(v, excess, p))
+    rng = np.random.default_rng(29)
+    cases = []
+    for N in range(1, 9):
+        for s in (0.0, 0.25, 0.3, 0.45, 0.75, 0.9, *rng.uniform(0.0, 1.0, 2).tolist()):
+            if N > 2.0 * s:
+                m = 0.5 * (N - 2.0 * s)
+                v = er.phi_poly_profile(N, [er.PhiSum.of(m, [1.0])])
+                for p in (1.5, er.p_of_s(N, s), float(rng.uniform(1.0, 4.0))):
+                    if m * p > 0.5 * N:
+                        ineq._lp_norm_sq(v, p, N)
+                        cases.append(float(Fraction(m) * Fraction(p) - Fraction(N, 2)))
+    assert len(cases) > 100
+    assert [x.hex() for x in excesses] == [x.hex() for x in cases]
 
 
 def test_lq_check_divergent_l1_for_extremal_line():
