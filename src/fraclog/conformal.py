@@ -50,8 +50,10 @@ Audits implemented here:
   integer sums over the phi powers of V^2 (_square_sums), good to a few
   roundings at any degree; the norm is held against Parseval and the log
   energy against the spectral sum; the entropies on both sides are
-  quadratures, the Euclidean one with V at each node by PhiSum.at, exact
-  and rounded once;
+  quadratures, the sphere's in the polar angle, the Euclidean one in the
+  polar cosine t by euclid_radial.phi_weighted_integral, whose Jacobi
+  weight carries the stereographic measure and ln phi, with V's
+  polynomial part at each node by PhiSum.at, exact and rounded once;
 * intertwining_residual: T_s[P^{s+ln} u] (spectral route) against
   phi^{-2s} [ (-Delta)^{s+ln} V - (-Delta)^s((ln phi) V)
   - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
@@ -220,14 +222,22 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     the last V's pair energy (GR 6.576.4) at s = 0, where every Gamma
     argument is N/2 or N plus an integer. The norm law holds ||V||^2 against
     Parseval's sum_k u_k^2, the log-energy law the closed form against the
-    spectral sum; the entropy law takes int V^2 ln V^2 dx by one quadrature,
-    sum_i c_i phi^i exact at the float phi(r) (PhiSum.at), against
-    _sphere_entropy (both split at the sign changes of u). details carries
+    spectral sum; the entropy law takes int V^2 ln V^2 dx against
+    _sphere_entropy (both split at the sign changes of u). With V^2 = phi^N P^2,
+    P = sum_i c_i phi^i exact at the float phi = 1 + t (PhiSum.at), and
+    w = (1+t)^{(N-2)/2} (1-t)^{(N-2)/2}, it is two Jacobi-weighted quadratures
+    in t (euclid_radial.phi_weighted_integral),
+
+        int V^2 ln V^2 dx = |S^{N-1}| [int w P^2 ln P^2 dt + N int w P^2 ln(1+t) dt],
+
+    the second with ln(1+t) in QAWS's weight, not the closed form <ln phi>
+    the law compares it against: in r, ln phi is a log singularity at
+    r = inf that took three times the evaluations. details carries
     ||V||^2 and <ln phi> with their estimates, and details["error_budget"]
     bounds each law's residual to first order: the norm by the estimate of
     M, a fixed count of roundings, Parseval's and that of Z_k(1) in the c_i;
     <ln phi> carries those of M and M' and three roundings; the entropy by
-    both integrals' estimates, that of ||V||^2 and N times that of <ln phi>;
+    the three integrals' estimates, that of ||V||^2 and N times that of <ln phi>;
     the log energy by the roundings of X/S, psi(N/2), the spectral energy and
     Z_k(1), but not by <ln phi>'s estimate: one float enters both sides.
     """
@@ -255,19 +265,23 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     logphi_err = ((ml.abs_error_estimate + abs(base) * m.abs_error_estimate) / m.value
                   + eps * (abs(base) + abs(T_over_S) + abs(logphi_mean)))
 
-    # (ii) entropy transfer: Ent_2(V) = int V^2 ln V^2 dx / ||V||^2 - ln ||V||^2
-    def v2_log_v2(r):
-        ph = er.phi(r)
-        v2 = c.at(ph) ** 2 * ph ** N
-        return v2 * math.log(v2) if v2 else 0.0
+    # (ii) entropy transfer: Ent_2(V) = int V^2 ln V^2 dx / ||V||^2 - ln ||V||^2, with
+    # V^2 = phi^N P^2, P = sum_i c_i phi^i, and ln V^2 = ln P^2 + N ln phi
+    def p2_log_p2(t):
+        p2 = c.at(1.0 + t) ** 2
+        return p2 * math.log(p2) if p2 else 0.0
 
     zeros = _sign_changes(u)
-    e = er.radial_integral(N, v2_log_v2, [radius_of_cosine(t) for t in zeros],
-                           name="entropy-log")
-    ent_euclid = e.value / norm_euclid - math.log(norm_euclid)
+    e_p = er.phi_weighted_integral(N, p2_log_p2, 0.5 * N, zeros, name="entropy-log")
+    e_phi = er.phi_weighted_integral(N, lambda t: c.at(1.0 + t) ** 2, 0.5 * N, zeros, log=True,
+                                     name="entropy-log-phi")
+    e_value = e_p.value + N * e_phi.value
+    e_err = (e_p.abs_error_estimate + N * e_phi.abs_error_estimate
+             + 2.0 * eps * (abs(e_p.value) + N * abs(e_phi.value)))
+    ent_euclid = e_value / norm_euclid - math.log(norm_euclid)
     ent_sphere = _sphere_entropy(u, zeros)
     res_entropy = ent_euclid - (ent_sphere.value + N * logphi_mean)
-    budget_entropy = ((e.abs_error_estimate + (abs(e.value) / norm_euclid + 1.0) * norm_err)
+    budget_entropy = ((e_err + (abs(e_value) / norm_euclid + 1.0) * norm_err)
                       / norm_euclid
                       + ent_sphere.abs_error_estimate + N * logphi_err
                       + 2.0 * eps * (abs(ent_euclid) + abs(ent_sphere.value)
@@ -332,7 +346,9 @@ def _sign_changes(u: spectral.ZonalExpansion) -> list[float]:
 
     Integrated across the kink, QUADPACK's estimate missed it: for N = 3,
     u = 1 - 0.294 Z_1 - 0.261 Z_2, the sphere entropy erred by 4.6e-10,
-    and for u = 1 - 0.220 Z_1 - 0.200 Z_2 the Euclidean one by 1.6e-11.
+    and for u = 1 - 0.220 Z_1 - 0.200 Z_2 the Euclidean one in r by 1.6e-11.
+    The Euclidean entropy splits its domain in t at these cosines as they
+    are; the sphere's at their polar angles.
     A root between grid nodes is bracketed; one on a node, such as t = 0
     of every odd u, is the node where u is 0 with opposite signs beside it.
     """

@@ -15,6 +15,9 @@ cut-off is a density's rho_max, or for a profile of unbounded decay
 exponent the first R = 2^j at which it falls to 1e-18 of its largest
 sampled value. Energies and radial_integral take every semi-infinite part
 by the same map; a point that misses its tolerance raises NonConvergedError.
+phi_weighted_integral takes a phi-power weight in the polar cosine
+t = phi - 1 instead, on the finite (-1, 1), where stereographic
+projection makes the measure and phi^b one Jacobi weight for QAWS.
 
 Exact pairs. With f_nu(rho) := rho^nu K_nu(rho) and phi(r) = 2/(1+r^2),
 
@@ -668,6 +671,28 @@ def phi_moment(N: int, excess, log: bool = False) -> QuadResult:
     v, e = _gamma_moment(fsum((h, excess, -1.0)) * LN2, LN2,
                          [((h,), 0.0), ((excess,), 1.0)], [((h, excess), 1.0)], log)
     return _over_sphere(N, v, e)
+
+
+def phi_weighted_integral(N: int, fn, excess: float, breaks: Sequence[float] = (),
+                          log: bool = False, abs_tol: float = 1e-13, rel_tol: float = 1e-12,
+                          name: str = "phi-weighted") -> QuadResult:
+    """int_{R^N} fn(t) phi^b (ln phi)^{0|1} dx by QAWS in the polar cosine t = phi - 1,
+    b = N/2 + excess: phi_moment's quadrature twin, for any fn of t.
+
+    Stereographic projection takes dx to |S^{N-1}| (1+t)^{-N} (1-t^2)^{(N-2)/2} dt,
+    so this is |S^{N-1}| int_{-1}^1 fn(t) (1+t)^{excess-1} (1-t)^{(N-2)/2} [ln(1+t)] dt,
+    one integrate call with the weight ("alg" | "alg-loga", excess - 1, (N-2)/2):
+    the end-point powers and ln phi are the rule's, not fn's. `breaks` are
+    polar cosines where fn is not smooth. The estimate is the pieces' sum
+    and the rounding of |S^{N-1}|; excess <= 0 raises DivergentIntegralError.
+    """
+    if not excess > 0.0:
+        raise DivergentIntegralError(f"phi^b is not integrable over R^{N}: b - N/2 = {excess}")
+    edges = (-1.0, *sorted(t for t in breaks if -1.0 < t < 1.0), 1.0)
+    weight = ("alg-loga" if log else "alg", excess - 1.0, 0.5 * N - 1.0)
+    res = integrate(Integrand(fn, edges, name=name, weight=weight), abs_tol, rel_tol)
+    area = _over_sphere(N, res.value, res.abs_error_estimate)
+    return QuadResult(area.value, area.abs_error_estimate, res.evaluations)
 
 
 def radial_integral(N: int, fn, breaks: Sequence[float] = (), abs_tol: float = 1e-12,

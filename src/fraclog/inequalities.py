@@ -26,14 +26,17 @@ integral in closed form: energies of exact pairs (bubbles, extremals,
 Gaussians) from euclid_radial.pair_energy, norms and entropies of a single
 phi power from its position-side twin euclid_radial.phi_moment, and the
 Gaussian's entropy from its amplitude and width; lq_check takes the
-extremal's L^q norm by the same phi-moment. Both closed forms take
+extremal's L^q norm by the same phi-moment, and moment_check the second
+moments of both profiles (r^2 = 2/phi - 1 makes the extremal's two
+phi-moments). Both closed forms take
 arrays, so the failure curve is one pair_energy and one phi_moment call
 over its whole grid of orders, bit-identical to a call per order. The
 quadrature routes, euclid_radial.energy and entropy, stay in
 sobolev_deficit and in the self-test below, which compares them with the
-closed forms. sobolev_deficit is independent of the failure curve in its
-energy half only: for a single phi power its L^p norm is the same
-phi-moment closed form. Before any Beckner-family audit runs, that cached
+closed forms. sobolev_deficit is independent of the failure curve in
+both halves: for a single phi power its L^p norm is the phi-moment's
+quadrature twin, euclid_radial.phi_weighted_integral, a Jacobi weight in
+the polar cosine. Before any Beckner-family audit runs, that cached
 self-test pins the B_N convention by checking the classical equality case
 at N = 1 (no order s involved); a convention mismatch fails loudly rather
 than silently shifting every margin.
@@ -80,13 +83,25 @@ def extremal_profile(N: int) -> er.RadialProfile:
         kind="beckner-extremal", meta={"amplitude": amp})
 
 
+def _phi_term(v: er.RadialProfile) -> tuple[float, float] | None:
+    """(c, a) of a profile v = c phi^a with an exact pair, None for any other profile."""
+    sums = v.fourier.meta.get("phi_sums") if v.fourier else None
+    if sums and len(sums) == 1 and not sums[0].log and len(sums[0].terms) == 1:
+        ((_, coef, a),) = sums[0].terms
+        return coef, a
+    return None
+
+
 def _phi_power_lp_sq(v: er.RadialProfile, excess: float, p_exp: float) -> tuple[float, float]:
     """(||v||_{L^p}^2, error estimate) for v = c phi^a: c^2 M^{2/p}, M the
     phi-moment of b = a p = N/2 + excess, `excess` formed exactly by the caller;
     arrays of excesses and exponents give arrays, per element as phi_moment."""
-    (v_sum,) = v.fourier.meta["phi_sums"]
-    ((_, coef, _),) = v_sum.terms
-    m = er.phi_moment(v.meta["N"], excess)
+    return _lp_sq_of_moment(v, er.phi_moment(v.meta["N"], excess), p_exp)
+
+
+def _lp_sq_of_moment(v: er.RadialProfile, m: er.QuadResult, p_exp: float) -> tuple[float, float]:
+    """(c^2 M^{2/p}, error estimate) for v = c phi^a, m = (M, its estimate) int phi^{ap} dx."""
+    coef, _ = _phi_term(v)
     two_over_p = 2.0 / p_exp
     val = coef * coef * er._map(operator.pow, m.value, two_over_p)
     return val, val * (two_over_p * m.abs_error_estimate / m.value
@@ -110,19 +125,29 @@ def _bubble_entropy(N: int) -> tuple[float, float]:
     return val, err
 
 
-def _lp_norm_sq(v: er.RadialProfile, p_exp: float, N: int) -> tuple[float, float]:
-    """(||v||_{L^p}^2, error estimate); a single phi power through the phi-moment."""
-    sums = v.fourier.meta.get("phi_sums") if v.fourier else None
-    if sums and len(sums) == 1 and not sums[0].log and len(sums[0].terms) == 1:
-        ((_, _, a),) = sums[0].terms
-        (pa, qa), (pp, qp) = a.as_integer_ratio(), p_exp.as_integer_ratio()
+def _lp_norm_sq(v: er.RadialProfile, p_exp: float, N: int,
+                quadrature: bool = False) -> tuple[float, float]:
+    """(||v||_{L^p}^2, error estimate). For a single phi power c phi^a, int phi^{ap} dx
+    is the phi-moment closed form, or with `quadrature` its QAWS twin
+    er.phi_weighted_integral (the Jacobi weight (1+t)^{ap-N/2-1} (1-t)^{(N-2)/2}
+    against 1); any other profile takes radial_integral."""
+    term = _phi_term(v)
+    if term:
+        (pa, qa), (pp, qp) = term[1].as_integer_ratio(), p_exp.as_integer_ratio()
         excess = (2 * pa * pp - N * qa * qp) / (2 * qa * qp)  # a p - N/2, int / int rounds once
+        if quadrature:
+            return _lp_sq_of_moment(v, er.phi_weighted_integral(N, _one, excess, name="lp-norm"),
+                                    p_exp)
         return _phi_power_lp_sq(v, excess, p_exp)
     res = er.radial_integral(N, lambda r: abs(v.evaluator(r)) ** p_exp, rel_tol=1e-11,
                              name="lp-norm")
     val = res.value ** (2.0 / p_exp)
     err = abs(val) * (2.0 / p_exp) * res.abs_error_estimate / max(res.value, 1e-300)
     return val, err
+
+
+def _one(t: float) -> float:
+    return 1.0
 
 
 def _kappa_rel(N: int, s):
@@ -142,14 +167,15 @@ def _deficit_curve(tag: str, s_grid: Sequence[float], Fs: list, errs: list) -> D
 
 
 def sobolev_deficit(N: int, v: er.RadialProfile, s_grid: Sequence[float]) -> DeficitCurve:
-    """F_v(s) over s_grid for a profile with exact Fourier pair, energies by quadrature."""
+    """F_v(s) over s_grid for a profile with exact Fourier pair, both halves by quadrature:
+    the energy by euclid_radial.energy, the L^p norm by _lp_norm_sq's quadrature route."""
     if v.fourier is None:
         raise DomainError("sobolev_deficit needs a profile with an exact Fourier pair")
     Fs, errs = [], []
     for s in s_grid:
         kap = eval_constants(Params(N, s)).kappa_Ns
         en = er.energy("frac", v.fourier, N, s)
-        lp, lp_err = _lp_norm_sq(v, er.p_of_s(N, s), N)
+        lp, lp_err = _lp_norm_sq(v, er.p_of_s(N, s), N, quadrature=True)
         Fs.append(kap * en.value - lp)
         errs.append(kap * en.abs_error_estimate + lp_err)
     return _deficit_curve(v.kind, s_grid, Fs, errs)
@@ -411,8 +437,37 @@ def beckner_fraclog_check(N: int, s: float, f_choice: str) -> AuditReport:
     )
 
 
+def _second_moment(f: er.RadialProfile, N: int) -> tuple[float, float]:
+    """(int r^2 f^2 dx, error estimate), in _lp_norm_sq's dispatch.
+
+    A Gaussian A exp(-r^2/(2 sigma^2)) gives A^2 |S^{N-1}| sigma^{N+2} Gamma(N/2+1)/2
+    from its amplitude and width; a single phi power c phi^a, with r^2 = 2/phi - 1,
+    gives c^2 (2 M(2a-1) - M(2a)), M(b) the phi-moments; the estimates are
+    first-order rounding bounds. Any other profile takes radial_integral.
+    """
+    eps = er._EPS
+    if f.kind == "gaussian":
+        A, sigma = f.meta["amplitude"], f.meta["sigma"]
+        lg = ln_gamma(0.5 * N + 1.0)
+        val = A * A * sigma ** (N + 2) * math.exp(lg) / 2.0
+        res = er._over_sphere(N, val, eps * abs(val) * (abs(lg) + (N + 2) * abs(math.log(sigma))
+                                                        + 8.0))
+        return res.value, res.abs_error_estimate
+    term = _phi_term(f)
+    if term:
+        coef, a = term
+        m1, m0 = (er.phi_moment(N, math.fsum((2.0 * a, -0.5 * N, -k))) for k in (1.0, 0.0))
+        c2 = coef * coef
+        val = c2 * (2.0 * m1.value - m0.value)
+        return val, c2 * (2.0 * m1.abs_error_estimate + m0.abs_error_estimate
+                          + 3.0 * eps * (2.0 * m1.value + m0.value))
+    res = er.radial_integral(N, lambda r: r * r * f.evaluator(r) ** 2, name="second-moment")
+    return res.value, res.abs_error_estimate
+
+
 def moment_check(N: int, s: float, f: er.RadialProfile) -> AuditReport:
-    """Second-moment lower bound (Beckner + Shannon), strict margin."""
+    """Second-moment lower bound (Beckner + Shannon), strict margin; int r^2 f^2 dx
+    is _second_moment's, a closed form for a Gaussian and for one phi power."""
     beckner_convention_selftest()
     if f.fourier is None:
         raise DomainError("moment_check needs a profile with exact Fourier pair")
@@ -421,7 +476,7 @@ def moment_check(N: int, s: float, f: er.RadialProfile) -> AuditReport:
         raise DivergentIntegralError(
             f"second moment of |f|^2 diverges for decay exponent {f.decay_exponent}")
     lhs = er.pair_energy("log", f.fourier, N).value
-    m2 = er.radial_integral(N, lambda r: r * r * f.evaluator(r) ** 2, name="second-moment").value
+    m2 = _second_moment(f, N)[0]
     rhs = -math.log(2.0 * math.pi * math.e / N * m2) + (4.0 / N) * B_N(N)
     margin = lhs - rhs
     return AuditReport(

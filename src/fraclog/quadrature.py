@@ -2,9 +2,11 @@
 
 The heavy lifting is QUADPACK (adaptive Gauss–Kronrod panels with
 epsilon-algorithm extrapolation, which also takes integrable endpoint
-singularities). This module is the only one that calls it, through three
+singularities). This module is the only one that calls it, through four
 routines of scipy's compiled QUADPACK module: QAGS (`_qagse`) on a finite
-domain, and QAWO (`_qawoe`) and QAWF (`_qawfe`) for Fourier weights. They
+domain, QAWO (`_qawoe`) and QAWF (`_qawfe`) for Fourier weights, and QAWS
+(`_qawse`, Clenshaw-Curtis with exact modified Chebyshev moments of the
+Jacobi weight near the end points) for algebraic-logarithmic weights. They
 are called with the arguments scipy.integrate.quad passes them, so values,
 error estimates and evaluation counts equal quad's bit for bit, and the
 module is loaded without scipy.integrate's package init (see
@@ -48,6 +50,7 @@ _QUAD_LIMIT = 400  # adaptive subdivisions per QUADPACK call
 _QUAD_LIMLST = 120  # QAWF cycles of a Fourier tail (QAWO ignores it)
 _QUAD_MAXP1 = 50  # Chebyshev moments of QAWO/QAWF: scipy's default, so the bits match quad's
 _FOURIER = {"cos": 1, "sin": 2}  # QUADPACK's integr code of each weight
+_ALGEBRAIC = {"alg": 1, "alg-loga": 2}  # ... and QAWS's integr code of each algebraic weight
 _ROOT_MAX_ITER = 200
 _ROOT_RTOL = 8.9e-16  # brentq's floor, 4 * machine epsilon, rounded up
 
@@ -57,7 +60,8 @@ class Integrand:
     evaluator: Callable[[float], float]
     domain: tuple  # edges (e0, ..., en), n >= 1; only en may be inf
     name: str = ""
-    #: ("cos" | "sin", omega): integrate evaluator(r) * cos|sin(omega r)
+    #: ("cos" | "sin", omega): integrate evaluator(r) * cos|sin(omega r);
+    #: ("alg" | "alg-loga", alpha, beta): times (r-e0)^alpha (en-r)^beta [ln(r-e0)]
     weight: Optional[tuple] = None
 
 
@@ -78,8 +82,9 @@ class RootResult:
 # perfbench/tracer.py wraps this name to count QUADPACK calls and evaluations
 def _quad(func, a, b, epsabs, epsrel, weight=None):
     """(value, error estimate, info) of QUADPACK on [a, b], as
-    scipy.integrate.quad(..., full_output=True) computes them: QAGS, or with
-    weight = ("cos" | "sin", omega) QAWO on a finite domain and QAWF on (a, inf).
+    scipy.integrate.quad(..., full_output=True) computes them: QAGS, with
+    weight = ("cos" | "sin", omega) QAWO on a finite domain and QAWF on (a, inf),
+    and with weight = ("alg" | "alg-loga", alpha, beta) QAWS.
 
     Like quad, an empty interval returns zeros without calling QUADPACK, b < a
     integrates over [b, a] and negates, and invalid input (ier 6) raises ValueError.
@@ -89,6 +94,9 @@ def _quad(func, a, b, epsabs, epsrel, weight=None):
     flip, a, b = b < a, min(a, b), max(a, b)
     if weight is None:
         value, err, info, ier = _quadpack._qagse(func, a, b, (), 1, epsabs, epsrel, _QUAD_LIMIT)
+    elif weight[0] in _ALGEBRAIC:
+        value, err, info, ier = _quadpack._qawse(func, a, b, weight[1:], _ALGEBRAIC[weight[0]], (),
+                                                 1, epsabs, epsrel, _QUAD_LIMIT)
     elif b == _INF:
         value, err, info, ier = _quadpack._qawfe(func, a, weight[1], _FOURIER[weight[0]], (), 1,
                                                  epsabs, _QUAD_LIMLST, _QUAD_LIMIT, _QUAD_MAXP1)
@@ -106,22 +114,30 @@ def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> Qu
 
     Raises NonConvergedError (carrying the piece's best estimate) when a
     piece's error estimate exceeds max(abs_tol, rel_tol*|value|) of that
-    piece. QAWF, on a weighted (a, inf), works to abs_tol alone.
+    piece. QAWF, on a weighted (a, inf), works to abs_tol alone. An algebraic
+    weight on an infinite or descending domain, or with an exponent <= -1,
+    raises DomainError.
     """
     if not (abs_tol > 0.0 and rel_tol > 0.0):
         raise DomainError("tolerances must be positive")
     if len(f.domain) < 2:
         raise DomainError(f"a domain needs two or more edges, got {f.domain!r}")
+    algebraic = f.weight is not None and f.weight[0] in _ALGEBRAIC
+    if algebraic and not (-_INF < f.domain[0] < f.domain[-1] < _INF and min(f.weight[1:]) > -1.0):
+        raise DomainError(f"weight {f.weight!r} needs finite ascending edges and exponents > -1, "
+                          f"got domain {f.domain!r}")
     pieces = []
     for a, b in zip(f.domain, f.domain[1:]):
-        fn = f.evaluator
-        if f.weight is None and b == _INF:
+        fn, weight = f.evaluator, f.weight
+        if algebraic:
+            fn, weight = _algebraic_piece(f, a, b)
+        elif f.weight is None and b == _INF:
             def fn(t, a=a):  # a as given, before the piece becomes [0, 1]
                 if t >= 1.0:
                     return 0.0
                 return f.evaluator(a + t / (1.0 - t)) / (1.0 - t) ** 2
             a, b = 0.0, 1.0
-        value, err, info = _quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, weight=f.weight)
+        value, err, info = _quad(fn, a, b, epsabs=abs_tol, epsrel=rel_tol, weight=weight)
         if err > max(abs_tol, rel_tol * abs(value)) * 50.0:
             raise NonConvergedError(
                 f"quadrature error estimate {err:.3e} misses tolerance "
@@ -130,6 +146,28 @@ def integrate(f: Integrand, abs_tol: float = 1e-10, rel_tol: float = 1e-9) -> Qu
             )
         pieces.append(QuadResult(value, err, int(info["neval"])))
     return _sum_results(pieces)
+
+
+def _algebraic_piece(f: Integrand, a: float, b: float) -> tuple:
+    """(evaluator, weight) of _quad on the piece [a, b] of f's algebraic weight.
+
+    QAWS keeps the factor of each domain end the piece touches; the factor of
+    an end it does not touch, and ln(x - e0) where it does not touch e0, is
+    smooth there and joins the evaluator. A piece inside the domain is QAGS's.
+    """
+    kind, alpha, beta = f.weight
+    e0, en, ev = f.domain[0], f.domain[-1], f.evaluator
+    if a == e0 and b == en:
+        return ev, f.weight
+    if a == e0:
+        return (lambda x: ev(x) * (en - x) ** beta), (kind, alpha, 0.0)
+    log = kind == "alg-loga"
+
+    def left(x):  # the factor of e0, with its logarithm
+        return (x - e0) ** alpha * (math.log(x - e0) if log else 1.0)
+    if b == en:
+        return (lambda x: ev(x) * left(x)), ("alg", 0.0, beta)
+    return (lambda x: ev(x) * left(x) * (en - x) ** beta), None
 
 
 def _sum_results(results: Sequence[QuadResult], scale: float = 1.0) -> QuadResult:

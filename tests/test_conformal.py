@@ -685,24 +685,83 @@ def test_confcore_takes_two_scalar_phi_moments(monkeypatch):
 
 
 def test_confcore_integrates_only_its_two_entropies(monkeypatch):
+    # the Euclidean entropy is two Jacobi-weighted integrals in t, P^2 ln P^2 and
+    # P^2 ln phi, and takes no radial_integral; the sphere's is one zonal_integral
     import fraclog
     names = []
 
     def recording(f, *args, **kwargs):
-        names.append((f.name, len(f.domain) - 1))  # one call per integral, one piece per edge pair
+        # one call per integral, one piece per edge pair
+        names.append((f.name, len(f.domain) - 1, f.weight and f.weight[0]))
         return integrate(f, *args, **kwargs)
     for mod in vars(fraclog).values():
         if getattr(mod, "integrate", None) is integrate:
             monkeypatch.setattr(mod, "integrate", recording)
+    monkeypatch.setattr(er, "radial_integral", None)
     split = 0
     for N, u in CONFCORE_PROFILES:
         names.clear()
         conformal.confcore_checks(u, N)
         pieces = len(conformal._sign_changes(u)) + 1  # each entropy is split at the sign changes
         split += pieces > 1
-        assert sorted(names) == sorted([("entropy-log", pieces), ("zonal-integral", pieces)]), \
-            (N, u)
+        assert sorted(names, key=str) == sorted([("entropy-log", pieces, "alg"),
+                                                 ("entropy-log-phi", pieces, "alg-loga"),
+                                                 ("zonal-integral", pieces, None)], key=str), (N, u)
     assert split >= 5
+
+
+def _euclid_entropy_in_r(N, u):
+    """(Ent_2(V), estimate) over R^N in r, V = T_0[u]: V^2 ln V^2 with V exact at the
+    float phi(r) and the numeric Jacobian r^{N-1} of radial_integral, split at the
+    radii of u's sign changes, over Parseval's ||u||^2."""
+    c = conformal._phi_coefficients(u)
+
+    def v2_log_v2(r):
+        ph = er.phi(r)
+        v2 = c.at(ph) ** 2 * ph ** N
+        return v2 * math.log(v2) if v2 else 0.0
+    e = er.radial_integral(N, v2_log_v2,
+                           [conformal.radius_of_cosine(t) for t in conformal._sign_changes(u)])
+    norm = u.norm_sq()
+    val = e.value / norm - math.log(norm)
+    return val, e.abs_error_estimate / norm + 4.0 * 2.0 ** -52 * (abs(val) + abs(math.log(norm)))
+
+
+@pytest.mark.parametrize("N,u", CONFCORE_PROFILES + SCAN_PROFILES)
+def test_confcore_euclid_entropy_against_the_r_space_route(N, u):
+    # a third route, in r with R^N's numeric Jacobian: the audit's Ent_2(V), in t with
+    # the Jacobi weight, agrees within both estimates
+    rep = conformal.confcore_checks(u, N)
+    val, err = _euclid_entropy_in_r(N, u)
+    norm_rel = rep.details["norm_sq_error"] / rep.details["norm_sq"] + abs(
+        rep.details["norm_residual"])  # the audit divides by M S, the r route by Parseval
+    bound = rep.details["error_budget"]["entropy"] + err + norm_rel * (1.0 + abs(val))
+    assert abs(rep.lhs - val) <= bound, (rep.lhs, val, bound)
+
+
+def test_confcore_entropy_at_a_zero_next_to_the_south_pole_in_mpmath():
+    # this radial benchmark profile (seed 1) changes sign at t = -0.99983; integrated
+    # to abs 1e-12, rel 1e-10 in t, its Euclidean entropy erred by 5.1e-14
+    N = 3
+    u = ZonalExpansion(N, 2, (1.0, 0.1922373057834289, -0.2052915187150902))
+    (zero,) = conformal._sign_changes(u)
+    assert -0.9999 < zero < -0.9998
+    rep = conformal.confcore_checks(u, N)
+    c = conformal._phi_coefficients(u)
+    with mp.workdps(40):
+        def p(t):
+            return mp.fsum(mp.mpf(a) / c.den * (1 + t) ** i for i, a in enumerate(c.nums))
+
+        def w(t):
+            return ((1 + t) * (1 - t)) ** (mp.mpf(N - 2) / 2)
+        z = mp.findroot(p, mp.mpf(zero))
+        area = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
+        norm = area * mp.quad(lambda t: p(t) ** 2 * w(t), [-1, z, 1])
+        ent = area * mp.quad(lambda t: p(t) ** 2 * w(t) * (mp.log(p(t) ** 2) + N * mp.log(1 + t)),
+                             [-1, z, 1])
+        exact = float(ent / norm - mp.log(norm))
+    assert abs(rep.lhs - exact) <= rep.details["error_budget"]["entropy"]
+    assert abs(rep.lhs - exact) <= 8 * 2.0 ** -52 * abs(exact), (rep.lhs, exact)
 
 
 def test_confcore_radial_n1_profile_to_rounding():

@@ -114,14 +114,30 @@ DEFICIT_CASES = [(1, 0.12), (1, 0.24), (2, 0.2), (2, 0.48), (3, 0.3), (3, 0.75),
 @pytest.mark.parametrize("N,s0", DEFICIT_CASES)
 def test_failure_curve_matches_quadrature_route(N, s0):
     # the closed-form curve against sobolev_deficit, point by point within
-    # the two estimates; only the K_s energy is an independent quadrature,
-    # the L^p norm of a single phi power takes the same closed form
+    # the two estimates; both of its halves are independent quadratures: the
+    # K_s energy in rho, the L^p norm by QAWS in the polar cosine
     rep, curve = ineq.failure_demo(N, s0, 120)
     p0 = Params(N, s0)
     quad = ineq.sobolev_deficit(N, er.talenti_bubble(p0), curve.s_grid)
     assert rep.passed and quad.s_grid == curve.s_grid
     for F, e, Fq, eq in zip(curve.F_values, curve.F_errors, quad.F_values, quad.F_errors):
         assert abs(F - Fq) <= e + eq, (F, Fq, e, eq)
+
+
+def test_sobolev_deficit_lp_half_by_qaws_against_the_phi_moment(monkeypatch):
+    # on the failure grids, the Jacobi-weighted quadrature of int phi^{ap} dx gives
+    # ||v||_p^2 within both estimates and a few ulps of the phi-moment closed form,
+    # also at the edge of the box where its exponent ap - N/2 - 1 nears -1
+    for N, s0 in DEFICIT_CASES:
+        v = er.talenti_bubble(Params(N, s0))
+        for s in np.linspace(0.05 * s0, s0, 120).tolist():
+            p = er.p_of_s(N, s)
+            closed, closed_err = ineq._lp_norm_sq(v, p, N)
+            quad, quad_err = ineq._lp_norm_sq(v, p, N, quadrature=True)
+            assert abs(closed - quad) <= min(closed_err + quad_err, 4e-15 * closed), (N, s)
+    monkeypatch.setattr(er, "phi_moment", None)
+    curve = ineq.sobolev_deficit(3, er.talenti_bubble(Params(3, 0.3)), [0.1, 0.2, 0.3])
+    assert abs(curve.F_values[-1]) <= curve.F_errors[-1]
 
 
 def _frozen_deficit_mp(mp, N, s0, s):
@@ -329,6 +345,45 @@ def test_moment_check_scaled_gaussian():
     assert r1.passed and r2.passed
     assert abs(r1.lhs - r2.lhs) > 0.5
     assert r1.residual == pytest.approx(r2.residual, abs=1e-8)
+
+
+def _second_moment_cases():
+    """(N, profile, its r^2 f^2 in mpmath): Gaussians of two widths, extremals, and a
+    phi power that is not the extremal's."""
+    def gaussian(N, sigma):
+        f = er.gaussian_density_profile(N, sigma=sigma)
+        A, w = mp.mpf(f.meta["amplitude"]), mp.mpf(f.meta["sigma"])
+        return N, f, lambda r: A ** 2 * r ** 2 * mp.exp(-(r / w) ** 2)
+
+    def phi_power(N, f):
+        (v,) = f.fourier.meta["phi_sums"]
+        c, a = mp.mpf(v.nums[0]) / v.den, mp.mpf(v.base)
+        return N, f, lambda r: c ** 2 * r ** 2 * (2 / (1 + r ** 2)) ** (2 * a)
+    return [gaussian(1, 1.0), gaussian(3, 1.0), gaussian(3, 2.0), gaussian(5, 0.7),
+            phi_power(3, ineq.extremal_profile(3)), phi_power(5, ineq.extremal_profile(5)),
+            phi_power(3, er.phi_poly_profile(3, [er.PhiSum.of(2.0, [0.75])]))]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_second_moment_closed_form_against_quadrature_and_mpmath(case):
+    # moment_check's int r^2 f^2 in closed form: within the estimate of the
+    # radial_integral route it took before, and within its own of 40 digits
+    N, f, r2f2 = _second_moment_cases()[case]
+    m2, err = ineq._second_moment(f, N)
+    quad = er.radial_integral(N, lambda r: r * r * f.evaluator(r) ** 2)
+    assert abs(m2 - quad.value) <= quad.abs_error_estimate + err, (m2, quad)
+    with mp.workdps(40):
+        area = 2 * mp.pi ** (mp.mpf(N) / 2) / mp.gamma(mp.mpf(N) / 2)
+        exact = float(area * mp.quad(lambda r: r2f2(r) * r ** (N - 1), [0, 1, mp.inf]))
+    assert abs(m2 - exact) <= err, (m2, exact, err)
+    assert err <= 1e-13 * exact
+
+
+def test_moment_check_takes_no_quadrature(monkeypatch):
+    monkeypatch.setattr(er, "radial_integral", None)
+    for N, f in [(1, er.gaussian_density_profile(1)), (3, ineq.extremal_profile(3))]:
+        rep = ineq.moment_check(N, 0.25, f)
+        assert rep.details["second_moment"] == ineq._second_moment(f, N)[0]
 
 
 def test_moment_check_divergent_for_extremal_in_low_dimension():

@@ -5,6 +5,7 @@ import math
 import pathlib
 import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -324,3 +325,56 @@ def test_quad_rejects_invalid_input_as_scipy_quad_does(b, weight):
         _scipy_route(f, 0.0, b, weight, epsabs=0.0, epsrel=1e-30)
     with pytest.raises(ValueError):
         quadrature._quad(f, 0.0, b, epsabs=0.0, epsrel=1e-30, weight=weight)
+
+
+# (integrand, a, b, weight) of the algebraic weights: both end exponents, a log end,
+# and an exponent just above -1, the edge of the failure curve's finite-norm box
+_ALGEBRAIC_ROUTES = [
+    (lambda x: math.cos(x), -1.0, 1.0, ("alg", -0.5, -0.5)),
+    (lambda x: math.exp(x), 0.0, 2.0, ("alg", 0.5, 1.5)),
+    (lambda x: 1.0 / (2.0 + x), -1.0, 1.0, ("alg-loga", -0.5, 0.5)),
+    (lambda x: math.exp(-x), 0.5, 3.0, ("alg-loga", 1.0, -0.75)),
+    (lambda x: 1.0, -1.0, 1.0, ("alg", -0.999, 0.0)),
+]
+
+
+@pytest.mark.parametrize("case", range(len(_ALGEBRAIC_ROUTES)))
+def test_algebraic_weight_equals_scipy_quad_bit_for_bit(case):
+    # a two-edge domain is one QAWS call with quad's arguments: value, estimate and
+    # evaluation count equal quad(weight="alg" | "alg-loga", wvar=(alpha, beta))
+    f, a, b, weight = _ALGEBRAIC_ROUTES[case]
+    res = integrate(Integrand(f, (a, b), weight=weight), abs_tol=1e-13, rel_tol=1e-12)
+    want = scipy_quad(f, a, b, weight=weight[0], wvar=weight[1:], epsabs=1e-13, epsrel=1e-12,
+                      limit=quadrature._QUAD_LIMIT, full_output=True)
+    assert (res.value.hex(), res.abs_error_estimate.hex(), res.evaluations) == (
+        float(want[0]).hex(), float(want[1]).hex(), want[2]["neval"])
+
+
+@pytest.mark.parametrize("kind", ["alg", "alg-loga"])
+@pytest.mark.parametrize("domain", [(-1.0, 0.2, 1.0), (-1.0, -0.5, 0.2, 1.0), (0.0, 1e-4, 2.0)])
+def test_algebraic_weight_on_pieces_against_mpmath(kind, domain):
+    # the weight spans the whole domain: end pieces keep their own end's factor in
+    # QAWS, an inner piece takes the whole factor by QAGS; |x - 0.2| puts a kink at 0.2
+    alpha, beta = -0.5, 0.75
+    e0, en = domain[0], domain[-1]
+    f = lambda x: abs(x - 0.2) * math.exp(x)  # noqa: E731
+    res = integrate(Integrand(f, domain, weight=(kind, alpha, beta)), abs_tol=1e-13,
+                    rel_tol=1e-12)
+    with mp.workdps(40):
+        def g(x):
+            w = (x - e0) ** alpha * (en - x) ** beta * abs(x - mp.mpf(0.2)) * mp.exp(x)
+            return w * mp.log(x - e0) if kind == "alg-loga" else w
+        exact = float(mp.quad(g, sorted({*domain, 0.2})))
+    assert abs(res.value - exact) <= res.abs_error_estimate + 4 * 2.0 ** -52 * abs(exact), \
+        (res, exact)
+    assert abs(res.value - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("domain, weight", [((0.0, math.inf), ("alg", 0.0, 0.0)),
+                                            ((-math.inf, 0.0), ("alg-loga", 0.5, 0.5)),
+                                            ((1.0, 0.0), ("alg", 0.0, 0.0)),
+                                            ((0.0, 1.0), ("alg", -1.0, 0.0)),
+                                            ((0.0, 0.5, 1.0), ("alg-loga", 0.0, -1.5))])
+def test_algebraic_weight_rejects_bad_edges_and_exponents_at_most_minus_one(domain, weight):
+    with pytest.raises(DomainError):
+        integrate(Integrand(lambda x: 1.0, domain, weight=weight))
