@@ -223,14 +223,16 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     argument is N/2 or N plus an integer. The norm law holds ||V||^2 against
     Parseval's sum_k u_k^2, the log-energy law the closed form against the
     spectral sum; the entropy law takes int V^2 ln V^2 dx against
-    _sphere_entropy (both split at the sign changes of u). With V^2 = phi^N P^2,
+    _sphere_entropy (both split at the kinks of V^2 ln V^2, the sign changes
+    of u, and both to abs 1e-13, rel 1e-12). With V^2 = phi^N P^2,
     P = sum_i c_i phi^i exact at the float phi = 1 + t (PhiSum.at), and
     w = (1+t)^{(N-2)/2} (1-t)^{(N-2)/2}, it is two Jacobi-weighted quadratures
     in t (euclid_radial.phi_weighted_integral),
 
         int V^2 ln V^2 dx = |S^{N-1}| [int w P^2 ln P^2 dt + N int w P^2 ln(1+t) dt],
 
-    the second with ln(1+t) in QAWS's weight, not the closed form <ln phi>
+    the first split at the sign changes, the second whole (P^2 has no kink)
+    with ln(1+t) in QAWS's weight, not the closed form <ln phi>
     the law compares it against: in r, ln phi is a log singularity at
     r = inf that took three times the evaluations. details carries
     ||V||^2 and <ln phi> with their estimates, and details["error_budget"]
@@ -273,7 +275,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
 
     zeros = _sign_changes(u)
     e_p = er.phi_weighted_integral(N, p2_log_p2, 0.5 * N, zeros, name="entropy-log")
-    e_phi = er.phi_weighted_integral(N, lambda t: c.at(1.0 + t) ** 2, 0.5 * N, zeros, log=True,
+    e_phi = er.phi_weighted_integral(N, lambda t: c.at(1.0 + t) ** 2, 0.5 * N, log=True,
                                      name="entropy-log-phi")
     e_value = e_p.value + N * e_phi.value
     e_err = (e_p.abs_error_estimate + N * e_phi.abs_error_estimate
@@ -322,8 +324,11 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
 def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> QuadResult:
     """int (|u|^2/||u||_2^2) ln(|u|^2/||u||_2^2) dV over the sphere, ||u||_2 by Parseval.
 
-    `breaks` are the polar cosines where u changes sign (_sign_changes). The
-    estimate is zonal_integral's, plus the rounding of Parseval's sum.
+    `breaks` are the polar cosines where u changes sign (_sign_changes). It
+    works to the Euclidean side's abs 1e-13, rel 1e-12: at zonal_integral's
+    1e-12, 1e-11, N = 3, u = 1 + 0.155 Z_1 - 0.236 Z_2 (a zero at t = -0.992)
+    erred by 6.8e-14 against mpmath. The estimate is zonal_integral's, plus
+    the rounding of Parseval's sum.
     """
     mass = u.norm_sq()
 
@@ -333,7 +338,7 @@ def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> Quad
             return 0.0
         return a * math.log(a)
 
-    e = spectral.zonal_integral(u.N, num, breaks=breaks)
+    e = spectral.zonal_integral(u.N, num, breaks, abs_tol=1e-13, rel_tol=1e-12)
     val = e.value / mass - math.log(mass)
     mass_rel = (u.degree_max + 2) * _EPS
     err = (e.abs_error_estimate / mass + mass_rel * (abs(e.value) / mass + 1.0)
@@ -347,8 +352,9 @@ def _sign_changes(u: spectral.ZonalExpansion) -> list[float]:
     Integrated across the kink, QUADPACK's estimate missed it: for N = 3,
     u = 1 - 0.294 Z_1 - 0.261 Z_2, the sphere entropy erred by 4.6e-10,
     and for u = 1 - 0.220 Z_1 - 0.200 Z_2 the Euclidean one in r by 1.6e-11.
-    The Euclidean entropy splits its domain in t at these cosines as they
-    are; the sphere's at their polar angles.
+    The Euclidean P^2 ln P^2 splits its domain in t at these cosines as
+    they are (P^2 ln phi has no kink there); the sphere's entropy at their
+    polar angles.
     A root between grid nodes is bracketed; one on a node, such as t = 0
     of every odd u, is the node where u is 0 with opposite signs beside it.
     """

@@ -313,7 +313,8 @@ def zonal_basis_eval(N: int, k: int, t):
     return zonal_eval(ZonalExpansion(N, k, (0.0,) * k + (1.0,)), t)
 
 
-def zonal_integral(N: int, fn, breaks: Sequence[float] = ()) -> QuadResult:
+def zonal_integral(N: int, fn, breaks: Sequence[float] = (), abs_tol: float = 1e-12,
+                   rel_tol: float = 1e-11) -> QuadResult:
     """int_{S^N} fn(t) dV for a zonal integrand, t the polar cosine.
 
     `breaks` are polar cosines where fn is not smooth, the inner edges of
@@ -325,7 +326,7 @@ def zonal_integral(N: int, fn, breaks: Sequence[float] = ()) -> QuadResult:
         return fn(math.cos(theta)) * math.sin(theta) ** (N - 1)
 
     edges = (0.0, *sorted(math.acos(t) for t in breaks if -1.0 < t < 1.0), math.pi)
-    res = integrate(Integrand(g, edges, name="zonal-integral"), abs_tol=1e-12, rel_tol=1e-11)
+    res = integrate(Integrand(g, edges, name="zonal-integral"), abs_tol, rel_tol)
     return _sum_results([res], sphere_area_equator(N))
 
 

@@ -685,8 +685,9 @@ def test_confcore_takes_two_scalar_phi_moments(monkeypatch):
 
 
 def test_confcore_integrates_only_its_two_entropies(monkeypatch):
-    # the Euclidean entropy is two Jacobi-weighted integrals in t, P^2 ln P^2 and
-    # P^2 ln phi, and takes no radial_integral; the sphere's is one zonal_integral
+    # the Euclidean entropy is two Jacobi-weighted integrals in t, P^2 ln P^2 split
+    # at the sign changes and P^2 ln phi whole (no kink there), and takes no
+    # radial_integral; the sphere's is one zonal_integral
     import fraclog
     names = []
 
@@ -702,10 +703,10 @@ def test_confcore_integrates_only_its_two_entropies(monkeypatch):
     for N, u in CONFCORE_PROFILES:
         names.clear()
         conformal.confcore_checks(u, N)
-        pieces = len(conformal._sign_changes(u)) + 1  # each entropy is split at the sign changes
+        pieces = len(conformal._sign_changes(u)) + 1
         split += pieces > 1
         assert sorted(names, key=str) == sorted([("entropy-log", pieces, "alg"),
-                                                 ("entropy-log-phi", pieces, "alg-loga"),
+                                                 ("entropy-log-phi", 1, "alg-loga"),
                                                  ("zonal-integral", pieces, None)], key=str), (N, u)
     assert split >= 5
 
@@ -741,7 +742,7 @@ def test_confcore_euclid_entropy_against_the_r_space_route(N, u):
 
 def test_confcore_entropy_at_a_zero_next_to_the_south_pole_in_mpmath():
     # this radial benchmark profile (seed 1) changes sign at t = -0.99983; integrated
-    # to abs 1e-12, rel 1e-10 in t, its Euclidean entropy erred by 5.1e-14
+    # to abs 1e-12, rel 1e-10 in t, its Euclidean entropy erred by 4.5e-14
     N = 3
     u = ZonalExpansion(N, 2, (1.0, 0.1922373057834289, -0.2052915187150902))
     (zero,) = conformal._sign_changes(u)
@@ -762,6 +763,17 @@ def test_confcore_entropy_at_a_zero_next_to_the_south_pole_in_mpmath():
         exact = float(ent / norm - mp.log(norm))
     assert abs(rep.lhs - exact) <= rep.details["error_budget"]["entropy"]
     assert abs(rep.lhs - exact) <= 8 * 2.0 ** -52 * abs(exact), (rep.lhs, exact)
+
+
+def test_confcore_radial_n3_zero_near_the_pole_both_sides_tight():
+    # this radial benchmark profile (seed 10) changes sign at t = -0.9922; with the
+    # sphere entropy at abs 1e-12, rel 1e-11 its entropy residual read 6.9e-14, the
+    # sphere side's error against 40-digit mpmath
+    u = ZonalExpansion(3, 2, (1.0, 0.1551505545567698, -0.23555544777004683))
+    (zero,) = conformal._sign_changes(u)
+    assert -0.993 < zero < -0.992
+    rep = conformal.confcore_checks(u, 3)
+    assert abs(rep.details["entropy_residual"]) <= 2e-14
 
 
 def test_confcore_radial_n1_profile_to_rounding():
