@@ -195,9 +195,22 @@ class PhiSum:
 
     def at(self, x, q: int = 1) -> float:
         """sum_i (nums[i]/den) y^i, the sum without its factor y^base (ln y), at
-        y = x/q, exact, rounded once: x a float, Fraction or int, q a positive int."""
+        y = x/q, exact, rounded once: x a float, Fraction or int, q a positive int.
+
+        Horner's rule in integers, sum_i a_i p^i q^{d-i} / (den q^d), y = p/q. When q
+        is a power of two 2^e, as for every float x and for _images' (den - num, 2 den),
+        the powers of q are shifts: acc p + (a << je), over den << de. Both paths form
+        the same integer and divide once.
+        """
         p, qx = x.as_integer_ratio()
         q *= qx
+        e = q.bit_length() - 1
+        if q == 1 << e:
+            acc, sh = 0, 0
+            for a in self._horner:
+                acc = acc * p + (a << sh)
+                sh += e
+            return acc / (self.den << (sh - e))
         acc, qj = 0, 1
         for a in self._horner:  # sum_i a_i p^i q^{d-i}
             acc = acc * p + a * qj

@@ -711,6 +711,48 @@ def test_confcore_integrates_only_its_two_entropies(monkeypatch):
     assert split >= 5
 
 
+def test_confcore_evaluates_p_once_per_quadrature_node(monkeypatch):
+    # both entropy integrands read one P^2 per node t; without a sign change every
+    # node of P^2 ln phi is a node of P^2 ln P^2, so PhiSum.at runs once per distinct
+    # node (85) against 140 integrand evaluations. This sign-free audit sets the
+    # radial benchmark's tail
+    u = ZonalExpansion(3, 2, (1.0, 0.22494366745777655, -0.08674528706922613))
+    calls, nodes, evaluations = [], set(), []
+    at, weighted = er.PhiSum.at, er.phi_weighted_integral
+
+    def counting_at(self, x, q=1):
+        calls.append(x)
+        return at(self, x, q)
+
+    def recording(N, fn, *args, **kwargs):
+        res = weighted(N, lambda t: nodes.add(t) or fn(t), *args, **kwargs)
+        evaluations.append(res.evaluations)
+        return res
+    monkeypatch.setattr(er.PhiSum, "at", counting_at)
+    monkeypatch.setattr(er, "phi_weighted_integral", recording)
+    assert conformal._sign_changes(u) == []
+    conformal.confcore_checks(u, 3)
+    assert len(calls) == len(nodes) == 85 and sum(evaluations) == 140, evaluations
+
+
+@pytest.mark.parametrize("N,u", CONFCORE_PROFILES + SCAN_PROFILES)
+def test_confcore_shared_node_values_match_plain_integrands(monkeypatch, N, u):
+    # sharing P^2 between the two integrands moves no bit: plain c.at(1 + t) ** 2
+    # integrands give the same value, estimate and evaluation count
+    got, weighted = [], er.phi_weighted_integral
+    monkeypatch.setattr(er, "phi_weighted_integral",
+                        lambda *args, **kwargs: got.append(weighted(*args, **kwargs)) or got[-1])
+    conformal.confcore_checks(u, N)
+    c = conformal._phi_coefficients(u)
+
+    def p2_log_p2(t):
+        p2 = c.at(1.0 + t) ** 2
+        return p2 * math.log(p2) if p2 else 0.0
+    assert got == [
+        weighted(N, p2_log_p2, 0.5 * N, conformal._sign_changes(u), name="entropy-log"),
+        weighted(N, lambda t: c.at(1.0 + t) ** 2, 0.5 * N, log=True, name="entropy-log-phi")]
+
+
 def _euclid_entropy_in_r(N, u):
     """(Ent_2(V), estimate) over R^N in r, V = T_0[u]: V^2 ln V^2 with V exact at the
     float phi(r) and the numeric Jacobian r^{N-1} of radial_integral, split at the

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import mpmath as mp
@@ -645,6 +646,29 @@ def test_phi_sum_is_exact(base, coefs, x):
     assert v.at(6 * p, 6 * q) == float(exact)
     assert er.PhiSum.over(base, [-6 * a for a in v.nums], 6 * v.den) == er.PhiSum.of(
         base, [-c for c in coefs])
+
+
+def test_phi_sum_at_shift_path_is_exact():
+    # a float x, and an int pair over a power of two such as _images' w = (q - p)/(2q),
+    # take the shift path; an int pair over 6q takes the general loop. Each is the
+    # exact rational sum rounded once, bit for bit, degree 0..24
+    rng = random.Random(31)
+    edge = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0, 2.0]
+    xs = edge + [-x for x in edge] + [rng.uniform(0.0, 2.0) for _ in range(200)]
+    for d in range(25):
+        v = er.PhiSum.over(0.0, [rng.randrange(-2 ** 80, 2 ** 80) for _ in range(d + 1)],
+                           rng.randrange(1, 2 ** 60))
+
+        def exact(y):
+            acc = Fraction(0)
+            for a in reversed(v.nums):
+                acc = acc * y + a
+            return float(acc / v.den)
+        for x in xs:
+            p, q = x.as_integer_ratio()
+            want = exact(Fraction(p, q))
+            assert v.at(x) == want and v.at(p, q) == want and v.at(6 * p, 6 * q) == want, (d, x)
+            assert v.at(q - p, 2 * q) == exact(Fraction(q - p, 2 * q)), (d, x)
 
 
 def test_profiles_fold_their_weights_at_the_first_transform_call(monkeypatch):
