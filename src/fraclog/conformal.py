@@ -13,8 +13,9 @@ c = N/2, Z_k = Z_k(1) p_k(t), p_k = (-1)^k 2F1(-k, k+N-1; c; phi/2) the
 Jacobi polynomial P_k^{(c-1,c-1)} with p_k(1) = 1 (DLMF 18.5.7), so
 T_s[u] = sum_i c_i phi^{c-s+i} with c_i exact rationals once each float
 weight a_k Z_k(1) is read exactly. They are one euclid_radial.PhiSum,
-integer numerators over one denominator: pullback_expansion's pair rounds
-each c_i once, and confcore_checks reads them exactly.
+integer numerators over one denominator: pullback_expansion's profile
+evaluates V exactly by PhiSum.at, its pair rounds each c_i once, and
+confcore_checks reads them exactly.
 
 Terminating images. With w = r^2/(1+r^2) = 1 - phi/2, Dyda's formula
 (FCAA 15, 2012) (-Delta)^s phi^a = 2^{a+2s} Gamma(a+s) Gamma(c+s) /

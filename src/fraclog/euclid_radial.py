@@ -25,9 +25,11 @@ Exact pairs. With f_nu(rho) := rho^nu K_nu(rho) and phi(r) = 2/(1+r^2),
     phi^a ln phi  maps to  dT_a/da  = 2/Gamma(a) [df_nu/dnu - psi(a) f_nu],
 
 nu = a - N/2 (K_{-nu} = K_nu, so nu keeps its sign). phi_poly_profile
-folds each PhiSum of a profile into weights on f_nu and df_nu/dnu once,
-at the first transform call (one ln Gamma per term, one psi per term of
-a log sum); a profile whose transform is never evaluated pays nothing.
+evaluates each PhiSum of a profile exactly (phi^base times PhiSum.at at
+phi(r), so a pullback's cancelling coefficients lose nothing) and folds
+it into weights on f_nu and df_nu/dnu once, at the first transform call
+(one ln Gamma per term, one psi per term of a log sum); a profile whose
+transform is never evaluated pays nothing.
 The orders of a sum are an integer apart exactly and form its ladder:
 f obeys f_{nu+1} = rho^2 f_{nu-1} + 2 nu f_nu (DLMF 10.29.1 times rho^{nu+1}),
 and df/dnu the same recurrence plus 2 f_nu. Each ladder is seeded by
@@ -194,28 +196,22 @@ class PhiSum:
         return self.nums[::-1]
 
     def at(self, x, q: int = 1) -> float:
-        """sum_i (nums[i]/den) y^i, the sum without its factor y^base (ln y), at
-        y = x/q, exact, rounded once: x a float, Fraction or int, q a positive int.
-
-        Horner's rule in integers, sum_i a_i p^i q^{d-i} / (den q^d), y = p/q. When q
-        is a power of two 2^e, as for every float x and for _images' (den - num, 2 den),
-        the powers of q are shifts: acc p + (a << je), over den << de. Both paths form
-        the same integer and divide once.
+        """sum_i (nums[i]/den) y^i, the sum without its factor y^base (ln y), at the
+        dyadic y = x/q, exact, rounded once: x a float or int, q a positive int, x/q
+        over a power of two 2^e (every float; _images' (den - num, 2 den)); any other
+        denominator raises DomainError. Horner's rule in integers, where the powers
+        of 2^e are shifts: acc p + (a << je), over den << de.
         """
         p, qx = x.as_integer_ratio()
         q *= qx
         e = q.bit_length() - 1
-        if q == 1 << e:
-            acc, sh = 0, 0
-            for a in self._horner:
-                acc = acc * p + (a << sh)
-                sh += e
-            return acc / (self.den << (sh - e))
-        acc, qj = 0, 1
-        for a in self._horner:  # sum_i a_i p^i q^{d-i}
-            acc = acc * p + a * qj
-            qj *= q
-        return acc / (self.den * (qj // q))
+        if q != 1 << e:
+            raise DomainError(f"PhiSum.at takes a dyadic point, got denominator {q}")
+        acc, sh = 0, 0
+        for a in self._horner:
+            acc = acc * p + (a << sh)
+            sh += e
+        return acc / (self.den << (sh - e))
 
 
 def _ladder(N: int, s: PhiSum) -> tuple:
@@ -295,18 +291,19 @@ def _exact_transform(N: int, sums: tuple[PhiSum, ...]):
 
 def phi_poly_profile(N: int, sums: Sequence[PhiSum], kind: str = "composite",
                      meta: Optional[dict] = None) -> RadialProfile:
-    """Profile sum_j coef_j phi^{power_j} (ln phi)^{0|1} over the terms of `sums`,
-    with its exact pair: one ladder per sum."""
+    """Profile sum over `sums` of phi^base P(phi) (ln phi)^{0|1}, with its exact pair,
+    one ladder per sum: P, a sum's polynomial part, is PhiSum.at at the float phi(r),
+    exact and rounded once; a one-term sum gives coef phi^base bit for bit."""
     sums = tuple(sums)
-    if not sums or not all(s.terms and s.terms[0][2] > 0.0 for s in sums):
+    if not sums or not all(s.terms and s.base > 0.0 for s in sums):
         raise DomainError("phi powers must be positive, and each sum nonzero")
-    terms = [(coef, a, s.log) for s in sums for _, coef, a in s.terms]
 
     def ev(r):
         p = phi(r)
         acc = 0.0
-        for coef, a, log in terms:
-            acc += coef * p ** a * (math.log(p) if log else 1.0)
+        for s in sums:
+            v = p ** s.base * s.at(p)
+            acc += v * math.log(p) if s.log else v
         return acc
 
     memo = None
@@ -709,16 +706,16 @@ def phi_weighted_integral(N: int, fn, excess: float, breaks: Sequence[float] = (
     return QuadResult(area.value, area.abs_error_estimate, res.evaluations)
 
 
-def radial_integral(N: int, fn, breaks: Sequence[float] = (), abs_tol: float = 1e-12,
-                    rel_tol: float = 1e-10, name: str = "radial-integral") -> QuadResult:
+def radial_integral(N: int, fn, breaks: Sequence[float] = (), rel_tol: float = 1e-10,
+                    name: str = "radial-integral") -> QuadResult:
     """|S^{N-1}| int_0^inf fn(r) r^{N-1} dr, the integral over R^N of a radial fn.
 
     `breaks` are radii where fn is not smooth, the inner edges of one
-    integrate call's domain. The estimate is the pieces' sum times
-    |S^{N-1}|. spectral.zonal_integral is its twin on the sphere.
+    integrate call's domain, to abs 1e-12 and rel_tol. The estimate is the
+    pieces' sum times |S^{N-1}|. spectral.zonal_integral is its twin on the sphere.
     """
     edges = (0.0, *sorted(b for b in breaks if 0.0 < b < math.inf), math.inf)
-    res = integrate(Integrand(lambda r: fn(r) * r ** (N - 1), edges, name=name), abs_tol, rel_tol)
+    res = integrate(Integrand(lambda r: fn(r) * r ** (N - 1), edges, name=name), 1e-12, rel_tol)
     return _sum_results([res], sphere_area_equator(N))
 
 

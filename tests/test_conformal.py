@@ -63,6 +63,19 @@ def test_pullback_expansion_matches_generic_route():
     for r in (0.0, 0.5, 1.3, 4.0):
         generic = er.phi(r) ** 1.25 * zonal_eval(u, conformal.polar_cosine(r))  # phi^{(N-2s)/2} u(t)
         assert exact.evaluator(r) == pytest.approx(generic, rel=1e-12)
+    # seeded expansions to degree 24, whose phi-coefficients reach 2.3e12 and cancel:
+    # the evaluator sums them exactly, within 1e-12 of phi^m sum_k |c_k| Z_k(1) of the
+    # Clenshaw route, a bound that a float sum of the phi^{m+i} terms misses from degree 16
+    rng = np.random.default_rng(32)
+    for N, s, d in itertools.product(range(1, 6), (0.0, 0.25), (2, 8, 16, 24)):
+        u = ZonalExpansion(N, d, tuple(rng.uniform(-1.0, 1.0, d + 1).tolist()))
+        z1 = np.sqrt(np.array(multiplicities(N, d)) / sphere_area(N))  # Z_k(1)
+        scale = float(np.abs(u.coeffs) @ z1)
+        v, m = conformal.pullback_expansion(s, u), 0.5 * N - s
+        for r in (0.0, 0.3, 1.0, 2.0, 10.0):
+            pm = er.phi(r) ** m
+            err = abs(v.evaluator(r) - pm * zonal_eval(u, conformal.polar_cosine(r)))
+            assert err <= 1e-12 * pm * scale, (N, s, d, r, err / (pm * scale))
 
 
 def test_endpoint_pullback_isometry_on_basis():

@@ -631,27 +631,26 @@ _RATIONALS = st.builds(Fraction, st.integers(-2 ** 64, 2 ** 64), st.integers(1, 
 @given(st.floats(min_value=-4.0, max_value=4.0),
        st.lists(st.one_of(st.floats(min_value=-1e6, max_value=1e6), _RATIONALS), min_size=1,
                 max_size=25),
-       st.one_of(st.floats(min_value=-3.0, max_value=3.0), _RATIONALS))
+       st.floats(min_value=-3.0, max_value=3.0))
 def test_phi_sum_is_exact(base, coefs, x):
     # of reads float and Fraction coefficients exactly: each term returns its float
     # bit for bit (a Fraction rounded once) at the power base + i, and at(x) is the
-    # exact rational sum_i c_i x^i rounded once, also from an unreduced integer
-    # ratio; over(base, nums, den) reduces integer numerators to of's form
+    # exact rational sum_i c_i x^i rounded once at a float x; over(base, nums, den)
+    # reduces integer numerators to of's form
     v = er.PhiSum.of(base, coefs)
     assert [(i, c.hex(), a.hex()) for i, c, a in v.terms] == [
         (i, float(c).hex(), (base + i).hex()) for i, c in enumerate(coefs) if c]
     exact = sum(Fraction(c) * Fraction(x) ** i for i, c in enumerate(coefs))
     assert v.at(x) == float(exact)
-    p, q = x.as_integer_ratio()
-    assert v.at(6 * p, 6 * q) == float(exact)
     assert er.PhiSum.over(base, [-6 * a for a in v.nums], 6 * v.den) == er.PhiSum.of(
         base, [-c for c in coefs])
 
 
 def test_phi_sum_at_shift_path_is_exact():
-    # a float x, and an int pair over a power of two such as _images' w = (q - p)/(2q),
-    # take the shift path; an int pair over 6q takes the general loop. Each is the
-    # exact rational sum rounded once, bit for bit, degree 0..24
+    # at takes dyadic points only: a float x, and an int pair over a power of two
+    # such as _images' w = (q - p)/(2q). Each is the exact rational sum rounded once,
+    # bit for bit, degree 0..24; a denominator that is not a power of two, as 6q or
+    # a Fraction 1/3, raises DomainError
     rng = random.Random(31)
     edge = [0.0, 5e-324, 1e-300, 1.0 - 2.0 ** -53, 1.0, 2.0]
     xs = edge + [-x for x in edge] + [rng.uniform(0.0, 2.0) for _ in range(200)]
@@ -667,8 +666,29 @@ def test_phi_sum_at_shift_path_is_exact():
         for x in xs:
             p, q = x.as_integer_ratio()
             want = exact(Fraction(p, q))
-            assert v.at(x) == want and v.at(p, q) == want and v.at(6 * p, 6 * q) == want, (d, x)
+            assert v.at(x) == want and v.at(p, q) == want, (d, x)
             assert v.at(q - p, 2 * q) == exact(Fraction(q - p, 2 * q)), (d, x)
+            with pytest.raises(DomainError):
+                v.at(p, 6 * q)
+        with pytest.raises(DomainError):
+            v.at(Fraction(1, 3))
+
+
+def test_one_term_profiles_are_their_power_bit_for_bit():
+    # at of one numerator is its coefficient rounded once, so a bubble (both
+    # conventions) and the Beckner extremal evaluate as coef * phi(r) ** a exactly,
+    # also at r = 0 and where phi underflows to 0
+    rng = random.Random(32)
+    radii = [0.0, 1e160] + [10.0 ** rng.uniform(-8.0, 20.0) for _ in range(2000)]
+    profiles = []
+    for N in range(1, 6):
+        p = Params(N, 0.37 * N / 2)
+        profiles += [er.bubble_profile(p, 1.7), er.bubble_profile(p, 1.7, two_power=False),
+                     er.talenti_bubble(p), ineq.extremal_profile(N)]
+    for prof in profiles:
+        ((_, coef, a),) = prof.fourier.meta["phi_sums"][0].terms
+        for r in radii:
+            assert prof.evaluator(r).hex() == (coef * er.phi(r) ** a).hex(), (prof.kind, r)
 
 
 def test_profiles_fold_their_weights_at_the_first_transform_call(monkeypatch):
