@@ -47,11 +47,13 @@ Audits implemented here:
   shifts the entropy by N * <ln phi> and the logarithmic energy by
   2 * <ln phi> (density-weighted means). V enters only as its exact
   PhiSum: ||V||^2, <ln phi> and the Euclidean log energy (V's Bessel-K pair
-  energy, GR 6.576.4 at s = 0) are the phi-moments of b = N and exact
-  integer sums over the phi powers of V^2 (_square_sums), good to a few
-  roundings at any degree; the norm is held against Parseval and the log
-  energy against the spectral sum; the entropies on both sides are
-  quadratures, the sphere's in the polar angle, the Euclidean one in the
+  energy, GR 6.576.4 at s = 0) are the phi-moments of b = N, read once per N
+  (euclid_radial.bubble_moments), and exact integer sums over the phi powers
+  of V^2 (_square_sums), good to a few roundings at any degree; the norm is
+  held against Parseval and the log energy against the spectral sum, whose
+  symbols, one array pass, also give its bound; the entropies on both sides
+  are quadratures, the sphere's in the polar angle by zonal_eval's Clenshaw
+  pass with its factors bound once per audit, the Euclidean one in the
   polar cosine t by euclid_radial.phi_weighted_integral, whose Jacobi
   weight carries the stereographic measure and ln phi, with the square of
   V's polynomial part by PhiSum.at, exact and rounded once, once per node
@@ -224,7 +226,8 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
 
     V = sum_i c_i phi^{N/2+i}, the PhiSum of _phi_coefficients' exact c_i. With
     M and M' the phi-moments of b = N without and with ln phi
-    (euclid_radial.phi_moment, two scalar calls) and S, T/S, X/S the exact
+    (euclid_radial.bubble_moments: two scalar phi_moment calls once per N,
+    shared with the bubble entropy of inequalities) and S, T/S, X/S the exact
     sums of _square_sums, each rounded once,
 
         ||V||^2 = M S,  <ln phi> = M'/M + T/S,  E_ln(V)/||V||^2 = 2 <ln phi> + 2 psi(N/2) + X/S,
@@ -232,7 +235,9 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     the last V's pair energy (GR 6.576.4) at s = 0, where every Gamma
     argument is N/2 or N plus an integer. The norm law holds ||V||^2 against
     Parseval's sum_k u_k^2, the log-energy law the closed form against the
-    spectral sum; the entropy law takes int V^2 ln V^2 dx against
+    spectral sum (one symbol_log pass over the degrees, summed in
+    spectral_energy's order (sym u_k) u_k, whose magnitudes also give the
+    bound); the entropy law takes int V^2 ln V^2 dx against
     _sphere_entropy (both split at the kinks of V^2 ln V^2, the sign changes
     of u, and both to abs 1e-13, rel 1e-12). With V^2 = phi^N P^2,
     P = sum_i c_i phi^i exact at the float phi = 1 + t (PhiSum.at), and
@@ -245,7 +250,8 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     with ln(1+t) in QAWS's weight, not the closed form <ln phi>
     the law compares it against: in r, ln phi is a log singularity at
     r = inf that took three times the evaluations. Both integrands read
-    one dict of P^2 keyed by the node t, so PhiSum.at runs once per
+    one dict of P^2 keyed by the node t, the first without a call to the
+    second, so PhiSum.at runs once per
     distinct node: for a u without sign change every node of the second
     is a node of the first (N = 3, u = (1, 0.225, -0.087): 85 exact
     evaluations for 140 integrand calls). details carries
@@ -266,7 +272,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
 
     # (i) L^2 norms, and <ln phi>: exact sums over the phi powers of V^2
     S, T_over_S, X_over_S = _square_sums(N, c)
-    m, ml = er.phi_moment(N, 0.5 * N), er.phi_moment(N, 0.5 * N, log=True)
+    m, ml = er.bubble_moments(N)
     norm_euclid = m.value * S
     norm_sphere = u.norm_sq()
     parseval_rel = (u.degree_max + 2) * eps
@@ -291,8 +297,10 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
             v = p2s[t] = at(1.0 + t) ** 2
         return v
 
-    def p2_log_p2(t):
-        v = p2(t)
+    def p2_log_p2(t):  # p2's body, one frame less per node
+        v = p2s.get(t)
+        if v is None:
+            v = p2s[t] = at(1.0 + t) ** 2
         return v * math.log(v) if v else 0.0
 
     zeros = _sign_changes(u)
@@ -313,11 +321,13 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     # (iii) logarithmic energy transfer
     psi_c = digamma(0.5 * N)
     e_euclid = 2.0 * (logphi_mean + psi_c) + X_over_S
-    e_sphere = spectral.spectral_energy("P_log", None, u) / norm_sphere
-    # sum_k sym_k u_k^2 / ||u||^2 in magnitudes: each symbol 2 psi within 2 _specfun_error
-    # of psi, and the products and the sum round (degree + 4) times
-    sym = np.abs(spectral.symbol_log(N, spectral.eigenvalue(N, np.arange(u.degree_max + 1))))
-    coeff_sq = np.array(u.coeffs) ** 2
+    # one symbol pass: Parseval's sum_k sym_k u_k^2 in spectral_energy's order (sym c) c,
+    # and in magnitudes, each symbol 2 psi within 2 _specfun_error of psi, the products
+    # and the sum rounding (degree + 4) times
+    coeffs = np.array(u.coeffs)
+    sym = spectral.symbol_log(N, spectral.eigenvalue(N, np.arange(coeffs.size)))
+    e_sphere = float(np.sum(sym * coeffs * coeffs)) / norm_sphere
+    sym, coeff_sq = np.abs(sym), coeffs * coeffs
     abs_sphere = float(sym @ coeff_sq) / norm_sphere
     spectral_err = (float(coeff_sq @ (2.0 * np.maximum(1e-14, 4.0 * eps * sym))) / norm_sphere
                     + (u.degree_max + 4) * eps * abs_sphere)
@@ -349,12 +359,21 @@ def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> Quad
     works to the Euclidean side's abs 1e-13, rel 1e-12: at zonal_integral's
     1e-12, 1e-11, N = 3, u = 1 + 0.155 Z_1 - 0.236 Z_2 (a zero at t = -0.992)
     erred by 6.8e-14 against mpmath. The estimate is zonal_integral's, plus
-    the rounding of Parseval's sum.
+    the rounding of Parseval's sum. The integrand is zonal_eval's Clenshaw
+    pass with spectral._recurrence's factors bound once per call: the same
+    float operations in the same order, so every node value is zonal_eval's
+    bit for bit, one frame and one memo lookup fewer per node (63 nodes at
+    N = 3, degree 2).
     """
     mass = u.norm_sq()
+    z0, inv, ratio = spectral._recurrence(u.N, u.degree_max)
+    steps = tuple(zip(reversed(u.coeffs), inv, ratio))
 
-    def num(t):
-        a = spectral.zonal_eval(u, t) ** 2
+    def num(t):  # zonal_eval's Clenshaw pass, its factors bound once
+        y1 = y2 = 0.0
+        for c, a, r in steps:
+            y1, y2 = c + a * t * y1 - r * y2, y1
+        a = (z0 * y1) ** 2
         if a == 0.0:
             return 0.0
         return a * math.log(a)

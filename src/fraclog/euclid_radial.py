@@ -174,7 +174,10 @@ class PhiSum:
 
     @classmethod
     def of(cls, base: float, coefs: Sequence, log: bool = False) -> PhiSum:
-        """The sum with coefficients coefs[i], floats or Fractions, each read exactly."""
+        """The sum with coefficients coefs[i], floats or Fractions, each read exactly;
+        an empty coefs raises DomainError, as over's empty nums do."""
+        if not coefs:
+            raise DomainError("a phi-power sum needs one coefficient or more")
         ratios = [c.as_integer_ratio() for c in coefs]
         den = math.lcm(*[q for _, q in ratios])
         return cls(base, tuple([p * (den // q) for p, q in ratios]), den, log)
@@ -182,7 +185,10 @@ class PhiSum:
     @classmethod
     def over(cls, base: float, nums: Sequence[int], den: int, log: bool = False) -> PhiSum:
         """The sum with coefficients nums[i]/den, den > 0, in of's form: the common
-        factor of the numerators and den divided out, the least common denominator."""
+        factor of the numerators and den divided out, the least common denominator.
+        An empty nums raises DomainError: at has no power of its point to scale by."""
+        if not nums:
+            raise DomainError("a phi-power sum needs one numerator or more")
         g = math.gcd(den, *nums)
         return cls(base, tuple([a // g for a in nums]), den // g, log)
 
@@ -293,7 +299,8 @@ def phi_poly_profile(N: int, sums: Sequence[PhiSum], kind: str = "composite",
                      meta: Optional[dict] = None) -> RadialProfile:
     """Profile sum over `sums` of phi^base P(phi) (ln phi)^{0|1}, with its exact pair,
     one ladder per sum: P, a sum's polynomial part, is PhiSum.at at the float phi(r),
-    exact and rounded once; a one-term sum gives coef phi^base bit for bit."""
+    exact and rounded once; a one-term sum gives coef phi^base bit for bit. Where
+    phi(r) underflows to 0 a log sum gives its limit 0."""
     sums = tuple(sums)
     if not sums or not all(s.terms and s.base > 0.0 for s in sums):
         raise DomainError("phi powers must be positive, and each sum nonzero")
@@ -303,7 +310,7 @@ def phi_poly_profile(N: int, sums: Sequence[PhiSum], kind: str = "composite",
         acc = 0.0
         for s in sums:
             v = p ** s.base * s.at(p)
-            acc += v * math.log(p) if s.log else v
+            acc += v * math.log(p) if s.log and p else v  # v is 0.0 where p is
         return acc
 
     memo = None
@@ -681,6 +688,15 @@ def phi_moment(N: int, excess, log: bool = False) -> QuadResult:
     v, e = _gamma_moment(fsum((h, excess, -1.0)) * LN2, LN2,
                          [((h,), 0.0), ((excess,), 1.0)], [((h, excess), 1.0)], log)
     return _over_sphere(N, v, e)
+
+
+@functools.lru_cache(maxsize=None)
+def bubble_moments(N: int) -> tuple[QuadResult, QuadResult]:
+    """phi_moment at b = N without and with ln phi: the mass and log moment of
+    phi^N, the square of the s = 0 bubble phi^{N/2}. They depend on N alone, so
+    each N is computed once, for conformal.confcore_checks and the bubble
+    entropy of inequalities."""
+    return phi_moment(N, 0.5 * N), phi_moment(N, 0.5 * N, log=True)
 
 
 def phi_weighted_integral(N: int, fn, excess: float, breaks: Sequence[float] = (),

@@ -108,16 +108,16 @@ def _lp_sq_of_moment(v: er.RadialProfile, m: er.QuadResult, p_exp: float) -> tup
                        + er._EPS * (2.0 * abs(two_over_p * er._map(math.log, m.value)) + 5.0))
 
 
-@lru_cache(maxsize=None)
 def _bubble_entropy(N: int) -> tuple[float, float]:
     """(Ent_2 of (1+|x|^2)^{-N/2}, error estimate); also Ent_{p(s)}(u_s) at every s.
 
     |u|^p = 2^{-N} phi^N, so Ent = N M'/M - ln M, M and M' the phi-moments
-    of b = N without and with the ln phi factor; the bound adds their
+    of b = N without and with the ln phi factor, read from the per-N memo
+    er.bubble_moments that confcore_checks shares; the bound adds their
     estimates to first order and the roundings of the ratio, the logarithm
-    and the sum. It depends on N alone, so each N is computed once.
+    and the sum.
     """
-    m, ml = er.phi_moment(N, 0.5 * N), er.phi_moment(N, 0.5 * N, log=True)
+    m, ml = er.bubble_moments(N)
     ratio = N * ml.value / m.value
     val = ratio - math.log(m.value)
     err = ((N * ml.abs_error_estimate + (abs(ratio) + 1.0) * m.abs_error_estimate) / m.value

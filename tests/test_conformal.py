@@ -693,6 +693,7 @@ def test_confcore_takes_two_scalar_phi_moments(monkeypatch):
         excesses.append(excess)
         return original(N, excess, log)
     monkeypatch.setattr(er, "phi_moment", recording)
+    er.bubble_moments.cache_clear()  # a warm per-N memo would take none
     conformal.confcore_checks(ZonalExpansion(3, 4, (1.0, 0.2, -0.1, 0.05, 0.3)), 3)
     assert excesses == [1.5, 1.5]
 
@@ -751,19 +752,29 @@ def test_confcore_evaluates_p_once_per_quadrature_node(monkeypatch):
 @pytest.mark.parametrize("N,u", CONFCORE_PROFILES + SCAN_PROFILES)
 def test_confcore_shared_node_values_match_plain_integrands(monkeypatch, N, u):
     # sharing P^2 between the two integrands moves no bit: plain c.at(1 + t) ** 2
-    # integrands give the same value, estimate and evaluation count
-    got, weighted = [], er.phi_weighted_integral
-    monkeypatch.setattr(er, "phi_weighted_integral",
-                        lambda *args, **kwargs: got.append(weighted(*args, **kwargs)) or got[-1])
+    # integrands give the same value, estimate and evaluation count. Nor does the
+    # sphere's Clenshaw pass, bound once per call: zonal_eval(u, t) ** 2 ln of it
+    # gives the same integral, so any reordering of its arithmetic shows
+    got, weighted, zonal = [], er.phi_weighted_integral, spectral.zonal_integral
+
+    def recording(route):
+        return lambda *args, **kwargs: got.append(route(*args, **kwargs)) or got[-1]
+    monkeypatch.setattr(er, "phi_weighted_integral", recording(weighted))
+    monkeypatch.setattr(spectral, "zonal_integral", recording(zonal))
     conformal.confcore_checks(u, N)
-    c = conformal._phi_coefficients(u)
+    c, zeros = conformal._phi_coefficients(u), conformal._sign_changes(u)
 
     def p2_log_p2(t):
         p2 = c.at(1.0 + t) ** 2
         return p2 * math.log(p2) if p2 else 0.0
+
+    def u2_log_u2(t):
+        u2 = zonal_eval(u, t) ** 2
+        return u2 * math.log(u2) if u2 else 0.0
     assert got == [
-        weighted(N, p2_log_p2, 0.5 * N, conformal._sign_changes(u), name="entropy-log"),
-        weighted(N, lambda t: c.at(1.0 + t) ** 2, 0.5 * N, log=True, name="entropy-log-phi")]
+        weighted(N, p2_log_p2, 0.5 * N, zeros, name="entropy-log"),
+        weighted(N, lambda t: c.at(1.0 + t) ** 2, 0.5 * N, log=True, name="entropy-log-phi"),
+        zonal(N, u2_log_u2, zeros, abs_tol=1e-13, rel_tol=1e-12)]
 
 
 def _euclid_entropy_in_r(N, u):

@@ -674,6 +674,29 @@ def test_phi_sum_at_shift_path_is_exact():
             v.at(Fraction(1, 3))
 
 
+def test_empty_phi_sums_are_rejected():
+    # an empty sum once reached at, which raised ValueError (negative shift count)
+    # at any non-integer point; one term still evaluates as its coefficient
+    with pytest.raises(DomainError):
+        er.PhiSum.of(1.5, [])
+    with pytest.raises(DomainError):
+        er.PhiSum.over(1.5, [], 3)
+    for v in (er.PhiSum.of(1.5, [0.75]), er.PhiSum.over(1.5, [3], 4)):
+        assert v.at(0.5) == 0.75 and v.terms == ((0, 0.75, 1.5),)
+
+
+def test_log_profiles_vanish_where_phi_underflows():
+    # phi^a ln phi -> 0: at r = 1e160, where phi(r) is 0.0, the evaluator raised
+    # ValueError (math domain error); where phi > 0 its bits do not move (the sum
+    # over a profile's PhiSums starts at 0.0, so a -0.0 term at r = 1e150 adds to 0.0)
+    v = er.PhiSum.of(1.5, [1.0, 0.5], log=True)
+    ev = er.phi_poly_profile(3, [v]).evaluator
+    assert er.phi(1e160) == 0.0 and ev(1e160) == 0.0
+    for r in (0.0, 0.3, 1.0, 7.0, 1e150):
+        p = er.phi(r)
+        assert ev(r).hex() == (0.0 + p ** 1.5 * v.at(p) * math.log(p)).hex(), r
+
+
 def test_one_term_profiles_are_their_power_bit_for_bit():
     # at of one numerator is its coefficient rounded once, so a bubble (both
     # conventions) and the Beckner extremal evaluate as coef * phi(r) ** a exactly,
