@@ -53,11 +53,11 @@ Audits implemented here:
   held against Parseval and the log energy against the spectral sum, whose
   symbols, one array pass, also give its bound; the entropies on both sides
   are quadratures, the sphere's in the polar angle by zonal_eval's Clenshaw
-  pass with its factors bound once per audit, the Euclidean one in the
-  polar cosine t by euclid_radial.phi_weighted_integral, whose Jacobi
-  weight carries the stereographic measure and ln phi, with the square of
-  V's polynomial part by PhiSum.at, exact and rounded once, once per node
-  and shared by both integrands;
+  pass with its factors bound once per audit (spectral.zonal_evaluator), the
+  Euclidean one in the polar cosine t by euclid_radial.phi_weighted_integral,
+  whose Jacobi weight carries the stereographic measure and ln phi, with the
+  square of V's polynomial part by PhiSum.at, exact and rounded once, once
+  per node and shared by both integrands;
 * intertwining_residual: T_s[P^{s+ln} u] (spectral route) against
   phi^{-2s} [ (-Delta)^{s+ln} V - (-Delta)^s((ln phi) V)
   - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
@@ -250,8 +250,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     with ln(1+t) in QAWS's weight, not the closed form <ln phi>
     the law compares it against: in r, ln phi is a log singularity at
     r = inf that took three times the evaluations. Both integrands read
-    one dict of P^2 keyed by the node t, the first without a call to the
-    second, so PhiSum.at runs once per
+    one dict of P^2 keyed by the node t, so PhiSum.at runs once per
     distinct node: for a u without sign change every node of the second
     is a node of the first (N = 3, u = (1, 0.225, -0.087): 85 exact
     evaluations for 140 integrand calls). details carries
@@ -297,10 +296,8 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
             v = p2s[t] = at(1.0 + t) ** 2
         return v
 
-    def p2_log_p2(t):  # p2's body, one frame less per node
-        v = p2s.get(t)
-        if v is None:
-            v = p2s[t] = at(1.0 + t) ** 2
+    def p2_log_p2(t):
+        v = p2(t)
         return v * math.log(v) if v else 0.0
 
     zeros = _sign_changes(u)
@@ -359,21 +356,16 @@ def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> Quad
     works to the Euclidean side's abs 1e-13, rel 1e-12: at zonal_integral's
     1e-12, 1e-11, N = 3, u = 1 + 0.155 Z_1 - 0.236 Z_2 (a zero at t = -0.992)
     erred by 6.8e-14 against mpmath. The estimate is zonal_integral's, plus
-    the rounding of Parseval's sum. The integrand is zonal_eval's Clenshaw
-    pass with spectral._recurrence's factors bound once per call: the same
-    float operations in the same order, so every node value is zonal_eval's
-    bit for bit, one frame and one memo lookup fewer per node (63 nodes at
-    N = 3, degree 2).
+    the rounding of Parseval's sum. The integrand evaluates u by
+    spectral.zonal_evaluator, zonal_eval's values with the recurrence's
+    factors bound once per call, not once per node (63 nodes at N = 3,
+    degree 2).
     """
     mass = u.norm_sq()
-    z0, inv, ratio = spectral._recurrence(u.N, u.degree_max)
-    steps = tuple(zip(reversed(u.coeffs), inv, ratio))
+    ev = spectral.zonal_evaluator(u)
 
-    def num(t):  # zonal_eval's Clenshaw pass, its factors bound once
-        y1 = y2 = 0.0
-        for c, a, r in steps:
-            y1, y2 = c + a * t * y1 - r * y2, y1
-        a = (z0 * y1) ** 2
+    def num(t):
+        a = ev(t) ** 2
         if a == 0.0:
             return 0.0
         return a * math.log(a)

@@ -108,6 +108,7 @@ def _lp_sq_of_moment(v: er.RadialProfile, m: er.QuadResult, p_exp: float) -> tup
                        + er._EPS * (2.0 * abs(two_over_p * er._map(math.log, m.value)) + 5.0))
 
 
+@lru_cache(maxsize=None)
 def _bubble_entropy(N: int) -> tuple[float, float]:
     """(Ent_2 of (1+|x|^2)^{-N/2}, error estimate); also Ent_{p(s)}(u_s) at every s.
 
@@ -115,7 +116,7 @@ def _bubble_entropy(N: int) -> tuple[float, float]:
     of b = N without and with the ln phi factor, read from the per-N memo
     er.bubble_moments that confcore_checks shares; the bound adds their
     estimates to first order and the roundings of the ratio, the logarithm
-    and the sum.
+    and the sum. It depends on N alone, so each N is computed once.
     """
     m, ml = er.bubble_moments(N)
     ratio = N * ml.value / m.value

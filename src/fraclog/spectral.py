@@ -45,14 +45,16 @@ the three-term recurrence of orthonormal polynomials,
 with lam = (N-1)/2 (lam = 0 gives the Chebyshev case), so an expansion
 sum_k c_k Z_k is evaluated by one Clenshaw pass over its coefficients
 (Clenshaw 1955; Trefethen, Approximation Theory and Approximation
-Practice, ch. 3), in O(degree) operations and for a float or an array t.
+Practice, ch. 3), in O(degree) operations and for a float or an array t
+(zonal_eval; zonal_evaluator binds the recurrence to one expansion for
+the many scalar calls of a quadrature integrand).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import repeat
 from math import comb
 from operator import sub
@@ -291,13 +293,26 @@ def _recurrence(N: int, degree: int) -> tuple:
     return 1.0 / math.sqrt(sphere_area(N)), inv[::-1], ratio[::-1]
 
 
+def _clenshaw(z0: float, steps: Iterable, t):
+    """z0 y_0 of y_k = c_k + a_k t y_{k+1} - r_k y_{k+2}, `steps` the triples
+    (c_k, a_k, r_k) from the top degree down: zonal_eval's one Clenshaw loop."""
+    y1 = y2 = 0.0
+    for c, a, r in steps:
+        y1, y2 = c + a * t * y1 - r * y2, y1
+    return z0 * y1
+
+
 def zonal_eval(u: ZonalExpansion, t):
     """sum_k c_k Z_k(t) by one Clenshaw pass; t a float or a numpy array."""
     z0, inv, ratio = _recurrence(u.N, u.degree_max)
-    y1 = y2 = 0.0
-    for c, a, r in zip(reversed(u.coeffs), inv, ratio):
-        y1, y2 = c + a * t * y1 - r * y2, y1
-    return z0 * y1
+    return _clenshaw(z0, zip(reversed(u.coeffs), inv, ratio), t)
+
+
+def zonal_evaluator(u: ZonalExpansion):
+    """t -> zonal_eval(u, t) bit for bit, _recurrence's factors bound once: for
+    the many scalar calls of a quadrature integrand."""
+    z0, inv, ratio = _recurrence(u.N, u.degree_max)
+    return partial(_clenshaw, z0, tuple(zip(reversed(u.coeffs), inv, ratio)))
 
 
 def _zonal_basis(N: int, degree: int, t) -> np.ndarray:
