@@ -461,17 +461,24 @@ def _symbol_error(N: int, s: float, k: int) -> float:
                                       + _specfun_error(ps_hi) + _specfun_error(ps_lo))
 
 
-def _images(N: int, s: float, c_phi: er.PhiSum,
-            t_samples: Sequence[float]) -> list[tuple[tuple, tuple, float]]:
+def _image_gammas(N: int, s: float) -> tuple[tuple, tuple]:
+    """(ln Gamma, psi) at (c + s, c - s), c = N/2: the Gamma values of _images."""
+    c = 0.5 * N
+    return (ln_gamma(c + s), ln_gamma(c - s)), (digamma(c + s), digamma(c - s))
+
+
+def _images(N: int, s: float, c_phi: er.PhiSum, t_samples: Sequence[float],
+            gammas: tuple | None = None) -> list[tuple[tuple, tuple, float]]:
     """((-Delta)^s V, error) and (t1 - t2 - t3, error) at polar cosines t, with the latter's scale.
 
     V = sum_i c_i phi^{c-s+i}, 0 <= s < 1; G (1-w)^{c+s} = A phi^{c+s}, A = Gamma(c+s)/Gamma(c-s),
     and the scale A phi^{c+s} ((|psi(c+s)| + |psi(c-s)|) |Q| + |R|) is the magnitude of the terms.
     Every factor is taken at the float t, phi = 1 + t: one point for both sides of an audit.
+    `gammas` is _image_gammas(N, s), for a caller that reads those values too.
     """
     c = 0.5 * N
     Q, R = _image_polynomials(N, s, c_phi)
-    lg, psi = (ln_gamma(c + s), ln_gamma(c - s)), (digamma(c + s), digamma(c - s))
+    lg, psi = gammas or _image_gammas(N, s)
     A = math.exp(lg[0] - lg[1])
     # exp, phi^{c+s} and the roundings of Q, R and the products, to first order
     rel = sum(map(_specfun_error, lg)) + (8.0 + c + s) * _EPS
@@ -494,19 +501,26 @@ def _log_law_audit(name: str, s: float, u: spectral.ZonalExpansion,
 
     Each row is on the scale max(|lhs|, phi^{-2s} times that of _images);
     the residual is the largest relative one, details["error_budget"] the
-    largest relative error bound.
+    largest relative error bound. P u and each Z_k of a nonzero degree are
+    bound to their Clenshaw factors once (zonal_evaluator) and read at every
+    radius. One identity-basis pass (_zonal_basis) would read every degree
+    at once, but on (radii, d + 1) arrays it is slower for the few nonzero
+    degrees that audits take.
     """
     N, m = u.N, 0.5 * u.N - s
-    sym_err = [(k, abs(a) * _symbol_error(N, s, k)) for k, a in enumerate(u.coeffs) if a]
+    sym_at = spectral.zonal_evaluator(sym_u)
+    sym_err = [(abs(a) * _symbol_error(N, s, k),
+                spectral.zonal_evaluator(spectral.ZonalExpansion(N, k, (0.0,) * k + (1.0,))))
+               for k, a in enumerate(u.coeffs) if a]
     rows, worst, budget = [], 0.0, 0.0
     ts = [polar_cosine(r) for r in r_samples]
     images = _images(N, s, _phi_coefficients(u), ts)
     for r, t, (_, (L, L_err), mag) in zip(r_samples, ts, images):
         phi_m, w = (1.0 + t) ** m, (1.0 + t) ** (-2.0 * s)
-        lhs = phi_m * spectral.zonal_eval(sym_u, t)
+        lhs = phi_m * sym_at(t)
         rhs, mag = w * L, w * mag
         err = (w * L_err + (N + 4.0) * _EPS * mag  # phi^m against phi^{c+s} phi^{-2s}
-               + phi_m * sum(e * abs(spectral.zonal_basis_eval(N, k, t)) for k, e in sym_err))
+               + phi_m * sum(e * abs(z_k(t)) for e, z_k in sym_err))
         scale = max(abs(lhs), mag) or 1.0  # 0 only where both sides are exactly 0
         rel = abs(lhs - rhs) / scale
         worst, budget = max(worst, rel), max(budget, err / scale)
@@ -563,13 +577,14 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float]) -> A
     m, A = c - s, eval_constants(p).A_Ns
     mu = bubble_mu(p, C)
     pw, k = (N + 2.0 * s) / (N - 2.0 * s), 2.0 / (N - 2.0 * s)
-    psi_err = sum(map(_specfun_error, (digamma(c + s), digamma(m))))
-    lg_err = sum(map(_specfun_error, (ln_gamma(c + s), ln_gamma(m))))
+    lg, psi = gammas = _image_gammas(N, s)  # at c + s and m = c - s
+    psi_err = sum(map(_specfun_error, psi))
+    lg_err = sum(map(_specfun_error, lg))
     log_c = math.log(C)
     rows, worst, budget = [], 0.0, 0.0
     ts = [polar_cosine(r) for r in r_samples]
     for r, t, ((e0, e0_err), (l0, l0_err), l0_mag) in zip(
-            r_samples, ts, _images(N, s, er.PhiSum(0.0, (1,)), ts)):
+            r_samples, ts, _images(N, s, er.PhiSum(0.0, (1,)), ts, gammas)):
         ph = 1.0 + t
         ln_phi, v = math.log(ph), C * ph ** m
         t1 = C * (l0 + ln_phi * e0)

@@ -23,12 +23,15 @@ psi = Gamma'/Gamma:
 
 kappa_Ns(N, s) and kappaprime_Ns(N, s) hold on 0 <= s < N/2 and also take
 a numpy array of orders, each element equal to the float call bit for bit.
+kappa_terms gives both from one evaluation of each ln Gamma and psi value,
+with those values, so an audit bounds their rounding without a second call.
 
 kappa'_{N,s} is the analytic derivative d kappa_{N,s}/ds (obtained by
 differentiating ln kappa); a finite-difference value is used only as a
 cross-check in the tests, since kappa' multiplies large energies and
-must not dominate the error budget. kappaprime_Ns is its one formula:
-eval_constants calls it, and a_N and B_N call it at s = 0.
+must not dominate the error budget. kappa_terms holds its one formula:
+eval_constants and kappaprime_Ns call it, and a_N and B_N take the latter
+at s = 0.
 
 Two algebraically equal forms of c_{N,s} circulate, with the factor
 s(1-s)/Gamma(2-s) or s/Gamma(1-s); they agree via
@@ -123,20 +126,37 @@ def rho_N(N: int) -> float:
     return 2.0 * LN2 + digamma(0.5 * N) - EULER_GAMMA
 
 
-def kappa_Ns(N: int, s):
-    """kappa_{N,s} for 0 <= s < N/2; a numpy array of orders gives an array, each
-    element bit-identical to the float call (exp runs per element)."""
+def kappa_gammas(N: int, s) -> tuple:
+    """ln Gamma at (N/2 - s, N/2 + s, N, N/2): every Gamma value kappa_{N,s} reads."""
     half = 0.5 * N
-    x = (-2.0 * s * LN2 - s * LN_PI + ln_gamma(half - s) - ln_gamma(half + s)
-         + (2.0 * s / N) * (ln_gamma(N) - ln_gamma(half)))
+    return ln_gamma(half - s), ln_gamma(half + s), ln_gamma(N), ln_gamma(half)
+
+
+def kappa_Ns(N: int, s, lgs: tuple | None = None):
+    """kappa_{N,s} for 0 <= s < N/2; a numpy array of orders gives an array, each
+    element bit-identical to the float call (exp runs per element). lgs is
+    kappa_gammas(N, s), for a caller that bounds the rounding from the same values."""
+    lg_lo, lg_hi, lg_n, lg_half = lgs or kappa_gammas(N, s)
+    x = (-2.0 * s * LN2 - s * LN_PI + lg_lo - lg_hi + (2.0 * s / N) * (lg_n - lg_half))
     return np.array([math.exp(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else math.exp(x)
+
+
+def kappa_terms(N: int, s) -> tuple:
+    """(kappa_{N,s}, kappa'_{N,s}, lgs, psis), each ln Gamma and psi evaluated once:
+    lgs = kappa_gammas(N, s), psis = psi of (N/2 - s, N/2 + s). kappa and kappa'
+    are kappa_Ns and kappaprime_Ns bit for bit, arrays for arrays; the audits
+    that bound their rounding read the same values."""
+    half = 0.5 * N
+    lgs = kappa_gammas(N, s)
+    psis = (digamma(half - s), digamma(half + s))
+    kap = kappa_Ns(N, s, lgs)
+    return kap, kap * (-2.0 * LN2 - LN_PI - psis[0] - psis[1]
+                       + (2.0 / N) * (lgs[2] - lgs[3])), lgs, psis
 
 
 def kappaprime_Ns(N: int, s):
     """d kappa_{N,s}/ds for 0 <= s < N/2; an array of orders gives an array, as kappa_Ns."""
-    half = 0.5 * N
-    return kappa_Ns(N, s) * (-2.0 * LN2 - LN_PI - digamma(half - s) - digamma(half + s)
-                             + (2.0 / N) * (ln_gamma(N) - ln_gamma(half)))
+    return kappa_terms(N, s)[1]
 
 
 @lru_cache(maxsize=4096)
@@ -147,6 +167,7 @@ def _eval_constants_cached(N: int, s: float) -> ConstantSet:
                     + ln_gamma(half + s) - ln_gamma(2.0 - s))
     b_ns = 2.0 * LN2 + digamma(half + s) + digamma(2.0 - s) + 1.0 / s - 1.0 / (1.0 - s)
     aprime_ns = A_ns * (digamma(half + s) + digamma(half - s))
+    kappa, kappa_prime, _, _ = kappa_terms(N, s)
     return ConstantSet(
         c_Ns=c_ns,
         A_Ns=A_ns,
@@ -155,8 +176,8 @@ def _eval_constants_cached(N: int, s: float) -> ConstantSet:
         c_N=c_N(N),
         A_N=A_N(N),
         rho_N=rho_N(N),
-        kappa_Ns=kappa_Ns(N, s),
-        kappaprime_Ns=kappaprime_Ns(N, s),
+        kappa_Ns=kappa,
+        kappaprime_Ns=kappa_prime,
         a_N=a_N(N),
         B_N=B_N(N),
         C_N=C_N(N),

@@ -75,19 +75,26 @@ the K^2 Mellin moment at nu_i = nu_j (Legendre duplication); a Gaussian
 pair A exp(-sigma^2 rho^2/2) gives A^2 Gamma(beta/2) / (2 sigma^beta).
 phi_moment is its position-side twin, int_{R^N} phi^b dx =
 |S^{N-1}| 2^{b-1} B(N/2, b-N/2). A log factor differentiates the exponent:
-ln rho^2 is 2 d/dbeta, ln phi is d/db. Every Gamma argument is an fsum of
-float inputs (N/2, s, the phi powers, a Beta argument), so one that tends
-to 0 at the edge of a finite integral, such as N/2 - s, is rounded once
-instead of carrying the error eps N of a difference of rounded sums. The
-estimates are first-order rounding bounds. Both closed forms take a numpy
-array of orders s (pair_energy) or of Beta arguments (phi_moment), as the
-specfun functions do: a float in gives floats out, an array gives arrays,
-and each element is bit-identical to the float call, since every fsum,
-exp, log and power runs per element (_map) and only ln Gamma and psi take
-whole arrays. The failure curve takes its energies and norms so, in one
-call each. energy and entropy are the quadrature routes to the same
-numbers, for any profile; sobolev_deficit, the Beckner convention
-self-test and the tests use them as the independent second route.
+ln rho^2 is 2 d/dbeta, ln phi is d/db. _gamma_moment gives a moment and its
+log partner from one set of Gamma arguments and ln Gamma values, so one pass
+over a pair's rungs (_pair_pass) yields the rho^{2s} energy and the
+rho^{2s} ln rho^2 one together: pair_energies, which the extremal identity
+and the Beckner audits take (at s = 0 the Plancherel norm and the log
+energy); pair_energy runs the same pass for one kind. Every Gamma argument
+is an fsum of float inputs (N/2, s, the phi powers, a Beta argument), so
+one that tends to 0 at the edge of a finite integral, such as N/2 - s, is
+rounded once instead of carrying the error eps N of a difference of
+rounded sums. The estimates are first-order rounding bounds. Both closed
+forms take a numpy array of orders s (pair_energy) or of Beta arguments
+(phi_moment), as the specfun functions do: a float in gives floats out,
+an array gives arrays, and each element is bit-identical to the float
+call, since every fsum, exp, log and power runs per element (_map), an
+array plus floats of exact sum is one correctly rounded vector add
+(_fsum_map), and only ln Gamma and psi take whole arrays. The failure
+curve takes its energies and norms so, in one call each. energy and
+entropy are the quadrature routes to the same numbers, for any profile;
+sobolev_deficit, the Beckner convention self-test and the tests use them
+as the independent second route.
 """
 
 from __future__ import annotations
@@ -552,18 +559,35 @@ def _map(fn, *xs):
 
 
 def _fsum_map(terms: Sequence):
-    """math.fsum of float and array terms, per element as _map runs it."""
-    bc = _columns(terms)
-    if bc is None:
+    """math.fsum of float and array terms, per element as _map runs it.
+
+    One float array a among floats whose fsum c is exact (the residual
+    fsum(floats, -c) is 0) is the vector add a + c: IEEE addition rounds
+    a_i + c once, as fsum rounds the exact sum, so each element has fsum's
+    bits, and a -0.0 element gives 0.0 as fsum([-0.0]) does. Other terms,
+    non-finite inputs and an overflowing sum take fsum per element.
+    """
+    arrays = [x for x in terms if isinstance(x, np.ndarray)]
+    if not arrays:
         return math.fsum(terms)
-    shape, cols = bc
+    a = arrays[0]
+    if len(arrays) == 1 and a.ndim and a.dtype == np.float64:
+        consts = [x for x in terms if not isinstance(x, np.ndarray)]
+        if all(map(math.isfinite, consts)):
+            c = math.fsum(consts)
+            if not math.fsum([*consts, -c]):
+                out = a + c
+                if np.isfinite(out).all():
+                    return out
+    shape, cols = _columns(terms)
     return np.array(list(map(math.fsum, zip(*cols)))).reshape(shape)
 
 
 def _gamma_moment(c, dc: float, num: Sequence[tuple], den: Sequence[tuple],
                   log: bool) -> tuple:
-    """(v, e): v = exp(c + sum ln Gamma(num) - sum ln Gamma(den)), times
-    D = dc + sum w psi(num) - sum w psi(den) when `log`; e bounds v's rounding.
+    """((v, e), (v D, e_D) if `log` else None): v = exp(c + sum ln Gamma(num) -
+    sum ln Gamma(den)), D = dc + sum w psi(num) - sum w psi(den); e, e_D bound
+    the roundings of v and v D. One pass gives a moment and its log partner.
 
     An argument (terms, w) is fsum(terms), rounded once however its float
     inputs cancel, and w is its derivative in the variable of D, in which c
@@ -572,9 +596,9 @@ def _gamma_moment(c, dc: float, num: Sequence[tuple], den: Sequence[tuple],
     per psi(a) its own rounding and |w| a psi'(a) <= |w| (1 + 1/a), plus
     _PAIR_ROUNDINGS. An array c (of orders or excesses, from the caller)
     makes v and e arrays, and terms may then be arrays too: every fsum and
-    exp runs per element (_map), each argument takes one array ln_gamma and
-    digamma call, and each element is bit-identical to the call with that
-    element's floats.
+    exp runs per element (_map, _fsum_map), each argument takes one array
+    ln_gamma and digamma call, and each element is bit-identical to the call
+    with that element's floats.
     """
     vec = isinstance(c, np.ndarray)  # floats take math.fsum and math.exp directly
     fsum = _fsum_map if vec else math.fsum
@@ -587,14 +611,15 @@ def _gamma_moment(c, dc: float, num: Sequence[tuple], den: Sequence[tuple],
     x = c + fsum(lgs[:k] + [-lg for lg in lgs[k:]])
     v = _map(math.exp, x) if vec else math.exp(x)
     rel = 2.0 * abs(c) + sum(map(abs, lgs)) + 2.0 * sum(args) + 2.0 * len(lgs) + _PAIR_ROUNDINGS
+    plain = (v, _EPS * rel * abs(v))
     if not log:
-        return v, _EPS * rel * abs(v)
+        return plain, None
     ws = [w for _, w in num] + [-w for _, w in den]
     psis = [w * digamma(a) for a, w in zip(args, ws)]
     d = dc + fsum(psis)
     d_err = (abs(dc) + sum(map(abs, psis))
              + sum(abs(w) * (1.0 + 1.0 / a) for a, w in zip(args, ws)) + len(psis))
-    return v * d, _EPS * abs(v) * (rel * abs(d) + d_err)
+    return plain, (v * d, _EPS * abs(v) * (rel * abs(d) + d_err))
 
 
 @functools.lru_cache(maxsize=None)
@@ -620,6 +645,42 @@ def _pair_rungs(sums: tuple) -> tuple:
                   _EPS * (abs(ln_gamma(a)) + 2.0 * a + 4.0)) for s in sums for _, coef, a in s.terms)
 
 
+def _pair_pass(g: SpectralDensity, N: int, s, log: bool) -> tuple:
+    """The energies of g's exact pair under rho^{2s} and, if `log`, rho^{2s} ln rho^2:
+    one pass over the rungs, one _gamma_moment per rung pair for both."""
+    if "multiplier" in g.meta:
+        raise DomainError("pair_energy takes an exact pair, not a multiplied density")
+    if g.meta.get("N") != N:
+        raise DomainError(f"exact pair of dimension {g.meta.get('N')}, energy asked at N={N}")
+    fsum = _fsum_map if isinstance(s, np.ndarray) else math.fsum
+    h = (0.5 * N, s)
+    parts = [([], []) for _ in range(1 + log)]  # (terms, errs) of each energy
+    if "gaussian" in g.meta:
+        A, sigma = g.meta["gaussian"]
+        ln_sigma = math.log(sigma)
+        moments = _gamma_moment(-(N + 2.0 * s) * ln_sigma - LN2, -2.0 * ln_sigma, [(h, 1.0)], [],
+                                log)
+        for (v, e), (terms, errs) in zip(moments, parts):
+            terms.append(A * A * v)
+            errs.append(A * A * e)
+    elif "phi_sums" in g.meta:
+        rungs = _pair_rungs(g.meta["phi_sums"])
+        for i, (a_i, w_i, ew_i) in enumerate(rungs):
+            for j in range(i, len(rungs)):
+                a_j, w_j, ew_j = rungs[j]
+                moments = _gamma_moment(fsum((2.0 * s, a_i, a_j, -3.0)) * LN2, 2.0 * LN2,
+                                        [((s, a_i, a_j, -0.5 * N), 1.0), ((s, a_i), 1.0),
+                                         ((s, a_j), 1.0), (h, 1.0)],
+                                        [((2.0 * s, a_i, a_j), 2.0)], log)
+                ww = (1.0 if j == i else 2.0) * w_i * w_j
+                for (v, e), (terms, errs) in zip(moments, parts):
+                    terms.append(ww * v)
+                    errs.append(abs(ww) * (e + (ew_i + ew_j) * abs(v)))
+    else:
+        raise DomainError("pair_energy needs meta 'phi_sums' or 'gaussian'")
+    return tuple(_over_sphere(N, fsum(terms), fsum(errs)) for terms, errs in parts)
+
+
 def pair_energy(kind: str, g: SpectralDensity, N: int, s=0.0) -> QuadResult:
     """energy(kind, g, N, s) in closed form for an exact pair, evaluations = 0.
 
@@ -632,45 +693,23 @@ def pair_energy(kind: str, g: SpectralDensity, N: int, s=0.0) -> QuadResult:
     estimate is a first-order rounding bound: eps times sum_ij |w_i w_j H_ij|
     times the magnitudes of its exponent, so it carries cancellation across
     the pair sum. A numpy array of orders s gives a QuadResult of arrays,
-    each element bit-identical to the call at that float s. A log sum
-    (PhiSum.log), a density of apply_multiplier and one with neither pair raise
-    DomainError; a Gamma argument <= 0 (at any element) raises
-    DivergentIntegralError.
+    each element bit-identical to the call at that float s. It runs the
+    pass of pair_energies, which takes an energy and its log partner at once.
+    A log sum (PhiSum.log), a density of apply_multiplier and one with
+    neither pair raise DomainError; a Gamma argument <= 0 (at any element)
+    raises DivergentIntegralError.
     """
     _multiplier(kind, s)  # rejects an unknown kind, as energy does
-    if "multiplier" in g.meta:
-        raise DomainError("pair_energy takes an exact pair, not a multiplied density")
-    if g.meta.get("N") != N:
-        raise DomainError(f"exact pair of dimension {g.meta.get('N')}, energy asked at N={N}")
-    vec = isinstance(s, np.ndarray)
-    fsum = _fsum_map if vec else math.fsum
-    sb = s  # beta/2 = N/2 + sb
     if kind == "log":
-        sb = np.zeros(s.shape) if vec else 0.0
-    h = (0.5 * N, sb)
-    log = kind != "frac"
-    if "gaussian" in g.meta:
-        A, sigma = g.meta["gaussian"]
-        ln_sigma = math.log(sigma)
-        v, e = _gamma_moment(-(N + 2.0 * sb) * ln_sigma - LN2, -2.0 * ln_sigma, [(h, 1.0)], [],
-                             log)
-        terms, errs = [A * A * v], [A * A * e]
-    elif "phi_sums" in g.meta:
-        rungs = _pair_rungs(g.meta["phi_sums"])
-        terms, errs = [], []
-        for i, (a_i, w_i, ew_i) in enumerate(rungs):
-            for j in range(i, len(rungs)):
-                a_j, w_j, ew_j = rungs[j]
-                v, e = _gamma_moment(fsum((2.0 * sb, a_i, a_j, -3.0)) * LN2, 2.0 * LN2,
-                                     [((sb, a_i, a_j, -0.5 * N), 1.0), ((sb, a_i), 1.0),
-                                      ((sb, a_j), 1.0), (h, 1.0)],
-                                     [((2.0 * sb, a_i, a_j), 2.0)], log)
-                ww = (1.0 if j == i else 2.0) * w_i * w_j
-                terms.append(ww * v)
-                errs.append(abs(ww) * (e + (ew_i + ew_j) * abs(v)))
-    else:
-        raise DomainError("pair_energy needs meta 'phi_sums' or 'gaussian'")
-    return _over_sphere(N, fsum(terms), fsum(errs))
+        s = np.zeros(s.shape) if isinstance(s, np.ndarray) else 0.0
+    return _pair_pass(g, N, s, kind != "frac")[-1]
+
+
+def pair_energies(g: SpectralDensity, N: int, s=0.0) -> tuple[QuadResult, QuadResult]:
+    """(pair_energy("frac", g, N, s), pair_energy("fraclog", g, N, s)) bit for bit, from
+    one pass: each rung pair's Gamma arguments and ln Gamma values serve both, and its
+    psi values the second. At s = 0 the second is pair_energy("log", g, N)."""
+    return _pair_pass(g, N, s, True)
 
 
 def phi_moment(N: int, excess, log: bool = False) -> QuadResult:
@@ -685,17 +724,18 @@ def phi_moment(N: int, excess, log: bool = False) -> QuadResult:
     """
     h = 0.5 * N
     fsum = _fsum_map if isinstance(excess, np.ndarray) else math.fsum
-    v, e = _gamma_moment(fsum((h, excess, -1.0)) * LN2, LN2,
-                         [((h,), 0.0), ((excess,), 1.0)], [((h, excess), 1.0)], log)
-    return _over_sphere(N, v, e)
+    moments = _gamma_moment(fsum((h, excess, -1.0)) * LN2, LN2,
+                            [((h,), 0.0), ((excess,), 1.0)], [((h, excess), 1.0)], log)
+    return _over_sphere(N, *moments[log])
 
 
 @functools.lru_cache(maxsize=None)
 def bubble_moments(N: int) -> tuple[QuadResult, QuadResult]:
     """phi_moment at b = N without and with ln phi: the mass and log moment of
     phi^N, the square of the s = 0 bubble phi^{N/2}. They depend on N alone, so
-    each N is computed once, for conformal.confcore_checks and the bubble
-    entropy of inequalities."""
+    each N is computed once, for conformal.confcore_checks and, in inequalities,
+    the bubble entropy, ||u_s||_{p(s)}^2 (|u_s|^{p(s)} = 2^{-N} phi^N at every s)
+    and the norm of the Beckner extremal."""
     return phi_moment(N, 0.5 * N), phi_moment(N, 0.5 * N, log=True)
 
 

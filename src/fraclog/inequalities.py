@@ -28,9 +28,17 @@ phi power from its position-side twin euclid_radial.phi_moment, and the
 Gaussian's entropy from its amplitude and width; lq_check takes the
 extremal's L^q norm by the same phi-moment, and moment_check the second
 moments of both profiles (r^2 = 2/phi - 1 makes the extremal's two
-phi-moments). Both closed forms take
-arrays, so the failure curve is one pair_energy and one phi_moment call
-over its whole grid of orders, bit-identical to a call per order. The
+phi-moments). No audit recomputes a Gamma-family value it holds: the
+extremal identity takes kappa, kappa' and the bounds on their rounding
+from one constants.kappa_terms call and both of its energies from one
+pass over the pair (euclid_radial.pair_energies); the Beckner audits take
+the Plancherel norm ||f||_2^2 and the ln|xi|^2 energy from one such pass
+at s = 0, and B_N once; ||u_s||_{p(s)}^2 and the mass of the Beckner
+extremal read the phi-moment M(N) of the per-N memo
+euclid_radial.bubble_moments, which the bubble entropy reads too. Both
+closed forms take arrays, so the failure curve is one pair_energy and one
+phi_moment call over its whole grid of orders, bit-identical to a call
+per order. The
 quadrature routes, euclid_radial.energy and entropy, stay in
 sobolev_deficit and in the self-test below, which compares them with the
 closed forms. sobolev_deficit is independent of the failure curve in
@@ -54,9 +62,9 @@ import numpy as np
 
 from .audit import AuditReport, identity_audit
 from .constants import (LN2, LN_PI, Params, B_N, C_N, c_N, A_N, eval_constants,
-                        kappa_Ns, kappaprime_Ns, sphere_area)
+                        kappa_gammas, kappa_Ns, kappa_terms, sphere_area)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
-from .specfun import digamma, ln_gamma
+from .specfun import ln_gamma
 from . import euclid_radial as er
 from . import spectral
 
@@ -151,13 +159,12 @@ def _one(t: float) -> float:
     return 1.0
 
 
-def _kappa_rel(N: int, s):
-    """First-order bound on the relative rounding of eval_constants' kappa_{N,s};
-    an array of orders gives an array."""
-    h = 0.5 * N
-    lg_ratio = abs(ln_gamma(float(N))) + abs(ln_gamma(h))
-    return er._EPS * (s * (2.0 * LN2 + LN_PI) + abs(ln_gamma(h - s)) + abs(ln_gamma(h + s))
-                      + 2.0 * s / N * lg_ratio + 2.0 * N + 8.0)
+def _kappa_rel(N: int, s, lgs: tuple):
+    """First-order bound on the relative rounding of eval_constants' kappa_{N,s}, from
+    its ln Gamma values lgs (kappa_gammas); an array of orders gives an array."""
+    lg_lo, lg_hi, lg_n, lg_half = lgs
+    return er._EPS * (s * (2.0 * LN2 + LN_PI) + abs(lg_lo) + abs(lg_hi)
+                      + 2.0 * s / N * (abs(lg_n) + abs(lg_half)) + 2.0 * N + 8.0)
 
 
 def _deficit_curve(tag: str, s_grid: Sequence[float], Fs: list, errs: list) -> DeficitCurve:
@@ -200,13 +207,14 @@ def _frozen_bubble_deficit(p0: Params,
     v = er.talenti_bubble(p0)
     eps = er._EPS
     s = np.array(s_grid, dtype=float)
-    kap = kappa_Ns(N, s)
+    lgs = kappa_gammas(N, s)
+    kap = kappa_Ns(N, s, lgs)
     en = er.pair_energy("frac", v.fourier, N, s)
     excess = N * er._fsum_map((N, 2.0 * s, -4.0 * s0)) / (2.0 * (N - 2.0 * s))
     L, L_err = _phi_power_lp_sq(v, excess, er.p_of_s(N, s))
     kap_en = kap * en.value
     F = kap_en - L
-    errs = (kap * (en.abs_error_estimate + (_kappa_rel(N, s) + eps) * en.value)
+    errs = (kap * (en.abs_error_estimate + (_kappa_rel(N, s, lgs) + eps) * en.value)
             + L_err + eps * abs(F))
     return _deficit_curve("bubble", s_grid, F.tolist(), errs.tolist()), kap_en
 
@@ -215,31 +223,34 @@ def _extremal_identity(N: int, s: float, name: str, inputs: dict) -> AuditReport
     """Extremal identity at order 0 <= s < N/2: entropy side vs kappa-weighted energies.
 
     Every term is a closed form: the bubble entropy Ent_{p(s)}(u_s) and
-    ||u_s||_{p(s)}^2 from the phi-moment of b = N, the two energies from
+    ||u_s||_{p(s)}^2 from the phi-moment of b = N (one per-N memo,
+    euclid_radial.bubble_moments), the two energies from
     the bubble's Bessel-K pair (euclid_radial.pair_energy), so the residual
     is rounding. error_budget bounds it to first order: the estimates of
     the entropy side, of the energies and of ||u_s||_{p(s)}^2, and the
-    rounding of kappa_{N,s} and of the digamma bracket kappa'/kappa.
+    rounding of kappa_{N,s} and of the digamma bracket kappa'/kappa. kappa,
+    kappa' and both bounds read one set of ln Gamma and psi values (kappa_terms),
+    and both energies come from one pass over the pair (pair_energies).
     """
     h, eps = 0.5 * N, er._EPS
     m = 0.5 * (N - 2.0 * s)
     u = er.phi_poly_profile(N, [er.PhiSum.of(m, [2.0 ** (-m)])], kind="bubble")
-    kap, kap_prime = kappa_Ns(N, s), kappaprime_Ns(N, s)
+    kap, kap_prime, lgs, (psi_lo, psi_hi) = kappa_terms(N, s)
     ent, ent_err = _bubble_entropy(N)
     lhs = (2.0 / N) * ent
-    lp2, lp2_err = _phi_power_lp_sq(u, h, er.p_of_s(N, s))
-    e_frac = er.pair_energy("frac", u.fourier, N, s)
-    e_flog = er.pair_energy("fraclog", u.fourier, N, s)
+    # |u_s|^p = 2^{-N} phi^N at every s: its L^p norm reads M(N) of the entropy's memo
+    lp2, lp2_err = _lp_sq_of_moment(u, er.bubble_moments(N)[0], er.p_of_s(N, s))
+    e_frac, e_flog = er.pair_energies(u.fourier, N, s)
     a = kap_prime * e_frac.value / lp2
     b = kap * e_flog.value / lp2
     rhs = a + b
-    lg_ratio = abs(ln_gamma(float(N))) + abs(ln_gamma(h))
-    bracket_err = eps * (2.0 * LN2 + LN_PI + abs(digamma(h - s)) + abs(digamma(h + s))
-                         + 2.0 / N * lg_ratio + 1.0 / (h - s) + 1.0 / (h + s) + 10.0)
+    bracket_err = eps * (2.0 * LN2 + LN_PI + abs(psi_lo) + abs(psi_hi)
+                         + 2.0 / N * (abs(lgs[2]) + abs(lgs[3])) + 1.0 / (h - s) + 1.0 / (h + s)
+                         + 10.0)
     err = ((2.0 / N) * ent_err + eps * abs(lhs)
            + (abs(kap_prime) * e_frac.abs_error_estimate
               + abs(kap) * e_flog.abs_error_estimate) / lp2
-           + (abs(a) + abs(b)) * (_kappa_rel(N, s) + lp2_err / lp2 + 3.0 * eps)
+           + (abs(a) + abs(b)) * (_kappa_rel(N, s, lgs) + lp2_err / lp2 + 3.0 * eps)
            + abs(kap * e_frac.value / lp2) * bracket_err + eps * abs(rhs))
     return identity_audit(
         name, lhs, rhs, 1e-5, inputs=inputs,
@@ -268,8 +279,11 @@ def failure_demo(N: int, s0: float, grid_points: int = 40) -> tuple[AuditReport,
     quadrature, its L^p half by the same phi-moment closed form). It
     vanishes at s0, is nonnegative, and its central-difference derivative
     attains a negative minimum whose magnitude must exceed 10x the
-    propagated rounding budget.
+    propagated rounding budget. grid_points < 3 raises DomainError, since
+    the central difference needs two neighbours.
     """
+    if grid_points < 3:
+        raise DomainError(f"failure_demo needs grid_points >= 3, got {grid_points}")
     p0 = Params(N, s0)
     grid = np.linspace(0.05 * s0, s0, grid_points).tolist()  # the last point is s0 exactly
     curve, kap_en = _frozen_bubble_deficit(p0, grid)
@@ -387,7 +401,7 @@ def _beckner_profile(N: int, f_choice: str) -> tuple[er.RadialProfile, float, fl
     eps = er._EPS
     if f_choice == "extremal":
         f = extremal_profile(N)
-        m, m_err = _phi_power_lp_sq(f, 0.5 * N, 2.0)
+        m, m_err = _lp_sq_of_moment(f, er.bubble_moments(N)[0], 2.0)  # |f|^2 ~ phi^N
         ent2, ent2_err = _bubble_entropy(N)
         bracket = ent2 + math.log(m)
         val = 0.5 * m * bracket
@@ -405,10 +419,13 @@ def _beckner_profile(N: int, f_choice: str) -> tuple[er.RadialProfile, float, fl
     return f, val, err
 
 
-def _check_normalized(f: er.RadialProfile, N: int) -> None:
-    plancherel = er.pair_energy("frac", f.fourier, N, 0.0).value
+def _normalized_log_energy(f: er.RadialProfile, N: int) -> float:
+    """int ln|xi|^2 |fhat|^2 dxi, pair_energy("log"), once ||f||_2 = 1 holds: the
+    Plancherel value ||f||_2^2 comes from the same pass (pair_energies at s = 0)."""
+    plancherel, log_energy = (e.value for e in er.pair_energies(f.fourier, N))
     if abs(plancherel - 1.0) > 1e-7:
         raise DomainError(f"profile must satisfy ||f||_2 = 1, got ||f||_2^2 = {plancherel}")
+    return log_energy
 
 
 def beckner_fraclog_check(N: int, s: float, f_choice: str) -> AuditReport:
@@ -425,16 +442,16 @@ def beckner_fraclog_check(N: int, s: float, f_choice: str) -> AuditReport:
     if not N > 2.0 * s:
         raise DomainError(f"require N > 2s, got N={N}, s={s}")
     f, ent, _ = _beckner_profile(N, f_choice)
-    _check_normalized(f, N)
-    lhs = 0.25 * N * er.pair_energy("log", f.fourier, N).value
-    rhs = ent + B_N(N)
+    lhs = 0.25 * N * _normalized_log_energy(f, N)
+    b_n = B_N(N)
+    rhs = ent + b_n
     margin = lhs - rhs
     passed = margin >= -1e-6 and (f_choice != "extremal" or abs(margin) <= 1e-4)
     return AuditReport(
         name="fraclog-uncertainty",
         lhs=lhs, rhs=rhs, residual=margin, tolerance=1e-4, passed=passed,
         inputs={"N": N, "s": s, "f_choice": f_choice},
-        details={"entropy_term": ent, "B_N": B_N(N)},
+        details={"entropy_term": ent, "B_N": b_n},
     )
 
 
@@ -472,11 +489,10 @@ def moment_check(N: int, s: float, f: er.RadialProfile) -> AuditReport:
     beckner_convention_selftest()
     if f.fourier is None:
         raise DomainError("moment_check needs a profile with exact Fourier pair")
-    _check_normalized(f, N)
+    lhs = _normalized_log_energy(f, N)
     if math.isfinite(f.decay_exponent) and 2.0 * f.decay_exponent - (N + 1.0) <= 1.0:
         raise DivergentIntegralError(
             f"second moment of |f|^2 diverges for decay exponent {f.decay_exponent}")
-    lhs = er.pair_energy("log", f.fourier, N).value
     m2 = _second_moment(f, N)[0]
     rhs = -math.log(2.0 * math.pi * math.e / N * m2) + (4.0 / N) * B_N(N)
     margin = lhs - rhs
@@ -499,12 +515,12 @@ def lq_check(N: int, s: float, q: float, f: er.RadialProfile) -> AuditReport:
         raise DomainError(f"q must lie in [1, 2), got {q}")
     if f.fourier is None:
         raise DomainError("lq_check needs a profile with exact Fourier pair")
-    _check_normalized(f, N)
+    log_energy = _normalized_log_energy(f, N)
     if math.isfinite(f.decay_exponent) and q * f.decay_exponent <= N:
         raise DivergentIntegralError(
             f"||f||_q diverges: q * decay = {q * f.decay_exponent} <= N = {N}")
     fq = _lp_norm_sq(f, q, N)[0] ** (0.5 * q)
-    lhs = 0.25 * N * er.pair_energy("log", f.fourier, N).value
+    lhs = 0.25 * N * log_energy
     rhs = math.log(fq) / (q - 2.0) + B_N(N)
     margin = lhs - rhs
     return AuditReport(

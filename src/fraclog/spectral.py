@@ -233,8 +233,10 @@ def eigentable(p: Params, k_max: int) -> list[SpectrumPoint]:
     digamma sum. phi_{N,s} and phi^{s+ln} share that ratio: phi^{s+ln} is the ratio
     times the digamma sum, the expression `symbol_slog` evaluates, so each
     column equals the scalar symbol bit for bit. k and d_k are ints, the
-    other fields floats.
+    other fields floats. A negative k_max raises DomainError.
     """
+    if k_max < 0:
+        raise DomainError(f"k_max must be >= 0, got {k_max}")
     col = _columns(p.N, k_max)
     hi, lo = _gamma_args(p, col.a)
     phi_s = _gamma_ratio(hi, lo)

@@ -232,7 +232,10 @@ def apply_kernel_at_pole(op: str, p: Params | None, u: spectral.ZonalExpansion) 
 
 def kernel_vs_spectral(p: Params, kmax: int) -> list[dict]:
     """Rows {op, k, kernel, spectral, rel_error}: the kernel at the pole of Z_k, k <= kmax,
-    against symbol * Z_k(1), relative to |symbol * Z_k(1)| floored at 1e-30."""
+    against symbol * Z_k(1), relative to |symbol * Z_k(1)| floored at 1e-30; a negative
+    kmax raises DomainError."""
+    if kmax < 0:
+        raise DomainError(f"kmax must be >= 0, got {kmax}")
     lam = spectral.eigenvalue(p.N, np.arange(kmax + 1))
     pole = spectral._zonal_basis(p.N, kmax, (1.0,))[0].tolist()
     rows = []

@@ -230,6 +230,13 @@ def test_usage_errors_exit_2(capsys):
     capsys.readouterr()
     assert main(["constants", "--dim", "1", "--order", "0.9"]) == 2  # N <= 2s
     capsys.readouterr()
+    # a negative table size, and a failure grid too short for a central difference
+    for argv in (["kernel-vs-spectral", "--dim", "3", "--order", "0.3", "--kmax", "-1"],
+                 ["eigentable", "--dim", "3", "--order", "0.3", "--kmax", "-1"],
+                 ["failure", "--dim", "3", "--order0", "0.5", "--grid", "2"]):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and ">= " in err, argv
 
 
 def test_beckner_subcommand(capsys):

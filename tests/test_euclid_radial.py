@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclog.constants import Params, bessel_bubble_coeff, eval_constants, sphere_area_equator
+from fraclog.constants import (Params, bessel_bubble_coeff, eval_constants, kappa_gammas,
+                               sphere_area_equator)
 from fraclog.errors import DivergentIntegralError, DomainError
 from fraclog import conformal, euclid_radial as er, inequalities as ineq
 from fraclog.specfun import bessel_k, ln_gamma
@@ -789,9 +790,12 @@ def test_gamma_moment_over_arrays_equals_the_scalar_calls():
         def moment(s, a, c):
             return er._gamma_moment(c, 0.7, [((s, a, -0.5), 1.0), ((1.5, s), 1.0), ((a,), 0.0)],
                                     [((2.0 * s, a, 0.25), 2.0)], log)
-        v, e = moment(s, a, -0.3 * s + a)
+        got = moment(s, a, -0.3 * s + a)
+        assert (got[1] is None) is not log
         for i, (si, ai) in enumerate(zip(s.tolist(), a.tolist())):
-            assert moment(si, ai, -0.3 * si + ai) == (v[i], e[i]), i
+            want = moment(si, ai, -0.3 * si + ai)
+            for (v, e), pair in zip(got[:1 + log], want):
+                assert pair == (v[i], e[i]), i
 
 
 def test_closed_forms_keep_floats_for_floats():
@@ -799,8 +803,65 @@ def test_closed_forms_keep_floats_for_floats():
     for res in (er.pair_energy("frac", g, 3, 0.3), er.pair_energy("log", g, 3),
                 er.phi_moment(3, 1.5), er.phi_moment(3, 1.5, log=True)):
         assert type(res.value) is float and type(res.abs_error_estimate) is float
-    v, e = er._gamma_moment(0.1, 0.0, [((1.5, 0.25), 1.0)], [], True)
-    assert type(v) is float and type(e) is float
+    for v, e in er._gamma_moment(0.1, 0.0, [((1.5, 0.25), 1.0)], [], True):
+        assert type(v) is float and type(e) is float
+
+
+def _bits(x):
+    return type(x), np.asarray(x, dtype=float).tobytes()
+
+
+@pytest.mark.parametrize("N", [1, 3])
+def test_pair_energies_equal_the_single_kind_calls_bit_for_bit(N):
+    # one pass over the rungs gives the rho^{2s} energy and its log partner, for
+    # phi-power pairs of 1, 2 and 3 terms and a Gaussian, at float and array orders
+    pairs = [er.talenti_bubble(Params(N, 0.3 * N / 2)).fourier,
+             conformal.pullback_expansion(0.0, ZonalExpansion(N, 1, (1.0, 0.21))).fourier,
+             conformal.pullback_expansion(0.0, ZonalExpansion(N, 2, (1.0, 0.21, -0.17))).fourier,
+             er.gaussian_profile(N, 1.3, 0.7).fourier]
+    assert [len(er._pair_rungs(g.meta["phi_sums"])) for g in pairs[:3]] == [1, 2, 3]
+    s_arr = np.linspace(0.01, 0.49 * min(N, 2), 7)
+    for g in pairs:
+        for s in (0.2, s_arr, np.reshape(s_arr[:6], (2, 3))):
+            got = er.pair_energies(g, N, s)
+            for kind, res in zip(("frac", "fraclog"), got):
+                want = er.pair_energy(kind, g, N, s)
+                assert _bits(res.value) == _bits(want.value), (kind, s)
+                assert _bits(res.abs_error_estimate) == _bits(want.abs_error_estimate), (kind, s)
+        # at s = 0 the partner is the ln rho^2 energy
+        for s, zeros in ((0.0, 0.0), (np.zeros(3), np.zeros(3))):
+            plain, log = er.pair_energies(g, N, s)
+            for res, want in ((plain, er.pair_energy("frac", g, N, zeros)),
+                              (log, er.pair_energy("log", g, N, zeros))):
+                assert _bits(res.value) == _bits(want.value)
+                assert _bits(res.abs_error_estimate) == _bits(want.abs_error_estimate)
+
+
+def test_fsum_map_vector_add_equals_fsum_per_element():
+    rng = np.random.default_rng(34)
+    a = rng.standard_normal((4, 5)) * 10.0 ** rng.integers(-9, 9, (4, 5)).astype(float)
+    a[0, :4] = (-0.0, 0.0, -0.3, -1.25)
+
+    def per_element(terms):
+        return np.array([math.fsum([x if t is a else t for t in terms])
+                         for x in a.ravel().tolist()]).reshape(a.shape)
+    # exact constant parts take the vector add: with 1.25 - 0.0 etc. the signed zeros
+    # of a come out as fsum gives them
+    for consts in ([], [-0.0], [1.5, -0.25], [3, 0.5], [1e16, 1.0, -1e16], [0.1, -0.1]):
+        terms = [*consts[:1], a, *consts[1:]]
+        got = er._fsum_map(terms)
+        assert got.shape == a.shape and got.tobytes() == per_element(terms).tobytes(), consts
+    # 0.1 + 0.2 is not exact: the vector add would miss fsum's bits at -0.3, so it falls back
+    terms = [0.1, a, 0.2]
+    assert (a + math.fsum([0.1, 0.2])).tobytes() != per_element(terms).tobytes()
+    assert er._fsum_map(terms).tobytes() == per_element(terms).tobytes()
+    # a non-finite constant or element takes fsum per element as well
+    assert np.isposinf(er._fsum_map([math.inf, a])).all()
+    b = a.copy()
+    b[2, 2] = math.nan
+    got = er._fsum_map([1.5, b])
+    assert math.isnan(got[2, 2]) and np.delete(got.ravel(), 12).tolist() == np.delete(
+        (a + 1.5).ravel(), 12).tolist()
 
 
 def test_an_array_with_one_divergent_element_raises():
@@ -824,7 +885,8 @@ def _scalar_failure_curve(N, s0, grid):
         L, L_err = ineq._phi_power_lp_sq(v, excess, er.p_of_s(N, s))
         F = kap * en.value - L
         Fs.append(F)
-        errs.append(kap * (en.abs_error_estimate + (ineq._kappa_rel(N, s) + eps) * en.value)
+        kap_rel = ineq._kappa_rel(N, s, kappa_gammas(N, s))
+        errs.append(kap * (en.abs_error_estimate + (kap_rel + eps) * en.value)
                     + L_err + eps * abs(F))
     return Fs, errs
 

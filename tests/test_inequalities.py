@@ -173,6 +173,14 @@ def test_failure_demo_outside_finite_norm_box(N, s0):
         ineq.failure_demo(N, s0, 40)
 
 
+@pytest.mark.parametrize("grid_points", [-1, 0, 1, 2])
+def test_failure_demo_needs_three_grid_points(grid_points, monkeypatch):
+    # the central difference needs two neighbours; the check comes before any work
+    monkeypatch.setattr(ineq, "_frozen_bubble_deficit", None)
+    with pytest.raises(DomainError, match=">= 3"):
+        ineq.failure_demo(3, 0.5, grid_points)
+
+
 @pytest.mark.parametrize("N,s", [(1, 0.25), (2, 0.3), (3, 0.5), (4, 0.5), (5, 0.75)])
 def test_sphere_identity_constant_instance(N, s):
     rep = ineq.sphere_identity_check(Params(N, s))
@@ -253,6 +261,35 @@ def test_exact_pair_audits_skip_the_quadrature_route(monkeypatch):
     ineq.sharp_fraclog_identity(Params(3, 0.4))
     ineq.euclid_log_identity(2)
     ineq.failure_demo(3, 0.5, 40)
+
+
+def test_audits_take_each_gamma_value_once(monkeypatch):
+    # ln Gamma and psi calls of an audit whose memos a first call has filled: kappa,
+    # kappa' and their rounding bounds share one set (kappa_terms), both energies of
+    # the extremal identity and the Beckner pair one pass (pair_energies), the norms
+    # of both profiles the per-N phi-moment memo, and the Yamabe audit the values of
+    # its images
+    import fraclog
+    from fraclog import specfun
+    counts = dict.fromkeys(("ln_gamma", "digamma"), 0)
+    for name in counts:
+        original = getattr(specfun, name)
+
+        def counting(x, name=name, original=original):
+            counts[name] += 1
+            return original(x)
+        for mod in list(vars(fraclog).values()):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    audits = [(lambda: ineq.sharp_fraclog_identity(Params(3, 0.4)), (9, 7)),
+              (lambda: ineq.beckner_fraclog_check(3, 0.3, "extremal"), (11, 7)),
+              (lambda: conformal.yamabe_residual_euclid(Params(3, 0.4), 1.3,
+                                                        (0.0, 0.5, 1.0, 2.0)), (2, 2))]
+    for audit, want in audits:
+        audit()
+        counts.update(ln_gamma=0, digamma=0)
+        assert audit().passed
+        assert (counts["ln_gamma"], counts["digamma"]) == want
 
 
 @pytest.mark.parametrize("N", [1, 3])

@@ -455,7 +455,8 @@ def test_eigentable_rows_equal_scalar_calls_bit_for_bit():
                 want = (lam, symbol_s(p, lam), symbol_slog(p, lam), symbol_log(N, lam))
                 assert [x.hex() for x in got] == [x.hex() for x in want], (N, s, k)
             assert eigentable(p, k_max) == rows
-        assert eigentable(p, -1) == []
+        with pytest.raises(DomainError, match="k_max"):  # an empty table hid a usage error
+            eigentable(p, -1)
 
 
 def _row_hex(row):

@@ -376,6 +376,9 @@ def test_kernel_vs_spectral_rows():
         assert r["spectral"] == _symbol(r["op"], p, eigenvalue(2, r["k"])) * zonal_basis_eval(
             2, r["k"], 1.0)
         assert r["rel_error"] == abs(r["kernel"] - r["spectral"]) / abs(r["spectral"]) <= 1e-12
+    assert len(kernel_vs_spectral(p, 0)) == 3
+    with pytest.raises(DomainError, match="kmax"):
+        kernel_vs_spectral(p, -1)
 
 
 def _mp_moment(j, alpha, beta):
