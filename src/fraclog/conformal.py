@@ -63,9 +63,9 @@ Audits implemented here:
   - (ln phi) (-Delta)^s V ],  V = T_s[u] (terminating images);
 * log_intertwining_residual: its s = 0 endpoint, T_0[P^ln u] against
   (-Delta)^ln V - 2 (ln phi) V, on the same route;
-* yamabe_residual_sphere / yamabe_residual_euclid: the constant bubble
-  u = C and its pullback v_{s,C} solve the two Yamabe-type equations at
-  the level mu = bubble_mu(p, C);
+* yamabe_residual_sphere / yamabe_residual_euclid: the constant bubble u = C
+  and its pullback v_{s,C} solve both Yamabe-type equations at mu = bubble_mu(p, C),
+  by the bubble's algebra (images Q = 1, R = 0); ROADMAP item 5 adds a second route;
 * conf_covariance_check: the covariance law under a constant conformal
   factor eta reduces to eta^{-s}[phi^{s+ln} - ln(eta) phi_s] acting
   spectrally, and degenerates to the logarithmic law as s -> 0.
@@ -88,7 +88,8 @@ from typing import Sequence
 import numpy as np
 
 from .audit import AuditReport, identity_audit
-from .constants import Params, bubble_mu, eval_constants
+from .constants import (Params, bubble_mu, check_dimension, eval_constants, gamma_values,
+                        gammas_of_n)
 from .errors import DomainError
 from .quadrature import QuadResult, find_root
 from .specfun import digamma, ln_gamma
@@ -123,7 +124,7 @@ def polar_cosine(r: float) -> float:
 
 
 def radius_of_cosine(t: float) -> float:
-    """Inverse of polar_cosine on [-1, 1]; t = -1 maps to infinity."""
+    """Inverse of polar_cosine on (-1, 1]; the south pole t = -1 has no image: DomainError."""
     if not -1.0 < t <= 1.0:
         raise DomainError(f"polar cosine must lie in (-1, 1], got {t}")
     return math.sqrt((1.0 - t) / (1.0 + t))
@@ -262,6 +263,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     the log energy by the roundings of X/S, psi(N/2), the spectral energy and
     Z_k(1), but not by <ln phi>'s estimate: one float enters both sides.
     """
+    check_dimension(N)
     if u.N != N:
         raise DomainError("expansion dimension mismatch")
     if not any(u.coeffs):
@@ -316,7 +318,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
                                      + N * abs(logphi_mean)))
 
     # (iii) logarithmic energy transfer
-    psi_c = digamma(0.5 * N)
+    psi_c = gammas_of_n(N).psi_half
     e_euclid = 2.0 * (logphi_mean + psi_c) + X_over_S
     # one symbol pass: Parseval's sum_k sym_k u_k^2 in spectral_energy's order (sym c) c,
     # and in magnitudes, each symbol 2 psi within 2 _specfun_error of psi, the products
@@ -461,35 +463,29 @@ def _symbol_error(N: int, s: float, k: int) -> float:
                                       + _specfun_error(ps_hi) + _specfun_error(ps_lo))
 
 
-def _image_gammas(N: int, s: float) -> tuple[tuple, tuple]:
-    """(ln Gamma, psi) at (c + s, c - s), c = N/2: the Gamma values of _images."""
-    c = 0.5 * N
-    return (ln_gamma(c + s), ln_gamma(c - s)), (digamma(c + s), digamma(c - s))
-
-
-def _images(N: int, s: float, c_phi: er.PhiSum, t_samples: Sequence[float],
-            gammas: tuple | None = None) -> list[tuple[tuple, tuple, float]]:
+def _images(N: int, s: float, c_phi: er.PhiSum,
+            t_samples: Sequence[float]) -> list[tuple[tuple, tuple, float]]:
     """((-Delta)^s V, error) and (t1 - t2 - t3, error) at polar cosines t, with the latter's scale.
 
     V = sum_i c_i phi^{c-s+i}, 0 <= s < 1; G (1-w)^{c+s} = A phi^{c+s}, A = Gamma(c+s)/Gamma(c-s),
     and the scale A phi^{c+s} ((|psi(c+s)| + |psi(c-s)|) |Q| + |R|) is the magnitude of the terms.
     Every factor is taken at the float t, phi = 1 + t: one point for both sides of an audit.
-    `gammas` is _image_gammas(N, s), for a caller that reads those values too.
+    The ln Gamma and psi values at c -+ s are constants.gamma_values'.
     """
     c = 0.5 * N
     Q, R = _image_polynomials(N, s, c_phi)
-    lg, psi = gammas or _image_gammas(N, s)
-    A = math.exp(lg[0] - lg[1])
+    g = gamma_values(N, s)
+    A = math.exp(g.lg_hi - g.lg_lo)
     # exp, phi^{c+s} and the roundings of Q, R and the products, to first order
-    rel = sum(map(_specfun_error, lg)) + (8.0 + c + s) * _EPS
-    psi_err = sum(map(_specfun_error, psi))
+    rel = _specfun_error(g.lg_hi) + _specfun_error(g.lg_lo) + (8.0 + c + s) * _EPS
+    psi_err = _specfun_error(g.psi_hi) + _specfun_error(g.psi_lo)
     out = []
     for t in t_samples:
         pre = A * (1.0 + t) ** (c + s)
         num, den = t.as_integer_ratio()
         q, rr = Q.at(den - num, 2 * den), R.at(den - num, 2 * den)  # w = (1 - t)/2
-        E, L = pre * q, pre * ((psi[0] + psi[1]) * q + rr)
-        mag = pre * ((abs(psi[0]) + abs(psi[1])) * abs(q) + abs(rr))
+        E, L = pre * q, pre * ((g.psi_hi + g.psi_lo) * q + rr)
+        mag = pre * ((abs(g.psi_hi) + abs(g.psi_lo)) * abs(q) + abs(rr))
         out.append(((E, rel * abs(E)), (L, rel * mag + pre * abs(q) * psi_err), mag))
     return out
 
@@ -570,22 +566,24 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float]) -> A
     k = 2/(N-2s), v = C phi^m, m = (N-2s)/2: (-Delta)^s v = A_{N,s} C phi^{c+s}
     (constants route), and v is C times the i = 0 pullback term phi^m. As k m = 1,
     (-Delta)^s(C m phi^m ln phi) cancels the a-derivative in the first image,
-    leaving C (t1 - t2 - t3 + (ln phi) E_0) of _images for phi^m, which is
-    C (psi(c+s) + psi(c-s) + ln phi) E_0.
+    leaving C (psi(c+s) + psi(c-s) + ln phi) E_0 (images Q = 1, R = 0), E_0 = A phi^{c+s},
+    formed from eval_constants(p) with _images' arithmetic and bounds. So it checks the
+    bubble's algebra, A' = A (psi(c+s) + psi(c-s)) inside mu against the same digammas,
+    and takes no transform; ROADMAP item 5 gives it a second route.
     """
-    N, s, c = p.N, p.s, 0.5 * p.N
-    m, A = c - s, eval_constants(p).A_Ns
-    mu = bubble_mu(p, C)
+    N, s, c, cs = p.N, p.s, 0.5 * p.N, eval_constants(p)
+    m, A, g, mu = c - s, cs.A_Ns, cs.gammas, bubble_mu(p, C)
     pw, k = (N + 2.0 * s) / (N - 2.0 * s), 2.0 / (N - 2.0 * s)
-    lg, psi = gammas = _image_gammas(N, s)  # at c + s and m = c - s
-    psi_err = sum(map(_specfun_error, psi))
-    lg_err = sum(map(_specfun_error, lg))
+    psi_err = _specfun_error(g.psi_hi) + _specfun_error(g.psi_lo)
+    lg_err = _specfun_error(g.lg_hi) + _specfun_error(g.lg_lo)
+    rel = lg_err + (8.0 + c + s) * _EPS  # of E_0, as in _images
     log_c = math.log(C)
     rows, worst, budget = [], 0.0, 0.0
-    ts = [polar_cosine(r) for r in r_samples]
-    for r, t, ((e0, e0_err), (l0, l0_err), l0_mag) in zip(
-            r_samples, ts, _images(N, s, er.PhiSum(0.0, (1,)), ts, gammas)):
-        ph = 1.0 + t
+    for r in r_samples:
+        ph = 1.0 + polar_cosine(r)
+        e0 = A * ph ** (c + s)
+        l0, l0_mag = e0 * (g.psi_hi + g.psi_lo), e0 * (abs(g.psi_hi) + abs(g.psi_lo))
+        e0_err, l0_err = rel * abs(e0), rel * l0_mag + e0 * psi_err
         ln_phi, v = math.log(ph), C * ph ** m
         t1 = C * (l0 + ln_phi * e0)
         t2 = math.log(v) * A * C * ph ** (c + s)
@@ -593,13 +591,13 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float]) -> A
         rhs = mu * v ** pw
         res = t1 - k * (t2 + t3) - rhs
         scale = C * (l0_mag + abs(ln_phi * e0)) + k * (abs(t2) + abs(t3)) + abs(rhs)
-        rel = abs(res) / scale
+        rel_res = abs(res) / scale
         # the images' bounds; A_{N,s}, logarithms and powers to first order;
         # mu's digammas, times C A_{N,s} phi^{c+s} = C e0
         ulps = (16.0 + N * (1.0 + pw) + abs(log_c)) * _EPS + 2.0 * lg_err
         err = C * (l0_err + abs(ln_phi) * e0_err + e0 * psi_err) + ulps * scale
-        worst, budget = max(worst, rel), max(budget, err / scale)
-        rows.append({"r": r, "residual": res, "scale": scale, "rel_residual": rel})
+        worst, budget = max(worst, rel_res), max(budget, err / scale)
+        rows.append({"r": r, "residual": res, "scale": scale, "rel_residual": rel_res})
     return AuditReport(
         name="euclid-yamabe-bubble",
         lhs=rows[0]["residual"], rhs=0.0, residual=worst,

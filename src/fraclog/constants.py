@@ -21,17 +21,15 @@ psi = Gamma'/Gamma:
     C_N          = (4/N) pi^{N/2} / Gamma(N/2)
     |S^N|        = 2 pi^{(N+1)/2} / Gamma((N+1)/2)
 
-kappa_Ns(N, s) and kappaprime_Ns(N, s) hold on 0 <= s < N/2 and also take
-a numpy array of orders, each element equal to the float call bit for bit.
-kappa_terms gives both from one evaluation of each ln Gamma and psi value,
-with those values, so an audit bounds their rounding without a second call.
-
-kappa'_{N,s} is the analytic derivative d kappa_{N,s}/ds (obtained by
-differentiating ln kappa); a finite-difference value is used only as a
-cross-check in the tests, since kappa' multiplies large energies and
-must not dominate the error budget. kappa_terms holds its one formula:
-eval_constants and kappaprime_Ns call it, and a_N and B_N take the latter
-at s = 0.
+They are built from ln Gamma and psi at N/2 -+ s, ln Gamma(N), ln Gamma(N/2)
+and psi(N/2) (|S^N| = |S^{(N+1)-1}| reads the ln Gamma(N/2) of N + 1). Only
+this module evaluates them, each once: gammas_of_n memoises the values of N,
+gamma_values(N, s) adds those at N/2 -+ s as one GammaValues record, and
+eval_constants keeps it as ConstantSet.gammas for conformal, inequalities,
+sphere_kernel and euclid_radial. kappa_Ns, kappaprime_Ns and kappa_terms (both
+with their record) take 0 <= s < N/2, a float or an array of orders. kappa' is
+the analytic d kappa/ds (a finite difference only cross-checks it in the tests,
+as kappa' multiplies large energies); a_N and B_N take its ln-slope at s = 0.
 
 Two algebraically equal forms of c_{N,s} circulate, with the factor
 s(1-s)/Gamma(2-s) or s/Gamma(1-s); they agree via
@@ -42,8 +40,9 @@ here and the equivalence is pinned by a test.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -54,6 +53,12 @@ LN2 = math.log(2.0)
 LN_PI = math.log(math.pi)
 
 
+def check_dimension(N) -> None:
+    """Raise DomainError unless N is an integer >= 1."""
+    if not (isinstance(N, int) and N >= 1):
+        raise DomainError(f"N must be an integer >= 1, got {N!r}")
+
+
 @dataclass(frozen=True)
 class Params:
     """A validated (dimension, order) pair: integer N >= 1, 0 < s < 1, N > 2s."""
@@ -62,12 +67,22 @@ class Params:
     s: float
 
     def __post_init__(self):
-        if not (isinstance(self.N, int) and self.N >= 1):
-            raise DomainError(f"N must be an integer >= 1, got {self.N!r}")
+        check_dimension(self.N)
         if not (0.0 < self.s < 1.0):
             raise DomainError(f"s must lie in (0, 1), got {self.s!r}")
         if not self.N > 2.0 * self.s:
             raise DomainError(f"subcritical regime requires N > 2s, got N={self.N}, s={self.s}")
+
+
+class GammaValues(NamedTuple):
+    """ln Gamma (lg) and psi at N/2 - s (lo), N/2 + s (hi) and N/2 (half); lg_n = ln Gamma(N)."""
+    lg_lo: float
+    lg_hi: float
+    psi_lo: float
+    psi_hi: float
+    lg_n: float
+    lg_half: float
+    psi_half: float
 
 
 @dataclass(frozen=True)
@@ -85,108 +100,99 @@ class ConstantSet:
     B_N: float
     C_N: float
     sphere_area: float
+    gammas: GammaValues = field(repr=False, compare=False)  # what the 13 constants read
 
     def as_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
+        return {k: getattr(self, k) for k in self.__dataclass_fields__ if k != "gammas"}
+
+
+@lru_cache(maxsize=None)
+def gammas_of_n(N: int) -> GammaValues:
+    """gamma_values(N, 0.0), memoised: at s = 0 every field is a value of N alone."""
+    half = 0.5 * N
+    lg_half, psi_half = ln_gamma(half), digamma(half)
+    return GammaValues(lg_half, lg_half, psi_half, psi_half, ln_gamma(N), lg_half, psi_half)
+
+
+def gamma_values(N: int, s) -> GammaValues:
+    """The GammaValues of (N, s): ln Gamma and psi at N/2 -+ s, the rest from gammas_of_n;
+    an array of orders makes the first four arrays, each element the float call's bits."""
+    half, n = 0.5 * N, gammas_of_n(N)
+    return GammaValues(ln_gamma(half - s), ln_gamma(half + s), digamma(half - s),
+                       digamma(half + s), n.lg_n, n.lg_half, n.psi_half)
 
 
 def sphere_area(N: int) -> float:
     """Surface measure |S^N| of the unit N-sphere in R^{N+1}."""
-    return math.exp(LN2 + 0.5 * (N + 1) * LN_PI - ln_gamma(0.5 * (N + 1)))
+    return sphere_area_equator(N + 1)
 
 
 def sphere_area_equator(N: int) -> float:
     """|S^{N-1}|, the measure of the azimuthal factor; |S^0| = 2."""
     if N == 1:
         return 2.0
-    return math.exp(LN2 + 0.5 * N * LN_PI - ln_gamma(0.5 * N))
+    return math.exp(LN2 + 0.5 * N * LN_PI - gammas_of_n(N).lg_half)
+
+
+def _kappa_slope(N: int, g: GammaValues):
+    """d ln kappa_{N,s}/ds from the record g of (N, s)."""
+    return -2.0 * LN2 - LN_PI - g.psi_lo - g.psi_hi + (2.0 / N) * (g.lg_n - g.lg_half)
 
 
 def a_N(N: int) -> float:
-    return kappaprime_Ns(N, 0.0)
+    return _kappa_slope(N, gammas_of_n(N))
 
 
 def B_N(N: int) -> float:
-    return -0.25 * N * kappaprime_Ns(N, 0.0)
+    return -0.25 * N * a_N(N)
 
 
 def C_N(N: int) -> float:
-    return (4.0 / N) * math.exp(0.5 * N * LN_PI - ln_gamma(0.5 * N))
+    return (4.0 / N) * math.exp(0.5 * N * LN_PI - gammas_of_n(N).lg_half)
 
 
 def c_N(N: int) -> float:
-    return math.exp(ln_gamma(0.5 * N) - 0.5 * N * LN_PI)
+    return math.exp(gammas_of_n(N).lg_half - 0.5 * N * LN_PI)
 
 
 def A_N(N: int) -> float:
-    return 2.0 * digamma(0.5 * N)
-
-
-def rho_N(N: int) -> float:
-    return 2.0 * LN2 + digamma(0.5 * N) - EULER_GAMMA
-
-
-def kappa_gammas(N: int, s) -> tuple:
-    """ln Gamma at (N/2 - s, N/2 + s, N, N/2): every Gamma value kappa_{N,s} reads."""
-    half = 0.5 * N
-    return ln_gamma(half - s), ln_gamma(half + s), ln_gamma(N), ln_gamma(half)
-
-
-def kappa_Ns(N: int, s, lgs: tuple | None = None):
-    """kappa_{N,s} for 0 <= s < N/2; a numpy array of orders gives an array, each
-    element bit-identical to the float call (exp runs per element). lgs is
-    kappa_gammas(N, s), for a caller that bounds the rounding from the same values."""
-    lg_lo, lg_hi, lg_n, lg_half = lgs or kappa_gammas(N, s)
-    x = (-2.0 * s * LN2 - s * LN_PI + lg_lo - lg_hi + (2.0 * s / N) * (lg_n - lg_half))
-    return np.array([math.exp(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else math.exp(x)
+    return 2.0 * gammas_of_n(N).psi_half
 
 
 def kappa_terms(N: int, s) -> tuple:
-    """(kappa_{N,s}, kappa'_{N,s}, lgs, psis), each ln Gamma and psi evaluated once:
-    lgs = kappa_gammas(N, s), psis = psi of (N/2 - s, N/2 + s). kappa and kappa'
-    are kappa_Ns and kappaprime_Ns bit for bit, arrays for arrays; the audits
-    that bound their rounding read the same values."""
-    half = 0.5 * N
-    lgs = kappa_gammas(N, s)
-    psis = (digamma(half - s), digamma(half + s))
-    kap = kappa_Ns(N, s, lgs)
-    return kap, kap * (-2.0 * LN2 - LN_PI - psis[0] - psis[1]
-                       + (2.0 / N) * (lgs[2] - lgs[3])), lgs, psis
+    """(kappa_{N,s}, kappa'_{N,s}, gamma_values(N, s)): the audits that bound their
+    rounding read the record too. exp runs per element of an array of orders."""
+    g = gamma_values(N, s)
+    x = (-2.0 * s * LN2 - s * LN_PI + g.lg_lo - g.lg_hi + (2.0 * s / N) * (g.lg_n - g.lg_half))
+    kap = np.array([math.exp(v) for v in x.tolist()]) if isinstance(x, np.ndarray) else math.exp(x)
+    return kap, kap * _kappa_slope(N, g), g
+
+
+def kappa_Ns(N: int, s):
+    """kappa_{N,s}, as kappa_terms."""
+    return kappa_terms(N, s)[0]
 
 
 def kappaprime_Ns(N: int, s):
-    """d kappa_{N,s}/ds for 0 <= s < N/2; an array of orders gives an array, as kappa_Ns."""
+    """d kappa_{N,s}/ds, as kappa_terms."""
     return kappa_terms(N, s)[1]
 
 
 @lru_cache(maxsize=4096)
 def _eval_constants_cached(N: int, s: float) -> ConstantSet:
     half = 0.5 * N
-    A_ns = math.exp(ln_gamma(half + s) - ln_gamma(half - s))
+    kappa, kappa_prime, g = kappa_terms(N, s)
+    A_ns = math.exp(g.lg_hi - g.lg_lo)
     c_ns = math.exp(s * 2.0 * LN2 - half * LN_PI + math.log(s) + math.log1p(-s)
-                    + ln_gamma(half + s) - ln_gamma(2.0 - s))
-    b_ns = 2.0 * LN2 + digamma(half + s) + digamma(2.0 - s) + 1.0 / s - 1.0 / (1.0 - s)
-    aprime_ns = A_ns * (digamma(half + s) + digamma(half - s))
-    kappa, kappa_prime, _, _ = kappa_terms(N, s)
-    return ConstantSet(
-        c_Ns=c_ns,
-        A_Ns=A_ns,
-        b_Ns=b_ns,
-        Aprime_Ns=aprime_ns,
-        c_N=c_N(N),
-        A_N=A_N(N),
-        rho_N=rho_N(N),
-        kappa_Ns=kappa,
-        kappaprime_Ns=kappa_prime,
-        a_N=a_N(N),
-        B_N=B_N(N),
-        C_N=C_N(N),
-        sphere_area=sphere_area(N),
-    )
+                    + g.lg_hi - ln_gamma(2.0 - s))
+    b_ns = 2.0 * LN2 + g.psi_hi + digamma(2.0 - s) + 1.0 / s - 1.0 / (1.0 - s)
+    return ConstantSet(c_ns, A_ns, b_ns, A_ns * (g.psi_hi + g.psi_lo), c_N(N), A_N(N),
+                       2.0 * LN2 + g.psi_half - EULER_GAMMA, kappa, kappa_prime, a_N(N), B_N(N),
+                       C_N(N), sphere_area(N), g)
 
 
 def eval_constants(p: Params) -> ConstantSet:
-    """All named constants at (N, s)."""
+    """All named constants at (N, s), and in .gammas the record they are built from."""
     return _eval_constants_cached(p.N, p.s)
 
 

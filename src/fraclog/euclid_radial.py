@@ -108,7 +108,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import LN2, LN_PI, Params, sphere_area_equator
+from .constants import LN2, LN_PI, Params, gammas_of_n, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError, NonConvergedError
 from .quadrature import Integrand, QuadResult, _sum_results, integrate
 # never called here: perfbench/tracer.py wraps this name to count quad calls by caller
@@ -605,7 +605,7 @@ def _gamma_moment(c, dc: float, num: Sequence[tuple], den: Sequence[tuple],
     args = [fsum(terms) for terms, _ in num] + [fsum(terms) for terms, _ in den]
     lo = min(a.min() if isinstance(a, np.ndarray) else a for a in args) if vec else min(args)
     if not lo > 0.0:
-        raise DivergentIntegralError(f"Gamma moment diverges at arguments {args}")
+        raise DivergentIntegralError(f"Gamma moment diverges: smallest argument {float(lo)!r} <= 0")
     k = len(num)
     lgs = [ln_gamma(a) for a in args]
     x = c + fsum(lgs[:k] + [-lg for lg in lgs[k:]])
@@ -622,15 +622,10 @@ def _gamma_moment(c, dc: float, num: Sequence[tuple], den: Sequence[tuple],
     return plain, (v * d, _EPS * abs(v) * (rel * abs(d) + d_err))
 
 
-@functools.lru_cache(maxsize=None)
-def _area(N: int) -> tuple[float, float]:
-    """|S^{N-1}| and a bound on its relative rounding in units of eps."""
-    return sphere_area_equator(N), LN2 + 0.5 * N * LN_PI + abs(ln_gamma(0.5 * N)) + 4.0
-
-
 def _over_sphere(N: int, val: float, err: float) -> QuadResult:
     """|S^{N-1}| (val, err), with the rounding of |S^{N-1}| itself; evaluations = 0."""
-    area, area_rel = _area(N)
+    area = sphere_area_equator(N)
+    area_rel = LN2 + 0.5 * N * LN_PI + abs(gammas_of_n(N).lg_half) + 4.0
     return QuadResult(area * val, area * (err + _EPS * area_rel * abs(val)), 0)
 
 

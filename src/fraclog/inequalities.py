@@ -33,13 +33,13 @@ extremal identity takes kappa, kappa' and the bounds on their rounding
 from one constants.kappa_terms call and both of its energies from one
 pass over the pair (euclid_radial.pair_energies); the Beckner audits take
 the Plancherel norm ||f||_2^2 and the ln|xi|^2 energy from one such pass
-at s = 0, and B_N once; ||u_s||_{p(s)}^2 and the mass of the Beckner
-extremal read the phi-moment M(N) of the per-N memo
-euclid_radial.bubble_moments, which the bubble entropy reads too. Both
-closed forms take arrays, so the failure curve is one pair_energy and one
-phi_moment call over its whole grid of orders, bit-identical to a call
-per order. The
-quadrature routes, euclid_radial.energy and entropy, stay in
+at s = 0, B_N and the amplitude from constants.gammas_of_n;
+||u_s||_{p(s)}^2 and the mass of the Beckner extremal read the phi-moment
+M(N) of the per-N memo euclid_radial.bubble_moments, which the bubble
+entropy reads too. Both closed forms take arrays, so the failure curve is
+one pair_energy and one phi_moment call over its whole grid of orders,
+bit-identical to a call per order. The quadrature routes,
+euclid_radial.energy and entropy, stay in
 sobolev_deficit and in the self-test below, which compares them with the
 closed forms. sobolev_deficit is independent of the failure curve in
 both halves: for a single phi power its L^p norm is the phi-moment's
@@ -62,7 +62,7 @@ import numpy as np
 
 from .audit import AuditReport, identity_audit
 from .constants import (LN2, LN_PI, Params, B_N, C_N, c_N, A_N, eval_constants,
-                        kappa_gammas, kappa_Ns, kappa_terms, sphere_area)
+                        gammas_of_n, kappa_terms, sphere_area)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
 from .specfun import ln_gamma
 from . import euclid_radial as er
@@ -84,8 +84,8 @@ class DeficitCurve:
 
 def extremal_profile(N: int) -> er.RadialProfile:
     """Beckner extremal A (1+|x|^2)^{-N/2} with A fixed by ||f||_2 = 1."""
-    amp = math.exp(-0.5 * (0.5 * N * math.log(math.pi)
-                           + ln_gamma(0.5 * N) - ln_gamma(float(N))))
+    g = gammas_of_n(N)
+    amp = math.exp(-0.5 * (0.5 * N * LN_PI + g.lg_half - g.lg_n))
     return er.phi_poly_profile(
         N, [er.PhiSum.of(0.5 * N, [amp * 2.0 ** (-0.5 * N)])],
         kind="beckner-extremal", meta={"amplitude": amp})
@@ -159,12 +159,11 @@ def _one(t: float) -> float:
     return 1.0
 
 
-def _kappa_rel(N: int, s, lgs: tuple):
+def _kappa_rel(N: int, s, g):
     """First-order bound on the relative rounding of eval_constants' kappa_{N,s}, from
-    its ln Gamma values lgs (kappa_gammas); an array of orders gives an array."""
-    lg_lo, lg_hi, lg_n, lg_half = lgs
-    return er._EPS * (s * (2.0 * LN2 + LN_PI) + abs(lg_lo) + abs(lg_hi)
-                      + 2.0 * s / N * (abs(lg_n) + abs(lg_half)) + 2.0 * N + 8.0)
+    the ln Gamma values of its GammaValues g; an array of orders gives an array."""
+    return er._EPS * (s * (2.0 * LN2 + LN_PI) + abs(g.lg_lo) + abs(g.lg_hi)
+                      + 2.0 * s / N * (abs(g.lg_n) + abs(g.lg_half)) + 2.0 * N + 8.0)
 
 
 def _deficit_curve(tag: str, s_grid: Sequence[float], Fs: list, errs: list) -> DeficitCurve:
@@ -198,7 +197,7 @@ def _frozen_bubble_deficit(p0: Params,
     phi-moment of b = p(s)(N - 2 s0)/2 with the Beta argument
     b - N/2 = N (N + 2s - 4 s0) / (2 (N - 2s)) from an fsum'd numerator:
     it tends to 0 at the edge of the finite-norm box (s0 = N/3.9 on the
-    grid of failure_demo, beyond which DivergentIntegralError is raised).
+    grid of failure_demo, which rejects an s0 past it before this runs).
     Both are one call over the whole grid (an array of orders), each point
     bit-identical to the call at its float s, and so is kappa_{N,s}.
     F_errors adds both estimates and the rounding of kappa_{N,s} and of F.
@@ -207,14 +206,13 @@ def _frozen_bubble_deficit(p0: Params,
     v = er.talenti_bubble(p0)
     eps = er._EPS
     s = np.array(s_grid, dtype=float)
-    lgs = kappa_gammas(N, s)
-    kap = kappa_Ns(N, s, lgs)
+    kap, _, g = kappa_terms(N, s)
     en = er.pair_energy("frac", v.fourier, N, s)
     excess = N * er._fsum_map((N, 2.0 * s, -4.0 * s0)) / (2.0 * (N - 2.0 * s))
     L, L_err = _phi_power_lp_sq(v, excess, er.p_of_s(N, s))
     kap_en = kap * en.value
     F = kap_en - L
-    errs = (kap * (en.abs_error_estimate + (_kappa_rel(N, s, lgs) + eps) * en.value)
+    errs = (kap * (en.abs_error_estimate + (_kappa_rel(N, s, g) + eps) * en.value)
             + L_err + eps * abs(F))
     return _deficit_curve("bubble", s_grid, F.tolist(), errs.tolist()), kap_en
 
@@ -235,7 +233,7 @@ def _extremal_identity(N: int, s: float, name: str, inputs: dict) -> AuditReport
     h, eps = 0.5 * N, er._EPS
     m = 0.5 * (N - 2.0 * s)
     u = er.phi_poly_profile(N, [er.PhiSum.of(m, [2.0 ** (-m)])], kind="bubble")
-    kap, kap_prime, lgs, (psi_lo, psi_hi) = kappa_terms(N, s)
+    kap, kap_prime, g = kappa_terms(N, s)
     ent, ent_err = _bubble_entropy(N)
     lhs = (2.0 / N) * ent
     # |u_s|^p = 2^{-N} phi^N at every s: its L^p norm reads M(N) of the entropy's memo
@@ -244,13 +242,13 @@ def _extremal_identity(N: int, s: float, name: str, inputs: dict) -> AuditReport
     a = kap_prime * e_frac.value / lp2
     b = kap * e_flog.value / lp2
     rhs = a + b
-    bracket_err = eps * (2.0 * LN2 + LN_PI + abs(psi_lo) + abs(psi_hi)
-                         + 2.0 / N * (abs(lgs[2]) + abs(lgs[3])) + 1.0 / (h - s) + 1.0 / (h + s)
+    bracket_err = eps * (2.0 * LN2 + LN_PI + abs(g.psi_lo) + abs(g.psi_hi)
+                         + 2.0 / N * (abs(g.lg_n) + abs(g.lg_half)) + 1.0 / (h - s) + 1.0 / (h + s)
                          + 10.0)
     err = ((2.0 / N) * ent_err + eps * abs(lhs)
            + (abs(kap_prime) * e_frac.abs_error_estimate
               + abs(kap) * e_flog.abs_error_estimate) / lp2
-           + (abs(a) + abs(b)) * (_kappa_rel(N, s, lgs) + lp2_err / lp2 + 3.0 * eps)
+           + (abs(a) + abs(b)) * (_kappa_rel(N, s, g) + lp2_err / lp2 + 3.0 * eps)
            + abs(kap * e_frac.value / lp2) * bracket_err + eps * abs(rhs))
     return identity_audit(
         name, lhs, rhs, 1e-5, inputs=inputs,
@@ -280,12 +278,15 @@ def failure_demo(N: int, s0: float, grid_points: int = 40) -> tuple[AuditReport,
     vanishes at s0, is nonnegative, and its central-difference derivative
     attains a negative minimum whose magnitude must exceed 10x the
     propagated rounding budget. grid_points < 3 raises DomainError, since
-    the central difference needs two neighbours.
+    the central difference needs two neighbours, and so does s0 >= N/3.9, where
+    ||v||_{L^p(s)} diverges at 0.05 s0 (the curve's fsum N + 2s - 4 s0 is <= 0).
     """
     if grid_points < 3:
         raise DomainError(f"failure_demo needs grid_points >= 3, got {grid_points}")
     p0 = Params(N, s0)
     grid = np.linspace(0.05 * s0, s0, grid_points).tolist()  # the last point is s0 exactly
+    if not math.fsum((N, 2.0 * grid[0], -4.0 * s0)) > 0.0:
+        raise DomainError(f"failure_demo needs s0 < N/3.9 (finite norms), got N={N}, s0={s0}")
     curve, kap_en = _frozen_bubble_deficit(p0, grid)
     scale = float(kap_en[-1])  # kappa_{N,s0} ||v||_{dot H^s0}^2
 

@@ -120,7 +120,7 @@ def _kernel_setup(op: str, p: Params | None, N: int):
         if op == "P_s":
             return cs.c_Ns, -p.s, cs.A_Ns, abs(cs.A_Ns), None
         # A' = A (psi(N/2+s) + psi(N/2-s)) cancels where the digamma sum changes sign
-        size = abs(cs.A_Ns) * (abs(digamma(0.5 * N + p.s)) + abs(digamma(0.5 * N - p.s)))
+        size = abs(cs.A_Ns) * (abs(cs.gammas.psi_hi) + abs(cs.gammas.psi_lo))
         return cs.c_Ns, -p.s, cs.Aprime_Ns, size, cs.b_Ns - _LN2
     if op == "P_log":
         return c_N(N), 0.0, A_N(N), abs(A_N(N)), None

@@ -237,6 +237,15 @@ def test_usage_errors_exit_2(capsys):
         assert main(argv) == 2
         out, err = capsys.readouterr()
         assert out == "" and ">= " in err, argv
+    # an order past the failure curve's finite-norm edge s0 < N/3.9 and a dimension
+    # below 1: one short line that names the domain, no dump of arrays
+    for argv, edge in ((["failure", "--dim", "1", "--order0", "0.4"], "N/3.9"),
+                       (["failure", "--dim", "3", "--order0", "0.9"], "N/3.9"),
+                       (["confcore", "--dim", "0"], "N must be an integer >= 1"),
+                       (["confcore", "--dim", "-2"], "N must be an integer >= 1")):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and edge in err and err.count("\n") == 1 and len(err) < 120, argv
 
 
 def test_beckner_subcommand(capsys):

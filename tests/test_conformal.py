@@ -46,6 +46,9 @@ def test_polar_cosine_consistency():
         if 0.0 < r:
             assert conformal.radius_of_cosine(conformal.polar_cosine(r)) == \
                 pytest.approx(r, rel=1e-12)
+    # the south pole t = -1 has no image
+    with pytest.raises(DomainError):
+        conformal.radius_of_cosine(-1.0)
     # phi(sigma(omega)) = 1 + t
     for r in (0.2, 1.0, 3.0):
         assert er.phi(r) == pytest.approx(1.0 + conformal.polar_cosine(r), rel=1e-14)
@@ -119,6 +122,13 @@ def test_confcore_profile_with_a_zero():
     assert abs(rep.details["log_energy_residual"]) <= 1e-12
     zeros = conformal._sign_changes(u)
     assert len(zeros) == 1 and abs(zonal_eval(u, zeros[0])) <= 1e-14
+
+
+@pytest.mark.parametrize("N", [0, -2])
+def test_confcore_rejects_dimensions_below_one(N):
+    # before any Gamma value is taken, with Params' message
+    with pytest.raises(DomainError, match="N must be an integer >= 1"):
+        conformal.confcore_checks(ZonalExpansion(N, 0, (1.0,)), N)
 
 
 def test_confcore_keeps_the_eigentable_memo():
@@ -262,8 +272,10 @@ def test_audits_build_image_polynomials_once(monkeypatch):
                                           radii)
     assert len(calls) == 1 and len(rep.details["rows"]) == len(radii)
     conformal.log_intertwining_residual(3, ZonalExpansion(3, 2, (1.0, 0.5, 0.2)), radii)
+    assert len(calls) == 2
+    # the Yamabe bubble's images are Q = 1, R = 0: it builds none
     conformal.yamabe_residual_euclid(Params(3, 0.4), 1.7, radii)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 def _basis(N, d):

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from fraclog.constants import (B_N, Params, a_N, bessel_bubble_coeff, bubble_mu,
-                               eval_constants, kappa_Ns, kappaprime_Ns, sphere_area)
+                               eval_constants, gamma_values, kappa_Ns, kappaprime_Ns,
+                               sphere_area)
 from fraclog.errors import DomainError
 from fraclog.specfun import EULER_GAMMA, digamma, ln_gamma
 
@@ -201,3 +202,48 @@ def test_a_N_and_B_N_are_kappaprime_at_zero_and_match_mpmath(N):
     eps = np.finfo(float).eps
     assert abs(a_N(N) - a) <= 4 * eps * terms
     assert abs(B_N(N) - B) <= 4 * eps * (0.25 * N * terms + abs(B))
+
+
+def _count_gamma_calls(monkeypatch) -> dict:
+    """Count ln_gamma and digamma calls in every fraclog module that imported them."""
+    import fraclog
+    from fraclog import specfun
+    counts = dict.fromkeys(("ln_gamma", "digamma"), 0)
+    for name in counts:
+        original = getattr(specfun, name)
+
+        def counting(x, name=name, original=original):
+            counts[name] += 1
+            return original(x)
+        for mod in list(vars(fraclog).values()):
+            if getattr(mod, name, None) is original:
+                monkeypatch.setattr(mod, name, counting)
+    return counts
+
+
+def test_a_new_order_takes_three_gamma_and_three_psi_calls(monkeypatch):
+    # at a known N only ln Gamma and psi at N/2 -+ s and 2 - s are new; the kernels
+    # read every Gamma-family value from eval_constants and the per-N memo
+    from fraclog import sphere_kernel
+    from fraclog.spectral import ZonalExpansion
+    counts = _count_gamma_calls(monkeypatch)
+    eval_constants(Params(3, 0.3))
+    counts.update(ln_gamma=0, digamma=0)
+    eval_constants(Params(3, 0.3 + 2.0 ** -20))
+    assert (counts["ln_gamma"], counts["digamma"]) == (3, 3)
+    u = ZonalExpansion(3, 4, (1.0, 0.5, -0.25, 0.125, 0.1))
+    for op in ("P_s", "P_slog", "P_log"):
+        p = None if op == "P_log" else Params(3, 0.3)
+        sphere_kernel.apply_kernel(op, p, u, 0.25)
+        counts.update(ln_gamma=0, digamma=0)
+        sphere_kernel.apply_kernel(op, p, u, 0.25)
+        assert (counts["ln_gamma"], counts["digamma"]) == (0, 0), op
+
+
+def test_constant_set_publishes_thirteen_constants():
+    # the record of Gamma values rides along, but is neither published nor compared
+    cs = eval_constants(Params(3, 0.3))
+    assert list(cs.as_dict()) == ["c_Ns", "A_Ns", "b_Ns", "Aprime_Ns", "c_N", "A_N", "rho_N",
+                                  "kappa_Ns", "kappaprime_Ns", "a_N", "B_N", "C_N", "sphere_area"]
+    assert "gammas" not in repr(cs)
+    assert cs.gammas == gamma_values(3, 0.3) and cs.gammas.lg_n == ln_gamma(3.0)

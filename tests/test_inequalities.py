@@ -167,10 +167,29 @@ def test_failure_curve_errors_bound_mpmath(N, s0):
 
 
 @pytest.mark.parametrize("N,s0", [(1, 0.3), (1, 0.45), (2, 0.6), (3, 0.9)])
-def test_failure_demo_outside_finite_norm_box(N, s0):
-    # s0 >= N/3.9: ||u_{s0}||_{L^p(s)} is infinite at the low end of the grid
-    with pytest.raises(DivergentIntegralError):
+def test_failure_demo_outside_finite_norm_box(N, s0, monkeypatch):
+    # s0 >= N/3.9: ||u_{s0}||_{L^p(s)} is infinite at the low end of the grid; the
+    # check names that edge and comes before any work
+    monkeypatch.setattr(ineq, "_frozen_bubble_deficit", None)
+    with pytest.raises(DomainError, match=r"s0 < N/3\.9"):
         ineq.failure_demo(N, s0, 40)
+
+
+def test_failure_demo_edge_is_the_first_grid_point_excess():
+    # DomainError exactly where the curve's own fsum N + 2s - 4 s0 at its first order
+    # 0.05 s0 is <= 0; inside, to within ulps of the edge N/3.9, the curve runs
+    seen = set()
+    for N in (1, 2, 3):
+        for k in (-8, -1, 0, 1, 8):
+            s0 = N / 3.9 + k * math.ulp(N / 3.9)
+            finite = math.fsum((N, 2.0 * np.linspace(0.05 * s0, s0, 40)[0], -4.0 * s0)) > 0.0
+            seen.add(finite)
+            if finite:
+                assert len(ineq.failure_demo(N, s0, 40)[1].F_values) == 40
+            else:
+                with pytest.raises(DomainError, match=r"N/3\.9"):
+                    ineq.failure_demo(N, s0, 40)
+    assert seen == {True, False}
 
 
 @pytest.mark.parametrize("grid_points", [-1, 0, 1, 2])
@@ -265,10 +284,11 @@ def test_exact_pair_audits_skip_the_quadrature_route(monkeypatch):
 
 def test_audits_take_each_gamma_value_once(monkeypatch):
     # ln Gamma and psi calls of an audit whose memos a first call has filled: kappa,
-    # kappa' and their rounding bounds share one set (kappa_terms), both energies of
-    # the extremal identity and the Beckner pair one pass (pair_energies), the norms
-    # of both profiles the per-N phi-moment memo, and the Yamabe audit the values of
-    # its images
+    # kappa' and their rounding bounds share one record (kappa_terms) whose values of
+    # N come from the per-N memo, as do B_N and the extremal's amplitude; both energies
+    # of the extremal identity and the Beckner pair take one pass (pair_energies), the
+    # norms of both profiles the per-N phi-moment memo, and the Yamabe audit reads
+    # everything from eval_constants
     import fraclog
     from fraclog import specfun
     counts = dict.fromkeys(("ln_gamma", "digamma"), 0)
@@ -281,10 +301,10 @@ def test_audits_take_each_gamma_value_once(monkeypatch):
         for mod in list(vars(fraclog).values()):
             if getattr(mod, name, None) is original:
                 monkeypatch.setattr(mod, name, counting)
-    audits = [(lambda: ineq.sharp_fraclog_identity(Params(3, 0.4)), (9, 7)),
-              (lambda: ineq.beckner_fraclog_check(3, 0.3, "extremal"), (11, 7)),
+    audits = [(lambda: ineq.sharp_fraclog_identity(Params(3, 0.4)), (7, 7)),
+              (lambda: ineq.beckner_fraclog_check(3, 0.3, "extremal"), (5, 5)),
               (lambda: conformal.yamabe_residual_euclid(Params(3, 0.4), 1.3,
-                                                        (0.0, 0.5, 1.0, 2.0)), (2, 2))]
+                                                        (0.0, 0.5, 1.0, 2.0)), (0, 0))]
     for audit, want in audits:
         audit()
         counts.update(ln_gamma=0, digamma=0)
