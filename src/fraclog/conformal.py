@@ -1,4 +1,4 @@
-"""Stereographic projection, conformal pullback, and bubble verification.
+"""Conformal pullback along stereographic projection, and bubble verification.
 
 The projection from the south pole maps z = (z', z_{N+1}) on S^N minus
 the south pole to x = z'/(1 + z_{N+1}); its inverse sends x to
@@ -52,8 +52,8 @@ Audits implemented here:
   of V^2 (_square_sums), good to a few roundings at any degree; the norm is
   held against Parseval and the log energy against the spectral sum, whose
   symbols, one array pass, also give its bound; the entropies on both sides
-  are quadratures, the sphere's in the polar angle by zonal_eval's Clenshaw
-  pass with its factors bound once per audit (spectral.zonal_evaluator), the
+  are quadratures split at the sign changes of u (spectral.sign_changes),
+  the sphere's in the polar angle by spectral.zonal_entropy, the
   Euclidean one in the polar cosine t by euclid_radial.phi_weighted_integral,
   whose Jacobi weight carries the stereographic measure and ln phi, with the
   square of V's polynomial part by PhiSum.at, exact and rounded once, once
@@ -88,46 +88,20 @@ from typing import Sequence
 import numpy as np
 
 from .audit import AuditReport, identity_audit
-from .constants import (Params, bubble_mu, check_dimension, eval_constants, gamma_values,
-                        gammas_of_n)
+from .constants import (EPS, Params, bubble_mu, check_dimension, eval_constants,
+                        gamma_values, gammas_of_n)
 from .errors import DomainError
-from .quadrature import QuadResult, find_root
 from .specfun import digamma, ln_gamma
 from . import euclid_radial as er
 from . import spectral
 
-_EPS = 2.0 ** -52
 #: ulps of _zonal_norm's float Z_k(1): sqrt of a rounded ratio, pi^{j/2}, a division
 _ZONAL_NORM_ULPS = 4.0
-
-
-def stereographic(z: Sequence[float]) -> np.ndarray:
-    """Project a unit vector in R^{N+1} (not the south pole) to R^N."""
-    z = np.asarray(z, dtype=float)
-    if abs(float(np.dot(z, z)) - 1.0) > 1e-10:
-        raise DomainError("stereographic projection expects a unit vector")
-    if z[-1] <= -1.0 + 1e-14:
-        raise DomainError("south pole has no image under stereographic projection")
-    return z[:-1] / (1.0 + z[-1])
-
-
-def stereographic_inverse(x: Sequence[float]) -> np.ndarray:
-    """Inverse projection R^N -> S^N minus the south pole."""
-    x = np.asarray(x, dtype=float)
-    r2 = float(np.dot(x, x))
-    return np.append(2.0 * x, 1.0 - r2) / (1.0 + r2)
 
 
 def polar_cosine(r: float) -> float:
     """t(r) = (1-r^2)/(1+r^2), the polar cosine of sigma^{-1} at radius r."""
     return (1.0 - r * r) / (1.0 + r * r)
-
-
-def radius_of_cosine(t: float) -> float:
-    """Inverse of polar_cosine on (-1, 1]; the south pole t = -1 has no image: DomainError."""
-    if not -1.0 < t <= 1.0:
-        raise DomainError(f"polar cosine must lie in (-1, 1], got {t}")
-    return math.sqrt((1.0 - t) / (1.0 + t))
 
 
 def _zonal_norm(N: int, k: int) -> float:
@@ -239,11 +213,11 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
     spectral sum (one symbol_log pass over the degrees, summed in
     spectral_energy's order (sym u_k) u_k, whose magnitudes also give the
     bound); the entropy law takes int V^2 ln V^2 dx against
-    _sphere_entropy (both split at the kinks of V^2 ln V^2, the sign changes
-    of u, and both to abs 1e-13, rel 1e-12). With V^2 = phi^N P^2,
-    P = sum_i c_i phi^i exact at the float phi = 1 + t (PhiSum.at), and
-    w = (1+t)^{(N-2)/2} (1-t)^{(N-2)/2}, it is two Jacobi-weighted quadratures
-    in t (euclid_radial.phi_weighted_integral),
+    spectral.zonal_entropy (both split at the kinks of V^2 ln V^2, the sign
+    changes of u by spectral.sign_changes, and both to abs 1e-13, rel 1e-12).
+    With V^2 = phi^N P^2, P = sum_i c_i phi^i exact at the float
+    phi = 1 + t (PhiSum.at), and w = (1+t)^{(N-2)/2} (1-t)^{(N-2)/2}, it is
+    two Jacobi-weighted quadratures in t (euclid_radial.phi_weighted_integral),
 
         int V^2 ln V^2 dx = |S^{N-1}| [int w P^2 ln P^2 dt + N int w P^2 ln(1+t) dt],
 
@@ -268,7 +242,7 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
         raise DomainError("expansion dimension mismatch")
     if not any(u.coeffs):
         raise DomainError("pullback of the zero function")
-    eps = _EPS
+    eps = EPS
     c = _phi_coefficients(u)
 
     # (i) L^2 norms, and <ln phi>: exact sums over the phi powers of V^2
@@ -302,14 +276,14 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
         v = p2(t)
         return v * math.log(v) if v else 0.0
 
-    zeros = _sign_changes(u)
+    zeros = spectral.sign_changes(u)
     e_p = er.phi_weighted_integral(N, p2_log_p2, 0.5 * N, zeros, name="entropy-log")
     e_phi = er.phi_weighted_integral(N, p2, 0.5 * N, log=True, name="entropy-log-phi")
     e_value = e_p.value + N * e_phi.value
     e_err = (e_p.abs_error_estimate + N * e_phi.abs_error_estimate
              + 2.0 * eps * (abs(e_p.value) + N * abs(e_phi.value)))
     ent_euclid = e_value / norm_euclid - math.log(norm_euclid)
-    ent_sphere = _sphere_entropy(u, zeros)
+    ent_sphere = spectral.zonal_entropy(u, zeros)
     res_entropy = ent_euclid - (ent_sphere.value + N * logphi_mean)
     budget_entropy = ((e_err + (abs(e_value) / norm_euclid + 1.0) * norm_err)
                       / norm_euclid
@@ -349,62 +323,6 @@ def confcore_checks(u: spectral.ZonalExpansion, N: int) -> AuditReport:
                  "error_budget": {"norm": budget_norm, "entropy": budget_entropy,
                                   "log_energy": budget_logenergy}},
     )
-
-
-def _sphere_entropy(u: spectral.ZonalExpansion, breaks: Sequence[float]) -> QuadResult:
-    """int (|u|^2/||u||_2^2) ln(|u|^2/||u||_2^2) dV over the sphere, ||u||_2 by Parseval.
-
-    `breaks` are the polar cosines where u changes sign (_sign_changes). It
-    works to the Euclidean side's abs 1e-13, rel 1e-12: at zonal_integral's
-    1e-12, 1e-11, N = 3, u = 1 + 0.155 Z_1 - 0.236 Z_2 (a zero at t = -0.992)
-    erred by 6.8e-14 against mpmath. The estimate is zonal_integral's, plus
-    the rounding of Parseval's sum. The integrand evaluates u by
-    spectral.zonal_evaluator, zonal_eval's values with the recurrence's
-    factors bound once per call, not once per node (63 nodes at N = 3,
-    degree 2).
-    """
-    mass = u.norm_sq()
-    ev = spectral.zonal_evaluator(u)
-
-    def num(t):
-        a = ev(t) ** 2
-        if a == 0.0:
-            return 0.0
-        return a * math.log(a)
-
-    e = spectral.zonal_integral(u.N, num, breaks, abs_tol=1e-13, rel_tol=1e-12)
-    val = e.value / mass - math.log(mass)
-    mass_rel = (u.degree_max + 2) * _EPS
-    err = (e.abs_error_estimate / mass + mass_rel * (abs(e.value) / mass + 1.0)
-           + 2.0 * _EPS * abs(val))
-    return QuadResult(val, err, e.evaluations)
-
-
-@lru_cache(maxsize=64)
-def _cosine_grid(degree: int) -> np.ndarray:
-    """_sign_changes' grid of 16 (degree + 1) cells on [-1, 1], read-only, per degree."""
-    t = np.linspace(-1.0, 1.0, 16 * (degree + 1) + 1)
-    t.flags.writeable = False
-    return t
-
-
-def _sign_changes(u: spectral.ZonalExpansion) -> list[float]:
-    """Polar cosines where u changes sign, the kinks of |u|^p ln|u|, ascending.
-
-    Integrated across the kink, QUADPACK's estimate missed it: for N = 3,
-    u = 1 - 0.294 Z_1 - 0.261 Z_2, the sphere entropy erred by 4.6e-10,
-    and for u = 1 - 0.220 Z_1 - 0.200 Z_2 the Euclidean one in r by 1.6e-11.
-    The Euclidean P^2 ln P^2 splits its domain in t at these cosines as
-    they are (P^2 ln phi has no kink there); the sphere's entropy at their
-    polar angles.
-    A root between grid nodes is bracketed; one on a node, such as t = 0
-    of every odd u, is the node where u is 0 with opposite signs beside it.
-    """
-    t = _cosine_grid(u.degree_max)
-    v = spectral.zonal_eval(u, t)
-    roots = [find_root(lambda x: spectral.zonal_eval(u, x), (t[i], t[i + 1])).root
-             for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
-    return sorted(roots + t[1:-1][(v[1:-1] == 0.0) & (v[:-2] * v[2:] < 0.0)].tolist())
 
 
 def _image_polynomials(N: int, s: float, c_phi: er.PhiSum) -> tuple[er.PhiSum, er.PhiSum]:
@@ -447,7 +365,7 @@ def _image_polynomials(N: int, s: float, c_phi: er.PhiSum) -> tuple[er.PhiSum, e
 
 
 def _specfun_error(v: float) -> float:
-    return max(1e-14, 8.0 * _EPS * abs(v))  # 8 ulp, 1e-14 absolute floor
+    return max(1e-14, 8.0 * EPS * abs(v))  # 8 ulp, 1e-14 absolute floor
 
 
 def _symbol_error(N: int, s: float, k: int) -> float:
@@ -457,7 +375,7 @@ def _symbol_error(N: int, s: float, k: int) -> float:
     and psi values, the rounding of hi and lo, and 4k ulp of Clenshaw."""
     hi, lo = 0.5 * N + s + k, 0.5 * N - s + k
     lg_hi, lg_lo, ps_hi, ps_lo = ln_gamma(hi), ln_gamma(lo), digamma(hi), digamma(lo)
-    rel = (_EPS * (8.0 + 4.0 * k + hi * abs(ps_hi) + lo * abs(ps_lo))
+    rel = (EPS * (8.0 + 4.0 * k + hi * abs(ps_hi) + lo * abs(ps_lo))
            + _specfun_error(lg_hi) + _specfun_error(lg_lo))
     return math.exp(lg_hi - lg_lo) * ((abs(ps_hi) + abs(ps_lo)) * rel
                                       + _specfun_error(ps_hi) + _specfun_error(ps_lo))
@@ -477,7 +395,7 @@ def _images(N: int, s: float, c_phi: er.PhiSum,
     g = gamma_values(N, s)
     A = math.exp(g.lg_hi - g.lg_lo)
     # exp, phi^{c+s} and the roundings of Q, R and the products, to first order
-    rel = _specfun_error(g.lg_hi) + _specfun_error(g.lg_lo) + (8.0 + c + s) * _EPS
+    rel = _specfun_error(g.lg_hi) + _specfun_error(g.lg_lo) + (8.0 + c + s) * EPS
     psi_err = _specfun_error(g.psi_hi) + _specfun_error(g.psi_lo)
     out = []
     for t in t_samples:
@@ -499,9 +417,9 @@ def _log_law_audit(name: str, s: float, u: spectral.ZonalExpansion,
     the residual is the largest relative one, details["error_budget"] the
     largest relative error bound. P u and each Z_k of a nonzero degree are
     bound to their Clenshaw factors once (zonal_evaluator) and read at every
-    radius. One identity-basis pass (_zonal_basis) would read every degree
-    at once, but on (radii, d + 1) arrays it is slower for the few nonzero
-    degrees that audits take.
+    radius. One identity-basis pass (spectral.zonal_basis) would read every
+    degree at once, but on (radii, d + 1) arrays it is slower for the few
+    nonzero degrees that audits take.
     """
     N, m = u.N, 0.5 * u.N - s
     sym_at = spectral.zonal_evaluator(sym_u)
@@ -515,7 +433,7 @@ def _log_law_audit(name: str, s: float, u: spectral.ZonalExpansion,
         phi_m, w = (1.0 + t) ** m, (1.0 + t) ** (-2.0 * s)
         lhs = phi_m * sym_at(t)
         rhs, mag = w * L, w * mag
-        err = (w * L_err + (N + 4.0) * _EPS * mag  # phi^m against phi^{c+s} phi^{-2s}
+        err = (w * L_err + (N + 4.0) * EPS * mag  # phi^m against phi^{c+s} phi^{-2s}
                + phi_m * sum(e * abs(z_k(t)) for e, z_k in sym_err))
         scale = max(abs(lhs), mag) or 1.0  # 0 only where both sides are exactly 0
         rel = abs(lhs - rhs) / scale
@@ -576,7 +494,7 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float]) -> A
     pw, k = (N + 2.0 * s) / (N - 2.0 * s), 2.0 / (N - 2.0 * s)
     psi_err = _specfun_error(g.psi_hi) + _specfun_error(g.psi_lo)
     lg_err = _specfun_error(g.lg_hi) + _specfun_error(g.lg_lo)
-    rel = lg_err + (8.0 + c + s) * _EPS  # of E_0, as in _images
+    rel = lg_err + (8.0 + c + s) * EPS  # of E_0, as in _images
     log_c = math.log(C)
     rows, worst, budget = [], 0.0, 0.0
     for r in r_samples:
@@ -594,7 +512,7 @@ def yamabe_residual_euclid(p: Params, C: float, r_samples: Sequence[float]) -> A
         rel_res = abs(res) / scale
         # the images' bounds; A_{N,s}, logarithms and powers to first order;
         # mu's digammas, times C A_{N,s} phi^{c+s} = C e0
-        ulps = (16.0 + N * (1.0 + pw) + abs(log_c)) * _EPS + 2.0 * lg_err
+        ulps = (16.0 + N * (1.0 + pw) + abs(log_c)) * EPS + 2.0 * lg_err
         err = C * (l0_err + abs(ln_phi) * e0_err + e0 * psi_err) + ulps * scale
         worst, budget = max(worst, rel_res), max(budget, err / scale)
         rows.append({"r": r, "residual": res, "scale": scale, "rel_residual": rel_res})

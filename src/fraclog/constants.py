@@ -49,6 +49,7 @@ import numpy as np
 from .errors import DomainError
 from .specfun import EULER_GAMMA, digamma, ln_gamma
 
+EPS = 2.0 ** -52  # machine epsilon of a double, the unit of every rounding bound
 LN2 = math.log(2.0)
 LN_PI = math.log(math.pi)
 
@@ -218,5 +219,5 @@ def bessel_bubble_coeff(p: Params) -> float:
     so that the Fourier transform of (1+|x|^2)^{-(N-2s)/2} equals
     C_{N,s} |xi|^{-s} K_s(|xi|) under the (2pi)^{-N/2} convention.
     """
-    m = 0.5 * (p.N - 2.0 * p.s)
-    return math.exp((1.0 - m) * LN2 - ln_gamma(m))
+    m = 0.5 * (p.N - 2.0 * p.s)  # rounds as N/2 - s: ln Gamma(m) is the record's lg_lo
+    return math.exp((1.0 - m) * LN2 - eval_constants(p).gammas.lg_lo)

@@ -108,7 +108,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .constants import LN2, LN_PI, Params, gammas_of_n, sphere_area_equator
+from .constants import EPS, LN2, LN_PI, Params, gammas_of_n, sphere_area_equator
 from .errors import DivergentIntegralError, DomainError, NonConvergedError
 from .quadrature import Integrand, QuadResult, _sum_results, integrate
 # never called here: perfbench/tracer.py wraps this name to count quad calls by caller
@@ -116,7 +116,6 @@ from .quadrature import _quad
 from .specfun import bessel_k, digamma, ln_gamma
 
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-_EPS = 2.0 ** -52
 _RHO_MAX_EXP = 80.0  # exponential-decay densities are negligible beyond this
 _DNU = 1e-3  # step of the fourth-order nu-derivative at the ladder seeds
 _HEAD_U = 64.0  # energies take rho in [e^{-64}, 1] as u = -ln rho
@@ -611,7 +610,7 @@ def _gamma_moment(c, dc: float, num: Sequence[tuple], den: Sequence[tuple],
     x = c + fsum(lgs[:k] + [-lg for lg in lgs[k:]])
     v = _map(math.exp, x) if vec else math.exp(x)
     rel = 2.0 * abs(c) + sum(map(abs, lgs)) + 2.0 * sum(args) + 2.0 * len(lgs) + _PAIR_ROUNDINGS
-    plain = (v, _EPS * rel * abs(v))
+    plain = (v, EPS * rel * abs(v))
     if not log:
         return plain, None
     ws = [w for _, w in num] + [-w for _, w in den]
@@ -619,14 +618,14 @@ def _gamma_moment(c, dc: float, num: Sequence[tuple], den: Sequence[tuple],
     d = dc + fsum(psis)
     d_err = (abs(dc) + sum(map(abs, psis))
              + sum(abs(w) * (1.0 + 1.0 / a) for a, w in zip(args, ws)) + len(psis))
-    return plain, (v * d, _EPS * abs(v) * (rel * abs(d) + d_err))
+    return plain, (v * d, EPS * abs(v) * (rel * abs(d) + d_err))
 
 
 def _over_sphere(N: int, val: float, err: float) -> QuadResult:
     """|S^{N-1}| (val, err), with the rounding of |S^{N-1}| itself; evaluations = 0."""
     area = sphere_area_equator(N)
     area_rel = LN2 + 0.5 * N * LN_PI + abs(gammas_of_n(N).lg_half) + 4.0
-    return QuadResult(area * val, area * (err + _EPS * area_rel * abs(val)), 0)
+    return QuadResult(area * val, area * (err + EPS * area_rel * abs(val)), 0)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -637,7 +636,7 @@ def _pair_rungs(sums: tuple) -> tuple:
     if any(s.log for s in sums):
         raise DomainError("pair_energy takes plain phi-power sums only")
     return tuple((a, 2.0 * coef * math.exp(-ln_gamma(a)),
-                  _EPS * (abs(ln_gamma(a)) + 2.0 * a + 4.0)) for s in sums for _, coef, a in s.terms)
+                  EPS * (abs(ln_gamma(a)) + 2.0 * a + 4.0)) for s in sums for _, coef, a in s.terms)
 
 
 def _pair_pass(g: SpectralDensity, N: int, s, log: bool) -> tuple:

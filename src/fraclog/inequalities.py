@@ -61,7 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .audit import AuditReport, identity_audit
-from .constants import (LN2, LN_PI, Params, B_N, C_N, c_N, A_N, eval_constants,
+from .constants import (EPS, LN2, LN_PI, Params, B_N, C_N, c_N, A_N, eval_constants,
                         gammas_of_n, kappa_terms, sphere_area)
 from .errors import DivergentIntegralError, DomainError, SelfTestError
 from .specfun import ln_gamma
@@ -113,7 +113,7 @@ def _lp_sq_of_moment(v: er.RadialProfile, m: er.QuadResult, p_exp: float) -> tup
     two_over_p = 2.0 / p_exp
     val = coef * coef * er._map(operator.pow, m.value, two_over_p)
     return val, val * (two_over_p * m.abs_error_estimate / m.value
-                       + er._EPS * (2.0 * abs(two_over_p * er._map(math.log, m.value)) + 5.0))
+                       + EPS * (2.0 * abs(two_over_p * er._map(math.log, m.value)) + 5.0))
 
 
 @lru_cache(maxsize=None)
@@ -130,7 +130,7 @@ def _bubble_entropy(N: int) -> tuple[float, float]:
     ratio = N * ml.value / m.value
     val = ratio - math.log(m.value)
     err = ((N * ml.abs_error_estimate + (abs(ratio) + 1.0) * m.abs_error_estimate) / m.value
-           + er._EPS * (3.0 * abs(ratio) + abs(math.log(m.value)) + abs(val)))
+           + EPS * (3.0 * abs(ratio) + abs(math.log(m.value)) + abs(val)))
     return val, err
 
 
@@ -162,7 +162,7 @@ def _one(t: float) -> float:
 def _kappa_rel(N: int, s, g):
     """First-order bound on the relative rounding of eval_constants' kappa_{N,s}, from
     the ln Gamma values of its GammaValues g; an array of orders gives an array."""
-    return er._EPS * (s * (2.0 * LN2 + LN_PI) + abs(g.lg_lo) + abs(g.lg_hi)
+    return EPS * (s * (2.0 * LN2 + LN_PI) + abs(g.lg_lo) + abs(g.lg_hi)
                       + 2.0 * s / N * (abs(g.lg_n) + abs(g.lg_half)) + 2.0 * N + 8.0)
 
 
@@ -204,7 +204,7 @@ def _frozen_bubble_deficit(p0: Params,
     """
     N, s0 = p0.N, p0.s
     v = er.talenti_bubble(p0)
-    eps = er._EPS
+    eps = EPS
     s = np.array(s_grid, dtype=float)
     kap, _, g = kappa_terms(N, s)
     en = er.pair_energy("frac", v.fourier, N, s)
@@ -230,7 +230,7 @@ def _extremal_identity(N: int, s: float, name: str, inputs: dict) -> AuditReport
     kappa' and both bounds read one set of ln Gamma and psi values (kappa_terms),
     and both energies come from one pass over the pair (pair_energies).
     """
-    h, eps = 0.5 * N, er._EPS
+    h, eps = 0.5 * N, EPS
     m = 0.5 * (N - 2.0 * s)
     u = er.phi_poly_profile(N, [er.PhiSum.of(m, [2.0 ** (-m)])], kind="bubble")
     kap, kap_prime, g = kappa_terms(N, s)
@@ -399,7 +399,7 @@ def _beckner_profile(N: int, f_choice: str) -> tuple[er.RadialProfile, float, fl
     A exp(-r^2/(2 sigma^2)) from its amplitude and width,
     A^2 (pi sigma^2)^{N/2} (ln A - N/4).
     """
-    eps = er._EPS
+    eps = EPS
     if f_choice == "extremal":
         f = extremal_profile(N)
         m, m_err = _lp_sq_of_moment(f, er.bubble_moments(N)[0], 2.0)  # |f|^2 ~ phi^N
@@ -464,7 +464,7 @@ def _second_moment(f: er.RadialProfile, N: int) -> tuple[float, float]:
     gives c^2 (2 M(2a-1) - M(2a)), M(b) the phi-moments; the estimates are
     first-order rounding bounds. Any other profile takes radial_integral.
     """
-    eps = er._EPS
+    eps = EPS
     if f.kind == "gaussian":
         A, sigma = f.meta["amplitude"], f.meta["sigma"]
         lg = ln_gamma(0.5 * N + 1.0)
@@ -541,8 +541,6 @@ def beckner_sphere_equivalence(N: int, u: spectral.ZonalExpansion) -> AuditRepor
     int |u|^2 ln(|u|^2 |S^N|/||u||^2) over the sphere, with Ent_2 split at
     the sign changes of u. Deficit = DoubleEnergy - C_N * entropy >= 0.
     """
-    from . import conformal  # only this audit needs it; the Euclidean audits skip its import
-
     if u.degree_max > 16:
         raise DomainError("degree must not exceed 16")
     norm2 = u.norm_sq()
@@ -551,7 +549,7 @@ def beckner_sphere_equivalence(N: int, u: spectral.ZonalExpansion) -> AuditRepor
     e_log = spectral.spectral_energy("P_log", None, u)
     double_energy = 2.0 / c_N(N) * (e_log - A_N(N) * norm2)
 
-    ent = conformal._sphere_entropy(u, conformal._sign_changes(u)).value
+    ent = spectral.zonal_entropy(u, spectral.sign_changes(u)).value
     entropy_side = norm2 * (ent + math.log(sphere_area(N)))
     deficit = double_energy - C_N(N) * entropy_side
     cn_consistency = abs(C_N(N) - (4.0 / N) / c_N(N)) / C_N(N)

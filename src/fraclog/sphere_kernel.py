@@ -24,7 +24,7 @@ By the Funk-Hecke formula (the addition theorem; Mueller, Spherical
 Harmonics, LNM 17) the mean operator is diagonal on the Z_k: for
 u = sum_k c_k Z_k of degree d, M = sum_k c_k f_k Z_k with
 f_k = Z_k(t0)/Z_k(1), from one cached Clenshaw pass over the identity
-basis (`spectral._zonal_basis`). At t0 = +-1, f_k = (+-1)^k exactly, so
+basis (`spectral.zonal_basis`). At t0 = +-1, f_k = (+-1)^k exactly, so
 the pole needs no branch. M is sampled by one `zonal_eval` at the d + 1
 Chebyshev points of the second kind, which start at t = 1, converted to
 Chebyshev coefficients and divided exactly by 1 - t (Trefethen,
@@ -93,7 +93,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .audit import AuditReport
-from .constants import Params, eval_constants, A_N, c_N, sphere_area_equator
+from .constants import EPS, LN2, Params, eval_constants, A_N, c_N, sphere_area_equator
 from .errors import DomainError
 from .quadrature import Integrand, QuadResult, integrate
 # never called here: perfbench/tracer.py wraps this name to count quad calls by caller
@@ -101,8 +101,6 @@ from .quadrature import _quad as _scipy_quad
 from .specfun import digamma, ln_beta
 from . import spectral
 
-_EPS = float(np.finfo(float).eps)
-_LN2 = math.log(2.0)
 
 
 # the kernels take the ZonalExpansion itself; perfbench/workloads.py still wraps it in this
@@ -121,7 +119,7 @@ def _kernel_setup(op: str, p: Params | None, N: int):
             return cs.c_Ns, -p.s, cs.A_Ns, abs(cs.A_Ns), None
         # A' = A (psi(N/2+s) + psi(N/2-s)) cancels where the digamma sum changes sign
         size = abs(cs.A_Ns) * (abs(cs.gammas.psi_hi) + abs(cs.gammas.psi_lo))
-        return cs.c_Ns, -p.s, cs.Aprime_Ns, size, cs.b_Ns - _LN2
+        return cs.c_Ns, -p.s, cs.Aprime_Ns, size, cs.b_Ns - LN2
     if op == "P_log":
         return c_N(N), 0.0, A_N(N), abs(A_N(N)), None
     raise DomainError(f"unknown operator {op!r}")
@@ -159,7 +157,7 @@ def _quotient_map(degree: int):
 @lru_cache(maxsize=1024)
 def _mean_factors(N: int, degree: int, t0: float):
     """f_k = Z_k(t0)/Z_k(1) and Z_k(1), k = 0..degree, as tuples of floats."""
-    at_t0, at_pole = spectral._zonal_basis(N, degree, (t0, 1.0))
+    at_t0, at_pole = spectral.zonal_basis(N, degree, (t0, 1.0))
     return tuple((at_t0 / at_pole).tolist()), tuple(at_pole.tolist())
 
 
@@ -185,7 +183,7 @@ def _kernel_moments(N: int, alpha: float, degree: int):
     beta = 0.5 * N - 1.0
     ab = alpha + beta
     m0 = 2.0 ** (ab + 1.0) * math.exp(ln_beta(alpha + 1.0, beta + 1.0))
-    l0 = m0 * (_LN2 + digamma(alpha + 1.0) - digamma(ab + 2.0))
+    l0 = m0 * (LN2 + digamma(alpha + 1.0) - digamma(ab + 2.0))
     ratio = (beta - alpha) / (ab + 2.0)
     M = [m0, m0 * ratio]
     L = [l0, l0 * ratio - 2.0 * m0 * (beta + 1.0) / (ab + 2.0) ** 2]
@@ -198,7 +196,7 @@ def _kernel_moments(N: int, alpha: float, degree: int):
     scale = 2.0 ** (alpha - 0.5 * N)  # 2^{-e}
     plain, log = scale * np.array(M[:degree]), scale * np.array(L[:degree])
     quotient = _quotient_map(degree)[1]
-    return (plain, log, scale * m0, scale * (2.0 * _LN2 * m0 - l0),
+    return (plain, log, scale * m0, scale * (2.0 * LN2 * m0 - l0),
             float(np.abs(plain @ quotient).sum()), float(np.abs(log @ quotient).sum()))
 
 
@@ -219,10 +217,10 @@ def apply_kernel(op: str, p: Params | None, u: spectral.ZonalExpansion, t0: floa
         value = shift * value - float(log @ q)
         mass = abs(shift) * mass + log_mass
         weight = abs(shift) * weight + log_weight
-    rounding = 4.0 * _EPS * (degree + 1) * (float(np.abs(q).sum()) * mass + weight * size)
+    rounding = 4.0 * EPS * (degree + 1) * (float(np.abs(q).sum()) * mass + weight * size)
     area = sphere_area_equator(N)
     return QuadResult(coeff * area * value + zero_order * m1,
-                      abs(coeff) * area * rounding + 4.0 * _EPS * zero_size * abs(m1), degree + 1)
+                      abs(coeff) * area * rounding + 4.0 * EPS * zero_size * abs(m1), degree + 1)
 
 
 def apply_kernel_at_pole(op: str, p: Params | None, u: spectral.ZonalExpansion) -> QuadResult:
@@ -237,7 +235,7 @@ def kernel_vs_spectral(p: Params, kmax: int) -> list[dict]:
     if kmax < 0:
         raise DomainError(f"kmax must be >= 0, got {kmax}")
     lam = spectral.eigenvalue(p.N, np.arange(kmax + 1))
-    pole = spectral._zonal_basis(p.N, kmax, (1.0,))[0].tolist()
+    pole = spectral.zonal_basis(p.N, kmax, (1.0,))[0].tolist()
     rows = []
     for op in ("P_s", "P_slog", "P_log"):
         for k, sym in enumerate(spectral.symbol_for(op, p, p.N, lam).tolist()):

@@ -6,8 +6,6 @@ from fractions import Fraction
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fraclog import conformal, euclid_radial as er, spectral
 from fraclog.constants import Params, eval_constants, sphere_area
@@ -17,38 +15,10 @@ from fraclog.specfun import digamma
 from fraclog.spectral import ZonalExpansion, multiplicities, zonal_eval, zonal_integral
 
 
-def test_stereographic_special_points():
-    north = np.array([0.0, 0.0, 1.0])
-    assert np.allclose(conformal.stereographic(north), [0.0, 0.0])
-    equator = np.array([1.0, 0.0, 0.0])
-    assert np.allclose(conformal.stereographic(equator), [1.0, 0.0])
-    with pytest.raises(DomainError):
-        conformal.stereographic(np.array([0.0, 0.0, -1.0]))
-    with pytest.raises(DomainError):
-        conformal.stereographic(np.array([0.0, 0.0, 2.0]))
-
-
-@settings(max_examples=60)
-@given(st.lists(st.floats(min_value=-5.0, max_value=5.0), min_size=2, max_size=4))
-def test_stereographic_round_trip_and_unit_norm(x):
-    x = np.asarray(x)
-    z = conformal.stereographic_inverse(x)
-    assert float(np.dot(z, z)) == pytest.approx(1.0, abs=1e-12)
-    back = conformal.stereographic(z)
-    assert np.allclose(back, x, atol=1e-12, rtol=1e-12)
-
-
 def test_polar_cosine_consistency():
+    # projection from the south pole sends polar angle theta to radius r = tan(theta/2)
     for r in (0.0, 0.3, 1.0, 4.0):
-        x = np.array([r, 0.0, 0.0])
-        z = conformal.stereographic_inverse(x)
-        assert z[-1] == pytest.approx(conformal.polar_cosine(r), abs=1e-14)
-        if 0.0 < r:
-            assert conformal.radius_of_cosine(conformal.polar_cosine(r)) == \
-                pytest.approx(r, rel=1e-12)
-    # the south pole t = -1 has no image
-    with pytest.raises(DomainError):
-        conformal.radius_of_cosine(-1.0)
+        assert conformal.polar_cosine(r) == pytest.approx(math.cos(2.0 * math.atan(r)), abs=1e-14)
     # phi(sigma(omega)) = 1 + t
     for r in (0.2, 1.0, 3.0):
         assert er.phi(r) == pytest.approx(1.0 + conformal.polar_cosine(r), rel=1e-14)
@@ -109,8 +79,8 @@ def test_confcore_mixture():
 def test_sign_changes_keep_a_root_on_a_grid_node():
     # t = 0 is a node of the bracketing grid, where every odd u vanishes
     for N in range(1, 6):
-        assert conformal._sign_changes(ZonalExpansion(N, 1, (0.0, 1.0))) == [0.0]
-        assert 0.0 in conformal._sign_changes(ZonalExpansion(N, 3, (0.0, 1.0, 0.0, 0.5)))
+        assert spectral.sign_changes(ZonalExpansion(N, 1, (0.0, 1.0))) == [0.0]
+        assert 0.0 in spectral.sign_changes(ZonalExpansion(N, 3, (0.0, 1.0, 0.0, 0.5)))
 
 
 def test_confcore_profile_with_a_zero():
@@ -120,7 +90,7 @@ def test_confcore_profile_with_a_zero():
     rep = conformal.confcore_checks(u, 3)
     assert abs(rep.details["entropy_residual"]) <= 1e-12
     assert abs(rep.details["log_energy_residual"]) <= 1e-12
-    zeros = conformal._sign_changes(u)
+    zeros = spectral.sign_changes(u)
     assert len(zeros) == 1 and abs(zonal_eval(u, zeros[0])) <= 1e-14
 
 
@@ -729,7 +699,7 @@ def test_confcore_integrates_only_its_two_entropies(monkeypatch):
     for N, u in CONFCORE_PROFILES:
         names.clear()
         conformal.confcore_checks(u, N)
-        pieces = len(conformal._sign_changes(u)) + 1
+        pieces = len(spectral.sign_changes(u)) + 1
         split += pieces > 1
         assert sorted(names, key=str) == sorted([("entropy-log", pieces, "alg"),
                                                  ("entropy-log-phi", 1, "alg-loga"),
@@ -740,8 +710,8 @@ def test_confcore_integrates_only_its_two_entropies(monkeypatch):
 def test_confcore_evaluates_p_once_per_quadrature_node(monkeypatch):
     # both entropy integrands read one P^2 per node t; without a sign change every
     # node of P^2 ln phi is a node of P^2 ln P^2, so PhiSum.at runs once per distinct
-    # node (85) against 140 integrand evaluations. This sign-free audit sets the
-    # radial benchmark's tail
+    # node (85) against 140 integrand evaluations; the sphere's entropy takes 63. This
+    # sign-free audit sets the radial benchmark's tail
     u = ZonalExpansion(3, 2, (1.0, 0.22494366745777655, -0.08674528706922613))
     calls, nodes, evaluations = [], set(), []
     at, weighted = er.PhiSum.at, er.phi_weighted_integral
@@ -756,9 +726,10 @@ def test_confcore_evaluates_p_once_per_quadrature_node(monkeypatch):
         return res
     monkeypatch.setattr(er.PhiSum, "at", counting_at)
     monkeypatch.setattr(er, "phi_weighted_integral", recording)
-    assert conformal._sign_changes(u) == []
+    assert spectral.sign_changes(u) == []
     conformal.confcore_checks(u, 3)
     assert len(calls) == len(nodes) == 85 and sum(evaluations) == 140, evaluations
+    assert spectral.zonal_entropy(u, []).evaluations == 63
 
 
 @pytest.mark.parametrize("N,u", CONFCORE_PROFILES + SCAN_PROFILES)
@@ -774,7 +745,7 @@ def test_confcore_shared_node_values_match_plain_integrands(monkeypatch, N, u):
     monkeypatch.setattr(er, "phi_weighted_integral", recording(weighted))
     monkeypatch.setattr(spectral, "zonal_integral", recording(zonal))
     conformal.confcore_checks(u, N)
-    c, zeros = conformal._phi_coefficients(u), conformal._sign_changes(u)
+    c, zeros = conformal._phi_coefficients(u), spectral.sign_changes(u)
 
     def p2_log_p2(t):
         p2 = c.at(1.0 + t) ** 2
@@ -799,8 +770,8 @@ def _euclid_entropy_in_r(N, u):
         ph = er.phi(r)
         v2 = c.at(ph) ** 2 * ph ** N
         return v2 * math.log(v2) if v2 else 0.0
-    e = er.radial_integral(N, v2_log_v2,
-                           [conformal.radius_of_cosine(t) for t in conformal._sign_changes(u)])
+    e = er.radial_integral(N, v2_log_v2,  # r = sqrt((1 - t)/(1 + t)) inverts polar_cosine
+                           [math.sqrt((1.0 - t) / (1.0 + t)) for t in spectral.sign_changes(u)])
     norm = u.norm_sq()
     val = e.value / norm - math.log(norm)
     return val, e.abs_error_estimate / norm + 4.0 * 2.0 ** -52 * (abs(val) + abs(math.log(norm)))
@@ -823,7 +794,7 @@ def test_confcore_entropy_at_a_zero_next_to_the_south_pole_in_mpmath():
     # to abs 1e-12, rel 1e-10 in t, its Euclidean entropy erred by 4.5e-14
     N = 3
     u = ZonalExpansion(N, 2, (1.0, 0.1922373057834289, -0.2052915187150902))
-    (zero,) = conformal._sign_changes(u)
+    (zero,) = spectral.sign_changes(u)
     assert -0.9999 < zero < -0.9998
     rep = conformal.confcore_checks(u, N)
     c = conformal._phi_coefficients(u)
@@ -848,7 +819,7 @@ def test_confcore_radial_n3_zero_near_the_pole_both_sides_tight():
     # sphere entropy at abs 1e-12, rel 1e-11 its entropy residual read 6.9e-14, the
     # sphere side's error against 40-digit mpmath
     u = ZonalExpansion(3, 2, (1.0, 0.1551505545567698, -0.23555544777004683))
-    (zero,) = conformal._sign_changes(u)
+    (zero,) = spectral.sign_changes(u)
     assert -0.993 < zero < -0.992
     rep = conformal.confcore_checks(u, 3)
     assert abs(rep.details["entropy_residual"]) <= 2e-14

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from fraclog.constants import (B_N, Params, a_N, bessel_bubble_coeff, bubble_mu,
+from fraclog.constants import (B_N, LN2, Params, a_N, bessel_bubble_coeff, bubble_mu,
                                eval_constants, gamma_values, kappa_Ns, kappaprime_Ns,
                                sphere_area)
 from fraclog.errors import DomainError
@@ -155,6 +155,16 @@ def test_bessel_bubble_coeff_values():
     assert bessel_bubble_coeff(Params(3, 0.5)) == pytest.approx(1.0, rel=1e-14)
     for (N, s) in [(1, 0.3), (2, 0.6), (5, 0.9)]:
         assert bessel_bubble_coeff(Params(N, s)) > 0.0
+
+
+def test_bessel_bubble_coeff_reads_the_records_ln_gamma_bit_for_bit():
+    # m = (N-2s)/2 rounds as N/2 - s, so the record's lg_lo is ln Gamma(m) and the
+    # coefficient equals its own-evaluation form 2^{1-m}/Gamma(m) bit for bit
+    for N in range(1, 9):
+        for s in (j / 1000 for j in range(1, 1000) if N > j / 500):
+            p, m = Params(N, s), 0.5 * (N - 2.0 * s)
+            assert eval_constants(p).gammas.lg_lo == ln_gamma(m), (N, s)
+            assert bessel_bubble_coeff(p) == math.exp((1.0 - m) * LN2 - ln_gamma(m)), (N, s)
 
 
 def test_constant_set_cache_is_idempotent():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fraclog.constants import (Params, bessel_bubble_coeff, eval_constants,
+from fraclog.constants import (EPS, Params, bessel_bubble_coeff, eval_constants,
                                sphere_area_equator)
 from fraclog.errors import DivergentIntegralError, DomainError
 from fraclog import conformal, euclid_radial as er, inequalities as ineq
@@ -877,7 +877,7 @@ def test_an_array_with_one_divergent_element_raises():
 
 def _scalar_failure_curve(N, s0, grid):
     """F_v over the grid of failure_demo by one scalar pair_energy and phi_moment per point."""
-    v, eps = er.talenti_bubble(Params(N, s0)), er._EPS
+    v, eps = er.talenti_bubble(Params(N, s0)), EPS
     Fs, errs = [], []
     for s in np.linspace(0.05 * s0, s0, grid).tolist():
         kap = eval_constants(Params(N, s)).kappa_Ns

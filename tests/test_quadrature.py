@@ -14,7 +14,7 @@ from scipy.integrate import quad as scipy_quad
 from scipy.optimize import brentq
 
 import fraclog
-from fraclog import conformal, quadrature, spectral
+from fraclog import quadrature, spectral
 from fraclog.errors import BracketError, DomainError, NonConvergedError
 from fraclog.quadrature import Integrand, find_root, integrate
 from fraclog.specfun import digamma, ln_beta
@@ -179,14 +179,14 @@ def test_find_root_matches_brentq_on_the_threshold_brackets():
                                        (3, (0.4, -0.3, 1.1)), (2, (0.3, 1.0, -0.4)),
                                        (5, (0.1, -0.7, 0.4, 0.9, -0.2, 0.6))])
 def test_find_root_matches_brentq_on_the_nodal_roots(N, coeffs):
-    # the sign changes of a zonal u that conformal._sign_changes brackets on its grid
+    # the sign changes of a zonal u that spectral.sign_changes brackets on its grid
     u = spectral.ZonalExpansion(N, len(coeffs) - 1, coeffs)
     t = np.linspace(-1.0, 1.0, 16 * len(coeffs) + 1)
     v = spectral.zonal_eval(u, t)
     brackets = [(t[i], t[i + 1]) for i in np.flatnonzero(v[:-1] * v[1:] < 0.0)]
     g = lambda x: spectral.zonal_eval(u, x)
     expected = [brentq(g, *b, xtol=1e-12, rtol=8.9e-16) for b in brackets]
-    assert expected and [r.hex() for r in conformal._sign_changes(u)] == [
+    assert expected and [r.hex() for r in spectral.sign_changes(u)] == [
         r.hex() for r in expected]
 
 

@@ -58,6 +58,24 @@ def test_symbol_slog_is_order_derivative():
     assert symbol_slog(Params(N, s), lam) == pytest.approx(fd, abs=50.0 * h * h)
 
 
+def test_first_two_eigenvalues_in_closed_form():
+    # at lambda_1 = N, a = (N+1)/2 and the symbols shift the Gamma arguments of
+    # A_{N,s} by one: phi_s(lambda_1) = q A, q = (N+2s)/(N-2s), and
+    # phi^{s+ln}(lambda_1) = q A' + 4N A/(N-2s)^2 (the digammas gain 1/(N/2 -+ s));
+    # lambda_2 shifts them once more, so 1 - phi_s(lambda_1)/phi_s(lambda_2) =
+    # 4s/(N+2+2s), the local constant of the first eigenvalue gap
+    for N in range(1, 9):
+        lam1, lam2 = eigenvalue(N, 1), eigenvalue(N, 2)
+        for s in (j / 100 for j in range(1, 100) if N > j / 50):
+            p, cs = Params(N, s), eval_constants(Params(N, s))
+            q, shift = (N + 2.0 * s) / (N - 2.0 * s), 4.0 * N * cs.A_Ns / (N - 2.0 * s) ** 2
+            phi1 = symbol_s(p, lam1)
+            assert abs(phi1 - q * cs.A_Ns) <= 1e-13 * q * cs.A_Ns, (N, s)
+            slog = q * cs.Aprime_Ns + shift
+            assert abs(symbol_slog(p, lam1) - slog) <= 1e-13 * (abs(q * cs.Aprime_Ns) + shift), (N, s)
+            assert abs(1.0 - phi1 / symbol_s(p, lam2) - 4.0 * s / (N + 2.0 + 2.0 * s)) <= 2e-14, (N, s)
+
+
 def test_symbol_slog_negative_for_N2_k0():
     assert symbol_slog(Params(2, 0.5), 0.0) < 0.0
 
@@ -227,7 +245,7 @@ def test_zonal_basis_pass_equals_per_degree_values(N):
     # Z_k(-1)/Z_k(1) comes out exactly (-1)^k
     t = (1.0, -1.0, 0.3, -0.77, 0.5, 0.999)
     for d in (0, 1, 7, 16, 40):
-        rows = spectral._zonal_basis(N, d, t)
+        rows = spectral.zonal_basis(N, d, t)
         assert rows.shape == (len(t), d + 1)
         assert rows.tolist() == [[zonal_basis_eval(N, k, x) for k in range(d + 1)] for x in t]
         assert (rows[1] / rows[0]).tolist() == [(-1.0) ** k for k in range(d + 1)]
